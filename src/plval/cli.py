@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Data goes to stdout (or --output); diagnostics go to stderr.  All JSON
 is canonical (sorted keys, round-trip float formatting), and verify
-output is byte-identical across runs for a fixed seed with --threads 1.
+output is byte-identical across runs for a fixed seed.
 """
 
 from __future__ import annotations
@@ -46,13 +46,10 @@ class RunConfig:
     seed: int = 0
     suite: str = None
     tolerance: float = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.p is not None and self.n is not None and not self.p < self.n:
             raise ValueError("need p < n, got p=%g n=%d" % (self.p, self.n))
-        if self.threads < 1:
-            raise ValueError("thread count must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -166,8 +163,6 @@ def cmd_recover(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     """Run the selected suite or the full battery; JSONL to --output (or
     stdout) plus a CSV summary; exit 0 only with zero failures."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from .verify import default_battery, make_report, reports_to_jsonl, summarize_csv
 
     battery = default_battery(config.seed)
@@ -179,12 +174,7 @@ def cmd_verify(config: RunConfig) -> int:
                 % (config.suite, ", ".join(name for name, _ in default_battery(config.seed)))
             )
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            batches = list(pool.map(lambda item: item[1](), battery))
-    else:
-        batches = [thunk() for _, thunk in battery]
-    reports = [r for batch in batches for r in batch]
+    reports = [r for _, thunk in battery for r in thunk()]
 
     if config.tolerance is not None:
         # override: re-judge every comparison against the new tolerance
@@ -262,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--suite")
     sp.add_argument("--tolerance", type=float)
-    sp.add_argument("--threads", type=int, default=1)
 
     return ap
 

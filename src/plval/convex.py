@@ -102,12 +102,6 @@ def dedupe_points(pts: np.ndarray, tol: float):
     return np.array(reps, dtype=float).reshape(len(reps), d), mapping
 
 
-def merge_close_points(pts: np.ndarray, tol: float):
-    """Snap-round a point cloud: cluster within tol, representative is the
-    lex-smallest member. Returns (snapped_array, index_mapping)."""
-    return dedupe_points(pts, tol)
-
-
 # ---------------------------------------------------------------------------
 # H-form utilities
 # ---------------------------------------------------------------------------

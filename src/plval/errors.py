@@ -22,7 +22,7 @@ class Singular(PLValError):
 
 
 class OverlayFailure(PLValError):
-    """Lattice overlay could not produce a conforming refinement."""
+    """Lattice overlay could not produce a valid simplex partition of max/min."""
 
 
 class NotNonnegative(PLValError):

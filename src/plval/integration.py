@@ -205,13 +205,6 @@ class PushforwardDensity:
                 total += _power_segment_integral(a, b, coeffs, q)
         return total
 
-    def moment_signed_power(self, q: int) -> float:
-        """Integral of t^q (integer q) against the density, via the
-        symmetric-polynomial route; exact for mixed-sign values too."""
-        n = self.dim
-        coeff = math.exp(gammaln(n + 1) + gammaln(q + 1) - gammaln(n + q + 1))
-        return coeff * hq_complete_homogeneous(self.values, int(q))
-
     def integrate(self, fn, breakpoints=(), tol: float = 1e-12) -> float:
         """Integral of fn against the density; fn smooth between its
         breakpoints. Gauss-Legendre per subinterval with one safeguarded
@@ -322,8 +315,3 @@ def integrate_function_of_values(f: PLFunction, fn, breakpoints=(), power: float
         else:
             total += vol * dens.integrate(fn, breakpoints)
     return total
-
-
-def check_nonnegative(f: PLFunction, tol: float = 1e-9) -> None:
-    if len(f.values) and float(np.min(f.values)) < -tol:
-        raise NegativeValues("function takes value %.3g below zero" % float(np.min(f.values)))

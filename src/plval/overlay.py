@@ -1,39 +1,54 @@
 """Mesh overlay: pointwise max/min of two piecewise-affine functions.
 
 The two meshes are cut against each other into convex cells on which
-both functions are affine (or absent), each cell keeps the winning
-affine piece, and the kept cells are snapped, triangulated and repaired
-into one conforming complex.
+both functions are affine (or absent): simplex pairs are clipped
+directly, cut by the plane where the two affine pieces cross, and the
+regions only one function covers are carved out with difference chains.
+Nothing in the cutting depends on the dimension.
 
-Two cutting strategies share the assembly pipeline:
+Each cell keeps the winning affine piece and is triangulated on its
+own, so the result is a simplex *partition* of its support: interiors
+are disjoint and the values continuous, but a vertex of one simplex may
+lie inside a face of its neighbour (a T-junction).  Integrals, norms
+and evaluation need nothing more; conformity is only checked where
+input arrives as JSON.
 
-* pairwise (default in dimensions <= 2): clip simplex pairs directly and
-  carve single-cover regions with difference chains;
-* arrangement (dimension >= 3): collect every facet plane, every
-  f-g crossing plane and every sign-change plane into one global pool
-  and cut each simplex by all pool planes crossing its interior.  Cells
-  on both sides of a shared face see the same cutting planes, so the
-  refined meshes agree on shared faces up to snapping.
+Simplices at or below the degenerate-measure floor are dropped, so
+every output simplex is nondegenerate.  Before a result is returned it
+is checked, each check raising OverlayFailure: by volume, the cells
+cover supp f and supp g exactly (cells both functions cover counted
+twice) and each kept cell's simplices fill that cell; simplices sharing
+a vertex agree on its value; and the output agrees with the pointwise
+max/min at sample points.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from . import convex
 from .convex import EPS, SNAP
-from .errors import InvalidComplex, OverlayFailure
+from .errors import OverlayFailure
 from .plfunction import VALUE_SNAP, PLFunction, SimplicialComplex
 
 # Affine pieces differing by less than this on a cell are not cut apart.
 CUT_TOL = 1e-12
-# barycentric coordinates below this are treated as zero when a hanging
-# vertex is classified; calibrated to crossing noise over feature size
-BARY_SUPPORT = 1e-6
-# Hanging-vertex detection threshold for the repair passes.
-REPAIR_TOL = 1e-9
+# Cell vertices are enumerated, and merged, to 10x this.  It sits far
+# below EPS so that a sliver between nearly parallel planes (such as two
+# edges meeting at a T-junction of an input partition, extended across
+# a large simplex) keeps its volume instead of collapsing.
+ENUM_TOL = 1e-11
 # Simplices sharing a vertex must assign it values within this spread.
 VALUE_AGREE = 1e-7
+# Vertex positions are trusted to this radius (relative to the data
+# scale), so steep pieces may disagree at a shared vertex by gradient
+# times it.
+VERTEX_TOL = 1e-9
+# Relative tolerance of the volume balances in the partition check.
+COVER_TOL = 1e-9
 
 
 def _prep(f: PLFunction):
@@ -50,21 +65,14 @@ def _prep(f: PLFunction):
 
 
 def _enum(A, b, dim):
-    V = convex.halfspace_vertices(A, b)
+    V = convex.halfspace_vertices(A, b, tol=ENUM_TOL)
     if len(V) < dim + 1:
         return None
     return V
 
 
-def _locate(prep, x, tol=EPS):
-    for V, A, b, lo, hi, aff in prep:
-        if np.all(x >= lo - tol) and np.all(x <= hi + tol) and convex.contains(A, b, x, tol):
-            return aff
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Pairwise mode
+# Cutting
 # ---------------------------------------------------------------------------
 
 
@@ -169,175 +177,6 @@ def _pieces_pairwise(fp, gp, dim):
 
 
 # ---------------------------------------------------------------------------
-# Arrangement mode
-# ---------------------------------------------------------------------------
-
-
-def _canonical_plane(u, c):
-    nu = np.linalg.norm(u)
-    if nu < 1e-13:
-        return None
-    u, c = u / nu, c / nu
-    for comp in u:
-        if comp > 1e-10:
-            break
-        if comp < -1e-10:
-            u, c = -u, -c
-            break
-    return u, float(c)
-
-
-def _plane_pool(fp, gp, f, g):
-    planes = {}
-
-    def add(u, c):
-        pl = _canonical_plane(u, c)
-        if pl is None:
-            return
-        key = tuple(np.round(pl[0], 9)) + (round(pl[1], 9),)
-        planes.setdefault(key, pl)
-
-    for prep in (fp, gp):
-        for V, A, b, lo, hi, aff in prep:
-            for row, rhs in zip(A, b):
-                add(row, rhs)
-    for V1, A1, b1, lo1, hi1, aff_f in fp:
-        for V2, A2, b2, lo2, hi2, aff_g in gp:
-            if not convex.bboxes_overlap(lo1, hi1, lo2, hi2, pad=EPS):
-                continue
-            common = _enum(np.vstack([A1, A2]), np.concatenate([b1, b2]), len(lo1))
-            if common is None:
-                continue
-            add(aff_f[0] - aff_g[0], -(aff_f[1] - aff_g[1]))
-    for func, prep in ((f, fp), (g, gp)):
-        sv = func.simplex_values()
-        for i, (V, A, b, lo, hi, aff) in enumerate(prep):
-            if sv[i].min() < -CUT_TOL and sv[i].max() > CUT_TOL:
-                add(aff[0], -aff[1])
-    return [planes[k] for k in sorted(planes)]
-
-
-def _merge_coincident(pts, tights, tol):
-    """Collapse points within tol, unioning their tight plane sets."""
-    out_p, out_t = [], []
-    for p, t in zip(pts, tights):
-        for k, q in enumerate(out_p):
-            if np.max(np.abs(q - p)) <= tol:
-                out_t[k] = out_t[k] | t
-                break
-        else:
-            out_p.append(p)
-            out_t.append(t)
-    return out_p, out_t
-
-
-def _cut_cell(Vp, tp, d, rid, dim, ct, tt, edge_rank_ok):
-    """Split a cell, given signed distances d of its vertices to a plane,
-    into the two closed halves.  Vertex sets are tracked directly; an edge
-    is a vertex pair whose shared tight planes cut out a line (dim-1 of
-    them, independent), and each straddling edge contributes its crossing
-    point to both halves.
-
-    Tightness (tt) is recorded far sharper than the crossing decision
-    (ct): a vertex merely near a plane must not claim incidence, or
-    false edge pairs seed runaway interior points."""
-    on = np.abs(d) <= tt
-    neg = (d < 0) & ~on
-    pos = (d > 0) & ~on
-    cross_p, cross_t = [], []
-    for i, j in np.argwhere(neg[:, None] & pos[None, :]):
-        shared = tp[i] & tp[j]
-        if len(shared) < dim - 1 or not edge_rank_ok(shared):
-            continue
-        t = d[i] / (d[i] - d[j])
-        cross_p.append(Vp[i] + t * (Vp[j] - Vp[i]))
-        cross_t.append(shared | {rid})
-    # coincidences only happen on the plane itself
-    on_idx = np.nonzero(on)[0]
-    plane_p, plane_t = _merge_coincident(
-        [Vp[k] for k in on_idx] + cross_p, [tp[k] | {rid} for k in on_idx] + cross_t, ct
-    )
-    halves = []
-    for side in (neg, pos):
-        idx = np.nonzero(side)[0]
-        pts = [Vp[k] for k in idx] + plane_p
-        if len(pts) < dim + 1:
-            continue
-        arr = np.array(pts)
-        sv = np.linalg.svd(arr - arr.mean(axis=0), compute_uv=False)
-        if sv[-1] <= 10 * ct:
-            continue  # flat sliver, measure zero
-        halves.append((arr, [tp[k] for k in idx] + plane_t))
-    return halves
-
-
-def _bsp(V, A, b, planes, dim):
-    """Vertex sets of the cells the plane pool cuts this simplex into."""
-    scale = max(1.0, float(np.max(np.abs(V))))
-    ct = EPS * scale
-    tt = CUT_TOL * scale
-    tight0 = [frozenset(np.nonzero(np.abs(A @ v - b) <= tt)[0]) for v in V]
-    parts = [(V, tight0)]
-
-    # One id per geometric plane: a pool plane coinciding with a seed row
-    # reuses that row's id, otherwise two ids for one plane make any two
-    # points on it an "edge" pair.
-    normals = {k: (A[k], float(b[k])) for k in range(len(A))}
-    ids = []
-    for pi, (u, c) in enumerate(planes):
-        rid = None
-        for k in range(len(A)):
-            s = 1.0 if u @ A[k] >= 0 else -1.0
-            if np.max(np.abs(u - s * A[k])) <= 1e-9 and abs(c - s * b[k]) <= 1e-9 * scale:
-                rid = k
-                break
-        if rid is None:
-            rid = len(A) + pi
-            normals[rid] = (u, c)
-        ids.append(rid)
-
-    rank_cache = {}
-
-    def edge_rank_ok(shared):
-        hit = rank_cache.get(shared)
-        if hit is None:
-            M = np.array([normals[r][0] for r in shared])
-            sv = np.linalg.svd(M, compute_uv=False)
-            hit = np.count_nonzero(sv > 1e-6) >= dim - 1
-            rank_cache[shared] = hit
-        return hit
-
-    for rid, (u, c) in zip(ids, planes):
-        nxt = []
-        for Vp, tp in parts:
-            d = Vp @ u - c
-            if d.min() > -ct or d.max() < ct:
-                if np.any(np.abs(d) <= tt):
-                    tp = [t | {rid} if abs(d[k]) <= tt else t for k, t in enumerate(tp)]
-                nxt.append((Vp, tp))
-                continue
-            nxt.extend(_cut_cell(Vp, tp, d, rid, dim, ct, tt, edge_rank_ok))
-        parts = nxt
-    return [Vp for Vp, tp in parts]
-
-
-def _pieces_arrangement(fp, gp, f, g, dim):
-    planes = _plane_pool(fp, gp, f, g)
-    pieces = []
-    for V, A, b, lo, hi, aff_f in fp:
-        for Vc in _bsp(V, A, b, planes, dim):
-            centroid = Vc.mean(axis=0)
-            pieces.append((Vc, aff_f, _locate(gp, centroid)))
-    for V, A, b, lo, hi, aff_g in gp:
-        for Vc in _bsp(V, A, b, planes, dim):
-            centroid = Vc.mean(axis=0)
-            if _locate(fp, centroid) is not None:
-                continue  # already produced from the f side
-            pieces.append((Vc, None, aff_g))
-    return pieces
-
-
-# ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
 
@@ -350,111 +189,74 @@ def _decide(op, af, ag, centroid):
     return af if fa <= ga else ag
 
 
-def _find_hanging(table, simplices, used, dim, tol):
-    """First offending (vertex index, barycentric support) per simplex.
-
-    The detection window (10x tol) matches the conformity validator, so
-    anything it would flag gets repaired here first.  A support of size
-    one means the vertex coincides with a corner up to noise and the two
-    indices need welding, not a split."""
-    U = table[used]
-    hits = {}
-    for pos, s in enumerate(simplices):
-        verts = table[list(s)]
-        lo = verts.min(axis=0) - 10 * tol
-        hi = verts.max(axis=0) + 10 * tol
-        mask = np.all((U >= lo) & (U <= hi), axis=1)
-        cand = [used[i] for i in np.nonzero(mask)[0] if used[i] not in s]
-        if not cand:
-            continue
-        M, v0 = convex.barycentric_matrix(verts)
-        bc = (table[cand] - v0) @ M.T
-        b0 = 1.0 - bc.sum(axis=1)
-        full = np.column_stack([b0, bc])
-        inside = np.all(full >= -10 * tol, axis=1)
-        for ci in np.nonzero(inside)[0]:
-            support = np.nonzero(full[ci] > BARY_SUPPORT)[0]
-            hits[pos] = (cand[ci], support)
-            break
-    return hits
+def _cell_volume(V):
+    """Volume of the convex cell with vertices V; a flat cell has volume 0."""
+    if len(V) == V.shape[1] + 1:
+        return convex.simplex_measure(V)
+    try:
+        return float(ConvexHull(V).volume)
+    except QhullError:
+        return 0.0
 
 
-def _repair(table, simplices, sources, dim, scale):
-    tol = REPAIR_TOL * max(1.0, scale)
-    for _ in range(16):
-        used = sorted({i for s in simplices for i in s})
-        hits = _find_hanging(table, simplices, used, dim, tol)
-        if not hits:
-            return simplices, sources
+def _assemble(pieces, op, dim, supp):
+    """Triangulate the winning cells into a partition.
 
-        merges = {}
-        for pos, (vi, support) in hits.items():
-            if len(support) == 1:
-                sj = simplices[pos][support[0]]
-                a, b = (vi, sj) if vi < sj else (sj, vi)
-                merges[b] = min(a, merges.get(b, a))
-        if merges:
-            # weld coincident indices first; splits rerun next pass on
-            # the rewritten mesh
-            def root(i):
-                while i in merges:
-                    i = merges[i]
-                return i
+    supp is vol supp f + vol supp g: the cells must cover it exactly,
+    with each cell both functions cover counted twice."""
+    vols = [_cell_volume(V) for V, _, _ in pieces]
+    covered = sum(vols) + sum(
+        vol for vol, (_, af, ag) in zip(vols, pieces) if af is not None and ag is not None
+    )
+    if abs(covered - supp) > COVER_TOL * supp:
+        raise OverlayFailure(
+            "cells cover volume %.17g, the two supports %.17g" % (covered, supp)
+        )
 
-            new_s, new_src = [], []
-            for s, src in zip(simplices, sources):
-                t = tuple(sorted(root(i) for i in s))
-                if len(set(t)) == dim + 1:
-                    new_s.append(t)
-                    new_src.append(src)
-            simplices, sources = new_s, new_src
-            continue
-
-        new_s, new_src = [], []
-        for pos, (s, src) in enumerate(zip(simplices, sources)):
-            if pos not in hits:
-                new_s.append(s)
-                new_src.append(src)
-                continue
-            vi, support = hits[pos]
-            for j in support:
-                child = list(s)
-                child[j] = vi
-                new_s.append(tuple(sorted(child)))
-                new_src.append(src)
-        simplices, sources = new_s, new_src
-    raise OverlayFailure("hanging vertices persist after 16 repair passes")
-
-
-def _assemble(pieces, op, dim):
     kept = []
-    for V, af, ag in pieces:
+    for (V, af, ag), vol in zip(pieces, vols):
         win = _decide(op, af, ag, V.mean(axis=0))
         if win is not None:
-            kept.append((V, win))
+            kept.append((V, win, vol))
     if not kept:
         return PLFunction.zero(dim)
 
-    allv = np.vstack([V for V, _ in kept])
+    allv = np.vstack([V for V, _, _ in kept])
     scale = max(1.0, float(np.max(np.abs(allv))))
-    table, mapping = convex.merge_close_points(allv, SNAP * scale)
+    table, mapping = convex.dedupe_points(allv, SNAP * scale)
 
-    simplices, sources = [], []
+    simplices, sources, cells = [], [], []
     pos = 0
-    for V, aff in kept:
+    for ci, (V, aff, _) in enumerate(kept):
         idxs = mapping[pos : pos + len(V)]
         pos += len(V)
         for s in convex.pulling_triangulation(table, idxs, dim):
             simplices.append(s)
             sources.append(aff)
+            cells.append(ci)
+
+    S = np.array(simplices, dtype=int).reshape(-1, dim + 1)
+    svols = np.abs(np.linalg.det(table[S[:, 1:]] - table[S[:, :1]])) / math.factorial(dim)
+    # needles at or below the degenerate floor carry no volume at the
+    # data's scale; check 3 below still sees each cell filled without them
+    keep = np.nonzero(svols > (EPS * scale) ** dim / math.factorial(dim))[0]
+    simplices = [simplices[i] for i in keep]
+    sources = [sources[i] for i in keep]
+    cells = [cells[i] for i in keep]
+    svols = svols[keep]
+    filled = np.bincount(np.asarray(cells, dtype=int), weights=svols, minlength=len(kept))
+    for ci, (_, _, vol) in enumerate(kept):
+        if abs(filled[ci] - vol) > COVER_TOL * supp:
+            raise OverlayFailure(
+                "a cell of volume %.3g triangulates to volume %.3g" % (vol, filled[ci])
+            )
     if not simplices:
         return PLFunction.zero(dim)
-
-    simplices, sources = _repair(table, simplices, sources, dim, scale)
 
     order = sorted(range(len(simplices)), key=lambda i: simplices[i])
     simplices = [simplices[i] for i in order]
     sources = [sources[i] for i in order]
+    svols = svols[order]
 
     candidates = {}
     grad_mag = {}
@@ -466,9 +268,7 @@ def _assemble(pieces, op, dim):
     vscale = max(1.0, max(abs(v) for lst in candidates.values() for v in lst))
     values = {}
     for i, lst in candidates.items():
-        # vertex positions are only trusted to the repair window, so steep
-        # pieces may disagree by gradient times that radius
-        slack = VALUE_AGREE * vscale + 20.0 * REPAIR_TOL * scale * grad_mag[i]
+        slack = VALUE_AGREE * vscale + 20.0 * VERTEX_TOL * scale * grad_mag[i]
         if max(lst) - min(lst) > slack:
             raise OverlayFailure(
                 "value disagreement %.3g at a shared vertex" % (max(lst) - min(lst))
@@ -486,32 +286,20 @@ def _assemble(pieces, op, dim):
         dim=dim,
         vertices=table[used],
         simplices=tuple(tuple(remap[i] for i in s) for s in simplices),
+        _volumes=svols[live],
     )
     return PLFunction(complex=out_cx, values=np.array([values[i] for i in used]))
 
 
-def lattice_overlay(f: PLFunction, g: PLFunction, op: str, mode: str = None) -> PLFunction:
+def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:
     if f.dim != g.dim:
         raise ValueError("dimension mismatch: %d vs %d" % (f.dim, g.dim))
     dim = f.dim
     if f.complex.is_empty() and g.complex.is_empty():
         return PLFunction.zero(dim)
-    if mode is None:
-        mode = "pairwise" if dim <= 2 else "arrangement"
 
-    fp = _prep(f)
-    gp = _prep(g)
-    if mode == "pairwise":
-        pieces = _pieces_pairwise(fp, gp, dim)
-    else:
-        pieces = _pieces_arrangement(fp, gp, f, g, dim)
-    out = _assemble(pieces, op, dim)
-
-    try:
-        if not out.complex.is_empty():
-            out.complex.validate(level="fast")
-    except InvalidComplex as exc:
-        raise OverlayFailure("overlay output is not conforming: %s" % exc) from exc
+    pieces = _pieces_pairwise(_prep(f), _prep(g), dim)
+    out = _assemble(pieces, op, dim, f.support_volume() + g.support_volume())
 
     lo = np.minimum(*(fn.bbox()[0] for fn in (f, g)))
     hi = np.maximum(*(fn.bbox()[1] for fn in (f, g)))

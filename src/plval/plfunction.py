@@ -1,12 +1,15 @@
-"""Piecewise-affine functions on conforming simplicial complexes.
+"""Piecewise-affine functions on simplicial meshes.
 
 A PLFunction is stored as vertex values over a SimplicialComplex and is
 extended by zero outside the complex. Functions vanish on the topological
 boundary of their support so the zero extension is continuous; loaders
 and validators enforce this.
 
-Lattice operations (pointwise max/min) refine the two meshes against
-each other; see overlay.py for that machinery.
+Meshes read from JSON, cone functions and tents are conforming (any two
+simplices meet in a common face).  Lattice operations (pointwise
+max/min) refine the two meshes against each other and return a simplex
+partition that may have T-junctions; see overlay.py for that machinery.
+Evaluation, gradients, integrals and norms only need a partition.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ VALUE_SNAP = 1e-10
 
 @dataclass(eq=False)
 class SimplicialComplex:
-    """Conforming simplicial complex in R^dim.
+    """Simplices with disjoint interiors in R^dim.
 
     vertices: (k, dim) float array; simplices: tuple of sorted index
     tuples of length dim+1. Treated as immutable after construction.
+    The simplices partition the support; they need not meet face to face
+    (join/meet output may have T-junctions), but meshes read from JSON
+    are checked to be conforming.
     """
 
     dim: int
@@ -73,7 +79,10 @@ class SimplicialComplex:
         return self.vertices[idx]
 
     def boundary_vertex_indices(self) -> np.ndarray:
-        """Vertices lying on (dim-1)-faces that belong to exactly one simplex."""
+        """Vertices lying on (dim-1)-faces that belong to exactly one simplex.
+
+        Assumes a conforming complex: on a partition with T-junctions an
+        interior face split between two neighbours also counts once."""
         from collections import Counter
 
         faces = Counter()
@@ -88,12 +97,10 @@ class SimplicialComplex:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self, level: str = "full", tol: float = EPS) -> None:
-        """Check nondegeneracy, pairwise conformity, disjoint interiors.
-
-        level="fast" runs the vectorized vertex-in-foreign-simplex scan
-        and shared-facet side tests; "full" adds the pairwise clipping
-        check. Raises InvalidComplex naming the offending simplices.
+    def validate(self, tol: float = EPS) -> None:
+        """Check nondegeneracy, conformity and disjoint interiors: the
+        vertex-in-foreign-simplex scan, then the pairwise clipping check.
+        Raises InvalidComplex naming the offending simplices.
         """
         n = self.dim
         scale = self.scale()
@@ -106,8 +113,7 @@ class SimplicialComplex:
         if len(self.simplices) < 2:
             return
         self._check_foreign_vertices(tol * scale)
-        if level == "full":
-            self._check_pairwise(tol * scale)
+        self._check_pairwise(tol * scale)
 
     def _check_foreign_vertices(self, atol: float) -> None:
         n = self.dim
@@ -303,8 +309,10 @@ class PLFunction:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self, level: str = "full", tol: float = EPS) -> None:
-        self.complex.validate(level=level, tol=tol)
+    def validate(self, tol: float = EPS) -> None:
+        """Complex invariants plus zero values on the support boundary;
+        like boundary_vertex_indices, assumes a conforming complex."""
+        self.complex.validate(tol=tol)
         bidx = self.complex.boundary_vertex_indices()
         vscale = max(1.0, float(np.max(np.abs(self.values))) if len(self.values) else 1.0)
         for i in bidx:
@@ -332,7 +340,7 @@ def from_json_dict(data: dict) -> PLFunction:
         raise ValueError("vertex array shape does not match dim %d" % dim)
     cx = SimplicialComplex(dim=dim, vertices=verts, simplices=tuple(map(tuple, data["simplices"])))
     f = PLFunction(complex=cx, values=np.asarray(data["values"], dtype=float))
-    f.validate(level="full")
+    f.validate()
     return f
 
 
@@ -460,7 +468,7 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
         pieces.append((V, tent_affine(j)))
 
     allv = np.vstack([V for V, _ in pieces])
-    table, mapping = convex.merge_close_points(allv, 1e-12 * max(1.0, np.max(np.abs(allv))))
+    table, mapping = convex.dedupe_points(allv, 1e-12 * max(1.0, np.max(np.abs(allv))))
     simplices = []
     sources = []
     pos = 0

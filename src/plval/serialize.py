@@ -59,11 +59,6 @@ def dumps_canonical(obj) -> str:
     return _encode(obj) + "\n"
 
 
-def write_canonical(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(obj))
-
-
 def csv_row(fields) -> str:
     parts = []
     for f in fields:

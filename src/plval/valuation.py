@@ -259,21 +259,6 @@ def homogeneous_kernel(value: float, q: float, n: int) -> PowerKernel:
     return PowerKernel(value / c_pn(q, n), q)
 
 
-def _reflect_poly(coeffs, a, b):
-    """Coefficients of p(-t) on [-b, -a] in the local basis (t + b),
-    given p on [a, b] in the basis (t - a)."""
-    # p(-t) = sum_k c_k (-t - a)^k = sum_k c_k (-1)^k (t - (-b) + (b - a))^k... expand
-    # around u = t + b: (-t - a) = -(u - b) - a = (b - a) - u
-    width = b - a
-    deg = len(coeffs) - 1
-    out = np.zeros(deg + 1)
-    for k, c in enumerate(coeffs):
-        # c * ((b - a) - u)^k
-        for j in range(k + 1):
-            out[j] += c * math.comb(k, j) * width ** (k - j) * (-1.0) ** j
-    return out
-
-
 def even_odd_split(kernel: Kernel):
     """(even part, odd part) with h = even + odd, both valid kernels.
 

@@ -1,7 +1,7 @@
 """Property suites: structural facts about valuations run as batches of
 numerical experiments, each case reduced to a left/right comparison.
 
-Every suite is deterministic for a fixed seed in single-threaded mode.
+Every suite is deterministic for a fixed seed.
 A report never passes on a NaN or Inf residual.  Overlay failures turn
 into skipped cases where the contract allows it (the join/meet identity
 suite); elsewhere they propagate.
@@ -233,9 +233,12 @@ def valuation_identity_suite(
     tolerance: float = IDENTITY_TOL,
     points: int = None,
 ):
-    """z(f v g) + z(f ^ g) = z(f) + z(g) on random cone pairs."""
+    """z(f v g) + z(f ^ g) = z(f) + z(g) on random cone pairs.  The
+    reports carry suite name valuation_identity for n = 2 and
+    valuation_identity_3d for n = 3."""
     if n not in (2, 3):
         raise ValueError("identity suite supports n in {2, 3}")
+    suite = "valuation_identity" if n == 2 else "valuation_identity_3d"
     rng = np.random.default_rng(seed)
     reports = []
     for idx in range(count):
@@ -247,16 +250,12 @@ def valuation_identity_suite(
             lhs = apply(h, join(f, g)) + apply(h, meet(f, g))
         except OverlayFailure as exc:
             reports.append(
-                skip_report(
-                    "valuation_identity", case, "overlay: %s" % exc, time.perf_counter() - t0
-                )
+                skip_report(suite, case, "overlay: %s" % exc, time.perf_counter() - t0)
             )
             continue
         rhs = apply(h, f) + apply(h, g)
         reports.append(
-            make_report(
-                "valuation_identity", case, lhs, rhs, tolerance, time.perf_counter() - t0
-            )
+            make_report(suite, case, lhs, rhs, tolerance, time.perf_counter() - t0)
         )
     return reports
 
@@ -788,7 +787,7 @@ def default_battery(seed: int = 0):
         ("valuation_identity", lambda: valuation_identity_suite(
             PowerKernel(1.0, 2.0), seed=seed, count=30, n=2)),
         ("valuation_identity_3d", lambda: valuation_identity_suite(
-            PowerKernel(1.0, 1.5), seed=seed + 1, count=3, n=3, points=5)),
+            PowerKernel(1.0, 1.5), seed=seed + 1, count=30, n=3, points=5)),
         ("invariance", lambda: invariance_suite(
             PowerKernel(1.0, 2.0), seed=seed + 2, count=25, n=2)),
         ("homogeneity", lambda: [

@@ -219,13 +219,6 @@ def test_verify_deterministic_output(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_threads_match_serial(capsys, tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    run(capsys, "verify", "--suite", "homogeneity", "--output", str(a))
-    run(capsys, "verify", "--suite", "homogeneity", "--threads", "2", "--output", str(b))
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_entry_point_subprocess(square_file):
     import subprocess
     import sys
