@@ -1,11 +1,36 @@
 """Exact integration of piecewise-affine functions.
 
-Everything reduces to one fact: the pushforward of the uniform measure
-on an n-simplex under an affine map with vertex values v_0 <= ... <= v_n
-has a B-spline density of degree n-1 with knots at the v_i.  Norms,
-level-set volumes and kernel integrals are then one-dimensional
-integrals against that density, and since the density is a polynomial
-between consecutive knots, power moments have closed forms.
+Everything reduces to one fact: the pushforward of the uniform
+probability measure on an n-simplex under an affine map with vertex
+values v_0 <= ... <= v_n has a B-spline density of degree n-1 with knots
+at the v_i.  Norms, level-set volumes and kernel integrals are then
+one-dimensional integrals of a function h of one variable against that
+density.  One engine computes them for a whole stack of simplices at
+once, from their (m, n+1) value rows.
+
+Scaled segments.  On each segment [v_j, v_{j+1}] of width d > 0 the
+density is a polynomial in the scaled variable s = (t - v_j)/d in [0, 1].
+The Cox-de Boor recursion builds it there in Bernstein form: every
+factor of the recursion is a ratio of knot differences lying in [0, 1],
+so every coefficient is a sum of products of numbers in [0, 1], whatever
+the gaps.  A segment of 1 ulp gets coefficients as accurate as a segment
+of width 1, and no coefficient grows like 1/gap.
+
+Pieces.  h is given piece by piece (see Pieces): between consecutive cuts
+it is a polynomial or C |t|^e, and 0 is always a cut.  Each segment is
+split at the cuts it crosses; de Casteljau subdivision, a chain of convex
+combinations, carries the Bernstein coefficients onto each sub-piece.
+Polynomial pieces take Gauss-Legendre rules with enough nodes to be
+exact.  A power piece does not straddle 0; with near and far its
+endpoints' magnitudes, it takes a 16-node Gauss-Legendre rule when
+near/far >= 1/3, where |t|^e is analytic well beyond the piece, and a
+closed form through complete and incomplete Beta integrals otherwise.
+
+No cancellation.  The Bernstein coefficients are nonnegative, so when h
+is nonnegative (|t|^q, indicators) each sub-piece contributes a
+nonnegative amount computed to a few ulps, and the sum over sub-pieces
+and segments cannot cancel.  A value row with a zero spread is a point
+mass and contributes h at its value.
 
 For integer exponents there is an independent route through complete
 homogeneous symmetric polynomials; the two must agree and the tests
@@ -16,18 +41,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline, PPoly
-from scipy.special import gammaln
+from scipy.special import beta, gammaln
 
 from .errors import NegativeValues
 from .plfunction import PLFunction
 
-# Value spread below which a simplex's value distribution counts as a
-# point mass.
-DIRAC_TOL = 1e-14
+# Power pieces with near/far at least this ratio take the Gauss-Legendre
+# rule; |t|^e is then analytic on a disc of radius 1.5 widths around the
+# piece, and GL_POWER_NODES nodes reach the rounding level.
+NEAR_RATIO = 1.0 / 3.0
+GL_POWER_NODES = 16
 
 
 def c_pn(p: float, n: int) -> float:
@@ -66,8 +92,7 @@ def integrate_power_over_simplex(values, volume: float, q: float) -> float:
     vertex values.
 
     Integer q uses the closed form vol * n! q! / (n+q)! * h_q(values);
-    other exponents go through the value-density moment, which is exact
-    piecewise-polynomial quadrature rather than a closed form.
+    other exponents go through the engine (simplex_means).
     """
     values = np.asarray(values, dtype=float)
     if np.any(values < 0):
@@ -76,54 +101,328 @@ def integrate_power_over_simplex(values, volume: float, q: float) -> float:
     if q < 0:
         raise ValueError("exponent must be nonnegative, got %r" % (q,))
     if q != int(q):
-        return volume * PushforwardDensity(values, n).moment_abs(float(q))
+        return volume * float(simplex_means(values[None, :], Pieces.power(1.0, float(q)))[0])
     q = int(q)
     coeff = math.exp(gammaln(n + 1) + gammaln(q + 1) - gammaln(n + q + 1))
     return volume * coeff * hq_complete_homogeneous(values, q)
 
 
-@functools.lru_cache(maxsize=64)
-def _gl_nodes(m: int):
-    x, w = np.polynomial.legendre.leggauss(m)
-    return x, w
+# ---------------------------------------------------------------------------
+# Functions of one variable, piece by piece
+# ---------------------------------------------------------------------------
 
 
-def _power_segment_integral(
-    a: float, b: float, coeffs: np.ndarray, q: float, anchor: float = None
-) -> float:
-    """Integral of |t|^q * sum_k coeffs[k] (t-anchor)^k over [a, b], a*b >= 0.
+@dataclass(frozen=True, eq=False)
+class Pieces:
+    """h: R -> R given on the intervals between sorted cuts.
 
-    Expands (t-anchor)^k binomially (k <= 3 here, so no cancellation
-    trouble) and uses the closed form for each pure power.
+    Interval l runs from cuts[l-1] to cuts[l] (interval 0 from -inf,
+    interval L from +inf), and there
+
+        h(t) = sum_k coefficients[l, k] (t - anchors[l])^k
+               + scales[l] |t|^exponents[l].
+
+    0 must be one of the cuts, so no power term straddles it; a power
+    term is 0 at t = 0.  At a cut, h takes the value of the interval on
+    its left.  Integrals do not depend on that choice; point masses (a
+    simplex with one value) do.
     """
-    if b <= a:
-        return 0.0
-    if anchor is None:
-        anchor = a
-    total = 0.0
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        for j in range(k + 1):
-            w = c * math.comb(k, j) * (-anchor) ** (k - j)
-            e = q + j + 1.0
-            if a >= 0.0:
-                total += w * (b**e - (a**e if a > 0.0 else 0.0)) / e
-            else:
-                # b <= 0: substitute t -> -t and integrate u^{q+j} over [-b, -a]
-                total += w * (-1.0) ** j * ((-a) ** e - ((-b) ** e if b < 0.0 else 0.0)) / e
-    return total
+
+    cuts: np.ndarray  # (L,)
+    anchors: np.ndarray  # (L+1,)
+    coefficients: np.ndarray  # (L+1, D+1), ascending powers of (t - anchor)
+    scales: np.ndarray  # (L+1,)
+    exponents: np.ndarray  # (L+1,)
+
+    def __post_init__(self):
+        if not (self.cuts == 0.0).any() or (np.diff(self.cuts) <= 0.0).any():
+            raise ValueError("cuts must be strictly increasing and include 0")
+
+    @staticmethod
+    def power(coefficient: float, exponent: float) -> "Pieces":
+        """coefficient * |t|^exponent."""
+        return Pieces(
+            cuts=np.zeros(1),
+            anchors=np.zeros(2),
+            coefficients=np.zeros((2, 1)),
+            scales=np.full(2, float(coefficient)),
+            exponents=np.full(2, float(exponent)),
+        )
+
+    @staticmethod
+    def above(level: float) -> "Pieces":
+        """The indicator of (level, inf)."""
+        cuts = np.union1d([0.0], [float(level)])
+        # interval l lies above the level iff it starts at or after it
+        step = np.concatenate([[0.0], cuts >= level])
+        return Pieces(
+            cuts=cuts,
+            anchors=np.zeros(len(cuts) + 1),
+            coefficients=step[:, None],
+            scales=np.zeros(len(cuts) + 1),
+            exponents=np.zeros(len(cuts) + 1),
+        )
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        idx = np.searchsorted(self.cuts, t, side="left")
+        loc = t - self.anchors[idx]
+        C = self.coefficients[idx]
+        out = np.zeros_like(t)
+        for k in range(C.shape[-1] - 1, -1, -1):
+            out = out * loc + C[..., k]
+        nz = t != 0.0
+        power = self.scales[idx] * np.abs(np.where(nz, t, 1.0)) ** self.exponents[idx]
+        return out + np.where(nz, power, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The engine
+# ---------------------------------------------------------------------------
+
+
+def _bernstein(u, degree: int) -> np.ndarray:
+    """The degree-`degree` Bernstein basis at the points u, (..., degree+1)."""
+    k = np.arange(degree + 1)
+    comb = np.array([math.comb(degree, i) for i in k], dtype=float)
+    u = np.asarray(u, dtype=float)[..., None]
+    return comb * u**k * (1.0 - u) ** (degree - k)
+
+
+@functools.lru_cache(maxsize=64)
+def _gl_bernstein(nodes: int, degree: int):
+    """Gauss-Legendre nodes and weights on [0, 1], with the Bernstein basis
+    at the nodes, (nodes, degree+1)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * (x + 1.0)
+    return u, 0.5 * w, _bernstein(u, degree)
+
+
+def _ratio(num, den):
+    """num/den clipped to [0, 1]; 0 where den is 0.  Where a recursion
+    factor matters it lies in [0, 1] exactly; elsewhere it multiplies a
+    zero coefficient and only needs to stay finite."""
+    return np.clip(num / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
+
+
+def _times_linear(c, l0, l1):
+    """Bernstein coefficients of (sum_r c_r B^{k-1}_r) * (l0 (1-s) + l1 s):
+    degree elevation by a linear factor, all weights nonnegative."""
+    k = c.shape[-1]
+    r = np.arange(k, dtype=float)
+    out = np.zeros(c.shape[:-1] + (k + 1,))
+    out[..., :k] += c * (l0[..., None] * ((k - r) / k))
+    out[..., 1:] += c * (l1[..., None] * ((r + 1) / k))
+    return out
+
+
+def _segment_density(V: np.ndarray) -> np.ndarray:
+    """(m, n, n) Bernstein coefficients A[row, j, :] with
+
+        integral over [v_j, v_{j+1}] of g(t) density(t) dt
+            = integral_0^1 g(v_j + d_j s) sum_k A[row, j, k] B^{n-1}_k(s) ds,
+
+    d_j = v_{j+1} - v_j, for sorted rows V (m, n+1) with v_n > v_0.
+    Cox-de Boor recursion restricted to each segment: B_{i,k} on segment
+    j lives in C[:, j, i, :]."""
+    m, n = V.shape[0], V.shape[1] - 1
+    C = np.broadcast_to(np.eye(n)[None, :, :, None], (m, n, n, 1))
+    lo = V[:, :-1, None]  # v_j
+    hi = V[:, 1:, None]  # v_{j+1}
+    for k in range(1, n):
+        count = n - k  # splines B_{i,k}, i = 0 .. n-k-1
+        vi = V[:, None, :count]
+        vik = V[:, None, k : k + count]
+        vi1 = V[:, None, 1 : 1 + count]
+        vik1 = V[:, None, k + 1 : k + 1 + count]
+        rise = vik - vi
+        fall = vik1 - vi1
+        C = _times_linear(C[:, :, :count], _ratio(lo - vi, rise), _ratio(hi - vi, rise)) + (
+            _times_linear(C[:, :, 1 : count + 1], _ratio(vik1 - lo, fall), _ratio(vik1 - hi, fall))
+        )
+    spread = V[:, -1] - V[:, 0]
+    mass = n * (V[:, 1:] - V[:, :-1]) / spread[:, None]
+    return C[:, :, 0, :] * mass[..., None]
+
+
+def _subdivide(c, s0, s1):
+    """Bernstein coefficients on [s0, s1] of the polynomial with
+    coefficients c on [0, 1], 0 <= s0 < s1 <= 1; two de Casteljau passes,
+    each a chain of convex combinations."""
+    N = c.shape[1] - 1
+    work = c.copy()
+    right = np.empty_like(c)
+    right[:, N] = work[:, N]
+    t = s0[:, None]
+    for r in range(1, N + 1):
+        work[:, : N - r + 1] = (1.0 - t) * work[:, : N - r + 1] + t * work[:, 1 : N - r + 2]
+        right[:, N - r] = work[:, N - r]
+    t = ((s1 - s0) / (1.0 - s0))[:, None]
+    left = np.empty_like(c)
+    left[:, 0] = right[:, 0]
+    for r in range(1, N + 1):
+        right[:, : N - r + 1] = (1.0 - t) * right[:, : N - r + 1] + t * right[:, 1 : N - r + 2]
+        left[:, r] = right[:, 0]
+    return left
+
+
+@functools.lru_cache(maxsize=64)
+def _closed_form_tables(q: float, N: int):
+    """Coefficient tables of the closed form (see _power_pieces):
+    P[p, k] multiplies rho^p, Q[p, k] multiplies rho^{q+1+p}."""
+    P = np.zeros((N + 1, N + 1))
+    Q = np.zeros((2 * N + 1, N + 1))
+    for k in range(N + 1):
+        b = N - k
+        for i in range(k + 1):
+            sign = (-1) ** (k - i)
+            P[k - i, k] = math.comb(N, k) * math.comb(k, i) * sign * beta(q + i + 1.0, b + 1.0)
+        for l in range(b + 1):
+            # sum_i C(k,i) (-1)^{k-i} / (x+i) = (-1)^k k! / (x (x+1) ... (x+k)),
+            # x = q+l+1: the sum over i in closed form, free of cancellation
+            Q[k + l, k] = (
+                math.comb(N, k) * (-1) ** (k + l) * math.comb(b, l) * math.factorial(k)
+                / math.prod(q + l + 1.0 + j for j in range(k + 1))
+            )
+    return P, Q
+
+
+@functools.lru_cache(maxsize=8)
+def _expansion_table(N: int) -> np.ndarray:
+    """M[p, s, k] = sum of C(N,k) C(k,i) C(N-k,l) (-1)^{k-i+l} over
+    p = k-i, s = i+l: the closed form of _power_pieces with both
+    binomials expanded, for exponents at or below -1."""
+    M = np.zeros((N + 1, N + 1, N + 1))
+    for k in range(N + 1):
+        for i in range(k + 1):
+            for l in range(N - k + 1):
+                M[k - i, i + l, k] += (
+                    math.comb(N, k) * math.comb(k, i) * math.comb(N - k, l) * (-1) ** (k - i + l)
+                )
+    return M
+
+
+def _power_pieces(x0, x1, c, q: float) -> np.ndarray:
+    """integral_0^1 |x0 + (x1 - x0) u|^q sum_k c[p, k] B^N_k(u) du per
+    piece; no piece straddles 0.
+
+    With near <= far the endpoint magnitudes and u counted from the near
+    end, pieces with near/far >= NEAR_RATIO take Gauss-Legendre.  The
+    others take the closed form in rho = near/far and y = t/far:
+
+        integral_0^1 (near + (far - near) u)^q B^N_k(u) du
+            = far^q C(N,k) / (1-rho)^{N+1}
+              * sum_i C(k,i) (-rho)^{k-i} integral_rho^1 y^{q+i} (1-y)^{N-k} dy,
+
+    each inner integral a complete Beta minus a short series in rho times
+    rho^{q+i+1}.  At rho < 1/3 the alternating sums lose a few bits at
+    most, and at rho = 0 (a piece ending at 0) only Beta terms remain.
+    Exponents at or below -1 (anchored extensions away from 0) expand the
+    inner integral directly instead."""
+    N = c.shape[1] - 1
+    neg = x1 <= 0.0
+    near = np.where(neg, -x1, x0)
+    far = np.where(neg, -x0, x1)
+    c = np.where(neg[:, None], c[:, ::-1], c)  # orient u from the near end
+    out = np.empty(len(x0))
+    quad = near >= NEAR_RATIO * far
+    if quad.any():
+        u, w, basis = _gl_bernstein(GL_POWER_NODES, N)
+        F = (near[quad, None] + (far - near)[quad, None] * u) ** q
+        out[quad] = np.sum(((F * w) @ basis) * c[quad], axis=1)
+    closed = ~quad
+    if closed.any():
+        rho = near[closed] / far[closed]
+        powers = rho[:, None] ** np.arange(2 * N + 1)
+        if q > -1.0:
+            P, Q = _closed_form_tables(q, N)
+            K = powers[:, : N + 1] @ P - (powers @ Q) * (rho ** (q + 1.0))[:, None]
+        else:
+            # the Beta integrals diverge: expand (1-y)^{N-k} and integrate
+            # each power from rho to 1, (1 - rho^e)/e, or -log(rho) at e = 0
+            e = q + 1.0 + np.arange(N + 1)
+            log_rho = np.log(rho)[:, None]
+            safe_e = np.where(e == 0.0, 1.0, e)
+            inner = np.where(e == 0.0, -log_rho, -np.expm1(e * log_rho) / safe_e)
+            K = np.einsum("xp,xs,psk->xk", powers[:, : N + 1], inner, _expansion_table(N))
+        out[closed] = np.sum(K * c[closed], axis=1) * far[closed] ** q / (1.0 - rho) ** (N + 1)
+    return out
+
+
+def _poly_pieces(x0, x1, c, anchors, coefficients) -> np.ndarray:
+    """Exact Gauss-Legendre integral of a polynomial piece against each
+    sub-piece's density polynomial."""
+    N = c.shape[1] - 1
+    D = coefficients.shape[1] - 1
+    u, w, basis = _gl_bernstein((D + N) // 2 + 1, N)
+    loc = x0[:, None] + (x1 - x0)[:, None] * u - anchors[:, None]
+    h = np.zeros_like(loc)
+    for k in range(D, -1, -1):
+        h = h * loc + coefficients[:, k, None]
+    return np.sum(((h * w) @ basis) * c, axis=1)
+
+
+def simplex_means(values, h: Pieces) -> np.ndarray:
+    """Mean of h(f) over each simplex, f affine with the vertex values in
+    each row of `values` (m, n+1): the integral of h against each row's
+    value density, all rows at once."""
+    V = np.sort(np.asarray(values, dtype=float), axis=1)
+    m, n = V.shape[0], V.shape[1] - 1
+    out = np.zeros(m)
+    rows = np.arange(m)
+    point = V[:, -1] == V[:, 0]
+    if point.any():
+        out[point] = h(V[point, 0])
+        V, rows = V[~point], rows[~point]
+    if len(V) == 0:
+        return out
+    A = _segment_density(V).reshape(-1, n)
+    lo = V[:, :-1].ravel()
+    hi = V[:, 1:].ravel()
+    seg_row = np.repeat(rows, n)
+    live = hi > lo
+    A, lo, hi, seg_row = A[live], lo[live], hi[live], seg_row[live]
+
+    # split every segment at the cuts it crosses, keeping the sub-pieces
+    # on which h is not identically 0
+    poly_on = (h.coefficients != 0.0).any(axis=1)
+    power_on = h.scales != 0.0
+    first = np.searchsorted(h.cuts, lo, side="right")
+    count = np.searchsorted(h.cuts, hi, side="left") - first + 1
+    seg = np.repeat(np.arange(len(lo)), count)
+    interval = first[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+    active = (poly_on | power_on)[interval]
+    seg, interval = seg[active], interval[active]
+    edges = np.concatenate([[-np.inf], h.cuts, [np.inf]])
+    x0 = np.maximum(lo[seg], edges[interval])
+    x1 = np.minimum(hi[seg], edges[interval + 1])
+    width = hi[seg] - lo[seg]
+    c = _subdivide(A[seg], (x0 - lo[seg]) / width, (x1 - lo[seg]) / width)
+    c *= ((x1 - x0) / width)[:, None]
+
+    piece_val = np.zeros(len(seg))
+    poly = poly_on[interval]
+    if poly.any():
+        ip = interval[poly]
+        piece_val[poly] = _poly_pieces(
+            x0[poly], x1[poly], c[poly], h.anchors[ip], h.coefficients[ip]
+        )
+    for e in np.unique(h.exponents[power_on]):
+        sel = (power_on & (h.exponents == e))[interval]
+        if sel.any():
+            power = _power_pieces(x0[sel], x1[sel], c[sel], float(e))
+            piece_val[sel] += h.scales[interval[sel]] * power
+    out += np.bincount(seg_row[seg], weights=piece_val, minlength=m)
+    return out
 
 
 @dataclass(eq=False)
 class PushforwardDensity:
     """Distribution of an affine function's value under the uniform
-    probability measure on an n-simplex."""
+    probability measure on an n-simplex: a one-row view of the engine."""
 
     values: np.ndarray
     dim: int
-    _segments: list = field(default=None, repr=False)
-    _spline: BSpline = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.sort(np.asarray(self.values, dtype=float))
@@ -132,114 +431,35 @@ class PushforwardDensity:
 
     @property
     def is_dirac(self) -> bool:
-        return self.values[-1] - self.values[0] <= DIRAC_TOL * max(
-            1.0, np.max(np.abs(self.values))
-        )
-
-    def _basis(self) -> BSpline:
-        if self._spline is None:
-            self._spline = BSpline.basis_element(self.values, extrapolate=False)
-        return self._spline
-
-    def segments(self):
-        """[(a, b, coeffs)] with density(t) = sum coeffs[k] (t-a)^k on [a,b]."""
-        if self._segments is None:
-            out = []
-            v0, vn = float(self.values[0]), float(self.values[-1])
-            scale = self.dim / (vn - v0)
-            pp = PPoly.from_spline(self._basis(), extrapolate=False)
-            for i in range(len(pp.x) - 1):
-                a, b = float(pp.x[i]), float(pp.x[i + 1])
-                mid = 0.5 * (a + b)
-                # basis_element pads the knot vector; skip the padding
-                # segments, they carry extrapolation garbage
-                if b - a <= 0.0 or mid <= v0 or mid >= vn:
-                    continue
-                coeffs = pp.c[::-1, i] * scale  # ascending in (t - a)
-                out.append((a, b, coeffs))
-            self._segments = out
-        return self._segments
+        return bool(self.values[-1] == self.values[0])
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
         if self.is_dirac:
             raise ValueError("point mass has no density")
-        scale = self.dim / (self.values[-1] - self.values[0])
-        out = self._basis()(t) * scale
-        return np.where(np.isnan(out), 0.0, out)
+        t = np.asarray(t, dtype=float)
+        V = self.values
+        A = _segment_density(V[None, :])[0]
+        j = np.clip(np.searchsorted(V, t, side="right") - 1, 0, self.dim - 1)
+        d = V[j + 1] - V[j]
+        s = (t - V[j]) / np.where(d > 0.0, d, 1.0)
+        basis = _bernstein(s, self.dim - 1)
+        dens = np.sum(A[j] * basis, axis=-1) / np.where(d > 0.0, d, 1.0)
+        inside = (t >= V[0]) & (t <= V[-1]) & (d > 0.0)
+        return np.where(inside, dens, 0.0)
 
     def cdf(self, t: float) -> float:
-        if self.is_dirac:
-            return 1.0 if t >= self.values[0] else 0.0
-        if t <= self.values[0]:
-            return 0.0
-        if t >= self.values[-1]:
-            return 1.0
-        total = 0.0
-        for a, b, coeffs in self.segments():
-            if t <= a:
-                break
-            hi = min(t, b)
-            for k, c in enumerate(coeffs):
-                total += c * (hi - a) ** (k + 1) / (k + 1)
-        return float(total)
-
-    def survival(self, t: float) -> float:
-        """Fraction of the simplex where the function exceeds t."""
-        return 1.0 - self.cdf(t)
+        """Fraction of the simplex where the function is at most t."""
+        return 1.0 - float(simplex_means(self.values[None, :], Pieces.above(t))[0])
 
     def moment_abs(self, q: float) -> float:
-        """Integral of |t|^q against the density (closed form)."""
+        """Integral of |t|^q against the density."""
         if q < 0:
             raise ValueError("exponent must be nonnegative")
-        if self.is_dirac:
-            return abs(float(self.values.mean())) ** q if q > 0 else float(
-                self.values.mean() != 0.0
-            )
-        total = 0.0
-        for a, b, coeffs in self.segments():
-            if a < 0.0 < b:
-                total += _power_segment_integral(a, 0.0, coeffs, q, anchor=a)
-                total += _power_segment_integral(0.0, b, coeffs, q, anchor=a)
-            else:
-                total += _power_segment_integral(a, b, coeffs, q)
-        return total
-
-    def integrate(self, fn, breakpoints=(), tol: float = 1e-12) -> float:
-        """Integral of fn against the density; fn smooth between its
-        breakpoints. Gauss-Legendre per subinterval with one safeguarded
-        bisection cascade."""
-        if self.is_dirac:
-            return float(fn(np.array([self.values.mean()]))[0])
-        cuts = {float(self.values[0]), float(self.values[-1])}
-        for a, b, _ in self.segments():
-            cuts.add(a)
-            cuts.add(b)
-        for t in np.atleast_1d(np.asarray(breakpoints, dtype=float)):
-            if self.values[0] < t < self.values[-1]:
-                cuts.add(float(t))
-        grid = sorted(cuts)
-
-        def gl(a, b, m):
-            x, w = _gl_nodes(m)
-            t = 0.5 * (b - a) * x + 0.5 * (a + b)
-            return 0.5 * (b - a) * float(np.sum(w * fn(t) * self.pdf(t)))
-
-        def adaptive(a, b, depth):
-            i1 = gl(a, b, 16)
-            i2 = gl(a, b, 32)
-            if abs(i1 - i2) <= tol or depth >= 24:
-                return i2
-            mid = 0.5 * (a + b)
-            return adaptive(a, mid, depth + 1) + adaptive(mid, b, depth + 1)
-
-        return sum(adaptive(a, b, 0) for a, b in zip(grid[:-1], grid[1:]) if b > a)
+        return float(simplex_means(self.values[None, :], Pieces.power(1.0, q))[0])
 
 
 def _per_simplex(f: PLFunction):
-    vols = f.complex.simplex_volumes()
-    svals = f.simplex_values()
-    return vols, svals
+    return f.complex.simplex_volumes(), f.simplex_values()
 
 
 def lq_norm(f: PLFunction, q: float) -> float:
@@ -249,10 +469,7 @@ def lq_norm(f: PLFunction, q: float) -> float:
     if f.complex.is_empty():
         return 0.0
     vols, svals = _per_simplex(f)
-    total = 0.0
-    for vol, vals in zip(vols, svals):
-        total += vol * PushforwardDensity(vals, f.dim).moment_abs(q)
-    return total ** (1.0 / q)
+    return float(vols @ simplex_means(svals, Pieces.power(1.0, q))) ** (1.0 / q)
 
 
 def grad_p_norm(f: PLFunction, p: float) -> float:
@@ -279,12 +496,7 @@ def level_set_volume(f: PLFunction, t: float) -> float:
     if f.complex.is_empty():
         return 0.0
     vols, svals = _per_simplex(f)
-    total = 0.0
-    for vol, vals in zip(vols, svals):
-        if np.max(vals) <= t:
-            continue
-        total += vol * PushforwardDensity(vals, f.dim).survival(t)
-    return total
+    return float(vols @ simplex_means(svals, Pieces.above(t)))
 
 
 def fisher_matrix(f: PLFunction) -> np.ndarray:
@@ -294,24 +506,3 @@ def fisher_matrix(f: PLFunction) -> np.ndarray:
     grads, _ = f.affines()
     vols = f.complex.simplex_volumes()
     return np.einsum("i,ij,ik->jk", vols, grads, grads)
-
-
-def integrate_function_of_values(f: PLFunction, fn, breakpoints=(), power: float = None) -> float:
-    """Integral of fn(f(x)) dx over the support.
-
-    fn must vanish at 0 for this to equal the integral over all of R^n.
-    When fn is coeff * |t|^q, pass power=q and fn(1) as the scale via the
-    closed-form moment path (exact); otherwise adaptive quadrature runs
-    against each simplex's value density.
-    """
-    if f.complex.is_empty():
-        return 0.0
-    vols, svals = _per_simplex(f)
-    total = 0.0
-    for vol, vals in zip(vols, svals):
-        dens = PushforwardDensity(vals, f.dim)
-        if power is not None:
-            total += vol * float(fn(np.array([1.0]))[0]) * dens.moment_abs(power)
-        else:
-            total += vol * dens.integrate(fn, breakpoints)
-    return total

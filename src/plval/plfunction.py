@@ -65,10 +65,9 @@ class SimplicialComplex:
 
     def simplex_volumes(self) -> np.ndarray:
         if self._volumes is None:
-            vols = np.array(
-                [convex.simplex_measure(self.vertices[list(s)]) for s in self.simplices]
-            )
-            self._volumes = vols
+            X = self.simplex_arrays()
+            edges = X[:, 1:] - X[:, :1]
+            self._volumes = np.abs(np.linalg.det(edges)) / math.factorial(self.dim)
         return self._volumes
 
     def simplex_arrays(self):

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln
 
 from .errors import (
     GridTooCoarse,
@@ -30,7 +29,7 @@ from .errors import (
     KernelNonzeroAtZero,
     NegativeValues,
 )
-from .integration import PushforwardDensity, c_pn, sobolev_conjugate
+from .integration import Pieces, c_pn, simplex_means, sobolev_conjugate
 from .plfunction import PLFunction
 
 KERNEL_ZERO_TOL = 1e-12
@@ -43,14 +42,14 @@ BREAK_CONTINUITY_TOL = 1e-12
 
 
 class Kernel:
-    """Base class: callable on arrays, with breakpoints for quadrature."""
+    """Base class: a function of one variable given as Pieces, callable on
+    arrays."""
 
-    def __call__(self, t):
+    def pieces(self) -> Pieces:
         raise NotImplementedError
 
-    @property
-    def breakpoints(self):
-        return np.zeros(1)
+    def __call__(self, t):
+        return self.pieces()(t)
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -69,13 +68,8 @@ class PowerKernel(Kernel):
                 "power kernel with exponent %g does not vanish at zero" % self.exponent
             )
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.coefficient * np.abs(t) ** self.exponent
-
-    @property
-    def breakpoints(self):
-        return np.zeros(1)
+    def pieces(self) -> Pieces:
+        return Pieces.power(self.coefficient, self.exponent)
 
     def to_json_dict(self):
         return {
@@ -85,18 +79,27 @@ class PowerKernel(Kernel):
         }
 
 
-def _anchored_power(anchor_t, anchor_h, exponent, t):
-    """Extension h(t) = h(anchor) * (t/anchor)^exponent beyond the anchor.
-
-    A zero anchor value or zero anchor point extends by zero.
-    """
-    if anchor_h == 0.0 or anchor_t == 0.0:
-        return np.zeros_like(t)
-    ratio = t / anchor_t
-    out = np.zeros_like(t)
-    ok = ratio > 0
-    out[ok] = anchor_h * ratio[ok] ** exponent
-    return out
+def _spline_pieces(knots, rows, lower, upper) -> Pieces:
+    """Pieces of the function that is the polynomial rows[i] (ascending
+    powers of t - knots[i]) on [knots[i], knots[i+1]], extended beyond
+    each end by the anchored power law of that end: for the anchor
+    (a, h_a, e), h(t) = h_a (t/a)^e where t/a > 0, and 0 elsewhere (also
+    when a = 0 or h_a = 0)."""
+    cuts = np.union1d(knots, [0.0])
+    # one point inside each interval; 0 is a cut, so its sign is the interval's
+    reps = np.concatenate([[cuts[0] - 1.0], 0.5 * (cuts[1:] + cuts[:-1]), [cuts[-1] + 1.0]])
+    idx = np.clip(np.searchsorted(knots, reps) - 1, 0, len(knots) - 2)
+    inner = (reps > knots[0]) & (reps < knots[-1])
+    coefficients = np.where(inner[:, None], rows[idx], 0.0)
+    scales = np.zeros(len(reps))
+    exponents = np.zeros(len(reps))
+    for side, (a, h_a, e) in ((reps < knots[0], lower), (reps > knots[-1], upper)):
+        if a == 0.0 or h_a == 0.0:
+            continue
+        on = side & (reps / a > 0.0)
+        scales[on] = h_a / abs(a) ** e
+        exponents[on] = e
+    return Pieces(cuts, knots[idx], coefficients, scales, exponents)
 
 
 @dataclass(eq=False)
@@ -108,6 +111,7 @@ class PiecewisePolyKernel(Kernel):
     coefficients: np.ndarray  # (pieces, degree+1), ascending local powers
     extension_lower: float = 0.0
     extension_upper: float = 0.0
+    _pieces: Pieces = field(init=False, repr=False)
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
@@ -116,6 +120,13 @@ class PiecewisePolyKernel(Kernel):
             raise ValueError("knots must be strictly increasing, at least two")
         if self.coefficients.shape[0] != len(self.knots) - 1:
             raise ValueError("need one coefficient row per piece")
+        top = float(self._piece_eval(len(self.knots) - 2, self.knots[-1:])[0])
+        self._pieces = _spline_pieces(
+            self.knots,
+            self.coefficients,
+            (self.knots[0], float(self.coefficients[0, 0]), self.extension_lower),
+            (self.knots[-1], top, self.extension_upper),
+        )
         self._validate()
 
     def _piece_eval(self, i, t):
@@ -138,36 +149,8 @@ class PiecewisePolyKernel(Kernel):
         if abs(z) > KERNEL_ZERO_TOL * scale:
             raise KernelNonzeroAtZero("kernel value %.3g at zero" % z)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        below = t < self.knots[0]
-        above = t > self.knots[-1]
-        out[below] = _anchored_power(
-            self.knots[0],
-            float(self._piece_eval(0, self.knots[:1])[0]),
-            self.extension_lower,
-            t[below],
-        )
-        out[above] = _anchored_power(
-            self.knots[-1],
-            float(self._piece_eval(len(self.knots) - 2, self.knots[-1:])[0]),
-            self.extension_upper,
-            t[above],
-        )
-        inside = ~(below | above)
-        ti = t[inside]
-        idx = np.clip(np.searchsorted(self.knots, ti, side="right") - 1, 0, len(self.knots) - 2)
-        vals = np.empty_like(ti)
-        for i in np.unique(idx):
-            sel = idx == i
-            vals[sel] = self._piece_eval(int(i), ti[sel])
-        out[inside] = vals
-        return out
-
-    @property
-    def breakpoints(self):
-        return self.knots.copy()
+    def pieces(self) -> Pieces:
+        return self._pieces
 
     def to_json_dict(self):
         return {
@@ -188,6 +171,7 @@ class TabulatedKernel(Kernel):
     hs: np.ndarray
     extension_lower: float = 0.0
     extension_upper: float = 0.0
+    _pieces: Pieces = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -196,29 +180,20 @@ class TabulatedKernel(Kernel):
             raise ValueError("sample points must be strictly increasing, at least two")
         if self.ts.shape != self.hs.shape:
             raise ValueError("sample point and value arrays must match")
+        slopes = np.diff(self.hs) / np.diff(self.ts)
+        self._pieces = _spline_pieces(
+            self.ts,
+            np.column_stack([self.hs[:-1], slopes]),
+            (self.ts[0], float(self.hs[0]), self.extension_lower),
+            (self.ts[-1], float(self.hs[-1]), self.extension_upper),
+        )
         scale = max(1.0, float(np.max(np.abs(self.hs))))
         z = float(self(np.zeros(1))[0])
         if abs(z) > KERNEL_ZERO_TOL * scale:
             raise KernelNonzeroAtZero("kernel value %.3g at zero" % z)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, self.ts, self.hs)
-        below = t < self.ts[0]
-        above = t > self.ts[-1]
-        if np.any(below):
-            out[below] = _anchored_power(
-                self.ts[0], float(self.hs[0]), self.extension_lower, t[below]
-            )
-        if np.any(above):
-            out[above] = _anchored_power(
-                self.ts[-1], float(self.hs[-1]), self.extension_upper, t[above]
-            )
-        return out
-
-    @property
-    def breakpoints(self):
-        return self.ts.copy()
+    def pieces(self) -> Pieces:
+        return self._pieces
 
     def to_json_dict(self):
         return {
@@ -309,17 +284,7 @@ def apply(kernel: Kernel, f: PLFunction) -> float:
     """z(f) = integral over R^n of kernel(f(x)) dx."""
     if f.complex.is_empty():
         return 0.0
-    vols = f.complex.simplex_volumes()
-    svals = f.simplex_values()
-    total = 0.0
-    if isinstance(kernel, PowerKernel):
-        for vol, vals in zip(vols, svals):
-            total += vol * PushforwardDensity(vals, f.dim).moment_abs(kernel.exponent)
-        return kernel.coefficient * total
-    bps = kernel.breakpoints
-    for vol, vals in zip(vols, svals):
-        total += vol * PushforwardDensity(vals, f.dim).integrate(kernel, bps)
-    return total
+    return float(f.complex.simplex_volumes() @ simplex_means(f.simplex_values(), kernel.pieces()))
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +408,18 @@ def c_profile(kernel: Kernel, P, s_grid) -> CProfile:
     that independence a checkable statement rather than a construction
     artifact."""
     from . import polytope as _pt
-    from .plfunction import cone_function, scale_values
+    from .plfunction import cone_function
 
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(s_grid < 0):
         raise NegativeValues("profile grid must be nonnegative")
     cone = cone_function(P)
     vol = _pt.volume(P)
-    vals = np.array([apply(kernel, scale_values(cone, s)) / vol for s in s_grid])
+    rows = cone.simplex_values()
+    # the value rows of s * cone for every grid point s, in one engine call
+    stacked = (s_grid[:, None, None] * rows[None, :, :]).reshape(-1, rows.shape[1])
+    means = simplex_means(stacked, kernel.pieces()).reshape(len(s_grid), len(rows))
+    vals = means @ cone.complex.simplex_volumes() / vol
     return CProfile(s=s_grid, c=vals, dim=P.dim, volume=vol)
 
 
@@ -503,31 +472,11 @@ def recover_kernel(
 
 
 def _weighted_h_integral(kernel: Kernel, s: float, m: int) -> float:
-    """integral_0^s h(t) (s - t)^m dt, exact for power kernels."""
-    if isinstance(kernel, PowerKernel):
-        # s^{q+m+1} B(q+1, m+1) times the coefficient (t >= 0 here)
-        q = kernel.exponent
-        return kernel.coefficient * s ** (q + m + 1) * math.exp(betaln(q + 1, m + 1))
-    cuts = {0.0, float(s)}
-    for b in kernel.breakpoints:
-        if 0.0 < b < s:
-            cuts.add(float(b))
-    grid = sorted(cuts)
-    x, wts = np.polynomial.legendre.leggauss(48)
-
-    def piece(a, b):
-        t = 0.5 * (b - a) * x + 0.5 * (a + b)
-        return 0.5 * (b - a) * float(np.sum(wts * kernel(t) * (s - t) ** m))
-
-    def adaptive(a, b, depth):
-        whole = piece(a, b)
-        mid = 0.5 * (a + b)
-        split = piece(a, mid) + piece(mid, b)
-        if abs(whole - split) <= 1e-13 * max(1.0, abs(split)) or depth >= 20:
-            return split
-        return adaptive(a, mid, depth + 1) + adaptive(mid, b, depth + 1)
-
-    return sum(adaptive(a, b, 0) for a, b in zip(grid[:-1], grid[1:]) if b > a)
+    """integral_0^s h(t) (s - t)^m dt.  The weight is s^{m+1}/(m+1) times
+    the value density of the cone row (s, 0, ..., 0) in dimension m+1."""
+    row = np.zeros((1, m + 2))
+    row[0, 0] = s
+    return s ** (m + 1) / (m + 1) * float(simplex_means(row, kernel.pieces())[0])
 
 
 def psi_check(kernel: Kernel, P, profile: CProfile, k: int, s: float, tolerance: float = 1e-5):

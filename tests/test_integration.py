@@ -1,5 +1,8 @@
 """Exact simplex integrals, norms, level sets, densities, Fisher matrices."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,17 +12,19 @@ from plval import plfunction as pf
 from plval import polytope as pt
 from plval.errors import NegativeValues
 from plval.integration import (
+    Pieces,
     PushforwardDensity,
     c_pn,
     fisher_matrix,
     grad_p_norm,
-    integrate_function_of_values,
     integrate_power_over_simplex,
     level_set_volume,
     lq_norm,
+    simplex_means,
     sobolev_conjugate,
     sobolev_norm,
 )
+from plval.valuation import PowerKernel, TabulatedKernel, apply
 
 import oracles
 
@@ -71,8 +76,7 @@ def test_density_nonnegative_unit_mass(vals):
         return
     ts = np.linspace(lo, hi, 500)
     assert np.all(dens.pdf(ts) >= -1e-12)
-    total = dens.integrate(lambda t: np.ones_like(t))
-    assert total == pytest.approx(1.0, rel=1e-12)
+    assert dens.moment_abs(0.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_density_moment_matches_quadrature():
@@ -83,6 +87,15 @@ def test_density_moment_matches_quadrature():
     ref, _ = quad(lambda t: t**1.7 * dens.pdf(np.array([t]))[0], 0.1, 0.8,
                   epsabs=1e-13, limit=200)
     assert dens.moment_abs(1.7) == pytest.approx(ref, rel=1e-9)
+
+
+def test_density_cdf():
+    # P(f <= 0.5) for values (0.2, 0.5, 0.9) on a triangle: (0.3)^2 / (0.7 * 0.3)
+    dens = PushforwardDensity(np.array([0.9, 0.2, 0.5]), 2)
+    assert [dens.cdf(t) for t in (0.1, 0.2, 0.9, 1.0)] == [0.0, 0.0, 1.0, 1.0]
+    assert dens.cdf(0.5) == pytest.approx(3.0 / 7.0, rel=1e-14)
+    point = PushforwardDensity(np.full(3, 0.3), 2)
+    assert point.is_dirac and [point.cdf(t) for t in (0.29, 0.3)] == [0.0, 1.0]
 
 
 # -- norms ---------------------------------------------------------------------
@@ -162,20 +175,131 @@ def test_level_set_scaling_law(t):
 
 def test_integrate_power_path(cone_square):
     # closed-form moment path, exact: c_{q,2} * |P|
-    val = integrate_function_of_values(cone_square, lambda t: np.abs(t) ** 2, power=2.0)
+    val = apply(PowerKernel(1.0, 2.0), cone_square)
     assert val == pytest.approx(oracles.beta_cpn(2.0, 2) * 4.0, rel=1e-12)
 
 
 def test_integrate_zero_function_of_values(cone_square):
-    assert integrate_function_of_values(cone_square, lambda t: np.zeros_like(t)) == 0.0
+    assert apply(TabulatedKernel([0.0, 1.0], [0.0, 0.0]), cone_square) == 0.0
 
 
 def test_integrate_hat_matches_layer_cake(cone_square):
-    hat = lambda t: np.minimum(np.maximum(2 * t, 0.0), np.maximum(2 - 2 * t, 0.0))
-    got = integrate_function_of_values(cone_square, hat, breakpoints=(0.5,))
+    got = apply(TabulatedKernel([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]), cone_square)
     ref = oracles.layer_cake_cone(lambda t: min(2 * t, 2 - 2 * t), 2, 4.0)
     assert ref == pytest.approx(2.0, abs=1e-12)  # oracle value, derived once
     assert got == pytest.approx(ref, abs=1e-10)
+
+
+# -- the engine against the decimal oracle ----------------------------------------
+
+
+def _kuhn_square(cells, interior):
+    """Kuhn triangulation of [-1, 1]^2 with `cells` squares per side, zero
+    on the boundary and the given values at the interior vertices in
+    row-major order."""
+    side = cells + 1
+    grid = np.indices((side, side)).reshape(2, -1).T
+    corners = np.indices((cells, cells)).reshape(2, -1).T @ np.array([side, 1])
+    simplices = [
+        corners[:, None] + np.cumsum([0] + [(side, 1)[a] for a in perm])[None, :]
+        for perm in itertools.permutations(range(2))
+    ]
+    values = np.zeros(len(grid))
+    values[np.all((grid > 0) & (grid < cells), axis=1)] = interior
+    cx = pf.SimplicialComplex(
+        dim=2,
+        vertices=-1.0 + 2.0 * grid / cells,
+        simplices=tuple(map(tuple, np.concatenate(simplices))),
+    )
+    return pf.PLFunction(complex=cx, values=values)
+
+
+def test_near_tie_square_integral():
+    # 0.1 + 0.2 is 0.3 plus one ulp: knots one ulp apart inside a simplex
+    f = _kuhn_square(3, [0.3, 0.1 + 0.2, 0.7, 0.1 + 0.2 + 0.4])
+    vols = f.complex.simplex_volumes()
+    ref = sum(
+        vol * integrate_power_over_simplex(np.abs(v), 1.0, 2)
+        for vol, v in zip(vols, f.simplex_values())
+    )
+    assert apply(PowerKernel(1.0, 2.0), f) == pytest.approx(ref, rel=1e-12)
+    assert lq_norm(f, 2.0) ** 2 == pytest.approx(ref, rel=1e-12)
+
+
+ULP_GAPS = [1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.0]  # 0.0: one ulp
+
+
+def _spread(v, gap):
+    """The float above v by a relative gap, at least one ulp."""
+    return max(v + gap * abs(v), np.nextafter(v, np.inf))
+
+
+def _row(family, n, rng):
+    """A sorted row of n+1 distinct values from one of the hard families."""
+    v = np.sort(rng.uniform(-1.0, 1.0, n + 1))
+    if family == "near_tie":
+        j = int(rng.integers(n))
+        v[j + 1] = _spread(v[j], ULP_GAPS[int(rng.integers(len(ULP_GAPS)))])
+    elif family == "triple" and n >= 2:
+        j = int(rng.integers(n - 1))
+        v[j + 1] = _spread(v[j], ULP_GAPS[int(rng.integers(len(ULP_GAPS)))])
+        v[j + 2] = _spread(v[j + 1], ULP_GAPS[int(rng.integers(len(ULP_GAPS)))])
+    elif family == "near_zero":
+        v[int(rng.integers(n + 1))] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -9)
+    elif family == "wide":
+        v = rng.choice([-1.0, 1.0]) * np.abs(v)
+        v[0], v[1] = np.sign(v[0]) * 1e-3, np.sign(v[0]) * 1.0
+    v = np.sort(v)
+    if len(set(v.tolist())) <= n:
+        v = v + np.arange(n + 1) * 1e-3  # a draw that tied exactly; spread it
+    return v
+
+
+@given(
+    n=st.integers(1, 4),
+    q=st.floats(0.5, 4.0),
+    family=st.sampled_from(["mixed", "near_tie", "triple", "near_zero", "wide"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_decimal_oracle(n, q, family, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.array([_row(family, n, rng) for _ in range(6)])
+    got = simplex_means(rows[:, rng.permutation(n + 1)], Pieces.power(1.0, q))
+    for row, g in zip(rows, got):
+        want = oracles.decimal_power_mean(row, q)
+        assert abs(g - want) <= 1e-12 * want, (row.tolist(), q, g, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.7, 3.0, 4.0])
+def test_engine_exact_ties_cone_rows(n, q):
+    # ties at 0: the cone row (s, 0, ..., 0) has mean |s|^q c_{q,n}
+    for s in (0.8, -1.3):
+        row = np.zeros(n + 1)
+        row[-1] = s
+        got = simplex_means(row[None, :], Pieces.power(1.0, q))[0]
+        assert got == pytest.approx(abs(s) ** q * c_pn(q, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_engine_exact_ties_same_sign(q):
+    # mean of f^q is n! q! / (n+q)! h_q(values) for same-signed values
+    rows = [
+        [0.4, 0.4, 0.9],
+        [0.4, 0.9, 0.9],
+        [0.3, 0.3, 0.3, 0.8],
+        [0.2, 0.7, 0.7, 0.7, 0.5],
+        [0.6, 0.6, 0.6, 0.6],
+        [0.25, 0.25, 0.9, 0.9, 0.9],
+    ]
+    for row in rows:
+        for sign in (1.0, -1.0):
+            v = sign * np.array(row)
+            n = len(v) - 1
+            want = oracles.complete_homogeneous(row, q) / math.comb(n + q, q)
+            got = simplex_means(v[None, :], Pieces.power(1.0, q))[0]
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 # -- Fisher matrix ---------------------------------------------------------------

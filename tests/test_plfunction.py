@@ -26,6 +26,20 @@ def test_cone_square_values(cone_square):
     assert pf.evaluate(cone_square, [5.0, 5.0]) == 0.0
 
 
+def test_simplex_volumes_match_per_simplex_measure():
+    from plval import convex
+
+    rng = np.random.default_rng(5)
+    P = pt.hull_from_points(rng.normal(size=(9, 3)))
+    phi = rng.uniform(0.5, 2.0) * np.eye(3)
+    f = pf.compose_affine(pf.cone_function(P), phi, rng.normal(size=3))
+    cx = f.complex
+    vols = cx.simplex_volumes()
+    assert len(vols) == len(cx) > 8
+    for vol, s in zip(vols, cx.simplices):
+        assert vol == pytest.approx(convex.simplex_measure(cx.vertices[list(s)]), rel=1e-14)
+
+
 def test_cone_gradients_are_scaled_normals(square, cone_square):
     # each central simplex sits under one facet; gradient must be -u_i/h_i
     expected = {tuple(np.round(-np.asarray(f.normal) / f.support, 9)) for f in square.facets}

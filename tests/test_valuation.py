@@ -116,6 +116,16 @@ def test_apply_zero_function(cone_square):
     assert apply(PowerKernel(1.0, 2.0), zero) == 0.0
 
 
+@pytest.mark.parametrize("exponent", [1.5, -0.5, -1.0, -1.5, -2.0])
+def test_apply_tabulated_extension_matches_layer_cake(cone_square, exponent):
+    # |t| up to 0.2, then 0.2 (t/0.2)^exponent: the cone's values run past the
+    # anchor, so the extension piece spans [0.2, 1], where near/far = 0.2
+    kern = TabulatedKernel([0.0, 0.2], [0.0, 0.2], extension_upper=exponent)
+    h = lambda t: t if t <= 0.2 else 0.2 * (t / 0.2) ** exponent
+    ref = oracles.layer_cake_cone(h, 2, 4.0)
+    assert apply(kern, cone_square) == pytest.approx(ref, rel=1e-10)
+
+
 # -- profiles --------------------------------------------------------------------
 
 
