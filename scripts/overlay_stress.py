@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Run the inclusion_exclusion suite at many CLI seeds in one process.
+
+For each seed it prints the suite's status (pass, the failed cases, or the
+error raised) and the worst cover-balance residual over the overlay calls
+the suite made: |covered volume - (vol supp f + vol supp g)| divided by
+that sum, which the overlay requires to stay within COVER_TOL.  It exits
+1 if any seed fails.
+
+Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
+"""
+
+import argparse
+import sys
+import time
+
+from plval import overlay
+from plval.verify import default_battery
+
+
+def seed_range(text: str) -> range:
+    lo, hi = text.split(":")
+    return range(int(lo), int(hi))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=seed_range, default=range(0, 60), help="start:stop")
+    args = ap.parse_args()
+
+    worst = [0.0]
+    assemble = overlay._assemble
+
+    def checked(pieces, op, dim, supp):
+        covered = overlay._cover(pieces)
+        worst[0] = max(worst[0], abs(covered - supp) / supp)
+        return assemble(pieces, op, dim, supp)
+
+    overlay._assemble = checked
+    failed = 0
+    for seed in args.seeds:
+        worst[0] = 0.0
+        t0 = time.perf_counter()
+        suite = dict(default_battery(seed))["inclusion_exclusion"]
+        try:
+            reports = suite()
+            fails = sum(1 for r in reports if r.status == "fail")
+            status = "pass" if not fails else "fail: %d of %d cases" % (fails, len(reports))
+        except Exception as exc:  # a typed PLValError or a defect: both fail the seed
+            fails = 1
+            status = "error: %s: %s" % (type(exc).__name__, exc)
+        failed += fails > 0
+        print(
+            "seed %3d  %-12s worst cover residual %.2e  %5.1f s"
+            % (seed, status, worst[0], time.perf_counter() - t0),
+            flush=True,
+        )
+    print("%d of %d seeds failed" % (failed, len(args.seeds)))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,15 +7,16 @@ Conventions used throughout:
 * Ties (which vertex anchors a triangulation fan, facet ordering) are
   resolved by lexicographic comparison of coordinates so that repeated
   runs and neighboring cells make identical choices.
-* Polytopes appear either as vertex arrays ("V-form") or as half-space
-  systems A x <= b ("H-form"); both are small enough that combinatorial
-  enumeration is the most robust conversion.
+* Polytopes appear either as vertex arrays ("V-form", hulls via qhull)
+  or as cells: vertices together with their tight rows A x <= b and the
+  vertex-row incidence.  A cell is cut by a half-space with clip/split
+  (Sutherland-Hodgman style, in any dimension, reading edges off the
+  incidence) and triangulated from the same incidence, so neither step
+  enumerates row subsets or builds a hull.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 
 import numpy as np
@@ -35,16 +36,7 @@ PLANE_MERGE = 1e-7
 def simplex_measure(pts: np.ndarray) -> float:
     """d-dimensional measure of a simplex given as (d+1, k) vertices, k >= d."""
     pts = np.asarray(pts, dtype=float)
-    edges = pts[1:] - pts[0]
-    d = edges.shape[0]
-    if edges.shape[1] == d:
-        det = np.linalg.det(edges)
-        return abs(det) / math.factorial(d)
-    gram = edges @ edges.T
-    g = np.linalg.det(gram)
-    if g <= 0.0:
-        return 0.0
-    return math.sqrt(g) / math.factorial(d)
+    return float(simplex_measures(pts, np.arange(len(pts))[None, :])[0])
 
 
 def affine_frame(pts: np.ndarray, rtol: float = 1e-9):
@@ -103,81 +95,112 @@ def dedupe_points(pts: np.ndarray, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# H-form utilities
+# Cells: vertices with their tight rows
 # ---------------------------------------------------------------------------
+#
+# A cell is a tuple (V, A, b, T): its vertices V (k, d); rows A x <= b,
+# with unit normals, that hold on the cell; and the incidence T (k, r),
+# True where vertex i lies on row j.  Every facet of the cell is a row.
 
 
-def normalize_rows(A: np.ndarray, b: np.ndarray):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    norms = np.linalg.norm(A, axis=1)
-    keep = norms > 1e-14
-    A, b, norms = A[keep], b[keep], norms[keep]
-    return A / norms[:, None], b / norms
+def tight_rows(V: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Incidence of the points V on the rows (A, b): |A v - b| <= tol."""
+    return np.abs(V @ A.T - b) <= tol
 
 
-@functools.lru_cache(maxsize=512)
-def _combo_index(m: int, d: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(m), d)), dtype=int)
+def _side(V, T, on, X, TX, A, b, a, c, flat):
+    """One side of a cut: the kept vertices V (incidence T, on the plane
+    where on) and the crossings X (incidence TX), with the row a.x <= c
+    appended.  Filled in place: this runs for every cut."""
+    k, r = T.shape
+    d = V.shape[1]
+    n = k + len(X)
+    if n <= d and not flat:
+        return None
+    V2 = np.empty((n, d))
+    V2[:k] = V
+    V2[k:] = X
+    T2 = np.empty((n, r + 1), dtype=bool)
+    T2[:k, :r] = T
+    T2[:k, r] = on
+    T2[k:, :r] = TX
+    T2[k:, r] = True
+    A2 = np.empty((r + 1, d))
+    A2[:r] = A
+    A2[r] = a
+    b2 = np.empty(r + 1)
+    b2[:r] = b
+    b2[r] = c
+    if flat:
+        return V2, A2, b2, T2
+    live = T2.sum(axis=0) >= d
+    if live.all():
+        return V2, A2, b2, T2
+    return V2, A2[live], b2[live], T2[:, live]
 
 
-def halfspace_vertices(A: np.ndarray, b: np.ndarray, tol: float = EPS) -> np.ndarray:
-    """Vertices of the (assumed bounded) polytope {x : A x <= b}.
+def split(V, A, b, T, a, c, tol: float, above: bool = True, flat: bool = False):
+    """Cut the cell (V, A, b, T) by the plane a.x = c.
 
-    Batched combinatorial enumeration over d-subsets of rows; robust and
-    exact enough at desk scale (a few dozen rows, d <= 4).
+    Returns (below, above): the cells on the sides a.x <= c and
+    a.x >= c, each None when it has no interior (with above=False the
+    second is not built).  Vertices within tol of the plane lie on it;
+    the others on the far side are dropped.  Each new vertex is the
+    crossing of the plane with an edge (u, w) whose ends lie strictly on
+    opposite sides.  u and w span an edge exactly when the rows tight at
+    both have rank d - 1; since the rows hold every facet, that is when
+    no third vertex is tight at all of them, which the incidence answers
+    without a numerical rank.  A row stays only while it is tight at d or
+    more vertices.
+
+    With flat=True a side that meets the plane only in a face is kept as
+    that face, and no row is dropped, so a chain of cuts yields the
+    intersection whatever its dimension.
     """
-    A, b = normalize_rows(A, b)
-    m, d = A.shape
-    if m < d:
-        return np.zeros((0, d))
-    combos = _combo_index(m, d)
-    mats = A[combos]
-    dets = np.abs(np.linalg.det(mats))
-    good = dets > 1e-9
-    if not np.any(good):
-        return np.zeros((0, d))
-    X = np.linalg.solve(mats[good], b[combos[good]][..., None])[..., 0]
-    feas = np.all(X @ A.T <= b[None, :] + 10 * tol, axis=1)
-    X = X[feas]
-    if len(X) == 0:
-        return np.zeros((0, d))
-    uniq, _ = dedupe_points(X, 10 * tol)
-    return uniq
+    norm = math.sqrt(float(a @ a))
+    a = a / norm
+    c = c / norm
+    s = V @ a - c
+    out = s > tol
+    inn = s < -tol
+    on = ~(out | inn)
+    any_out = out.any()
+    if not (any_out and inn.any()):
+        # no crossing: one side is the whole cell; with flat=True the
+        # other is the face in which the cell touches the plane, if any
+        cell = (V, A, b, T)
+        sign = 1.0 if any_out else -1.0
+        face = None
+        if flat and on.any() and (above or any_out):
+            face = _side(V[on], T[on], on[on], V[:0], T[:0], A, b, sign * a, sign * c, True)
+        return (face, cell) if any_out else (cell, face)
+    iu = inn.nonzero()[0]
+    iw = out.nonzero()[0]
+    C = (T[iu][:, None, :] & T[iw][None, :, :]).reshape(len(iu) * len(iw), -1)
+    # |C minus the rows tight at v|, for every vertex v
+    missing = C.astype(float) @ (~T).T.astype(float)
+    e = ((missing == 0.0).sum(axis=1) == 2).nonzero()[0]
+    u = iu[e // len(iw)]
+    w = iw[e % len(iw)]
+    t = s[u] / (s[u] - s[w])
+    X = V[u] + t[:, None] * (V[w] - V[u])
+    TX = C[e]
+    keep = ~out
+    lo = _side(V[keep], T[keep], on[keep], X, TX, A, b, a, c, flat)
+    hi = None
+    if above:
+        keep = ~inn
+        hi = _side(V[keep], T[keep], on[keep], X, TX, A, b, -a, -c, flat)
+    return lo, hi
 
 
-def prune_halfspaces(A: np.ndarray, b: np.ndarray, verts: np.ndarray, tol: float = EPS):
-    """Keep only rows active (within tol) at some vertex."""
-    if len(verts) == 0:
-        return A, b
-    resid = b[:, None] - A @ verts.T
-    active = np.min(np.abs(resid), axis=1) <= 10 * tol
-    return A[active], b[active]
-
-
-def hrep_of_simplex(verts: np.ndarray):
-    """Half-space form of a d-simplex given as (d+1, d) vertices."""
-    verts = np.asarray(verts, dtype=float)
-    d = verts.shape[1]
-    A = np.zeros((d + 1, d))
-    b = np.zeros(d + 1)
-    for i in range(d + 1):
-        rest = np.delete(verts, i, axis=0)
-        base = rest[0]
-        edges = rest[1:] - base
-        # normal orthogonal to the facet, oriented away from vertex i
-        _, _, vt = np.linalg.svd(edges, full_matrices=True)
-        u = vt[-1]
-        off = u @ base
-        if u @ verts[i] > off:
-            u, off = -u, -off
-        A[i] = u
-        b[i] = off
-    return A, b
-
-
-def contains(A: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float = EPS) -> bool:
-    return bool(np.all(A @ x <= b + tol))
+def clip(V, A, b, a, c, tol: float, T=None, flat: bool = False):
+    """The part of the cell (V, A, b) in the half-space a.x <= c, as a
+    cell (V, A, b, T), or None when it has no interior; see split.  T is
+    the cell's incidence, found from tol when not given."""
+    if T is None:
+        T = tight_rows(V, A, b, tol)
+    return split(V, A, b, T, a, c, tol, above=False, flat=flat)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,71 +290,110 @@ def facet_planes(points: np.ndarray, tol: float = EPS):
 # ---------------------------------------------------------------------------
 
 
-def _pull(points: np.ndarray, subset: np.ndarray, d: int, tol: float):
-    """Triangulate conv(points[subset]) of affine dimension d.
+def _facets(M: np.ndarray, d: int) -> np.ndarray:
+    """Facets of a d-dimensional face, from the incidence M (k, r) of its
+    k vertices on the rows: the inclusion-maximal vertex sets, among
+    those of the rows that hold d or more of its vertices but not all,
+    one mask per facet."""
+    cnt = M.sum(axis=0)
+    M = M[:, (cnt >= d) & (cnt < len(M))]
+    Mf = M.astype(float)
+    # sub[j, l]: set j lies inside set l; drop j when inside a larger set
+    # or equal to an earlier one
+    sub = (Mf.T @ (1.0 - Mf)) == 0.0
+    order = np.arange(len(sub))
+    drop = sub & (~sub.T | (order[:, None] > order[None, :]))
+    return M[:, ~drop.any(axis=1)].T
 
-    The recursion cones the lexicographically smallest point of the
-    subset over the pulled triangulations of the facets avoiding it.
-    Because the anchor choice and the facet point sets depend only on
-    global coordinates, two cells sharing a face induce the same
-    triangulation on it.
+
+def _pull(points: np.ndarray, idx: np.ndarray, M: np.ndarray, d: int, tol: float):
+    """Pulling triangulation of the d-face with vertices points[idx] and
+    incidence M on the cell's rows.
+
+    The recursion cones the lexicographically smallest vertex over the
+    pulled triangulations of the facets avoiding it; a facet of a face F
+    is a maximal set F & G over the cell's rows G, so no hull is built.
+    Because the anchor choice and the facet vertex sets depend only on
+    global coordinates and on the face itself, two cells sharing a face
+    induce the same triangulation on it.
     """
-    pts = points[subset]
-    k = len(subset)
-    if k < d + 1:
+    k = len(idx)
+    if k < d + 1 or d == 0:
         return []
-    if d == 0:
+    pts = points[idx]
+    if d == 1 and k == 2:
+        e = pts[1] - pts[0]
+        length = math.sqrt(float(e @ e))
+        if length > 0.0 and length > tol * max(1.0, float(np.abs(pts @ e).max()) / length):
+            return [(int(idx[0]), int(idx[1]))]
         return []
     if d == 1:
-        direction = pts[np.argmax(np.linalg.norm(pts - pts[0], axis=1))] - pts[0]
-        nd = np.linalg.norm(direction)
+        rel = pts - pts[0]
+        direction = rel[np.argmax((rel * rel).sum(axis=1))]
+        nd = math.sqrt(float(direction @ direction))
         if nd == 0.0:
             return []
-        direction = direction / nd
-        t = pts @ direction
+        t = pts @ (direction / nd)
         order = np.argsort(t, kind="stable")
-        out = []
-        for a, bidx in zip(order[:-1], order[1:]):
-            if t[bidx] - t[a] > tol * max(1.0, np.max(np.abs(t))):
-                out.append((int(subset[a]), int(subset[bidx])))
-        return out
-
-    c, vt, rank, spread = affine_frame(pts)
-    if rank < d or spread <= 0.0:
-        return []
+        floor = tol * max(1.0, float(np.abs(t).max()))
+        gaps = np.diff(t[order])
+        return [
+            (int(idx[a]), int(idx[z]))
+            for a, z, gap in zip(order[:-1], order[1:], gaps)
+            if gap > floor
+        ]
     if k == d + 1:
-        if simplex_measure(pts) > (tol * spread) ** d:
-            return [tuple(int(i) for i in subset)]
-        return []
-
-    local = (pts - c) @ vt[:d].T
-    try:
-        normals, offsets, incidences = facet_planes(local, tol)
-    except Degenerate:
-        return []
+        return [tuple(int(i) for i in idx)]
     anchor = lex_min_position(pts)
+    apex = (int(idx[anchor]),)
     out = []
-    for u, off, inc in zip(normals, offsets, incidences):
-        if anchor in inc:
+    for F in _facets(M, d):
+        if F[anchor]:
             continue
-        sub = subset[inc]
-        for face_simplex in _pull(points, sub, d - 1, tol):
-            simplex = (int(subset[anchor]),) + face_simplex
-            vol = simplex_measure(points[list(simplex)])
-            if vol > (tol * spread) ** d / math.factorial(d):
-                out.append(simplex)
+        out.extend(apex + face for face in _pull(points, idx[F], M[F], d - 1, tol))
     return out
 
 
-def pulling_triangulation(points: np.ndarray, subset, dim: int, tol: float = EPS):
+def simplex_measures(points: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Measures of the simplices points[S] (m, d+1), d <= dim of points."""
+    E = points[S[:, 1:]] - points[S[:, :1]]
+    d = E.shape[1]
+    if d == E.shape[2]:
+        return np.abs(np.linalg.det(E)) / math.factorial(d)
+    gram = np.linalg.det(E @ np.swapaxes(E, 1, 2))
+    return np.sqrt(np.maximum(gram, 0.0)) / math.factorial(d)
+
+
+def pulling_triangulation(points: np.ndarray, subset, dim: int, incidence, tol: float = EPS):
     """Conforming-by-construction triangulation of a convex cell.
 
     points: global coordinate table; subset: indices of the cell's
-    (possibly redundant) vertices; dim: expected affine dimension.
-    Returns a list of index tuples of length dim+1.
+    vertices (repeats are merged); incidence: boolean (len(subset), r),
+    True where the vertex lies on row r of the cell, the rows holding
+    every facet of the cell; dim: the cell's affine dimension.  Returns a
+    list of index tuples of length dim+1, without simplices at or below
+    the degenerate-measure floor.
     """
-    subset = np.asarray(sorted(set(int(i) for i in subset)), dtype=int)
-    return _pull(np.asarray(points, dtype=float), subset, dim, tol)
+    points = np.asarray(points, dtype=float)
+    if dim == 1:  # an edge needs no facets, and is tested by its length
+        return _pull(points, np.array(sorted(set(int(i) for i in subset))), None, 1, tol)
+    subset = np.asarray(subset, dtype=int)
+    order = np.argsort(subset, kind="stable")
+    idx = subset[order]
+    M = np.asarray(incidence, dtype=bool)[order]
+    repeat = np.flatnonzero(idx[1:] == idx[:-1]) + 1
+    if len(repeat):  # a merged vertex lies on the union of its copies' rows
+        for i in repeat[::-1]:
+            M[i - 1] |= M[i]
+        idx, M = np.delete(idx, repeat), np.delete(M, repeat, axis=0)
+    out = _pull(points, idx, M, dim, tol)
+    if not out:
+        return out
+    pts = points[idx]
+    spread = float((pts.max(axis=0) - pts.min(axis=0)).max())
+    vols = simplex_measures(points, np.array(out))
+    floor = (tol * spread) ** dim / math.factorial(dim)
+    return [s for s, v in zip(out, vols) if v > floor]
 
 
 # ---------------------------------------------------------------------------

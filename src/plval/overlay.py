@@ -4,10 +4,12 @@ The two meshes are cut against each other into convex cells on which
 both functions are affine (or absent): simplex pairs are clipped
 directly, cut by the plane where the two affine pieces cross, and the
 regions only one function covers are carved out with difference chains.
-Nothing in the cutting depends on the dimension.
+A cell is carried in vertex form with its tight rows and their
+incidence, and every cut is one convex.split; nothing in the cutting
+depends on the dimension.
 
 Each cell keeps the winning affine piece and is triangulated on its
-own, so the result is a simplex *partition* of its support: interiors
+own from its incidence, so the result is a simplex *partition* of its support: interiors
 are disjoint and the values continuous, but a vertex of one simplex may
 lie inside a face of its neighbour (a T-junction).  Integrals, norms
 and evaluation need nothing more; conformity is only checked where
@@ -36,11 +38,12 @@ from .plfunction import VALUE_SNAP, PLFunction, SimplicialComplex
 
 # Affine pieces differing by less than this on a cell are not cut apart.
 CUT_TOL = 1e-12
-# Cell vertices are enumerated, and merged, to 10x this.  It sits far
-# below EPS so that a sliver between nearly parallel planes (such as two
-# edges meeting at a T-junction of an input partition, extended across
-# a large simplex) keeps its volume instead of collapsing.
-ENUM_TOL = 1e-11
+# Cell vertices within this distance (times the data scale) of a cutting
+# plane lie on it.  It sits far below EPS so that a sliver between nearly
+# parallel planes (such as two edges meeting at a T-junction of an input
+# partition, extended across a large simplex) keeps its volume instead of
+# collapsing.
+CLIP_TOL = 1e-10
 # Simplices sharing a vertex must assign it values within this spread.
 VALUE_AGREE = 1e-7
 # Vertex positions are trusted to this radius (relative to the data
@@ -49,26 +52,27 @@ VALUE_AGREE = 1e-7
 VERTEX_TOL = 1e-9
 # Relative tolerance of the volume balances in the partition check.
 COVER_TOL = 1e-9
+# A simplex whose intersections with the other mesh fill all but this
+# fraction of its volume leaves no region that only its function covers.
+FULL_COVER = 1e-12
 
 
 def _prep(f: PLFunction):
-    """Per-simplex records: (verts, A, b, lo, hi, (grad, off))."""
+    """Per-simplex records: (cell, lo, hi, (grad, off), volume), each
+    simplex a convex cell (V, A, b, T) with row j opposite vertex j."""
     cx = f.complex
     grads, offs = f.affines()
     arrs = cx.simplex_arrays()
-    out = []
-    for i in range(len(cx.simplices)):
-        V = arrs[i]
-        A, b = convex.hrep_of_simplex(V)
-        out.append((V, A, b, V.min(axis=0), V.max(axis=0), (grads[i], offs[i])))
-    return out
-
-
-def _enum(A, b, dim):
-    V = convex.halfspace_vertices(A, b, tol=ENUM_TOL)
-    if len(V) < dim + 1:
-        return None
-    return V
+    if not len(arrs):
+        return []
+    lo, hi, _, _ = cx.locator()
+    A, b = cx.simplex_rows()
+    T = ~np.eye(cx.dim + 1, dtype=bool)
+    vols = cx.simplex_volumes()
+    return [
+        ((arrs[i], A[i], b[i], T), lo[i], hi[i], (grads[i], offs[i]), vols[i])
+        for i in range(len(arrs))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -76,26 +80,18 @@ def _enum(A, b, dim):
 # ---------------------------------------------------------------------------
 
 
-def _split_by_affine(V, A, b, g, c, dim):
-    """Split cell {A x <= b} (vertices V) by the sign of g.x + c."""
-    vals = V @ g + c
+def _split_by_affine(cell, g, c, tol):
+    """Split a cell by the sign of g.x + c: [(cell, sign)]."""
+    vals = cell[0] @ g + c
     if vals.min() >= -CUT_TOL:
-        return [(V, A, b, 1)]
+        return [(cell, 1)]
     if vals.max() <= CUT_TOL:
-        return [(V, A, b, -1)]
-    out = []
-    Vm = _enum(np.vstack([A, g[None, :]]), np.concatenate([b, [-c]]), dim)
-    if Vm is not None:
-        Am, bm = convex.prune_halfspaces(np.vstack([A, g[None, :]]), np.concatenate([b, [-c]]), Vm)
-        out.append((Vm, Am, bm, -1))
-    Vp = _enum(np.vstack([A, -g[None, :]]), np.concatenate([b, [c]]), dim)
-    if Vp is not None:
-        Ap, bp = convex.prune_halfspaces(np.vstack([A, -g[None, :]]), np.concatenate([b, [c]]), Vp)
-        out.append((Vp, Ap, bp, 1))
-    return out
+        return [(cell, -1)]
+    lo, hi = convex.split(*cell, g, -c, tol)
+    return [(part, sign) for part, sign in ((lo, -1), (hi, 1)) if part is not None]
 
 
-def _subtract(parts, Ag, bg, dim):
+def _subtract(parts, Ag, bg, tol):
     """Refine parts into pieces avoiding the convex region {Ag x <= bg}.
 
     Difference-chain decomposition: piece k is (inside rows < k) and
@@ -103,76 +99,85 @@ def _subtract(parts, Ag, bg, dim):
     bookkeeping (it is covered by the double-cover pass).
     """
     out = []
-    for V, A, b in parts:
-        dists = V @ Ag.T - bg[None, :]
-        if np.any(np.all(dists >= EPS, axis=0)):
-            out.append((V, A, b))  # certified disjoint from the region
+    for cell in parts:
+        dists = cell[0] @ Ag.T - bg
+        if (dists >= EPS).all(axis=0).any():
+            out.append(cell)  # certified disjoint from the region
             continue
-        if np.all(dists <= EPS):
+        if (dists <= EPS).all():
             continue  # fully covered
-        curA, curb = A, b
-        curV = V
+        cur = cell
         for r in range(len(Ag)):
-            rowd = curV @ Ag[r] - bg[r]
-            if np.all(rowd <= EPS):
+            rowd = cur[0] @ Ag[r] - bg[r]
+            if (rowd <= EPS).all():
                 continue  # outside-piece empty, inside constraint redundant
-            if np.all(rowd >= -EPS):
-                out.append((curV, curA, curb))  # rest of the part is outside
-                curV = None
+            if (rowd >= -EPS).all():
+                out.append(cur)  # rest of the part is outside
                 break
-            Ao = np.vstack([curA, -Ag[r][None, :]])
-            bo = np.concatenate([curb, [-bg[r]]])
-            Vo = _enum(Ao, bo, dim)
-            if Vo is not None:
-                Aop, bop = convex.prune_halfspaces(Ao, bo, Vo)
-                out.append((Vo, Aop, bop))
-            Ai = np.vstack([curA, Ag[r][None, :]])
-            bi = np.concatenate([curb, [bg[r]]])
-            Vi = _enum(Ai, bi, dim)
-            if Vi is None:
-                curV = None
+            inside, outside = convex.split(*cur, Ag[r], bg[r], tol)
+            if outside is not None:
+                out.append(outside)
+            if inside is None:
                 break
-            curA, curb = convex.prune_halfspaces(Ai, bi, Vi)
-            curV = Vi
+            cur = inside
         # loop exhausted: remaining inside-piece is covered, drop it
     return out
 
 
 def _pieces_pairwise(fp, gp, dim):
+    """Cells (V, T, f's piece or None, g's piece or None, volume) covering
+    supp f and supp g, the cells both cover once for each."""
+    scale = max([1.0] + [float(np.max(np.abs(rec[0][0]))) for rec in fp + gp])
+    tol = CLIP_TOL * scale
+    boxes = [np.array([rec[k] for rec in recs]).reshape(len(recs), dim) for recs in (fp, gp) for k in (1, 2)]
+    lo_f, hi_f, lo_g, hi_g = boxes
+    # near[i, j]: the boxes of f's simplex i and g's simplex j overlap
+    near = np.all((lo_f[:, None] <= hi_g[None] + EPS) & (lo_g[None] <= hi_f[:, None] + EPS), axis=2)
     pieces = []
+    # per simplex: the other function's simplices it meets in an interior,
+    # and the volume they cover of it
+    meets_f, meets_g = [[] for _ in fp], [[] for _ in gp]
+    shared_f, shared_g = np.zeros(len(fp)), np.zeros(len(gp))
     # regions covered by both functions, cut by {f = g}
-    for V1, A1, b1, lo1, hi1, aff_f in fp:
-        for V2, A2, b2, lo2, hi2, aff_g in gp:
-            if not convex.bboxes_overlap(lo1, hi1, lo2, hi2, pad=EPS):
+    for i, (cell1, _, _, aff_f, _) in enumerate(fp):
+        for j in np.flatnonzero(near[i]):
+            (_, A2, b2, _), _, _, aff_g, _ = gp[j]
+            cell = cell1
+            for a, c in zip(A2, b2):
+                cell = convex.clip(*cell[:3], a, c, tol, T=cell[3])
+                if cell is None:
+                    break
+            if cell is None:
                 continue
-            A = np.vstack([A1, A2])
-            b = np.concatenate([b1, b2])
-            X = _enum(A, b, dim)
-            if X is None:
-                continue
-            Ax, bx = convex.prune_halfspaces(A, b, X)
+            meets_f[i].append(j)
+            meets_g[j].append(i)
             gd = aff_f[0] - aff_g[0]
             cd = aff_f[1] - aff_g[1]
-            dv = X @ gd + cd
-            if np.max(np.abs(dv)) <= CUT_TOL:
-                pieces.append((X, aff_f, aff_g))
-                continue
-            for Vc, _, _, _ in _split_by_affine(X, Ax, bx, gd, cd, dim):
-                pieces.append((Vc, aff_f, aff_g))
+            parts = [cell]
+            if np.max(np.abs(cell[0] @ gd + cd)) > CUT_TOL:
+                parts = [part for part, _ in _split_by_affine(cell, gd, cd, tol)]
+            for part in parts:
+                vol = _cell_volume(part[0])
+                pieces.append((part[0], part[3], aff_f, aff_g, vol))
+                shared_f[i] += vol
+                shared_g[j] += vol
     # single-cover leftovers of each function
-    for own, other in ((fp, gp), (gp, fp)):
+    for own, other, meets, shared in ((fp, gp, meets_f, shared_f), (gp, fp, meets_g, shared_g)):
         f_side = own is fp
-        for V, A, b, lo, hi, aff in own:
-            parts = [(V, A, b)]
-            for V2, A2, b2, lo2, hi2, _ in other:
+        for i, (cell, _, _, aff, vol) in enumerate(own):
+            if shared[i] >= (1.0 - FULL_COVER) * vol:
+                continue
+            parts = [cell]
+            for j in meets[i]:
                 if not parts:
                     break
-                if not convex.bboxes_overlap(lo, hi, lo2, hi2, pad=EPS):
-                    continue
-                parts = _subtract(parts, A2, b2, dim)
-            for Vp, Ap, bp in parts:
-                for Vc, _, _, _ in _split_by_affine(Vp, Ap, bp, aff[0], aff[1], dim):
-                    pieces.append((Vc, aff, None) if f_side else (Vc, None, aff))
+                (_, A2, b2, _), _, _, _, _ = other[j]
+                parts = _subtract(parts, A2, b2, tol)
+            for p in parts:
+                for part, _ in _split_by_affine(p, aff[0], aff[1], tol):
+                    V, T = part[0], part[3]
+                    vol = _cell_volume(V)
+                    pieces.append((V, T, aff, None, vol) if f_side else (V, T, None, aff, vol))
     return pieces
 
 
@@ -199,96 +204,96 @@ def _cell_volume(V):
         return 0.0
 
 
+def _cover(pieces):
+    """The volume the cells cover, each cell both functions cover
+    counted twice."""
+    return sum(vol * (1 + (af is not None and ag is not None)) for _, _, af, ag, vol in pieces)
+
+
 def _assemble(pieces, op, dim, supp):
     """Triangulate the winning cells into a partition.
 
     supp is vol supp f + vol supp g: the cells must cover it exactly,
     with each cell both functions cover counted twice."""
-    vols = [_cell_volume(V) for V, _, _ in pieces]
-    covered = sum(vols) + sum(
-        vol for vol, (_, af, ag) in zip(vols, pieces) if af is not None and ag is not None
-    )
+    covered = _cover(pieces)
     if abs(covered - supp) > COVER_TOL * supp:
         raise OverlayFailure(
             "cells cover volume %.17g, the two supports %.17g" % (covered, supp)
         )
 
     kept = []
-    for (V, af, ag), vol in zip(pieces, vols):
+    for V, T, af, ag, vol in pieces:
         win = _decide(op, af, ag, V.mean(axis=0))
         if win is not None:
-            kept.append((V, win, vol))
+            kept.append((V, T, win, vol))
     if not kept:
         return PLFunction.zero(dim)
 
-    allv = np.vstack([V for V, _, _ in kept])
+    allv = np.vstack([V for V, _, _, _ in kept])
     scale = max(1.0, float(np.max(np.abs(allv))))
     table, mapping = convex.dedupe_points(allv, SNAP * scale)
 
-    simplices, sources, cells = [], [], []
+    simplices, cells = [], []
     pos = 0
-    for ci, (V, aff, _) in enumerate(kept):
+    for ci, (V, T, _, _) in enumerate(kept):
         idxs = mapping[pos : pos + len(V)]
         pos += len(V)
-        for s in convex.pulling_triangulation(table, idxs, dim):
+        for s in convex.pulling_triangulation(table, idxs, dim, T):
             simplices.append(s)
-            sources.append(aff)
             cells.append(ci)
 
     S = np.array(simplices, dtype=int).reshape(-1, dim + 1)
+    cells = np.array(cells, dtype=int)
     svols = np.abs(np.linalg.det(table[S[:, 1:]] - table[S[:, :1]])) / math.factorial(dim)
     # needles at or below the degenerate floor carry no volume at the
     # data's scale; check 3 below still sees each cell filled without them
-    keep = np.nonzero(svols > (EPS * scale) ** dim / math.factorial(dim))[0]
-    simplices = [simplices[i] for i in keep]
-    sources = [sources[i] for i in keep]
-    cells = [cells[i] for i in keep]
-    svols = svols[keep]
-    filled = np.bincount(np.asarray(cells, dtype=int), weights=svols, minlength=len(kept))
-    for ci, (_, _, vol) in enumerate(kept):
+    keep = svols > (EPS * scale) ** dim / math.factorial(dim)
+    S, cells, svols = S[keep], cells[keep], svols[keep]
+    filled = np.bincount(cells, weights=svols, minlength=len(kept))
+    for ci, (_, _, _, vol) in enumerate(kept):
         if abs(filled[ci] - vol) > COVER_TOL * supp:
             raise OverlayFailure(
                 "a cell of volume %.3g triangulates to volume %.3g" % (vol, filled[ci])
             )
-    if not simplices:
+    if not len(S):
         return PLFunction.zero(dim)
 
-    order = sorted(range(len(simplices)), key=lambda i: simplices[i])
-    simplices = [simplices[i] for i in order]
-    sources = [sources[i] for i in order]
-    svols = svols[order]
+    order = np.lexsort(S.T[::-1])
+    S, cells, svols = S[order], cells[order], svols[order]
 
-    candidates = {}
-    grad_mag = {}
-    for s, (gv, cv) in zip(simplices, sources):
-        gn = float(np.linalg.norm(gv))
-        for i in s:
-            candidates.setdefault(i, []).append(gv @ table[i] + cv)
-            grad_mag[i] = max(grad_mag.get(i, 0.0), gn)
-    vscale = max(1.0, max(abs(v) for lst in candidates.values() for v in lst))
-    values = {}
-    for i, lst in candidates.items():
-        slack = VALUE_AGREE * vscale + 20.0 * VERTEX_TOL * scale * grad_mag[i]
-        if max(lst) - min(lst) > slack:
-            raise OverlayFailure(
-                "value disagreement %.3g at a shared vertex" % (max(lst) - min(lst))
-            )
-        v = lst[0]
-        values[i] = 0.0 if abs(v) <= VALUE_SNAP else v
+    # each simplex's winning piece at each of its vertices
+    grads = np.array([aff[0] for _, _, aff, _ in kept])[cells]
+    offs = np.array([aff[1] for _, _, aff, _ in kept])[cells]
+    vals = np.einsum("kjd,kd->kj", table[S], grads) + offs[:, None]
+    flat_idx, flat_vals = S.ravel(), vals.ravel()
+    hi = np.full(len(table), -np.inf)
+    lo = np.full(len(table), np.inf)
+    steep = np.zeros(len(table))
+    np.maximum.at(hi, flat_idx, flat_vals)
+    np.minimum.at(lo, flat_idx, flat_vals)
+    np.maximum.at(steep, flat_idx, np.repeat(np.linalg.norm(grads, axis=1), dim + 1))
+    vscale = max(1.0, float(np.max(np.abs(flat_vals))))
+    spread = hi - lo
+    bad = np.flatnonzero(spread > VALUE_AGREE * vscale + 20.0 * VERTEX_TOL * scale * steep)
+    if len(bad):
+        raise OverlayFailure("value disagreement %.3g at a shared vertex" % spread[bad[0]])
+    # a vertex takes its value from the first simplex that has it
+    values = np.zeros(len(table))
+    used, first = np.unique(flat_idx, return_index=True)
+    values[used] = flat_vals[first]
+    values[np.abs(values) <= VALUE_SNAP] = 0.0
 
-    live = [pos for pos, s in enumerate(simplices) if any(values[i] != 0.0 for i in s)]
-    if not live:
+    live = np.any(values[S] != 0.0, axis=1)
+    if not live.any():
         return PLFunction.zero(dim)
-    simplices = [simplices[i] for i in live]
-    used = sorted({i for s in simplices for i in s})
-    remap = {old: new for new, old in enumerate(used)}
+    used, local = np.unique(S[live], return_inverse=True)
     out_cx = SimplicialComplex(
         dim=dim,
         vertices=table[used],
-        simplices=tuple(tuple(remap[i] for i in s) for s in simplices),
+        simplices=tuple(map(tuple, local.reshape(-1, dim + 1).tolist())),
         _volumes=svols[live],
     )
-    return PLFunction(complex=out_cx, values=np.array([values[i] for i in used]))
+    return PLFunction(complex=out_cx, values=values[used])
 
 
 def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:

@@ -29,6 +29,8 @@ from .polytope import Polytope, central_triangulation
 # Vertex values smaller than this are snapped to exact zero when meshes
 # are rebuilt, keeping the boundary-zero invariant sharp.
 VALUE_SNAP = 1e-10
+# evaluate_many tests at most this many (point, simplex) pairs at once.
+EVAL_PAIRS = 1 << 14
 
 
 @dataclass(eq=False)
@@ -46,6 +48,8 @@ class SimplicialComplex:
     vertices: np.ndarray
     simplices: tuple
     _volumes: np.ndarray = field(default=None, repr=False, compare=False)
+    _index: np.ndarray = field(default=None, repr=False, compare=False)
+    _locator: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, self.dim)
@@ -70,12 +74,37 @@ class SimplicialComplex:
             self._volumes = np.abs(np.linalg.det(edges)) / math.factorial(self.dim)
         return self._volumes
 
+    def index_array(self) -> np.ndarray:
+        """(m, dim+1) vertex indices per simplex."""
+        if self._index is None:
+            self._index = np.array(self.simplices, dtype=int).reshape(-1, self.dim + 1)
+            self._index.setflags(write=False)
+        return self._index
+
     def simplex_arrays(self):
         """(m, dim+1, dim) stacked vertex coordinates per simplex."""
-        if len(self.simplices) == 0:
-            return np.zeros((0, self.dim + 1, self.dim))
-        idx = np.array(self.simplices, dtype=int)
-        return self.vertices[idx]
+        return self.vertices[self.index_array()]
+
+    def locator(self):
+        """(lo, hi, M, v0): per-simplex bounding boxes and the batched
+        barycentric_matrix, so simplex i has coordinates b_1..b_dim =
+        M[i] @ (x - v0[i]) and b_0 = 1 - their sum."""
+        if self._locator is None:
+            X = self.simplex_arrays()
+            M = np.linalg.inv(np.swapaxes(X[:, 1:] - X[:, :1], 1, 2))
+            self._locator = (X.min(axis=1), X.max(axis=1), M, X[:, 0])
+        return self._locator
+
+    def simplex_rows(self):
+        """(A, b), (m, dim+1, dim) and (m, dim+1): each simplex as
+        A x <= b with unit rows, row j being b_j >= 0, the facet opposite
+        vertex j."""
+        _, _, M, v0 = self.locator()
+        A = np.concatenate([M.sum(axis=1)[:, None, :], -M], axis=1)
+        b = np.einsum("mjd,md->mj", A, v0)
+        b[:, 0] += 1.0
+        norms = np.linalg.norm(A, axis=2)
+        return A / norms[..., None], b / norms
 
     def boundary_vertex_indices(self) -> np.ndarray:
         """Vertices lying on (dim-1)-faces that belong to exactly one simplex.
@@ -115,8 +144,8 @@ class SimplicialComplex:
         self._check_pairwise(tol * scale)
 
     def _check_foreign_vertices(self, atol: float) -> None:
-        n = self.dim
         V = self.vertices
+        _, _, Ms, v0s = self.locator()
         for si, s in enumerate(self.simplices):
             verts = V[list(s)]
             lo = verts.min(axis=0) - 10 * atol
@@ -125,9 +154,8 @@ class SimplicialComplex:
             cand = [c for c in cand if c not in s]
             if not cand:
                 continue
-            M, v0 = convex.barycentric_matrix(verts)
-            rel = V[cand] - v0
-            bc = rel @ M.T
+            rel = V[cand] - v0s[si]
+            bc = rel @ Ms[si].T
             b0 = 1.0 - bc.sum(axis=1)
             full = np.column_stack([b0, bc])
             inside = np.all(full >= -10 * atol, axis=1)
@@ -164,8 +192,8 @@ class SimplicialComplex:
         arrs = self.simplex_arrays()
         los = arrs.min(axis=1)
         his = arrs.max(axis=1)
-        m = len(self.simplices)
-        hreps = [convex.hrep_of_simplex(arrs[i]) for i in range(m)]
+        hrows, hrhs = self.simplex_rows()
+        T0 = ~np.eye(n + 1, dtype=bool)
         for i, j in self._candidate_pairs(los, his, atol):
             if not convex.bboxes_overlap(los[i], his[i], los[j], his[j], pad=atol):
                 continue
@@ -186,13 +214,16 @@ class SimplicialComplex:
                         "simplices %d and %d overlap across their shared facet" % (i, j)
                     )
                 continue
-            A1, b1 = hreps[i]
-            A2, b2 = hreps[j]
-            X = convex.halfspace_vertices(
-                np.vstack([A1, A2]), np.concatenate([b1, b2]), tol=atol
-            )
-            if len(X) == 0:
+            # simplex i clipped by the rows of simplex j, keeping a
+            # lower-dimensional intersection
+            cell = (arrs[i], hrows[i], hrhs[i], T0)
+            for a, c in zip(hrows[j], hrhs[j]):
+                cell = convex.clip(*cell[:3], a, c, 10 * atol, T=cell[3], flat=True)
+                if cell is None:
+                    break
+            if cell is None:
                 continue
+            X = cell[0]
             if not shared:
                 if np.max(np.ptp(X, axis=0)) > 10 * atol:
                     raise InvalidComplex(
@@ -252,8 +283,7 @@ class PLFunction:
             offs = np.zeros(m)
             if m:
                 arrs = cx.simplex_arrays()
-                idx = np.array(cx.simplices, dtype=int)
-                vals = self.values[idx]
+                vals = self.simplex_values()
                 E = arrs[:, 1:, :] - arrs[:, :1, :]
                 d = vals[:, 1:] - vals[:, :1]
                 grads = np.linalg.solve(E, d[..., None])[..., 0]
@@ -263,39 +293,39 @@ class PLFunction:
         return self._grads, self._offs
 
     def simplex_values(self) -> np.ndarray:
-        idx = np.array(self.complex.simplices, dtype=int).reshape(-1, self.complex.dim + 1)
-        return self.values[idx]
+        """(m, dim+1) vertex values per simplex."""
+        return self.values[self.complex.index_array()]
 
     def evaluate(self, x) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; points outside the support give 0."""
+        """Vectorized evaluation; points outside the support give 0.
+
+        A point on several simplices (within the tolerance) takes the
+        value of the first in index order.  Candidate (point, simplex)
+        pairs come from the bounding boxes, at most EVAL_PAIRS at a time.
+        """
         X = np.asarray(X, dtype=float)
         out = np.zeros(len(X))
         cx = self.complex
         if cx.is_empty():
             return out
         grads, offs = self.affines()
-        assigned = np.zeros(len(X), dtype=bool)
-        arrs = cx.simplex_arrays()
-        scale = cx.scale()
-        tol = 10 * EPS * scale
-        for i, s in enumerate(cx.simplices):
-            if np.all(assigned):
-                break
-            verts = arrs[i]
-            lo, hi = verts.min(axis=0), verts.max(axis=0)
-            cand = ~assigned & np.all((X >= lo - tol) & (X <= hi + tol), axis=1)
-            if not np.any(cand):
-                continue
-            M, v0 = convex.barycentric_matrix(verts)
-            bc = (X[cand] - v0) @ M.T
-            b0 = 1.0 - bc.sum(axis=1)
-            inside = np.all(bc >= -tol, axis=1) & (b0 >= -tol)
-            hit = np.nonzero(cand)[0][inside]
-            out[hit] = X[hit] @ grads[i] + offs[i]
-            assigned[hit] = True
+        lo, hi, M, v0 = cx.locator()
+        tol = 10 * EPS * cx.scale()
+        lo, hi = lo - tol, hi + tol
+        step = max(1, EVAL_PAIRS // len(lo))
+        for start in range(0, len(X), step):
+            Xc = X[start : start + step]
+            near = np.all((Xc[:, None, :] >= lo) & (Xc[:, None, :] <= hi), axis=2)
+            p, i = np.nonzero(near)  # by point, then by simplex index
+            bc = np.einsum("kij,kj->ki", M[i], Xc[p] - v0[i])
+            inside = np.all(bc >= -tol, axis=1) & (1.0 - bc.sum(axis=1) >= -tol)
+            p, i = p[inside], i[inside]
+            first = np.unique(p, return_index=True)[1]
+            p, i = p[first], i[first]
+            out[start + p] = np.einsum("kj,kj->k", Xc[p], grads[i]) + offs[i]
         return out
 
     def support_volume(self) -> float:
@@ -413,12 +443,11 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
     affine functions is concave on the region where it is positive.
     """
     n = f.dim
-    cx = f.complex
-    verts = cx.vertices[list(cx.simplices[si])]
     grads, offs = f.affines()
     gA, cA = grads[si], offs[si]
 
-    Mb, v0 = convex.barycentric_matrix(verts)
+    _, _, Ms, v0s = f.complex.locator()
+    Mb, v0 = Ms[si], v0s[si]
     # b_j(x) = row_j . (x - v0) for j=1..n, b_0 = 1 - sum
     b_rows = np.vstack([-Mb.sum(axis=0), Mb])
     b_offs = np.array([1.0, *np.zeros(n)]) - b_rows @ v0
@@ -428,15 +457,24 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
     # a recession direction; the spill is then caught and M doubled)
     lo, hi = f.bbox()
     pad = 0.5 * float(np.max(hi - lo)) + 1.0
+    corners = np.array(list(itertools.product(*zip(lo - pad, hi + pad))))
     box_A = np.vstack([np.eye(n), -np.eye(n)])
     box_b = np.concatenate([hi + pad, -(lo - pad)])
+    tol = EPS * max(1.0, float(np.max(np.abs(box_b))))
     A_rows = [-gA]
     b_vals = [cA]
     for j in range(n + 1):
         A_rows.append(-(gA + M * b_rows[j]))
         b_vals.append(cA + M * b_offs[j])
-    A_sup = np.vstack([np.array(A_rows), box_A])
-    b_sup = np.concatenate([np.array(b_vals), box_b])
+
+    def cut(cell, rows, rhs):
+        for a, c in zip(rows, rhs):
+            if cell is None:
+                break
+            cell = convex.clip(*cell[:3], a, c, tol, T=cell[3])
+        return cell
+
+    sup = cut((corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol)), A_rows, b_vals)
 
     def tent_affine(j):
         if j < 0:
@@ -445,36 +483,23 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
 
     # cells: the central simplex (all b_j >= 0) plus one wedge per j where
     # b_j is the most negative coordinate
-    cells = []
-    central_A = np.vstack([A_sup, -b_rows])
-    central_b = np.concatenate([b_sup, b_offs])
-    cells.append((central_A, central_b, -1))
+    cells = [(cut(sup, -b_rows, b_offs), -1)]
     for j in range(n + 1):
-        rows = [A_sup, b_rows[j][None, :]]
-        rhs = [b_sup, np.array([-b_offs[j]])]
-        for l in range(n + 1):
-            if l == j:
-                continue
-            rows.append((b_rows[j] - b_rows[l])[None, :])
-            rhs.append(np.array([b_offs[l] - b_offs[j]]))
-        cells.append((np.vstack(rows), np.concatenate(rhs), j))
+        others = [l for l in range(n + 1) if l != j]
+        rows = np.vstack([b_rows[j], b_rows[j] - b_rows[others]])
+        rhs = np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j]])
+        cells.append((cut(sup, rows, rhs), j))
+    pieces = [(cell[0], cell[3], tent_affine(j)) for cell, j in cells if cell is not None]
 
-    pieces = []
-    for A_c, b_c, j in cells:
-        V = convex.halfspace_vertices(A_c, b_c)
-        if len(V) < n + 1:
-            continue
-        pieces.append((V, tent_affine(j)))
-
-    allv = np.vstack([V for V, _ in pieces])
+    allv = np.vstack([V for V, _, _ in pieces])
     table, mapping = convex.dedupe_points(allv, 1e-12 * max(1.0, np.max(np.abs(allv))))
     simplices = []
     sources = []
     pos = 0
-    for V, aff in pieces:
+    for V, T, aff in pieces:
         idxs = mapping[pos : pos + len(V)]
         pos += len(V)
-        for s in convex.pulling_triangulation(table, idxs, n):
+        for s in convex.pulling_triangulation(table, idxs, n, T):
             simplices.append(s)
             sources.append(aff)
 

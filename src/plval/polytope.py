@@ -66,6 +66,14 @@ class Polytope:
         }
 
 
+def _incidence(k: int, facet_vertices) -> np.ndarray:
+    """(k, r) boolean: vertex i lies on facet j."""
+    on = np.zeros((k, len(facet_vertices)), dtype=bool)
+    for j, inc in enumerate(facet_vertices):
+        on[list(inc), j] = True
+    return on
+
+
 def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[1]
@@ -98,12 +106,13 @@ def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
             % (float(np.min(offsets)), EPS * max(scale, 1.0))
         )
 
+    on = _incidence(len(verts), incidences)
     facets = []
     for u, off, inc in zip(normals, offsets, incidences):
         if n == 1:
             measure = 1.0
         else:
-            simplices = convex.pulling_triangulation(verts, inc, n - 1)
+            simplices = convex.pulling_triangulation(verts, inc, n - 1, on[inc])
             measure = float(sum(convex.simplex_measure(verts[list(s)]) for s in simplices))
         facets.append(
             Facet(
@@ -162,12 +171,13 @@ def central_triangulation(P: Polytope):
     n = P.dim
     verts = np.vstack([P.vertices, np.zeros(n)])
     origin_idx = len(P.vertices)
+    on = _incidence(len(P.vertices), [f.vertices for f in P.facets])
     simplices = []
     for f in P.facets:
         if n == 1:
             faces = [(f.vertices[0],)]
         else:
-            faces = convex.pulling_triangulation(P.vertices, f.vertices, n - 1)
+            faces = convex.pulling_triangulation(P.vertices, f.vertices, n - 1, on[list(f.vertices)])
         for face in faces:
             simplices.append(tuple(face) + (origin_idx,))
     return SimplicialComplex(dim=n, vertices=verts, simplices=tuple(simplices))

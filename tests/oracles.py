@@ -255,3 +255,25 @@ def check_complex_invariants(cx, eps: float = 1e-9) -> list:
             if np.linalg.norm(resid) < 1e-8 * scale and np.all(bary > 1e-6):
                 bad.append("vertex %d inside simplex %d" % (vi, si))
     return bad
+
+
+def evaluate_pl_brute(vertices, simplices, values, points, tol: float = 1e-9):
+    """Values of a PL function at points, one point and one simplex at a time.
+
+    The first simplex in list order whose barycentric coordinates at the
+    point are all >= -tol interpolates its vertex values; a point in no
+    simplex gets 0.
+    """
+    verts = np.asarray(vertices, dtype=float)
+    values = np.asarray(values, dtype=float)
+    out = []
+    for x in np.asarray(points, dtype=float):
+        val = 0.0
+        for simplex in simplices:
+            idx = list(simplex)
+            lam = np.linalg.solve(np.vstack([verts[idx].T, np.ones(len(idx))]), np.append(x, 1.0))
+            if np.all(lam >= -tol):
+                val = float(lam @ values[idx])
+                break
+        out.append(val)
+    return np.array(out)

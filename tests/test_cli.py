@@ -219,6 +219,22 @@ def test_verify_deterministic_output(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_timing_adds_only_wall_time(capsys, tmp_path):
+    plain, timed = tmp_path / "plain.jsonl", tmp_path / "timed.jsonl"
+    assert run(capsys, "verify", "--suite", "invariance", "--output", str(plain))[0] == 0
+    assert run(capsys, "verify", "--suite", "invariance", "--timing", "--output", str(timed))[0] == 0
+    rows = [json.loads(line) for line in plain.read_text().splitlines()]
+    timed_rows = [json.loads(line) for line in timed.read_text().splitlines()]
+    assert len(rows) == len(timed_rows) > 0
+    assert all(r["wall_time"] == 0 for r in rows)
+    assert any(r["wall_time"] > 0 for r in timed_rows)
+    for r, t in zip(rows, timed_rows):
+        assert sorted(r) == sorted(t)
+        assert {k: v for k, v in t.items() if k != "wall_time"} == {
+            k: v for k, v in r.items() if k != "wall_time"
+        }
+
+
 def test_entry_point_subprocess(square_file):
     import subprocess
     import sys

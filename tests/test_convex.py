@@ -1,0 +1,246 @@
+"""Cells in vertex form: clipping, incidence-driven triangulation, and the
+batched point location, each against a brute-force oracle."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
+
+from plval import convex
+from plval import plfunction as pf
+from plval import polytope as pt
+from plval.errors import InvalidComplex
+from plval.verify import random_cone_function, random_fan_function
+
+import oracles
+
+
+def _box_cell(lo, hi, tol):
+    d = len(lo)
+    V = np.array(list(itertools.product(*zip(lo, hi))))
+    A = np.vstack([np.eye(d), -np.eye(d)])
+    b = np.concatenate([hi, -lo])
+    return V, A, b, convex.tight_rows(V, A, b, tol)
+
+
+def _simplex_cell(rng, d, scale, shift, tol):
+    while True:
+        V = rng.normal(size=(d + 1, d))
+        if abs(np.linalg.det(V[1:] - V[0])) > 0.3:
+            break
+    V = V * scale + shift
+    facets = oracles.brute_facets(V, tol=1e-9 * scale)
+    A = np.array([u for u, _ in facets])
+    b = np.array([h for _, h in facets])
+    return V, A, b, convex.tight_rows(V, A, b, tol)
+
+
+def _random_unit(rng, d):
+    a = rng.normal(size=d)
+    return a / np.linalg.norm(a)
+
+
+def _volume(P, d):
+    """Hull volume; 0 for a flat or empty set."""
+    if len(P) <= d:
+        return 0.0
+    try:
+        return ConvexHull(P).volume
+    except QhullError:
+        return 0.0
+
+
+def _near(X, Y, eps):
+    """Every row of X is within eps of a row of Y."""
+    dist = np.max(np.abs(X[:, None, :] - Y[None, :, :]), axis=2)
+    return bool(np.all(dist.min(axis=1) <= eps))
+
+
+CUTS = ("interior", "vertex", "facet", "parallel")
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    shape=st.sampled_from(["box", "simplex"]),
+    scale=st.sampled_from([1.0, 1e6]),
+    cuts=st.lists(st.sampled_from(CUTS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+@example(d=2, shape="box", scale=1.0, cuts=["vertex", "interior", "vertex"], seed=1)
+@example(d=3, shape="simplex", scale=1.0, cuts=["interior", "facet", "vertex"], seed=2)
+@example(d=3, shape="box", scale=1e6, cuts=["interior", "parallel", "parallel"], seed=3)
+@example(d=2, shape="simplex", scale=1e6, cuts=["facet", "interior", "parallel"], seed=4)
+def test_clip_chain_matches_brute_vertices(d, shape, scale, cuts, seed):
+    # the oracle keeps points up to 1e-8 outside a row, so where a vertex
+    # sits nearly on an edge's line it also reports near-copies of it that
+    # clip, cutting exactly, does not make: the clip's vertices must be
+    # among the oracle's and bound the same volume
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-1, 1, d) * scale
+    extent = scale + float(np.max(np.abs(shift)))
+    tol = 1e-11 * extent
+    if shape == "box":
+        cell = _box_cell(shift - scale * rng.uniform(0.5, 1.5, d), shift + scale * rng.uniform(0.5, 1.5, d), tol)
+    else:
+        cell = _simplex_cell(rng, d, scale, shift, tol)
+    rows, rhs = [cell[1]], [cell[2]]
+    last = None
+    for kind in cuts:
+        V, A, b, T = cell
+        if kind == "interior":
+            a = _random_unit(rng, d)
+            c = a @ (rng.dirichlet(np.ones(len(V))) @ V)
+        elif kind == "vertex":
+            a = _random_unit(rng, d)
+            c = a @ V[rng.integers(len(V))]
+        elif kind == "facet":
+            j = rng.integers(len(A))
+            a, c = A[j], b[j]
+        else:  # parallel to the last cut (or a facet), about 1e-10 apart
+            a, c = last if last is not None else (A[0], b[0])
+            c = c + rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0]) * 1e-10 * extent
+        last = (a, c)
+        rows.append(a[None, :])
+        rhs.append([c])
+        clipped = convex.clip(V, A, b, a, c, tol, T=T)
+        ref = oracles.halfspace_vertices_brute(np.vstack(rows), np.concatenate(rhs))
+        if clipped is None:
+            # nothing with interior is left: the oracle's polytope is flat
+            assert _volume(ref, d) <= 1e-8 * extent**d
+            return
+        cell = clipped
+        V, A, b, T = cell
+        assert _near(V, ref, 1e-7 * extent)
+        assert _volume(V, d) == pytest.approx(_volume(ref, d), rel=1e-9, abs=1e-8 * extent**d)
+        # the incidence is geometric, and each kept row holds a facet
+        resid = np.abs(V @ A.T - b)
+        assert np.all(resid[T] <= 2 * tol)
+        assert np.all(V @ A.T <= b + 2 * tol)
+        assert np.all(T.sum(axis=0) >= d)
+
+
+def _random_cell(rng, d, cuts=4):
+    tol = 1e-10
+    cell = _box_cell(-np.ones(d), np.ones(d), tol)
+    for _ in range(cuts):
+        a = _random_unit(rng, d)
+        c = a @ (rng.dirichlet(np.ones(len(cell[0]))) @ cell[0])
+        cell = convex.clip(*cell[:3], a, c, tol, T=cell[3])
+    return cell
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_incidence_triangulation_is_conforming_and_exact(d):
+    rng = np.random.default_rng(10 + d)
+    for _ in range(15):
+        V, A, b, T = _random_cell(rng, d)
+        S = convex.pulling_triangulation(V, np.arange(len(V)), d, T)
+        cx = pf.SimplicialComplex(dim=d, vertices=V, simplices=tuple(S))
+        cx.validate()
+        assert cx.simplex_volumes().sum() == pytest.approx(ConvexHull(V).volume, rel=1e-12)
+
+        # the two halves of a cut, triangulated on one vertex table, meet
+        # face to face along the cut
+        a = _random_unit(rng, d)
+        lo, hi = convex.split(V, A, b, T, a, a @ V.mean(axis=0), 1e-10)
+        table, mapping = convex.dedupe_points(np.vstack([lo[0], hi[0]]), 1e-12)
+        k = len(lo[0])
+        S = convex.pulling_triangulation(table, mapping[:k], d, lo[3])
+        S += convex.pulling_triangulation(table, mapping[k:], d, hi[3])
+        both = pf.SimplicialComplex(dim=d, vertices=table, simplices=tuple(S))
+        both.validate()
+        assert both.simplex_volumes().sum() == pytest.approx(ConvexHull(V).volume, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, k", [(2, 9), (3, 12)])
+def test_incidence_triangulation_of_hulls(d, k):
+    for seed in range(8):
+        P = pt.random_polytope(seed, d, k)
+        on = np.zeros((len(P.vertices), len(P.facets)), dtype=bool)
+        for j, facet in enumerate(P.facets):
+            on[list(facet.vertices), j] = True
+        S = convex.pulling_triangulation(P.vertices, np.arange(len(P.vertices)), d, on)
+        cx = pf.SimplicialComplex(dim=d, vertices=P.vertices, simplices=tuple(S))
+        cx.validate()
+        assert cx.simplex_volumes().sum() == pytest.approx(ConvexHull(P.vertices).volume, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_overlay_builds_no_hull_facets(monkeypatch, n):
+    rng = np.random.default_rng(20 + n)
+    points = 5 if n == 3 else None
+    f = random_cone_function(rng, n, points)
+    g = random_cone_function(rng, n, points)
+    calls = []
+    facet_planes = convex.facet_planes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return facet_planes(*args, **kwargs)
+
+    monkeypatch.setattr(convex, "facet_planes", counted)
+    assert not pf.join(f, g).is_zero()
+    assert not pf.meet(f, g).is_zero()
+    assert calls == []
+
+
+def _shared_edge_midpoints(cx):
+    count = {}
+    for s in cx.simplices:
+        for e in itertools.combinations(s, 2):
+            count[e] = count.get(e, 0) + 1
+    edges = [e for e, c in count.items() if c > 1]
+    return np.array([cx.vertices[list(e)].mean(axis=0) for e in edges])
+
+
+@pytest.mark.parametrize("which", ["fan2d", "cone3d", "join2d"])
+def test_evaluate_many_matches_pointwise_oracle(monkeypatch, which):
+    rng = np.random.default_rng(30)
+    if which == "fan2d":
+        f = random_fan_function(3)
+    elif which == "cone3d":
+        f = random_cone_function(rng, 3)
+    else:
+        f = pf.join(random_cone_function(rng, 2), random_cone_function(rng, 2))
+    cx = f.complex
+    lo, hi = f.bbox()
+    span = hi - lo
+    outside = lo - 0.5 * span + rng.uniform(0, 2, (30, f.dim)) * span
+    outside = outside[np.any((outside < lo - 1e-3) | (outside > hi + 1e-3), axis=1)]
+    pts = np.vstack([cx.vertices, _shared_edge_midpoints(cx), outside, rng.uniform(lo, hi, (200, f.dim))])
+    want = oracles.evaluate_pl_brute(cx.vertices, cx.simplices, f.values, pts)
+    vscale = max(1.0, float(np.max(np.abs(f.values))))
+    assert np.max(np.abs(f.evaluate_many(pts) - want)) <= 1e-12 * vscale
+    assert np.all(f.evaluate_many(outside) == 0.0)
+    # small chunks of (point, simplex) pairs give the same values
+    monkeypatch.setattr(pf, "EVAL_PAIRS", 7)
+    fresh = pf.PLFunction(complex=pf.SimplicialComplex(cx.dim, cx.vertices, cx.simplices), values=f.values)
+    assert np.max(np.abs(fresh.evaluate_many(pts) - want)) <= 1e-12 * vscale
+
+
+def test_evaluate_many_first_simplex_wins():
+    # two overlapping triangles (not a valid complex) that disagree on
+    # their overlap: the lower simplex index decides, as in the oracle
+    V = np.array([[0, 0], [2, 0], [0, 2], [0.5, 0.5], [3, 0.5], [0.5, 3]], dtype=float)
+    S = ((0, 1, 2), (3, 4, 5))
+    f = pf.PLFunction(complex=pf.SimplicialComplex(2, V, S), values=np.array([1.0, 0, 0, 5, 0, 0]))
+    pts = np.random.default_rng(40).uniform(0, 3, (300, 2))
+    want = oracles.evaluate_pl_brute(V, S, f.values, pts)
+    assert np.max(np.abs(f.evaluate_many(pts) - want)) <= 1e-12
+
+
+def test_validate_rejects_coplanar_faces_that_only_overlap():
+    # two tetrahedra on opposite sides of z = 0 whose bases form a star of
+    # David: no vertex lies in the other simplex and the interiors are
+    # disjoint, so only the clipped, lower-dimensional intersection shows
+    # that they meet in more than a common face
+    base = np.array([[0.0, 1.2], [-1.04, -0.6], [1.04, -0.6]])
+    V = np.vstack([np.column_stack([base, np.zeros(3)]), [[0, 0, 1]],
+                   np.column_stack([-base, np.zeros(3)]), [[0, 0, -1]]])
+    cx = pf.SimplicialComplex(3, V, ((0, 1, 2, 3), (4, 5, 6, 7)))
+    with pytest.raises(InvalidComplex, match="intersect"):
+        cx.validate()
