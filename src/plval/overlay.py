@@ -22,10 +22,20 @@ cover supp f and supp g exactly (cells both functions cover counted
 twice) and each kept cell's simplices fill that cell; simplices sharing
 a vertex agree on its value; and the output agrees with the pointwise
 max/min at sample points.
+
+Join and meet of one pair cut the same cells and differ only in which
+piece wins each one, and the valuation identity always asks for both.
+So the op-independent half (the cells, the support volume, the sample
+points and the inputs' values there) is memoised for the last pair
+overlaid, keyed on the two functions' identities: a meet of f and g
+right after their join, or the other way round, cuts once.  A
+PLFunction's arrays are write-protected, so a hit is never stale, and
+the memo keeps at most one pair alive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -296,6 +306,24 @@ def _assemble(pieces, op, dim, supp):
     return PLFunction(complex=out_cx, values=values[used])
 
 
+@functools.lru_cache(maxsize=1)
+def _refine(f: PLFunction, g: PLFunction):
+    """The op-independent half of an overlay: (pieces, supp, pts, fe, ge),
+    the cells of _pieces_pairwise, vol supp f + vol supp g, the sample
+    points of the final check and f, g evaluated there.  PLFunction
+    compares by identity, so the key is the pair of objects."""
+    pieces = tuple(_pieces_pairwise(_prep(f), _prep(g), f.dim))
+    lo = np.minimum(*(fn.bbox()[0] for fn in (f, g)))
+    hi = np.maximum(*(fn.bbox()[1] for fn in (f, g)))
+    rng = np.random.default_rng(424242)
+    pts = rng.uniform(lo, hi, size=(128, f.dim))
+    fe = f.evaluate_many(pts)
+    ge = g.evaluate_many(pts)
+    for arr in (pts, fe, ge):
+        arr.setflags(write=False)
+    return pieces, f.support_volume() + g.support_volume(), pts, fe, ge
+
+
 def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:
     if f.dim != g.dim:
         raise ValueError("dimension mismatch: %d vs %d" % (f.dim, g.dim))
@@ -303,15 +331,9 @@ def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:
     if f.complex.is_empty() and g.complex.is_empty():
         return PLFunction.zero(dim)
 
-    pieces = _pieces_pairwise(_prep(f), _prep(g), dim)
-    out = _assemble(pieces, op, dim, f.support_volume() + g.support_volume())
+    pieces, supp, pts, fe, ge = _refine(f, g)
+    out = _assemble(pieces, op, dim, supp)
 
-    lo = np.minimum(*(fn.bbox()[0] for fn in (f, g)))
-    hi = np.maximum(*(fn.bbox()[1] for fn in (f, g)))
-    rng = np.random.default_rng(424242)
-    pts = rng.uniform(lo, hi, size=(128, dim))
-    fe = f.evaluate_many(pts)
-    ge = g.evaluate_many(pts)
     want = np.maximum(fe, ge) if op == "join" else np.minimum(fe, ge)
     got = out.evaluate_many(pts)
     vscale = max(1.0, float(np.max(np.abs(want))))

@@ -140,16 +140,20 @@ class SimplicialComplex:
 
         if len(self.simplices) < 2:
             return
-        self._check_foreign_vertices(tol * scale)
+        self._check_foreign_vertices(tol)
         self._check_pairwise(tol * scale)
 
-    def _check_foreign_vertices(self, atol: float) -> None:
+    def _check_foreign_vertices(self, tol: float) -> None:
+        """No vertex lies on a simplex it is not a vertex of, that is, has
+        all its barycentric coordinates there >= -10 tol.  Those are
+        dimensionless; only the bounding-box prefilter pads by a length."""
         V = self.vertices
         _, _, Ms, v0s = self.locator()
+        pad = 10 * tol * self.scale()
         for si, s in enumerate(self.simplices):
             verts = V[list(s)]
-            lo = verts.min(axis=0) - 10 * atol
-            hi = verts.max(axis=0) + 10 * atol
+            lo = verts.min(axis=0) - pad
+            hi = verts.max(axis=0) + pad
             cand = np.nonzero(np.all((V >= lo) & (V <= hi), axis=1))[0]
             cand = [c for c in cand if c not in s]
             if not cand:
@@ -158,7 +162,7 @@ class SimplicialComplex:
             bc = rel @ Ms[si].T
             b0 = 1.0 - bc.sum(axis=1)
             full = np.column_stack([b0, bc])
-            inside = np.all(full >= -10 * atol, axis=1)
+            inside = np.all(full >= -10 * tol, axis=1)
             for ci in np.nonzero(inside)[0]:
                 raise InvalidComplex(
                     "vertex %d lies on simplex %d without being one of its vertices"
@@ -313,8 +317,10 @@ class PLFunction:
             return out
         grads, offs = self.affines()
         lo, hi, M, v0 = cx.locator()
-        tol = 10 * EPS * cx.scale()
-        lo, hi = lo - tol, hi + tol
+        # barycentric coordinates are dimensionless; only the box pad is a length
+        tol = 10 * EPS
+        pad = tol * cx.scale()
+        lo, hi = lo - pad, hi + pad
         step = max(1, EVAL_PAIRS // len(lo))
         for start in range(0, len(X), step):
             Xc = X[start : start + step]

@@ -150,7 +150,7 @@ def reports_to_jsonl(reports, include_timing: bool = True) -> str:
 
 def summarize_csv(reports) -> str:
     """Per-suite summary: suite, cases, passes, max residual (skips
-    excluded from the residual)."""
+    excluded from the residual), skips."""
     from .serialize import csv_row
 
     order, groups = [], {}
@@ -159,7 +159,7 @@ def summarize_csv(reports) -> str:
             order.append(r.suite)
             groups[r.suite] = []
         groups[r.suite].append(r)
-    lines = ["suite,cases,passes,max_residual\n"]
+    lines = ["suite,cases,passes,max_residual,skips\n"]
     for name in order:
         rs = groups[name]
         resids = [r.residual for r in rs if r.status != "skip" and math.isfinite(r.residual)]
@@ -170,6 +170,7 @@ def summarize_csv(reports) -> str:
                     len(rs),
                     sum(1 for r in rs if r.passed),
                     max(resids) if resids else 0.0,
+                    sum(1 for r in rs if r.status == "skip"),
                 ]
             )
         )

@@ -187,6 +187,85 @@ def test_partition_check_rejects_duplicated_and_dropped_cells():
         overlay._assemble(pieces[:big] + pieces[big + 1 :], "join", 3, supp)
 
 
+@pytest.fixture
+def counted_cuts(monkeypatch):
+    """The overlay memo emptied, and a list that grows by one each time
+    the overlay cuts two meshes against each other."""
+    from plval import overlay
+
+    cut = overlay._pieces_pairwise
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return cut(*args)
+
+    overlay._refine.cache_clear()
+    monkeypatch.setattr(overlay, "_pieces_pairwise", counting)
+    yield calls
+    overlay._refine.cache_clear()
+
+
+def _cone_pairs(count):
+    from plval.verify import random_cone_function
+
+    rng = np.random.default_rng(11)
+    return [random_cone_function(rng, 2) for _ in range(2 * count)]
+
+
+@pytest.mark.parametrize(
+    "first, second", [(pf.join, pf.meet), (pf.meet, pf.join)], ids=["join-meet", "meet-join"]
+)
+def test_join_and_meet_of_one_pair_cut_once(counted_cuts, first, second):
+    f, g = _cone_pairs(1)
+    first(f, g)
+    second(f, g)
+    assert len(counted_cuts) == 1
+
+
+def test_memo_holds_only_the_last_pair(counted_cuts):
+    f, g, h, k = _cone_pairs(2)
+    pf.join(f, g)
+    pf.join(h, k)
+    pf.meet(f, g)
+    assert len(counted_cuts) == 3
+
+
+def test_memo_keys_on_identity_not_content(counted_cuts):
+    f, g = _cone_pairs(1)
+    twin = pf.PLFunction(complex=g.complex, values=g.values.copy())
+    pf.join(f, g)
+    pf.meet(f, twin)
+    assert len(counted_cuts) == 2
+
+
+def test_memo_hit_matches_a_fresh_cut(counted_cuts):
+    from plval import overlay
+
+    f, g = _cone_pairs(1)
+    pf.join(f, g)
+    hit = pf.meet(f, g)
+    overlay._refine.cache_clear()
+    fresh = pf.meet(f, g)
+    assert len(counted_cuts) == 2
+    assert hit.complex.vertices.tobytes() == fresh.complex.vertices.tobytes()
+    assert hit.complex.simplices == fresh.complex.simplices
+    assert hit.values.tobytes() == fresh.values.tobytes()
+
+
+def test_memo_releases_the_previous_pair(counted_cuts):
+    import gc
+    import weakref
+
+    f, g, h, k = _cone_pairs(2)
+    pf.join(f, g)
+    pf.join(h, k)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
 def test_join_carries_winning_gradient():
     rng = np.random.default_rng(4)
     from plval.verify import random_cone_function
@@ -267,6 +346,22 @@ def test_tent_decomposition_random_fan():
         best = max(pf.evaluate(t, x) for t in tents)
         worst = max(worst, abs(best - pf.evaluate(f, x)))
     assert worst < 1e-9
+
+
+def test_evaluate_outside_a_large_simplex():
+    # barycentric coordinates are dimensionless: at 1e6 scale a point
+    # 0.4 % of the simplex outside it is outside, as at unit scale
+    cx = pf.SimplicialComplex(dim=2, vertices=[[0, 0], [1e6, 0], [0, 1e6]], simplices=[(0, 1, 2)])
+    f = pf.PLFunction(complex=cx, values=[0.0, 0.0, 1.0])
+    assert f.evaluate([0.502e6, 0.502e6]) == 0.0
+    assert f.evaluate([0.25e6, 0.5e6]) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_validate_accepts_conforming_mesh_at_any_scale(scale):
+    verts = np.array([[0, 0], [1, 0], [0, 1], [0.502, 0.502]]) * scale
+    cx = pf.SimplicialComplex(dim=2, vertices=verts, simplices=[(0, 1, 2), (1, 2, 3)])
+    cx.validate()
 
 
 def test_json_round_trip(cone_square):

@@ -57,7 +57,8 @@ def test_jsonl_and_csv_shapes():
     assert row["wall_time"] == 0 and row["status"] == "pass"
     assert json.loads(lines[2])["left"] is None  # skips carry no numbers
     csv = summarize_csv(reports)
-    assert csv.splitlines()[0] == "suite,cases,passes,max_residual"
+    assert csv.splitlines()[0] == "suite,cases,passes,max_residual,skips"
+    assert [row.rsplit(",", 1)[1] for row in csv.splitlines()[1:]] == ["0", "1"]
     assert csv.count("\n") == 3
 
 
