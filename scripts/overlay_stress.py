@@ -2,10 +2,12 @@
 """Run the inclusion_exclusion suite at many CLI seeds in one process.
 
 For each seed it prints the suite's status (pass, the failed cases, or the
-error raised) and the worst cover-balance residual over the overlay calls
+error raised), the worst cover-balance residual over the overlay calls
 the suite made: |covered volume - (vol supp f + vol supp g)| divided by
-that sum, which the overlay requires to stay within COVER_TOL.  It exits
-1 if any seed fails.
+that sum, which the overlay requires to stay within COVER_TOL, and the
+number of overlay calls with the simplices they returned in total, so
+that output growing more fragmented shows in the log.  It exits 1 if any
+seed fails.
 
 Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
@@ -29,17 +31,22 @@ def main() -> int:
     args = ap.parse_args()
 
     worst = [0.0]
+    calls = [0, 0]  # overlay calls, simplices returned
     assemble = overlay._assemble
 
     def checked(pieces, op, dim, supp):
         covered = overlay._cover(pieces)
         worst[0] = max(worst[0], abs(covered - supp) / supp)
-        return assemble(pieces, op, dim, supp)
+        out = assemble(pieces, op, dim, supp)
+        calls[0] += 1
+        calls[1] += len(out.complex)
+        return out
 
     overlay._assemble = checked
     failed = 0
     for seed in args.seeds:
         worst[0] = 0.0
+        calls[:] = [0, 0]
         t0 = time.perf_counter()
         suite = dict(default_battery(seed))["inclusion_exclusion"]
         try:
@@ -51,8 +58,8 @@ def main() -> int:
             status = "error: %s: %s" % (type(exc).__name__, exc)
         failed += fails > 0
         print(
-            "seed %3d  %-12s worst cover residual %.2e  %5.1f s"
-            % (seed, status, worst[0], time.perf_counter() - t0),
+            "seed %3d  %-12s worst cover residual %.2e  %3d overlays -> %5d simplices  %5.1f s"
+            % (seed, status, worst[0], calls[0], calls[1], time.perf_counter() - t0),
             flush=True,
         )
     print("%d of %d seeds failed" % (failed, len(args.seeds)))

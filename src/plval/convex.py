@@ -227,6 +227,38 @@ def _merge_equation_rows(eqs: np.ndarray, tol: float):
     return groups
 
 
+def _local_hull(points: np.ndarray):
+    """(hull, center, scale): qhull's hull of the points centred on their
+    centroid and divided by their largest coordinate offset from it."""
+    center = points.mean(axis=0)
+    scale = float(np.max(np.abs(points - center)))
+    if scale == 0.0:
+        raise Degenerate("all points coincide")
+    local = (points - center) / scale
+    try:
+        return ConvexHull(local), center, scale
+    except QhullError as exc:
+        raise Degenerate("hull construction failed: %s" % exc) from exc
+
+
+def hull_planes(points: np.ndarray):
+    """(normals, offsets, volume) of the convex hull of a point set
+    spanning its dimension: unit outward normals u_i with u_i . x <= c_i
+    on the hull, one row per qhull facet (a facet qhull splits into
+    coplanar pieces gives a row for each), and the hull's volume.  Raises
+    Degenerate when the points span no hull."""
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    if d == 1:
+        lo, hi = float(points.min()), float(points.max())
+        if hi == lo:
+            raise Degenerate("all points coincide")
+        return np.array([[-1.0], [1.0]]), np.array([-lo, hi]), hi - lo
+    hull, center, scale = _local_hull(points)
+    normals = hull.equations[:, :d]
+    return normals, normals @ center - hull.equations[:, d] * scale, float(hull.volume) * scale**d
+
+
 def facet_planes(points: np.ndarray, tol: float = EPS):
     """Facet hyperplanes of the convex hull of a full-dimensional point set.
 
@@ -249,16 +281,7 @@ def facet_planes(points: np.ndarray, tol: float = EPS):
         ]
         return normals, offsets, inc
 
-    center = points.mean(axis=0)
-    scale = float(np.max(np.abs(points - center)))
-    if scale == 0.0:
-        raise Degenerate("all points coincide")
-    local = (points - center) / scale
-    try:
-        hull = ConvexHull(local)
-    except QhullError as exc:
-        raise Degenerate("hull construction failed: %s" % exc) from exc
-
+    hull, center, scale = _local_hull(points)
     groups = _merge_equation_rows(hull.equations, PLANE_MERGE)
     normals = []
     offsets = []

@@ -51,3 +51,9 @@ class PackingFailure(PLValError):
 
 class InvalidComplex(PLValError):
     """A simplicial complex violates its structural invariants."""
+
+
+class ConstructionFailure(PLValError):
+    """A bounded construction gave up: polytope sampling ran out of draws,
+    a random fan lost vertices to its hull, or tent fitting did not
+    converge."""

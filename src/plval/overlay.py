@@ -4,24 +4,32 @@ The two meshes are cut against each other into convex cells on which
 both functions are affine (or absent): simplex pairs are clipped
 directly, cut by the plane where the two affine pieces cross, and the
 regions only one function covers are carved out with difference chains.
-A cell is carried in vertex form with its tight rows and their
-incidence, and every cut is one convex.split; nothing in the cutting
-depends on the dimension.
+A simplex's chain runs against the other function's whole support when
+that support is convex (its rows are cached with the complex), and
+against the other's simplices it meets one by one when it is not.  A
+cell is carried in vertex form with its tight rows and their incidence,
+and every cut is one convex.split; nothing in the cutting depends on
+the dimension.
 
-Each cell keeps the winning affine piece and is triangulated on its
-own from its incidence, so the result is a simplex *partition* of its support: interiors
-are disjoint and the values continuous, but a vertex of one simplex may
-lie inside a face of its neighbour (a T-junction).  Integrals, norms
-and evaluation need nothing more; conformity is only checked where
-input arrives as JSON.
+Each cell keeps the winning affine piece.  The cells one function wins
+are merged into one cell where their union is convex (hull volume equal
+to their total volume), so an overlay of an overlay's output does not
+compound its fragments; the meet of f with f v g gives f's simplices
+back.  Each cell is triangulated on its own from its incidence, so the
+result is a simplex *partition* of its support: interiors are disjoint
+and the values continuous, but a vertex of one simplex may lie inside a
+face of its neighbour (a T-junction), and a merged cell, which keeps
+only its hull's vertices, adds such T-junctions where its neighbours
+were cut.  Integrals, norms and evaluation need nothing more; conformity
+is only checked where input arrives as JSON.
 
 Simplices at or below the degenerate-measure floor are dropped, so
 every output simplex is nondegenerate.  Before a result is returned it
 is checked, each check raising OverlayFailure: by volume, the cells
 cover supp f and supp g exactly (cells both functions cover counted
-twice) and each kept cell's simplices fill that cell; simplices sharing
-a vertex agree on its value; and the output agrees with the pointwise
-max/min at sample points.
+twice, before any merging) and each kept or merged cell's simplices
+fill it; simplices sharing a vertex agree on its value; and the output
+agrees with the pointwise max/min at sample points.
 
 Join and meet of one pair cut the same cells and differ only in which
 piece wins each one, and the valuation identity always asks for both.
@@ -43,7 +51,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import convex
 from .convex import EPS, SNAP
-from .errors import OverlayFailure
+from .errors import Degenerate, OverlayFailure
 from .plfunction import VALUE_SNAP, PLFunction, SimplicialComplex
 
 # Affine pieces differing by less than this on a cell are not cut apart.
@@ -68,21 +76,23 @@ FULL_COVER = 1e-12
 
 
 def _prep(f: PLFunction):
-    """Per-simplex records: (cell, lo, hi, (grad, off), volume), each
-    simplex a convex cell (V, A, b, T) with row j opposite vertex j."""
+    """(records, support): per-simplex records (cell, lo, hi, (grad, off),
+    volume), each simplex a convex cell (V, A, b, T) with row j opposite
+    vertex j, and the support's rows when it is convex, else None."""
     cx = f.complex
     grads, offs = f.affines()
     arrs = cx.simplex_arrays()
     if not len(arrs):
-        return []
+        return [], None
     lo, hi, _, _ = cx.locator()
     A, b = cx.simplex_rows()
     T = ~np.eye(cx.dim + 1, dtype=bool)
     vols = cx.simplex_volumes()
-    return [
+    records = [
         ((arrs[i], A[i], b[i], T), lo[i], hi[i], (grads[i], offs[i]), vols[i])
         for i in range(len(arrs))
     ]
+    return records, cx.convex_support
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +144,11 @@ def _subtract(parts, Ag, bg, tol):
     return out
 
 
-def _pieces_pairwise(fp, gp, dim):
+def _pieces_pairwise(fprep, gprep, dim):
     """Cells (V, T, f's piece or None, g's piece or None, volume) covering
-    supp f and supp g, the cells both cover once for each."""
+    supp f and supp g, the cells both cover once for each; fprep and gprep
+    come from _prep."""
+    (fp, f_support), (gp, g_support) = fprep, gprep
     scale = max([1.0] + [float(np.max(np.abs(rec[0][0]))) for rec in fp + gp])
     tol = CLIP_TOL * scale
     boxes = [np.array([rec[k] for rec in recs]).reshape(len(recs), dim) for recs in (fp, gp) for k in (1, 2)]
@@ -171,17 +183,25 @@ def _pieces_pairwise(fp, gp, dim):
                 pieces.append((part[0], part[3], aff_f, aff_g, vol))
                 shared_f[i] += vol
                 shared_g[j] += vol
-    # single-cover leftovers of each function
-    for own, other, meets, shared in ((fp, gp, meets_f, shared_f), (gp, fp, meets_g, shared_g)):
+    # single-cover leftovers of each function: a simplex minus the other
+    # support, subtracted whole when it is convex and simplex by simplex
+    # (the ones this simplex meets) when it is not
+    for own, other, support, meets, shared in (
+        (fp, gp, g_support, meets_f, shared_f),
+        (gp, fp, f_support, meets_g, shared_g),
+    ):
         f_side = own is fp
         for i, (cell, _, _, aff, vol) in enumerate(own):
             if shared[i] >= (1.0 - FULL_COVER) * vol:
                 continue
+            if support is not None and meets[i]:
+                regions = [support]
+            else:
+                regions = [other[j][0][1:3] for j in meets[i]]
             parts = [cell]
-            for j in meets[i]:
+            for A2, b2 in regions:
                 if not parts:
                     break
-                (_, A2, b2, _), _, _, _, _ = other[j]
                 parts = _subtract(parts, A2, b2, tol)
             for p in parts:
                 for part, _ in _split_by_affine(p, aff[0], aff[1], tol):
@@ -214,6 +234,68 @@ def _cell_volume(V):
         return 0.0
 
 
+def _merge(kept, idxs, table, scale):
+    """The kept cells (V, T, winner, volume), their vertices' rows idxs
+    in table, as cells (idxs, T, winner, volume) to triangulate, each
+    winner's cells merged into one where their union is convex.
+
+    Cells are grouped by their winning affine function, compared as rows
+    [grad * scale, off] within VALUE_SNAP times the largest entry, so a
+    piece and a recomputed copy of it (f's against f v g's, say) fall in
+    one group whichever function came first.  A group whose hull has the
+    volume of its cells, within COVER_TOL, becomes that hull and takes
+    the group's lexicographically first function; other groups keep
+    their cells.
+    """
+    rows = np.column_stack(
+        [np.array([aff[0] for _, _, aff, _ in kept]) * scale, [aff[1] for _, _, aff, _ in kept]]
+    )
+    vscale = max(1.0, float(np.max(np.abs(rows))))
+    _, group = convex.dedupe_points(rows, VALUE_SNAP * vscale)
+    groups = {}
+    for ci, gi in enumerate(group):
+        groups.setdefault(gi, []).append(ci)
+    out = []
+    for members in groups.values():
+        if len(members) > 1:
+            vol = sum(kept[m][3] for m in members)
+            merged = _merged_cell([idxs[m] for m in members], vol, table, scale)
+            if merged is not None:
+                rep = members[convex.lex_min_position(rows[members])]
+                out.append((*merged, kept[rep][2], vol))
+                continue
+        out.extend((idxs[m], kept[m][1], kept[m][2], kept[m][3]) for m in members)
+    return out
+
+
+def _merged_cell(member_idxs, vol, table, scale):
+    """(idxs, T) of the hull of the cells of total volume vol whose
+    vertex rows are member_idxs, or None when their union is not convex.
+
+    The hull's vertices are the points whose incidence on its facets no
+    other point's contains (duplicates keep the first): a point inside a
+    face lies on a subset of that face's vertices' facets.  The others
+    are left out, so a neighbour's vertex may now sit on a facet of the
+    merged cell as a T-junction."""
+    idx = np.unique(np.concatenate(member_idxs))
+    pts = table[idx]
+    try:
+        A, b, hull_vol = convex.hull_planes(pts)
+    except Degenerate:
+        return None
+    if abs(hull_vol - vol) > COVER_TOL * vol:
+        return None
+    T = convex.tight_rows(pts, A, b, CLIP_TOL * scale)
+    Tf = T.astype(float)
+    # sub[v, w]: every facet at v is a facet at w
+    sub = (Tf @ (1.0 - Tf).T) == 0.0
+    order = np.arange(len(idx))
+    inside = sub & (~sub.T | (order[:, None] > order[None, :]))
+    np.fill_diagonal(inside, False)
+    vert = ~inside.any(axis=1)
+    return idx[vert], T[vert]
+
+
 def _cover(pieces):
     """The volume the cells cover, each cell both functions cover
     counted twice."""
@@ -242,25 +324,24 @@ def _assemble(pieces, op, dim, supp):
     allv = np.vstack([V for V, _, _, _ in kept])
     scale = max(1.0, float(np.max(np.abs(allv))))
     table, mapping = convex.dedupe_points(allv, SNAP * scale)
+    ends = np.cumsum([len(V) for V, _, _, _ in kept])
+    cells = _merge(kept, np.split(mapping, ends[:-1]), table, scale)
 
-    simplices, cells = [], []
-    pos = 0
-    for ci, (V, T, _, _) in enumerate(kept):
-        idxs = mapping[pos : pos + len(V)]
-        pos += len(V)
+    simplices, owner = [], []
+    for ci, (idxs, T, _, _) in enumerate(cells):
         for s in convex.pulling_triangulation(table, idxs, dim, T):
             simplices.append(s)
-            cells.append(ci)
+            owner.append(ci)
 
     S = np.array(simplices, dtype=int).reshape(-1, dim + 1)
-    cells = np.array(cells, dtype=int)
+    cells_of = np.array(owner, dtype=int)
     svols = np.abs(np.linalg.det(table[S[:, 1:]] - table[S[:, :1]])) / math.factorial(dim)
     # needles at or below the degenerate floor carry no volume at the
     # data's scale; check 3 below still sees each cell filled without them
     keep = svols > (EPS * scale) ** dim / math.factorial(dim)
-    S, cells, svols = S[keep], cells[keep], svols[keep]
-    filled = np.bincount(cells, weights=svols, minlength=len(kept))
-    for ci, (_, _, _, vol) in enumerate(kept):
+    S, cells_of, svols = S[keep], cells_of[keep], svols[keep]
+    filled = np.bincount(cells_of, weights=svols, minlength=len(cells))
+    for ci, (_, _, _, vol) in enumerate(cells):
         if abs(filled[ci] - vol) > COVER_TOL * supp:
             raise OverlayFailure(
                 "a cell of volume %.3g triangulates to volume %.3g" % (vol, filled[ci])
@@ -269,11 +350,11 @@ def _assemble(pieces, op, dim, supp):
         return PLFunction.zero(dim)
 
     order = np.lexsort(S.T[::-1])
-    S, cells, svols = S[order], cells[order], svols[order]
+    S, cells_of, svols = S[order], cells_of[order], svols[order]
 
     # each simplex's winning piece at each of its vertices
-    grads = np.array([aff[0] for _, _, aff, _ in kept])[cells]
-    offs = np.array([aff[1] for _, _, aff, _ in kept])[cells]
+    grads = np.array([aff[0] for _, _, aff, _ in cells])[cells_of]
+    offs = np.array([aff[1] for _, _, aff, _ in cells])[cells_of]
     vals = np.einsum("kjd,kd->kj", table[S], grads) + offs[:, None]
     flat_idx, flat_vals = S.ravel(), vals.ravel()
     hi = np.full(len(table), -np.inf)

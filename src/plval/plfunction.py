@@ -14,6 +14,7 @@ Evaluation, gradients, integrals and norms only need a partition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,14 @@ from scipy.optimize import nnls
 
 from . import convex
 from .convex import EPS
-from .errors import InvalidComplex, NotNonnegative, OriginNotInterior, Singular
+from .errors import (
+    ConstructionFailure,
+    Degenerate,
+    InvalidComplex,
+    NotNonnegative,
+    OriginNotInterior,
+    Singular,
+)
 from .polytope import Polytope, central_triangulation
 
 # Vertex values smaller than this are snapped to exact zero when meshes
@@ -105,6 +113,25 @@ class SimplicialComplex:
         b[:, 0] += 1.0
         norms = np.linalg.norm(A, axis=2)
         return A / norms[..., None], b / norms
+
+    @functools.cached_property
+    def convex_support(self):
+        """The support as rows (A, b), A x <= b with unit rows, when it is
+        convex, else None.  It is convex when the hull of the vertices in
+        use has the simplices' total volume, within the overlay's
+        COVER_TOL; one qhull call per complex."""
+        from .overlay import COVER_TOL
+
+        if self.is_empty():
+            return None
+        vol = float(self.simplex_volumes().sum())
+        try:
+            A, b, hull_vol = convex.hull_planes(self.vertices[np.unique(self.index_array())])
+        except Degenerate:
+            return None
+        if abs(hull_vol - vol) > COVER_TOL * vol:
+            return None
+        return A, b
 
     def boundary_vertex_indices(self) -> np.ndarray:
         """Vertices lying on (dim-1)-faces that belong to exactly one simplex.
@@ -573,4 +600,4 @@ def tent_decomposition(f: PLFunction, delta: float = 1e-2):
             if np.max(np.abs(joint - f_ref)) <= 1e-9 * vscale:
                 return tents
         d *= 0.5
-    raise RuntimeError("tent decomposition did not converge (delta down to %.3g)" % d)
+    raise ConstructionFailure("tent decomposition did not converge (delta down to %.3g)" % d)

@@ -17,7 +17,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import convex
 from .convex import EPS
-from .errors import Degenerate, OriginNotInterior, Singular
+from .errors import ConstructionFailure, Degenerate, OriginNotInterior, Singular
 
 # Retry predicate for random_polytope: the origin must clear the boundary
 # by this much so downstream cone constructions are well conditioned.
@@ -217,7 +217,9 @@ def random_polytope(seed: int, n: int, k: int) -> Polytope:
             continue
         if min(f.support for f in P.facets) > MIN_INTERIOR_CLEARANCE:
             return P
-    raise RuntimeError("could not sample an origin-interior polytope (seed=%d n=%d k=%d)" % (seed, n, k))
+    raise ConstructionFailure(
+        "could not sample an origin-interior polytope (seed=%d n=%d k=%d)" % (seed, n, k)
+    )
 
 
 def from_json_dict(data: dict) -> Polytope:

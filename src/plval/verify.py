@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polytope as pt
-from .errors import OverlayFailure, PackingFailure
+from .errors import ConstructionFailure, OverlayFailure, PackingFailure
 from .integration import c_pn, grad_p_norm, lq_norm, sobolev_conjugate, sobolev_norm
 from .polytope import p_surface_area
 from .plfunction import (
@@ -203,7 +203,7 @@ def random_fan_function(seed: int, pieces: int = 6) -> PLFunction:
     verts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
     P = pt.hull_from_points(verts)
     if len(P.vertices) != pieces:
-        raise RuntimeError("fan lost vertices under hull (seed=%d)" % seed)
+        raise ConstructionFailure("fan lost vertices under hull (seed=%d)" % seed)
     return scale_values(cone_function(P), float(rng.uniform(0.5, 2.0)))
 
 

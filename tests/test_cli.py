@@ -236,12 +236,19 @@ def test_verify_timing_adds_only_wall_time(capsys, tmp_path):
 
 
 def test_entry_point_subprocess(square_file):
+    import os
     import subprocess
     import sys
 
+    import plval
+
+    # the child imports the same plval as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plval.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "plval", "polytope", "--input", square_file],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["volume"] == pytest.approx(4.0)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from plval import plfunction as pf
 from plval import polytope as pt
-from plval.errors import InvalidComplex, OverlayFailure
+from plval.errors import ConstructionFailure, InvalidComplex, OverlayFailure, PLValError
 from plval.integration import lq_norm
 
 import oracles
@@ -310,6 +310,116 @@ def test_outputs_pass_complex_invariants():
     g = fan_function(6)
     for out in (pf.join(f, g), pf.meet(f, g)):
         assert oracles.check_complex_invariants(out.complex) == []
+
+
+# z under h(t) = t^2 of the join and the meet of random_cone_function pairs
+# (rng seeded with the key's seed, default point counts), frozen from the
+# overlay before it merged cells or subtracted supports whole
+FROZEN_Z = {
+    (2, 0): (1.8240764147194393, 0.006867775983308943),
+    (2, 4): (0.7000508162695118, 0.2478281148214479),
+    (2, 9): (1.467196493409766, 0.21980579425514024),
+    (2, 14): (0.6601212475147579, 0.29969222827682823),
+    (2, 17): (0.29984355208800384, 0.09008401460674967),
+    (2, 23): (1.3755653938532264, 0.5678620211599483),
+    (3, 0): (0.37085787092765965, 0.0),
+    (3, 1): (0.8679008421022266, 0.061580402701648614),
+    (3, 2): (0.14401724707443275, 1.8537514520583242e-05),
+    (3, 3): (0.16616731498326826, 8.438612860745816e-06),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(FROZEN_Z), ids=["%d-%d" % k for k in sorted(FROZEN_Z)])
+def test_chained_meets_stay_coarse(n, seed):
+    from plval.valuation import PowerKernel, apply
+    from plval.verify import random_cone_function
+
+    rng = np.random.default_rng(seed)
+    f = random_cone_function(rng, n)
+    g = random_cone_function(rng, n)
+    jo, me = pf.join(f, g), pf.meet(f, g)
+    h = PowerKernel(1.0, 2.0)
+    z_join, z_meet = FROZEN_Z[(n, seed)]
+    assert apply(h, jo) == pytest.approx(z_join, rel=1e-12)
+    assert apply(h, me) == pytest.approx(z_meet, rel=1e-12)
+    # absorption: f's pieces and the join's copies of them merge back
+    # into f's simplices, whichever argument comes first (3-D seed 1 gave
+    # 590 simplices for a 12-simplex f before cells were merged)
+    for absorbed in (pf.meet(f, jo), pf.meet(jo, f)):
+        assert len(absorbed.complex) <= 2 * len(f.complex)
+        assert apply(h, absorbed) == pytest.approx(apply(h, f), rel=1e-12)
+
+
+def _disjoint_cones():
+    P = pt.cube(2)
+    return (
+        pf.compose_affine(pf.cone_function(P), np.eye(2), [-2.0, 0.0]),
+        pf.compose_affine(pf.cone_function(P), np.eye(2), [2.0, 0.5]),
+    )
+
+
+def test_convex_support_detected():
+    from plval.verify import random_cone_function
+
+    rng = np.random.default_rng(2)
+    f = random_cone_function(rng, 2)
+    g = random_cone_function(rng, 2)
+    me = pf.meet(f, g)
+    assert not me.is_zero()
+    for fn in (f, me):
+        A, b = fn.complex.convex_support
+        V = fn.complex.vertices
+        assert np.all(V @ A.T <= b + 1e-12)
+        assert np.allclose(np.linalg.norm(A, axis=1), 1.0)
+        # every row is a facet: dim vertices or more lie on it
+        assert np.all((np.abs(V @ A.T - b) <= 1e-12).sum(axis=0) >= 2)
+    assert pf.join(*_disjoint_cones()).complex.convex_support is None
+    assert pf.PLFunction.zero(2).complex.convex_support is None
+
+
+@pytest.mark.parametrize("convex_other", [True, False], ids=["convex", "not-convex"])
+def test_subtract_runs_once_per_partly_covered_simplex(monkeypatch, convex_other):
+    from plval import overlay
+
+    f = pf.cone_function(pt.cube(2))
+    g = pf.compose_affine(pf.cone_function(pt.cube(2)), np.eye(2), [0.7, 0.4])
+    if not convex_other:
+        g = pf.join(g, _disjoint_cones()[0])
+    supports = [fn.complex.convex_support for fn in (f, g)]
+    assert (supports[1] is not None) == convex_other
+    subtract = overlay._subtract
+    calls = []
+
+    def counting(parts, Ag, bg, tol):
+        calls.append((id(parts[0]), Ag))
+        return subtract(parts, Ag, bg, tol)
+
+    overlay._refine.cache_clear()
+    monkeypatch.setattr(overlay, "_subtract", counting)
+    pf.join(f, g)
+    overlay._refine.cache_clear()
+    whole = [any(Ag is s[0] for s in supports if s is not None) for _, Ag in calls]
+    assert calls
+    if convex_other:
+        # one difference chain per simplex, run against the whole support
+        starts = [start for start, _ in calls]
+        assert all(whole)
+        assert len(set(starts)) == len(starts) <= len(f.complex) + len(g.complex)
+    else:
+        # g's simplices that f covers in part are cut by f's support whole,
+        # f's by g's simplices one at a time
+        assert any(whole) and not all(whole)
+
+
+def test_tent_decomposition_raises_typed_error_when_it_cannot_converge(monkeypatch, cone_square):
+    def spilling(f, si, M):
+        # a tent reaching past f's bounding box is rejected every time
+        return pf.compose_affine(f, np.eye(f.dim), np.full(f.dim, 10.0))
+
+    monkeypatch.setattr(pf, "_build_tent", spilling)
+    with pytest.raises(ConstructionFailure, match="did not converge"):
+        pf.tent_decomposition(cone_square)
+    assert issubclass(ConstructionFailure, PLValError)
 
 
 def test_tent_decomposition_central_fan(square, cone_square):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plval import polytope as pt
-from plval.errors import Degenerate, OriginNotInterior
+from plval.errors import ConstructionFailure, Degenerate, OriginNotInterior, PLValError
 
 import oracles
 
@@ -202,3 +202,10 @@ def test_json_round_trip(square):
     assert pt.volume(Q) == pytest.approx(4.0, abs=1e-12)
     with pytest.raises(ValueError):
         pt.from_json_dict({"dim": 2})
+
+
+def test_random_polytope_gives_up_with_typed_error():
+    # two points never hold the origin inside a planar hull
+    with pytest.raises(ConstructionFailure, match="could not sample"):
+        pt.random_polytope(0, 2, 2)
+    assert issubclass(ConstructionFailure, PLValError)
