@@ -4,10 +4,11 @@
 For each seed it prints the suite's status (pass, the failed cases, or the
 error raised), the worst cover-balance residual over the overlay calls
 the suite made: |covered volume - (vol supp f + vol supp g)| divided by
-that sum, which the overlay requires to stay within COVER_TOL, and the
+that sum, which the overlay requires to stay within COVER_TOL, the
 number of overlay calls with the simplices they returned in total, so
-that output growing more fragmented shows in the log.  It exits 1 if any
-seed fails.
+that output growing more fragmented shows in the log, and the number of
+qhull hulls built (calls to convex.hull, from polytopes, convex supports
+and merged cells alike).  It exits 1 if any seed fails.
 
 Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
@@ -16,7 +17,7 @@ import argparse
 import sys
 import time
 
-from plval import overlay
+from plval import convex, overlay
 from plval.verify import default_battery
 
 
@@ -42,11 +43,20 @@ def main() -> int:
         calls[1] += len(out.complex)
         return out
 
+    hulls = [0]
+    hull = convex.hull
+
+    def counted(points):
+        hulls[0] += 1
+        return hull(points)
+
     overlay._assemble = checked
+    convex.hull = counted
     failed = 0
     for seed in args.seeds:
         worst[0] = 0.0
         calls[:] = [0, 0]
+        hulls[0] = 0
         t0 = time.perf_counter()
         suite = dict(default_battery(seed))["inclusion_exclusion"]
         try:
@@ -58,8 +68,9 @@ def main() -> int:
             status = "error: %s: %s" % (type(exc).__name__, exc)
         failed += fails > 0
         print(
-            "seed %3d  %-12s worst cover residual %.2e  %3d overlays -> %5d simplices  %5.1f s"
-            % (seed, status, worst[0], calls[0], calls[1], time.perf_counter() - t0),
+            "seed %3d  %-12s worst cover residual %.2e  %3d overlays -> %5d simplices"
+            "  %4d hulls  %5.1f s"
+            % (seed, status, worst[0], calls[0], calls[1], hulls[0], time.perf_counter() - t0),
             flush=True,
         )
     print("%d of %d seeds failed" % (failed, len(args.seeds)))

@@ -164,7 +164,7 @@ def cmd_recover(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     """Run the selected suite or the full battery; JSONL to --output (or
     stdout) plus a CSV summary; exit 0 only with zero failures."""
-    from .verify import default_battery, make_report, reports_to_jsonl, summarize_csv
+    from .verify import default_battery, reports_to_jsonl, summarize_csv
 
     battery = default_battery(config.seed)
     if config.suite is not None:
@@ -178,13 +178,9 @@ def cmd_verify(config: RunConfig) -> int:
     reports = [r for _, thunk in battery for r in thunk()]
 
     if config.tolerance is not None:
-        # override: re-judge every comparison against the new tolerance
-        reports = [
-            r
-            if r.status == "skip"
-            else make_report(r.suite, r.case, r.left, r.right, config.tolerance, r.wall_time)
-            for r in reports
-        ]
+        # override: re-judge every relative comparison against the new
+        # tolerance; skips and other verdicts (decay, growth) stand
+        reports = [r.rejudged(config.tolerance) for r in reports]
 
     jsonl = reports_to_jsonl(reports, include_timing=config.timing)
     csv = summarize_csv(reports)

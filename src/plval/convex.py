@@ -7,12 +7,16 @@ Conventions used throughout:
 * Ties (which vertex anchors a triangulation fan, facet ordering) are
   resolved by lexicographic comparison of coordinates so that repeated
   runs and neighboring cells make identical choices.
-* Polytopes appear either as vertex arrays ("V-form", hulls via qhull)
-  or as cells: vertices together with their tight rows A x <= b and the
-  vertex-row incidence.  A cell is cut by a half-space with clip/split
+* Polytopes appear either as vertex arrays ("V-form") or as cells:
+  vertices together with their tight rows A x <= b and the vertex-row
+  incidence.  A cell is cut by a half-space with clip/split
   (Sutherland-Hodgman style, in any dimension, reading edges off the
   incidence) and triangulated from the same incidence, so neither step
   enumerates row subsets or builds a hull.
+* A V-form polytope becomes a cell in two steps, and nothing else
+  decides what a facet or a vertex is: hull() is the one qhull call,
+  giving a row per qhull facet and the volume, and hull_incidence() reads
+  the facets and vertices off the points' incidence on those rows.
 """
 
 from __future__ import annotations
@@ -22,15 +26,16 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .errors import Degenerate
+from .errors import Degenerate, Singular
 
 # Geometric predicate tolerance on unit-normalized data.
 EPS = 1e-9
 # Vertex snap tolerance in overlay assembly; well above intersection
 # roundoff (~1e-13) and far below feature sizes.
 SNAP = 5e-12
-# Tolerance for merging coplanar hull output into true facets.
-PLANE_MERGE = 1e-7
+# A linear map is singular when its condition number exceeds this; the
+# test is the same at every scale of the map.
+MAX_CONDITION = 1e12
 
 
 def simplex_measure(pts: np.ndarray) -> float:
@@ -204,49 +209,18 @@ def clip(V, A, b, a, c, tol: float, T=None, flat: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Facet enumeration (V-form)
+# Hulls (V-form)
 # ---------------------------------------------------------------------------
 
 
-def _merge_equation_rows(eqs: np.ndarray, tol: float):
-    """Group nearly identical hyperplane equations; returns list of index arrays."""
-    order = np.lexsort(eqs.T[::-1])
-    groups: list[list[int]] = []
-    reps: list[np.ndarray] = []
-    for i in order:
-        row = eqs[i]
-        placed = False
-        for g, rep in enumerate(reps):
-            if np.max(np.abs(rep - row)) <= tol:
-                groups[g].append(int(i))
-                placed = True
-                break
-        if not placed:
-            reps.append(row)
-            groups.append([int(i)])
-    return groups
-
-
-def _local_hull(points: np.ndarray):
-    """(hull, center, scale): qhull's hull of the points centred on their
-    centroid and divided by their largest coordinate offset from it."""
-    center = points.mean(axis=0)
-    scale = float(np.max(np.abs(points - center)))
-    if scale == 0.0:
-        raise Degenerate("all points coincide")
-    local = (points - center) / scale
-    try:
-        return ConvexHull(local), center, scale
-    except QhullError as exc:
-        raise Degenerate("hull construction failed: %s" % exc) from exc
-
-
-def hull_planes(points: np.ndarray):
-    """(normals, offsets, volume) of the convex hull of a point set
-    spanning its dimension: unit outward normals u_i with u_i . x <= c_i
-    on the hull, one row per qhull facet (a facet qhull splits into
-    coplanar pieces gives a row for each), and the hull's volume.  Raises
-    Degenerate when the points span no hull."""
+def hull(points: np.ndarray):
+    """(A, b, volume) of the convex hull of a point set spanning its
+    dimension: unit outward rows A x <= b, one per qhull facet (a facet
+    qhull splits into coplanar pieces gives a row for each; see
+    hull_incidence), and the hull's volume.  qhull runs once, on the
+    points centred on their centroid and divided by their largest
+    coordinate offset from it; a 1-D hull is read off the min and max.
+    Raises Degenerate when the points span no hull."""
     points = np.asarray(points, dtype=float)
     d = points.shape[1]
     if d == 1:
@@ -254,58 +228,48 @@ def hull_planes(points: np.ndarray):
         if hi == lo:
             raise Degenerate("all points coincide")
         return np.array([[-1.0], [1.0]]), np.array([-lo, hi]), hi - lo
-    hull, center, scale = _local_hull(points)
-    normals = hull.equations[:, :d]
-    return normals, normals @ center - hull.equations[:, d] * scale, float(hull.volume) * scale**d
+    center = points.mean(axis=0)
+    scale = float(np.max(np.abs(points - center)))
+    if scale == 0.0:
+        raise Degenerate("all points coincide")
+    try:
+        qh = ConvexHull((points - center) / scale)
+    except QhullError as exc:
+        raise Degenerate("hull construction failed: %s" % exc) from exc
+    A = qh.equations[:, :d]
+    return A, A @ center - qh.equations[:, d] * scale, float(qh.volume) * scale**d
 
 
-def facet_planes(points: np.ndarray, tol: float = EPS):
-    """Facet hyperplanes of the convex hull of a full-dimensional point set.
+def _maximal(M: np.ndarray) -> np.ndarray:
+    """Mask of the inclusion-maximal columns of the boolean M (k, r),
+    each column read as a set of rows; of equal columns the first stands
+    for them all."""
+    Mf = M.astype(float)
+    # sub[j, l]: column j lies inside column l; drop j when inside a
+    # larger column or equal to an earlier one
+    sub = (Mf.T @ (1.0 - Mf)) == 0.0
+    order = np.arange(len(sub))
+    return ~(sub & (~sub.T | (order[:, None] > order[None, :]))).any(axis=1)
 
-    Returns (normals, offsets, incidences): unit outward normals u_i with
-    u_i . x <= c_i on the hull, and for each plane the indices of all
-    input points lying on it (within tol of the normalized data).
-    Planes are sorted by (normal, offset) lexicographically.
-    """
-    points = np.asarray(points, dtype=float)
-    d = points.shape[1]
-    if d == 1:
-        lo, hi = int(np.argmin(points[:, 0])), int(np.argmax(points[:, 0]))
-        if points[hi, 0] - points[lo, 0] <= tol:
-            raise Degenerate("interval endpoints coincide")
-        normals = np.array([[-1.0], [1.0]])
-        offsets = np.array([-points[lo, 0], points[hi, 0]])
-        inc = [
-            np.nonzero(np.abs(points[:, 0] - points[lo, 0]) <= tol)[0],
-            np.nonzero(np.abs(points[:, 0] - points[hi, 0]) <= tol)[0],
-        ]
-        return normals, offsets, inc
 
-    hull, center, scale = _local_hull(points)
-    groups = _merge_equation_rows(hull.equations, PLANE_MERGE)
-    normals = []
-    offsets = []
-    incidences = []
-    for grp in groups:
-        eq = hull.equations[grp].mean(axis=0)
-        u = eq[:d]
-        u = u / np.linalg.norm(u)
-        off_local = -eq[d]
-        off = off_local * scale + u @ center
-        dist = np.abs(points @ u - off)
-        inc = np.nonzero(dist <= 10 * tol * scale)[0]
-        normals.append(u)
-        offsets.append(off)
-        incidences.append(inc)
-    normals = np.array(normals)
-    offsets = np.array(offsets)
-    key = np.hstack([np.round(normals, 9), np.round(offsets[:, None], 9)])
-    order = np.lexsort(key.T[::-1])
-    return (
-        normals[order],
-        offsets[order],
-        [np.sort(incidences[i]) for i in order],
-    )
+def hull_incidence(points: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float):
+    """(vert, A, b, T): the hull rows (A, b) of the points cut down to
+    its facets, its vertices, and their incidence, all read off
+    tight_rows(points, A, b, tol).
+
+    A facet is an inclusion-maximal set of points on a row, and the first
+    row holding that set stands for it, so qhull's coplanar pieces of one
+    facet give one row.  A vertex is a point whose set of facets no other
+    point's contains: a point inside a face lies only on the facets
+    through that face, a subset of each of the face's vertices' facets
+    (of equal sets, as for duplicates, the first point is kept).  vert indexes the
+    vertices in points, in order; T (len(vert), facets) is their
+    incidence on the facet rows A, b."""
+    T = tight_rows(points, A, b, tol)
+    rows = _maximal(T)
+    T = T[:, rows]
+    vert = np.flatnonzero(_maximal(T.T))
+    return vert, A[rows], b[rows], T[vert]
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +284,7 @@ def _facets(M: np.ndarray, d: int) -> np.ndarray:
     one mask per facet."""
     cnt = M.sum(axis=0)
     M = M[:, (cnt >= d) & (cnt < len(M))]
-    Mf = M.astype(float)
-    # sub[j, l]: set j lies inside set l; drop j when inside a larger set
-    # or equal to an earlier one
-    sub = (Mf.T @ (1.0 - Mf)) == 0.0
-    order = np.arange(len(sub))
-    drop = sub & (~sub.T | (order[:, None] > order[None, :]))
-    return M[:, ~drop.any(axis=1)].T
+    return M[:, _maximal(M)].T
 
 
 def _pull(points: np.ndarray, idx: np.ndarray, M: np.ndarray, d: int, tol: float):
@@ -422,6 +380,14 @@ def pulling_triangulation(points: np.ndarray, subset, dim: int, incidence, tol: 
 # ---------------------------------------------------------------------------
 # Misc
 # ---------------------------------------------------------------------------
+
+
+def check_invertible(phi: np.ndarray) -> None:
+    """Raise Singular unless the square matrix phi is invertible to
+    working precision: its condition number is at most MAX_CONDITION."""
+    sv = np.linalg.svd(phi, compute_uv=False)
+    if not sv[-1] * MAX_CONDITION >= sv[0]:
+        raise Singular("linear map is singular (singular values %.3g to %.3g)" % (sv[0], sv[-1]))
 
 
 def bboxes_overlap(lo1, hi1, lo2, hi2, pad: float = 0.0) -> bool:

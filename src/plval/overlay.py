@@ -272,28 +272,19 @@ def _merged_cell(member_idxs, vol, table, scale):
     """(idxs, T) of the hull of the cells of total volume vol whose
     vertex rows are member_idxs, or None when their union is not convex.
 
-    The hull's vertices are the points whose incidence on its facets no
-    other point's contains (duplicates keep the first): a point inside a
-    face lies on a subset of that face's vertices' facets.  The others
-    are left out, so a neighbour's vertex may now sit on a facet of the
-    merged cell as a T-junction."""
+    Only the hull's vertices are kept (convex.hull_incidence), so a
+    neighbour's vertex may now sit on a facet of the merged cell as a
+    T-junction."""
     idx = np.unique(np.concatenate(member_idxs))
     pts = table[idx]
     try:
-        A, b, hull_vol = convex.hull_planes(pts)
+        A, b, hull_vol = convex.hull(pts)
     except Degenerate:
         return None
     if abs(hull_vol - vol) > COVER_TOL * vol:
         return None
-    T = convex.tight_rows(pts, A, b, CLIP_TOL * scale)
-    Tf = T.astype(float)
-    # sub[v, w]: every facet at v is a facet at w
-    sub = (Tf @ (1.0 - Tf).T) == 0.0
-    order = np.arange(len(idx))
-    inside = sub & (~sub.T | (order[:, None] > order[None, :]))
-    np.fill_diagonal(inside, False)
-    vert = ~inside.any(axis=1)
-    return idx[vert], T[vert]
+    vert, _, _, T = convex.hull_incidence(pts, A, b, CLIP_TOL * scale)
+    return idx[vert], T
 
 
 def _cover(pieces):

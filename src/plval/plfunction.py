@@ -30,7 +30,6 @@ from .errors import (
     InvalidComplex,
     NotNonnegative,
     OriginNotInterior,
-    Singular,
 )
 from .polytope import Polytope, central_triangulation
 
@@ -126,7 +125,7 @@ class SimplicialComplex:
             return None
         vol = float(self.simplex_volumes().sum())
         try:
-            A, b, hull_vol = convex.hull_planes(self.vertices[np.unique(self.index_array())])
+            A, b, hull_vol = convex.hull(self.vertices[np.unique(self.index_array())])
         except Degenerate:
             return None
         if abs(hull_vol - vol) > COVER_TOL * vol:
@@ -439,9 +438,7 @@ def scale_values(f: PLFunction, s: float) -> PLFunction:
 def compose_affine(f: PLFunction, phi, t=None) -> PLFunction:
     """x -> f(phi^{-1}(x - t)): push the mesh through x -> phi x + t."""
     phi = np.asarray(phi, dtype=float)
-    det = np.linalg.det(phi)
-    if abs(det) < 1e-12:
-        raise Singular("affine map is singular")
+    convex.check_invertible(phi)
     t = np.zeros(f.dim) if t is None else np.asarray(t, dtype=float)
     verts = f.complex.vertices @ phi.T + t
     cx = SimplicialComplex(dim=f.dim, vertices=verts, simplices=f.complex.simplices)

@@ -2,9 +2,10 @@
 
 A Polytope stores its extreme points together with the facet data
 (unit outward normal, support value, incident vertices, facet measure)
-needed by the cone-function and valuation machinery. Construction goes
-through the convex hull; all orderings are canonicalized so identical
-inputs produce identical objects.
+needed by the cone-function and valuation machinery. Construction is one
+qhull call (convex.hull) whose rows and points are cut down to facets and
+vertices by their incidence (convex.hull_incidence); all orderings are
+canonicalized so identical inputs produce identical objects.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import convex
 from .convex import EPS
-from .errors import ConstructionFailure, Degenerate, OriginNotInterior, Singular
+from .errors import ConstructionFailure, Degenerate, OriginNotInterior
 
 # Retry predicate for random_polytope: the origin must clear the boundary
 # by this much so downstream cone constructions are well conditioned.
@@ -85,20 +85,17 @@ def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
 
     scale = float(np.max(np.abs(points)))
     pts, _ = convex.dedupe_points(points, EPS * max(scale, 1.0))
-    if n == 1:
-        extreme = np.array([[pts[:, 0].min()], [pts[:, 0].max()]])
-    else:
-        center = pts.mean(axis=0)
-        try:
-            hull = ConvexHull((pts - center) / max(scale, 1e-30))
-        except QhullError as exc:
-            raise Degenerate("hull construction failed: %s" % exc) from exc
-        extreme = pts[np.sort(hull.vertices)]
-    order = np.lexsort(extreme.T[::-1])
-    verts = extreme[order]
+    A, b, _ = convex.hull(pts)
+    tol = 10 * EPS * float(np.max(np.abs(pts - pts.mean(axis=0))))
+    vert, normals, offsets, on = convex.hull_incidence(pts, A, b, tol)
+    vorder = np.lexsort(pts[vert].T[::-1])
+    verts = pts[vert[vorder]]
     verts.setflags(write=False)
+    key = np.hstack([np.round(normals, 9), np.round(offsets[:, None], 9)])
+    forder = np.lexsort(key.T[::-1])
+    normals, offsets, on = normals[forder], offsets[forder], on[vorder][:, forder]
+    incidences = [np.flatnonzero(col) for col in on.T]
 
-    normals, offsets, incidences = convex.facet_planes(verts)
     origin_interior = bool(np.all(offsets > EPS * max(scale, 1.0)))
     if require_origin_interior and not origin_interior:
         raise OriginNotInterior(
@@ -106,7 +103,6 @@ def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
             % (float(np.min(offsets)), EPS * max(scale, 1.0))
         )
 
-    on = _incidence(len(verts), incidences)
     facets = []
     for u, off, inc in zip(normals, offsets, incidences):
         if n == 1:
@@ -186,9 +182,7 @@ def central_triangulation(P: Polytope):
 def apply_unimodular(P: Polytope, phi) -> Polytope:
     """Image under an invertible linear map (volume-preserving when det=1)."""
     phi = np.asarray(phi, dtype=float)
-    det = np.linalg.det(phi)
-    if abs(det) < 1e-12:
-        raise Singular("linear map is singular (det=%.3g)" % det)
+    convex.check_invertible(phi)
     return _build(P.vertices @ phi.T, require_origin_interior=P.origin_interior)
 
 

@@ -52,8 +52,11 @@ INCL_EXCL_TOL = 1e-7
 
 @dataclass
 class PropertyReport:
-    """One checked case: left and right quantities, their relative
-    residual, and a pass/fail/skip verdict."""
+    """One checked case: left and right quantities, a residual, and a
+    pass/fail/skip verdict.  comparison is True when the residual is the
+    relative residual of left and right (make_report), so the verdict
+    can be judged again at another tolerance; a decay, monotonicity or
+    growth-window verdict is not such a comparison."""
 
     suite: str
     case: str
@@ -64,10 +67,20 @@ class PropertyReport:
     status: str
     reason: str = ""
     wall_time: float = 0.0
+    comparison: bool = False
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
+
+    def rejudged(self, tolerance: float) -> "PropertyReport":
+        """This report at another tolerance: a comparison is judged again
+        and keeps its reason; any other verdict stands as it is."""
+        if not self.comparison:
+            return self
+        return make_report(
+            self.suite, self.case, self.left, self.right, tolerance, self.wall_time, self.reason
+        )
 
     def to_json_dict(self) -> dict:
         def fin(x):
@@ -116,6 +129,7 @@ def make_report(
         status="pass" if ok else "fail",
         reason=reason,
         wall_time=float(wall_time),
+        comparison=True,
     )
 
 
@@ -493,20 +507,8 @@ def continuity_example_1(
         )
         sobolev_seq.append(sobolev_norm(f_k, p))
         z_seq.append(apply(PowerKernel(1.0, q), f_k))
-    increase = max(
-        (b - a for a, b in zip(sobolev_seq[:-1], sobolev_seq[1:])), default=0.0
-    )
     reports.append(
-        PropertyReport(
-            suite="continuity_example_1",
-            case="sobolev_monotone,k<=%d" % k_max,
-            left=sobolev_seq[0],
-            right=sobolev_seq[-1],
-            residual=max(increase, 0.0),
-            tolerance=0.0,
-            status="pass" if increase <= 0.0 else "fail",
-            reason="sequence " + ",".join("%.6g" % v for v in sobolev_seq),
-        )
+        _decay_report("continuity_example_1", "sobolev_monotone,k<=%d" % k_max, sobolev_seq)
     )
     reports.append(
         skip_report(
@@ -546,6 +548,47 @@ def _decay_report(suite: str, case: str, values) -> PropertyReport:
     )
 
 
+def _vanishing_cones(suite, P, growth_fn_id, k_max, p, tolerance, shape, closed_forms, q, q_name, end):
+    """The body of continuity_example_2 and _3.  For k = 1..k_max, f_k
+    is the cone over lam P with its values times mult, (lam, mult) =
+    shape(k, g(k)); its p-norm and gradient p-norm, each to the power p, are
+    checked against closed_forms(k, g(k)) and for monotone decay, and
+    z(f_k) under |t|^q is reported, not asserted."""
+    reports = []
+    lp_seq, gp_seq, z_seq = [], [], []
+    for k in range(1, k_max + 1):
+        g = _growth_value(growth_fn_id, float(k))
+        case = "g=%s,k=%d" % (growth_fn_id, k)
+        if g <= 0.0:
+            reports.append(skip_report(suite, case, "growth value %g gives no finite scale" % g))
+            continue
+        lam, mult = shape(float(k), g)
+        t0 = time.perf_counter()
+        f_k = scale_values(cone_function(pt.hull_from_points(P.vertices * lam)), mult)
+        lp = lq_norm(f_k, p) ** p
+        gp = grad_p_norm(f_k, p) ** p
+        lp_form, gp_form = closed_forms(float(k), g)
+        reports.append(
+            make_report(suite, case + ",p_norm", lp, lp_form, tolerance, time.perf_counter() - t0)
+        )
+        reports.append(make_report(suite, case + ",grad_norm", gp, gp_form, tolerance))
+        lp_seq.append(lp)
+        gp_seq.append(gp)
+        z_seq.append(apply(PowerKernel(1.0, q), f_k))
+    reports.append(_decay_report(suite, "g=%s,p_norm_decay" % growth_fn_id, lp_seq))
+    reports.append(_decay_report(suite, "g=%s,grad_norm_decay" % growth_fn_id, gp_seq))
+    reports.append(
+        skip_report(
+            suite,
+            "g=%s,z_trend" % growth_fn_id,
+            "informational: z(f_k) under |t|^%s = " % q_name
+            + ",".join("%.6g" % v for v in z_seq)
+            + "; decays only like 1/g(k), which pins the kernel to O(t^%s) at %s" % (q_name, end),
+        )
+    )
+    return reports
+
+
 def continuity_example_2(
     P: pt.Polytope,
     growth_fn_id: str = "log",
@@ -564,59 +607,12 @@ def continuity_example_2(
     n = P.dim
     volP = pt.volume(P)
     sp = p_surface_area(P, p)
-    reports = []
-    lp_seq, gp_seq, z_seq = [], [], []
-    for k in range(1, k_max + 1):
-        g = _growth_value(growth_fn_id, float(k))
-        case = "g=%s,k=%d" % (growth_fn_id, k)
-        if g <= 0.0:
-            reports.append(
-                skip_report(
-                    "continuity_example_2", case, "growth value %g gives no finite scale" % g
-                )
-            )
-            continue
-        lam = (float(k) ** p / g) ** (1.0 / n)
-        t0 = time.perf_counter()
-        f_k = scale_values(cone_function(pt.hull_from_points(P.vertices * lam)), 1.0 / k)
-        lp = lq_norm(f_k, p) ** p
-        gp = grad_p_norm(f_k, p) ** p
-        reports.append(
-            make_report(
-                "continuity_example_2",
-                case + ",p_norm",
-                lp,
-                c_pn(p, n) * volP / g,
-                tolerance,
-                time.perf_counter() - t0,
-            )
-        )
-        reports.append(
-            make_report(
-                "continuity_example_2",
-                case + ",grad_norm",
-                gp,
-                float(k) ** (-p * p / n) * g ** (-(n - p) / n) * sp / n,
-                tolerance,
-            )
-        )
-        lp_seq.append(lp)
-        gp_seq.append(gp)
-        z_seq.append(apply(PowerKernel(1.0, p), f_k))
-    reports.append(_decay_report("continuity_example_2", "g=%s,p_norm_decay" % growth_fn_id, lp_seq))
-    reports.append(
-        _decay_report("continuity_example_2", "g=%s,grad_norm_decay" % growth_fn_id, gp_seq)
+    return _vanishing_cones(
+        "continuity_example_2", P, growth_fn_id, k_max, p, tolerance,
+        lambda k, g: ((k ** p / g) ** (1.0 / n), 1.0 / k),
+        lambda k, g: (c_pn(p, n) * volP / g, k ** (-p * p / n) * g ** (-(n - p) / n) * sp / n),
+        p, "p", "zero",
     )
-    reports.append(
-        skip_report(
-            "continuity_example_2",
-            "g=%s,z_trend" % growth_fn_id,
-            "informational: z(f_k) under |t|^p = "
-            + ",".join("%.6g" % v for v in z_seq)
-            + "; decays only like 1/g(k), which pins the kernel to O(t^p) at zero",
-        )
-    )
-    return reports
 
 
 def continuity_example_3(
@@ -638,59 +634,12 @@ def continuity_example_3(
     p_star = sobolev_conjugate(p, n)
     volP = pt.volume(P)
     sp = p_surface_area(P, p)
-    reports = []
-    lp_seq, gp_seq, z_seq = [], [], []
-    for k in range(1, k_max + 1):
-        g = _growth_value(growth_fn_id, float(k))
-        case = "g=%s,k=%d" % (growth_fn_id, k)
-        if g <= 0.0:
-            reports.append(
-                skip_report(
-                    "continuity_example_3", case, "growth value %g gives no finite scale" % g
-                )
-            )
-            continue
-        lam = (float(k) ** p_star * g) ** (-1.0 / n)
-        t0 = time.perf_counter()
-        f_k = scale_values(cone_function(pt.hull_from_points(P.vertices * lam)), float(k))
-        lp = lq_norm(f_k, p) ** p
-        gp = grad_p_norm(f_k, p) ** p
-        reports.append(
-            make_report(
-                "continuity_example_3",
-                case + ",p_norm",
-                lp,
-                c_pn(p, n) * volP * float(k) ** (p - p_star) / g,
-                tolerance,
-                time.perf_counter() - t0,
-            )
-        )
-        reports.append(
-            make_report(
-                "continuity_example_3",
-                case + ",grad_norm",
-                gp,
-                g ** (-(n - p) / n) * sp / n,
-                tolerance,
-            )
-        )
-        lp_seq.append(lp)
-        gp_seq.append(gp)
-        z_seq.append(apply(PowerKernel(1.0, p_star), f_k))
-    reports.append(_decay_report("continuity_example_3", "g=%s,p_norm_decay" % growth_fn_id, lp_seq))
-    reports.append(
-        _decay_report("continuity_example_3", "g=%s,grad_norm_decay" % growth_fn_id, gp_seq)
+    return _vanishing_cones(
+        "continuity_example_3", P, growth_fn_id, k_max, p, tolerance,
+        lambda k, g: ((k ** p_star * g) ** (-1.0 / n), k),
+        lambda k, g: (c_pn(p, n) * volP * k ** (p - p_star) / g, g ** (-(n - p) / n) * sp / n),
+        p_star, "p*", "infinity",
     )
-    reports.append(
-        skip_report(
-            "continuity_example_3",
-            "g=%s,z_trend" % growth_fn_id,
-            "informational: z(f_k) under |t|^p* = "
-            + ",".join("%.6g" % v for v in z_seq)
-            + "; decays only like 1/g(k), which pins the kernel to O(t^p*) at infinity",
-        )
-    )
-    return reports
 
 
 # ---------------------------------------------------------------------------

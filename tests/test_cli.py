@@ -212,6 +212,20 @@ def test_verify_forced_tolerance_fails(capsys):
     assert code == 1
 
 
+def test_verify_tolerance_rejudges_comparisons_only(capsys):
+    # the decay verdicts are not relative comparisons: a looser tolerance
+    # leaves them, and their reasons, as they are
+    code, out, _ = run(capsys, "verify", "--suite", "continuity_example_2",
+                       "--tolerance", "1e-6")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    decays = [r for r in rows if r["case"].endswith("_decay")]
+    assert len(decays) == 4
+    assert all(r["status"] == "pass" and r["reason"].startswith("sequence ") for r in decays)
+    compared = [r for r in rows if r["case"].endswith("_norm")]
+    assert compared and all(r["tolerance"] == 1e-6 for r in compared)
+
+
 def test_verify_deterministic_output(capsys, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert run(capsys, "verify", "--suite", "invariance", "--output", str(a))[0] == 0

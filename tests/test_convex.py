@@ -2,6 +2,7 @@
 batched point location, each against a brute-force oracle."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.spatial import ConvexHull, QhullError
 from plval import convex
 from plval import plfunction as pf
 from plval import polytope as pt
-from plval.errors import InvalidComplex
+from plval.errors import Degenerate, InvalidComplex
 from plval.verify import random_cone_function, random_fan_function
 
 import oracles
@@ -171,21 +172,101 @@ def test_incidence_triangulation_of_hulls(d, k):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_overlay_builds_no_hull_facets(monkeypatch, n):
+    # every qhull hull the overlay builds is a complex's convex support
+    # (once per complex) or a merge of one winner's cells; cutting and
+    # triangulation read facets off incidence and never build one
     rng = np.random.default_rng(20 + n)
     points = 5 if n == 3 else None
     f = random_cone_function(rng, n, points)
     g = random_cone_function(rng, n, points)
+    callers = []
+    hull = convex.hull
+
+    def counted(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, id(frame.f_locals.get("self"))))
+        return hull(*args, **kwargs)
+
+    monkeypatch.setattr(convex, "hull", counted)
+    assert not pf.join(f, g).is_zero()
+    assert not pf.meet(f, g).is_zero()
+    names = [name for name, _ in callers]
+    assert set(names) <= {"convex_support", "_merged_cell"}
+    supports = [owner for name, owner in callers if name == "convex_support"]
+    assert sorted(supports) == sorted(set(supports))
+    assert {id(f.complex), id(g.complex)} <= set(supports)
+
+
+def test_hull_from_points_calls_qhull_once(monkeypatch):
     calls = []
-    facet_planes = convex.facet_planes
+    qhull = convex.ConvexHull
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return facet_planes(*args, **kwargs)
+        return qhull(*args, **kwargs)
 
-    monkeypatch.setattr(convex, "facet_planes", counted)
-    assert not pf.join(f, g).is_zero()
-    assert not pf.meet(f, g).is_zero()
-    assert calls == []
+    for module in (convex, pt):
+        if hasattr(module, "ConvexHull"):
+            monkeypatch.setattr(module, "ConvexHull", counted)
+    P = pt.hull_from_points(np.random.default_rng(50).normal(size=(12, 3)) + 0.01)
+    assert len(P.facets) >= 4
+    assert calls == [1]
+
+
+def _cube_with_extras():
+    """The cube [-1, 1]^3 with its face centres and edge midpoints: every
+    extra point is coplanar with a facet and none is a vertex."""
+    grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+    return grid[np.abs(grid).sum(axis=1) > 0]
+
+
+@st.composite
+def _point_sets(draw):
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(d + 1, 10))
+    kind = draw(st.sampled_from(["random", "rounded", "cube"] if d == 3 else ["random", "rounded"]))
+    if kind == "cube":
+        P = _cube_with_extras()
+    elif kind == "rounded":
+        # coordinates on a grid of quarters: coplanar and collinear points abound
+        P = rng.integers(-4, 5, size=(k, d)) / 4.0
+    else:
+        P = rng.uniform(-1.0, 1.0, size=(k, d))
+    dup = draw(st.integers(0, 3))
+    P = np.vstack([P, P[rng.integers(0, len(P), size=dup)]])
+    return P[rng.permutation(len(P))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_point_sets())
+@example(_cube_with_extras())
+def test_hull_incidence_matches_brute_facets(P):
+    d = P.shape[1]
+    tol = 1e-9
+    try:
+        A, b, _ = convex.hull(P)
+    except Degenerate:
+        assert np.linalg.matrix_rank(P[1:] - P[0]) < d
+        return
+    vert, A, b, T = convex.hull_incidence(P, A, b, tol)
+    # the oracle takes each point once: a repeated point would span a
+    # spurious plane through itself
+    want = oracles.brute_facets(np.unique(P, axis=0), tol=tol)
+    # one row per facet, each matching the oracle's normal and offset
+    assert len(A) == len(want)
+    for u, h in want:
+        j = np.argmin(np.abs(A - u).max(axis=1))
+        assert np.abs(A[j] - u).max() <= 1e-12
+        assert abs(b[j] - h) <= 1e-12
+        # the facet's vertices are the vertices on the oracle's plane
+        V = P[vert]
+        assert np.array_equal(T[:, j], np.abs(V @ u - h) <= tol)
+    # the vertices, each once: the points whose facets meet in a point
+    facets_at = [[u for u, h in want if abs(u @ x - h) <= tol] for x in P]
+    corners = {tuple(x) for x, U in zip(P, facets_at) if U and np.linalg.matrix_rank(np.array(U)) == d}
+    assert len(vert) == len(corners)
+    assert {tuple(x) for x in P[vert]} == corners
 
 
 def _shared_edge_midpoints(cx):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from plval import plfunction as pf
 from plval import polytope as pt
-from plval.errors import ConstructionFailure, InvalidComplex, OverlayFailure, PLValError
+from plval.errors import ConstructionFailure, InvalidComplex, OverlayFailure, PLValError, Singular
 from plval.integration import lq_norm
 
 import oracles
@@ -117,6 +117,21 @@ def test_compose_affine_translation(cone_square):
     g = pf.compose_affine(cone_square, np.eye(2), t)
     assert pf.evaluate(g, t) == pytest.approx(1.0, abs=1e-12)
     assert lq_norm(g, 1.0) == pytest.approx(lq_norm(cone_square, 1.0), rel=1e-10)
+
+
+def test_singular_maps_are_judged_by_condition_number():
+    # a small multiple of the identity is perfectly conditioned, though
+    # its determinant (7.29e-13) is tiny; a rank-1 map is singular at any scale
+    cube = pt.cube(3)
+    small = 9e-5 * np.eye(3)
+    assert pt.volume(pt.apply_unimodular(cube, small)) == pytest.approx(8 * 9e-5**3, rel=1e-12)
+    g = pf.compose_affine(pf.cone_function(cube), small)
+    assert pf.evaluate(g, np.zeros(3)) == pytest.approx(1.0)
+    rank1 = np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5])
+    with pytest.raises(Singular):
+        pt.apply_unimodular(cube, rank1)
+    with pytest.raises(Singular):
+        pf.compose_affine(pf.cone_function(cube), rank1)
 
 
 def test_join_of_cones_over_convex_union():
