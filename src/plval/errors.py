@@ -49,6 +49,10 @@ class PackingFailure(PLValError):
     """Translated copies meant to be disjoint overlap."""
 
 
+class NonFinite(PLValError):
+    """A number read from JSON input is NaN or infinite."""
+
+
 class InvalidComplex(PLValError):
     """A simplicial complex violates its structural invariants."""
 

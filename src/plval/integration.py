@@ -32,6 +32,14 @@ nonnegative amount computed to a few ulps, and the sum over sub-pieces
 and segments cannot cancel.  A value row with a zero spread is a point
 mass and contributes h at its value.
 
+Two halves.  The segments' coefficients do not depend on h:
+value_density(values) sorts the rows and builds them once, and
+ValueDensity.means(h) does the cutting, subdivision and piece integrals
+for one h.  A PLFunction caches its density (PLFunction.value_density),
+so z(f) under several kernels, the L^q norms and the level sets of one
+function build it once; simplex_means composes the two halves for
+one-off rows.
+
 For integer exponents there is an independent route through complete
 homogeneous symmetric polynomials; the two must agree and the tests
 exploit that.
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import beta, gammaln
@@ -362,58 +370,93 @@ def _poly_pieces(x0, x1, c, anchors, coefficients) -> np.ndarray:
     return np.sum(((h * w) @ basis) * c, axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class ValueDensity:
+    """The value densities of a stack of simplices, the kernel-independent
+    half of the engine: each row's vertex values sorted, the rows with zero
+    spread (point masses) with their values, and the Bernstein
+    coefficients, ends and row index of every segment of positive width.
+    means(h) is the kernel-dependent half."""
+
+    sorted_rows: np.ndarray  # (m, n+1)
+    point_rows: np.ndarray  # (p,) indices of the point-mass rows
+    point_values: np.ndarray  # (p,)
+    coefficients: np.ndarray  # (k, n), see _segment_density
+    lo: np.ndarray  # (k,)
+    hi: np.ndarray  # (k,)
+    seg_row: np.ndarray  # (k,)
+
+    def means(self, h: Pieces) -> np.ndarray:
+        """Mean of h over each row's density: split every segment at the
+        cuts of h it crosses, then integrate each sub-piece."""
+        m = len(self.sorted_rows)
+        out = np.zeros(m)
+        if len(self.point_rows):
+            out[self.point_rows] = h(self.point_values)
+        if len(self.lo) == 0:
+            return out
+        A, lo, hi, seg_row = self.coefficients, self.lo, self.hi, self.seg_row
+
+        # split every segment at the cuts it crosses, keeping the sub-pieces
+        # on which h is not identically 0
+        poly_on = (h.coefficients != 0.0).any(axis=1)
+        power_on = h.scales != 0.0
+        first = np.searchsorted(h.cuts, lo, side="right")
+        count = np.searchsorted(h.cuts, hi, side="left") - first + 1
+        seg = np.repeat(np.arange(len(lo)), count)
+        interval = first[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+        active = (poly_on | power_on)[interval]
+        seg, interval = seg[active], interval[active]
+        edges = np.concatenate([[-np.inf], h.cuts, [np.inf]])
+        x0 = np.maximum(lo[seg], edges[interval])
+        x1 = np.minimum(hi[seg], edges[interval + 1])
+        width = hi[seg] - lo[seg]
+        c = _subdivide(A[seg], (x0 - lo[seg]) / width, (x1 - lo[seg]) / width)
+        c *= ((x1 - x0) / width)[:, None]
+
+        piece_val = np.zeros(len(seg))
+        poly = poly_on[interval]
+        if poly.any():
+            ip = interval[poly]
+            piece_val[poly] = _poly_pieces(
+                x0[poly], x1[poly], c[poly], h.anchors[ip], h.coefficients[ip]
+            )
+        for e in np.unique(h.exponents[power_on]):
+            sel = (power_on & (h.exponents == e))[interval]
+            if sel.any():
+                power = _power_pieces(x0[sel], x1[sel], c[sel], float(e))
+                piece_val[sel] += h.scales[interval[sel]] * power
+        out += np.bincount(seg_row[seg], weights=piece_val, minlength=m)
+        return out
+
+
+def value_density(values) -> ValueDensity:
+    """The ValueDensity of the value rows `values` (m, n+1), one simplex
+    per row; its arrays are write-protected."""
+    V = np.sort(np.asarray(values, dtype=float), axis=1)
+    n = V.shape[1] - 1
+    rows = np.arange(len(V))
+    point = V[:, -1] == V[:, 0]
+    spread = V[~point]
+    A = _segment_density(spread).reshape(-1, n)
+    lo = spread[:, :-1].ravel()
+    hi = spread[:, 1:].ravel()
+    seg_row = np.repeat(rows[~point], n)
+    live = hi > lo
+    density = ValueDensity(
+        V, rows[point], V[point, 0], A[live], lo[live], hi[live], seg_row[live]
+    )
+    for arr in vars(density).values():
+        arr.setflags(write=False)
+    return density
+
+
 def simplex_means(values, h: Pieces) -> np.ndarray:
     """Mean of h(f) over each simplex, f affine with the vertex values in
     each row of `values` (m, n+1): the integral of h against each row's
-    value density, all rows at once."""
-    V = np.sort(np.asarray(values, dtype=float), axis=1)
-    m, n = V.shape[0], V.shape[1] - 1
-    out = np.zeros(m)
-    rows = np.arange(m)
-    point = V[:, -1] == V[:, 0]
-    if point.any():
-        out[point] = h(V[point, 0])
-        V, rows = V[~point], rows[~point]
-    if len(V) == 0:
-        return out
-    A = _segment_density(V).reshape(-1, n)
-    lo = V[:, :-1].ravel()
-    hi = V[:, 1:].ravel()
-    seg_row = np.repeat(rows, n)
-    live = hi > lo
-    A, lo, hi, seg_row = A[live], lo[live], hi[live], seg_row[live]
-
-    # split every segment at the cuts it crosses, keeping the sub-pieces
-    # on which h is not identically 0
-    poly_on = (h.coefficients != 0.0).any(axis=1)
-    power_on = h.scales != 0.0
-    first = np.searchsorted(h.cuts, lo, side="right")
-    count = np.searchsorted(h.cuts, hi, side="left") - first + 1
-    seg = np.repeat(np.arange(len(lo)), count)
-    interval = first[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
-    active = (poly_on | power_on)[interval]
-    seg, interval = seg[active], interval[active]
-    edges = np.concatenate([[-np.inf], h.cuts, [np.inf]])
-    x0 = np.maximum(lo[seg], edges[interval])
-    x1 = np.minimum(hi[seg], edges[interval + 1])
-    width = hi[seg] - lo[seg]
-    c = _subdivide(A[seg], (x0 - lo[seg]) / width, (x1 - lo[seg]) / width)
-    c *= ((x1 - x0) / width)[:, None]
-
-    piece_val = np.zeros(len(seg))
-    poly = poly_on[interval]
-    if poly.any():
-        ip = interval[poly]
-        piece_val[poly] = _poly_pieces(
-            x0[poly], x1[poly], c[poly], h.anchors[ip], h.coefficients[ip]
-        )
-    for e in np.unique(h.exponents[power_on]):
-        sel = (power_on & (h.exponents == e))[interval]
-        if sel.any():
-            power = _power_pieces(x0[sel], x1[sel], c[sel], float(e))
-            piece_val[sel] += h.scales[interval[sel]] * power
-    out += np.bincount(seg_row[seg], weights=piece_val, minlength=m)
-    return out
+    value density, all rows at once.  A function integrated under several
+    kernels should build its density once (PLFunction.value_density)."""
+    return value_density(values).means(h)
 
 
 @dataclass(eq=False)
@@ -423,11 +466,13 @@ class PushforwardDensity:
 
     values: np.ndarray
     dim: int
+    _density: ValueDensity = field(init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.sort(np.asarray(self.values, dtype=float))
         if len(self.values) != self.dim + 1:
             raise ValueError("need dim+1 vertex values")
+        self._density = value_density(self.values[None, :])
 
     @property
     def is_dirac(self) -> bool:
@@ -438,28 +483,26 @@ class PushforwardDensity:
             raise ValueError("point mass has no density")
         t = np.asarray(t, dtype=float)
         V = self.values
-        A = _segment_density(V[None, :])[0]
         j = np.clip(np.searchsorted(V, t, side="right") - 1, 0, self.dim - 1)
         d = V[j + 1] - V[j]
+        # segment j's place among the live ones; a dead one is masked below
+        live = np.flatnonzero(V[1:] > V[:-1])
+        A = self._density.coefficients[np.minimum(np.searchsorted(live, j), len(live) - 1)]
         s = (t - V[j]) / np.where(d > 0.0, d, 1.0)
         basis = _bernstein(s, self.dim - 1)
-        dens = np.sum(A[j] * basis, axis=-1) / np.where(d > 0.0, d, 1.0)
+        dens = np.sum(A * basis, axis=-1) / np.where(d > 0.0, d, 1.0)
         inside = (t >= V[0]) & (t <= V[-1]) & (d > 0.0)
         return np.where(inside, dens, 0.0)
 
     def cdf(self, t: float) -> float:
         """Fraction of the simplex where the function is at most t."""
-        return 1.0 - float(simplex_means(self.values[None, :], Pieces.above(t))[0])
+        return 1.0 - float(self._density.means(Pieces.above(t))[0])
 
     def moment_abs(self, q: float) -> float:
         """Integral of |t|^q against the density."""
         if q < 0:
             raise ValueError("exponent must be nonnegative")
-        return float(simplex_means(self.values[None, :], Pieces.power(1.0, q))[0])
-
-
-def _per_simplex(f: PLFunction):
-    return f.complex.simplex_volumes(), f.simplex_values()
+        return float(self._density.means(Pieces.power(1.0, q))[0])
 
 
 def lq_norm(f: PLFunction, q: float) -> float:
@@ -468,8 +511,8 @@ def lq_norm(f: PLFunction, q: float) -> float:
         raise ValueError("norm exponent must be >= 1")
     if f.complex.is_empty():
         return 0.0
-    vols, svals = _per_simplex(f)
-    return float(vols @ simplex_means(svals, Pieces.power(1.0, q))) ** (1.0 / q)
+    means = f.value_density().means(Pieces.power(1.0, q))
+    return float(f.complex.simplex_volumes() @ means) ** (1.0 / q)
 
 
 def grad_p_norm(f: PLFunction, p: float) -> float:
@@ -495,8 +538,7 @@ def level_set_volume(f: PLFunction, t: float) -> float:
         raise ValueError("level must be positive; {f > t} has infinite volume otherwise")
     if f.complex.is_empty():
         return 0.0
-    vols, svals = _per_simplex(f)
-    return float(vols @ simplex_means(svals, Pieces.above(t)))
+    return float(f.complex.simplex_volumes() @ f.value_density().means(Pieces.above(t)))
 
 
 def fisher_matrix(f: PLFunction) -> np.ndarray:

@@ -32,6 +32,7 @@ from .errors import (
     OriginNotInterior,
 )
 from .polytope import Polytope, central_triangulation
+from .serialize import read_finite
 
 # Vertex values smaller than this are snapped to exact zero when meshes
 # are rebuilt, keeping the boundary-zero invariant sharp.
@@ -280,6 +281,7 @@ class PLFunction:
     values: np.ndarray
     _grads: np.ndarray = field(default=None, repr=False, compare=False)
     _offs: np.ndarray = field(default=None, repr=False, compare=False)
+    _density: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
@@ -325,6 +327,15 @@ class PLFunction:
     def simplex_values(self) -> np.ndarray:
         """(m, dim+1) vertex values per simplex."""
         return self.values[self.complex.index_array()]
+
+    def value_density(self):
+        """The integration.ValueDensity of the simplex value rows, built on
+        first use and shared by every kernel and norm integrated over f."""
+        if self._density is None:
+            from .integration import value_density
+
+            self._density = value_density(self.simplex_values())
+        return self._density
 
     def evaluate(self, x) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -396,11 +407,11 @@ def from_json_dict(data: dict) -> PLFunction:
         if key not in data:
             raise ValueError("PL function JSON needs '%s'" % key)
     dim = int(data["dim"])
-    verts = np.asarray(data["vertices"], dtype=float)
+    verts = read_finite(data, "vertices", "PL function")
     if len(verts) and (verts.ndim != 2 or verts.shape[1] != dim):
         raise ValueError("vertex array shape does not match dim %d" % dim)
     cx = SimplicialComplex(dim=dim, vertices=verts, simplices=tuple(map(tuple, data["simplices"])))
-    f = PLFunction(complex=cx, values=np.asarray(data["values"], dtype=float))
+    f = PLFunction(complex=cx, values=read_finite(data, "values", "PL function"))
     f.validate()
     return f
 

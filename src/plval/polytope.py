@@ -18,6 +18,7 @@ import numpy as np
 from . import convex
 from .convex import EPS
 from .errors import ConstructionFailure, Degenerate, OriginNotInterior
+from .serialize import read_finite
 
 # Retry predicate for random_polytope: the origin must clear the boundary
 # by this much so downstream cone constructions are well conditioned.
@@ -221,7 +222,7 @@ def from_json_dict(data: dict) -> Polytope:
     if "dim" not in data or "vertices" not in data:
         raise ValueError("polytope JSON needs 'dim' and 'vertices'")
     n = int(data["dim"])
-    verts = np.asarray(data["vertices"], dtype=float)
+    verts = read_finite(data, "vertices", "polytope")
     if verts.ndim != 2 or verts.shape[1] != n:
         raise ValueError("vertex array shape %s does not match dim %d" % (verts.shape, n))
     return _build(verts, require_origin_interior=False)

@@ -1,9 +1,11 @@
-"""Deterministic JSON and CSV emission.
+"""Deterministic JSON and CSV emission, and finite numbers on input.
 
 All file output goes through these helpers so that reruns with identical
 inputs produce byte-identical artifacts: keys are sorted, floats are
 written with 17 significant digits (round-trip exact for IEEE doubles),
-and no locale- or hash-order-dependent formatting is used.
+and no locale- or hash-order-dependent formatting is used.  Readers take
+their numbers through read_finite, since Python's json accepts NaN and
+Infinity.
 """
 
 from __future__ import annotations
@@ -11,6 +13,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import NonFinite
+
+
+def read_finite(data: dict, key: str, what: str, default=None) -> np.ndarray:
+    """data[key], or default when the key is absent, as a float array (0-d
+    for a number); NonFinite, naming the field, if any entry is NaN or
+    infinite."""
+    arr = np.asarray(data[key] if default is None or key in data else default, dtype=float)
+    if not np.isfinite(arr).all():
+        raise NonFinite("%s field '%s' holds a non-finite number" % (what, key))
+    return arr
 
 
 def format_float(x: float) -> str:

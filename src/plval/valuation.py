@@ -31,6 +31,7 @@ from .errors import (
 )
 from .integration import Pieces, c_pn, simplex_means, sobolev_conjugate
 from .plfunction import PLFunction
+from .serialize import read_finite
 
 KERNEL_ZERO_TOL = 1e-12
 BREAK_CONTINUITY_TOL = 1e-12
@@ -207,21 +208,25 @@ class TabulatedKernel(Kernel):
 
 def kernel_from_json_dict(data: dict) -> Kernel:
     kind = data.get("type")
+
+    def number(key, default=None):
+        return float(read_finite(data, key, "kernel", default))
+
     if kind == "power":
-        return PowerKernel(float(data["coeff"]), float(data["exponent"]))
+        return PowerKernel(number("coeff"), number("exponent"))
     if kind == "piecewise_poly":
         return PiecewisePolyKernel(
-            np.asarray(data["knots"], dtype=float),
-            np.asarray(data["coefficients"], dtype=float),
-            float(data.get("extension_lower", 0.0)),
-            float(data.get("extension_upper", 0.0)),
+            read_finite(data, "knots", "kernel"),
+            read_finite(data, "coefficients", "kernel"),
+            number("extension_lower", 0.0),
+            number("extension_upper", 0.0),
         )
     if kind == "tabulated":
         return TabulatedKernel(
-            np.asarray(data["s"], dtype=float),
-            np.asarray(data["h"], dtype=float),
-            float(data.get("extension_lower", 0.0)),
-            float(data.get("extension_upper", 0.0)),
+            read_finite(data, "s", "kernel"),
+            read_finite(data, "h", "kernel"),
+            number("extension_lower", 0.0),
+            number("extension_upper", 0.0),
         )
     raise ValueError("unknown kernel type %r" % kind)
 
@@ -284,7 +289,7 @@ def apply(kernel: Kernel, f: PLFunction) -> float:
     """z(f) = integral over R^n of kernel(f(x)) dx."""
     if f.complex.is_empty():
         return 0.0
-    return float(f.complex.simplex_volumes() @ simplex_means(f.simplex_values(), kernel.pieces()))
+    return float(f.complex.simplex_volumes() @ f.value_density().means(kernel.pieces()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line contract: exit codes, output formats, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -141,6 +142,28 @@ def test_valuate_rejects_kernel_nonzero_at_origin(capsys, cone_file, tmp_path):
     code, _, err = run(capsys, "valuate", "--input", cone_file, "--kernel", str(bad))
     assert code == 2
     assert "zero" in err
+
+
+@pytest.mark.parametrize("target, field", [("function", "values"), ("kernel", "exponent")])
+def test_valuate_rejects_non_finite_input(capsys, tmp_path, target, field):
+    data = {
+        "function": pf.cone_function(pt.cube(2)).to_json_dict(),
+        "kernel": {"type": "power", "coeff": 1.0, "exponent": 2.0},
+    }
+    if target == "function":
+        apex = data["function"]["values"].index(1.0)
+        data["function"]["values"][apex] = math.nan
+    else:
+        data["kernel"]["exponent"] = math.nan
+    for name, obj in data.items():
+        (tmp_path / (name + ".json")).write_text(json.dumps(obj))  # NaN as the literal NaN
+    code, out, err = run(
+        capsys, "valuate", "--input", str(tmp_path / "function.json"),
+        "--kernel", str(tmp_path / "kernel.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "'%s'" % field in err and "non-finite" in err
 
 
 # -- recover --------------------------------------------------------------------

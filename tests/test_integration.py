@@ -1,7 +1,9 @@
 """Exact simplex integrals, norms, level sets, densities, Fisher matrices."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from plval.integration import (
     sobolev_conjugate,
     sobolev_norm,
 )
-from plval.valuation import PowerKernel, TabulatedKernel, apply
+from plval.valuation import PiecewisePolyKernel, PowerKernel, TabulatedKernel, apply
 
 import oracles
 
@@ -323,6 +325,93 @@ def test_fisher_contravariance(cone_square):
         inv = np.linalg.inv(phi)
         rhs = inv.T @ fisher_matrix(cone_square) @ inv
         assert np.allclose(lhs, rhs, atol=1e-9 * max(1.0, np.abs(rhs).max()))
+
+
+# -- one value density per function -------------------------------------------
+
+
+def _tied_mesh() -> pf.PLFunction:
+    """Two triangles per cell of a 4 x 4 grid on [-1, 1]^2, values drawn
+    from {0, 0.25, 0.5}: tied knots, point masses at 0, and a plateau at
+    0.5 that puts point masses away from 0."""
+    cells, side = 4, 5
+    grid = np.indices((side, side)).reshape(2, -1).T
+    simplices = []
+    for a in (grid[:, 0] * side + grid[:, 1])[(grid < cells).all(axis=1)]:
+        simplices += [(a, a + side, a + side + 1), (a, a + 1, a + side + 1)]
+    values = np.random.default_rng(8).choice([0.0, 0.25, 0.5], size=side * side)
+    values[[6, 7, 11, 12]] = 0.5
+    values[((grid == 0) | (grid == cells)).any(axis=1)] = 0.0
+    cx = pf.SimplicialComplex(dim=2, vertices=-1.0 + 0.5 * grid, simplices=simplices)
+    return pf.PLFunction(complex=cx, values=values)
+
+
+def _mesh_kernels():
+    return {
+        "power": PowerKernel(1.0, 1.5),
+        "piecewise_poly": PiecewisePolyKernel([-1.5, 0.0, 1.5], [[2.25, -3.0, 1.0], [0.0, 0.0, 1.0]], 2.0, 2.0),
+        "tabulated": TabulatedKernel([-1.5, 0.0, 1.5], [1.5, 0.0, 1.5], 1.0, 1.0),
+    }
+
+
+@pytest.fixture
+def counted_densities(monkeypatch):
+    """A list that grows by one each time the engine builds segment
+    densities."""
+    from plval import integration
+
+    build = integration._segment_density
+    calls = []
+
+    def counting(V):
+        calls.append(len(V))
+        return build(V)
+
+    monkeypatch.setattr(integration, "_segment_density", counting)
+    return calls
+
+
+def test_one_density_serves_every_kernel_and_norm(counted_densities):
+    f = _tied_mesh()
+    for kernel in _mesh_kernels().values():
+        apply(kernel, f)
+    lq_norm(f, 2.0)
+    level_set_volume(f, 0.25)
+    apply(PowerKernel(1.0, 1.5), f)
+    assert len(counted_densities) == 1
+
+
+@pytest.mark.parametrize(
+    "name", ["power", "piecewise_poly", "tabulated", "above_tie", "above_between"]
+)
+def test_cached_density_matches_a_fresh_engine_call(name):
+    f = _tied_mesh()
+    density = f.value_density()
+    assert {0.0, 0.5} <= set(density.point_values)
+    assert not density.coefficients.flags.writeable
+    pieces = {k: kern.pieces() for k, kern in _mesh_kernels().items()}
+    pieces["above_tie"] = Pieces.above(0.25)
+    pieces["above_between"] = Pieces.above(0.3)
+    h = pieces[name]
+    fresh = simplex_means(f.simplex_values(), h)
+    for other in pieces.values():  # the density now serves every kernel
+        density.means(other)
+    assert f.value_density() is density
+    assert np.array_equal(density.means(h), fresh)
+    vols = f.complex.simplex_volumes()
+    if name in _mesh_kernels():
+        assert apply(_mesh_kernels()[name], f) == float(vols @ fresh)
+    elif name == "above_tie":
+        assert level_set_volume(f, 0.25) == float(vols @ fresh)
+
+
+def test_density_is_freed_with_its_function():
+    f = _tied_mesh()
+    lq_norm(f, 2.0)
+    ref = weakref.ref(f.value_density())
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 # -- the combinatorial constant ---------------------------------------------------

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from plval import plfunction as pf
 from plval import polytope as pt
-from plval.errors import ConstructionFailure, InvalidComplex, OverlayFailure, PLValError, Singular
+from plval.errors import (
+    ConstructionFailure,
+    InvalidComplex,
+    NonFinite,
+    OverlayFailure,
+    PLValError,
+    Singular,
+)
 from plval.integration import lq_norm
 
 import oracles
@@ -494,6 +501,17 @@ def test_json_round_trip(cone_square):
     back = pf.from_json_dict(data)
     assert np.allclose(back.values, cone_square.values)
     assert np.allclose(back.complex.vertices, cone_square.complex.vertices)
+
+
+@pytest.mark.parametrize(
+    "field, index, bad", [("values", 4, np.nan), ("values", 0, -np.inf), ("vertices", 1, np.inf)]
+)
+def test_json_rejects_non_finite_numbers(cone_square, field, index, bad):
+    data = cone_square.to_json_dict()
+    entry = data[field][index]
+    data[field][index] = [bad] * len(entry) if isinstance(entry, list) else bad
+    with pytest.raises(NonFinite, match="'%s'" % field):
+        pf.from_json_dict(data)
 
 
 def test_json_rejects_nonconforming():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plval import polytope as pt
-from plval.errors import ConstructionFailure, Degenerate, OriginNotInterior, PLValError
+from plval.errors import ConstructionFailure, Degenerate, NonFinite, OriginNotInterior, PLValError
 
 import oracles
 
@@ -202,6 +202,13 @@ def test_json_round_trip(square):
     assert pt.volume(Q) == pytest.approx(4.0, abs=1e-12)
     with pytest.raises(ValueError):
         pt.from_json_dict({"dim": 2})
+
+
+def test_json_rejects_non_finite_vertices(square):
+    data = square.to_json_dict()
+    data["vertices"][0][1] = float("nan")
+    with pytest.raises(NonFinite, match="'vertices'"):
+        pt.from_json_dict(data)
 
 
 def test_random_polytope_gives_up_with_typed_error():

@@ -12,6 +12,7 @@ from plval.errors import (
     InsufficientDecades,
     KernelNonzeroAtZero,
     NegativeValues,
+    NonFinite,
 )
 from plval.valuation import (
     CProfile,
@@ -68,6 +69,22 @@ def test_kernel_json_round_trips():
         assert np.allclose(back(ts), h(ts), atol=1e-12)
     with pytest.raises((ValueError, KeyError)):
         kernel_from_json_dict({"type": "nope"})
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"type": "power", "coeff": 1.0, "exponent": float("nan")}, "exponent"),
+        ({"type": "power", "coeff": float("inf"), "exponent": 2.0}, "coeff"),
+        ({"type": "piecewise_poly", "knots": [0.0, float("nan")], "coefficients": [[0.0, 1.0]]}, "knots"),
+        ({"type": "piecewise_poly", "knots": [0.0, 1.0], "coefficients": [[0.0, float("inf")]]}, "coefficients"),
+        ({"type": "tabulated", "s": [0.0, 1.0], "h": [0.0, float("nan")]}, "h"),
+        ({"type": "tabulated", "s": [0.0, 1.0], "h": [0.0, 1.0], "extension_upper": float("nan")}, "extension_upper"),
+    ],
+)
+def test_kernel_json_rejects_non_finite_numbers(data, field):
+    with pytest.raises(NonFinite, match="'%s'" % field):
+        kernel_from_json_dict(data)
 
 
 def test_homogeneous_kernel():
