@@ -6,9 +6,13 @@ error raised), the worst cover-balance residual over the overlay calls
 the suite made: |covered volume - (vol supp f + vol supp g)| divided by
 that sum, which the overlay requires to stay within COVER_TOL, the
 number of overlay calls with the simplices they returned in total, so
-that output growing more fragmented shows in the log, and the number of
+that output growing more fragmented shows in the log, the number of
 qhull hulls built (calls to convex.hull, from polytopes, convex supports
-and merged cells alike).  It exits 1 if any seed fails.
+and merged cells alike), and where the overlay's time went: the seconds
+spent refining pairs (overlay._refine, the cutting) and assembling
+results (overlay._assemble, winners to simplices), with the number of
+stacked cuts (convex.split calls) the refinements made.  It exits 1 if
+any seed fails.
 
 Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
@@ -33,30 +37,43 @@ def main() -> int:
 
     worst = [0.0]
     calls = [0, 0]  # overlay calls, simplices returned
-    assemble = overlay._assemble
+    seconds = {"refine": 0.0, "assemble": 0.0}
+    cuts = [0]
+    refine, assemble, split, hull = overlay._refine, overlay._assemble, convex.split, convex.hull
 
-    def checked(pieces, op, dim, supp):
-        covered = overlay._cover(pieces)
-        worst[0] = max(worst[0], abs(covered - supp) / supp)
-        out = assemble(pieces, op, dim, supp)
+    def timed_refine(f, g):
+        t0 = time.perf_counter()
+        ref = refine(f, g)
+        seconds["refine"] += time.perf_counter() - t0
+        worst[0] = max(worst[0], abs(overlay._cover(ref.pieces) - ref.supp) / ref.supp)
+        return ref
+
+    def timed_assemble(ref, op, dim):
+        t0 = time.perf_counter()
+        out = assemble(ref, op, dim)
+        seconds["assemble"] += time.perf_counter() - t0
         calls[0] += 1
         calls[1] += len(out.complex)
         return out
 
-    hulls = [0]
-    hull = convex.hull
+    def counted_split(*args, **kwargs):
+        cuts[0] += 1
+        return split(*args, **kwargs)
 
-    def counted(points):
+    hulls = [0]
+
+    def counted_hull(points):
         hulls[0] += 1
         return hull(points)
 
-    overlay._assemble = checked
-    convex.hull = counted
+    overlay._refine, overlay._assemble = timed_refine, timed_assemble
+    convex.split, convex.hull = counted_split, counted_hull
     failed = 0
     for seed in args.seeds:
         worst[0] = 0.0
         calls[:] = [0, 0]
-        hulls[0] = 0
+        seconds.update(refine=0.0, assemble=0.0)
+        cuts[0] = hulls[0] = 0
         t0 = time.perf_counter()
         suite = dict(default_battery(seed))["inclusion_exclusion"]
         try:
@@ -69,8 +86,9 @@ def main() -> int:
         failed += fails > 0
         print(
             "seed %3d  %-12s worst cover residual %.2e  %3d overlays -> %5d simplices"
-            "  %4d hulls  %5.1f s"
-            % (seed, status, worst[0], calls[0], calls[1], hulls[0], time.perf_counter() - t0),
+            "  %4d hulls  refine %.3f s (%4d cuts)  assemble %.3f s  %5.1f s"
+            % (seed, status, worst[0], calls[0], calls[1], hulls[0], seconds["refine"], cuts[0],
+               seconds["assemble"], time.perf_counter() - t0),
             flush=True,
         )
     print("%d of %d seeds failed" % (failed, len(args.seeds)))

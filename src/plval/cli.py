@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -61,8 +62,26 @@ class RunConfig:
         return cls(**data)
 
 
+def _finite(text: str) -> float:
+    """A finite number; anything else is a usage error naming the option."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text) from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError("must be finite, got %r" % text)
+    return x
+
+
+def _tolerance(text: str) -> float:
+    x = _finite(text)
+    if x < 0.0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %r" % text)
+    return x
+
+
 def _parse_q_list(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    return tuple(_finite(x) for x in text.split(",") if x.strip())
 
 
 def _parse_s_grid(text: str) -> tuple:
@@ -223,13 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("polytope", help="enrich a polytope JSON file")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output")
-    sp.add_argument("--q-list", dest="q_list", help="p-surface area exponents, comma separated")
+    sp.add_argument(
+        "--q-list", dest="q_list", type=_parse_q_list, help="p-surface area exponents, comma separated"
+    )
 
     sp = sub.add_parser("norms", help="q-norms, gradient norm, Sobolev norm of a function")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output")
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--q-list", dest="q_list", help="norm exponents, comma separated")
+    sp.add_argument("--p", type=_finite)
+    sp.add_argument("--q-list", dest="q_list", type=_parse_q_list, help="norm exponents, comma separated")
 
     sp = sub.add_parser("valuate", help="apply a kernel to a function")
     sp.add_argument("--input", required=True)
@@ -242,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--output")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float)
+    sp.add_argument("--p", type=_finite)
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--output")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--suite")
-    sp.add_argument("--tolerance", type=float)
+    sp.add_argument("--tolerance", type=_tolerance)
     sp.add_argument(
         "--timing",
         action="store_true",
@@ -265,8 +286,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     data = vars(ns)
     try:
-        if data.get("q_list"):
-            data["q_list"] = _parse_q_list(data["q_list"])
         if data.get("s_grid"):
             data["s_grid"] = _parse_s_grid(data["s_grid"])
         config = RunConfig.from_dict(data)

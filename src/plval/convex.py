@@ -9,9 +9,11 @@ Conventions used throughout:
   runs and neighboring cells make identical choices.
 * Polytopes appear either as vertex arrays ("V-form") or as cells:
   vertices together with their tight rows A x <= b and the vertex-row
-  incidence.  A cell is cut by a half-space with clip/split
-  (Sutherland-Hodgman style, in any dimension, reading edges off the
-  incidence) and triangulated from the same incidence, so neither step
+  incidence.  Cells are cut in padded stacks (Cells), one plane per
+  cell, in one array pass of split/clip (Sutherland-Hodgman style, in
+  any dimension, reading edges off the incidence); one cell is a stack
+  of one, and a cell's result does not depend on its stack-mates.  A
+  cell is triangulated from the same incidence, so neither step
   enumerates row subsets or builds a hull.
 * A V-form polytope becomes a cell in two steps, and nothing else
   decides what a facet or a vertex is: hull() is the one qhull call,
@@ -106,6 +108,7 @@ def dedupe_points(pts: np.ndarray, tol: float):
 # A cell is a tuple (V, A, b, T): its vertices V (k, d); rows A x <= b,
 # with unit normals, that hold on the cell; and the incidence T (k, r),
 # True where vertex i lies on row j.  Every facet of the cell is a row.
+# Cells are cut in stacks (Cells); one cell is a stack of one.
 
 
 def tight_rows(V: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -113,99 +116,236 @@ def tight_rows(V: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float) -> np.nd
     return np.abs(V @ A.T - b) <= tol
 
 
-def _side(V, T, on, X, TX, A, b, a, c, flat):
-    """One side of a cut: the kept vertices V (incidence T, on the plane
-    where on) and the crossings X (incidence TX), with the row a.x <= c
-    appended.  Filled in place: this runs for every cut."""
-    k, r = T.shape
-    d = V.shape[1]
-    n = k + len(X)
-    if n <= d and not flat:
-        return None
-    V2 = np.empty((n, d))
-    V2[:k] = V
-    V2[k:] = X
-    T2 = np.empty((n, r + 1), dtype=bool)
-    T2[:k, :r] = T
-    T2[:k, r] = on
-    T2[k:, :r] = TX
-    T2[k:, r] = True
-    A2 = np.empty((r + 1, d))
-    A2[:r] = A
-    A2[r] = a
-    b2 = np.empty(r + 1)
-    b2[:r] = b
-    b2[r] = c
-    if flat:
-        return V2, A2, b2, T2
-    live = T2.sum(axis=0) >= d
-    if live.all():
-        return V2, A2, b2, T2
-    return V2, A2[live], b2[live], T2[:, live]
+class Cells:
+    """A stack of B cells in padded arrays.
+
+    V (B, k, d) holds the vertices and A (B, r, d), b (B, r) the rows;
+    vm (B, k) and rm (B, r) mark the entries that belong to each cell, in
+    order, and T (B, k, r) is the incidence, False outside them.  A cut
+    leaves the vertices it drops in place, unmarked, and appends its
+    crossings and its row; compact() closes the gaps.
+    """
+
+    __slots__ = ("V", "A", "b", "T", "vm", "rm")
+
+    def __init__(self, V, A, b, T, vm, rm):
+        self.V, self.A, self.b, self.T, self.vm, self.rm = V, A, b, T, vm, rm
+
+    @classmethod
+    def of(cls, cells):
+        """The stack of the cells (V, A, b, T), in order."""
+        cells = list(cells)
+        d = cells[0][0].shape[1] if cells else 0
+        k = max((len(V) for V, _, _, _ in cells), default=0)
+        r = max((len(A) for _, A, _, _ in cells), default=0)
+        out = cls(
+            np.zeros((len(cells), k, d)), np.zeros((len(cells), r, d)), np.zeros((len(cells), r)),
+            np.zeros((len(cells), k, r), dtype=bool),
+            np.zeros((len(cells), k), dtype=bool), np.zeros((len(cells), r), dtype=bool),
+        )
+        for i, (V, A, b, T) in enumerate(cells):
+            out.V[i, : len(V)] = V
+            out.A[i, : len(A)] = A
+            out.b[i, : len(A)] = b
+            out.T[i, : len(V), : len(A)] = T
+            out.vm[i, : len(V)] = True
+            out.rm[i, : len(A)] = True
+        return out
+
+    @classmethod
+    def of_simplices(cls, V, A, b):
+        """The stack of the simplices V (m, d+1, d) with their rows A
+        (m, d+1, d), b (m, d+1), row j opposite vertex j."""
+        m, k = V.shape[:2]
+        full = np.ones((m, k), dtype=bool)
+        return cls(V, A, b, np.broadcast_to(~np.eye(k, dtype=bool), (m, k, k)), full, full)
+
+    def __len__(self) -> int:
+        return len(self.vm)
+
+    def counts(self) -> np.ndarray:
+        """The number of vertices of each cell."""
+        return self.vm.sum(axis=1)
+
+    def cell(self, i: int):
+        """Cell i as (V, A, b, T)."""
+        vm, rm = self.vm[i], self.rm[i]
+        return self.V[i, vm], self.A[i, rm], self.b[i, rm], self.T[i][vm][:, rm]
+
+    def take(self, idx) -> "Cells":
+        """The cells idx, in that order."""
+        return Cells(self.V[idx], self.A[idx], self.b[idx], self.T[idx], self.vm[idx], self.rm[idx])
+
+    def compact(self) -> "Cells":
+        """The same cells with their vertices and rows moved to the front,
+        in order, and the arrays cut to the widths they need."""
+        k = int(self.vm.sum(axis=1).max(initial=0))
+        r = int(self.rm.sum(axis=1).max(initial=0))
+        # a stable sort of the marks, descending, brings each cell's
+        # entries to the front in order
+        vo = np.argsort(~self.vm, axis=1, kind="stable")[:, :k]
+        ro = np.argsort(~self.rm, axis=1, kind="stable")[:, :r]
+        B = np.arange(len(self))[:, None]
+        return Cells(
+            self.V[B, vo], self.A[B, ro], self.b[B, ro], self.T[B[:, :, None], vo[:, :, None], ro[:, None, :]],
+            self.vm[B, vo], self.rm[B, ro],
+        )
+
+    @classmethod
+    def concat(cls, stacks) -> "Cells":
+        """The cells of the stacks, one after another."""
+        stacks = [s for s in stacks if len(s)] or list(stacks)[:1]
+        if len(stacks) == 1:
+            return stacks[0]
+        d = stacks[0].V.shape[2]
+        m = sum(len(s) for s in stacks)
+        k = max(s.V.shape[1] for s in stacks)
+        r = max(s.A.shape[1] for s in stacks)
+        out = cls(
+            np.zeros((m, k, d)), np.zeros((m, r, d)), np.zeros((m, r)), np.zeros((m, k, r), dtype=bool),
+            np.zeros((m, k), dtype=bool), np.zeros((m, r), dtype=bool),
+        )
+        at = 0
+        for s in stacks:
+            end = at + len(s)
+            sk, sr = s.V.shape[1], s.A.shape[1]
+            out.V[at:end, :sk] = s.V
+            out.A[at:end, :sr] = s.A
+            out.b[at:end, :sr] = s.b
+            out.T[at:end, :sk, :sr] = s.T
+            out.vm[at:end, :sk] = s.vm
+            out.rm[at:end, :sr] = s.rm
+            at = end
+        return out
 
 
-def split(V, A, b, T, a, c, tol: float, above: bool = True, flat: bool = False):
-    """Cut the cell (V, A, b, T) by the plane a.x = c.
+def dot_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """X (B, k, d) times a (B, d): elementwise products summed along each
+    row, so that each item's result depends on that item alone (a matrix
+    product may pick its kernel by the stack's shape)."""
+    return (X * a[:, None, :]).sum(axis=2)
 
-    Returns (below, above): the cells on the sides a.x <= c and
-    a.x >= c, each None when it has no interior (with above=False the
-    second is not built).  Vertices within tol of the plane lie on it;
-    the others on the far side are dropped.  Each new vertex is the
-    crossing of the plane with an edge (u, w) whose ends lie strictly on
-    opposite sides.  u and w span an edge exactly when the rows tight at
-    both have rank d - 1; since the rows hold every facet, that is when
-    no third vertex is tight at all of them, which the incidence answers
-    without a numerical rank.  A row stays only while it is tight at d or
-    more vertices.
+
+def split(cells: Cells, a, c, tol: float, above: bool = True, flat: bool = False):
+    """Cut every cell of the stack by its own plane a[i].x = c[i] (a
+    (B, d), c (B,); one plane (d,), () is shared by all).
+
+    Returns (lo, hi): the cells on the sides a.x <= c and a.x >= c, each
+    a pair (cells, src) where src[j] is the input cell that cell j came
+    from, in input order; a cell whose side has no interior is absent.
+    With above=False, hi is None.  Vertices within tol of the plane lie
+    on it; the others on the far side are dropped.  Each new vertex is
+    the crossing of the plane with an edge (u, w) whose ends lie strictly
+    on opposite sides.  u and w span an edge exactly when the rows tight
+    at both have rank d - 1; since the rows hold every facet, that is
+    when no third vertex is tight at all of them, which the incidence
+    answers without a numerical rank.  A row stays only while it is
+    tight at d or more vertices.  A cell the plane does not cross is
+    kept whole on its side, with no row added; c[i] = inf (-inf) keeps
+    cell i whole below (above) its plane.
 
     With flat=True a side that meets the plane only in a face is kept as
     that face, and no row is dropped, so a chain of cuts yields the
     intersection whatever its dimension.
+
+    Every step is elementwise per cell or gathers within one cell, so a
+    cell's result does not depend on the other cells of its stack.
     """
-    norm = math.sqrt(float(a @ a))
-    a = a / norm
+    V, T, vm = cells.V, cells.T, cells.vm
+    B, k, d = V.shape
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        a, c = np.repeat(a[None], B, axis=0), np.full(B, c, dtype=float)
+    norm = np.sqrt((a * a).sum(axis=1))
+    a = a / norm[:, None]
     c = c / norm
-    s = V @ a - c
-    out = s > tol
-    inn = s < -tol
-    on = ~(out | inn)
-    any_out = out.any()
-    if not (any_out and inn.any()):
-        # no crossing: one side is the whole cell; with flat=True the
-        # other is the face in which the cell touches the plane, if any
-        cell = (V, A, b, T)
-        sign = 1.0 if any_out else -1.0
-        face = None
-        if flat and on.any() and (above or any_out):
-            face = _side(V[on], T[on], on[on], V[:0], T[:0], A, b, sign * a, sign * c, True)
-        return (face, cell) if any_out else (cell, face)
-    iu = inn.nonzero()[0]
-    iw = out.nonzero()[0]
-    C = (T[iu][:, None, :] & T[iw][None, :, :]).reshape(len(iu) * len(iw), -1)
-    # |C minus the rows tight at v|, for every vertex v
-    missing = C.astype(float) @ (~T).T.astype(float)
-    e = ((missing == 0.0).sum(axis=1) == 2).nonzero()[0]
-    u = iu[e // len(iw)]
-    w = iw[e % len(iw)]
-    t = s[u] / (s[u] - s[w])
-    X = V[u] + t[:, None] * (V[w] - V[u])
-    TX = C[e]
-    keep = ~out
-    lo = _side(V[keep], T[keep], on[keep], X, TX, A, b, a, c, flat)
+    s = dot_rows(V, a) - c[:, None]
+    out = (s > tol) & vm
+    inn = (s < -tol) & vm
+    on = vm & ~(out | inn)
+    any_out = out.any(axis=1)
+    cross = any_out & inn.any(axis=1)
+    # candidate edges (u, w), u inside and w outside, in vertex order
+    pb, pu, pw = np.nonzero(inn[:, :, None] & out[:, None, :])
+    C = T[pb, pu] & T[pb, pw]
+    # vertices tight at every row of C: exactly u and w on an edge
+    e = (~(C[:, None, :] & ~T[pb]).any(axis=2) & vm[pb]).sum(axis=1) == 2
+    eb, eu, ew = pb[e], pu[e], pw[e]
+    su, sw = s[eb, eu], s[eb, ew]
+    t = su / (su - sw)
+    Vu = V[eb, eu]
+    # the crossings, each cell's in its own slots after its vertices
+    rank = np.arange(len(eb)) - np.searchsorted(eb, eb)
+    xw = int(rank.max(initial=-1)) + 1
+    xm = np.zeros((B, xw), dtype=bool)
+    xm[eb, rank] = True
+    V2 = np.zeros((B, k + xw, d))
+    V2[:, :k] = V
+    V2[eb, k + rank] = Vu + t[:, None] * (V[eb, ew] - Vu)
+    TX = np.zeros((B, xw, T.shape[2]), dtype=bool)
+    TX[eb, rank] = C[e]
+    lo = _side(cells, V2, TX, xm, ~out, on, cross, ~any_out, a, c, flat)
     hi = None
     if above:
-        keep = ~inn
-        hi = _side(V[keep], T[keep], on[keep], X, TX, A, b, -a, -c, flat)
+        hi = _side(cells, V2, TX, xm, ~inn, on, cross, any_out & ~cross, -a, -c, flat)
     return lo, hi
 
 
-def clip(V, A, b, a, c, tol: float, T=None, flat: bool = False):
-    """The part of the cell (V, A, b) in the half-space a.x <= c, as a
-    cell (V, A, b, T), or None when it has no interior; see split.  T is
-    the cell's incidence, found from tol when not given."""
-    if T is None:
-        T = tight_rows(V, A, b, tol)
-    return split(V, A, b, T, a, c, tol, above=False, flat=flat)[0]
+def _side(cells, V2, TX, xm, keep, on, cross, whole, a, c, flat):
+    """One side of a stacked cut, as (cells, src).
+
+    keep marks the vertices on this side (on the plane where on), and
+    whole the cells this side keeps unchanged, with no row added.  The
+    other cells keep their vertices on this side, gain their crossings
+    (V2 after the old vertices, incidence TX, marks xm) and the row
+    a.x <= c: they were cut (cross), or with flat they touch the plane
+    in a face."""
+    T, vm = cells.T, cells.vm
+    B, k, r = T.shape
+    d = V2.shape[2]
+    keep = keep & vm
+    add = ~whole
+    vm2 = np.concatenate([keep, xm], axis=1)
+    T2 = np.zeros((B, V2.shape[1], r + 1), dtype=bool)
+    T2[:, :k, :r] = T & keep[:, :, None]
+    T2[:, k:, :r] = TX
+    T2[:, :k, r] = on & add[:, None]
+    T2[:, k:, r] = xm
+    rm2 = np.concatenate([cells.rm, add[:, None]], axis=1)
+    if not flat:
+        # a row of a cut cell stays while it is tight at d or more vertices
+        rm2 &= (T2.sum(axis=1) >= d) | ~cross[:, None]
+        T2 &= rm2[:, None, :]
+    n = vm2.sum(axis=1)
+    ok = whole | (n > 0) if flat else whole | (cross & (n > d))
+    A2 = np.concatenate([cells.A, np.where(add[:, None], a, 0.0)[:, None]], axis=1)
+    b2 = np.concatenate([cells.b, np.where(add, c, 0.0)[:, None]], axis=1)
+    out = Cells(V2, A2, b2, T2, vm2, rm2)
+    if ok.all():
+        return out, np.arange(B)
+    items = np.flatnonzero(ok)
+    return out.take(items), items
+
+
+def clip(cells: Cells, a, c, tol: float, flat: bool = False):
+    """The parts of the cells in the half-spaces a.x <= c, as (cells,
+    src); see split."""
+    return split(cells, a, c, tol, above=False, flat=flat)[0]
+
+
+def clip_rows(cells: Cells, A, b, tol: float, flat: bool = False):
+    """Clip every cell by the rows A x <= b, one row at a time, as (cells,
+    src): A (B, R, d) and b (B, R) give each cell its own rows, A (R, d)
+    and b (R,) one set for all."""
+    src = np.arange(len(cells))
+    own = A.ndim == 3
+    for q in range(A.shape[-2]):
+        if not len(src):
+            break
+        a, c = A[..., q, :], b[..., q]
+        cells, kept = clip(cells, a[src] if own else a, c[src] if own else c, tol, flat)
+        src = src[kept]
+    return cells.compact(), src
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +513,27 @@ def pulling_triangulation(points: np.ndarray, subset, dim: int, incidence, tol: 
     pts = points[idx]
     spread = float((pts.max(axis=0) - pts.min(axis=0)).max())
     vols = simplex_measures(points, np.array(out))
-    floor = (tol * spread) ** dim / math.factorial(dim)
+    floor = simplex_floor(spread, dim, tol)
     return [s for s, v in zip(out, vols) if v > floor]
+
+
+def simplex_floor(spread, dim: int, tol: float = EPS):
+    """The degenerate-measure floor of a simplex of a cell of extent spread:
+    pulling_triangulation keeps the simplices above it."""
+    return (tol * spread) ** dim / math.factorial(dim)
+
+
+def simplex_cells(points: np.ndarray, S: np.ndarray, tol: float = EPS):
+    """The cells points[S] (m, dim+1), dim >= 2, that are simplices
+    already, as pulling_triangulation gives them: (S, keep) with each row
+    sorted, and keep False where the row repeats a vertex or its measure
+    is at or below the floor."""
+    S = np.sort(S, axis=1)
+    dim = S.shape[1] - 1
+    pts = points[S]
+    spread = (pts.max(axis=1) - pts.min(axis=1)).max(axis=1)
+    keep = (S[:, 1:] != S[:, :-1]).all(axis=1)
+    return S, keep & (simplex_measures(points, S) > simplex_floor(spread, dim, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -6,36 +6,46 @@ directly, cut by the plane where the two affine pieces cross, and the
 regions only one function covers are carved out with difference chains.
 A simplex's chain runs against the other function's whole support when
 that support is convex (its rows are cached with the complex), and
-against the other's simplices it meets one by one when it is not.  A
-cell is carried in vertex form with its tight rows and their incidence,
-and every cut is one convex.split; nothing in the cutting depends on
-the dimension.
+against the other's simplices it meets one by one when it is not.
 
-Each cell keeps the winning affine piece.  The cells one function wins
-are merged into one cell where their union is convex (hull volume equal
-to their total volume), so an overlay of an overlay's output does not
-compound its fragments; the meet of f with f v g gives f's simplices
-back.  Each cell is triangulated on its own from its incidence, so the
-result is a simplex *partition* of its support: interiors are disjoint
-and the values continuous, but a vertex of one simplex may lie inside a
-face of its neighbour (a T-junction), and a merged cell, which keeps
-only its hull's vertices, adds such T-junctions where its neighbours
-were cut.  Integrals, norms and evaluation need nothing more; conformity
-is only checked where input arrives as JSON.
+Cells are cut in stacks (convex.Cells), never one at a time: all near
+pairs of a refinement are clipped at once, by d+1 stacked cuts with the
+other simplex's rows, then by one stacked cut where f = g; the chains of
+every simplex with a leftover, f's and g's alike, run in lockstep, one
+stacked cut per row.  Every cut is one convex.split over the stack, and
+nothing in the cutting depends on the dimension.  The refinement carries
+its cells as arrays: vertices with their tight rows and incidence, each
+cell's simplex of f and of g, and its volume (one batched determinant
+for the cells that are simplices, qhull's hull for the others, an
+independent route for the cover balance).
+
+Each cell keeps the winning affine piece, decided for join and meet at
+once at each cell's centroid.  The cells one function wins are merged
+into one cell where their union is convex (hull volume equal to their
+total volume), so an overlay of an overlay's output does not compound
+its fragments; the meet of f with f v g gives f's simplices back.  A
+kept cell that is a simplex already is one output simplex; any other is
+triangulated on its own from its incidence, so the result is a simplex
+*partition* of its support: interiors are disjoint and the values
+continuous, but a vertex of one simplex may lie inside a face of its
+neighbour (a T-junction), and a merged cell, which keeps only its hull's
+vertices, adds such T-junctions where its neighbours were cut.
+Integrals, norms and evaluation need nothing more; conformity is only
+checked where input arrives as JSON.
 
 Simplices at or below the degenerate-measure floor are dropped, so
 every output simplex is nondegenerate.  Before a result is returned it
 is checked, each check raising OverlayFailure: by volume, the cells
 cover supp f and supp g exactly (cells both functions cover counted
-twice, before any merging) and each kept or merged cell's simplices
-fill it; simplices sharing a vertex agree on its value; and the output
-agrees with the pointwise max/min at sample points.
+twice, before any merging; once per pair) and each kept or merged
+cell's simplices fill it; simplices sharing a vertex agree on its value;
+and the output agrees with the pointwise max/min at sample points.
 
 Join and meet of one pair cut the same cells and differ only in which
 piece wins each one, and the valuation identity always asks for both.
-So the op-independent half (the cells, the support volume, the sample
-points and the inputs' values there) is memoised for the last pair
-overlaid, keyed on the two functions' identities: a meet of f and g
+So the op-independent half (the cells, both winners, the support volume,
+the sample points and the inputs' values there) is memoised for the last
+pair overlaid, keyed on the two functions' identities: a meet of f and g
 right after their join, or the other way round, cuts once.  A
 PLFunction's arrays are write-protected, so a hit is never stale, and
 the memo keeps at most one pair alive.
@@ -45,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -75,24 +86,44 @@ COVER_TOL = 1e-9
 FULL_COVER = 1e-12
 
 
-def _prep(f: PLFunction):
-    """(records, support): per-simplex records (cell, lo, hi, (grad, off),
-    volume), each simplex a convex cell (V, A, b, T) with row j opposite
-    vertex j, and the support's rows when it is convex, else None."""
-    cx = f.complex
-    grads, offs = f.affines()
-    arrs = cx.simplex_arrays()
-    if not len(arrs):
-        return [], None
-    lo, hi, _, _ = cx.locator()
-    A, b = cx.simplex_rows()
-    T = ~np.eye(cx.dim + 1, dtype=bool)
-    vols = cx.simplex_volumes()
-    records = [
-        ((arrs[i], A[i], b[i], T), lo[i], hi[i], (grads[i], offs[i]), vols[i])
-        for i in range(len(arrs))
-    ]
-    return records, cx.convex_support
+class _Mesh(NamedTuple):
+    """The simplices of f, then of g, ready to cut: a stack of cells (row
+    j opposite vertex j), their bounding boxes lo/hi, affine pieces
+    grad/off and volumes; the first mf are f's.  support holds f's and
+    g's support rows, each None where that support is not convex."""
+
+    cells: convex.Cells
+    lo: np.ndarray
+    hi: np.ndarray
+    grad: np.ndarray
+    off: np.ndarray
+    vol: np.ndarray
+    mf: int
+    support: tuple
+
+
+def _prep(f: PLFunction, g: PLFunction) -> _Mesh:
+    """The simplices of f and g as one _Mesh."""
+    parts = []
+    for fn in (f, g):
+        cx = fn.complex
+        lo, hi, _, _ = cx.locator()
+        A, b = cx.simplex_rows()
+        parts.append((cx.simplex_arrays(), A, b, lo, hi, *fn.affines(), cx.simplex_volumes()))
+    V, A, b, lo, hi, grad, off, vol = (np.concatenate(x) for x in zip(*parts))
+    support = (f.complex.convex_support, g.complex.convex_support)
+    return _Mesh(convex.Cells.of_simplices(V, A, b), lo, hi, grad, off, vol, len(f.complex), support)
+
+
+class _Pieces(NamedTuple):
+    """The cells of two meshes cut against each other: each cell's
+    simplex of f and of g, as indices into the _Mesh (-1 where that
+    function is absent), and its volume."""
+
+    cells: convex.Cells
+    f: np.ndarray
+    g: np.ndarray
+    vol: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -100,115 +131,198 @@ def _prep(f: PLFunction):
 # ---------------------------------------------------------------------------
 
 
-def _split_by_affine(cell, g, c, tol):
-    """Split a cell by the sign of g.x + c: [(cell, sign)]."""
-    vals = cell[0] @ g + c
-    if vals.min() >= -CUT_TOL:
-        return [(cell, 1)]
-    if vals.max() <= CUT_TOL:
-        return [(cell, -1)]
-    lo, hi = convex.split(*cell, g, -c, tol)
-    return [(part, sign) for part, sign in ((lo, -1), (hi, 1)) if part is not None]
+def _cut_by_affine(cells, grad, off, tol):
+    """Split every cell by the sign of its own affine function grad.x +
+    off, as (cells, src): a cell on which the function keeps its sign to
+    within CUT_TOL stays whole, any other gives its negative part, then
+    its positive part."""
+    if not len(cells):
+        return cells, np.zeros(0, dtype=int)
+    vals = convex.dot_rows(cells.V, grad) + off[:, None]
+    vm = cells.vm
+    cut = (np.where(vm, vals, np.inf).min(axis=1) < -CUT_TOL) & (np.where(vm, vals, -np.inf).max(axis=1) > CUT_TOL)
+    if not cut.any():
+        return cells, np.arange(len(cells))
+    # a cell kept whole lies below a plane at infinity
+    a = np.where(cut[:, None], grad, 1.0)
+    (lo, lo_src), (hi, hi_src) = convex.split(cells, a, np.where(cut, -off, np.inf), tol)
+    src = np.concatenate([lo_src, hi_src])
+    order = np.lexsort((np.repeat([0, 1], [len(lo_src), len(hi_src)]), src))
+    return convex.Cells.concat([lo, hi]).take(order), src[order]
 
 
-def _subtract(parts, Ag, bg, tol):
-    """Refine parts into pieces avoiding the convex region {Ag x <= bg}.
+def _subtract(cells, A, b, tol):
+    """The parts of the cells outside their convex regions {A x <= b}, A
+    (B, R, d) and b (B, R), as (cells, src) in order of src, then of row.
 
-    Difference-chain decomposition: piece k is (inside rows < k) and
-    (outside row k); the all-inside residue is dropped by the caller's
-    bookkeeping (it is covered by the double-cover pass).
-    """
-    out = []
-    for cell in parts:
-        dists = cell[0] @ Ag.T - bg
-        if (dists >= EPS).all(axis=0).any():
-            out.append(cell)  # certified disjoint from the region
+    Difference chains, run in lockstep over the stack with one stacked
+    cut per row: piece k is inside rows < k and outside row k; the part
+    inside every row is dropped (the double-cover pass holds it).  A row
+    0.x <= 1 pads a region with fewer rows."""
+    B, R = A.shape[:2]
+    if not B:
+        return cells, np.zeros(0, dtype=int)
+    vm = cells.vm[:, :, None]
+    D = np.stack([convex.dot_rows(cells.V, A[:, q]) for q in range(R)], axis=2) - b[:, None, :]
+    disjoint = np.where(vm, D >= EPS, True).all(axis=1).any(axis=1)  # certified
+    covered = np.where(vm, D <= EPS, True).all(axis=(1, 2))
+    di = np.flatnonzero(disjoint)
+    out = [(cells.take(di), di, -1)]
+    act = np.flatnonzero(~disjoint & ~covered)
+    cur = cells.take(act)
+    for q in range(R):
+        if not len(act):
+            break
+        a, c = A[act, q], b[act, q]
+        rowd = convex.dot_rows(cur.V, a) - c[:, None]
+        # all inside row q: the outside piece is empty, the row redundant
+        skip = np.where(cur.vm, rowd <= EPS, True).all(axis=1)
+        if skip.all():
             continue
-        if (dists <= EPS).all():
-            continue  # fully covered
-        cur = cell
-        for r in range(len(Ag)):
-            rowd = cur[0] @ Ag[r] - bg[r]
-            if (rowd <= EPS).all():
-                continue  # outside-piece empty, inside constraint redundant
-            if (rowd >= -EPS).all():
-                out.append(cur)  # rest of the part is outside
-                break
-            inside, outside = convex.split(*cur, Ag[r], bg[r], tol)
-            if outside is not None:
-                out.append(outside)
-            if inside is None:
-                break
-            cur = inside
-        # loop exhausted: remaining inside-piece is covered, drop it
-    return out
+        # all outside: the rest of the cell is a piece
+        rest = ~skip & np.where(cur.vm, rowd >= -EPS, True).all(axis=1)
+        # the cells not cut lie wholly inside or outside a plane at infinity
+        a = np.where(skip[:, None], 1.0, a)
+        c = np.where(skip, np.inf, np.where(rest, -np.inf, c))
+        (cur, in_src), (outside, out_src) = convex.split(cur, a, c, tol)
+        out.append((outside, act[out_src], q))
+        act = act[in_src]
+        # a cut leaves the vertices it drops in place: close the gaps once
+        # they outnumber the vertices
+        if cur.V.shape[1] > 2 * cur.counts().max(initial=0):
+            cur = cur.compact()
+    src = np.concatenate([s for _, s, _ in out])
+    row = np.concatenate([np.full(len(s), q) for _, s, q in out])
+    order = np.lexsort((row, src))
+    return convex.Cells.concat([c for c, _, _ in out]).take(order), src[order]
 
 
-def _pieces_pairwise(fprep, gprep, dim):
-    """Cells (V, T, f's piece or None, g's piece or None, volume) covering
-    supp f and supp g, the cells both cover once for each; fprep and gprep
-    come from _prep."""
-    (fp, f_support), (gp, g_support) = fprep, gprep
-    scale = max([1.0] + [float(np.max(np.abs(rec[0][0]))) for rec in fp + gp])
+def _regions(mesh: _Mesh, owner, met, whole):
+    """(A, b): for each cell of a simplex owner, the rows of the region
+    its chain subtracts next: the other function's whole support where
+    whole, else its simplex met; padded with 0.x <= 1."""
+    d = mesh.cells.V.shape[2]
+    own_f = owner < mesh.mf
+    rows = []  # (cells, their rows): a simplex's rows each, or one support's
+    i = np.flatnonzero(~whole)
+    if len(i):
+        rows.append((i, mesh.cells.A[met[i]], mesh.cells.b[met[i]]))
+    # f's simplices subtract g's support, g's simplices f's
+    for sel, support in ((own_f, mesh.support[1]), (~own_f, mesh.support[0])):
+        i = np.flatnonzero(whole & sel)
+        if len(i):
+            rows.append((i, *support))
+    R = max(Ar.shape[-2] for _, Ar, _ in rows)
+    A = np.zeros((len(owner), R, d))
+    b = np.ones((len(owner), R))
+    for i, Ar, br in rows:
+        A[i, : Ar.shape[-2]] = Ar
+        b[i, : br.shape[-1]] = br
+    return A, b
+
+
+def _leftovers(mesh: _Mesh, mi, mj, shared, tol):
+    """The cells of the simplices that the other function does not cover,
+    as (cells, owner), by owner.  (mi, mj) are the pairs of f's and g's
+    simplices that meet, in order; shared[i] is the volume of simplex i
+    that such pairs cover.
+
+    A simplex's part outside the other support is one difference chain
+    against that whole support when it is convex, and one chain per
+    simplex of the other function it meets, in order, when it is not.
+    Each round of chains runs in lockstep over both functions' simplices
+    that have one."""
+    m = len(mesh.vol)
+    partly = np.flatnonzero(shared < (1.0 - FULL_COVER) * mesh.vol)
+    own, other = np.concatenate([mi, mj]), np.concatenate([mj, mi])
+    met = other[np.argsort(own, kind="stable")]
+    count = np.bincount(own, minlength=m)
+    start = np.cumsum(count) - count
+    whole = np.zeros(m, dtype=bool)
+    whole[: mesh.mf] = mesh.support[1] is not None
+    whole[mesh.mf :] = mesh.support[0] is not None
+    count[whole] = np.minimum(count[whole], 1)
+    parts, owner = mesh.cells.take(partly), partly
+    done = [(parts.take(owner[:0]), owner[:0])]
+    t = 0
+    while len(owner):
+        more = count[owner] > t
+        if not more.all():
+            done.append((parts.take(np.flatnonzero(~more)), owner[~more]))
+            parts, owner = parts.take(np.flatnonzero(more)), owner[more]
+        if not len(owner):
+            break
+        A, b = _regions(mesh, owner, met[start[owner] + t], whole[owner])
+        parts, src = _subtract(parts, A, b, tol)
+        owner = owner[src]
+        t += 1
+    owner = np.concatenate([o for _, o in done])
+    order = np.argsort(owner, kind="stable")
+    return convex.Cells.concat([c for c, _ in done]).take(order), owner[order]
+
+
+def _volumes(cells):
+    """Each cell's volume: one batched determinant for the simplices,
+    qhull's hull for the others (a flat cell has volume 0)."""
+    d = cells.V.shape[2]
+    vol = np.zeros(len(cells))
+    simplex = cells.counts() == d + 1
+    si = np.flatnonzero(simplex)
+    if len(si):
+        X = cells.V[si][cells.vm[si]].reshape(-1, d + 1, d)
+        vol[si] = np.abs(np.linalg.det(X[:, 1:] - X[:, :1])) / math.factorial(d)
+    for i in np.flatnonzero(~simplex):
+        try:
+            vol[i] = ConvexHull(cells.V[i, cells.vm[i]]).volume
+        except QhullError:
+            pass
+    return vol
+
+
+def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
+    """Cells covering supp f and supp g, the cells both cover once for
+    each; mesh comes from _prep."""
+    mf, m = mesh.mf, len(mesh.vol)
+    scale = max(1.0, float(np.max(np.abs(mesh.cells.V), initial=0.0)))
     tol = CLIP_TOL * scale
-    boxes = [np.array([rec[k] for rec in recs]).reshape(len(recs), dim) for recs in (fp, gp) for k in (1, 2)]
-    lo_f, hi_f, lo_g, hi_g = boxes
-    # near[i, j]: the boxes of f's simplex i and g's simplex j overlap
-    near = np.all((lo_f[:, None] <= hi_g[None] + EPS) & (lo_g[None] <= hi_f[:, None] + EPS), axis=2)
-    pieces = []
-    # per simplex: the other function's simplices it meets in an interior,
-    # and the volume they cover of it
-    meets_f, meets_g = [[] for _ in fp], [[] for _ in gp]
-    shared_f, shared_g = np.zeros(len(fp)), np.zeros(len(gp))
-    # regions covered by both functions, cut by {f = g}
-    for i, (cell1, _, _, aff_f, _) in enumerate(fp):
-        for j in np.flatnonzero(near[i]):
-            (_, A2, b2, _), _, _, aff_g, _ = gp[j]
-            cell = cell1
-            for a, c in zip(A2, b2):
-                cell = convex.clip(*cell[:3], a, c, tol, T=cell[3])
-                if cell is None:
-                    break
-            if cell is None:
-                continue
-            meets_f[i].append(j)
-            meets_g[j].append(i)
-            gd = aff_f[0] - aff_g[0]
-            cd = aff_f[1] - aff_g[1]
-            parts = [cell]
-            if np.max(np.abs(cell[0] @ gd + cd)) > CUT_TOL:
-                parts = [part for part, _ in _split_by_affine(cell, gd, cd, tol)]
-            for part in parts:
-                vol = _cell_volume(part[0])
-                pieces.append((part[0], part[3], aff_f, aff_g, vol))
-                shared_f[i] += vol
-                shared_g[j] += vol
-    # single-cover leftovers of each function: a simplex minus the other
-    # support, subtracted whole when it is convex and simplex by simplex
-    # (the ones this simplex meets) when it is not
-    for own, other, support, meets, shared in (
-        (fp, gp, g_support, meets_f, shared_f),
-        (gp, fp, f_support, meets_g, shared_g),
-    ):
-        f_side = own is fp
-        for i, (cell, _, _, aff, vol) in enumerate(own):
-            if shared[i] >= (1.0 - FULL_COVER) * vol:
-                continue
-            if support is not None and meets[i]:
-                regions = [support]
-            else:
-                regions = [other[j][0][1:3] for j in meets[i]]
-            parts = [cell]
-            for A2, b2 in regions:
-                if not parts:
-                    break
-                parts = _subtract(parts, A2, b2, tol)
-            for p in parts:
-                for part, _ in _split_by_affine(p, aff[0], aff[1], tol):
-                    V, T = part[0], part[3]
-                    vol = _cell_volume(V)
-                    pieces.append((V, T, aff, None, vol) if f_side else (V, T, None, aff, vol))
-    return pieces
+    lo, hi = mesh.lo, mesh.hi
+    # near pairs (i, j): the boxes of f's simplex i and g's simplex j overlap
+    near = np.all((lo[:mf, None] <= hi[None, mf:] + EPS) & (lo[None, mf:] <= hi[:mf, None] + EPS), axis=2)
+    pi, pj = np.nonzero(near)
+    pj = pj + mf
+    # regions covered by both functions: every near pair clipped at once,
+    # f's simplex by g's rows, then cut by {f = g}
+    both, src = convex.clip_rows(mesh.cells.take(pi), mesh.cells.A[pj], mesh.cells.b[pj], tol)
+    mi, mj = pi[src], pj[src]  # the pairs that meet in an interior
+    both, src = _cut_by_affine(both, mesh.grad[mi] - mesh.grad[mj], mesh.off[mi] - mesh.off[mj], tol)
+    pi, pj = mi[src], mj[src]
+    vol = _volumes(both)
+    shared = np.bincount(pi, weights=vol, minlength=m) + np.bincount(pj, weights=vol, minlength=m)
+    # single-cover leftovers of each function, cut where it crosses zero
+    parts, owner = _leftovers(mesh, mi, mj, shared, tol)
+    parts, src = _cut_by_affine(parts, mesh.grad[owner], mesh.off[owner], tol)
+    owner = owner[src]
+    absent = np.full(len(owner), -1)
+    return _Pieces(
+        convex.Cells.concat([both, parts]),
+        np.concatenate([pi, np.where(owner < mf, owner, absent)]),
+        np.concatenate([pj, np.where(owner < mf, absent, owner)]),
+        np.concatenate([vol, _volumes(parts)]),
+    )
+
+
+def _cover(pieces: _Pieces) -> float:
+    """The volume the cells cover, each cell both functions cover
+    counted twice."""
+    return float(np.sum(pieces.vol * (1 + ((pieces.f >= 0) & (pieces.g >= 0)))))
+
+
+def _check_cover(pieces: _Pieces, supp: float) -> None:
+    """supp is vol supp f + vol supp g: the cells must cover it exactly,
+    with each cell both functions cover counted twice."""
+    covered = _cover(pieces)
+    if abs(covered - supp) > COVER_TOL * supp:
+        raise OverlayFailure("cells cover volume %.17g, the two supports %.17g" % (covered, supp))
 
 
 # ---------------------------------------------------------------------------
@@ -216,56 +330,49 @@ def _pieces_pairwise(fprep, gprep, dim):
 # ---------------------------------------------------------------------------
 
 
-def _decide(op, af, ag, centroid):
-    fa = af[0] @ centroid + af[1] if af is not None else 0.0
-    ga = ag[0] @ centroid + ag[1] if ag is not None else 0.0
-    if op == "join":
-        return af if fa >= ga else ag
-    return af if fa <= ga else ag
+def _winners(pieces: _Pieces, mesh: _Mesh):
+    """{op: winner}: for join and meet, the simplex of the _Mesh whose
+    affine piece each cell keeps, or -1 where the cell is dropped.  f and
+    g are compared once, at each cell's centroid, an absent function
+    counting as 0."""
+    cells = pieces.cells
+    centroid = np.where(cells.vm[:, :, None], cells.V, 0.0).sum(axis=1) / cells.counts()[:, None]
+    fa, ga = np.zeros(len(cells)), np.zeros(len(cells))
+    for val, idx in ((fa, pieces.f), (ga, pieces.g)):
+        i = np.flatnonzero(idx >= 0)
+        val[i] = convex.dot_rows(centroid[i, None, :], mesh.grad[idx[i]])[:, 0] + mesh.off[idx[i]]
+    lead = np.sign(fa - ga)
+    return {"join": np.where(lead >= 0, pieces.f, pieces.g), "meet": np.where(lead <= 0, pieces.f, pieces.g)}
 
 
-def _cell_volume(V):
-    """Volume of the convex cell with vertices V; a flat cell has volume 0."""
-    if len(V) == V.shape[1] + 1:
-        return convex.simplex_measure(V)
-    try:
-        return float(ConvexHull(V).volume)
-    except QhullError:
-        return 0.0
+def _merge(rows, idx, vm, vol, table, scale):
+    """Merge each winner's cells into one where their union is convex.
 
+    rows (K, d+1) holds each kept cell's winning affine function as
+    [grad * scale, off], and idx (K, k) the rows in table of its
+    vertices, those marked in vm.  Cells are grouped by rows within
+    VALUE_SNAP times the largest entry, so a piece and a recomputed copy
+    of it (f's against f v g's, say) fall in one group whichever
+    function came first.  A group whose
+    hull has the volume of its cells, within COVER_TOL, becomes that hull
+    and takes the group's lexicographically first function.
 
-def _merge(kept, idxs, table, scale):
-    """The kept cells (V, T, winner, volume), their vertices' rows idxs
-    in table, as cells (idxs, T, winner, volume) to triangulate, each
-    winner's cells merged into one where their union is convex.
-
-    Cells are grouped by their winning affine function, compared as rows
-    [grad * scale, off] within VALUE_SNAP times the largest entry, so a
-    piece and a recomputed copy of it (f's against f v g's, say) fall in
-    one group whichever function came first.  A group whose hull has the
-    volume of its cells, within COVER_TOL, becomes that hull and takes
-    the group's lexicographically first function; other groups keep
-    their cells.
-    """
-    rows = np.column_stack(
-        [np.array([aff[0] for _, _, aff, _ in kept]) * scale, [aff[1] for _, _, aff, _ in kept]]
-    )
+    Returns (merged, alone): merged lists (idxs, T, rep, volume) per
+    merged cell, rep the member whose function it takes; alone masks
+    the cells left as they are."""
     vscale = max(1.0, float(np.max(np.abs(rows))))
     _, group = convex.dedupe_points(rows, VALUE_SNAP * vscale)
-    groups = {}
-    for ci, gi in enumerate(group):
-        groups.setdefault(gi, []).append(ci)
-    out = []
-    for members in groups.values():
-        if len(members) > 1:
-            vol = sum(kept[m][3] for m in members)
-            merged = _merged_cell([idxs[m] for m in members], vol, table, scale)
-            if merged is not None:
-                rep = members[convex.lex_min_position(rows[members])]
-                out.append((*merged, kept[rep][2], vol))
-                continue
-        out.extend((idxs[m], kept[m][1], kept[m][2], kept[m][3]) for m in members)
-    return out
+    alone = np.ones(len(rows), dtype=bool)
+    merged = []
+    for gi in np.flatnonzero(np.bincount(group) > 1):
+        members = np.flatnonzero(group == gi)
+        total = sum(vol[members].tolist())
+        cell = _merged_cell([idx[m, vm[m]] for m in members], total, table, scale)
+        if cell is not None:
+            rep = members[convex.lex_min_position(rows[members])]
+            merged.append((*cell, rep, total))
+            alone[members] = False
+    return merged, alone
 
 
 def _merged_cell(member_idxs, vol, table, scale):
@@ -287,56 +394,62 @@ def _merged_cell(member_idxs, vol, table, scale):
     return idx[vert], T
 
 
-def _cover(pieces):
-    """The volume the cells cover, each cell both functions cover
-    counted twice."""
-    return sum(vol * (1 + (af is not None and ag is not None)) for _, _, af, ag, vol in pieces)
-
-
-def _assemble(pieces, op, dim, supp):
-    """Triangulate the winning cells into a partition.
-
-    supp is vol supp f + vol supp g: the cells must cover it exactly,
-    with each cell both functions cover counted twice."""
-    covered = _cover(pieces)
-    if abs(covered - supp) > COVER_TOL * supp:
-        raise OverlayFailure(
-            "cells cover volume %.17g, the two supports %.17g" % (covered, supp)
-        )
-
-    kept = []
-    for V, T, af, ag, vol in pieces:
-        win = _decide(op, af, ag, V.mean(axis=0))
-        if win is not None:
-            kept.append((V, T, win, vol))
-    if not kept:
+def _assemble(ref, op, dim):
+    """Triangulate the cells op keeps into a partition."""
+    pieces = ref.pieces
+    win = ref.winners[op]
+    kept = np.flatnonzero(win >= 0)
+    if not len(kept):
         return PLFunction.zero(dim)
-
-    allv = np.vstack([V for V, _, _, _ in kept])
+    cells = pieces.cells.take(kept)
+    win = win[kept]
+    vm = cells.vm
+    allv = cells.V[vm]
     scale = max(1.0, float(np.max(np.abs(allv))))
     table, mapping = convex.dedupe_points(allv, SNAP * scale)
-    ends = np.cumsum([len(V) for V, _, _, _ in kept])
-    cells = _merge(kept, np.split(mapping, ends[:-1]), table, scale)
+    idx = np.zeros(vm.shape, dtype=int)
+    idx[vm] = mapping
+    rows = np.column_stack([ref.grad[win] * scale, ref.off[win]])
+    merged, alone = _merge(rows, idx, vm, pieces.vol[kept], table, scale)
 
-    simplices, owner = [], []
-    for ci, (idxs, T, _, _) in enumerate(cells):
-        for s in convex.pulling_triangulation(table, idxs, dim, T):
-            simplices.append(s)
-            owner.append(ci)
+    # cells that are simplices already need no triangulation (in 1-D
+    # pulling_triangulation tests an edge by its length, so every cell
+    # goes to it); the merged cells are numbered after the kept ones
+    simplex = alone & (cells.counts() == dim + 1) if dim > 1 else np.zeros(len(kept), dtype=bool)
+    si = np.flatnonzero(simplex)
+    S, owner = [idx[si][vm[si]].reshape(-1, dim + 1)], [si]
+    others = [(idx[ci, vm[ci]], cells.cell(ci)[3], ci) for ci in np.flatnonzero(alone & ~simplex)]
+    for mi, (idxs, T, _, _) in enumerate(merged):
+        if dim > 1 and len(idxs) == dim + 1:
+            S.append(idxs[None])
+            owner.append([len(kept) + mi])
+        else:
+            others.append((idxs, T, len(kept) + mi))
+    S, ok = convex.simplex_cells(table, np.concatenate(S))
+    simplices, owner = [S[ok]], [np.concatenate(owner)[ok]]
+    for idxs, T, ci in others:
+        tri = convex.pulling_triangulation(table, idxs, dim, T)
+        simplices.append(np.array(tri, dtype=int).reshape(-1, dim + 1))
+        owner.append(np.full(len(tri), ci))
+    # each cell's volume and winning piece, the merged cells last; a
+    # merged cell's members are filled through it
+    cell_vol = np.concatenate([np.where(alone, pieces.vol[kept], 0.0), [vol for _, _, _, vol in merged]])
+    cell_win = np.concatenate([win, win[[rep for _, _, rep, _ in merged]]])
 
-    S = np.array(simplices, dtype=int).reshape(-1, dim + 1)
-    cells_of = np.array(owner, dtype=int)
+    S = np.concatenate(simplices)
+    cells_of = np.concatenate(owner)
     svols = np.abs(np.linalg.det(table[S[:, 1:]] - table[S[:, :1]])) / math.factorial(dim)
     # needles at or below the degenerate floor carry no volume at the
-    # data's scale; check 3 below still sees each cell filled without them
+    # data's scale; the fill check below still sees each cell filled
+    # without them
     keep = svols > (EPS * scale) ** dim / math.factorial(dim)
     S, cells_of, svols = S[keep], cells_of[keep], svols[keep]
-    filled = np.bincount(cells_of, weights=svols, minlength=len(cells))
-    for ci, (_, _, _, vol) in enumerate(cells):
-        if abs(filled[ci] - vol) > COVER_TOL * supp:
-            raise OverlayFailure(
-                "a cell of volume %.3g triangulates to volume %.3g" % (vol, filled[ci])
-            )
+    filled = np.bincount(cells_of, weights=svols, minlength=len(cell_vol))
+    bad = np.flatnonzero(np.abs(filled - cell_vol) > COVER_TOL * ref.supp)
+    if len(bad):
+        raise OverlayFailure(
+            "a cell of volume %.3g triangulates to volume %.3g" % (cell_vol[bad[0]], filled[bad[0]])
+        )
     if not len(S):
         return PLFunction.zero(dim)
 
@@ -344,8 +457,8 @@ def _assemble(pieces, op, dim, supp):
     S, cells_of, svols = S[order], cells_of[order], svols[order]
 
     # each simplex's winning piece at each of its vertices
-    grads = np.array([aff[0] for _, _, aff, _ in cells])[cells_of]
-    offs = np.array([aff[1] for _, _, aff, _ in cells])[cells_of]
+    grads = ref.grad[cell_win][cells_of]
+    offs = ref.off[cell_win][cells_of]
     vals = np.einsum("kjd,kd->kj", table[S], grads) + offs[:, None]
     flat_idx, flat_vals = S.ravel(), vals.ravel()
     hi = np.full(len(table), -np.inf)
@@ -378,13 +491,30 @@ def _assemble(pieces, op, dim, supp):
     return PLFunction(complex=out_cx, values=values[used])
 
 
+class _Refinement(NamedTuple):
+    """The op-independent half of an overlay of f and g: the cut cells,
+    the affine pieces of f then g, the piece each cell keeps under join
+    and meet, vol supp f + vol supp g, and the sample points of the final
+    check with f and g evaluated there."""
+
+    pieces: _Pieces
+    grad: np.ndarray
+    off: np.ndarray
+    winners: dict
+    supp: float
+    pts: np.ndarray
+    fe: np.ndarray
+    ge: np.ndarray
+
+
 @functools.lru_cache(maxsize=1)
-def _refine(f: PLFunction, g: PLFunction):
-    """The op-independent half of an overlay: (pieces, supp, pts, fe, ge),
-    the cells of _pieces_pairwise, vol supp f + vol supp g, the sample
-    points of the final check and f, g evaluated there.  PLFunction
+def _refine(f: PLFunction, g: PLFunction) -> _Refinement:
+    """The refinement of the pair, its cover balance checked.  PLFunction
     compares by identity, so the key is the pair of objects."""
-    pieces = tuple(_pieces_pairwise(_prep(f), _prep(g), f.dim))
+    mesh = _prep(f, g)
+    pieces = _pieces_pairwise(mesh)
+    supp = f.support_volume() + g.support_volume()
+    _check_cover(pieces, supp)
     lo = np.minimum(*(fn.bbox()[0] for fn in (f, g)))
     hi = np.maximum(*(fn.bbox()[1] for fn in (f, g)))
     rng = np.random.default_rng(424242)
@@ -393,7 +523,7 @@ def _refine(f: PLFunction, g: PLFunction):
     ge = g.evaluate_many(pts)
     for arr in (pts, fe, ge):
         arr.setflags(write=False)
-    return pieces, f.support_volume() + g.support_volume(), pts, fe, ge
+    return _Refinement(pieces, mesh.grad, mesh.off, _winners(pieces, mesh), supp, pts, fe, ge)
 
 
 def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:
@@ -403,11 +533,11 @@ def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:
     if f.complex.is_empty() and g.complex.is_empty():
         return PLFunction.zero(dim)
 
-    pieces, supp, pts, fe, ge = _refine(f, g)
-    out = _assemble(pieces, op, dim, supp)
+    ref = _refine(f, g)
+    out = _assemble(ref, op, dim)
 
-    want = np.maximum(fe, ge) if op == "join" else np.minimum(fe, ge)
-    got = out.evaluate_many(pts)
+    want = np.maximum(ref.fe, ref.ge) if op == "join" else np.minimum(ref.fe, ref.ge)
+    got = out.evaluate_many(ref.pts)
     vscale = max(1.0, float(np.max(np.abs(want))))
     err = float(np.max(np.abs(got - want)))
     if err > 1e-8 * vscale:

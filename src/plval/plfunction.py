@@ -28,6 +28,7 @@ from .errors import (
     ConstructionFailure,
     Degenerate,
     InvalidComplex,
+    NonFinite,
     NotNonnegative,
     OriginNotInterior,
 )
@@ -61,6 +62,8 @@ class SimplicialComplex:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, self.dim)
+        if not np.isfinite(self.vertices).all():
+            raise NonFinite("complex vertices hold a non-finite number")
         self.simplices = tuple(tuple(sorted(int(i) for i in s)) for s in self.simplices)
         self.vertices.setflags(write=False)
 
@@ -224,16 +227,25 @@ class SimplicialComplex:
         los = arrs.min(axis=1)
         his = arrs.max(axis=1)
         hrows, hrhs = self.simplex_rows()
-        T0 = ~np.eye(n + 1, dtype=bool)
+        pairs = []
         for i, j in self._candidate_pairs(los, his, atol):
-            if not convex.bboxes_overlap(los[i], his[i], los[j], his[j], pad=atol):
-                continue
-            si, sj = self.simplices[i], self.simplices[j]
-            shared = sorted(set(si) & set(sj))
+            if convex.bboxes_overlap(los[i], his[i], los[j], his[j], pad=atol):
+                pairs.append((i, j, sorted(set(self.simplices[i]) & set(self.simplices[j]))))
+        # simplex i clipped by the rows of simplex j, keeping a
+        # lower-dimensional intersection, for every pair sharing less than
+        # a facet at once
+        clipped = [p for p, (_, _, shared) in enumerate(pairs) if len(shared) < n]
+        I = np.array([pairs[p][0] for p in clipped], dtype=int)
+        J = np.array([pairs[p][1] for p in clipped], dtype=int)
+        cells = convex.Cells.of_simplices(arrs[I], hrows[I], hrhs[I])
+        cells, src = convex.clip_rows(cells, hrows[J], hrhs[J], 10 * atol, flat=True)
+        meet = {clipped[p]: c for c, p in enumerate(src)}
+        for p, (i, j, shared) in enumerate(pairs):
             if len(shared) == n + 1:
                 raise InvalidComplex("simplices %d and %d coincide" % (i, j))
             if len(shared) == n:
                 # shared facet: opposite vertices must be on opposite sides
+                si, sj = self.simplices[i], self.simplices[j]
                 fverts = V[shared]
                 _, _, vt = np.linalg.svd(fverts[1:] - fverts[0], full_matrices=True)
                 u = vt[-1]
@@ -245,16 +257,9 @@ class SimplicialComplex:
                         "simplices %d and %d overlap across their shared facet" % (i, j)
                     )
                 continue
-            # simplex i clipped by the rows of simplex j, keeping a
-            # lower-dimensional intersection
-            cell = (arrs[i], hrows[i], hrhs[i], T0)
-            for a, c in zip(hrows[j], hrhs[j]):
-                cell = convex.clip(*cell[:3], a, c, 10 * atol, T=cell[3], flat=True)
-                if cell is None:
-                    break
-            if cell is None:
+            if p not in meet:
                 continue
-            X = cell[0]
+            X = cells.cell(meet[p])[0]
             if not shared:
                 if np.max(np.ptp(X, axis=0)) > 10 * atol:
                     raise InvalidComplex(
@@ -285,6 +290,8 @@ class PLFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
+        if not np.isfinite(self.values).all():
+            raise NonFinite("function values hold a non-finite number")
         if len(self.values) != len(self.complex.vertices):
             raise ValueError(
                 "value count %d does not match vertex count %d"
@@ -508,14 +515,8 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
         A_rows.append(-(gA + M * b_rows[j]))
         b_vals.append(cA + M * b_offs[j])
 
-    def cut(cell, rows, rhs):
-        for a, c in zip(rows, rhs):
-            if cell is None:
-                break
-            cell = convex.clip(*cell[:3], a, c, tol, T=cell[3])
-        return cell
-
-    sup = cut((corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol)), A_rows, b_vals)
+    box = convex.Cells.of([(corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol))])
+    sup, _ = convex.clip_rows(box, np.array(A_rows), np.array(b_vals), tol)
 
     def tent_affine(j):
         if j < 0:
@@ -523,14 +524,18 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
         return gA + M * b_rows[j], cA + M * b_offs[j]
 
     # cells: the central simplex (all b_j >= 0) plus one wedge per j where
-    # b_j is the most negative coordinate
-    cells = [(cut(sup, -b_rows, b_offs), -1)]
+    # b_j is the most negative coordinate, cut from the support at once
+    rows, rhs = [-b_rows], [b_offs]
     for j in range(n + 1):
         others = [l for l in range(n + 1) if l != j]
-        rows = np.vstack([b_rows[j], b_rows[j] - b_rows[others]])
-        rhs = np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j]])
-        cells.append((cut(sup, rows, rhs), j))
-    pieces = [(cell[0], cell[3], tent_affine(j)) for cell, j in cells if cell is not None]
+        rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others]]))
+        rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j]]))
+    copies = np.zeros(n + 2 if len(sup) else 0, dtype=int)
+    cells, src = convex.clip_rows(sup.take(copies), np.array(rows), np.array(rhs), tol)
+    pieces = []
+    for c, j in enumerate(src):
+        V, _, _, T = cells.cell(c)
+        pieces.append((V, T, tent_affine(j - 1)))
 
     allv = np.vstack([V for V, _, _ in pieces])
     table, mapping = convex.dedupe_points(allv, 1e-12 * max(1.0, np.max(np.abs(allv))))

@@ -293,3 +293,37 @@ def test_entry_point_subprocess(square_file):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "valuate", "--input", "x.json")  # --kernel missing
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("verify", "--suite", "homogeneity", "--tolerance", "-1"), "--tolerance"),
+        (("verify", "--suite", "homogeneity", "--tolerance", "nan"), "--tolerance"),
+        (("verify", "--suite", "homogeneity", "--tolerance", "inf"), "--tolerance"),
+        (("norms", "--input", "missing.json", "--p", "nan"), "--p"),
+        (("recover", "--input", "missing.csv", "--n", "2", "--p", "-inf"), "--p"),
+        (("norms", "--input", "missing.json", "--q-list", "1,nan"), "--q-list"),
+        (("polytope", "--input", "missing.json", "--q-list", "inf"), "--q-list"),
+    ],
+    ids=["tolerance-negative", "tolerance-nan", "tolerance-inf", "norms-p", "recover-p", "norms-q", "polytope-q"],
+)
+def test_bad_numeric_options_are_usage_errors(capsys, monkeypatch, argv, option):
+    # refused by the parser, naming the option, before any suite runs or
+    # any file is read
+    from plval import verify
+
+    def no_battery(seed):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(verify, "default_battery", no_battery)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "argument %s" % option in err
+    assert out == ""
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "psi_identity", "--tolerance", "0")
+    assert code in (0, 1)
+    assert out

@@ -63,6 +63,19 @@ def _near(X, Y, eps):
 CUTS = ("interior", "vertex", "facet", "parallel")
 
 
+def _cut_in_stack(rng, cell, a, c, tol, mates):
+    """The part of the cell in a.x <= c, or None, clipped inside a stack
+    between mates that are each cut by a plane through their interior."""
+    pos = int(rng.integers(len(mates) + 1))
+    cells = mates[:pos] + [cell] + mates[pos:]
+    A = np.array([_random_unit(rng, len(a)) for _ in cells])
+    C = np.array([u @ (rng.dirichlet(np.ones(len(m[0]))) @ m[0]) for u, m in zip(A, cells)])
+    A[pos], C[pos] = a, c
+    out, src = convex.clip(convex.Cells.of(cells), A, C, tol)
+    hit = np.flatnonzero(src == pos)
+    return out.cell(hit[0]) if len(hit) else None
+
+
 @given(
     d=st.sampled_from([2, 3]),
     shape=st.sampled_from(["box", "simplex"]),
@@ -79,7 +92,8 @@ def test_clip_chain_matches_brute_vertices(d, shape, scale, cuts, seed):
     # the oracle keeps points up to 1e-8 outside a row, so where a vertex
     # sits nearly on an edge's line it also reports near-copies of it that
     # clip, cutting exactly, does not make: the clip's vertices must be
-    # among the oracle's and bound the same volume
+    # among the oracle's and bound the same volume.  Each cut runs on a
+    # stack, the cell between stack-mates cut by planes of their own.
     rng = np.random.default_rng(seed)
     shift = rng.uniform(-1, 1, d) * scale
     extent = scale + float(np.max(np.abs(shift)))
@@ -88,6 +102,10 @@ def test_clip_chain_matches_brute_vertices(d, shape, scale, cuts, seed):
         cell = _box_cell(shift - scale * rng.uniform(0.5, 1.5, d), shift + scale * rng.uniform(0.5, 1.5, d), tol)
     else:
         cell = _simplex_cell(rng, d, scale, shift, tol)
+    mates = [
+        _box_cell(shift - scale * rng.uniform(0.5, 1.5, d), shift + scale * rng.uniform(0.5, 1.5, d), tol),
+        _simplex_cell(rng, d, scale, shift, tol),
+    ]
     rows, rhs = [cell[1]], [cell[2]]
     last = None
     for kind in cuts:
@@ -107,7 +125,7 @@ def test_clip_chain_matches_brute_vertices(d, shape, scale, cuts, seed):
         last = (a, c)
         rows.append(a[None, :])
         rhs.append([c])
-        clipped = convex.clip(V, A, b, a, c, tol, T=T)
+        clipped = _cut_in_stack(rng, cell, a, c, tol, mates)
         ref = oracles.halfspace_vertices_brute(np.vstack(rows), np.concatenate(rhs))
         if clipped is None:
             # nothing with interior is left: the oracle's polytope is flat
@@ -126,12 +144,64 @@ def test_clip_chain_matches_brute_vertices(d, shape, scale, cuts, seed):
 
 def _random_cell(rng, d, cuts=4):
     tol = 1e-10
-    cell = _box_cell(-np.ones(d), np.ones(d), tol)
+    cell = convex.Cells.of([_box_cell(-np.ones(d), np.ones(d), tol)])
     for _ in range(cuts):
+        V = cell.cell(0)[0]
         a = _random_unit(rng, d)
-        c = a @ (rng.dirichlet(np.ones(len(cell[0]))) @ cell[0])
-        cell = convex.clip(*cell[:3], a, c, tol, T=cell[3])
-    return cell
+        cell, _ = convex.clip(cell, a, a @ (rng.dirichlet(np.ones(len(V))) @ V), tol)
+    return cell.cell(0)
+
+
+def _same_cell(x, y):
+    return all(np.asarray(p).tobytes() == np.asarray(q).tobytes() for p, q in zip(x, y))
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    flat=st.booleans(),
+    size=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_stacked_cut_matches_the_cell_cut_alone(d, flat, size, seed):
+    # a cell's cut inside a stack is bit-identical to the same cell cut
+    # alone: no result depends on the cell's stack-mates, whatever their
+    # vertex and row counts or planes (through a vertex or just off one,
+    # along a facet, at infinity, or missing the cell)
+    rng = np.random.default_rng(seed)
+    tol = 1e-10
+    cells = []
+    for _ in range(size):
+        # cells of different sizes and places, so that anything read off
+        # the whole stack (its extent, its widths) would show
+        V, A, b, T = _random_cell(rng, d, cuts=int(rng.integers(0, 4)))
+        scale, shift = 10.0 ** rng.uniform(-1, 3), rng.uniform(-100, 100, d)
+        cells.append((V * scale + shift, A, b * scale + A @ shift, T))
+    a = np.array([_random_unit(rng, d) for _ in cells])
+    c = np.empty(size)
+    for i, (V, A, b, _) in enumerate(cells):
+        kind = rng.integers(6)
+        if kind == 0:
+            c[i] = a[i] @ V[rng.integers(len(V))]
+        elif kind == 5:  # a vertex just off the plane, past the tolerance
+            c[i] = a[i] @ V[rng.integers(len(V))] + rng.choice([-1e-8, 1e-8])
+        elif kind == 1:
+            j = rng.integers(len(A))
+            a[i], c[i] = A[j], b[j]
+        elif kind == 2:
+            c[i] = rng.choice([np.inf, -np.inf])
+        elif kind == 3:
+            c[i] = a[i] @ V.mean(axis=0) + 10.0
+        else:
+            c[i] = a[i] @ (rng.dirichlet(np.ones(len(V))) @ V)
+    sides = convex.split(convex.Cells.of(cells), a, c, tol, flat=flat)
+    for i, cell in enumerate(cells):
+        alone = convex.split(convex.Cells.of([cell]), a[i : i + 1], c[i : i + 1], tol, flat=flat)
+        for (stack, src), (one, _) in zip(sides, alone):
+            hit = np.flatnonzero(src == i)
+            assert len(hit) == len(one) <= 1
+            if len(one):
+                assert _same_cell(stack.cell(hit[0]), one.cell(0))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -147,7 +217,8 @@ def test_incidence_triangulation_is_conforming_and_exact(d):
         # the two halves of a cut, triangulated on one vertex table, meet
         # face to face along the cut
         a = _random_unit(rng, d)
-        lo, hi = convex.split(V, A, b, T, a, a @ V.mean(axis=0), 1e-10)
+        (lo, _), (hi, _) = convex.split(convex.Cells.of([(V, A, b, T)]), a, a @ V.mean(axis=0), 1e-10)
+        lo, hi = lo.cell(0), hi.cell(0)
         table, mapping = convex.dedupe_points(np.vstack([lo[0], hi[0]]), 1e-12)
         k = len(lo[0])
         S = convex.pulling_triangulation(table, mapping[:k], d, lo[3])
@@ -195,6 +266,33 @@ def test_overlay_builds_no_hull_facets(monkeypatch, n):
     supports = [owner for name, owner in callers if name == "convex_support"]
     assert sorted(supports) == sorted(set(supports))
     assert {id(f.complex), id(g.complex)} <= set(supports)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_overlay_triangulates_only_cells_that_are_not_simplices(monkeypatch, n):
+    # a kept cell that is a simplex already goes straight to the output;
+    # pulling_triangulation sees only cells with more than n + 1 vertices
+    from plval import overlay
+
+    rng = np.random.default_rng(60 + n)
+    points = 5 if n == 3 else None
+    f = random_cone_function(rng, n, points)
+    g = random_cone_function(rng, n, points)
+    sizes = []
+    pull = convex.pulling_triangulation
+
+    def counted(points, subset, dim, incidence, tol=convex.EPS):
+        sizes.append(len(subset))
+        return pull(points, subset, dim, incidence, tol)
+
+    monkeypatch.setattr(convex, "pulling_triangulation", counted)
+    overlay._refine.cache_clear()
+    outs = [pf.join(f, g), pf.meet(f, g)]
+    cells = overlay._refine(f, g).pieces.cells
+    overlay._refine.cache_clear()
+    assert all(not h.is_zero() for h in outs)
+    assert (cells.counts() == n + 1).any() and (cells.counts() > n + 1).any()
+    assert sizes and min(sizes) > n + 1
 
 
 def test_hull_from_points_calls_qhull_once(monkeypatch):

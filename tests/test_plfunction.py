@@ -199,14 +199,16 @@ def test_partition_check_rejects_duplicated_and_dropped_cells():
     rng = np.random.default_rng(3)
     f = random_cone_function(rng, 3, points=5)
     g = random_cone_function(rng, 3, points=5)
-    pieces = overlay._pieces_pairwise(overlay._prep(f), overlay._prep(g), 3)
+    pieces = overlay._pieces_pairwise(overlay._prep(f, g))
     supp = f.support_volume() + g.support_volume()
-    assert not overlay._assemble(pieces, "join", 3, supp).is_zero()
-    big = max(range(len(pieces)), key=lambda i: overlay._cell_volume(pieces[i][0]))
-    with pytest.raises(OverlayFailure, match="cover"):
-        overlay._assemble(pieces + [pieces[big]], "join", 3, supp)
-    with pytest.raises(OverlayFailure, match="cover"):
-        overlay._assemble(pieces[:big] + pieces[big + 1 :], "join", 3, supp)
+    overlay._check_cover(pieces, supp)
+    assert not pf.join(f, g).is_zero()
+    every = np.arange(len(pieces.vol))
+    big = int(np.argmax(pieces.vol))
+    for idx in (np.append(every, big), np.delete(every, big)):
+        changed = overlay._Pieces(pieces.cells.take(idx), pieces.f[idx], pieces.g[idx], pieces.vol[idx])
+        with pytest.raises(OverlayFailure, match="cover"):
+            overlay._check_cover(changed, supp)
 
 
 @pytest.fixture
@@ -412,25 +414,37 @@ def test_subtract_runs_once_per_partly_covered_simplex(monkeypatch, convex_other
     subtract = overlay._subtract
     calls = []
 
-    def counting(parts, Ag, bg, tol):
-        calls.append((id(parts[0]), Ag))
-        return subtract(parts, Ag, bg, tol)
+    def counting(cells, A, b, tol):
+        calls.append((cells, A))
+        return subtract(cells, A, b, tol)
 
     overlay._refine.cache_clear()
     monkeypatch.setattr(overlay, "_subtract", counting)
     pf.join(f, g)
     overlay._refine.cache_clear()
-    whole = [any(Ag is s[0] for s in supports if s is not None) for _, Ag in calls]
+
+    def whole(A):
+        # a whole support's rows, padded with zero rows
+        return [
+            any(len(Ai) >= len(S[0]) and np.array_equal(Ai[: len(S[0])], S[0]) and not Ai[len(S[0]) :].any()
+                for S in supports if S is not None)
+            for Ai in A
+        ]
+
     assert calls
     if convex_other:
-        # one difference chain per simplex, run against the whole support
-        starts = [start for start, _ in calls]
-        assert all(whole)
+        # one difference chain per simplex, all in one lockstep round, run
+        # against the whole support
+        assert len(calls) == 1
+        cells, A = calls[0]
+        assert all(whole(A))
+        starts = [cells.cell(i)[0].tobytes() for i in range(len(cells))]
         assert len(set(starts)) == len(starts) <= len(f.complex) + len(g.complex)
     else:
         # g's simplices that f covers in part are cut by f's support whole,
         # f's by g's simplices one at a time
-        assert any(whole) and not all(whole)
+        flags = [w for _, A in calls for w in whole(A)]
+        assert any(flags) and not all(flags)
 
 
 def test_tent_decomposition_raises_typed_error_when_it_cannot_converge(monkeypatch, cone_square):
@@ -542,3 +556,43 @@ def test_boundary_values_vanish():
     boundary_vertices = {v for e, c in edge_count.items() if c == 1 for v in e}
     for v in boundary_vertices:
         assert f.values[v] == pytest.approx(0.0, abs=1e-12)
+
+
+def _nan_apex_cone():
+    f = pf.cone_function(pt.cube(2))
+    values = f.values.copy()
+    values[np.flatnonzero((f.complex.vertices == 0.0).all(axis=1))] = np.nan
+    return f.complex, values
+
+
+@pytest.mark.parametrize("route", ["apply", "lq_norm", "join"])
+def test_code_built_function_rejects_non_finite_values(route):
+    # a NaN apex once integrated to 0 under apply and lq_norm and joined
+    # into a 4-simplex result; now the function is refused when built
+    from plval import valuation as va
+
+    routes = {
+        "apply": lambda f: va.apply(va.PowerKernel(1.0, 2.0), f),
+        "lq_norm": lambda f: lq_norm(f, 2.0),
+        "join": lambda f: pf.join(f, pf.cone_function(pt.cube(2))),
+    }
+    cx, values = _nan_apex_cone()
+    with pytest.raises(NonFinite, match="values"):
+        routes[route](pf.PLFunction(complex=cx, values=values))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_code_built_complex_rejects_non_finite_vertices(bad):
+    cx = pf.cone_function(pt.cube(2)).complex
+    V = cx.vertices.copy()
+    V[1, 0] = bad
+    with pytest.raises(NonFinite, match="vertices"):
+        pf.SimplicialComplex(dim=2, vertices=V, simplices=cx.simplices)
+
+
+def test_transforms_refuse_non_finite_results():
+    f = pf.cone_function(pt.cube(2))
+    with pytest.raises(NonFinite, match="values"):
+        pf.scale_values(f, np.nan)
+    with pytest.raises(NonFinite, match="vertices"):
+        pf.compose_affine(f, np.eye(2), [np.inf, 0.0])
