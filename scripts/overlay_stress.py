@@ -4,15 +4,15 @@
 For each seed it prints the suite's status (pass, the failed cases, or the
 error raised), the worst cover-balance residual over the overlay calls
 the suite made: |covered volume - (vol supp f + vol supp g)| divided by
-that sum, which the overlay requires to stay within COVER_TOL, the
-number of overlay calls with the simplices they returned in total, so
-that output growing more fragmented shows in the log, the number of
-qhull hulls built (calls to convex.hull, from polytopes, convex supports
-and merged cells alike), and where the overlay's time went: the seconds
-spent refining pairs (overlay._refine, the cutting) and assembling
-results (overlay._assemble, winners to simplices), with the number of
-stacked cuts (convex.split calls) the refinements made.  It exits 1 if
-any seed fails.
+that sum, which the overlay requires to stay within COVER_TOL (a call
+that fails the balance counts too), the number of overlay calls with the
+simplices they returned in total, so that output growing more fragmented
+shows in the log, the number of qhull hulls built (calls to convex.hull,
+from polytopes, convex supports and merged cells alike), and where the
+overlay's time went: the seconds spent refining pairs (overlay._refine,
+the cutting) and assembling results (overlay._assemble, winners to
+simplices), with the number of stacked cuts (convex.split calls) made
+inside the refinements.  It exits 1 if any seed fails.
 
 Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
@@ -38,15 +38,22 @@ def main() -> int:
     worst = [0.0]
     calls = [0, 0]  # overlay calls, simplices returned
     seconds = {"refine": 0.0, "assemble": 0.0}
-    cuts = [0]
-    refine, assemble, split, hull = overlay._refine, overlay._assemble, convex.split, convex.hull
+    cuts = [0, 0]  # convex.split calls, those made inside overlay._refine
+    refine, assemble, check_cover = overlay._refine, overlay._assemble, overlay._check_cover
+    split, hull = convex.split, convex.hull
 
     def timed_refine(f, g):
-        t0 = time.perf_counter()
-        ref = refine(f, g)
-        seconds["refine"] += time.perf_counter() - t0
-        worst[0] = max(worst[0], abs(overlay._cover(ref.pieces) - ref.supp) / ref.supp)
-        return ref
+        t0, before = time.perf_counter(), cuts[0]
+        try:
+            return refine(f, g)
+        finally:
+            seconds["refine"] += time.perf_counter() - t0
+            cuts[1] += cuts[0] - before
+
+    def recorded_check_cover(pieces, supp):
+        # recorded before the check can raise, so a failing call counts
+        worst[0] = max(worst[0], abs(overlay._cover(pieces) - supp) / supp)
+        check_cover(pieces, supp)
 
     def timed_assemble(ref, op, dim):
         t0 = time.perf_counter()
@@ -67,13 +74,15 @@ def main() -> int:
         return hull(points)
 
     overlay._refine, overlay._assemble = timed_refine, timed_assemble
+    overlay._check_cover = recorded_check_cover
     convex.split, convex.hull = counted_split, counted_hull
     failed = 0
     for seed in args.seeds:
         worst[0] = 0.0
         calls[:] = [0, 0]
         seconds.update(refine=0.0, assemble=0.0)
-        cuts[0] = hulls[0] = 0
+        cuts[:] = [0, 0]
+        hulls[0] = 0
         t0 = time.perf_counter()
         suite = dict(default_battery(seed))["inclusion_exclusion"]
         try:
@@ -87,7 +96,7 @@ def main() -> int:
         print(
             "seed %3d  %-12s worst cover residual %.2e  %3d overlays -> %5d simplices"
             "  %4d hulls  refine %.3f s (%4d cuts)  assemble %.3f s  %5.1f s"
-            % (seed, status, worst[0], calls[0], calls[1], hulls[0], seconds["refine"], cuts[0],
+            % (seed, status, worst[0], calls[0], calls[1], hulls[0], seconds["refine"], cuts[1],
                seconds["assemble"], time.perf_counter() - t0),
             flush=True,
         )

@@ -134,23 +134,11 @@ class Cells:
     @classmethod
     def of(cls, cells):
         """The stack of the cells (V, A, b, T), in order."""
-        cells = list(cells)
-        d = cells[0][0].shape[1] if cells else 0
-        k = max((len(V) for V, _, _, _ in cells), default=0)
-        r = max((len(A) for _, A, _, _ in cells), default=0)
-        out = cls(
-            np.zeros((len(cells), k, d)), np.zeros((len(cells), r, d)), np.zeros((len(cells), r)),
-            np.zeros((len(cells), k, r), dtype=bool),
-            np.zeros((len(cells), k), dtype=bool), np.zeros((len(cells), r), dtype=bool),
-        )
-        for i, (V, A, b, T) in enumerate(cells):
-            out.V[i, : len(V)] = V
-            out.A[i, : len(A)] = A
-            out.b[i, : len(A)] = b
-            out.T[i, : len(V), : len(A)] = T
-            out.vm[i, : len(V)] = True
-            out.rm[i, : len(A)] = True
-        return out
+        return cls.concat([
+            cls(np.asarray(V, dtype=float)[None], np.asarray(A, dtype=float)[None], np.asarray(b, dtype=float)[None],
+                np.asarray(T, dtype=bool)[None], np.ones((1, len(V)), dtype=bool), np.ones((1, len(A)), dtype=bool))
+            for V, A, b, T in cells
+        ])
 
     @classmethod
     def of_simplices(cls, V, A, b):
@@ -173,8 +161,14 @@ class Cells:
         return self.V[i, vm], self.A[i, rm], self.b[i, rm], self.T[i][vm][:, rm]
 
     def take(self, idx) -> "Cells":
-        """The cells idx, in that order."""
-        return Cells(self.V[idx], self.A[idx], self.b[idx], self.T[idx], self.vm[idx], self.rm[idx])
+        """The cells idx (positions, or a mask), in that order."""
+        idx = np.asarray(idx)
+        idx = idx.nonzero()[0] if idx.dtype == bool else idx.astype(np.intp, copy=False)
+        return Cells(*(x.take(idx, 0) for x in (self.V, self.A, self.b, self.T, self.vm, self.rm)))
+
+    def slice(self, start: int, stop: int) -> "Cells":
+        """The cells start to stop, as views."""
+        return Cells(*(x[start:stop] for x in (self.V, self.A, self.b, self.T, self.vm, self.rm)))
 
     def compact(self) -> "Cells":
         """The same cells with their vertices and rows moved to the front,
@@ -262,69 +256,96 @@ def split(cells: Cells, a, c, tol: float, above: bool = True, flat: bool = False
     s = dot_rows(V, a) - c[:, None]
     out = (s > tol) & vm
     inn = (s < -tol) & vm
-    on = vm & ~(out | inn)
     any_out = out.any(axis=1)
     cross = any_out & inn.any(axis=1)
-    # candidate edges (u, w), u inside and w outside, in vertex order
-    pb, pu, pw = np.nonzero(inn[:, :, None] & out[:, None, :])
-    C = T[pb, pu] & T[pb, pw]
+    # candidate edges (u, w), u inside and w outside, in vertex order, as
+    # flat indices b * k + u and b * k + w
+    p = (inn[:, :, None] & out[:, None, :]).ravel().nonzero()[0]
+    pb = p // (k * k)
+    fu = p // k
+    fw = pb * k + p % k
+    Tf = T.reshape(B * k, T.shape[2])
+    C = Tf.take(fu, 0) & Tf.take(fw, 0)
     # vertices tight at every row of C: exactly u and w on an edge
-    e = (~(C[:, None, :] & ~T[pb]).any(axis=2) & vm[pb]).sum(axis=1) == 2
-    eb, eu, ew = pb[e], pu[e], pw[e]
-    su, sw = s[eb, eu], s[eb, ew]
-    t = su / (su - sw)
-    Vu = V[eb, eu]
-    # the crossings, each cell's in its own slots after its vertices
-    rank = np.arange(len(eb)) - np.searchsorted(eb, eb)
-    xw = int(rank.max(initial=-1)) + 1
-    xm = np.zeros((B, xw), dtype=bool)
-    xm[eb, rank] = True
-    V2 = np.zeros((B, k + xw, d))
+    e = (~(C[:, None, :] & ~T.take(pb, 0)).any(axis=2) & vm.take(pb, 0)).sum(axis=1) == 2
+    pb, fu, fw = pb[e], fu[e], fw[e]
+    sf = s.ravel()
+    su = sf.take(fu)
+    t = su / (su - sf.take(fw))
+    Vf = V.reshape(B * k, d)
+    Vu = Vf.take(fu, 0)
+    X = Vu + t[:, None] * (Vf.take(fw, 0) - Vu)
+    # the crossings of cell b go in its own slots after its vertices
+    rank = np.arange(len(pb)) - pb.searchsorted(pb)
+    return _sides(cells, a, c, out, inn, any_out, cross, pb, rank, X, C[e], above, flat)
+
+
+def _sides(cells, a, c, out, inn, any_out, cross, pb, rank, X, TX, above, flat):
+    """Both sides of a stacked cut, as split returns them, built in one
+    pass over a leading side axis (below, then above).
+
+    Each cell keeps its vertices on the side (on the plane where on)
+    and gains its crossings X, cell pb[i] in its slot rank[i] after its
+    vertices, with incidence TX and the cut's row.  A side that keeps a
+    cell whole (no vertex beyond the plane) adds no row; with flat, a
+    cell that only touches the plane in a face keeps that face with the
+    row."""
+    V, T, vm = cells.V, cells.T, cells.vm
+    B, k, d = V.shape
+    r = T.shape[2]
+    S = 2 if above else 1
+    K, R = k + int(rank.max(initial=-1)) + 1, r + 1
+    fx = pb * K + k + rank  # the crossings' flat slots
+    V2 = np.zeros((B, K, d))
     V2[:, :k] = V
-    V2[eb, k + rank] = Vu + t[:, None] * (V[eb, ew] - Vu)
-    TX = np.zeros((B, xw, T.shape[2]), dtype=bool)
-    TX[eb, rank] = C[e]
-    lo = _side(cells, V2, TX, xm, ~out, on, cross, ~any_out, a, c, flat)
-    hi = None
+    V2.reshape(B * K, d)[fx] = X
+    # out and inn lie within vm, so vm ^ out marks the vertices not beyond
+    # the plane
+    vm2 = np.zeros((S, B, K), dtype=bool)
+    vm2[0, :, :k] = vm ^ out
+    whole = np.empty((S, B), dtype=bool)
+    whole[0] = ~any_out
     if above:
-        hi = _side(cells, V2, TX, xm, ~inn, on, cross, any_out & ~cross, -a, -c, flat)
-    return lo, hi
-
-
-def _side(cells, V2, TX, xm, keep, on, cross, whole, a, c, flat):
-    """One side of a stacked cut, as (cells, src).
-
-    keep marks the vertices on this side (on the plane where on), and
-    whole the cells this side keeps unchanged, with no row added.  The
-    other cells keep their vertices on this side, gain their crossings
-    (V2 after the old vertices, incidence TX, marks xm) and the row
-    a.x <= c: they were cut (cross), or with flat they touch the plane
-    in a face."""
-    T, vm = cells.T, cells.vm
-    B, k, r = T.shape
-    d = V2.shape[2]
-    keep = keep & vm
+        vm2[1, :, :k] = vm ^ inn
+        whole[1] = any_out & ~cross
+    vm2.reshape(S, B * K)[:, fx] = True
+    # incidence on the old rows and the cut's row, masked to each side's
+    # vertices and rows
+    T2 = np.zeros((B, K, R), dtype=bool)
+    T2[:, :k, :r] = T
+    T2[:, :k, r] = vm ^ out ^ inn  # on the plane
+    T2 = T2.reshape(B * K, R)
+    T2[fx, :r] = TX
+    T2[fx, r] = True
+    T2 = T2.reshape(1, B, K, R) & vm2[:, :, :, None]
     add = ~whole
-    vm2 = np.concatenate([keep, xm], axis=1)
-    T2 = np.zeros((B, V2.shape[1], r + 1), dtype=bool)
-    T2[:, :k, :r] = T & keep[:, :, None]
-    T2[:, k:, :r] = TX
-    T2[:, :k, r] = on & add[:, None]
-    T2[:, k:, r] = xm
-    rm2 = np.concatenate([cells.rm, add[:, None]], axis=1)
+    rm2 = np.empty((S, B, R), dtype=bool)
+    rm2[:, :, :r] = cells.rm
+    rm2[:, :, r] = add
     if not flat:
         # a row of a cut cell stays while it is tight at d or more vertices
-        rm2 &= (T2.sum(axis=1) >= d) | ~cross[:, None]
-        T2 &= rm2[:, None, :]
-    n = vm2.sum(axis=1)
+        rm2 &= (T2.sum(axis=2) >= d) | ~cross[:, None]
+    T2 &= rm2[:, :, None, :]
+    n = vm2.sum(axis=2)
     ok = whole | (n > 0) if flat else whole | (cross & (n > d))
-    A2 = np.concatenate([cells.A, np.where(add[:, None], a, 0.0)[:, None]], axis=1)
-    b2 = np.concatenate([cells.b, np.where(add, c, 0.0)[:, None]], axis=1)
-    out = Cells(V2, A2, b2, T2, vm2, rm2)
-    if ok.all():
-        return out, np.arange(B)
-    items = np.flatnonzero(ok)
-    return out.take(items), items
+    A2 = np.zeros((S, B, R, d))
+    A2[:, :, :r] = cells.A
+    b2 = np.zeros((S, B, R))
+    b2[:, :, :r] = cells.b
+    for i, sign in enumerate((1.0, -1.0)[:S]):
+        A2[i, add[i], r] = sign * a[add[i]]
+        b2[i, add[i], r] = sign * c[add[i]]
+    # the kept cells, the side below first
+    oi = ok.ravel().nonzero()[0]
+    src = oi % B
+    kept = Cells(
+        V2.take(src, 0), A2.reshape(S * B, R, d).take(oi, 0), b2.reshape(S * B, R).take(oi, 0),
+        T2.reshape(S * B, K, R).take(oi, 0), vm2.reshape(S * B, K).take(oi, 0), rm2.reshape(S * B, R).take(oi, 0),
+    )
+    if not above:
+        return (kept, src), None
+    m = int(oi.searchsorted(B))
+    return (kept.slice(0, m), src[:m]), (kept.slice(m, len(oi)), src[m:])
 
 
 def clip(cells: Cells, a, c, tol: float, flat: bool = False):

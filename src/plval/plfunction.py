@@ -500,38 +500,32 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
     b_rows = np.vstack([-Mb.sum(axis=0), Mb])
     b_offs = np.array([1.0, *np.zeros(n)]) - b_rows @ v0
 
-    # support polytope: A >= 0 and A + M b_j >= 0 for all j, kept bounded
-    # by an inflated box around supp f (a too-small M can otherwise leave
-    # a recession direction; the spill is then caught and M doubled)
+    def tent_affine(j):
+        if j < 0:
+            return gA, cA
+        return gA + M * b_rows[j], cA + M * b_offs[j]
+
+    # cells: the central simplex (all b_j >= 0), where the tent is A, and
+    # one wedge per j where b_j is the most negative coordinate, where it
+    # is A + M b_j.  Each is cut at once from an inflated box around
+    # supp f (a too-small M can otherwise leave a recession direction; the
+    # spill is then caught and M doubled) together with its own piece >= 0,
+    # which there implies every other piece of the support: A + M b_j <= A
+    # and <= A + M b_l on wedge j, A <= A + M b_l on the simplex.
     lo, hi = f.bbox()
     pad = 0.5 * float(np.max(hi - lo)) + 1.0
     corners = np.array(list(itertools.product(*zip(lo - pad, hi + pad))))
     box_A = np.vstack([np.eye(n), -np.eye(n)])
     box_b = np.concatenate([hi + pad, -(lo - pad)])
     tol = EPS * max(1.0, float(np.max(np.abs(box_b))))
-    A_rows = [-gA]
-    b_vals = [cA]
-    for j in range(n + 1):
-        A_rows.append(-(gA + M * b_rows[j]))
-        b_vals.append(cA + M * b_offs[j])
-
-    box = convex.Cells.of([(corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol))])
-    sup, _ = convex.clip_rows(box, np.array(A_rows), np.array(b_vals), tol)
-
-    def tent_affine(j):
-        if j < 0:
-            return gA, cA
-        return gA + M * b_rows[j], cA + M * b_offs[j]
-
-    # cells: the central simplex (all b_j >= 0) plus one wedge per j where
-    # b_j is the most negative coordinate, cut from the support at once
-    rows, rhs = [-b_rows], [b_offs]
+    rows, rhs = [np.vstack([-b_rows, -gA])], [np.append(b_offs, cA)]
     for j in range(n + 1):
         others = [l for l in range(n + 1) if l != j]
-        rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others]]))
-        rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j]]))
-    copies = np.zeros(n + 2 if len(sup) else 0, dtype=int)
-    cells, src = convex.clip_rows(sup.take(copies), np.array(rows), np.array(rhs), tol)
+        gj, cj = tent_affine(j)
+        rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others], -gj]))
+        rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j], [cj]]))
+    box = convex.Cells.of([(corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol))])
+    cells, src = convex.clip_rows(box.take(np.zeros(n + 2, dtype=int)), np.array(rows), np.array(rhs), tol)
     pieces = []
     for c, j in enumerate(src):
         V, _, _, T = cells.cell(c)

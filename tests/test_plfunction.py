@@ -192,7 +192,7 @@ def test_lattice_laws_sampled(n, examples):
     check()
 
 
-def test_partition_check_rejects_duplicated_and_dropped_cells():
+def test_partition_check_rejects_duplicated_and_dropped_cells(monkeypatch):
     from plval import overlay
     from plval.verify import random_cone_function
 
@@ -209,6 +209,12 @@ def test_partition_check_rejects_duplicated_and_dropped_cells():
         changed = overlay._Pieces(pieces.cells.take(idx), pieces.f[idx], pieces.g[idx], pieces.vol[idx])
         with pytest.raises(OverlayFailure, match="cover"):
             overlay._check_cover(changed, supp)
+        # join and meet run the balance on the cells they are given
+        monkeypatch.setattr(overlay, "_pieces_pairwise", lambda mesh, changed=changed: changed)
+        for op in (pf.join, pf.meet):
+            overlay._refine.cache_clear()
+            with pytest.raises(OverlayFailure, match="cover"):
+                op(f, g)
 
 
 @pytest.fixture
@@ -465,6 +471,24 @@ def test_tent_decomposition_central_fan(square, cone_square):
     for x in rng.uniform(-1.4, 1.4, (500, 2)):
         best = max(pf.evaluate(t, x) for t in tents)
         assert best == pytest.approx(pf.evaluate(cone_square, x), abs=1e-9)
+
+
+def test_tent_cuts_its_cells_in_one_stacked_chain(monkeypatch, cone_square):
+    from plval import convex
+
+    split = convex.split
+    stacks = []
+
+    def counting(cells, *args, **kwargs):
+        stacks.append(len(cells))
+        return split(cells, *args, **kwargs)
+
+    monkeypatch.setattr(convex, "split", counting)
+    pf._build_tent(cone_square, 0, 4.0)
+    # the central simplex and n + 1 wedges, each cut by the n + 1 rows of
+    # its region and then by its own piece >= 0
+    n = cone_square.dim
+    assert stacks[0] == n + 2 and len(stacks) <= n + 2
 
 
 def test_tent_decomposition_single_simplex():
