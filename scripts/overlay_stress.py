@@ -2,17 +2,19 @@
 """Run the inclusion_exclusion suite at many CLI seeds in one process.
 
 For each seed it prints the suite's status (pass, the failed cases, or the
-error raised), the worst cover-balance residual over the overlay calls
-the suite made: |covered volume - (vol supp f + vol supp g)| divided by
-that sum, which the overlay requires to stay within COVER_TOL (a call
-that fails the balance counts too), the number of overlay calls with the
-simplices they returned in total, so that output growing more fragmented
-shows in the log, the number of qhull hulls built (calls to convex.hull,
-from polytopes, convex supports and merged cells alike), and where the
-overlay's time went: the seconds spent refining pairs (overlay._refine,
-the cutting) and assembling results (overlay._assemble, winners to
-simplices), with the number of stacked cuts (convex.split calls) made
-inside the refinements.  It exits 1 if any seed fails.
+error raised), its worst relative residual |z(f) - sum over tent subsets|,
+the worst cover-balance residual over the overlay calls the suite made:
+|covered volume - (vol supp f + vol supp g)| divided by that sum, which
+the overlay requires to stay within COVER_TOL (a call that fails the
+balance counts too), the number of overlays (overlay.lattice_overlay
+calls) with the simplices they returned in total, so that output growing
+more fragmented shows in the log, the number of qhull hulls built (calls
+to convex.hull, from polytopes, convex supports and merged cells alike),
+and where the time went: the seconds spent refining pairs
+(overlay._refine, the cutting) and assembling cells into functions
+(overlay.assemble_cells, for the overlays' results and the tents alike),
+with the number of stacked cuts (convex.split calls) made inside the
+refinements.  It exits 1 if any seed fails.
 
 Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
@@ -36,10 +38,11 @@ def main() -> int:
     args = ap.parse_args()
 
     worst = [0.0]
-    calls = [0, 0]  # overlay calls, simplices returned
+    calls = [0, 0]  # overlays, simplices returned
     seconds = {"refine": 0.0, "assemble": 0.0}
     cuts = [0, 0]  # convex.split calls, those made inside overlay._refine
-    refine, assemble, check_cover = overlay._refine, overlay._assemble, overlay._check_cover
+    refine, assemble, check_cover = overlay._refine, overlay.assemble_cells, overlay._check_cover
+    lattice_overlay = overlay.lattice_overlay
     split, hull = convex.split, convex.hull
 
     def timed_refine(f, g):
@@ -55,10 +58,15 @@ def main() -> int:
         worst[0] = max(worst[0], abs(overlay._cover(pieces) - supp) / supp)
         check_cover(pieces, supp)
 
-    def timed_assemble(ref, op, dim):
+    def timed_assemble(*args):
         t0 = time.perf_counter()
-        out = assemble(ref, op, dim)
-        seconds["assemble"] += time.perf_counter() - t0
+        try:
+            return assemble(*args)
+        finally:
+            seconds["assemble"] += time.perf_counter() - t0
+
+    def counted_overlay(f, g, op):
+        out = lattice_overlay(f, g, op)
         calls[0] += 1
         calls[1] += len(out.complex)
         return out
@@ -73,7 +81,8 @@ def main() -> int:
         hulls[0] += 1
         return hull(points)
 
-    overlay._refine, overlay._assemble = timed_refine, timed_assemble
+    overlay._refine, overlay.assemble_cells = timed_refine, timed_assemble
+    overlay.lattice_overlay = counted_overlay
     overlay._check_cover = recorded_check_cover
     convex.split, convex.hull = counted_split, counted_hull
     failed = 0
@@ -85,18 +94,20 @@ def main() -> int:
         hulls[0] = 0
         t0 = time.perf_counter()
         suite = dict(default_battery(seed))["inclusion_exclusion"]
+        residual = float("nan")
         try:
             reports = suite()
             fails = sum(1 for r in reports if r.status == "fail")
             status = "pass" if not fails else "fail: %d of %d cases" % (fails, len(reports))
+            residual = max(r.residual for r in reports)
         except Exception as exc:  # a typed PLValError or a defect: both fail the seed
             fails = 1
             status = "error: %s: %s" % (type(exc).__name__, exc)
         failed += fails > 0
         print(
-            "seed %3d  %-12s worst cover residual %.2e  %3d overlays -> %5d simplices"
+            "seed %3d  %-12s residual %.2e  worst cover residual %.2e  %3d overlays -> %5d simplices"
             "  %4d hulls  refine %.3f s (%4d cuts)  assemble %.3f s  %5.1f s"
-            % (seed, status, worst[0], calls[0], calls[1], hulls[0], seconds["refine"], cuts[1],
+            % (seed, status, residual, worst[0], calls[0], calls[1], hulls[0], seconds["refine"], cuts[1],
                seconds["assemble"], time.perf_counter() - t0),
             flush=True,
         )

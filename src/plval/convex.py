@@ -68,37 +68,36 @@ def lex_min_position(pts: np.ndarray) -> int:
 
 
 def dedupe_points(pts: np.ndarray, tol: float):
-    """Drop near-duplicate rows, keeping first occurrences in lex order.
+    """Merge rows within tol of each other (max-norm), each group onto
+    its lexicographically first row.
 
-    Returns (unique_points, mapping) where mapping[i] is the row of
-    unique_points that pts[i] collapsed onto.
+    Returns (unique_points, mapping): unique_points in lex order, and
+    mapping[i] the row of unique_points that pts[i] collapsed onto.  A
+    group is a connected set of the within-tol pairs, so a chain of
+    points each within tol of the next collapses to one row.
     """
     pts = np.asarray(pts, dtype=float)
     k = len(pts)
     d = pts.shape[1] if pts.ndim == 2 else 1
-    mapping = np.full(k, -1, dtype=int)
-    if k == 0:
-        return pts.reshape(0, d), mapping
+    pts = pts.reshape(k, d)
     order = np.lexsort(pts.T[::-1])
-    # Chebyshev-ball neighbor lists from a KD-tree; every representative is
-    # an original point, so each point's possible reps sit in its own list.
-    neighbors = cKDTree(pts).query_ball_point(pts, r=tol, p=np.inf)
-    rep_id = np.full(k, -1, dtype=int)
-    reps: list[np.ndarray] = []
-    for i in order:
-        best = -1
-        for j in neighbors[i]:
-            r = rep_id[j]
-            if r >= 0 and (best == -1 or r < best):
-                best = r
-        if best >= 0:
-            mapping[i] = best
-        else:
-            best = len(reps)
-            mapping[i] = best
-            rep_id[i] = best
-            reps.append(pts[i])
-    return np.array(reps, dtype=float).reshape(len(reps), d), mapping
+    label = np.empty(k, dtype=int)
+    label[order] = np.arange(k)  # each point's lex rank
+    if k > 1:
+        i, j = cKDTree(pts).query_pairs(tol, p=np.inf, output_type="ndarray").T
+        # each point takes the smallest label among its pairs, then the
+        # label of the point that label ranks, until no label moves
+        while len(i):
+            low = np.minimum(label[i], label[j])
+            new = label.copy()
+            np.minimum.at(new, i, low)
+            np.minimum.at(new, j, low)
+            new = new[order[new]]
+            if np.array_equal(new, label):
+                break
+            label = new
+    reps, mapping = np.unique(label, return_inverse=True)
+    return pts[order[reps]], mapping
 
 
 # ---------------------------------------------------------------------------

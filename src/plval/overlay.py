@@ -33,8 +33,12 @@ vertices, adds such T-junctions where its neighbours were cut.
 Integrals, norms and evaluation need nothing more; conformity is only
 checked where input arrives as JSON.
 
-Simplices at or below the degenerate-measure floor are dropped, so
-every output simplex is nondegenerate.  Before a result is returned it
+The assembly, assemble_cells, also builds the tents of
+plfunction.tent_decomposition.  A vertex shared by several pieces takes
+its value from the least steep of them, whose value a small error in the
+vertex's position moves least (a tent's wedges are steep).  Simplices at
+or below the degenerate-measure floor are dropped, so every output
+simplex is nondegenerate.  Before a result is returned it
 is checked, each check raising OverlayFailure: by volume, the cells
 cover supp f and supp g exactly (cells both functions cover counted
 twice, before any merging; once per pair) and each kept or merged
@@ -63,8 +67,11 @@ from scipy.spatial import ConvexHull, QhullError
 from . import convex
 from .convex import EPS, SNAP
 from .errors import Degenerate, OverlayFailure
-from .plfunction import VALUE_SNAP, PLFunction, SimplicialComplex
+from .plfunction import PLFunction, SimplicialComplex
 
+# Vertex values smaller than this are snapped to exact zero when cells
+# are assembled, keeping the boundary-zero invariant sharp.
+VALUE_SNAP = 1e-10
 # Affine pieces differing by less than this on a cell are not cut apart.
 CUT_TOL = 1e-12
 # Cell vertices within this distance (times the data scale) of a cutting
@@ -394,47 +401,52 @@ def _merged_cell(member_idxs, vol, table, scale):
     return idx[vert], T
 
 
-def _assemble(ref, op, dim):
-    """Triangulate the cells op keeps into a partition."""
-    pieces = ref.pieces
-    win = ref.winners[op]
-    kept = np.flatnonzero(win >= 0)
-    if not len(kept):
+def assemble_cells(cells, vol, grad, off, dim, supp):
+    """The PLFunction equal to grad[k].x + off[k] on cell k of cells, a
+    convex.Cells partition of its support with volumes vol; the fill
+    check is relative to the volume supp.
+
+    Vertices within SNAP (times the data scale) are one; cells with one
+    piece are merged where their union is convex, and the others are
+    triangulated from their incidence.  A vertex takes the value of the
+    least steep piece that has it: a position error delta gives a value
+    error |grad| delta.  Simplices that are 0 at every vertex are left
+    out."""
+    if not len(cells):
         return PLFunction.zero(dim)
-    cells = pieces.cells.take(kept)
-    win = win[kept]
     vm = cells.vm
     allv = cells.V[vm]
     scale = max(1.0, float(np.max(np.abs(allv))))
     table, mapping = convex.dedupe_points(allv, SNAP * scale)
     idx = np.zeros(vm.shape, dtype=int)
     idx[vm] = mapping
-    rows = np.column_stack([ref.grad[win] * scale, ref.off[win]])
-    merged, alone = _merge(rows, idx, vm, pieces.vol[kept], table, scale)
+    rows = np.column_stack([grad * scale, off])
+    merged, alone = _merge(rows, idx, vm, vol, table, scale)
 
     # cells that are simplices already need no triangulation (in 1-D
     # pulling_triangulation tests an edge by its length, so every cell
-    # goes to it); the merged cells are numbered after the kept ones
-    simplex = alone & (cells.counts() == dim + 1) if dim > 1 else np.zeros(len(kept), dtype=bool)
+    # goes to it); the merged cells are numbered after the others
+    K = len(cells)
+    simplex = alone & (cells.counts() == dim + 1) if dim > 1 else np.zeros(K, dtype=bool)
     si = np.flatnonzero(simplex)
     S, owner = [idx[si][vm[si]].reshape(-1, dim + 1)], [si]
     others = [(idx[ci, vm[ci]], cells.cell(ci)[3], ci) for ci in np.flatnonzero(alone & ~simplex)]
     for mi, (idxs, T, _, _) in enumerate(merged):
         if dim > 1 and len(idxs) == dim + 1:
             S.append(idxs[None])
-            owner.append([len(kept) + mi])
+            owner.append([K + mi])
         else:
-            others.append((idxs, T, len(kept) + mi))
+            others.append((idxs, T, K + mi))
     S, ok = convex.simplex_cells(table, np.concatenate(S))
     simplices, owner = [S[ok]], [np.concatenate(owner)[ok]]
     for idxs, T, ci in others:
         tri = convex.pulling_triangulation(table, idxs, dim, T)
         simplices.append(np.array(tri, dtype=int).reshape(-1, dim + 1))
         owner.append(np.full(len(tri), ci))
-    # each cell's volume and winning piece, the merged cells last; a
-    # merged cell's members are filled through it
-    cell_vol = np.concatenate([np.where(alone, pieces.vol[kept], 0.0), [vol for _, _, _, vol in merged]])
-    cell_win = np.concatenate([win, win[[rep for _, _, rep, _ in merged]]])
+    # each cell's volume and piece, the merged cells last; a merged
+    # cell's members are filled through it
+    cell_vol = np.concatenate([np.where(alone, vol, 0.0), [v for _, _, _, v in merged]])
+    piece = np.concatenate([np.arange(K), [rep for _, _, rep, _ in merged]]).astype(int)
 
     S = np.concatenate(simplices)
     cells_of = np.concatenate(owner)
@@ -445,7 +457,7 @@ def _assemble(ref, op, dim):
     keep = svols > (EPS * scale) ** dim / math.factorial(dim)
     S, cells_of, svols = S[keep], cells_of[keep], svols[keep]
     filled = np.bincount(cells_of, weights=svols, minlength=len(cell_vol))
-    bad = np.flatnonzero(np.abs(filled - cell_vol) > COVER_TOL * ref.supp)
+    bad = np.flatnonzero(np.abs(filled - cell_vol) > COVER_TOL * supp)
     if len(bad):
         raise OverlayFailure(
             "a cell of volume %.3g triangulates to volume %.3g" % (cell_vol[bad[0]], filled[bad[0]])
@@ -456,26 +468,28 @@ def _assemble(ref, op, dim):
     order = np.lexsort(S.T[::-1])
     S, cells_of, svols = S[order], cells_of[order], svols[order]
 
-    # each simplex's winning piece at each of its vertices
-    grads = ref.grad[cell_win][cells_of]
-    offs = ref.off[cell_win][cells_of]
+    # each simplex's piece at each of its vertices
+    grads = grad[piece][cells_of]
+    offs = off[piece][cells_of]
     vals = np.einsum("kjd,kd->kj", table[S], grads) + offs[:, None]
     flat_idx, flat_vals = S.ravel(), vals.ravel()
+    flat_steep = np.repeat(np.linalg.norm(grads, axis=1), dim + 1)
     hi = np.full(len(table), -np.inf)
     lo = np.full(len(table), np.inf)
     steep = np.zeros(len(table))
     np.maximum.at(hi, flat_idx, flat_vals)
     np.minimum.at(lo, flat_idx, flat_vals)
-    np.maximum.at(steep, flat_idx, np.repeat(np.linalg.norm(grads, axis=1), dim + 1))
+    np.maximum.at(steep, flat_idx, flat_steep)
     vscale = max(1.0, float(np.max(np.abs(flat_vals))))
     spread = hi - lo
     bad = np.flatnonzero(spread > VALUE_AGREE * vscale + 20.0 * VERTEX_TOL * scale * steep)
     if len(bad):
         raise OverlayFailure("value disagreement %.3g at a shared vertex" % spread[bad[0]])
-    # a vertex takes its value from the first simplex that has it
+    # the least steep piece at each vertex, the first simplex among equals
+    by = np.lexsort((flat_steep, flat_idx))
+    used, first = np.unique(flat_idx[by], return_index=True)
     values = np.zeros(len(table))
-    used, first = np.unique(flat_idx, return_index=True)
-    values[used] = flat_vals[first]
+    values[used] = flat_vals[by[first]]
     values[np.abs(values) <= VALUE_SNAP] = 0.0
 
     live = np.any(values[S] != 0.0, axis=1)
@@ -489,6 +503,15 @@ def _assemble(ref, op, dim):
         _volumes=svols[live],
     )
     return PLFunction(complex=out_cx, values=values[used])
+
+
+def _assemble(ref, op, dim):
+    """The function op keeps: each cell with the piece that wins it,
+    assembled into a partition."""
+    win = ref.winners[op]
+    kept = np.flatnonzero(win >= 0)
+    win = win[kept]
+    return assemble_cells(ref.pieces.cells.take(kept), ref.pieces.vol[kept], ref.grad[win], ref.off[win], dim, ref.supp)
 
 
 class _Refinement(NamedTuple):

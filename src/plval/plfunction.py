@@ -9,7 +9,10 @@ Meshes read from JSON, cone functions and tents are conforming (any two
 simplices meet in a common face).  Lattice operations (pointwise
 max/min) refine the two meshes against each other and return a simplex
 partition that may have T-junctions; see overlay.py for that machinery.
-Evaluation, gradients, integrals and norms only need a partition.
+A tent's convex cells are assembled into a function by the same code as
+an overlay's (overlay.assemble_cells), so a vertex takes its value from
+the least steep piece that has it.  Evaluation, gradients, integrals and
+norms only need a partition.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ from .errors import (
 from .polytope import Polytope, central_triangulation
 from .serialize import read_finite
 
-# Vertex values smaller than this are snapped to exact zero when meshes
-# are rebuilt, keeping the boundary-zero invariant sharp.
-VALUE_SNAP = 1e-10
 # evaluate_many tests at most this many (point, simplex) pairs at once.
 EVAL_PAIRS = 1 << 14
 
@@ -174,30 +174,41 @@ class SimplicialComplex:
         self._check_pairwise(tol * scale)
 
     def _check_foreign_vertices(self, tol: float) -> None:
-        """No vertex lies on a simplex it is not a vertex of, that is, has
-        all its barycentric coordinates there >= -10 tol.  Those are
-        dimensionless; only the bounding-box prefilter pads by a length."""
-        V = self.vertices
-        _, _, Ms, v0s = self.locator()
+        """No vertex lies on a simplex it is not a vertex of (see
+        containing); the first such pair by simplex, then vertex, is named."""
+        p, i = self.containing(self.vertices, tol)
+        foreign = ~(self.index_array()[i] == p[:, None]).any(axis=1)
+        if foreign.any():
+            p, i = p[foreign], i[foreign]
+            k = np.lexsort((p, i))[0]
+            raise InvalidComplex(
+                "vertex %d lies on simplex %d without being one of its vertices" % (p[k], i[k])
+            )
+
+    def containing(self, X: np.ndarray, tol: float = EPS):
+        """(p, i): the pairs of point X[p] and simplex i that holds it,
+        by point, then by simplex index.  A simplex holds the points whose
+        barycentric coordinates there are all >= -10 tol; those are
+        dimensionless, and only the bounding-box prefilter pads by a
+        length, 10 tol times the scale.  At most EVAL_PAIRS candidate
+        pairs are tested at a time."""
+        X = np.asarray(X, dtype=float)
+        P, I = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        if self.is_empty():
+            return P[0], I[0]
+        lo, hi, M, v0 = self.locator()
         pad = 10 * tol * self.scale()
-        for si, s in enumerate(self.simplices):
-            verts = V[list(s)]
-            lo = verts.min(axis=0) - pad
-            hi = verts.max(axis=0) + pad
-            cand = np.nonzero(np.all((V >= lo) & (V <= hi), axis=1))[0]
-            cand = [c for c in cand if c not in s]
-            if not cand:
-                continue
-            rel = V[cand] - v0s[si]
-            bc = rel @ Ms[si].T
-            b0 = 1.0 - bc.sum(axis=1)
-            full = np.column_stack([b0, bc])
-            inside = np.all(full >= -10 * tol, axis=1)
-            for ci in np.nonzero(inside)[0]:
-                raise InvalidComplex(
-                    "vertex %d lies on simplex %d without being one of its vertices"
-                    % (cand[ci], si)
-                )
+        lo, hi = lo - pad, hi + pad
+        step = max(1, EVAL_PAIRS // len(lo))
+        for start in range(0, len(X), step):
+            Xc = X[start : start + step]
+            near = np.all((Xc[:, None, :] >= lo) & (Xc[:, None, :] <= hi), axis=2)
+            p, i = np.nonzero(near)
+            bc = np.einsum("kij,kj->ki", M[i], Xc[p] - v0[i])
+            inside = np.all(bc >= -10 * tol, axis=1) & (1.0 - bc.sum(axis=1) >= -10 * tol)
+            P.append(start + p[inside])
+            I.append(i[inside])
+        return np.concatenate(P), np.concatenate(I)
 
     def _candidate_pairs(self, los, his, pad):
         """Index pairs whose boxes might overlap, via a spatial grid so the
@@ -350,32 +361,16 @@ class PLFunction:
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; points outside the support give 0.
 
-        A point on several simplices (within the tolerance) takes the
-        value of the first in index order.  Candidate (point, simplex)
-        pairs come from the bounding boxes, at most EVAL_PAIRS at a time.
+        A point on several simplices (SimplicialComplex.containing) takes
+        the value of the first in index order.
         """
         X = np.asarray(X, dtype=float)
         out = np.zeros(len(X))
-        cx = self.complex
-        if cx.is_empty():
-            return out
+        p, i = self.complex.containing(X)
+        first = np.unique(p, return_index=True)[1]
+        p, i = p[first], i[first]
         grads, offs = self.affines()
-        lo, hi, M, v0 = cx.locator()
-        # barycentric coordinates are dimensionless; only the box pad is a length
-        tol = 10 * EPS
-        pad = tol * cx.scale()
-        lo, hi = lo - pad, hi + pad
-        step = max(1, EVAL_PAIRS // len(lo))
-        for start in range(0, len(X), step):
-            Xc = X[start : start + step]
-            near = np.all((Xc[:, None, :] >= lo) & (Xc[:, None, :] <= hi), axis=2)
-            p, i = np.nonzero(near)  # by point, then by simplex index
-            bc = np.einsum("kij,kj->ki", M[i], Xc[p] - v0[i])
-            inside = np.all(bc >= -tol, axis=1) & (1.0 - bc.sum(axis=1) >= -tol)
-            p, i = p[inside], i[inside]
-            first = np.unique(p, return_index=True)[1]
-            p, i = p[first], i[first]
-            out[start + p] = np.einsum("kj,kj->k", Xc[p], grads[i]) + offs[i]
+        out[p] = np.einsum("kj,kj->k", X[p], grads[i]) + offs[i]
         return out
 
     def support_volume(self) -> float:
@@ -488,8 +483,12 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
 
     The tent is min(A, A + M b_0, ..., A + M b_n) clipped at 0, where A is
     f's affine extension and b_j the barycentric coordinates; a minimum of
-    affine functions is concave on the region where it is positive.
+    affine functions is concave on the region where it is positive.  Its
+    n+2 cells are cut in one stacked chain and assembled by the overlay's
+    assemble_cells.
     """
+    from . import overlay
+
     n = f.dim
     grads, offs = f.affines()
     gA, cA = grads[si], offs[si]
@@ -526,40 +525,11 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
         rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j], [cj]]))
     box = convex.Cells.of([(corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol))])
     cells, src = convex.clip_rows(box.take(np.zeros(n + 2, dtype=int)), np.array(rows), np.array(rhs), tol)
-    pieces = []
-    for c, j in enumerate(src):
-        V, _, _, T = cells.cell(c)
-        pieces.append((V, T, tent_affine(j - 1)))
-
-    allv = np.vstack([V for V, _, _ in pieces])
-    table, mapping = convex.dedupe_points(allv, 1e-12 * max(1.0, np.max(np.abs(allv))))
-    simplices = []
-    sources = []
-    pos = 0
-    for V, T, aff in pieces:
-        idxs = mapping[pos : pos + len(V)]
-        pos += len(V)
-        for s in convex.pulling_triangulation(table, idxs, n, T):
-            simplices.append(s)
-            sources.append(aff)
-
-    used = sorted(set(i for s in simplices for i in s))
-    remap = {old: new for new, old in enumerate(used)}
-    new_verts = table[used]
-    new_simplices = tuple(tuple(remap[i] for i in s) for s in simplices)
-
-    values = np.zeros(len(new_verts))
-    seen = np.zeros(len(new_verts), dtype=bool)
-    for s, (gv, cv) in zip(new_simplices, sources):
-        for i in s:
-            if not seen[i]:
-                values[i] = gv @ new_verts[i] + cv
-                seen[i] = True
-    values[np.abs(values) <= VALUE_SNAP] = 0.0
-    np.maximum(values, 0.0, out=values)
-
-    out_cx = SimplicialComplex(dim=n, vertices=new_verts, simplices=new_simplices)
-    return PLFunction(complex=out_cx, values=values)
+    grad, off = zip(*(tent_affine(j - 1) for j in src))
+    vol = overlay._volumes(cells)
+    t = overlay.assemble_cells(cells, vol, np.array(grad), np.array(off), n, float(vol.sum()))
+    # a piece of slope M placed within tol of its zero can dip below 0
+    return PLFunction(complex=t.complex, values=np.maximum(t.values, 0.0))
 
 
 def tent_decomposition(f: PLFunction, delta: float = 1e-2):

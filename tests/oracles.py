@@ -277,3 +277,40 @@ def evaluate_pl_brute(vertices, simplices, values, points, tol: float = 1e-9):
                 break
         out.append(val)
     return np.array(out)
+
+
+def dedupe_points_greedy(pts, tol: float):
+    """Near-duplicate rows merged greedily, one point at a time.
+
+    Points are visited in lex order; each joins the first (lowest) earlier
+    representative within tol in the max-norm, or becomes one itself.
+    Returns (representatives in lex order, mapping of each point to its
+    representative's row).  A chain of points each within tol of the next
+    may leave several representatives here.
+    """
+    from scipy.spatial import cKDTree
+
+    pts = np.asarray(pts, dtype=float)
+    k = len(pts)
+    d = pts.shape[1] if pts.ndim == 2 else 1
+    mapping = np.full(k, -1, dtype=int)
+    if k == 0:
+        return pts.reshape(0, d), mapping
+    order = np.lexsort(pts.T[::-1])
+    neighbors = cKDTree(pts).query_ball_point(pts, r=tol, p=np.inf)
+    rep_id = np.full(k, -1, dtype=int)
+    reps = []
+    for i in order:
+        best = -1
+        for j in neighbors[i]:
+            r = rep_id[j]
+            if r >= 0 and (best == -1 or r < best):
+                best = r
+        if best >= 0:
+            mapping[i] = best
+        else:
+            best = len(reps)
+            mapping[i] = best
+            rep_id[i] = best
+            reps.append(pts[i])
+    return np.array(reps, dtype=float).reshape(len(reps), d), mapping

@@ -423,3 +423,52 @@ def test_validate_rejects_coplanar_faces_that_only_overlap():
     cx = pf.SimplicialComplex(3, V, ((0, 1, 2, 3), (4, 5, 6, 7)))
     with pytest.raises(InvalidComplex, match="intersect"):
         cx.validate()
+
+
+@pytest.mark.parametrize("pairs", [1 << 14, 3])
+def test_validate_names_the_first_foreign_vertex_by_simplex(monkeypatch, pairs):
+    # unused vertex 3 lies on simplex 1 and unused vertex 7 on simplex 0:
+    # the scan names the lower simplex first, whatever the vertex order
+    # and however the (point, simplex) pairs are chunked
+    monkeypatch.setattr(pf, "EVAL_PAIRS", pairs)
+    V = np.array([[0, 0], [4, 0], [0, 4], [11, 1], [10, 0], [14, 0], [10, 4], [1, 1]], dtype=float)
+    cx = pf.SimplicialComplex(2, V, ((0, 1, 2), (4, 5, 6)))
+    with pytest.raises(InvalidComplex, match="vertex 7 lies on simplex 0 without"):
+        cx.validate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    tol=st.sampled_from([1e-12, 5e-6, 1e-3]),
+    shift=st.sampled_from([0.0, 1.0, -250.0]),
+    clusters=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+                      min_size=0, max_size=12, unique=True),
+    data=st.data(),
+)
+def test_dedupe_points_matches_the_greedy_oracle(d, tol, shift, clusters, data):
+    # cluster centres on a grid of spacing 2.5 tol, each point within
+    # 0.4 tol of its centre: a cluster is within tol of itself and more
+    # than tol from any other, so the greedy visit and the connected
+    # groups agree exactly
+    centres = np.unique(np.array(clusters, dtype=float).reshape(-1, 3)[:, :d], axis=0)
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=len(centres), max_size=len(centres)))
+    pts = np.repeat(centres, sizes, axis=0) * 2.5 * tol + shift
+    jitter = data.draw(st.lists(st.floats(-0.4, 0.4), min_size=pts.size, max_size=pts.size))
+    pts = pts + np.array(jitter).reshape(pts.shape) * tol
+    pts = pts[data.draw(st.permutations(range(len(pts))))] if len(pts) else pts
+    reps, mapping = convex.dedupe_points(pts, tol)
+    want_reps, want_mapping = oracles.dedupe_points_greedy(pts, tol)
+    assert np.array_equal(reps, want_reps)
+    assert np.array_equal(mapping, want_mapping)
+    assert len(reps) == len(centres)
+
+
+def test_dedupe_points_collapses_a_chain():
+    # each point is within tol of the next but the ends are 1.6 tol apart:
+    # one group, where a greedy visit in lex order leaves two
+    tol = 1e-3
+    pts = np.array([[1.6e-3, 0.0], [0.0, 0.0], [0.8e-3, 0.0]])
+    reps, mapping = convex.dedupe_points(pts, tol)
+    assert np.array_equal(reps, [[0.0, 0.0]]) and np.array_equal(mapping, [0, 0, 0])
+    assert len(oracles.dedupe_points_greedy(pts, tol)[0]) == 2

@@ -491,6 +491,59 @@ def test_tent_cuts_its_cells_in_one_stacked_chain(monkeypatch, cone_square):
     assert stacks[0] == n + 2 and len(stacks) <= n + 2
 
 
+def test_tent_is_assembled_by_the_overlay(monkeypatch, cone_square):
+    from plval import overlay
+
+    assemble = overlay.assemble_cells
+    stacks = []
+
+    def counted(cells, *args):
+        stacks.append(len(cells))
+        return assemble(cells, *args)
+
+    monkeypatch.setattr(overlay, "assemble_cells", counted)
+    t = pf._build_tent(cone_square, 0, 4.0)
+    # the central simplex and the wedges that are not empty, assembled in
+    # one call
+    assert len(stacks) == 1 and 0 < stacks[0] <= cone_square.dim + 2
+    x = cone_square.complex.simplex_arrays()[0].mean(axis=0)
+    assert t.evaluate(x) == pytest.approx(cone_square.evaluate(x), abs=1e-12)
+
+
+def test_tent_cell_volumes_are_checked(monkeypatch, cone_square):
+    from plval import overlay
+
+    volumes = overlay._volumes
+
+    def corrupted(cells):
+        vol = volumes(cells).copy()
+        vol[0] *= 1.5
+        return vol
+
+    monkeypatch.setattr(overlay, "_volumes", corrupted)
+    with pytest.raises(OverlayFailure, match="triangulates"):
+        pf._build_tent(cone_square, 0, 4.0)
+
+
+def test_shared_vertex_takes_the_least_steep_value():
+    # two triangles sharing the edge (1, 0)-(0, 1): a steep piece, off by
+    # 1e-9 there as a piece placed a little off would be, on the first
+    # simplex in lex order, and a flat piece equal to 1 on the second
+    from plval import convex, overlay
+
+    V = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
+    cx = pf.SimplicialComplex(dim=2, vertices=V.reshape(-1, 2), simplices=((0, 1, 2), (3, 4, 5)))
+    cells = convex.Cells.of_simplices(V, *cx.simplex_rows())
+    grad = np.array([[1000.0, 1000.0], [0.0, 0.0]])
+    off = np.array([-999.0 + 1e-9, 1.0])
+    f = overlay.assemble_cells(cells, np.array([0.5, 0.5]), grad, off, 2, 1.0)
+    verts = f.complex.vertices.tolist()
+    assert 1000.0 + off[0] != 1.0  # the steep piece at either shared vertex
+    for shared in ([1.0, 0.0], [0.0, 1.0]):
+        assert f.values[verts.index(shared)] == 1.0
+    assert f.values[verts.index([0.0, 0.0])] == off[0]
+
+
 def test_tent_decomposition_single_simplex():
     cx = pf.SimplicialComplex(
         dim=2,
