@@ -9,12 +9,15 @@ the overlay requires to stay within COVER_TOL (a call that fails the
 balance counts too), the number of overlays (overlay.lattice_overlay
 calls) with the simplices they returned in total, so that output growing
 more fragmented shows in the log, the number of qhull hulls built (calls
-to convex.hull, from polytopes, convex supports and merged cells alike),
-and where the time went: the seconds spent refining pairs
-(overlay._refine, the cutting) and assembling cells into functions
-(overlay.assemble_cells, for the overlays' results and the tents alike),
-with the number of stacked cuts (convex.split calls) made inside the
-refinements.  It exits 1 if any seed fails.
+to convex.hull, from polytopes and convex supports), the merge groups
+the assembly tested and merged (overlay._merges), the qhull hulls built
+inside the assembly (convex.hull calls and scipy ConvexHull
+constructions; there must be none), and where the time went: the seconds
+spent refining pairs (overlay._refine, the cutting) and assembling cells
+into functions (overlay.assemble_cells, for the overlays' results and
+the tents alike), with the number of stacked cuts (convex.split calls)
+made inside the refinements.  It exits 1 if any seed fails or builds a
+hull inside the assembly.
 
 Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
@@ -58,11 +61,15 @@ def main() -> int:
         worst[0] = max(worst[0], abs(overlay._cover(pieces) - supp) / supp)
         check_cover(pieces, supp)
 
+    assembling = [False]
+
     def timed_assemble(*args):
         t0 = time.perf_counter()
+        assembling[0] = True
         try:
             return assemble(*args)
         finally:
+            assembling[0] = False
             seconds["assemble"] += time.perf_counter() - t0
 
     def counted_overlay(f, g, op):
@@ -75,23 +82,39 @@ def main() -> int:
         cuts[0] += 1
         return split(*args, **kwargs)
 
-    hulls = [0]
+    hulls = [0, 0]  # convex.hull calls, hulls built inside the assembly
+    groups = [0, 0]  # merge groups tested, merged
 
     def counted_hull(points):
         hulls[0] += 1
+        hulls[1] += assembling[0]
         return hull(points)
 
+    def counted_qhull(*args, **kwargs):
+        hulls[1] += assembling[0]
+        return qhull(*args, **kwargs)
+
+    def counted_merges(*args):
+        out = merges(*args)
+        groups[0] += len(out)
+        groups[1] += int(out.sum())
+        return out
+
+    merges, qhull = overlay._merges, convex.ConvexHull
     overlay._refine, overlay.assemble_cells = timed_refine, timed_assemble
     overlay.lattice_overlay = counted_overlay
     overlay._check_cover = recorded_check_cover
+    overlay._merges = counted_merges
     convex.split, convex.hull = counted_split, counted_hull
+    convex.ConvexHull = overlay.ConvexHull = counted_qhull
     failed = 0
     for seed in args.seeds:
         worst[0] = 0.0
         calls[:] = [0, 0]
         seconds.update(refine=0.0, assemble=0.0)
         cuts[:] = [0, 0]
-        hulls[0] = 0
+        hulls[:] = [0, 0]
+        groups[:] = [0, 0]
         t0 = time.perf_counter()
         suite = dict(default_battery(seed))["inclusion_exclusion"]
         residual = float("nan")
@@ -103,12 +126,13 @@ def main() -> int:
         except Exception as exc:  # a typed PLValError or a defect: both fail the seed
             fails = 1
             status = "error: %s: %s" % (type(exc).__name__, exc)
-        failed += fails > 0
+        failed += fails > 0 or hulls[1] > 0
         print(
             "seed %3d  %-12s residual %.2e  worst cover residual %.2e  %3d overlays -> %5d simplices"
-            "  %4d hulls  refine %.3f s (%4d cuts)  assemble %.3f s  %5.1f s"
-            % (seed, status, residual, worst[0], calls[0], calls[1], hulls[0], seconds["refine"], cuts[1],
-               seconds["assemble"], time.perf_counter() - t0),
+            "  %4d hulls  %4d groups -> %4d merged  %d assembly hulls  refine %.3f s (%4d cuts)  assemble %.3f s"
+            "  %5.1f s"
+            % (seed, status, residual, worst[0], calls[0], calls[1], hulls[0], groups[0], groups[1], hulls[1],
+               seconds["refine"], cuts[1], seconds["assemble"], time.perf_counter() - t0),
             flush=True,
         )
     print("%d of %d seeds failed" % (failed, len(args.seeds)))

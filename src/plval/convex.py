@@ -12,13 +12,17 @@ Conventions used throughout:
   incidence.  Cells are cut in padded stacks (Cells), one plane per
   cell, in one array pass of split/clip (Sutherland-Hodgman style, in
   any dimension, reading edges off the incidence); one cell is a stack
-  of one, and a cell's result does not depend on its stack-mates.  A
-  cell is triangulated from the same incidence, so neither step
-  enumerates row subsets or builds a hull.
-* A V-form polytope becomes a cell in two steps, and nothing else
-  decides what a facet or a vertex is: hull() is the one qhull call,
-  giving a row per qhull facet and the volume, and hull_incidence() reads
-  the facets and vertices off the points' incidence on those rows.
+  of one, and a cell's result does not depend on its stack-mates.
+  Cells are triangulated from the same incidence, also in padded stacks
+  (pulling_triangulation, one array pass per face dimension), so neither
+  step enumerates row subsets or builds a hull.
+* Facets and vertices are read off incidence by one rule, inclusion-
+  maximal sets (_maximal): incidence_faces() gives a polytope's from its
+  points' incidence on rows that hold it, and the triangulation gives
+  each face's facets the same way.  A V-form polytope becomes a cell in
+  two steps: hull() is the one qhull call, giving a row per qhull facet
+  and the volume, and hull_incidence() applies incidence_faces() to the
+  points on those rows.
 """
 
 from __future__ import annotations
@@ -59,12 +63,6 @@ def affine_frame(pts: np.ndarray, rtol: float = 1e-9):
         return c, vt, 0, 0.0
     rank = int(np.sum(s > spread * rtol))
     return c, vt, rank, spread
-
-
-def lex_min_position(pts: np.ndarray) -> int:
-    """Index of the lexicographically smallest row."""
-    order = np.lexsort(np.asarray(pts, dtype=float).T[::-1])
-    return int(order[0])
 
 
 def dedupe_points(pts: np.ndarray, tol: float):
@@ -400,99 +398,54 @@ def hull(points: np.ndarray):
     return A, A @ center - qh.equations[:, d] * scale, float(qh.volume) * scale**d
 
 
-def _maximal(M: np.ndarray) -> np.ndarray:
-    """Mask of the inclusion-maximal columns of the boolean M (k, r),
-    each column read as a set of rows; of equal columns the first stands
-    for them all."""
+def _maximal(M: np.ndarray, keep=None) -> np.ndarray:
+    """Mask of the inclusion-maximal columns of the boolean M (..., k, r),
+    each column read as a set of rows, among the columns marked in keep
+    (..., r; all by default); of equal columns the first stands for them
+    all.  A stack of matrices takes one matrix product."""
+    if keep is None:
+        keep = np.ones(M.shape[:-2] + M.shape[-1:], dtype=bool)
     Mf = M.astype(float)
     # sub[j, l]: column j lies inside column l; drop j when inside a
-    # larger column or equal to an earlier one
-    sub = (Mf.T @ (1.0 - Mf)) == 0.0
-    order = np.arange(len(sub))
-    return ~(sub & (~sub.T | (order[:, None] > order[None, :]))).any(axis=1)
+    # larger kept column or equal to an earlier one
+    sub = (np.swapaxes(Mf, -1, -2) @ (1.0 - Mf)) == 0.0
+    order = np.arange(M.shape[-1])
+    beaten = sub & (~np.swapaxes(sub, -1, -2) | (order[:, None] > order[None, :])) & keep[..., None, :]
+    return keep & ~beaten.any(axis=-1)
+
+
+def incidence_faces(T: np.ndarray, vm=None, rm=None):
+    """(vert, facet): masks of the vertices (..., k) and the facets
+    (..., r) of a polytope, read off the incidence T (..., k, r) of its
+    points (those marked in vm) on rows that hold it (those marked in rm).
+
+    A facet is an inclusion-maximal set of points on a row, and the first
+    row holding that set stands for it, so coplanar rows give one facet.
+    A vertex is a point whose set of facets no other point's contains: a
+    point inside a face lies only on the facets through that face, a
+    subset of each of the face's vertices' facets (of equal sets, as for
+    duplicates, the first point is kept)."""
+    facet = _maximal(T, rm)
+    vert = _maximal(np.swapaxes(T & facet[..., None, :], -1, -2), vm)
+    return vert, facet
 
 
 def hull_incidence(points: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float):
     """(vert, A, b, T): the hull rows (A, b) of the points cut down to
     its facets, its vertices, and their incidence, all read off
-    tight_rows(points, A, b, tol).
-
-    A facet is an inclusion-maximal set of points on a row, and the first
-    row holding that set stands for it, so qhull's coplanar pieces of one
-    facet give one row.  A vertex is a point whose set of facets no other
-    point's contains: a point inside a face lies only on the facets
-    through that face, a subset of each of the face's vertices' facets
-    (of equal sets, as for duplicates, the first point is kept).  vert indexes the
-    vertices in points, in order; T (len(vert), facets) is their
-    incidence on the facet rows A, b."""
+    tight_rows(points, A, b, tol) by incidence_faces, so qhull's coplanar
+    pieces of one facet give one row.  vert indexes the vertices in
+    points, in order; T (len(vert), facets) is their incidence on the
+    facet rows A, b."""
     T = tight_rows(points, A, b, tol)
-    rows = _maximal(T)
-    T = T[:, rows]
-    vert = np.flatnonzero(_maximal(T.T))
-    return vert, A[rows], b[rows], T[vert]
+    vert, facet = incidence_faces(T)
+    vert = np.flatnonzero(vert)
+    return vert, A[facet], b[facet], T[vert][:, facet]
 
 
 # ---------------------------------------------------------------------------
 # Pulling triangulation
 # ---------------------------------------------------------------------------
-
-
-def _facets(M: np.ndarray, d: int) -> np.ndarray:
-    """Facets of a d-dimensional face, from the incidence M (k, r) of its
-    k vertices on the rows: the inclusion-maximal vertex sets, among
-    those of the rows that hold d or more of its vertices but not all,
-    one mask per facet."""
-    cnt = M.sum(axis=0)
-    M = M[:, (cnt >= d) & (cnt < len(M))]
-    return M[:, _maximal(M)].T
-
-
-def _pull(points: np.ndarray, idx: np.ndarray, M: np.ndarray, d: int, tol: float):
-    """Pulling triangulation of the d-face with vertices points[idx] and
-    incidence M on the cell's rows.
-
-    The recursion cones the lexicographically smallest vertex over the
-    pulled triangulations of the facets avoiding it; a facet of a face F
-    is a maximal set F & G over the cell's rows G, so no hull is built.
-    Because the anchor choice and the facet vertex sets depend only on
-    global coordinates and on the face itself, two cells sharing a face
-    induce the same triangulation on it.
-    """
-    k = len(idx)
-    if k < d + 1 or d == 0:
-        return []
-    pts = points[idx]
-    if d == 1 and k == 2:
-        e = pts[1] - pts[0]
-        length = math.sqrt(float(e @ e))
-        if length > 0.0 and length > tol * max(1.0, float(np.abs(pts @ e).max()) / length):
-            return [(int(idx[0]), int(idx[1]))]
-        return []
-    if d == 1:
-        rel = pts - pts[0]
-        direction = rel[np.argmax((rel * rel).sum(axis=1))]
-        nd = math.sqrt(float(direction @ direction))
-        if nd == 0.0:
-            return []
-        t = pts @ (direction / nd)
-        order = np.argsort(t, kind="stable")
-        floor = tol * max(1.0, float(np.abs(t).max()))
-        gaps = np.diff(t[order])
-        return [
-            (int(idx[a]), int(idx[z]))
-            for a, z, gap in zip(order[:-1], order[1:], gaps)
-            if gap > floor
-        ]
-    if k == d + 1:
-        return [tuple(int(i) for i in idx)]
-    anchor = lex_min_position(pts)
-    apex = (int(idx[anchor]),)
-    out = []
-    for F in _facets(M, d):
-        if F[anchor]:
-            continue
-        out.extend(apex + face for face in _pull(points, idx[F], M[F], d - 1, tol))
-    return out
 
 
 def simplex_measures(points: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -505,36 +458,126 @@ def simplex_measures(points: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(gram, 0.0)) / math.factorial(d)
 
 
-def pulling_triangulation(points: np.ndarray, subset, dim: int, incidence, tol: float = EPS):
-    """Conforming-by-construction triangulation of a convex cell.
+def _merge_repeats(idx, mask, T):
+    """Each cell's indices sorted, a repeated index kept once: its first
+    copy, which lies on the union of its copies' rows, stays marked."""
+    K, k = idx.shape
+    key = np.where(mask, idx, np.iinfo(idx.dtype).max)
+    if (key[:, 1:] > key[:, :-1]).all():  # sorted, each index once
+        return idx, mask, T
+    order = np.argsort(key, axis=1, kind="stable")
+    rows = np.arange(K)[:, None]
+    idx, mask, T = idx[rows, order], mask[rows, order], T[rows, order]
+    dup = np.zeros_like(mask)
+    dup[:, 1:] = mask[:, 1:] & (idx[:, 1:] == idx[:, :-1])
+    if dup.any():
+        first = np.maximum.accumulate(np.where(dup, 0, np.arange(k)), axis=1)
+        c, j = np.nonzero(dup)
+        np.logical_or.at(T, (c, first[c, j]), T[c, j])
+        mask = mask & ~dup
+    return idx, mask, T
 
-    points: global coordinate table; subset: indices of the cell's
-    vertices (repeats are merged); incidence: boolean (len(subset), r),
-    True where the vertex lies on row r of the cell, the rows holding
-    every facet of the cell; dim: the cell's affine dimension.  Returns a
-    list of index tuples of length dim+1, without simplices at or below
-    the degenerate-measure floor.
+
+def _run(pts: np.ndarray, tol: float):
+    """The edges (a, z), as positions in pts, between collinear points
+    neighbouring along their line, each gap above the floor."""
+    rel = pts - pts[0]
+    direction = rel[np.argmax((rel * rel).sum(axis=1))]
+    nd = math.sqrt(float(direction @ direction))
+    if nd == 0.0:
+        return []
+    t = pts @ (direction / nd)
+    order = np.argsort(t, kind="stable")
+    floor = tol * max(1.0, float(np.abs(t).max()))
+    gaps = np.diff(t[order])
+    return [(a, z) for a, z, gap in zip(order[:-1], order[1:], gaps) if gap > floor]
+
+
+def pulling_triangulation(points: np.ndarray, idx, mask, incidence, dim: int, tol: float = EPS):
+    """Conforming-by-construction triangulation of a stack of convex cells.
+
+    points: global coordinate table; idx (K, k): each cell's vertices as
+    rows of points, those marked in mask (K, k) (repeats are merged);
+    incidence (K, k, r): True where the vertex lies on row r of its cell,
+    the rows holding every facet of the cell; dim: the cells' affine
+    dimension.  Returns (S, cell): the simplices (m, dim+1) as rows of
+    points and the cell each lies in, by cell and, within a cell, in the
+    order of the recursion below.  For dim >= 2 simplices at or below the
+    degenerate-measure floor (simplex_floor of the cell's extent) are left
+    out; an edge is kept when its length clears tol.
+
+    A d-face with more than d+1 vertices is the cone from its
+    lexicographically smallest vertex over the pulled triangulations of
+    its facets avoiding that vertex; a facet of a face F is a maximal set
+    F & G over the cell's rows G, so no hull is built.  The recursion runs
+    as one array pass per face dimension over the faces of every cell at
+    once; collinear vertices on a 1-face are joined in order along their
+    line.  Because the anchor and the facet vertex sets depend only on
+    global coordinates and on the face itself, two cells sharing a face
+    induce the same triangulation on it.
     """
     points = np.asarray(points, dtype=float)
-    if dim == 1:  # an edge needs no facets, and is tested by its length
-        return _pull(points, np.array(sorted(set(int(i) for i in subset))), None, 1, tol)
-    subset = np.asarray(subset, dtype=int)
-    order = np.argsort(subset, kind="stable")
-    idx = subset[order]
-    M = np.asarray(incidence, dtype=bool)[order]
-    repeat = np.flatnonzero(idx[1:] == idx[:-1]) + 1
-    if len(repeat):  # a merged vertex lies on the union of its copies' rows
-        for i in repeat[::-1]:
-            M[i - 1] |= M[i]
-        idx, M = np.delete(idx, repeat), np.delete(M, repeat, axis=0)
-    out = _pull(points, idx, M, dim, tol)
-    if not out:
-        return out
-    pts = points[idx]
-    spread = float((pts.max(axis=0) - pts.min(axis=0)).max())
-    vols = simplex_measures(points, np.array(out))
-    floor = simplex_floor(spread, dim, tol)
-    return [s for s, v in zip(out, vols) if v > floor]
+    idx = np.asarray(idx, dtype=np.intp)
+    mask = np.asarray(mask, dtype=bool)
+    T = np.asarray(incidence, dtype=bool) & mask[:, :, None]
+    K, k = idx.shape
+    idx, mask, T = _merge_repeats(idx, mask, T)
+    if dim > 1:
+        rank = np.empty(len(points), dtype=np.intp)
+        rank[np.lexsort(points.T[::-1])] = np.arange(len(points))
+    # a simplex's place in the recursion's order has one digit per level:
+    # the row of each facet taken, then the edge's place along its line
+    base = max(k, T.shape[2]) + 1
+    # the faces of a pass: the cell each lies in, its vertices (a mask on
+    # the cell's), the anchors coned over it so far, and its place
+    cell, face = np.arange(K), mask
+    apex = np.zeros((K, 0), dtype=np.intp)
+    key = np.zeros(K, dtype=np.int64)
+    out = [(np.zeros((0, dim + 1), dtype=np.intp), cell[:0], key[:0])]
+    for dd in range(dim, 1, -1):
+        n = face.sum(axis=1)
+        i = np.flatnonzero(n == dd + 1)  # simplices already
+        out.append((np.hstack([apex[i], idx[cell[i]][face[i]].reshape(-1, dd + 1)]), cell[i], key[i] * base**dd))
+        i = np.flatnonzero(n > dd + 1)
+        cell, face, apex, key, n = cell[i], face[i], apex[i], key[i], n[i]
+        if not len(cell):
+            break
+        ids = idx[cell]
+        M = T[cell] & face[:, :, None]
+        anchor = np.where(face, rank[ids], len(points)).argmin(axis=1)
+        cnt = M.sum(axis=1)
+        facet = _maximal(M, (cnt >= dd) & (cnt < n[:, None])) & ~M[np.arange(len(cell)), anchor]
+        f, j = np.nonzero(facet)
+        apex = np.hstack([apex[f], ids[f, anchor[f]][:, None]])
+        cell, face, key = cell[f], face[f] & M[f, :, j], key[f] * base + j
+    # 1-faces: an edge is tested by its length, more points are a run
+    n = face.sum(axis=1)
+    i = np.flatnonzero(n == 2)
+    if len(i):
+        E = idx[cell[i]][face[i]].reshape(-1, 2)
+        p, q = points[E[:, 0]], points[E[:, 1]]
+        e = q - p
+        length = np.sqrt((e * e).sum(axis=1))
+        reach = np.maximum(np.abs((p * e).sum(axis=1)), np.abs((q * e).sum(axis=1)))
+        ok = (length > 0.0) & (length > tol * np.maximum(1.0, reach / np.where(length > 0.0, length, 1.0)))
+        out.append((np.hstack([apex[i[ok]], E[ok]]), cell[i[ok]], key[i[ok]] * base))
+    for i in np.flatnonzero(n > 2):
+        ids = idx[cell[i]][face[i]]
+        run = np.array(_run(points[ids], tol), dtype=np.intp).reshape(-1, 2)
+        out.append((np.hstack([np.repeat(apex[i : i + 1], len(run), axis=0), ids[run]]),
+                    np.full(len(run), cell[i]), key[i] * base + np.arange(len(run))))
+    S, cell, key = (np.concatenate(x) for x in zip(*out))
+    order = np.lexsort((key, cell))
+    S, cell = S[order], cell[order]
+    if dim > 1 and len(S):
+        # the floor scales with each cell's extent; slot 0 holds a vertex
+        # of every cell with one
+        P = points[idx]
+        P = np.where(mask[:, :, None], P, P[:, :1])
+        spread = (P.max(axis=1) - P.min(axis=1)).max(axis=1)
+        keep = simplex_measures(points, S) > simplex_floor(spread, dim, tol)[cell]
+        S, cell = S[keep], cell[keep]
+    return S, cell
 
 
 def simplex_floor(spread, dim: int, tol: float = EPS):

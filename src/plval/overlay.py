@@ -21,15 +21,19 @@ independent route for the cover balance).
 
 Each cell keeps the winning affine piece, decided for join and meet at
 once at each cell's centroid.  The cells one function wins are merged
-into one cell where their union is convex (hull volume equal to their
-total volume), so an overlay of an overlay's output does not compound
-its fragments; the meet of f with f v g gives f's simplices back.  A
-kept cell that is a simplex already is one output simplex; any other is
-triangulated on its own from its incidence, so the result is a simplex
+into one cell where their union is convex, so an overlay of an overlay's
+output does not compound its fragments; the meet of f with f v g gives
+f's simplices back.  The test builds no hull: the rows of the group's
+cells that all its vertices satisfy bound a region H that holds the
+union, and equals it exactly when the union is convex; H and its volume
+are read off the triangulation of the cell those rows make of the
+group's vertices.  A kept cell that is a simplex already is one output
+simplex; all the others, and the groups' cells, are triangulated from
+their incidence in one stacked pass, so the result is a simplex
 *partition* of its support: interiors are disjoint and the values
 continuous, but a vertex of one simplex may lie inside a face of its
-neighbour (a T-junction), and a merged cell, which keeps only its hull's
-vertices, adds such T-junctions where its neighbours were cut.
+neighbour (a T-junction), and a merged cell, which keeps only its
+extreme vertices, adds such T-junctions where its neighbours were cut.
 Integrals, norms and evaluation need nothing more; conformity is only
 checked where input arrives as JSON.
 
@@ -66,7 +70,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import convex
 from .convex import EPS, SNAP
-from .errors import Degenerate, OverlayFailure
+from .errors import OverlayFailure
 from .plfunction import PLFunction, SimplicialComplex
 
 # Vertex values smaller than this are snapped to exact zero when cells
@@ -352,53 +356,132 @@ def _winners(pieces: _Pieces, mesh: _Mesh):
     return {"join": np.where(lead >= 0, pieces.f, pieces.g), "meet": np.where(lead <= 0, pieces.f, pieces.g)}
 
 
-def _merge(rows, idx, vm, vol, table, scale):
-    """Merge each winner's cells into one where their union is convex.
+def _pad(group, G, values):
+    """values (n, ...) of items in groups group (n,) as a padded array
+    (G, w, ...), each group's items in order, and its mask (G, w)."""
+    order = np.argsort(group, kind="stable")
+    group, values = group[order], values[order]
+    count = np.bincount(group, minlength=G)
+    pos = np.arange(len(group)) - (np.cumsum(count) - count)[group]
+    w = int(count.max(initial=0))
+    out = np.zeros((G, w) + values.shape[1:], dtype=values.dtype)
+    out[group, pos] = values
+    mask = np.zeros((G, w), dtype=bool)
+    mask[group, pos] = True
+    return out, mask
 
-    rows (K, d+1) holds each kept cell's winning affine function as
-    [grad * scale, off], and idx (K, k) the rows in table of its
-    vertices, those marked in vm.  Cells are grouped by rows within
-    VALUE_SNAP times the largest entry, so a piece and a recomputed copy
-    of it (f's against f v g's, say) fall in one group whichever
-    function came first.  A group whose
-    hull has the volume of its cells, within COVER_TOL, becomes that hull
-    and takes the group's lexicographically first function.
 
-    Returns (merged, alone): merged lists (idxs, T, rep, volume) per
-    merged cell, rep the member whose function it takes; alone masks
-    the cells left as they are."""
+def _stack(*parts):
+    """The cell stacks (idx, mask, incidence) one after another, padded
+    to the widest."""
+    n = sum(len(m) for _, m, _ in parts)
+    k = max(m.shape[1] for _, m, _ in parts)
+    r = max(T.shape[2] for _, _, T in parts)
+    idx, mask, T = np.zeros((n, k), dtype=int), np.zeros((n, k), dtype=bool), np.zeros((n, k, r), dtype=bool)
+    at = 0
+    for pi, pm, pT in parts:
+        end = at + len(pm)
+        idx[at:end, : pm.shape[1]] = pi
+        mask[at:end, : pm.shape[1]] = pm
+        T[at:end, : pm.shape[1], : pT.shape[2]] = pT
+        at = end
+    return idx, mask, T
+
+
+class _Groups(NamedTuple):
+    """The cells with one piece, G groups of two or more, that merge
+    where their union is convex.  member[c] is kept cell c's group (-1
+    when alone); each group's rep is the member whose piece it takes and
+    total its members' volume; cell (idx, mask, incidence) is the cell a
+    group becomes if it merges, on the vertex table."""
+
+    member: np.ndarray
+    rep: np.ndarray
+    total: np.ndarray
+    cell: tuple
+
+
+def _groups(cells, rows, idx, vol, table, scale) -> _Groups:
+    """The merge groups of the kept cells and the cell each would become.
+
+    rows (K, d+1) holds each cell's winning affine function as [grad *
+    scale, off], and idx (K, k) the rows in table of its vertices.  Cells
+    are grouped by rows within VALUE_SNAP times the largest entry, so a
+    piece and a recomputed copy of it (f's against f v g's, say) fall in
+    one group whichever function came first; a group takes its
+    lexicographically first function.
+
+    A group's rows are its members' rows that all its vertices P satisfy
+    within CLIP_TOL (times scale), so their intersection H contains
+    conv P; every facet of a convex union U of the members is such a row,
+    so H = U exactly when U is convex.  The group's cell is P's points
+    maximal on those rows, with their facets (incidence_faces), so a
+    neighbour's vertex may sit on a facet of a merged cell as a
+    T-junction; _merges decides whether it is H."""
+    tol = CLIP_TOL * scale
     vscale = max(1.0, float(np.max(np.abs(rows))))
     _, group = convex.dedupe_points(rows, VALUE_SNAP * vscale)
-    alone = np.ones(len(rows), dtype=bool)
-    merged = []
-    for gi in np.flatnonzero(np.bincount(group) > 1):
-        members = np.flatnonzero(group == gi)
-        total = sum(vol[members].tolist())
-        cell = _merged_cell([idx[m, vm[m]] for m in members], total, table, scale)
-        if cell is not None:
-            rep = members[convex.lex_min_position(rows[members])]
-            merged.append((*cell, rep, total))
-            alone[members] = False
-    return merged, alone
+    count = np.bincount(group)
+    G = int(np.count_nonzero(count > 1))
+    member = np.where(count[group] > 1, (np.cumsum(count > 1) - 1)[group], -1)
+    ci = np.flatnonzero(member >= 0)
+    cg = member[ci]
+    total = np.bincount(cg, weights=vol[ci], minlength=G)
+    lex = ci[np.lexsort(rows[ci].T[::-1])]
+    rep = lex[np.unique(member[lex], return_index=True)[1]]
+
+    # each group's vertices, in table order
+    vm = cells.vm[ci]
+    n = len(table)
+    pg, pi = np.divmod(np.unique(np.repeat(cg, vm.sum(axis=1)) * n + idx[ci][vm]), n)
+    P, pm = _pad(pg, G, pi)
+    # its members' rows that every vertex satisfies, and the vertices on
+    # each; a facet is a row whose set is maximal, one row of equal ones
+    # standing for them
+    rm = cells.rm[ci]
+    rg = np.repeat(cg, rm.sum(axis=1))
+    a, c = cells.A[ci][rm], cells.b[ci][rm]
+    D = convex.dot_rows(table[P][rg], a) - c[:, None]
+    ok = np.where(pm[rg], D <= tol, True).all(axis=1)
+    D, am = _pad(rg[ok], G, D[ok])
+    T = (np.abs(D) <= tol).transpose(0, 2, 1) & pm[:, :, None] & am[:, None, :]
+    vert, facet = convex.incidence_faces(T, pm, am)
+    return _Groups(member, rep, total, (P, vert, T & vert[:, :, None] & facet[:, None, :]))
 
 
-def _merged_cell(member_idxs, vol, table, scale):
-    """(idxs, T) of the hull of the cells of total volume vol whose
-    vertex rows are member_idxs, or None when their union is not convex.
+def _merges(groups: _Groups, S, g, vol):
+    """Which groups merge, from the triangulation of their cells: S
+    (m, d+1) with simplex i in group g[i] and of volume vol[i].
 
-    Only the hull's vertices are kept (convex.hull_incidence), so a
-    neighbour's vertex may now sit on a facet of the merged cell as a
-    T-junction."""
-    idx = np.unique(np.concatenate(member_idxs))
-    pts = table[idx]
-    try:
-        A, b, hull_vol = convex.hull(pts)
-    except Degenerate:
-        return None
-    if abs(hull_vol - vol) > COVER_TOL * vol:
-        return None
-    vert, _, _, T = convex.hull_incidence(pts, A, b, CLIP_TOL * scale)
-    return idx[vert], T
+    A group merges when H has its members' total volume within
+    COVER_TOL, and H is read off the triangulation.  It fills the hull C
+    of the cell's vertices once the group's facets hold its boundary:
+    every (d-1)-face of a simplex is shared with another simplex or lies
+    on a facet.  Then every facet of C is a row of the group, so H lies
+    in C, and C in H: H = C, and vol H is the triangulation's.  A convex
+    union passes, as its facets are rows; a group that fails is not
+    convex, and does not merge."""
+    P, vert, T = groups.cell
+    G, d = len(P), S.shape[1] - 1
+    filled = np.bincount(g, weights=vol, minlength=G)
+    # each vertex's place in its group's cell
+    at = np.zeros((G, int(P.max(initial=0)) + 1), dtype=int)
+    gi, pi = np.nonzero(vert)
+    at[gi, P[gi, pi]] = pi
+    # every (d-1)-face of every simplex with its group, sorted; a face met
+    # once lies on the triangulation's boundary
+    drop = np.array([[c for c in range(d + 1) if c != j] for j in range(d + 1)], dtype=int)
+    faces = np.column_stack([np.repeat(g, d + 1), np.sort(S[:, drop], axis=2).reshape(-1, d)])
+    faces = faces[np.lexsort(faces.T[::-1])]
+    twin = (faces[1:] == faces[:-1]).all(axis=1)
+    lone = np.ones(len(faces), dtype=bool)
+    lone[1:] &= ~twin
+    lone[:-1] &= ~twin
+    single = faces[lone]
+    fg = single[:, :1]
+    on_facet = T[fg, at[fg, single[:, 1:]]].all(axis=1).any(axis=1)
+    closed = np.bincount(single[~on_facet, 0], minlength=G) == 0
+    return closed & (np.abs(filled - groups.total) <= COVER_TOL * groups.total)
 
 
 def assemble_cells(cells, vol, grad, off, dim, supp):
@@ -407,11 +490,11 @@ def assemble_cells(cells, vol, grad, off, dim, supp):
     check is relative to the volume supp.
 
     Vertices within SNAP (times the data scale) are one; cells with one
-    piece are merged where their union is convex, and the others are
-    triangulated from their incidence.  A vertex takes the value of the
-    least steep piece that has it: a position error delta gives a value
-    error |grad| delta.  Simplices that are 0 at every vertex are left
-    out."""
+    piece are merged where their union is convex (_groups), and the
+    others are triangulated from their incidence.  A vertex takes the
+    value of the least steep piece that has it: a position error delta
+    gives a value error |grad| delta.  Simplices that are 0 at every
+    vertex are left out."""
     if not len(cells):
         return PLFunction.zero(dim)
     vm = cells.vm
@@ -420,37 +503,33 @@ def assemble_cells(cells, vol, grad, off, dim, supp):
     table, mapping = convex.dedupe_points(allv, SNAP * scale)
     idx = np.zeros(vm.shape, dtype=int)
     idx[vm] = mapping
-    rows = np.column_stack([grad * scale, off])
-    merged, alone = _merge(rows, idx, vm, vol, table, scale)
+    groups = _groups(cells, np.column_stack([grad * scale, off]), idx, vol, table, scale)
 
-    # cells that are simplices already need no triangulation (in 1-D
-    # pulling_triangulation tests an edge by its length, so every cell
-    # goes to it); the merged cells are numbered after the others
-    K = len(cells)
-    simplex = alone & (cells.counts() == dim + 1) if dim > 1 else np.zeros(K, dtype=bool)
-    si = np.flatnonzero(simplex)
-    S, owner = [idx[si][vm[si]].reshape(-1, dim + 1)], [si]
-    others = [(idx[ci, vm[ci]], cells.cell(ci)[3], ci) for ci in np.flatnonzero(alone & ~simplex)]
-    for mi, (idxs, T, _, _) in enumerate(merged):
-        if dim > 1 and len(idxs) == dim + 1:
-            S.append(idxs[None])
-            owner.append([K + mi])
-        else:
-            others.append((idxs, T, K + mi))
-    S, ok = convex.simplex_cells(table, np.concatenate(S))
-    simplices, owner = [S[ok]], [np.concatenate(owner)[ok]]
-    for idxs, T, ci in others:
-        tri = convex.pulling_triangulation(table, idxs, dim, T)
-        simplices.append(np.array(tri, dtype=int).reshape(-1, dim + 1))
-        owner.append(np.full(len(tri), ci))
-    # each cell's volume and piece, the merged cells last; a merged
-    # cell's members are filled through it
-    cell_vol = np.concatenate([np.where(alone, vol, 0.0), [v for _, _, _, v in merged]])
-    piece = np.concatenate([np.arange(K), [rep for _, _, rep, _ in merged]]).astype(int)
+    # one triangulation of the cells that are not simplices already (in
+    # 1-D every cell, as an edge is tested by its length) and of what each
+    # group becomes if it merges
+    K, G = len(cells), len(groups.total)
+    simplex = cells.counts() == dim + 1 if dim > 1 else np.zeros(K, dtype=bool)
+    oi = np.flatnonzero(~simplex)
+    S, tri = convex.pulling_triangulation(table, *_stack((idx[oi], vm[oi], cells.T[oi]), groups.cell), dim)
+    c = tri >= len(oi)
+    merged = _merges(groups, S[c], tri[c] - len(oi), convex.simplex_measures(table, S[c]))
+    # the cells that go to the output: kept cells 0..K-1 not merged (a
+    # cell alone has group -1, which reads the appended False), then the
+    # merged groups
+    out = np.concatenate([~np.append(merged, False)[groups.member], merged])
+    owner = np.concatenate([oi, K + np.arange(G)])[tri]
+    keep = out[owner]
+    si = np.flatnonzero(simplex & out[:K])
+    S_si, ok = convex.simplex_cells(table, idx[si][vm[si]].reshape(-1, dim + 1))
+    S = np.concatenate([S_si[ok], S[keep]])
+    cells_of = np.concatenate([si[ok], owner[keep]])
+    svols = convex.simplex_measures(table, S)
+    # each cell's volume and piece, the merged groups last; a merged
+    # group's members are filled through it
+    cell_vol = np.where(out, np.concatenate([vol, groups.total]), 0.0)
+    piece = np.concatenate([np.arange(K), groups.rep])
 
-    S = np.concatenate(simplices)
-    cells_of = np.concatenate(owner)
-    svols = np.abs(np.linalg.det(table[S[:, 1:]] - table[S[:, :1]])) / math.factorial(dim)
     # needles at or below the degenerate floor carry no volume at the
     # data's scale; the fill check below still sees each cell filled
     # without them

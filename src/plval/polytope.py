@@ -2,10 +2,12 @@
 
 A Polytope stores its extreme points together with the facet data
 (unit outward normal, support value, incident vertices, facet measure)
-needed by the cone-function and valuation machinery. Construction is one
-qhull call (convex.hull) whose rows and points are cut down to facets and
-vertices by their incidence (convex.hull_incidence); all orderings are
-canonicalized so identical inputs produce identical objects.
+and the facets' triangulation needed by the cone-function and valuation
+machinery. Construction is one qhull call (convex.hull) whose rows and
+points are cut down to facets and vertices by their incidence
+(convex.hull_incidence), and one stacked triangulation of the facets;
+all orderings are canonicalized so identical inputs produce identical
+objects.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ class Polytope:
     vertices: np.ndarray  # (k, dim), lexicographically sorted, read-only
     facets: tuple
     origin_interior: bool
+    # (m, dim) rows of vertices: the facets' pulling triangulations, facet
+    # by facet (a 1-D facet is its vertex), read-only
+    facet_simplices: np.ndarray
 
     def facet_normals(self) -> np.ndarray:
         return np.array([f.normal for f in self.facets])
@@ -67,12 +72,16 @@ class Polytope:
         }
 
 
-def _incidence(k: int, facet_vertices) -> np.ndarray:
-    """(k, r) boolean: vertex i lies on facet j."""
-    on = np.zeros((k, len(facet_vertices)), dtype=bool)
-    for j, inc in enumerate(facet_vertices):
-        on[list(inc), j] = True
-    return on
+def _facet_stack(on: np.ndarray):
+    """The facets of the vertex-facet incidence on (k, r) as one stack of
+    cells for convex.pulling_triangulation: (idx, mask, incidence), facet
+    j's vertices in order, on the facet rows."""
+    j, v = np.nonzero(on.T)
+    count = np.bincount(j, minlength=on.shape[1])
+    mask = np.arange(count.max())[None, :] < count[:, None]
+    idx = np.zeros(mask.shape, dtype=int)
+    idx[mask] = v
+    return idx, mask, on[idx] & mask[:, :, None]
 
 
 def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
@@ -104,22 +113,25 @@ def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
             % (float(np.min(offsets)), EPS * max(scale, 1.0))
         )
 
-    facets = []
-    for u, off, inc in zip(normals, offsets, incidences):
-        if n == 1:
-            measure = 1.0
-        else:
-            simplices = convex.pulling_triangulation(verts, inc, n - 1, on[inc])
-            measure = float(sum(convex.simplex_measure(verts[list(s)]) for s in simplices))
-        facets.append(
-            Facet(
-                normal=tuple(float(x) for x in u),
-                support=float(off),
-                vertices=tuple(int(i) for i in inc),
-                measure=measure,
-            )
+    if n == 1:
+        S = np.array([inc[:1] for inc in incidences])
+        measures = np.ones(len(incidences))
+    else:
+        # all facets triangulated in one stack; each measure is its
+        # simplices' sum, in order
+        S, facet = convex.pulling_triangulation(verts, *_facet_stack(on), n - 1)
+        measures = np.bincount(facet, weights=convex.simplex_measures(verts, S), minlength=len(incidences))
+    S.setflags(write=False)
+    facets = [
+        Facet(
+            normal=tuple(float(x) for x in u),
+            support=float(off),
+            vertices=tuple(int(i) for i in inc),
+            measure=float(measure),
         )
-    return Polytope(dim=n, vertices=verts, facets=tuple(facets), origin_interior=origin_interior)
+        for u, off, inc, measure in zip(normals, offsets, incidences, measures)
+    ]
+    return Polytope(dim=n, vertices=verts, facets=tuple(facets), origin_interior=origin_interior, facet_simplices=S)
 
 
 def hull_from_points(points) -> Polytope:
@@ -158,26 +170,18 @@ def p_surface_area(P: Polytope, p: float) -> float:
 
 
 def central_triangulation(P: Polytope):
-    """Fan over the origin: each facet is pulled to a triangulation and
-    coned with 0. Returns a SimplicialComplex (vertices = P's plus the
-    origin appended last)."""
+    """Fan over the origin: the facets' triangulations coned with 0.
+    Returns a SimplicialComplex (vertices = P's plus the origin appended
+    last)."""
     from .plfunction import SimplicialComplex
 
     if not P.origin_interior:
         raise OriginNotInterior("central triangulation requires the origin strictly interior")
     n = P.dim
     verts = np.vstack([P.vertices, np.zeros(n)])
-    origin_idx = len(P.vertices)
-    on = _incidence(len(P.vertices), [f.vertices for f in P.facets])
-    simplices = []
-    for f in P.facets:
-        if n == 1:
-            faces = [(f.vertices[0],)]
-        else:
-            faces = convex.pulling_triangulation(P.vertices, f.vertices, n - 1, on[list(f.vertices)])
-        for face in faces:
-            simplices.append(tuple(face) + (origin_idx,))
-    return SimplicialComplex(dim=n, vertices=verts, simplices=tuple(simplices))
+    faces = P.facet_simplices
+    simplices = np.column_stack([faces, np.full(len(faces), len(P.vertices))])
+    return SimplicialComplex(dim=n, vertices=verts, simplices=tuple(map(tuple, simplices.tolist())))
 
 
 def apply_unimodular(P: Polytope, phi) -> Polytope:

@@ -49,6 +49,9 @@ def brute_facets(points, tol: float = 1e-9):
         # normal spans the null space of the edge matrix
         _, s, vt = np.linalg.svd(np.vstack([edges, np.zeros((1, n))]))
         normal = vt[-1]
+        # n points on a line (or closer) span no facet plane
+        if n > 1 and s[n - 2] <= tol:
+            continue
         if np.linalg.norm(edges @ normal) > tol:
             continue
         offset = float(normal @ sub[0])
@@ -314,3 +317,94 @@ def dedupe_points_greedy(pts, tol: float):
             rep_id[i] = best
             reps.append(pts[i])
     return np.array(reps, dtype=float).reshape(len(reps), d), mapping
+
+
+def _maximal_columns(M):
+    """Inclusion-maximal columns of the boolean M (k, r), each column a set
+    of rows; of equal columns the first stands for them all."""
+    Mf = M.astype(float)
+    sub = (Mf.T @ (1.0 - Mf)) == 0.0
+    order = np.arange(len(sub))
+    return ~(sub & (~sub.T | (order[:, None] > order[None, :]))).any(axis=1)
+
+
+def _simplex_measure(pts):
+    E = pts[1:] - pts[0]
+    d = len(E)
+    if d == E.shape[1]:
+        return abs(float(np.linalg.det(E))) / math.factorial(d)
+    return math.sqrt(max(float(np.linalg.det(E @ E.T)), 0.0)) / math.factorial(d)
+
+
+def _pull(points, idx, M, d, tol):
+    """The pulling recursion on one face: the lexicographically smallest
+    vertex coned over the facets avoiding it, one call per facet."""
+    k = len(idx)
+    if k < d + 1 or d == 0:
+        return []
+    pts = points[idx]
+    if d == 1 and k == 2:
+        e = pts[1] - pts[0]
+        length = math.sqrt(float(e @ e))
+        if length > 0.0 and length > tol * max(1.0, float(np.abs(pts @ e).max()) / length):
+            return [(int(idx[0]), int(idx[1]))]
+        return []
+    if d == 1:
+        rel = pts - pts[0]
+        direction = rel[np.argmax((rel * rel).sum(axis=1))]
+        nd = math.sqrt(float(direction @ direction))
+        if nd == 0.0:
+            return []
+        t = pts @ (direction / nd)
+        order = np.argsort(t, kind="stable")
+        floor = tol * max(1.0, float(np.abs(t).max()))
+        gaps = np.diff(t[order])
+        return [(int(idx[a]), int(idx[z])) for a, z, gap in zip(order[:-1], order[1:], gaps) if gap > floor]
+    if k == d + 1:
+        return [tuple(int(i) for i in idx)]
+    anchor = int(np.lexsort(pts.T[::-1])[0])
+    cnt = M.sum(axis=0)
+    F = M[:, (cnt >= d) & (cnt < k)]
+    out = []
+    for col in F[:, _maximal_columns(F)].T:
+        if col[anchor]:
+            continue
+        out.extend((int(idx[anchor]),) + face for face in _pull(points, idx[col], M[col], d - 1, tol))
+    return out
+
+
+def pulling_triangulation_recursive(points, subset, dim: int, incidence, tol: float = 1e-9):
+    """Pulling triangulation of one convex cell by recursion over its
+    faces, one call per face: subset indexes the cell's vertices in
+    points (repeats merged, a merged vertex on the union of its copies'
+    rows) and incidence (len(subset), r) gives the rows they lie on.
+    Returns the simplices as index tuples, without those at or below the
+    floor (tol * extent)^dim / dim! for dim >= 2."""
+    points = np.asarray(points, dtype=float)
+    subset = np.asarray(subset, dtype=int)
+    order = np.argsort(subset, kind="stable")
+    idx = subset[order]
+    M = np.asarray(incidence, dtype=bool)[order]
+    for i in np.flatnonzero(idx[1:] == idx[:-1])[::-1] + 1:
+        M[i - 1] |= M[i]
+    keep = np.concatenate([[True], idx[1:] != idx[:-1]]) if len(idx) else np.zeros(0, dtype=bool)
+    idx, M = idx[keep], M[keep]
+    out = _pull(points, idx, M, dim, tol)
+    if dim == 1 or not out:
+        return out
+    pts = points[idx]
+    floor = (tol * float((pts.max(axis=0) - pts.min(axis=0)).max())) ** dim / math.factorial(dim)
+    return [s for s in out if _simplex_measure(points[list(s)]) > floor]
+
+
+def group_hull_merges(member_points, total: float, rtol: float = 1e-9) -> bool:
+    """Whether cells of total volume whose vertices are member_points (a
+    list of (k_i, d) arrays) have a convex union: the qhull hull of all
+    their vertices has their total volume within rtol."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        vol = ConvexHull(np.unique(np.vstack(member_points), axis=0)).volume
+    except QhullError:
+        return False
+    return abs(vol - total) <= rtol * total

@@ -204,12 +204,29 @@ def test_stacked_cut_matches_the_cell_cut_alone(d, flat, size, seed):
                 assert _same_cell(stack.cell(hit[0]), one.cell(0))
 
 
+def _stack_cells(cells):
+    """Cells (subset, incidence), of any widths, as one padded stack."""
+    k = max(len(sub) for sub, _ in cells)
+    r = max(inc.shape[1] for _, inc in cells)
+    idx, mask = np.zeros((len(cells), k), dtype=int), np.zeros((len(cells), k), dtype=bool)
+    T = np.zeros((len(cells), k, r), dtype=bool)
+    for i, (sub, inc) in enumerate(cells):
+        idx[i, : len(sub)], mask[i, : len(sub)], T[i, : len(sub), : inc.shape[1]] = sub, True, inc
+    return idx, mask, T
+
+
+def _pull_one(points, subset, dim, incidence):
+    """pulling_triangulation of one cell, as a list of index tuples."""
+    S, _ = convex.pulling_triangulation(points, *_stack_cells([(subset, np.asarray(incidence))]), dim)
+    return list(map(tuple, S.tolist()))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_incidence_triangulation_is_conforming_and_exact(d):
     rng = np.random.default_rng(10 + d)
     for _ in range(15):
         V, A, b, T = _random_cell(rng, d)
-        S = convex.pulling_triangulation(V, np.arange(len(V)), d, T)
+        S = _pull_one(V, np.arange(len(V)), d, T)
         cx = pf.SimplicialComplex(dim=d, vertices=V, simplices=tuple(S))
         cx.validate()
         assert cx.simplex_volumes().sum() == pytest.approx(ConvexHull(V).volume, rel=1e-12)
@@ -221,8 +238,8 @@ def test_incidence_triangulation_is_conforming_and_exact(d):
         lo, hi = lo.cell(0), hi.cell(0)
         table, mapping = convex.dedupe_points(np.vstack([lo[0], hi[0]]), 1e-12)
         k = len(lo[0])
-        S = convex.pulling_triangulation(table, mapping[:k], d, lo[3])
-        S += convex.pulling_triangulation(table, mapping[k:], d, hi[3])
+        S = _pull_one(table, mapping[:k], d, lo[3])
+        S += _pull_one(table, mapping[k:], d, hi[3])
         both = pf.SimplicialComplex(dim=d, vertices=table, simplices=tuple(S))
         both.validate()
         assert both.simplex_volumes().sum() == pytest.approx(ConvexHull(V).volume, rel=1e-12)
@@ -235,17 +252,93 @@ def test_incidence_triangulation_of_hulls(d, k):
         on = np.zeros((len(P.vertices), len(P.facets)), dtype=bool)
         for j, facet in enumerate(P.facets):
             on[list(facet.vertices), j] = True
-        S = convex.pulling_triangulation(P.vertices, np.arange(len(P.vertices)), d, on)
+        S = _pull_one(P.vertices, np.arange(len(P.vertices)), d, on)
         cx = pf.SimplicialComplex(dim=d, vertices=P.vertices, simplices=tuple(S))
         cx.validate()
         assert cx.simplex_volumes().sum() == pytest.approx(ConvexHull(P.vertices).volume, rel=1e-12)
 
 
+def _halves(rng, d):
+    """The two halves of a random cell cut by a stacked split, on one
+    deduped vertex table, as (table, cells)."""
+    V, A, b, T = _random_cell(rng, d, cuts=int(rng.integers(1, 5)))
+    a = _random_unit(rng, d)
+    (lo, _), (hi, _) = convex.split(convex.Cells.of([(V, A, b, T)]), a[None], [a @ V.mean(axis=0)], 1e-10)
+    lo, hi = lo.cell(0), hi.cell(0)
+    table, mapping = convex.dedupe_points(np.vstack([lo[0], hi[0]]), 1e-12)
+    k = len(lo[0])
+    return table, [(mapping[:k], lo[3]), (mapping[k:], hi[3])]
+
+
+def _pulling_cases(kind, rng):
+    """(table, cells, dim): cells (subset, incidence) on a table, of one
+    kind."""
+    if kind in ("cut2", "cut3"):
+        table, cells = _halves(rng, int(kind[-1]))
+        return table, cells, int(kind[-1])
+    if kind in ("facets3", "facets4", "edges"):
+        n = {"facets3": 3, "facets4": 4, "edges": 2}[kind]
+        P = pt.random_polytope(int(rng.integers(2**31)), n, int(rng.integers(2 * n + 2, 3 * n + 5)))
+        on = np.zeros((len(P.vertices), len(P.facets)), dtype=bool)
+        for j, facet in enumerate(P.facets):
+            on[list(facet.vertices), j] = True
+        return P.vertices, [(np.array(f.vertices), on[list(f.vertices)]) for f in P.facets], n - 1
+    if kind == "repeats":
+        # some vertices listed twice, their rows split between the copies
+        d = int(rng.integers(2, 4))
+        table, cells = _halves(rng, d)
+        out = []
+        for sub, inc in cells:
+            twice = rng.choice(len(sub), size=int(rng.integers(1, len(sub))), replace=False)
+            m = rng.integers(0, 2, size=(2,) + inc[twice].shape).astype(bool)
+            part = inc[twice] & m[0]
+            inc = inc.copy()
+            inc[twice] &= ~part | m[1]
+            order = rng.permutation(len(sub) + len(twice))
+            out.append((np.concatenate([sub, sub[twice]])[order], np.vstack([inc, part])[order]))
+        return table, out, d
+    if kind == "collinear":
+        # boxes with extra points on their edges: runs of collinear points
+        d = int(rng.integers(2, 4))
+        V, A, b, _ = _box_cell(-rng.uniform(0.5, 2, d), rng.uniform(0.5, 2, d), 1e-12)
+        extra = []
+        for _ in range(int(rng.integers(1, 6))):
+            u, w = V[rng.choice(len(V), 2, replace=False)]
+            if np.count_nonzero(u != w) == 1:  # an edge of the box
+                extra.append(u + rng.choice([0.25, 0.5, 0.75]) * (w - u))
+        X = np.vstack([V, *extra]) if extra else V
+        return X, [(np.arange(len(X)), convex.tight_rows(X, A, b, 1e-12))], d
+    # line: 1-D cells of a few points on one axis, ties and repeats among them
+    X = np.round(rng.uniform(-2, 2, size=(8, 1)), int(rng.integers(1, 4)))
+    subs = [rng.choice(8, size=int(rng.integers(1, 6))) for _ in range(4)]
+    return X, [(sub, np.ones((len(sub), 2), dtype=bool)) for sub in subs], 1
+
+
+@given(
+    kinds=st.lists(st.sampled_from(["cut2", "cut3", "facets3", "facets4", "edges", "repeats", "collinear", "line"]),
+                   min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_stacked_pulling_matches_the_recursion(kinds, seed):
+    # one stacked pass gives each cell the simplices the recursion gives
+    # it, in its order, after the floor; cells of every kind share the
+    # stack (one kind's dimension at a time)
+    rng = np.random.default_rng(seed)
+    for kind in kinds:
+        table, cells, dim = _pulling_cases(kind, rng)
+        S, cell = convex.pulling_triangulation(table, *_stack_cells(cells), dim)
+        assert np.all(np.diff(cell) >= 0)
+        for i, (sub, inc) in enumerate(cells):
+            want = oracles.pulling_triangulation_recursive(table, sub, dim, inc)
+            assert list(map(tuple, S[cell == i].tolist())) == want
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_overlay_builds_no_hull_facets(monkeypatch, n):
-    # every qhull hull the overlay builds is a complex's convex support
-    # (once per complex) or a merge of one winner's cells; cutting and
-    # triangulation read facets off incidence and never build one
+    # every qhull hull the overlay builds is a complex's convex support,
+    # once per complex; cutting, merging and triangulation read facets off
+    # incidence and never build one
     rng = np.random.default_rng(20 + n)
     points = 5 if n == 3 else None
     f = random_cone_function(rng, n, points)
@@ -262,37 +355,195 @@ def test_overlay_builds_no_hull_facets(monkeypatch, n):
     assert not pf.join(f, g).is_zero()
     assert not pf.meet(f, g).is_zero()
     names = [name for name, _ in callers]
-    assert set(names) <= {"convex_support", "_merged_cell"}
+    assert set(names) <= {"convex_support"}
     supports = [owner for name, owner in callers if name == "convex_support"]
     assert sorted(supports) == sorted(set(supports))
     assert {id(f.complex), id(g.complex)} <= set(supports)
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_assembly_builds_no_hull_and_triangulates_once(monkeypatch, n):
+    # assemble_cells, for overlays, chained meets and tents alike, calls
+    # neither convex.hull nor qhull, and makes one stacked triangulation
+    from plval import overlay
+
+    rng = np.random.default_rng(40 + n)
+    points = 5 if n == 3 else None
+    f = random_cone_function(rng, n, points)
+    g = random_cone_function(rng, n, points)
+    fan = random_fan_function(3) if n == 2 else None
+    inside, hulls, pulls = [False], [0], []
+
+    def counting(fn, counts):
+        def wrapped(*args, **kwargs):
+            counts()
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def hull_seen():
+        hulls[0] += inside[0]
+
+    def pull_seen():
+        if inside[0]:
+            pulls[-1] += 1
+
+    assemble = overlay.assemble_cells
+
+    def assembling(*args):
+        inside[0] = True
+        pulls.append(0)
+        try:
+            return assemble(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(overlay, "assemble_cells", assembling)
+    monkeypatch.setattr(convex, "hull", counting(convex.hull, hull_seen))
+    for module in (convex, overlay):
+        monkeypatch.setattr(module, "ConvexHull", counting(module.ConvexHull, hull_seen))
+    monkeypatch.setattr(convex, "pulling_triangulation", counting(convex.pulling_triangulation, pull_seen))
+    overlay._refine.cache_clear()
+    jo = pf.join(f, g)
+    assert len(pf.meet(f, jo).complex) == len(f.complex)
+    if fan is not None:
+        assert pf.tent_decomposition(fan)
+    overlay._refine.cache_clear()
+    assert hulls == [0]
+    assert len(pulls) >= 2 and set(pulls) == {1}
+
+
+def _same_points(X, Y, eps=1e-9):
+    return len(X) == len(Y) and _near(X, Y, eps) and _near(Y, X, eps)
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_overlay_triangulates_only_cells_that_are_not_simplices(monkeypatch, n):
-    # a kept cell that is a simplex already goes straight to the output;
-    # pulling_triangulation sees only cells with more than n + 1 vertices
+    # a kept cell that is a simplex already goes straight to the output:
+    # the triangulation's stack holds every other kept cell and what each
+    # merge group becomes if it merges, and none of its cells is a kept
+    # simplex
     from plval import overlay
 
     rng = np.random.default_rng(60 + n)
     points = 5 if n == 3 else None
     f = random_cone_function(rng, n, points)
     g = random_cone_function(rng, n, points)
-    sizes = []
+    stacks = []
     pull = convex.pulling_triangulation
 
-    def counted(points, subset, dim, incidence, tol=convex.EPS):
-        sizes.append(len(subset))
-        return pull(points, subset, dim, incidence, tol)
+    def recorded(points, idx, mask, incidence, dim, tol=convex.EPS):
+        stacks.append([points[i[m]] for i, m in zip(idx, mask)])
+        return pull(points, idx, mask, incidence, dim, tol)
 
-    monkeypatch.setattr(convex, "pulling_triangulation", counted)
+    monkeypatch.setattr(convex, "pulling_triangulation", recorded)
     overlay._refine.cache_clear()
     outs = [pf.join(f, g), pf.meet(f, g)]
-    cells = overlay._refine(f, g).pieces.cells
+    ref = overlay._refine(f, g)
     overlay._refine.cache_clear()
+    cells = ref.pieces.cells
     assert all(not h.is_zero() for h in outs)
     assert (cells.counts() == n + 1).any() and (cells.counts() > n + 1).any()
-    assert sizes and min(sizes) > n + 1
+    assert len(stacks) == 2
+    for stack, op in zip(stacks, ("join", "meet")):
+        kept = ref.winners[op] >= 0
+        simplices = [cells.V[c, cells.vm[c]] for c in np.flatnonzero(kept & (cells.counts() == n + 1))]
+        assert simplices
+        assert not any(_same_points(pts, s) for pts in stack for s in simplices)
+        others = [cells.V[c, cells.vm[c]] for c in np.flatnonzero(kept & (cells.counts() > n + 1))]
+        assert all(any(_same_points(pts, c) for pts in stack) for c in others)
+
+
+def _cell(V):
+    """The convex cell with vertices V, its rows from the brute-force
+    facets."""
+    V = np.asarray(V, dtype=float)
+    facets = oracles.brute_facets(V)
+    A = np.array([u for u, _ in facets])
+    b = np.array([h for _, h in facets])
+    return V, A, b, convex.tight_rows(V, A, b, 1e-12)
+
+
+def _assemble_one_piece(cells):
+    """assemble_cells on the cells, all carrying the piece 1."""
+    from plval import overlay
+
+    d = cells[0][0].shape[1]
+    vol = np.array([ConvexHull(V).volume for V, _, _, _ in cells])
+    return overlay.assemble_cells(convex.Cells.of(cells), vol, np.zeros((len(cells), d)), np.ones(len(cells)), d,
+                                  float(vol.sum()))
+
+
+MERGE_CASES = {
+    # a triangle cut into three from an interior point: no two pieces
+    # have a convex union, the three do
+    "triangle in three": ([[[0, 0], [4, 0], [1, 1]], [[4, 0], [0, 4], [1, 1]], [[0, 4], [0, 0], [1, 1]]], 1),
+    "two of three": ([[[0, 0], [4, 0], [1, 1]], [[4, 0], [0, 4], [1, 1]]], 2),
+    "tetrahedron in four": (
+        [[[0, 0, 0], [3, 0, 0], [0, 3, 0], [0.5, 0.6, 0.7]], [[0, 0, 0], [3, 0, 0], [0, 0, 3], [0.5, 0.6, 0.7]],
+         [[0, 0, 0], [0, 3, 0], [0, 0, 3], [0.5, 0.6, 0.7]], [[3, 0, 0], [0, 3, 0], [0, 0, 3], [0.5, 0.6, 0.7]]],
+        1,
+    ),
+    "L-shape": ([[[0, 0], [2, 0], [2, 1], [0, 1]], [[0, 1], [1, 1], [1, 2], [0, 2]]], 4),
+    # the cell their vertices give, the triangle (-2, 0), (-2, 3), (0, 3),
+    # has their total area, but its long side lies on no row of theirs
+    "bars apart": ([[[-2, 2], [0, 2], [0, 3], [-2, 3]], [[-2, 0], [-1, 0], [-1, 1], [-2, 1]]], 4),
+    # opposite facets on shared lines without touching: the rows every
+    # vertex satisfies bound a 3 x 3 square, the cells fill 6 of it
+    "four bars": (
+        [[[0, 0], [3, 0], [3, 1], [0, 1]], [[0, 1], [1, 1], [1, 2], [0, 2]], [[2, 1], [3, 1], [3, 2], [2, 2]],
+         [[1, -1], [2, -1], [2, 0], [1, 0]]],
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_merge_verdicts_against_the_group_hull(case):
+    # cells with one piece merge exactly when the qhull hull of all their
+    # vertices has their total volume; a merged group is one cell
+    members, simplices = MERGE_CASES[case]
+    cells = [_cell(V) for V in members]
+    merges = oracles.group_hull_merges([V for V, _, _, _ in cells], sum(ConvexHull(V).volume for V, _, _, _ in cells))
+    out = _assemble_one_piece(cells)
+    assert merges == (simplices == 1)
+    assert len(out.complex) == simplices
+    assert out.complex.simplex_volumes().sum() == pytest.approx(sum(ConvexHull(V).volume for V in members), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_merge_verdicts_of_overlays_match_the_group_hull(monkeypatch, n):
+    # every group of one winner's cells, in joins, meets and chained meets
+    # of random cones, gets the verdict of the qhull group-hull rule
+    from plval import overlay
+
+    assemble, merges = overlay.assemble_cells, overlay._merges
+    seen, cells = [], []
+
+    def assembling(kept, *args):
+        cells.append(kept)
+        return assemble(kept, *args)
+
+    def merging(groups, *args):
+        out = merges(groups, *args)
+        kept = cells[-1]
+        for gi, verdict in enumerate(out):
+            pts = [kept.V[c, kept.vm[c]] for c in np.flatnonzero(groups.member == gi)]
+            seen.append((bool(verdict), oracles.group_hull_merges(pts, float(groups.total[gi]))))
+        return out
+
+    monkeypatch.setattr(overlay, "assemble_cells", assembling)
+    monkeypatch.setattr(overlay, "_merges", merging)
+    overlay._refine.cache_clear()
+    for seed in range(12 if n == 2 else 4):
+        rng = np.random.default_rng(seed)
+        f = random_cone_function(rng, n)
+        g = random_cone_function(rng, n)
+        jo = pf.join(f, g)
+        pf.meet(f, g), pf.meet(f, jo), pf.meet(jo, f)
+    overlay._refine.cache_clear()
+    verdicts = np.array(seen)
+    assert verdicts[:, 0].any() and not verdicts[:, 0].all()
+    assert np.array_equal(verdicts[:, 0], verdicts[:, 1])
 
 
 def test_hull_from_points_calls_qhull_once(monkeypatch):

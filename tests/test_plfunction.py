@@ -380,6 +380,21 @@ def test_chained_meets_stay_coarse(n, seed):
         assert apply(h, absorbed) == pytest.approx(apply(h, f), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_meet_with_the_join_gives_back_f(n):
+    # absorption, f ^ (f v g) = f, down to the simplex count in either
+    # order: f's pieces and the join's copies of them merge back whole
+    from plval.verify import random_cone_function
+
+    for seed in range(26):
+        rng = np.random.default_rng(seed)
+        f = random_cone_function(rng, n)
+        g = random_cone_function(rng, n)
+        jo = pf.join(f, g)
+        for absorbed in (pf.meet(f, jo), pf.meet(jo, f)):
+            assert len(absorbed.complex) == len(f.complex), seed
+
+
 def _disjoint_cones():
     P = pt.cube(2)
     return (
