@@ -3,28 +3,33 @@
 
 For each seed it prints the suite's status (pass, the failed cases, or the
 error raised), its worst relative residual |z(f) - sum over tent subsets|,
-the worst cover-balance residual over the overlay calls the suite made:
+the worst cover-balance residual over the pairs the suite overlaid:
 |covered volume - (vol supp f + vol supp g)| divided by that sum, which
-the overlay requires to stay within COVER_TOL (a call that fails the
-balance counts too), the number of overlays (overlay.lattice_overlay
-calls) with the simplices they returned in total, so that output growing
-more fragmented shows in the log, the number of qhull hulls built (calls
-to convex.hull, from polytopes and convex supports), the merge groups
-the assembly tested and merged (overlay._merges), the qhull hulls built
-inside the assembly (convex.hull calls and scipy ConvexHull
-constructions; there must be none), and where the time went: the seconds
-spent refining pairs (overlay._refine, the cutting) and assembling cells
-into functions (overlay.assemble_cells, for the overlays' results and
-the tents alike), with the number of stacked cuts (convex.split calls)
-made inside the refinements.  It exits 1 if any seed fails or builds a
-hull inside the assembly.
+the overlay requires to stay within COVER_TOL (a batch that fails the
+balance counts too), the number of pairs overlaid and of batched overlay
+calls (overlay.lattice_overlays) with the simplices they returned in
+total, so that output growing more fragmented shows in the log, the
+number of qhull hulls built (calls to convex.hull, from polytopes and
+convex supports), the merge groups the assembly tested and merged
+(overlay._merges), the qhull hulls built inside the assembly
+(convex.hull calls and scipy ConvexHull constructions; there must be
+none), and where the time went: the seconds spent refining batches of
+pairs (overlay._refine, the cutting) and assembling cells into functions
+(overlay.assemble_cells, for the overlays' results and the tents alike),
+each in total and per batch (a refinement the memo returns again is
+not counted), with the number of stacked cuts
+(convex.split calls) made inside the refinements.  It exits 1 if any
+seed fails or builds a hull inside the assembly.
 
 Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
 
 import argparse
+import functools
 import sys
 import time
+
+import numpy as np
 
 from plval import convex, overlay
 from plval.verify import default_battery
@@ -41,24 +46,29 @@ def main() -> int:
     args = ap.parse_args()
 
     worst = [0.0]
-    calls = [0, 0]  # overlays, simplices returned
+    calls = [0, 0, 0]  # pairs overlaid, batched overlay calls, simplices returned
     seconds = {"refine": 0.0, "assemble": 0.0}
+    batches = {"refine": 0, "assemble": 0}
     cuts = [0, 0]  # convex.split calls, those made inside overlay._refine
-    refine, assemble, check_cover = overlay._refine, overlay.assemble_cells, overlay._check_cover
-    lattice_overlay = overlay.lattice_overlay
+    # the undecorated refinement, so a batch is timed and counted only
+    # when it is computed, not when the memo returns it
+    refine, assemble, check_cover = overlay._refine.__wrapped__, overlay.assemble_cells, overlay._check_cover
+    lattice_overlays = overlay.lattice_overlays
     split, hull = convex.split, convex.hull
 
-    def timed_refine(f, g):
+    def timed_refine(pairs):
         t0, before = time.perf_counter(), cuts[0]
         try:
-            return refine(f, g)
+            return refine(pairs)
         finally:
             seconds["refine"] += time.perf_counter() - t0
+            batches["refine"] += 1
             cuts[1] += cuts[0] - before
 
     def recorded_check_cover(pieces, supp):
-        # recorded before the check can raise, so a failing call counts
-        worst[0] = max(worst[0], abs(overlay._cover(pieces) - supp) / supp)
+        # recorded before the check can raise, so a failing batch counts
+        residual = np.abs(overlay._cover(pieces, len(supp)) - supp) / supp
+        worst[0] = max(worst[0], float(residual.max(initial=0.0)))
         check_cover(pieces, supp)
 
     assembling = [False]
@@ -71,11 +81,13 @@ def main() -> int:
         finally:
             assembling[0] = False
             seconds["assemble"] += time.perf_counter() - t0
+            batches["assemble"] += 1
 
-    def counted_overlay(f, g, op):
-        out = lattice_overlay(f, g, op)
-        calls[0] += 1
-        calls[1] += len(out.complex)
+    def counted_overlays(pairs, op):
+        out = lattice_overlays(pairs, op)
+        calls[0] += len(out)
+        calls[1] += 1
+        calls[2] += sum(len(h.complex) for h in out)
         return out
 
     def counted_split(*args, **kwargs):
@@ -101,8 +113,8 @@ def main() -> int:
         return out
 
     merges, qhull = overlay._merges, convex.ConvexHull
-    overlay._refine, overlay.assemble_cells = timed_refine, timed_assemble
-    overlay.lattice_overlay = counted_overlay
+    overlay._refine, overlay.assemble_cells = functools.lru_cache(maxsize=1)(timed_refine), timed_assemble
+    overlay.lattice_overlays = counted_overlays
     overlay._check_cover = recorded_check_cover
     overlay._merges = counted_merges
     convex.split, convex.hull = counted_split, counted_hull
@@ -110,8 +122,9 @@ def main() -> int:
     failed = 0
     for seed in args.seeds:
         worst[0] = 0.0
-        calls[:] = [0, 0]
+        calls[:] = [0, 0, 0]
         seconds.update(refine=0.0, assemble=0.0)
+        batches.update(refine=0, assemble=0)
         cuts[:] = [0, 0]
         hulls[:] = [0, 0]
         groups[:] = [0, 0]
@@ -127,12 +140,14 @@ def main() -> int:
             fails = 1
             status = "error: %s: %s" % (type(exc).__name__, exc)
         failed += fails > 0 or hulls[1] > 0
+        per = {k: seconds[k] / max(batches[k], 1) for k in seconds}
         print(
-            "seed %3d  %-12s residual %.2e  worst cover residual %.2e  %3d overlays -> %5d simplices"
-            "  %4d hulls  %4d groups -> %4d merged  %d assembly hulls  refine %.3f s (%4d cuts)  assemble %.3f s"
-            "  %5.1f s"
-            % (seed, status, residual, worst[0], calls[0], calls[1], hulls[0], groups[0], groups[1], hulls[1],
-               seconds["refine"], cuts[1], seconds["assemble"], time.perf_counter() - t0),
+            "seed %3d  %-12s residual %.2e  worst cover residual %.2e  %3d overlays in %2d batches -> %5d simplices"
+            "  %4d hulls  %4d groups -> %4d merged  %d assembly hulls  refine %.3f s (%.4f s/batch, %4d cuts)"
+            "  assemble %.3f s (%.4f s/batch)  %5.1f s"
+            % (seed, status, residual, worst[0], calls[0], calls[1], calls[2], hulls[0], groups[0], groups[1],
+               hulls[1], seconds["refine"], per["refine"], cuts[1], seconds["assemble"], per["assemble"],
+               time.perf_counter() - t0),
             flush=True,
         )
     print("%d of %d seeds failed" % (failed, len(args.seeds)))

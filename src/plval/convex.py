@@ -65,7 +65,7 @@ def affine_frame(pts: np.ndarray, rtol: float = 1e-9):
     return c, vt, rank, spread
 
 
-def dedupe_points(pts: np.ndarray, tol: float):
+def dedupe_points(pts: np.ndarray, tol, batch=None):
     """Merge rows within tol of each other (max-norm), each group onto
     its lexicographically first row.
 
@@ -73,16 +73,28 @@ def dedupe_points(pts: np.ndarray, tol: float):
     mapping[i] the row of unique_points that pts[i] collapsed onto.  A
     group is a connected set of the within-tol pairs, so a chain of
     points each within tol of the next collapses to one row.
+
+    With batch (k,), each row's batch, the batches are deduped apart, in
+    one KD-tree query: batch b within tol[b], and no two rows of
+    different batches merge.  unique_points then come by batch, each
+    batch's in lex order, so a batch's rows and mapping are those it
+    gets alone, shifted by the rows of the batches before it.
     """
     pts = np.asarray(pts, dtype=float)
     k = len(pts)
     d = pts.shape[1] if pts.ndim == 2 else 1
     pts = pts.reshape(k, d)
-    order = np.lexsort(pts.T[::-1])
+    order = np.lexsort(pts.T[::-1] if batch is None else (*pts.T[::-1], batch))
     label = np.empty(k, dtype=int)
     label[order] = np.arange(k)  # each point's lex rank
     if k > 1:
-        i, j = cKDTree(pts).query_pairs(tol, p=np.inf, output_type="ndarray").T
+        reach = tol if batch is None else float(np.max(tol))
+        i, j = cKDTree(pts).query_pairs(reach, p=np.inf, output_type="ndarray").T
+        if batch is not None:
+            # the tree's test, |p_i - p_j| <= reach in max-norm, made
+            # again at each pair's own batch tol
+            near = (batch[i] == batch[j]) & (np.abs(pts[i] - pts[j]).max(axis=1) <= np.asarray(tol)[batch[i]])
+            i, j = i[near], j[near]
         # each point takes the smallest label among its pairs, then the
         # label of the point that label ranks, until no label moves
         while len(i):
@@ -217,9 +229,10 @@ def dot_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (X * a[:, None, :]).sum(axis=2)
 
 
-def split(cells: Cells, a, c, tol: float, above: bool = True, flat: bool = False):
+def split(cells: Cells, a, c, tol, above: bool = True, flat: bool = False):
     """Cut every cell of the stack by its own plane a[i].x = c[i] (a
-    (B, d), c (B,); one plane (d,), () is shared by all).
+    (B, d), c (B,); one plane (d,), () is shared by all), at the
+    tolerance tol, one for all or one per cell (B,).
 
     Returns (lo, hi): the cells on the sides a.x <= c and a.x >= c, each
     a pair (cells, src) where src[j] is the input cell that cell j came
@@ -251,6 +264,7 @@ def split(cells: Cells, a, c, tol: float, above: bool = True, flat: bool = False
     a = a / norm[:, None]
     c = c / norm
     s = dot_rows(V, a) - c[:, None]
+    tol = np.reshape(tol, (-1, 1))
     out = (s > tol) & vm
     inn = (s < -tol) & vm
     any_out = out.any(axis=1)
@@ -345,23 +359,24 @@ def _sides(cells, a, c, out, inn, any_out, cross, pb, rank, X, TX, above, flat):
     return (kept.slice(0, m), src[:m]), (kept.slice(m, len(oi)), src[m:])
 
 
-def clip(cells: Cells, a, c, tol: float, flat: bool = False):
+def clip(cells: Cells, a, c, tol, flat: bool = False):
     """The parts of the cells in the half-spaces a.x <= c, as (cells,
     src); see split."""
     return split(cells, a, c, tol, above=False, flat=flat)[0]
 
 
-def clip_rows(cells: Cells, A, b, tol: float, flat: bool = False):
+def clip_rows(cells: Cells, A, b, tol, flat: bool = False):
     """Clip every cell by the rows A x <= b, one row at a time, as (cells,
     src): A (B, R, d) and b (B, R) give each cell its own rows, A (R, d)
-    and b (R,) one set for all."""
+    and b (R,) one set for all; tol is one for all or one per cell (B,)."""
     src = np.arange(len(cells))
     own = A.ndim == 3
+    tol = np.broadcast_to(np.reshape(tol, -1), len(src))
     for q in range(A.shape[-2]):
         if not len(src):
             break
         a, c = A[..., q, :], b[..., q]
-        cells, kept = clip(cells, a[src] if own else a, c[src] if own else c, tol, flat)
+        cells, kept = clip(cells, a[src] if own else a, c[src] if own else c, tol[src], flat)
         src = src[kept]
     return cells.compact(), src
 

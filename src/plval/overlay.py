@@ -49,14 +49,32 @@ twice, before any merging; once per pair) and each kept or merged
 cell's simplices fill it; simplices sharing a vertex agree on its value;
 and the output agrees with the pointwise max/min at sample points.
 
-Join and meet of one pair cut the same cells and differ only in which
+Pairs are overlaid in batches (lattice_overlays; lattice_overlay is a
+batch of one).  A batch's simplices are laid out pair by pair in one
+_Mesh, and every stage above runs once over all of them: near pairs are
+taken only between the simplices of one pair, the cuts of all pairs share
+each stacked convex.split, and one assemble_cells builds every pair's
+result.  What depends on a pair stays the pair's own: its tolerance
+scale (split takes one tolerance per cell), its convex supports, its
+cover balance, its vertex snap and row dedupe (convex.dedupe_points
+keeps batches apart), its degenerate floor and its fill and value
+checks, and its 128 sample points, the same draws from
+default_rng(424242) spread over the pair's own box.  The sampled check
+locates the points of every result in one stacked pass
+(plfunction.evaluate_each).  So a pair's result is byte-identical alone
+and in any batch, in any order; an OverlayFailure of any pair fails its
+batch.  Inclusion-exclusion meets all subsets of one size in one batch,
+and tent_decomposition builds a round's tents in one.
+
+Join and meet of one batch cut the same cells and differ only in which
 piece wins each one, and the valuation identity always asks for both.
-So the op-independent half (the cells, both winners, the support volume,
-the sample points and the inputs' values there) is memoised for the last
-pair overlaid, keyed on the two functions' identities: a meet of f and g
-right after their join, or the other way round, cuts once.  A
-PLFunction's arrays are write-protected, so a hit is never stale, and
-the memo keeps at most one pair alive.
+So the op-independent half (the cells, both winners, the support
+volumes, the sample points and the inputs' values there) is memoised
+for the last batch overlaid, keyed on the tuple of pairs, each pair by
+its two functions' identities: a meet of f and g right after their join,
+or the other way round, cuts once.  A PLFunction's arrays are
+write-protected, so a hit is never stale, and the memo keeps at most one
+batch alive.
 """
 
 from __future__ import annotations
@@ -71,7 +89,7 @@ from scipy.spatial import ConvexHull, QhullError
 from . import convex
 from .convex import EPS, SNAP
 from .errors import OverlayFailure
-from .plfunction import PLFunction, SimplicialComplex
+from .plfunction import PLFunction, SimplicialComplex, evaluate_each
 
 # Vertex values smaller than this are snapped to exact zero when cells
 # are assembled, keeping the boundary-zero invariant sharp.
@@ -98,10 +116,13 @@ FULL_COVER = 1e-12
 
 
 class _Mesh(NamedTuple):
-    """The simplices of f, then of g, ready to cut: a stack of cells (row
-    j opposite vertex j), their bounding boxes lo/hi, affine pieces
-    grad/off and volumes; the first mf are f's.  support holds f's and
-    g's support rows, each None where that support is not convex."""
+    """The simplices of a batch of pairs ready to cut, pair by pair, each
+    pair's f then its g: a stack of cells (row j opposite vertex j),
+    their bounding boxes lo/hi, affine pieces grad/off and volumes; pair
+    and of_f give each simplex's pair and whether it is f's.  support
+    (B, 2, R, d) and (B, 2, R) hold each pair's f's and g's support rows,
+    padded with 0.x <= 1, and rows (B, 2) how many there are, 0 where
+    that support is not convex."""
 
     cells: convex.Cells
     lo: np.ndarray
@@ -109,32 +130,64 @@ class _Mesh(NamedTuple):
     grad: np.ndarray
     off: np.ndarray
     vol: np.ndarray
-    mf: int
+    pair: np.ndarray
+    of_f: np.ndarray
     support: tuple
+    rows: np.ndarray
 
 
-def _prep(f: PLFunction, g: PLFunction) -> _Mesh:
-    """The simplices of f and g as one _Mesh."""
-    parts = []
-    for fn in (f, g):
-        cx = fn.complex
-        lo, hi, _, _ = cx.locator()
-        A, b = cx.simplex_rows()
-        parts.append((cx.simplex_arrays(), A, b, lo, hi, *fn.affines(), cx.simplex_volumes()))
-    V, A, b, lo, hi, grad, off, vol = (np.concatenate(x) for x in zip(*parts))
-    support = (f.complex.convex_support, g.complex.convex_support)
-    return _Mesh(convex.Cells.of_simplices(V, A, b), lo, hi, grad, off, vol, len(f.complex), support)
+def _prep(pairs) -> _Mesh:
+    """The simplices of the pairs (f, g) as one _Mesh."""
+    parts, supports = [], []
+    for p, (f, g) in enumerate(pairs):
+        for fn, is_f in ((f, True), (g, False)):
+            cx = fn.complex
+            lo, hi, _, _ = cx.locator()
+            A, b = cx.simplex_rows()
+            m = len(cx)
+            parts.append((cx.simplex_arrays(), A, b, lo, hi, *fn.affines(), cx.simplex_volumes(),
+                          np.full(m, p), np.full(m, is_f)))
+            supports.append(cx.convex_support)
+    V, A, b, lo, hi, grad, off, vol, pair, of_f = (np.concatenate(x) for x in zip(*parts))
+    B, d = len(pairs), V.shape[2]
+    rows = np.array([0 if sup is None else len(sup[1]) for sup in supports], dtype=int)
+    R = int(rows.max(initial=0))
+    SA, Sb = np.zeros((2 * B, R, d)), np.ones((2 * B, R))
+    for k, sup in enumerate(supports):
+        if sup is not None:
+            SA[k, : rows[k]], Sb[k, : rows[k]] = sup
+    return _Mesh(convex.Cells.of_simplices(V, A, b), lo, hi, grad, off, vol, pair, of_f,
+                 (SA.reshape(B, 2, R, d), Sb.reshape(B, 2, R)), rows.reshape(B, 2))
 
 
 class _Pieces(NamedTuple):
-    """The cells of two meshes cut against each other: each cell's
-    simplex of f and of g, as indices into the _Mesh (-1 where that
-    function is absent), and its volume."""
+    """The cells of each pair's two meshes cut against each other, by
+    pair: each cell's simplex of f and of g, as indices into the _Mesh
+    (-1 where that function is absent), its volume and its pair."""
 
     cells: convex.Cells
     f: np.ndarray
     g: np.ndarray
     vol: np.ndarray
+    pair: np.ndarray
+
+
+def _within(count):
+    """0, 1, ..., c-1 for each c in count, one after another."""
+    return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _zeros(functions, dim):
+    """functions with each None replaced by the zero function."""
+    return [PLFunction.zero(dim) if fn is None else fn for fn in functions]
+
+
+def _batch_max(values, batch, B):
+    """max(1, largest of values in batch b) for each b in range(B): a
+    batch's data scale, floored at 1 as each pair's is alone."""
+    out = np.ones(B)
+    np.maximum.at(out, batch, values)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +197,9 @@ class _Pieces(NamedTuple):
 
 def _cut_by_affine(cells, grad, off, tol):
     """Split every cell by the sign of its own affine function grad.x +
-    off, as (cells, src): a cell on which the function keeps its sign to
-    within CUT_TOL stays whole, any other gives its negative part, then
-    its positive part."""
+    off, at its own tolerance tol, as (cells, src): a cell on which the
+    function keeps its sign to within CUT_TOL stays whole, any other gives
+    its negative part, then its positive part."""
     if not len(cells):
         return cells, np.zeros(0, dtype=int)
     vals = convex.dot_rows(cells.V, grad) + off[:, None]
@@ -164,7 +217,8 @@ def _cut_by_affine(cells, grad, off, tol):
 
 def _subtract(cells, A, b, tol):
     """The parts of the cells outside their convex regions {A x <= b}, A
-    (B, R, d) and b (B, R), as (cells, src) in order of src, then of row.
+    (B, R, d) and b (B, R), cut at tolerances tol (B,), as (cells, src)
+    in order of src, then of row.
 
     Difference chains, run in lockstep over the stack with one stacked
     cut per row: piece k is inside rows < k and outside row k; the part
@@ -195,7 +249,7 @@ def _subtract(cells, A, b, tol):
         # the cells not cut lie wholly inside or outside a plane at infinity
         a = np.where(skip[:, None], 1.0, a)
         c = np.where(skip, np.inf, np.where(rest, -np.inf, c))
-        (cur, in_src), (outside, out_src) = convex.split(cur, a, c, tol)
+        (cur, in_src), (outside, out_src) = convex.split(cur, a, c, tol[act])
         out.append((outside, act[out_src], q))
         act = act[in_src]
         # a cut leaves the vertices it drops in place: close the gaps once
@@ -210,25 +264,23 @@ def _subtract(cells, A, b, tol):
 
 def _regions(mesh: _Mesh, owner, met, whole):
     """(A, b): for each cell of a simplex owner, the rows of the region
-    its chain subtracts next: the other function's whole support where
-    whole, else its simplex met; padded with 0.x <= 1."""
+    its chain subtracts next: the other function's whole support (of the
+    owner's pair) where whole, else its simplex met; padded with
+    0.x <= 1."""
     d = mesh.cells.V.shape[2]
-    own_f = owner < mesh.mf
-    rows = []  # (cells, their rows): a simplex's rows each, or one support's
-    i = np.flatnonzero(~whole)
-    if len(i):
-        rows.append((i, mesh.cells.A[met[i]], mesh.cells.b[met[i]]))
-    # f's simplices subtract g's support, g's simplices f's
-    for sel, support in ((own_f, mesh.support[1]), (~own_f, mesh.support[0])):
-        i = np.flatnonzero(whole & sel)
-        if len(i):
-            rows.append((i, *support))
-    R = max(Ar.shape[-2] for _, Ar, _ in rows)
+    # f's simplices subtract g's support (1), g's simplices f's (0)
+    pair, other = mesh.pair[owner], mesh.of_f[owner].astype(int)
+    R = int(np.where(whole, mesh.rows[pair, other], d + 1).max(initial=0))
     A = np.zeros((len(owner), R, d))
     b = np.ones((len(owner), R))
-    for i, Ar, br in rows:
-        A[i, : Ar.shape[-2]] = Ar
-        b[i, : br.shape[-1]] = br
+    i = np.flatnonzero(~whole)
+    A[i, : d + 1] = mesh.cells.A[met[i]]
+    b[i, : d + 1] = mesh.cells.b[met[i]]
+    i = np.flatnonzero(whole)
+    SA, Sb = mesh.support
+    r = min(R, SA.shape[2])
+    A[i, :r] = SA[pair[i], other[i], :r]
+    b[i, :r] = Sb[pair[i], other[i], :r]
     return A, b
 
 
@@ -236,7 +288,7 @@ def _leftovers(mesh: _Mesh, mi, mj, shared, tol):
     """The cells of the simplices that the other function does not cover,
     as (cells, owner), by owner.  (mi, mj) are the pairs of f's and g's
     simplices that meet, in order; shared[i] is the volume of simplex i
-    that such pairs cover.
+    that such pairs cover and tol[i] its pair's cut tolerance.
 
     A simplex's part outside the other support is one difference chain
     against that whole support when it is convex, and one chain per
@@ -249,9 +301,7 @@ def _leftovers(mesh: _Mesh, mi, mj, shared, tol):
     met = other[np.argsort(own, kind="stable")]
     count = np.bincount(own, minlength=m)
     start = np.cumsum(count) - count
-    whole = np.zeros(m, dtype=bool)
-    whole[: mesh.mf] = mesh.support[1] is not None
-    whole[mesh.mf :] = mesh.support[0] is not None
+    whole = mesh.rows[mesh.pair, mesh.of_f.astype(int)] > 0
     count[whole] = np.minimum(count[whole], 1)
     parts, owner = mesh.cells.take(partly), partly
     done = [(parts.take(owner[:0]), owner[:0])]
@@ -264,7 +314,7 @@ def _leftovers(mesh: _Mesh, mi, mj, shared, tol):
         if not len(owner):
             break
         A, b = _regions(mesh, owner, met[start[owner] + t], whole[owner])
-        parts, src = _subtract(parts, A, b, tol)
+        parts, src = _subtract(parts, A, b, tol[owner])
         owner = owner[src]
         t += 1
     owner = np.concatenate([o for _, o in done])
@@ -291,49 +341,71 @@ def _volumes(cells):
 
 
 def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
-    """Cells covering supp f and supp g, the cells both cover once for
-    each; mesh comes from _prep."""
-    mf, m = mesh.mf, len(mesh.vol)
-    scale = max(1.0, float(np.max(np.abs(mesh.cells.V), initial=0.0)))
-    tol = CLIP_TOL * scale
+    """Cells covering supp f and supp g of every pair, the cells both
+    cover once for each, by pair; mesh comes from _prep.  A pair's cells
+    are cut at its own scale, and only its own simplices meet."""
+    m, B = len(mesh.vol), len(mesh.rows)
+    scale = _batch_max(np.abs(mesh.cells.V).max(axis=(1, 2), initial=0.0), mesh.pair, B)
+    tol = CLIP_TOL * scale[mesh.pair]
     lo, hi = mesh.lo, mesh.hi
-    # near pairs (i, j): the boxes of f's simplex i and g's simplex j overlap
-    near = np.all((lo[:mf, None] <= hi[None, mf:] + EPS) & (lo[None, mf:] <= hi[:mf, None] + EPS), axis=2)
-    pi, pj = np.nonzero(near)
-    pj = pj + mf
+    # near pairs (i, j): f's simplex i and g's simplex j of one pair, with
+    # overlapping boxes, by i, then j
+    fi, gi = np.flatnonzero(mesh.of_f), np.flatnonzero(~mesh.of_f)
+    count = np.bincount(mesh.pair[gi], minlength=B)
+    first = np.cumsum(count) - count
+    c = count[mesh.pair[fi]]
+    pi = np.repeat(fi, c)
+    pj = gi[np.repeat(first[mesh.pair[fi]], c) + _within(c)]
+    near = np.all((lo[pi] <= hi[pj] + EPS) & (lo[pj] <= hi[pi] + EPS), axis=1)
+    pi, pj = pi[near], pj[near]
     # regions covered by both functions: every near pair clipped at once,
     # f's simplex by g's rows, then cut by {f = g}
-    both, src = convex.clip_rows(mesh.cells.take(pi), mesh.cells.A[pj], mesh.cells.b[pj], tol)
+    both, src = convex.clip_rows(mesh.cells.take(pi), mesh.cells.A[pj], mesh.cells.b[pj], tol[pi])
     mi, mj = pi[src], pj[src]  # the pairs that meet in an interior
-    both, src = _cut_by_affine(both, mesh.grad[mi] - mesh.grad[mj], mesh.off[mi] - mesh.off[mj], tol)
+    both, src = _cut_by_affine(both, mesh.grad[mi] - mesh.grad[mj], mesh.off[mi] - mesh.off[mj], tol[mi])
     pi, pj = mi[src], mj[src]
     vol = _volumes(both)
     shared = np.bincount(pi, weights=vol, minlength=m) + np.bincount(pj, weights=vol, minlength=m)
     # single-cover leftovers of each function, cut where it crosses zero
     parts, owner = _leftovers(mesh, mi, mj, shared, tol)
-    parts, src = _cut_by_affine(parts, mesh.grad[owner], mesh.off[owner], tol)
+    parts, src = _cut_by_affine(parts, mesh.grad[owner], mesh.off[owner], tol[owner])
     owner = owner[src]
     absent = np.full(len(owner), -1)
-    return _Pieces(
+    of_f = mesh.of_f[owner]
+    pair = mesh.pair[np.concatenate([pi, owner])]
+    pieces = _Pieces(
         convex.Cells.concat([both, parts]),
-        np.concatenate([pi, np.where(owner < mf, owner, absent)]),
-        np.concatenate([pj, np.where(owner < mf, absent, owner)]),
+        np.concatenate([pi, np.where(of_f, owner, absent)]),
+        np.concatenate([pj, np.where(of_f, absent, owner)]),
         np.concatenate([vol, _volumes(parts)]),
+        pair,
     )
+    # each pair's cells together, in the order it gets alone
+    order = np.argsort(pair, kind="stable")
+    return _Pieces(pieces.cells.take(order), *(x[order] for x in pieces[1:]))
 
 
-def _cover(pieces: _Pieces) -> float:
-    """The volume the cells cover, each cell both functions cover
-    counted twice."""
-    return float(np.sum(pieces.vol * (1 + ((pieces.f >= 0) & (pieces.g >= 0)))))
+def _bounds(batch, B):
+    """Where each of the batches 0..B-1 starts and ends in the sorted
+    batch ids: batch b is [ends[b], ends[b+1])."""
+    return np.searchsorted(batch, np.arange(B + 1))
 
 
-def _check_cover(pieces: _Pieces, supp: float) -> None:
-    """supp is vol supp f + vol supp g: the cells must cover it exactly,
-    with each cell both functions cover counted twice."""
-    covered = _cover(pieces)
-    if abs(covered - supp) > COVER_TOL * supp:
-        raise OverlayFailure("cells cover volume %.17g, the two supports %.17g" % (covered, supp))
+def _cover(pieces: _Pieces, B: int) -> np.ndarray:
+    """The volume each of the B pairs' cells cover, each cell both
+    functions cover counted twice."""
+    w = pieces.vol * (1 + ((pieces.f >= 0) & (pieces.g >= 0)))
+    ends = _bounds(pieces.pair, B)
+    return np.array([np.sum(w[a:b]) for a, b in zip(ends[:-1], ends[1:])])
+
+
+def _check_cover(pieces: _Pieces, supp: np.ndarray) -> None:
+    """supp[k] is vol supp f + vol supp g of pair k: its cells must cover
+    it exactly, with each cell both functions cover counted twice."""
+    covered = _cover(pieces, len(supp))
+    bad = np.flatnonzero(np.abs(covered - supp) > COVER_TOL * supp)
+    if len(bad):
+        raise OverlayFailure("cells cover volume %.17g, the two supports %.17g" % (covered[bad[0]], supp[bad[0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +473,16 @@ class _Groups(NamedTuple):
     cell: tuple
 
 
-def _groups(cells, rows, idx, vol, table, scale) -> _Groups:
-    """The merge groups of the kept cells and the cell each would become.
+def _groups(cells, rows, idx, vol, table, scale, batch) -> _Groups:
+    """The merge groups of the kept cells and the cell each would become;
+    cell k is in batch[k], whose data scale is scale[batch[k]], and a
+    group never holds cells of two batches.
 
     rows (K, d+1) holds each cell's winning affine function as [grad *
     scale, off], and idx (K, k) the rows in table of its vertices.  Cells
-    are grouped by rows within VALUE_SNAP times the largest entry, so a
-    piece and a recomputed copy of it (f's against f v g's, say) fall in
-    one group whichever function came first; a group takes its
+    are grouped by rows within VALUE_SNAP times the batch's largest entry,
+    so a piece and a recomputed copy of it (f's against f v g's, say) fall
+    in one group whichever function came first; a group takes its
     lexicographically first function.
 
     A group's rows are its members' rows that all its vertices P satisfy
@@ -418,9 +492,8 @@ def _groups(cells, rows, idx, vol, table, scale) -> _Groups:
     maximal on those rows, with their facets (incidence_faces), so a
     neighbour's vertex may sit on a facet of a merged cell as a
     T-junction; _merges decides whether it is H."""
-    tol = CLIP_TOL * scale
-    vscale = max(1.0, float(np.max(np.abs(rows))))
-    _, group = convex.dedupe_points(rows, VALUE_SNAP * vscale)
+    vscale = _batch_max(np.abs(rows).max(axis=1), batch, len(scale))
+    _, group = convex.dedupe_points(rows, VALUE_SNAP * vscale, batch)
     count = np.bincount(group)
     G = int(np.count_nonzero(count > 1))
     member = np.where(count[group] > 1, (np.cumsum(count > 1) - 1)[group], -1)
@@ -429,6 +502,7 @@ def _groups(cells, rows, idx, vol, table, scale) -> _Groups:
     total = np.bincount(cg, weights=vol[ci], minlength=G)
     lex = ci[np.lexsort(rows[ci].T[::-1])]
     rep = lex[np.unique(member[lex], return_index=True)[1]]
+    tol = CLIP_TOL * scale[batch[rep]]
 
     # each group's vertices, in table order
     vm = cells.vm[ci]
@@ -442,9 +516,9 @@ def _groups(cells, rows, idx, vol, table, scale) -> _Groups:
     rg = np.repeat(cg, rm.sum(axis=1))
     a, c = cells.A[ci][rm], cells.b[ci][rm]
     D = convex.dot_rows(table[P][rg], a) - c[:, None]
-    ok = np.where(pm[rg], D <= tol, True).all(axis=1)
+    ok = np.where(pm[rg], D <= tol[rg, None], True).all(axis=1)
     D, am = _pad(rg[ok], G, D[ok])
-    T = (np.abs(D) <= tol).transpose(0, 2, 1) & pm[:, :, None] & am[:, None, :]
+    T = (np.abs(D) <= tol[:, None, None]).transpose(0, 2, 1) & pm[:, :, None] & am[:, None, :]
     vert, facet = convex.incidence_faces(T, pm, am)
     return _Groups(member, rep, total, (P, vert, T & vert[:, :, None] & facet[:, None, :]))
 
@@ -464,10 +538,11 @@ def _merges(groups: _Groups, S, g, vol):
     P, vert, T = groups.cell
     G, d = len(P), S.shape[1] - 1
     filled = np.bincount(g, weights=vol, minlength=G)
-    # each vertex's place in its group's cell
-    at = np.zeros((G, int(P.max(initial=0)) + 1), dtype=int)
+    # each vertex's place in its group's cell: its key group * n + index
+    # among the vertices' keys, which come sorted
+    n = int(P.max(initial=0)) + 1
     gi, pi = np.nonzero(vert)
-    at[gi, P[gi, pi]] = pi
+    key = gi * n + P[gi, pi]
     # every (d-1)-face of every simplex with its group, sorted; a face met
     # once lies on the triangulation's boundary
     drop = np.array([[c for c in range(d + 1) if c != j] for j in range(d + 1)], dtype=int)
@@ -479,31 +554,40 @@ def _merges(groups: _Groups, S, g, vol):
     lone[:-1] &= ~twin
     single = faces[lone]
     fg = single[:, :1]
-    on_facet = T[fg, at[fg, single[:, 1:]]].all(axis=1).any(axis=1)
+    at = pi[np.searchsorted(key, fg * n + single[:, 1:])]
+    on_facet = T[fg, at].all(axis=1).any(axis=1)
     closed = np.bincount(single[~on_facet, 0], minlength=G) == 0
     return closed & (np.abs(filled - groups.total) <= COVER_TOL * groups.total)
 
 
-def assemble_cells(cells, vol, grad, off, dim, supp):
-    """The PLFunction equal to grad[k].x + off[k] on cell k of cells, a
-    convex.Cells partition of its support with volumes vol; the fill
-    check is relative to the volume supp.
+def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
+    """[PLFunction of batch b for b in range(len(supp))]: the function of
+    batch b equals grad[k].x + off[k] on each cell k of cells with
+    batch[k] = b, a convex.Cells partition of its support with volumes
+    vol; batch is non-decreasing, and batch b's fill check is relative to
+    the volume supp[b].  Each batch is assembled as it would be alone, in
+    one pass over all of them.
 
-    Vertices within SNAP (times the data scale) are one; cells with one
-    piece are merged where their union is convex (_groups), and the
-    others are triangulated from their incidence.  A vertex takes the
+    Vertices within SNAP (times the batch's data scale) are one; cells
+    with one piece are merged where their union is convex (_groups), and
+    the others are triangulated from their incidence.  A vertex takes the
     value of the least steep piece that has it: a position error delta
     gives a value error |grad| delta.  Simplices that are 0 at every
     vertex are left out."""
+    B = len(supp)
+    out = [None] * B
     if not len(cells):
-        return PLFunction.zero(dim)
+        return _zeros(out, dim)
     vm = cells.vm
     allv = cells.V[vm]
-    scale = max(1.0, float(np.max(np.abs(allv))))
-    table, mapping = convex.dedupe_points(allv, SNAP * scale)
+    vb = np.repeat(batch, vm.sum(axis=1))
+    scale = _batch_max(np.abs(allv).max(axis=1), vb, B)
+    table, mapping = convex.dedupe_points(allv, SNAP * scale, vb)
+    tb = np.empty(len(table), dtype=int)
+    tb[mapping] = vb  # each table point's batch: they come by batch
     idx = np.zeros(vm.shape, dtype=int)
     idx[vm] = mapping
-    groups = _groups(cells, np.column_stack([grad * scale, off]), idx, vol, table, scale)
+    groups = _groups(cells, np.column_stack([grad * scale[batch, None], off]), idx, vol, table, scale, batch)
 
     # one triangulation of the cells that are not simplices already (in
     # 1-D every cell, as an edge is tested by its length) and of what each
@@ -517,32 +601,34 @@ def assemble_cells(cells, vol, grad, off, dim, supp):
     # the cells that go to the output: kept cells 0..K-1 not merged (a
     # cell alone has group -1, which reads the appended False), then the
     # merged groups
-    out = np.concatenate([~np.append(merged, False)[groups.member], merged])
+    out_cell = np.concatenate([~np.append(merged, False)[groups.member], merged])
     owner = np.concatenate([oi, K + np.arange(G)])[tri]
-    keep = out[owner]
-    si = np.flatnonzero(simplex & out[:K])
+    keep = out_cell[owner]
+    si = np.flatnonzero(simplex & out_cell[:K])
     S_si, ok = convex.simplex_cells(table, idx[si][vm[si]].reshape(-1, dim + 1))
     S = np.concatenate([S_si[ok], S[keep]])
     cells_of = np.concatenate([si[ok], owner[keep]])
     svols = convex.simplex_measures(table, S)
-    # each cell's volume and piece, the merged groups last; a merged
-    # group's members are filled through it
-    cell_vol = np.where(out, np.concatenate([vol, groups.total]), 0.0)
+    # each cell's volume, piece and batch, the merged groups last; a
+    # merged group's members are filled through it
+    cell_vol = np.where(out_cell, np.concatenate([vol, groups.total]), 0.0)
     piece = np.concatenate([np.arange(K), groups.rep])
+    cell_batch = batch[piece]
 
     # needles at or below the degenerate floor carry no volume at the
     # data's scale; the fill check below still sees each cell filled
     # without them
-    keep = svols > (EPS * scale) ** dim / math.factorial(dim)
+    floor = np.array([(EPS * float(x)) ** dim / math.factorial(dim) for x in scale])
+    keep = svols > floor[cell_batch[cells_of]]
     S, cells_of, svols = S[keep], cells_of[keep], svols[keep]
     filled = np.bincount(cells_of, weights=svols, minlength=len(cell_vol))
-    bad = np.flatnonzero(np.abs(filled - cell_vol) > COVER_TOL * supp)
+    bad = np.flatnonzero(np.abs(filled - cell_vol) > COVER_TOL * supp[cell_batch])
     if len(bad):
         raise OverlayFailure(
             "a cell of volume %.3g triangulates to volume %.3g" % (cell_vol[bad[0]], filled[bad[0]])
         )
     if not len(S):
-        return PLFunction.zero(dim)
+        return _zeros(out, dim)
 
     order = np.lexsort(S.T[::-1])
     S, cells_of, svols = S[order], cells_of[order], svols[order]
@@ -559,9 +645,9 @@ def assemble_cells(cells, vol, grad, off, dim, supp):
     np.maximum.at(hi, flat_idx, flat_vals)
     np.minimum.at(lo, flat_idx, flat_vals)
     np.maximum.at(steep, flat_idx, flat_steep)
-    vscale = max(1.0, float(np.max(np.abs(flat_vals))))
+    vscale = _batch_max(np.abs(flat_vals), tb[flat_idx], B)
     spread = hi - lo
-    bad = np.flatnonzero(spread > VALUE_AGREE * vscale + 20.0 * VERTEX_TOL * scale * steep)
+    bad = np.flatnonzero(spread > VALUE_AGREE * vscale[tb] + 20.0 * VERTEX_TOL * scale[tb] * steep)
     if len(bad):
         raise OverlayFailure("value disagreement %.3g at a shared vertex" % spread[bad[0]])
     # the least steep piece at each vertex, the first simplex among equals
@@ -572,76 +658,102 @@ def assemble_cells(cells, vol, grad, off, dim, supp):
     values[np.abs(values) <= VALUE_SNAP] = 0.0
 
     live = np.any(values[S] != 0.0, axis=1)
-    if not live.any():
-        return PLFunction.zero(dim)
-    used, local = np.unique(S[live], return_inverse=True)
-    out_cx = SimplicialComplex(
-        dim=dim,
-        vertices=table[used],
-        simplices=tuple(map(tuple, local.reshape(-1, dim + 1).tolist())),
-        _volumes=svols[live],
-    )
-    return PLFunction(complex=out_cx, values=values[used])
+    S, svols = S[live], svols[live]
+    # each batch's simplices and vertices are a run of the sorted rows
+    used, local = np.unique(S, return_inverse=True)
+    local = local.reshape(-1, dim + 1)
+    vends, sends = _bounds(tb[used], B), _bounds(tb[S[:, 0]], B)
+    for k in np.flatnonzero(sends[1:] > sends[:-1]):
+        v = used[vends[k] : vends[k + 1]]
+        s = slice(sends[k], sends[k + 1])
+        out_cx = SimplicialComplex(dim=dim, vertices=table[v], simplices=local[s] - vends[k], _volumes=svols[s])
+        out[k] = PLFunction(complex=out_cx, values=values[v])
+    return _zeros(out, dim)
 
 
 def _assemble(ref, op, dim):
-    """The function op keeps: each cell with the piece that wins it,
-    assembled into a partition."""
+    """The functions op keeps, one per pair: each cell with the piece that
+    wins it, assembled into a partition."""
     win = ref.winners[op]
     kept = np.flatnonzero(win >= 0)
     win = win[kept]
-    return assemble_cells(ref.pieces.cells.take(kept), ref.pieces.vol[kept], ref.grad[win], ref.off[win], dim, ref.supp)
+    return assemble_cells(ref.pieces.cells.take(kept), ref.pieces.vol[kept], ref.grad[win], ref.off[win], dim, ref.supp,
+                          ref.pieces.pair[kept])
 
 
 class _Refinement(NamedTuple):
-    """The op-independent half of an overlay of f and g: the cut cells,
-    the affine pieces of f then g, the piece each cell keeps under join
-    and meet, vol supp f + vol supp g, and the sample points of the final
-    check with f and g evaluated there."""
+    """The op-independent half of an overlay of a batch of pairs: the cut
+    cells, the affine pieces of the _Mesh, the piece each cell keeps
+    under join and meet, each pair's vol supp f + vol supp g, and each
+    pair's sample points of the final check (B, 128, d) with its f and g
+    evaluated there (B, 128)."""
 
     pieces: _Pieces
     grad: np.ndarray
     off: np.ndarray
     winners: dict
-    supp: float
+    supp: np.ndarray
     pts: np.ndarray
     fe: np.ndarray
     ge: np.ndarray
 
 
 @functools.lru_cache(maxsize=1)
-def _refine(f: PLFunction, g: PLFunction) -> _Refinement:
-    """The refinement of the pair, its cover balance checked.  PLFunction
-    compares by identity, so the key is the pair of objects."""
-    mesh = _prep(f, g)
+def _refine(pairs: tuple) -> _Refinement:
+    """The refinement of the pairs, a tuple of (f, g), each pair's cover
+    balance checked.  PLFunction compares by identity, so the key is the
+    tuple of objects."""
+    mesh = _prep(pairs)
     pieces = _pieces_pairwise(mesh)
-    supp = f.support_volume() + g.support_volume()
+    supp = np.array([f.support_volume() + g.support_volume() for f, g in pairs])
     _check_cover(pieces, supp)
-    lo = np.minimum(*(fn.bbox()[0] for fn in (f, g)))
-    hi = np.maximum(*(fn.bbox()[1] for fn in (f, g)))
-    rng = np.random.default_rng(424242)
-    pts = rng.uniform(lo, hi, size=(128, f.dim))
-    fe = f.evaluate_many(pts)
-    ge = g.evaluate_many(pts)
+    # the same 128 draws for every pair, spread over its own box
+    dim = mesh.cells.V.shape[2]
+    U = np.random.default_rng(424242).random((128, dim))
+    lo = np.array([np.minimum(f.bbox()[0], g.bbox()[0]) for f, g in pairs])
+    hi = np.array([np.maximum(f.bbox()[1], g.bbox()[1]) for f, g in pairs])
+    pts = lo[:, None, :] + (hi - lo)[:, None, :] * U
+    # every f and g at its pair's points, in one point location
+    B = len(pairs)
+    at = np.repeat(np.arange(2 * B), len(U))
+    vals = evaluate_each([fn for pair in pairs for fn in pair], np.repeat(pts, 2, axis=0).reshape(-1, dim), at)
+    fe, ge = vals.reshape(B, 2, len(U)).transpose(1, 0, 2)
     for arr in (pts, fe, ge):
         arr.setflags(write=False)
     return _Refinement(pieces, mesh.grad, mesh.off, _winners(pieces, mesh), supp, pts, fe, ge)
 
 
-def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch: %d vs %d" % (f.dim, g.dim))
-    dim = f.dim
-    if f.complex.is_empty() and g.complex.is_empty():
-        return PLFunction.zero(dim)
-
-    ref = _refine(f, g)
-    out = _assemble(ref, op, dim)
+def lattice_overlays(pairs, op: str) -> list:
+    """[f v g for (f, g) in pairs] for op "join", f ^ g for "meet": every
+    pair cut, assembled and checked in one stacked pass, each result the
+    one its pair gets alone.  An OverlayFailure of any pair raises."""
+    pairs = tuple((f, g) for f, g in pairs)
+    if not pairs:
+        return []
+    dim = pairs[0][0].dim
+    for fn in (fn for pair in pairs for fn in pair):
+        if fn.dim != dim:
+            raise ValueError("dimension mismatch: %d vs %d" % (dim, fn.dim))
+    out = [None] * len(pairs)
+    live = [k for k, (f, g) in enumerate(pairs) if not (f.complex.is_empty() and g.complex.is_empty())]
+    if not live:
+        return _zeros(out, dim)
+    ref = _refine(tuple(pairs[k] for k in live))
+    got = _assemble(ref, op, dim)
 
     want = np.maximum(ref.fe, ref.ge) if op == "join" else np.minimum(ref.fe, ref.ge)
-    got = out.evaluate_many(ref.pts)
-    vscale = max(1.0, float(np.max(np.abs(want))))
-    err = float(np.max(np.abs(got - want)))
-    if err > 1e-8 * vscale:
-        raise OverlayFailure("overlay disagrees with pointwise %s by %.3g" % (op, err))
-    return out
+    B, P = want.shape
+    at = np.repeat(np.arange(B), P)
+    err = np.abs(evaluate_each(got, ref.pts.reshape(-1, dim), at).reshape(B, P) - want).max(axis=1)
+    vscale = np.maximum(1.0, np.abs(want).max(axis=1))
+    bad = np.flatnonzero(err > 1e-8 * vscale)
+    if len(bad):
+        raise OverlayFailure("overlay disagrees with pointwise %s by %.3g" % (op, err[bad[0]]))
+    for k, h in zip(live, got):
+        out[k] = h
+    return _zeros(out, dim)
+
+
+def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:
+    """f v g for op "join", f ^ g for "meet": a batch of one pair."""
+    return lattice_overlays([(f, g)], op)[0]

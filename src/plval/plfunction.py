@@ -10,9 +10,11 @@ simplices meet in a common face).  Lattice operations (pointwise
 max/min) refine the two meshes against each other and return a simplex
 partition that may have T-junctions; see overlay.py for that machinery.
 A tent's convex cells are assembled into a function by the same code as
-an overlay's (overlay.assemble_cells), so a vertex takes its value from
-the least steep piece that has it.  Evaluation, gradients, integrals and
-norms only need a partition.
+an overlay's (overlay.assemble_cells), all tents of a decomposition round
+in one batch, so a vertex takes its value from the least steep piece
+that has it.  Evaluation, gradients, integrals and norms only need a
+partition; points are located in several functions at once by locate
+and evaluate_each, and evaluate_many is the case of one.
 """
 
 from __future__ import annotations
@@ -64,7 +66,11 @@ class SimplicialComplex:
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, self.dim)
         if not np.isfinite(self.vertices).all():
             raise NonFinite("complex vertices hold a non-finite number")
-        self.simplices = tuple(tuple(sorted(int(i) for i in s)) for s in self.simplices)
+        # each simplex's indices sorted once, as one array
+        index = np.sort(np.asarray(self.simplices, dtype=int).reshape(-1, self.dim + 1), axis=1)
+        index.setflags(write=False)
+        self._index = index
+        self.simplices = tuple(map(tuple, index.tolist()))
         self.vertices.setflags(write=False)
 
     def __len__(self):
@@ -87,9 +93,6 @@ class SimplicialComplex:
 
     def index_array(self) -> np.ndarray:
         """(m, dim+1) vertex indices per simplex."""
-        if self._index is None:
-            self._index = np.array(self.simplices, dtype=int).reshape(-1, self.dim + 1)
-            self._index.setflags(write=False)
         return self._index
 
     def simplex_arrays(self):
@@ -187,28 +190,9 @@ class SimplicialComplex:
 
     def containing(self, X: np.ndarray, tol: float = EPS):
         """(p, i): the pairs of point X[p] and simplex i that holds it,
-        by point, then by simplex index.  A simplex holds the points whose
-        barycentric coordinates there are all >= -10 tol; those are
-        dimensionless, and only the bounding-box prefilter pads by a
-        length, 10 tol times the scale.  At most EVAL_PAIRS candidate
-        pairs are tested at a time."""
+        by point, then by simplex index (see locate)."""
         X = np.asarray(X, dtype=float)
-        P, I = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        if self.is_empty():
-            return P[0], I[0]
-        lo, hi, M, v0 = self.locator()
-        pad = 10 * tol * self.scale()
-        lo, hi = lo - pad, hi + pad
-        step = max(1, EVAL_PAIRS // len(lo))
-        for start in range(0, len(X), step):
-            Xc = X[start : start + step]
-            near = np.all((Xc[:, None, :] >= lo) & (Xc[:, None, :] <= hi), axis=2)
-            p, i = np.nonzero(near)
-            bc = np.einsum("kij,kj->ki", M[i], Xc[p] - v0[i])
-            inside = np.all(bc >= -10 * tol, axis=1) & (1.0 - bc.sum(axis=1) >= -10 * tol)
-            P.append(start + p[inside])
-            I.append(i[inside])
-        return np.concatenate(P), np.concatenate(I)
+        return locate([self], X, np.zeros(len(X), dtype=int), tol)
 
     def _candidate_pairs(self, los, his, pad):
         """Index pairs whose boxes might overlap, via a spatial grid so the
@@ -365,13 +349,7 @@ class PLFunction:
         the value of the first in index order.
         """
         X = np.asarray(X, dtype=float)
-        out = np.zeros(len(X))
-        p, i = self.complex.containing(X)
-        first = np.unique(p, return_index=True)[1]
-        p, i = p[first], i[first]
-        grads, offs = self.affines()
-        out[p] = np.einsum("kj,kj->k", X[p], grads[i]) + offs[i]
-        return out
+        return evaluate_each([self], X, np.zeros(len(X), dtype=int))
 
     def support_volume(self) -> float:
         return float(self.complex.simplex_volumes().sum())
@@ -402,6 +380,65 @@ class PLFunction:
             "simplices": [[int(i) for i in s] for s in self.complex.simplices],
             "values": [float(v) for v in self.values],
         }
+
+
+def locate(complexes, X: np.ndarray, at: np.ndarray, tol: float = EPS):
+    """(p, i): the pairs of point X[p] and simplex i of complexes[at[p]]
+    that holds it, by point, then by simplex, in one pass over every
+    point; i numbers the complexes' simplices one after another.
+
+    A simplex holds the points whose barycentric coordinates there are
+    all >= -10 tol; those are dimensionless, and only the bounding-box
+    prefilter pads by a length, 10 tol times its complex's scale.  A
+    point is tested against every simplex of its own complex, at most
+    EVAL_PAIRS candidate pairs at a time, and each pair's test reads that
+    pair alone, so a point's pairs do not depend on the other complexes."""
+    m = np.array([len(cx) for cx in complexes], dtype=int)
+    first = np.cumsum(m) - m
+    live = [cx.locator() for cx in complexes if len(cx)]
+    P, I = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    if not live:
+        return P[0], I[0]
+    lo, hi, M, v0 = (np.concatenate(x) for x in zip(*live))
+    pad = np.repeat([10 * tol * cx.scale() for cx in complexes], m)[:, None]
+    lo, hi = lo - pad, hi + pad
+    count = m[at]
+    start = np.cumsum(count) - count
+    # chunks of whole points, a new one where a point's first pair passes
+    # a multiple of EVAL_PAIRS
+    cuts = np.flatnonzero(np.diff(start // EVAL_PAIRS)) + 1
+    # one coordinate at a time, each on the pairs the last one kept
+    Xd, lod, hid = X.T.copy(), lo.T.copy(), hi.T.copy()
+    for s, e in zip([0, *cuts], [*cuts, len(X)]):
+        c = count[s:e]
+        p = s + np.repeat(np.arange(e - s), c)
+        i = np.repeat(first[at[s:e]] - (start[s:e] - start[s]), c) + np.arange(int(c.sum()))
+        for x, a, b in zip(Xd, lod, hid):
+            xp = x[p]
+            near = (xp >= a[i]) & (xp <= b[i])
+            p, i = p[near], i[near]
+        bc = np.einsum("kij,kj->ki", M[i], X[p] - v0[i])
+        inside = np.all(bc >= -10 * tol, axis=1) & (1.0 - bc.sum(axis=1) >= -10 * tol)
+        P.append(p[inside])
+        I.append(i[inside])
+    return np.concatenate(P), np.concatenate(I)
+
+
+def evaluate_each(functions, X: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """functions[at[p]] at X[p] for every point p, in one point location
+    (locate); a point outside its function's support gives 0, and one on
+    several simplices takes the value of the first in index order.  Each
+    value is the one evaluate_many gives alone."""
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(len(X))
+    p, i = locate([fn.complex for fn in functions], X, at)
+    # the pairs come by point, then simplex: keep each point's first
+    first = np.ones(len(p), dtype=bool)
+    first[1:] = p[1:] != p[:-1]
+    p, i = p[first], i[first]
+    grads, offs = (np.concatenate(x) for x in zip(*(fn.affines() for fn in functions)))
+    out[p] = np.einsum("kj,kj->k", X[p], grads[i]) + offs[i]
+    return out
 
 
 def from_json_dict(data: dict) -> PLFunction:
@@ -477,33 +514,23 @@ def meet(f: PLFunction, g: PLFunction) -> PLFunction:
 # ---------------------------------------------------------------------------
 
 
-def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
-    """Concave tent over simplex si: equals f on the simplex, slopes to 0
-    at rate M outside it.
+def _build_tents(f: PLFunction, simplices, M) -> list:
+    """Concave tents over the simplices of f, tent k over simplex
+    simplices[k]: it equals f on the simplex and slopes to 0 at rate M[k]
+    outside it.
 
-    The tent is min(A, A + M b_0, ..., A + M b_n) clipped at 0, where A is
+    A tent is min(A, A + M b_0, ..., A + M b_n) clipped at 0, where A is
     f's affine extension and b_j the barycentric coordinates; a minimum of
-    affine functions is concave on the region where it is positive.  Its
-    n+2 cells are cut in one stacked chain and assembled by the overlay's
-    assemble_cells.
+    affine functions is concave on the region where it is positive.  The
+    n+2 cells of every tent are cut in one stacked chain and assembled by
+    one batched overlay.assemble_cells, tent by tent as each would be
+    alone.
     """
     from . import overlay
 
     n = f.dim
     grads, offs = f.affines()
-    gA, cA = grads[si], offs[si]
-
     _, _, Ms, v0s = f.complex.locator()
-    Mb, v0 = Ms[si], v0s[si]
-    # b_j(x) = row_j . (x - v0) for j=1..n, b_0 = 1 - sum
-    b_rows = np.vstack([-Mb.sum(axis=0), Mb])
-    b_offs = np.array([1.0, *np.zeros(n)]) - b_rows @ v0
-
-    def tent_affine(j):
-        if j < 0:
-            return gA, cA
-        return gA + M * b_rows[j], cA + M * b_offs[j]
-
     # cells: the central simplex (all b_j >= 0), where the tent is A, and
     # one wedge per j where b_j is the most negative coordinate, where it
     # is A + M b_j.  Each is cut at once from an inflated box around
@@ -517,32 +544,43 @@ def _build_tent(f: PLFunction, si: int, M: float) -> PLFunction:
     box_A = np.vstack([np.eye(n), -np.eye(n)])
     box_b = np.concatenate([hi + pad, -(lo - pad)])
     tol = EPS * max(1.0, float(np.max(np.abs(box_b))))
-    rows, rhs = [np.vstack([-b_rows, -gA])], [np.append(b_offs, cA)]
-    for j in range(n + 1):
-        others = [l for l in range(n + 1) if l != j]
-        gj, cj = tent_affine(j)
-        rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others], -gj]))
-        rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j], [cj]]))
+    rows, rhs, pieces = [], [], []
+    for si, Mk in zip(simplices, M):
+        gA, cA = grads[si], offs[si]
+        # b_j(x) = row_j . (x - v0) for j=1..n, b_0 = 1 - sum
+        b_rows = np.vstack([-Ms[si].sum(axis=0), Ms[si]])
+        b_offs = np.array([1.0, *np.zeros(n)]) - b_rows @ v0s[si]
+        pieces.append((gA, cA))
+        rows.append(np.vstack([-b_rows, -gA]))
+        rhs.append(np.append(b_offs, cA))
+        for j in range(n + 1):
+            others = [l for l in range(n + 1) if l != j]
+            gj, cj = gA + Mk * b_rows[j], cA + Mk * b_offs[j]
+            pieces.append((gj, cj))
+            rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others], -gj]))
+            rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j], [cj]]))
     box = convex.Cells.of([(corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol))])
-    cells, src = convex.clip_rows(box.take(np.zeros(n + 2, dtype=int)), np.array(rows), np.array(rhs), tol)
-    grad, off = zip(*(tent_affine(j - 1) for j in src))
+    cells, src = convex.clip_rows(box.take(np.zeros(len(rows), dtype=int)), np.array(rows), np.array(rhs), tol)
+    grad, off = (np.array(x) for x in zip(*pieces))
+    tent = src // (n + 2)
     vol = overlay._volumes(cells)
-    t = overlay.assemble_cells(cells, vol, np.array(grad), np.array(off), n, float(vol.sum()))
+    ends = overlay._bounds(tent, len(M))
+    supp = np.array([float(vol[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])])
     # a piece of slope M placed within tol of its zero can dip below 0
-    return PLFunction(complex=t.complex, values=np.maximum(t.values, 0.0))
+    return [PLFunction(complex=t.complex, values=np.maximum(t.values, 0.0))
+            for t in overlay.assemble_cells(cells, vol, grad[src], off[src], n, supp, tent)]
 
 
 def tent_decomposition(f: PLFunction, delta: float = 1e-2):
     """Concave tents f_1..f_m, one per simplex carrying positive values,
     whose join reproduces f. The ring width starts at roughly delta times
-    the simplex size and halves until the sampled join matches f."""
+    the simplex size and halves until the sampled join matches f; each
+    round builds every tent at once (_build_tents)."""
     if np.any(f.values < -10 * EPS):
         raise NotNonnegative("tent decomposition requires f >= 0")
-    cx = f.complex
-    active = [
-        si for si in range(len(cx.simplices)) if np.max(f.values[list(cx.simplices[si])]) > EPS
-    ]
-    if not active:
+    peak = f.simplex_values().max(axis=1)
+    active = np.flatnonzero(peak > EPS)
+    if not len(active):
         return []
     if len(active) == 1:
         # every positive vertex is exclusive to this simplex (a shared one
@@ -558,22 +596,18 @@ def tent_decomposition(f: PLFunction, delta: float = 1e-2):
 
     d = delta
     for _ in range(40):
-        tents = []
-        spilled = False
-        for si in active:
-            peak = float(np.max(f.values[list(cx.simplices[si])]))
-            M = peak / d
-            t = _build_tent(f, si, M)
-            tlo, thi = t.bbox()
-            if np.any(tlo < lo - 1e-7) or np.any(thi > hi + 1e-7):
-                spilled = True
-                break
-            if np.any(t.values > f.evaluate_many(t.complex.vertices) + 1e-9 * vscale):
-                spilled = True
-                break
-            tents.append(t)
+        tents = _build_tents(f, active, peak[active] / d)
+        # a tent spills when it reaches past supp f's box or above f at
+        # one of its vertices
+        tlo, thi = (np.array(x) for x in zip(*(t.bbox() for t in tents)))
+        spilled = bool(np.any(tlo < lo - 1e-7) or np.any(thi > hi + 1e-7))
         if not spilled:
-            joint = np.max([t.evaluate_many(samples) for t in tents], axis=0)
+            verts = np.concatenate([t.complex.vertices for t in tents])
+            values = np.concatenate([t.values for t in tents])
+            spilled = bool(np.any(values > f.evaluate_many(verts) + 1e-9 * vscale))
+        if not spilled:
+            at = np.repeat(np.arange(len(tents)), len(samples))
+            joint = evaluate_each(tents, np.tile(samples, (len(tents), 1)), at).reshape(len(tents), -1).max(axis=0)
             if np.max(np.abs(joint - f_ref)) <= 1e-9 * vscale:
                 return tents
         d *= 0.5

@@ -62,15 +62,17 @@ class PowerKernel(Kernel):
 
     coefficient: float
     exponent: float
+    _pieces: Pieces = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.exponent <= 0:
             raise KernelNonzeroAtZero(
                 "power kernel with exponent %g does not vanish at zero" % self.exponent
             )
+        self._pieces = Pieces.power(self.coefficient, self.exponent)
 
     def pieces(self) -> Pieces:
-        return Pieces.power(self.coefficient, self.exponent)
+        return self._pieces
 
     def to_json_dict(self):
         return {

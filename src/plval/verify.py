@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import overlay
 from . import polytope as pt
 from .errors import ConstructionFailure, OverlayFailure, PackingFailure
 from .integration import c_pn, grad_p_norm, lq_norm, sobolev_conjugate, sobolev_norm
@@ -653,9 +654,11 @@ def inclusion_exclusion_suite(
     """z(f) = sum over nonempty tent subsets J of (-1)^(|J|-1) z(meet J).
 
     f defaults to a random 6-piece fan for the given seed.  Subset meets
-    are built incrementally (meet of the subset without its lowest tent,
-    then one more meet), so each of the 2^m - 1 functions costs one
-    overlay.  Overlay failures propagate."""
+    are built incrementally, the meet of a subset being the meet of the
+    subset without its lowest tent with that tent, so the subsets of one
+    size take one batched overlay (overlay.lattice_overlays): one batched
+    overlay per subset size.  z is summed in subset order.  Overlay
+    failures propagate."""
     if f is None:
         f = random_fan_function(seed)
     t0 = time.perf_counter()
@@ -670,18 +673,23 @@ def inclusion_exclusion_suite(
                 "inclusion_exclusion", case, 0.0, apply(h, f), tolerance, time.perf_counter() - t0
             )
         ]
-    memo = {}
+    memo = {1 << idx: tent for idx, tent in enumerate(tents)}
+    for size in range(2, m + 1):
+        masks, pairs = [], []
+        for mask in range(1, 2**m):
+            if bin(mask).count("1") != size:
+                continue
+            low = mask & -mask
+            prev = memo[mask ^ low]
+            if prev.is_zero():
+                memo[mask] = PLFunction.zero(f.dim)
+            else:
+                masks.append(mask)
+                pairs.append((prev, tents[low.bit_length() - 1]))
+        memo.update(zip(masks, overlay.lattice_overlays(pairs, "meet")))
     total = 0.0
     for mask in range(1, 2**m):
-        low = mask & -mask
-        rest = mask ^ low
-        idx = low.bit_length() - 1
-        if rest == 0:
-            f_j = tents[idx]
-        else:
-            prev = memo[rest]
-            f_j = PLFunction.zero(f.dim) if prev.is_zero() else meet(prev, tents[idx])
-        memo[mask] = f_j
+        f_j = memo[mask]
         if not f_j.is_zero():
             sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
             total += sign * apply(h, f_j)

@@ -408,3 +408,28 @@ def group_hull_merges(member_points, total: float, rtol: float = 1e-9) -> bool:
     except QhullError:
         return False
     return abs(vol - total) <= rtol * total
+
+
+def inclusion_exclusion_one_meet_at_a_time(tents, meet, z, is_zero):
+    """sum over nonempty subsets J of the tents of (-1)^(|J|-1) z(meet J),
+    one meet per subset in subset order: the meet of a subset is the meet
+    of the subset without its lowest tent with that tent, and a subset
+    whose smaller meet is zero (is_zero) is zero too and skipped.  meet
+    and z are passed in, so this is the order of the calls, not their
+    arithmetic."""
+    m = len(tents)
+    memo, total = {}, 0.0
+    for mask in range(1, 2**m):
+        low = mask & -mask
+        rest = mask ^ low
+        idx = low.bit_length() - 1
+        if rest == 0:
+            f_j = tents[idx]
+        else:
+            prev = memo[rest]
+            f_j = None if prev is None or is_zero(prev) else meet(prev, tents[idx])
+        memo[mask] = f_j
+        if f_j is not None and not is_zero(f_j):
+            sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
+            total += sign * z(f_j)
+    return total

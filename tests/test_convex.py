@@ -363,8 +363,9 @@ def test_overlay_builds_no_hull_facets(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_assembly_builds_no_hull_and_triangulates_once(monkeypatch, n):
-    # assemble_cells, for overlays, chained meets and tents alike, calls
-    # neither convex.hull nor qhull, and makes one stacked triangulation
+    # assemble_cells, for overlays, chained meets, batches of pairs and
+    # tents alike, calls neither convex.hull nor qhull, and makes one
+    # stacked triangulation per batch
     from plval import overlay
 
     rng = np.random.default_rng(40 + n)
@@ -405,6 +406,7 @@ def test_assembly_builds_no_hull_and_triangulates_once(monkeypatch, n):
     overlay._refine.cache_clear()
     jo = pf.join(f, g)
     assert len(pf.meet(f, jo).complex) == len(f.complex)
+    assert len(overlay.lattice_overlays([(f, g), (g, jo), (jo, f)], "meet")) == 3
     if fan is not None:
         assert pf.tent_decomposition(fan)
     overlay._refine.cache_clear()
@@ -438,7 +440,7 @@ def test_overlay_triangulates_only_cells_that_are_not_simplices(monkeypatch, n):
     monkeypatch.setattr(convex, "pulling_triangulation", recorded)
     overlay._refine.cache_clear()
     outs = [pf.join(f, g), pf.meet(f, g)]
-    ref = overlay._refine(f, g)
+    ref = overlay._refine(((f, g),))
     overlay._refine.cache_clear()
     cells = ref.pieces.cells
     assert all(not h.is_zero() for h in outs)
@@ -469,8 +471,9 @@ def _assemble_one_piece(cells):
 
     d = cells[0][0].shape[1]
     vol = np.array([ConvexHull(V).volume for V, _, _, _ in cells])
-    return overlay.assemble_cells(convex.Cells.of(cells), vol, np.zeros((len(cells), d)), np.ones(len(cells)), d,
-                                  float(vol.sum()))
+    (out,) = overlay.assemble_cells(convex.Cells.of(cells), vol, np.zeros((len(cells), d)), np.ones(len(cells)), d,
+                                    np.array([vol.sum()]), np.zeros(len(cells), dtype=int))
+    return out
 
 
 MERGE_CASES = {
@@ -723,3 +726,53 @@ def test_dedupe_points_collapses_a_chain():
     reps, mapping = convex.dedupe_points(pts, tol)
     assert np.array_equal(reps, [[0.0, 0.0]]) and np.array_equal(mapping, [0, 0, 0])
     assert len(oracles.dedupe_points_greedy(pts, tol)[0]) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    tols=st.lists(st.sampled_from([1e-12, 1e-6, 1e-3, 0.3]), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_dedupe_points_in_batches_matches_each_batch_alone(d, tols, data):
+    # each batch deduped at its own tol, in one query, gives the rows and
+    # mapping it gets alone, shifted by the rows of the batches before it;
+    # the batches share points on a coarse grid, which must not merge
+    B = len(tols)
+    sizes = data.draw(st.lists(st.integers(0, 8), min_size=B, max_size=B))
+    grid = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    jitter = st.sampled_from([0.0, 5e-13, 4e-7, 2e-4, 0.1])
+    batches = [
+        np.array([data.draw(grid) for _ in range(k)], dtype=float).reshape(k, d) * 0.25
+        + np.array([[data.draw(jitter) for _ in range(d)] for _ in range(k)]).reshape(k, d)
+        for k in sizes
+    ]
+    pts = np.concatenate(batches)
+    batch = np.repeat(np.arange(B), sizes)
+    reps, mapping = convex.dedupe_points(pts, np.array(tols), batch)
+    at = 0
+    for b, (own, tol) in enumerate(zip(batches, tols)):
+        want_reps, want_mapping = convex.dedupe_points(own, tol)
+        rows = mapping[batch == b]
+        assert np.array_equal(rows, want_mapping + at)
+        assert np.array_equal(reps[at : at + len(want_reps)], want_reps)
+        at += len(want_reps)
+    assert at == len(reps)
+
+
+def test_split_takes_a_tolerance_per_cell():
+    # the same square cut by x = 1 + 1e-6 twice: at tol 1e-5 its corners
+    # on x = 1 lie on the plane and it stays whole below, at tol 1e-8 the
+    # plane cuts off a sliver; in one stack, each cell as alone
+    V, A, b, T = _box_cell(np.zeros(2), np.ones(2), 1e-12)
+    cells = convex.Cells.of([(V, A, b, T)] * 2)
+    a, c = np.array([[1.0, 0.0]] * 2), np.full(2, 1.0 - 1e-6)
+    (lo, lo_src), (hi, hi_src) = convex.split(cells, a, c, np.array([1e-5, 1e-8]))
+    assert lo_src.tolist() == [0, 1] and hi_src.tolist() == [1]
+    for i, tol in enumerate([1e-5, 1e-8]):
+        alone = convex.split(convex.Cells.of([(V, A, b, T)]), a[:1], c[:1], tol)
+        for (stack, src), (one, _) in zip(((lo, lo_src), (hi, hi_src)), alone):
+            hit = np.flatnonzero(src == i)
+            assert len(hit) == len(one)
+            if len(one):
+                assert _same_cell(stack.cell(hit[0]), one.cell(0))

@@ -1,0 +1,173 @@
+"""Batched overlays: a batch of pairs cut, assembled and checked in one
+stacked pass gives each pair the result it gets alone, bit for bit."""
+
+import numpy as np
+import pytest
+
+from plval import convex, overlay
+from plval import plfunction as pf
+from plval.errors import OverlayFailure
+from plval.valuation import PowerKernel, apply
+from plval.verify import inclusion_exclusion_suite, random_cone_function, random_fan_function
+
+import oracles
+
+
+def _same(a, b):
+    return (
+        a.complex.vertices.tobytes() == b.complex.vertices.tobytes()
+        and a.complex.simplices == b.complex.simplices
+        and a.values.tobytes() == b.values.tobytes()
+    )
+
+
+def _cones(n, seed):
+    rng = np.random.default_rng(seed)
+    points = 5 if n == 3 else None
+    return random_cone_function(rng, n, points), random_cone_function(rng, n, points)
+
+
+def _scaled_cones(n, seed):
+    """_cones, with positions times 40 at seeds 1 mod 3 and values times
+    50 at seeds 2 mod 3, so that pairs of one batch differ in scale."""
+    f, g = _cones(n, seed)
+    if seed % 3 == 1:
+        return tuple(pf.compose_affine(fn, 40.0 * np.eye(n), np.full(n, 7.0)) for fn in (f, g))
+    if seed % 3 == 2:
+        return tuple(pf.scale_values(fn, 50.0) for fn in (f, g))
+    return f, g
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_overlays_match_single_calls(n):
+    # joins, meets and chained meets over seeds 0-11, at three scales,
+    # with zero pairs in the batch, forward and reversed
+    zero = pf.PLFunction.zero(n)
+    cases = {"join": [], "meet": []}
+    for seed in range(12):
+        f, g = _scaled_cones(n, seed)
+        jo = overlay.lattice_overlay(f, g, "join")
+        cases["join"].append((f, g))
+        cases["meet"] += [(f, g), (f, jo), (jo, f)]
+    for op, pairs in cases.items():
+        pairs = pairs + [(zero, zero), (pairs[0][0], zero)]
+        alone = []
+        for f, g in pairs:
+            overlay._refine.cache_clear()
+            alone.append(overlay.lattice_overlay(f, g, op))
+        for order in (np.arange(len(pairs)), np.arange(len(pairs))[::-1]):
+            overlay._refine.cache_clear()
+            got = overlay.lattice_overlays([pairs[k] for k in order], op)
+            assert len(got) == len(pairs)
+            assert all(_same(h, alone[k]) for h, k in zip(got, order))
+        assert alone[-2].is_zero() and not alone[-3].is_zero()
+    overlay._refine.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_tents_match_single_tents(n):
+    # every tent of a function built in one batch equals the tent built
+    # alone, for cone functions at seeds 0-11 and three scales
+    for seed in range(12):
+        f = _scaled_cones(n, seed)[0]
+        peak = f.simplex_values().max(axis=1)
+        active = np.flatnonzero(peak > convex.EPS)
+        M = peak[active] / 0.01
+        batch = pf._build_tents(f, active, M)
+        assert len(batch) == len(active)
+        for t, si, Mk in zip(batch, active, M):
+            (alone,) = pf._build_tents(f, [si], [Mk])
+            assert _same(t, alone)
+
+
+def test_a_failing_pair_fails_its_batch():
+    # positions scaled by 1e-8 break the cover balance; the pair fails
+    # alone and in a batch, and the batch without it passes
+    f, g = _cones(2, 5)
+    tiny = [pf.compose_affine(fn, 1e-8 * np.eye(2)) for fn in (f, g)]
+    good = _cones(2, 6)
+    for op in ("join", "meet"):
+        overlay._refine.cache_clear()
+        with pytest.raises(OverlayFailure, match="cover"):
+            overlay.lattice_overlay(*tiny, op)
+        with pytest.raises(OverlayFailure, match="cover"):
+            overlay.lattice_overlays([good, tuple(tiny), good[::-1]], op)
+        assert all(not h.is_zero() for h in overlay.lattice_overlays([good, good[::-1]], op))
+    overlay._refine.cache_clear()
+
+
+def test_batches_refuse_mixed_dimensions():
+    f2, f3 = _cones(2, 0)[0], _cones(3, 0)[0]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        overlay.lattice_overlays([(f2, f2), (f3, f3)], "join")
+    assert overlay.lattice_overlays([], "meet") == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inclusion_exclusion_matches_one_meet_at_a_time(seed):
+    # the subsets of one size are met in one batch; the sum equals the one
+    # of a meet per subset, bit for bit
+    h = PowerKernel(1.0, 1.5)
+    f = random_fan_function(seed)
+    (report,) = inclusion_exclusion_suite(h, f=f, seed=seed)
+    want = oracles.inclusion_exclusion_one_meet_at_a_time(
+        pf.tent_decomposition(f), pf.meet, lambda fn: apply(h, fn), lambda fn: fn.is_zero()
+    )
+    assert report.left == want
+
+
+def test_inclusion_exclusion_makes_one_overlay_per_subset_size(monkeypatch):
+    batched = overlay.lattice_overlays
+    calls = []
+
+    def counted(pairs, op):
+        calls.append((len(pairs), op))
+        return batched(pairs, op)
+
+    monkeypatch.setattr(overlay, "lattice_overlays", counted)
+    (report,) = inclusion_exclusion_suite(PowerKernel(1.0, 1.5), f=random_fan_function(0))
+    assert report.passed and "tents=6" in report.case
+    assert [op for _, op in calls] == ["meet"] * 5
+    assert calls[0][0] == 15
+
+
+def test_tent_decomposition_builds_a_round_in_one_chain(monkeypatch):
+    # every tent of a round is cut in one stacked chain and assembled in
+    # one batched call
+    f = random_fan_function(3)
+    split, assemble = convex.split, overlay.assemble_cells
+    stacks, batches = [], []
+
+    def counting_split(cells, *args, **kwargs):
+        stacks.append(len(cells))
+        return split(cells, *args, **kwargs)
+
+    def counting_assemble(cells, vol, grad, off, dim, supp, batch):
+        batches.append(len(supp))
+        return assemble(cells, vol, grad, off, dim, supp, batch)
+
+    monkeypatch.setattr(convex, "split", counting_split)
+    monkeypatch.setattr(overlay, "assemble_cells", counting_assemble)
+    tents = pf.tent_decomposition(f)
+    n = f.dim
+    assert len(tents) == 6
+    assert batches == [6] * len(batches)
+    assert stacks[0] == 6 * (n + 2) and len(stacks) <= (n + 2) * len(batches)
+
+
+def test_join_and_meet_of_one_batch_cut_once(monkeypatch):
+    cut = overlay._pieces_pairwise
+    calls = []
+
+    def counting(mesh):
+        calls.append(len(mesh.rows))
+        return cut(mesh)
+
+    overlay._refine.cache_clear()
+    monkeypatch.setattr(overlay, "_pieces_pairwise", counting)
+    pairs = [_cones(2, seed) for seed in range(3)]
+    joins = overlay.lattice_overlays(pairs, "join")
+    meets = overlay.lattice_overlays(pairs, "meet")
+    overlay._refine.cache_clear()
+    assert calls == [3]
+    assert len(joins) == len(meets) == 3

@@ -199,14 +199,14 @@ def test_partition_check_rejects_duplicated_and_dropped_cells(monkeypatch):
     rng = np.random.default_rng(3)
     f = random_cone_function(rng, 3, points=5)
     g = random_cone_function(rng, 3, points=5)
-    pieces = overlay._pieces_pairwise(overlay._prep(f, g))
-    supp = f.support_volume() + g.support_volume()
+    pieces = overlay._pieces_pairwise(overlay._prep([(f, g)]))
+    supp = np.array([f.support_volume() + g.support_volume()])
     overlay._check_cover(pieces, supp)
     assert not pf.join(f, g).is_zero()
     every = np.arange(len(pieces.vol))
     big = int(np.argmax(pieces.vol))
     for idx in (np.append(every, big), np.delete(every, big)):
-        changed = overlay._Pieces(pieces.cells.take(idx), pieces.f[idx], pieces.g[idx], pieces.vol[idx])
+        changed = overlay._Pieces(pieces.cells.take(idx), *(x[idx] for x in pieces[1:]))
         with pytest.raises(OverlayFailure, match="cover"):
             overlay._check_cover(changed, supp)
         # join and meet run the balance on the cells they are given
@@ -469,11 +469,11 @@ def test_subtract_runs_once_per_partly_covered_simplex(monkeypatch, convex_other
 
 
 def test_tent_decomposition_raises_typed_error_when_it_cannot_converge(monkeypatch, cone_square):
-    def spilling(f, si, M):
+    def spilling(f, simplices, M):
         # a tent reaching past f's bounding box is rejected every time
-        return pf.compose_affine(f, np.eye(f.dim), np.full(f.dim, 10.0))
+        return [pf.compose_affine(f, np.eye(f.dim), np.full(f.dim, 10.0)) for _ in simplices]
 
-    monkeypatch.setattr(pf, "_build_tent", spilling)
+    monkeypatch.setattr(pf, "_build_tents", spilling)
     with pytest.raises(ConstructionFailure, match="did not converge"):
         pf.tent_decomposition(cone_square)
     assert issubclass(ConstructionFailure, PLValError)
@@ -499,7 +499,7 @@ def test_tent_cuts_its_cells_in_one_stacked_chain(monkeypatch, cone_square):
         return split(cells, *args, **kwargs)
 
     monkeypatch.setattr(convex, "split", counting)
-    pf._build_tent(cone_square, 0, 4.0)
+    pf._build_tents(cone_square, [0], [4.0])
     # the central simplex and n + 1 wedges, each cut by the n + 1 rows of
     # its region and then by its own piece >= 0
     n = cone_square.dim
@@ -517,7 +517,7 @@ def test_tent_is_assembled_by_the_overlay(monkeypatch, cone_square):
         return assemble(cells, *args)
 
     monkeypatch.setattr(overlay, "assemble_cells", counted)
-    t = pf._build_tent(cone_square, 0, 4.0)
+    (t,) = pf._build_tents(cone_square, [0], [4.0])
     # the central simplex and the wedges that are not empty, assembled in
     # one call
     assert len(stacks) == 1 and 0 < stacks[0] <= cone_square.dim + 2
@@ -537,7 +537,7 @@ def test_tent_cell_volumes_are_checked(monkeypatch, cone_square):
 
     monkeypatch.setattr(overlay, "_volumes", corrupted)
     with pytest.raises(OverlayFailure, match="triangulates"):
-        pf._build_tent(cone_square, 0, 4.0)
+        pf._build_tents(cone_square, [0], [4.0])
 
 
 def test_shared_vertex_takes_the_least_steep_value():
@@ -551,7 +551,7 @@ def test_shared_vertex_takes_the_least_steep_value():
     cells = convex.Cells.of_simplices(V, *cx.simplex_rows())
     grad = np.array([[1000.0, 1000.0], [0.0, 0.0]])
     off = np.array([-999.0 + 1e-9, 1.0])
-    f = overlay.assemble_cells(cells, np.array([0.5, 0.5]), grad, off, 2, 1.0)
+    (f,) = overlay.assemble_cells(cells, np.array([0.5, 0.5]), grad, off, 2, np.ones(1), np.zeros(2, dtype=int))
     verts = f.complex.vertices.tolist()
     assert 1000.0 + off[0] != 1.0  # the steep piece at either shared vertex
     for shared in ([1.0, 0.0], [0.0, 1.0]):
