@@ -2,9 +2,14 @@
 """Run the default verification battery and write JSONL + CSV reports.
 
 Usage: python scripts/run_battery.py [--seed N] [--out DIR]
+
+Each suite's line ends with the SHA-256 of its JSONL bytes as `plval
+verify` writes them by default (wall times as 0.0), so two checkouts'
+outputs at one seed can be compared line by line.
 """
 
 import argparse
+import hashlib
 import pathlib
 import sys
 import time
@@ -25,7 +30,8 @@ def main() -> int:
         reports = thunk()
         took = time.perf_counter() - t0
         fails = sum(1 for r in reports if r.status == "fail")
-        print("%-24s %3d cases  %d failed  %.1fs" % (name, len(reports), fails, took))
+        digest = hashlib.sha256(reports_to_jsonl(reports, include_timing=False).encode()).hexdigest()
+        print("%-24s %3d cases  %d failed  %.1fs  sha256 %s" % (name, len(reports), fails, took, digest))
         all_reports.extend(reports)
 
     (args.out / "reports.jsonl").write_text(reports_to_jsonl(all_reports))

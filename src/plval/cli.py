@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--timing",
         action="store_true",
-        help="write each case's wall time (the default writes 0.0, so output is byte-identical)",
+        help="write each case's wall time (the default writes 0.0, so output is byte-identical); "
+        "a case integrated in a batch takes its input's build plus an equal share of the batch",
     )
 
     return ap

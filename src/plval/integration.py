@@ -40,6 +40,14 @@ so z(f) under several kernels, the L^q norms and the level sets of one
 function build it once; simplex_means composes the two halves for
 one-off rows.
 
+Densities stack across functions.  integrals(functions, h) builds the
+densities its functions lack in one value_density call (each function
+caches its own slice, plfunction.value_densities), stacks every
+function's density (ValueDensity.stack) and runs one means(h) over all
+rows; each function's integral is its own simplex volumes times its own
+rows' means.  lq_norm, level_set_volume and valuation.apply are that sum
+for one function.
+
 For integer exponents there is an independent route through complete
 homogeneous symmetric polynomials; the two must agree and the tests
 exploit that.
@@ -55,7 +63,7 @@ import numpy as np
 from scipy.special import beta, gammaln
 
 from .errors import NegativeValues
-from .plfunction import PLFunction
+from .plfunction import PLFunction, value_densities
 
 # Power pieces with near/far at least this ratio take the Gauss-Legendre
 # rule; |t|^e is then analytic on a disc of radius 1.5 widths around the
@@ -376,7 +384,16 @@ class ValueDensity:
     half of the engine: each row's vertex values sorted, the rows with zero
     spread (point masses) with their values, and the Bernstein
     coefficients, ends and row index of every segment of positive width.
-    means(h) is the kernel-dependent half."""
+    means(h) is the kernel-dependent half.
+
+    A row's density is the same whatever rows share its stack, so split
+    and stack move rows between stacks without changing them.  A row's
+    mean is not bit-identical alone and inside a stack: the power and
+    polynomial pieces contract with a matrix product, whose BLAS kernel
+    depends on the stack's shape.  The two agree to 4 ulps of the larger
+    (tests/test_integration.py pins the bound); fixed-order products would
+    remove the difference at a cost of about a fifth of the engine's
+    speed."""
 
     sorted_rows: np.ndarray  # (m, n+1)
     point_rows: np.ndarray  # (p,) indices of the point-mass rows
@@ -385,6 +402,44 @@ class ValueDensity:
     lo: np.ndarray  # (k,)
     hi: np.ndarray  # (k,)
     seg_row: np.ndarray  # (k,)
+
+    @staticmethod
+    def stack(densities) -> "ValueDensity":
+        """One density holding the rows of `densities` in order."""
+        if len(densities) == 1:
+            return densities[0]
+        start = np.cumsum([0] + [len(d.sorted_rows) for d in densities[:-1]])
+        joined = {
+            name: np.concatenate([getattr(d, name) for d in densities])
+            for name in ("sorted_rows", "point_values", "coefficients", "lo", "hi")
+        }
+        return _frozen(
+            ValueDensity(
+                point_rows=np.concatenate([d.point_rows + r for d, r in zip(densities, start)]),
+                seg_row=np.concatenate([d.seg_row + r for d, r in zip(densities, start)]),
+                **joined,
+            )
+        )
+
+    def split(self, counts) -> list:
+        """The densities of consecutive blocks of counts[i] rows, in order."""
+        rows = np.cumsum([0] + list(counts))
+        points = np.searchsorted(self.point_rows, rows)
+        segs = np.searchsorted(self.seg_row, rows)
+        return [
+            _frozen(
+                ValueDensity(
+                    sorted_rows=self.sorted_rows[r0:r1],
+                    point_rows=self.point_rows[p0:p1] - r0,
+                    point_values=self.point_values[p0:p1],
+                    coefficients=self.coefficients[s0:s1],
+                    lo=self.lo[s0:s1],
+                    hi=self.hi[s0:s1],
+                    seg_row=self.seg_row[s0:s1] - r0,
+                )
+            )
+            for r0, r1, p0, p1, s0, s1 in zip(rows, rows[1:], points, points[1:], segs, segs[1:])
+        ]
 
     def means(self, h: Pieces) -> np.ndarray:
         """Mean of h over each row's density: split every segment at the
@@ -443,9 +498,12 @@ def value_density(values) -> ValueDensity:
     hi = spread[:, 1:].ravel()
     seg_row = np.repeat(rows[~point], n)
     live = hi > lo
-    density = ValueDensity(
-        V, rows[point], V[point, 0], A[live], lo[live], hi[live], seg_row[live]
+    return _frozen(
+        ValueDensity(V, rows[point], V[point, 0], A[live], lo[live], hi[live], seg_row[live])
     )
+
+
+def _frozen(density: ValueDensity) -> ValueDensity:
     for arr in vars(density).values():
         arr.setflags(write=False)
     return density
@@ -505,14 +563,39 @@ class PushforwardDensity:
         return float(self._density.means(Pieces.power(1.0, q))[0])
 
 
-def lq_norm(f: PLFunction, q: float) -> float:
-    """L^q norm of f (q >= 1); exact per-simplex moments."""
+def integrals(functions, h: Pieces) -> np.ndarray:
+    """The integral over R^n of h(f) for each function (h(0) = 0), in
+    input order: one means(h) over the stacked densities of all functions,
+    then each function's simplex volumes times its own rows' means.  An
+    empty function gives 0.  The functions must share a dimension."""
+    functions = list(functions)
+    for f in functions[1:]:
+        if f.dim != functions[0].dim:
+            raise ValueError("dimension mismatch: %d vs %d" % (functions[0].dim, f.dim))
+    out = np.zeros(len(functions))
+    live = [i for i, f in enumerate(functions) if not f.complex.is_empty()]
+    if not live:
+        return out
+    densities = value_densities([functions[i] for i in live])
+    means = ValueDensity.stack(densities).means(h)
+    start = 0
+    for i, density in zip(live, densities):
+        stop = start + len(density.sorted_rows)
+        out[i] = functions[i].complex.simplex_volumes() @ means[start:stop]
+        start = stop
+    return out
+
+
+def lq_norms(functions, q: float) -> np.ndarray:
+    """The L^q norm of each function (q >= 1), integrated in one batch."""
     if q < 1:
         raise ValueError("norm exponent must be >= 1")
-    if f.complex.is_empty():
-        return 0.0
-    means = f.value_density().means(Pieces.power(1.0, q))
-    return float(f.complex.simplex_volumes() @ means) ** (1.0 / q)
+    return np.array([float(v) ** (1.0 / q) for v in integrals(functions, Pieces.power(1.0, q))])
+
+
+def lq_norm(f: PLFunction, q: float) -> float:
+    """L^q norm of f (q >= 1); exact per-simplex moments."""
+    return float(lq_norms([f], q)[0])
 
 
 def grad_p_norm(f: PLFunction, p: float) -> float:
@@ -536,9 +619,7 @@ def level_set_volume(f: PLFunction, t: float) -> float:
     """Volume of {f > t} for t > 0 (finite because supports are compact)."""
     if t <= 0:
         raise ValueError("level must be positive; {f > t} has infinite volume otherwise")
-    if f.complex.is_empty():
-        return 0.0
-    return float(f.complex.simplex_volumes() @ f.value_density().means(Pieces.above(t)))
+    return float(integrals([f], Pieces.above(t))[0])
 
 
 def fisher_matrix(f: PLFunction) -> np.ndarray:

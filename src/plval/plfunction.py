@@ -382,6 +382,21 @@ class PLFunction:
         }
 
 
+def value_densities(functions) -> list:
+    """Each function's PLFunction.value_density.  The ones not yet built
+    come from one engine call over all their value rows, and each function
+    caches its own slice (ValueDensity.split), the density it would build
+    alone."""
+    fresh = list({id(f): f for f in functions if f._density is None}.values())
+    if len(fresh) > 1:
+        from .integration import value_density
+
+        batch = value_density(np.concatenate([f.simplex_values() for f in fresh]))
+        for f, density in zip(fresh, batch.split([len(f.complex) for f in fresh])):
+            f._density = density
+    return [f.value_density() for f in functions]
+
+
 def locate(complexes, X: np.ndarray, at: np.ndarray, tol: float = EPS):
     """(p, i): the pairs of point X[p] and simplex i of complexes[at[p]]
     that holds it, by point, then by simplex, in one pass over every

@@ -1,7 +1,10 @@
 """Property suites: structural facts about valuations run as batches of
 numerical experiments, each case reduced to a left/right comparison.
 
-Every suite is deterministic for a fixed seed.
+Every suite is deterministic for a fixed seed.  A suite builds its
+functions first and integrates those under one kernel in one engine pass
+(valuation.apply_each); such a case's wall time is its input's build
+plus an equal share of the batch.
 A report never passes on a NaN or Inf residual.  Overlay failures turn
 into skipped cases where the contract allows it (the join/meet identity
 suite); elsewhere they propagate.
@@ -18,7 +21,7 @@ import numpy as np
 from . import overlay
 from . import polytope as pt
 from .errors import ConstructionFailure, OverlayFailure, PackingFailure
-from .integration import c_pn, grad_p_norm, lq_norm, sobolev_conjugate, sobolev_norm
+from .integration import c_pn, grad_p_norm, lq_norm, lq_norms, sobolev_conjugate
 from .polytope import p_surface_area
 from .plfunction import (
     PLFunction,
@@ -34,6 +37,7 @@ from .valuation import (
     Kernel,
     PowerKernel,
     apply,
+    apply_each,
     c_profile,
     growth_check,
     homogeneous_kernel,
@@ -280,38 +284,42 @@ def invariance_suite(
     h: Kernel, seed: int = 0, count: int = 50, n: int = 2, tolerance: float = INVARIANCE_TOL
 ):
     """z is unchanged by volume-preserving linear maps and translations.
-    Emits one shear case and one translation case per index."""
+    Emits one shear case and one translation case per index.  Every
+    function is built first, in the rng's draw order, and all are
+    integrated in one apply_each call; a case's wall time is the build of
+    its input plus an equal share of that call."""
     rng = np.random.default_rng(seed)
-    reports = []
+    functions, builds = [], []
     for idx in range(count):
         f = random_cone_function(rng, n)
-        zf = apply(h, f)
         phi = random_unimodular(rng, n)
         t0 = time.perf_counter()
-        z_shear = apply(h, compose_affine(f, phi))
-        reports.append(
-            make_report(
-                "invariance",
-                "seed=%d,n=%d,shear=%d" % (seed, n, idx),
-                z_shear,
-                zf,
-                tolerance,
-                time.perf_counter() - t0,
-            )
-        )
+        shear = compose_affine(f, phi)
+        t1 = time.perf_counter()
         t = rng.uniform(-10.0, 10.0, size=n)
-        t0 = time.perf_counter()
-        z_trans = apply(h, compose_affine(f, np.eye(n), t))
-        reports.append(
-            make_report(
-                "invariance",
-                "seed=%d,n=%d,translate=%d" % (seed, n, idx),
-                z_trans,
-                zf,
-                tolerance,
-                time.perf_counter() - t0,
+        t2 = time.perf_counter()
+        trans = compose_affine(f, np.eye(n), t)
+        functions += [f, shear, trans]
+        builds += [t1 - t0, time.perf_counter() - t2]
+    t0 = time.perf_counter()
+    z = apply_each(h, functions).reshape(count, 3)
+    share = (time.perf_counter() - t0) / max(len(builds), 1)
+    reports = []
+    for idx, (zf, z_shear, z_trans) in enumerate(z):
+        for kind, z_moved, build in (
+            ("shear", z_shear, builds[2 * idx]),
+            ("translate", z_trans, builds[2 * idx + 1]),
+        ):
+            reports.append(
+                make_report(
+                    "invariance",
+                    "seed=%d,n=%d,%s=%d" % (seed, n, kind, idx),
+                    z_moved,
+                    zf,
+                    tolerance,
+                    build + share,
+                )
             )
-        )
     return reports
 
 
@@ -333,22 +341,33 @@ def homogeneity_suite(q: float, p: float = 1.0, n: int = 2, seed: int = 0):
     h = PowerKernel(1.0, q)
     reports = []
 
+    # every function under h is built first, in the rng's draw order, and
+    # integrated in one apply_each call; a scaling case's wall time is its
+    # input's build plus an equal share of that call
     cases = [("square", cone_function(pt.cube(n))), ("random", random_cone_function(rng, n))]
-    for name, f in cases:
-        zf = apply(h, f)
+    f = random_cone_function(rng, n)
+    scaled, builds = [], []
+    for name, base in cases:
         for s in HOMOGENEITY_SCALES:
             t0 = time.perf_counter()
-            zsf = apply(h, scale_values(f, s))
-            reports.append(
-                make_report(
-                    "homogeneity",
-                    "q=%g,f=%s,s=%g" % (q, name, s),
-                    zsf,
-                    abs(s) ** q * zf,
-                    HOMOGENEITY_TOL,
-                    time.perf_counter() - t0,
-                )
+            scaled.append((name, s, scale_values(base, s)))
+            builds.append(time.perf_counter() - t0)
+    functions = [base for _, base in cases] + [g for _, _, g in scaled] + ([f] if q >= 1 else [])
+    t0 = time.perf_counter()
+    z = apply_each(h, functions)
+    share = (time.perf_counter() - t0) / (len(functions) - len(cases))
+    z_base = {name: zf for (name, _), zf in zip(cases, z)}
+    for (name, s, _), zsf, build in zip(scaled, z[len(cases) :], builds):
+        reports.append(
+            make_report(
+                "homogeneity",
+                "q=%g,f=%s,s=%g" % (q, name, s),
+                zsf,
+                abs(s) ** q * z_base[name],
+                HOMOGENEITY_TOL,
+                build + share,
             )
+        )
 
     P = pt.random_polytope(seed + 17, n, n + 4)
     t0 = time.perf_counter()
@@ -363,17 +382,16 @@ def homogeneity_suite(q: float, p: float = 1.0, n: int = 2, seed: int = 0):
         )
     )
 
-    f = random_cone_function(rng, n)
     if q >= 1:
         t0 = time.perf_counter()
         reports.append(
             make_report(
                 "homogeneity",
                 "q=%g,q_norm_relation" % q,
-                apply(h, f),
+                z[-1],
                 lq_norm(f, q) ** q,
                 HOMOGENEITY_TOL,
-                time.perf_counter() - t0,
+                time.perf_counter() - t0 + share,
             )
         )
     else:
@@ -472,42 +490,54 @@ def continuity_example_1(
         |grad f_k|_p^p = |s|^p |grad cone_P|_p^p * sum_i k^(-i (n-p))
 
     and the Sobolev norm must decrease in k.  The valuation trend under
-    |t|^q is reported, not asserted."""
+    |t|^q is reported, not asserted.  f_1..f_kmax are built first; their
+    p-norms and the base cone's take one batched call (lq_norms) and their
+    z one apply_each call, and a p_norm case's wall time is its input's
+    build plus an equal share of the norm call."""
     n = P.dim
     q = p if q is None else q
     base = cone_function(P)
-    base_lp = lq_norm(base, p) ** p
     base_gp = grad_p_norm(base, p) ** p
     reports = []
-    sobolev_seq, z_seq = [], []
+    fs, builds = [], []
     for k in range(1, k_max + 1):
         t0 = time.perf_counter()
-        f_k = scale_values(_stack_disjoint(_packed_copies(P, k), n), s)
+        fs.append(scale_values(_stack_disjoint(_packed_copies(P, k), n), s))
+        builds.append(time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    base_norm, *norms = lq_norms([base] + fs, p)
+    share = (time.perf_counter() - t0) / max(k_max, 1)
+    base_lp = float(base_norm) ** p
+    sobolev_seq = []
+    for k, f_k, lp, build in zip(range(1, k_max + 1), fs, norms, builds):
+        lp = float(lp)
         geom_n = sum(float(k) ** (-i * n) for i in range(1, k + 1))
         geom_g = sum(float(k) ** (-i * (n - p)) for i in range(1, k + 1))
         reports.append(
             make_report(
                 "continuity_example_1",
                 "k=%d,p_norm" % k,
-                lq_norm(f_k, p) ** p,
+                lp ** p,
                 abs(s) ** p * base_lp * geom_n,
                 tolerance,
-                time.perf_counter() - t0,
+                build + share,
             )
         )
         t0 = time.perf_counter()
+        gp = grad_p_norm(f_k, p)
         reports.append(
             make_report(
                 "continuity_example_1",
                 "k=%d,grad_norm" % k,
-                grad_p_norm(f_k, p) ** p,
+                gp ** p,
                 abs(s) ** p * base_gp * geom_g,
                 tolerance,
                 time.perf_counter() - t0,
             )
         )
-        sobolev_seq.append(sobolev_norm(f_k, p))
-        z_seq.append(apply(PowerKernel(1.0, q), f_k))
+        # sobolev_norm(f_k, p), from the norms at hand
+        sobolev_seq.append(float((lp ** p + gp ** p) ** (1.0 / p)))
+    z_seq = apply_each(PowerKernel(1.0, q), fs)
     reports.append(
         _decay_report("continuity_example_1", "sobolev_monotone,k<=%d" % k_max, sobolev_seq)
     )
@@ -554,28 +584,40 @@ def _vanishing_cones(suite, P, growth_fn_id, k_max, p, tolerance, shape, closed_
     is the cone over lam P with its values times mult, (lam, mult) =
     shape(k, g(k)); its p-norm and gradient p-norm, each to the power p, are
     checked against closed_forms(k, g(k)) and for monotone decay, and
-    z(f_k) under |t|^q is reported, not asserted."""
-    reports = []
-    lp_seq, gp_seq, z_seq = [], [], []
+    z(f_k) under |t|^q is reported, not asserted.  The f_k are built
+    first; their p-norms take one batched call (lq_norms) and their z one
+    apply_each call, and a p_norm case's wall time is its input's build,
+    its gradient norm and an equal share of the norm call."""
+    cases, fs, builds = [], [], []
     for k in range(1, k_max + 1):
         g = _growth_value(growth_fn_id, float(k))
+        cases.append((k, g))
+        if g > 0.0:
+            lam, mult = shape(float(k), g)
+            t0 = time.perf_counter()
+            fs.append(scale_values(cone_function(pt.hull_from_points(P.vertices * lam)), mult))
+            builds.append(time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    live = iter(zip(fs, lq_norms(fs, p), builds))
+    share = (time.perf_counter() - t0) / max(len(fs), 1)
+    reports = []
+    lp_seq, gp_seq = [], []
+    for k, g in cases:
         case = "g=%s,k=%d" % (growth_fn_id, k)
         if g <= 0.0:
             reports.append(skip_report(suite, case, "growth value %g gives no finite scale" % g))
             continue
-        lam, mult = shape(float(k), g)
+        f_k, lp, build = next(live)
         t0 = time.perf_counter()
-        f_k = scale_values(cone_function(pt.hull_from_points(P.vertices * lam)), mult)
-        lp = lq_norm(f_k, p) ** p
+        lp = float(lp) ** p
         gp = grad_p_norm(f_k, p) ** p
         lp_form, gp_form = closed_forms(float(k), g)
-        reports.append(
-            make_report(suite, case + ",p_norm", lp, lp_form, tolerance, time.perf_counter() - t0)
-        )
+        wall = build + share + time.perf_counter() - t0
+        reports.append(make_report(suite, case + ",p_norm", lp, lp_form, tolerance, wall))
         reports.append(make_report(suite, case + ",grad_norm", gp, gp_form, tolerance))
         lp_seq.append(lp)
         gp_seq.append(gp)
-        z_seq.append(apply(PowerKernel(1.0, q), f_k))
+    z_seq = apply_each(PowerKernel(1.0, q), fs)
     reports.append(_decay_report(suite, "g=%s,p_norm_decay" % growth_fn_id, lp_seq))
     reports.append(_decay_report(suite, "g=%s,grad_norm_decay" % growth_fn_id, gp_seq))
     reports.append(
@@ -657,8 +699,9 @@ def inclusion_exclusion_suite(
     are built incrementally, the meet of a subset being the meet of the
     subset without its lowest tent with that tent, so the subsets of one
     size take one batched overlay (overlay.lattice_overlays): one batched
-    overlay per subset size.  z is summed in subset order.  Overlay
-    failures propagate."""
+    overlay per subset size.  Every nonzero subset meet and f itself are
+    integrated in one apply_each call, and z is summed in subset order.
+    Overlay failures propagate."""
     if f is None:
         f = random_fan_function(seed)
     t0 = time.perf_counter()
@@ -687,15 +730,15 @@ def inclusion_exclusion_suite(
                 masks.append(mask)
                 pairs.append((prev, tents[low.bit_length() - 1]))
         memo.update(zip(masks, overlay.lattice_overlays(pairs, "meet")))
+    masks = [mask for mask in range(1, 2**m) if not memo[mask].is_zero()]
+    z = apply_each(h, [memo[mask] for mask in masks] + [f])
     total = 0.0
-    for mask in range(1, 2**m):
-        f_j = memo[mask]
-        if not f_j.is_zero():
-            sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
-            total += sign * apply(h, f_j)
+    for mask, z_j in zip(masks, z):
+        sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
+        total += sign * float(z_j)
     return [
         make_report(
-            "inclusion_exclusion", case, total, apply(h, f), tolerance, time.perf_counter() - t0
+            "inclusion_exclusion", case, total, z[-1], tolerance, time.perf_counter() - t0
         )
     ]
 

@@ -18,3 +18,20 @@ def cone_square(square):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def counted_densities(monkeypatch):
+    """A list that grows by one each time the engine builds segment
+    densities."""
+    from plval import integration
+
+    build = integration._segment_density
+    calls = []
+
+    def counting(V):
+        calls.append(len(V))
+        return build(V)
+
+    monkeypatch.setattr(integration, "_segment_density", counting)
+    return calls

@@ -25,8 +25,10 @@ from plval.integration import (
     simplex_means,
     sobolev_conjugate,
     sobolev_norm,
+    value_density,
 )
-from plval.valuation import PiecewisePolyKernel, PowerKernel, TabulatedKernel, apply
+from plval.valuation import PiecewisePolyKernel, PowerKernel, TabulatedKernel, apply, apply_each
+from plval.verify import random_cone_function
 
 import oracles
 
@@ -354,23 +356,6 @@ def _mesh_kernels():
     }
 
 
-@pytest.fixture
-def counted_densities(monkeypatch):
-    """A list that grows by one each time the engine builds segment
-    densities."""
-    from plval import integration
-
-    build = integration._segment_density
-    calls = []
-
-    def counting(V):
-        calls.append(len(V))
-        return build(V)
-
-    monkeypatch.setattr(integration, "_segment_density", counting)
-    return calls
-
-
 def test_one_density_serves_every_kernel_and_norm(counted_densities):
     f = _tied_mesh()
     for kernel in _mesh_kernels().values():
@@ -412,6 +397,112 @@ def test_density_is_freed_with_its_function():
     del f
     gc.collect()
     assert ref() is None
+
+
+# -- stacks of rows and batches of functions --------------------------------------
+
+# A row's mean alone and inside a stack differ by at most this many ulps of
+# the larger (ValueDensity): the pieces contract with a matrix product
+# whose BLAS kernel depends on the stack's shape.
+STACK_ULPS = 4
+
+
+def _agree_in_ulps(a, b):
+    return abs(a - b) <= STACK_ULPS * np.spacing(max(abs(a), abs(b)))
+
+
+def _stack_row(kind, n, rng):
+    """'far' keeps away from 0 (a power piece's Gauss-Legendre route),
+    'near' starts at 0 and may cross it (the closed form), 'tied' repeats
+    values and 'point' is a point mass."""
+    if kind == "far":
+        return rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0, n + 1)
+    if kind == "near":
+        return np.concatenate([[0.0], rng.uniform(-1.0, 1.5, n)])
+    if kind == "tied":
+        return rng.choice([0.0, 0.5, -0.75, 1.25], n + 1)
+    return np.full(n + 1, rng.uniform(-2.0, 2.0))
+
+
+@given(
+    n=st.integers(2, 4),
+    q=st.floats(0.5, 3.7),
+    kernel=st.sampled_from(["power", "poly"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_mean_alone_and_in_any_stack_agree(n, q, kernel, seed):
+    rng = np.random.default_rng(seed)
+    kinds = ("far", "near", "tied", "point")
+    rows = np.array([_stack_row(kind, n, rng) for kind in kinds for _ in range(3)])
+    h = Pieces.power(1.0, q) if kernel == "power" else _mesh_kernels()["piecewise_poly"].pieces()
+    alone = [simplex_means(row[None, :], h)[0] for row in rows]
+    for size in (2, 5, len(rows), 3 * len(rows)):
+        pick = rng.choice(len(rows), size, replace=size > len(rows))
+        for i, got in zip(pick, simplex_means(rows[pick], h)):
+            assert _agree_in_ulps(got, alone[i]), (rows[i].tolist(), got, alone[i])
+
+
+def _fresh(f):
+    """f as a new function with no density built yet."""
+    return pf.PLFunction(complex=f.complex, values=f.values)
+
+
+def _batch_pool():
+    rng = np.random.default_rng(21)
+    cones = [random_cone_function(rng, 2) for _ in range(4)]
+    return cones + [_tied_mesh(), pf.PLFunction.zero(2), zero_like(cones[0])]
+
+
+@given(q=st.floats(0.5, 3.7), seed=st.integers(0, 2**32 - 1), size=st.integers(1, 9))
+@settings(max_examples=25, deadline=None)
+def test_apply_each_agrees_with_apply_in_any_order_and_stack(q, seed, size):
+    pool = _batch_pool()
+    rng = np.random.default_rng(seed)
+    pick = rng.choice(len(pool), size)
+    h = PowerKernel(1.0, q)
+    alone = [apply(h, _fresh(pool[i])) for i in pick]
+    # half the members come with their density already built
+    batch = [_fresh(pool[i]) for i in pick]
+    for f in batch[: size // 2]:
+        f.value_density()
+    got = apply_each(h, batch)
+    assert got.shape == (size,)
+    for g, a in zip(got, alone):
+        assert _agree_in_ulps(g, a), (g, a)
+
+
+def test_apply_each_of_no_functions_is_an_empty_array():
+    got = apply_each(PowerKernel(1.0, 1.5), [])
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+def test_apply_each_gives_zero_for_empty_and_zero_functions():
+    f = _tied_mesh()
+    got = apply_each(PowerKernel(1.0, 1.5), [pf.PLFunction.zero(2), f, zero_like(f)])
+    assert got[0] == 0.0 and got[2] == 0.0
+    assert got[1] > 0.0
+
+
+def test_apply_each_refuses_a_batch_of_mixed_dimensions():
+    with pytest.raises(ValueError):
+        apply_each(PowerKernel(1.0, 1.5), [_tied_mesh(), pf.cone_function(pt.cube(3))])
+
+
+def test_a_batch_caches_each_members_own_density(counted_densities):
+    batch = [p for p in _batch_pool() if not p.complex.is_empty()]
+    apply_each(PowerKernel(1.0, 1.5), batch)
+    assert len(counted_densities) == 1
+    for f in batch:
+        apply(PowerKernel(1.0, 2.0), f)
+        lq_norm(f, 2.0)
+        level_set_volume(f, 0.25)
+    assert len(counted_densities) == 1
+    for f in batch:
+        alone = value_density(f.simplex_values())
+        for name, arr in vars(f.value_density()).items():
+            assert np.array_equal(arr, getattr(alone, name)), name
+            assert not arr.flags.writeable
 
 
 # -- the combinatorial constant ---------------------------------------------------

@@ -201,6 +201,26 @@ def test_inclusion_exclusion_residual_stays_at_rounding_level():
     assert worst <= 5e-15
 
 
+# Each suite integrates all its functions under one kernel in one engine
+# pass, so it builds one density per call and kernel; homogeneity also
+# integrates its normalized kernel's cone and its c_profile grid.
+@pytest.mark.parametrize(
+    "suite,densities",
+    [
+        (lambda: invariance_suite(PowerKernel(1.0, 2.0), seed=2, count=5), 1),
+        (lambda: inclusion_exclusion_suite(PowerKernel(1.0, 1.5), seed=4), 1),
+        (lambda: continuity_example_1(pt.cube(2), s=1.5, k_max=4, p=1.0), 1),
+        (lambda: continuity_example_2(pt.cube(2), growth_fn_id="log", k_max=4, p=1.0), 1),
+        (lambda: continuity_example_3(pt.cube(2), growth_fn_id="sqrt", k_max=4, p=1.0), 1),
+        (lambda: homogeneity_suite(1.5, p=1.0, n=2, seed=3), 3),
+    ],
+    ids=["invariance", "inclusion_exclusion", "continuity_1", "continuity_2", "continuity_3", "homogeneity"],
+)
+def test_suite_builds_one_density_per_kernel(suite, densities, counted_densities):
+    suite()
+    assert len(counted_densities) == densities
+
+
 def test_default_battery_names_unique():
     names = [name for name, _ in default_battery(0)]
     assert len(names) == len(set(names))
