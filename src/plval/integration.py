@@ -43,9 +43,10 @@ one-off rows.
 Densities stack across functions.  integrals(functions, h) builds the
 densities its functions lack in one value_density call (each function
 caches its own slice, plfunction.value_densities), stacks every
-function's density (ValueDensity.stack) and runs one means(h) over all
-rows; each function's integral is its own simplex volumes times its own
-rows' means.  lq_norm, level_set_volume and valuation.apply are that sum
+function's density (that call's result itself when no function had one,
+else ValueDensity.stack) and runs one means(h) over all rows; each
+function's integral is its own simplex volumes times its own rows'
+means.  lq_norm, level_set_volume and valuation.apply are that sum
 for one function.
 
 For integer exponents there is an independent route through complete
@@ -422,21 +423,25 @@ class ValueDensity:
         )
 
     def split(self, counts) -> list:
-        """The densities of consecutive blocks of counts[i] rows, in order."""
+        """The densities of consecutive blocks of counts[i] rows, in order;
+        their arrays are read-only views of this density's."""
         rows = np.cumsum([0] + list(counts))
         points = np.searchsorted(self.point_rows, rows)
         segs = np.searchsorted(self.seg_row, rows)
+        # row indices counted from the first row of their own block
+        point_rows = self.point_rows - np.repeat(rows[:-1], np.diff(points))
+        seg_row = self.seg_row - np.repeat(rows[:-1], np.diff(segs))
+        point_rows.setflags(write=False)
+        seg_row.setflags(write=False)
         return [
-            _frozen(
-                ValueDensity(
-                    sorted_rows=self.sorted_rows[r0:r1],
-                    point_rows=self.point_rows[p0:p1] - r0,
-                    point_values=self.point_values[p0:p1],
-                    coefficients=self.coefficients[s0:s1],
-                    lo=self.lo[s0:s1],
-                    hi=self.hi[s0:s1],
-                    seg_row=self.seg_row[s0:s1] - r0,
-                )
+            ValueDensity(
+                sorted_rows=self.sorted_rows[r0:r1],
+                point_rows=point_rows[p0:p1],
+                point_values=self.point_values[p0:p1],
+                coefficients=self.coefficients[s0:s1],
+                lo=self.lo[s0:s1],
+                hi=self.hi[s0:s1],
+                seg_row=seg_row[s0:s1],
             )
             for r0, r1, p0, p1, s0, s1 in zip(rows, rows[1:], points, points[1:], segs, segs[1:])
         ]
@@ -576,8 +581,8 @@ def integrals(functions, h: Pieces) -> np.ndarray:
     live = [i for i, f in enumerate(functions) if not f.complex.is_empty()]
     if not live:
         return out
-    densities = value_densities([functions[i] for i in live])
-    means = ValueDensity.stack(densities).means(h)
+    densities, stacked = value_densities([functions[i] for i in live])
+    means = stacked.means(h)
     start = 0
     for i, density in zip(live, densities):
         stop = start + len(density.sorted_rows)

@@ -382,19 +382,24 @@ class PLFunction:
         }
 
 
-def value_densities(functions) -> list:
-    """Each function's PLFunction.value_density.  The ones not yet built
-    come from one engine call over all their value rows, and each function
-    caches its own slice (ValueDensity.split), the density it would build
-    alone."""
+def value_densities(functions) -> tuple:
+    """(densities, stacked): each function's PLFunction.value_density, and
+    one ValueDensity holding all their rows in order.  The densities not
+    yet built come from one engine call over all their value rows, and
+    each function caches its own slice (ValueDensity.split), the density
+    it would build alone; when no function had one, that call's result is
+    the stack."""
+    from .integration import ValueDensity, value_density
+
     fresh = list({id(f): f for f in functions if f._density is None}.values())
     if len(fresh) > 1:
-        from .integration import value_density
-
         batch = value_density(np.concatenate([f.simplex_values() for f in fresh]))
         for f, density in zip(fresh, batch.split([len(f.complex) for f in fresh])):
             f._density = density
-    return [f.value_density() for f in functions]
+        if len(fresh) == len(functions):
+            return [f._density for f in functions], batch
+    densities = [f.value_density() for f in functions]
+    return densities, ValueDensity.stack(densities)
 
 
 def locate(complexes, X: np.ndarray, at: np.ndarray, tol: float = EPS):
