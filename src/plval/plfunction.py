@@ -391,7 +391,7 @@ def value_densities(functions) -> tuple:
     the stack."""
     from .integration import ValueDensity, value_density
 
-    fresh = list({id(f): f for f in functions if f._density is None}.values())
+    fresh = [f for f in functions if f._density is None]
     if len(fresh) > 1:
         batch = value_density(np.concatenate([f.simplex_values() for f in fresh]))
         for f, density in zip(fresh, batch.split([len(f.complex) for f in fresh])):

@@ -489,6 +489,13 @@ def test_apply_each_refuses_a_batch_of_mixed_dimensions():
         apply_each(PowerKernel(1.0, 1.5), [_tied_mesh(), pf.cone_function(pt.cube(3))])
 
 
+def test_a_function_twice_in_a_batch_builds_one_density(counted_densities):
+    f, g = _fresh(_tied_mesh()), _fresh(_tied_mesh())
+    got = apply_each(PowerKernel(1.0, 1.5), [f, g, f])
+    assert len(counted_densities) == 1
+    assert _agree_in_ulps(got[0], got[2]) and _agree_in_ulps(got[0], got[1])
+
+
 def test_a_batch_caches_each_members_own_density(counted_densities):
     batch = [p for p in _batch_pool() if not p.complex.is_empty()]
     apply_each(PowerKernel(1.0, 1.5), batch)
