@@ -18,20 +18,27 @@ pairs (overlay._refine, the cutting) and assembling cells into functions
 (overlay.assemble_cells, for the overlays' results and the tents alike),
 each in total and per batch (a refinement the memo returns again is
 not counted), with the number of stacked cuts
-(convex.split calls) made inside the refinements.  It exits 1 if any
-seed fails or builds a hull inside the assembly.
+(convex.split calls) made inside the refinements.  Every overlay result
+is also written as JSON and read back (plfunction.from_json_dict), and
+the log gives how many read back to the same bytes; a result refused or
+changed on the way fails its seed.  It exits 1 if any seed fails or
+builds a hull inside the assembly.
 
 Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
 
 import argparse
 import functools
+import json
 import sys
 import time
 
 import numpy as np
 
 from plval import convex, overlay
+from plval.errors import PLValError
+from plval.plfunction import from_json_dict
+from plval.serialize import dumps_canonical
 from plval.verify import default_battery
 
 
@@ -83,11 +90,22 @@ def main() -> int:
             seconds["assemble"] += time.perf_counter() - t0
             batches["assemble"] += 1
 
+    trips = [0, 0]  # results read back from JSON to the same bytes, results refused or changed
+
+    def read_back(h) -> bool:
+        text = dumps_canonical(h.to_json_dict())
+        try:
+            return dumps_canonical(from_json_dict(json.loads(text)).to_json_dict()) == text
+        except PLValError:
+            return False
+
     def counted_overlays(pairs, op):
         out = lattice_overlays(pairs, op)
         calls[0] += len(out)
         calls[1] += 1
         calls[2] += sum(len(h.complex) for h in out)
+        for h in out:
+            trips[read_back(h)] += 1
         return out
 
     def counted_split(*args, **kwargs):
@@ -128,6 +146,7 @@ def main() -> int:
         cuts[:] = [0, 0]
         hulls[:] = [0, 0]
         groups[:] = [0, 0]
+        trips[:] = [0, 0]
         t0 = time.perf_counter()
         suite = dict(default_battery(seed))["inclusion_exclusion"]
         residual = float("nan")
@@ -139,15 +158,15 @@ def main() -> int:
         except Exception as exc:  # a typed PLValError or a defect: both fail the seed
             fails = 1
             status = "error: %s: %s" % (type(exc).__name__, exc)
-        failed += fails > 0 or hulls[1] > 0
+        failed += fails > 0 or hulls[1] > 0 or trips[0] > 0
         per = {k: seconds[k] / max(batches[k], 1) for k in seconds}
         print(
             "seed %3d  %-12s residual %.2e  worst cover residual %.2e  %3d overlays in %2d batches -> %5d simplices"
-            "  %4d hulls  %4d groups -> %4d merged  %d assembly hulls  refine %.3f s (%.4f s/batch, %4d cuts)"
-            "  assemble %.3f s (%.4f s/batch)  %5.1f s"
+            "  %4d hulls  %4d groups -> %4d merged  %d assembly hulls  %3d of %3d read back"
+            "  refine %.3f s (%.4f s/batch, %4d cuts)  assemble %.3f s (%.4f s/batch)  %5.1f s"
             % (seed, status, residual, worst[0], calls[0], calls[1], calls[2], hulls[0], groups[0], groups[1],
-               hulls[1], seconds["refine"], per["refine"], cuts[1], seconds["assemble"], per["assemble"],
-               time.perf_counter() - t0),
+               hulls[1], trips[1], sum(trips), seconds["refine"], per["refine"], cuts[1], seconds["assemble"],
+               per["assemble"], time.perf_counter() - t0),
             flush=True,
         )
     print("%d of %d seeds failed" % (failed, len(args.seeds)))

@@ -627,10 +627,6 @@ def check_invertible(phi: np.ndarray) -> None:
         raise Singular("linear map is singular (singular values %.3g to %.3g)" % (sv[0], sv[-1]))
 
 
-def bboxes_overlap(lo1, hi1, lo2, hi2, pad: float = 0.0) -> bool:
-    return bool(np.all(lo1 <= hi2 + pad) and np.all(lo2 <= hi1 + pad))
-
-
 def barycentric_matrix(verts: np.ndarray):
     """Matrix/offset turning x into barycentric coordinates w.r.t. a simplex.
 

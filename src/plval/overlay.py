@@ -34,8 +34,9 @@ their incidence in one stacked pass, so the result is a simplex
 continuous, but a vertex of one simplex may lie inside a face of its
 neighbour (a T-junction), and a merged cell, which keeps only its
 extreme vertices, adds such T-junctions where its neighbours were cut.
-Integrals, norms and evaluation need nothing more; conformity is only
-checked where input arrives as JSON.
+Integrals, norms and evaluation need nothing more, and it is the one
+contract that plfunction.PLFunction.validate checks on JSON input, so a
+result reads back from its own JSON.
 
 The assembly, assemble_cells, also builds the tents of
 plfunction.tent_decomposition.  A vertex shared by several pieces takes

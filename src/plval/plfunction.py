@@ -1,14 +1,15 @@
-"""Piecewise-affine functions on simplicial meshes.
+"""Piecewise-affine functions on simplex partitions.
 
 A PLFunction is stored as vertex values over a SimplicialComplex and is
-extended by zero outside the complex. Functions vanish on the topological
-boundary of their support so the zero extension is continuous; loaders
-and validators enforce this.
-
-Meshes read from JSON, cone functions and tents are conforming (any two
-simplices meet in a common face).  Lattice operations (pointwise
-max/min) refine the two meshes against each other and return a simplex
-partition that may have T-junctions; see overlay.py for that machinery.
+extended by zero outside the complex.  Every function meets one contract,
+a *simplex partition*: nondegenerate simplices with disjoint interiors,
+whose affine pieces agree wherever two simplices meet and which vanish on
+the boundary of the support, so the zero extension is continuous.  Faces
+need not match: a vertex of one simplex may lie inside a face of another
+(a T-junction).  Lattice operations (pointwise max/min, see overlay.py)
+return such partitions, cone functions and tents are partitions too, and
+PLFunction.validate checks the contract, with array passes only, on every
+function read from JSON, so the package reads back what it writes.
 A tent's convex cells are assembled into a function by the same code as
 an overlay's (overlay.assemble_cells), all tents of a decomposition round
 in one batch, so a vertex takes its value from the least steep piece
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import convex
 from .convex import EPS
@@ -42,6 +42,8 @@ from .serialize import read_finite
 
 # evaluate_many tests at most this many (point, simplex) pairs at once.
 EVAL_PAIRS = 1 << 14
+# validate clips at most this many pairs of simplices at once.
+CLIP_PAIRS = 1 << 14
 
 
 @dataclass(eq=False)
@@ -50,9 +52,9 @@ class SimplicialComplex:
 
     vertices: (k, dim) float array; simplices: tuple of sorted index
     tuples of length dim+1. Treated as immutable after construction.
-    The simplices partition the support; they need not meet face to face
-    (join/meet output may have T-junctions), but meshes read from JSON
-    are checked to be conforming.
+    The simplices partition the support and need not meet face to face:
+    a vertex may lie inside a neighbour's face (a T-junction), as in
+    join/meet output, here and in meshes read from JSON alike (validate).
     """
 
     dim: int
@@ -139,138 +141,68 @@ class SimplicialComplex:
             return None
         return A, b
 
-    def boundary_vertex_indices(self) -> np.ndarray:
-        """Vertices lying on (dim-1)-faces that belong to exactly one simplex.
-
-        Assumes a conforming complex: on a partition with T-junctions an
-        interior face split between two neighbours also counts once."""
-        from collections import Counter
-
-        faces = Counter()
-        for s in self.simplices:
-            for drop in range(len(s)):
-                faces[s[:drop] + s[drop + 1 :]] += 1
-        out = set()
-        for face, count in faces.items():
-            if count == 1:
-                out.update(face)
-        return np.array(sorted(out), dtype=int)
-
-    # -- validation ---------------------------------------------------------
+    # -- the partition contract ----------------------------------------------
 
     def validate(self, tol: float = EPS) -> None:
-        """Check nondegeneracy, conformity and disjoint interiors: the
-        vertex-in-foreign-simplex scan, then the pairwise clipping check.
-        Raises InvalidComplex naming the offending simplices.
-        """
-        n = self.dim
-        scale = self.scale()
+        """Check the complex's half of the partition contract: every
+        simplex is nondegenerate (measure above convex.simplex_floor of its
+        own extent) and no two simplices overlap in their interiors.  Faces
+        need not match: a vertex may lie inside a neighbour's face.  Raises
+        InvalidComplex naming the first offending simplex, or pair (i, j)
+        in (i, j) order."""
+        self._contacts(tol)
+
+    def _contacts(self, tol: float):
+        """(i, j, clips, on, atol): the ordered pairs (i, j) of simplices
+        that meet, clips[c] the intersection of pair c (simplex i clipped
+        by j's rows, a convex.Cells stack), on[c, k] whether it lies on row
+        k of simplex i, the facet opposite vertex k, and atol the clip
+        tolerance, 10 tol times the largest vertex coordinate.  Raises
+        InvalidComplex for a degenerate simplex, or for a pair whose
+        intersection lies on none of i's rows, i.e. has interior, naming
+        the first such pair in (i, j) order.
+
+        Pairs come from a sort and sweep of the boxes, padded by atol,
+        along the first axis, and are clipped at atol in stacked flat
+        chains (convex.clip_rows), one per chunk of the sweep."""
+        n, m = self.dim, len(self)
+        X = self.simplex_arrays()
         vols = self.simplex_volumes()
-        floor = (tol * scale) ** n / math.factorial(n)
-        for i, v in enumerate(vols):
-            if v <= floor:
-                raise InvalidComplex("simplex %d is degenerate (measure %.3g)" % (i, v))
-
-        if len(self.simplices) < 2:
-            return
-        self._check_foreign_vertices(tol)
-        self._check_pairwise(tol * scale)
-
-    def _check_foreign_vertices(self, tol: float) -> None:
-        """No vertex lies on a simplex it is not a vertex of (see
-        containing); the first such pair by simplex, then vertex, is named."""
-        p, i = self.containing(self.vertices, tol)
-        foreign = ~(self.index_array()[i] == p[:, None]).any(axis=1)
-        if foreign.any():
-            p, i = p[foreign], i[foreign]
-            k = np.lexsort((p, i))[0]
-            raise InvalidComplex(
-                "vertex %d lies on simplex %d without being one of its vertices" % (p[k], i[k])
-            )
-
-    def containing(self, X: np.ndarray, tol: float = EPS):
-        """(p, i): the pairs of point X[p] and simplex i that holds it,
-        by point, then by simplex index (see locate)."""
-        X = np.asarray(X, dtype=float)
-        return locate([self], X, np.zeros(len(X), dtype=int), tol)
-
-    def _candidate_pairs(self, los, his, pad):
-        """Index pairs whose boxes might overlap, via a spatial grid so the
-        all-pairs scan is avoided on large meshes."""
-        m = len(los)
-        if m <= 64:
-            return [(i, j) for i in range(m) for j in range(i + 1, m)]
-        cell = max(float(np.median(np.max(his - los, axis=1))), 1e-12)
-        buckets: dict = {}
-        pairs = set()
-        for i in range(m):
-            lo_idx = np.floor((los[i] - pad) / cell).astype(np.int64)
-            hi_idx = np.floor((his[i] + pad) / cell).astype(np.int64)
-            for key in itertools.product(
-                *(range(lo_idx[k], hi_idx[k] + 1) for k in range(self.dim))
-            ):
-                b = buckets.setdefault(key, [])
-                for j in b:
-                    pairs.add((j, i))
-                b.append(i)
-        return sorted(pairs)
-
-    def _check_pairwise(self, atol: float) -> None:
-        n = self.dim
-        V = self.vertices
-        arrs = self.simplex_arrays()
-        los = arrs.min(axis=1)
-        his = arrs.max(axis=1)
-        hrows, hrhs = self.simplex_rows()
-        pairs = []
-        for i, j in self._candidate_pairs(los, his, atol):
-            if convex.bboxes_overlap(los[i], his[i], los[j], his[j], pad=atol):
-                pairs.append((i, j, sorted(set(self.simplices[i]) & set(self.simplices[j]))))
-        # simplex i clipped by the rows of simplex j, keeping a
-        # lower-dimensional intersection, for every pair sharing less than
-        # a facet at once
-        clipped = [p for p, (_, _, shared) in enumerate(pairs) if len(shared) < n]
-        I = np.array([pairs[p][0] for p in clipped], dtype=int)
-        J = np.array([pairs[p][1] for p in clipped], dtype=int)
-        cells = convex.Cells.of_simplices(arrs[I], hrows[I], hrhs[I])
-        cells, src = convex.clip_rows(cells, hrows[J], hrhs[J], 10 * atol, flat=True)
-        meet = {clipped[p]: c for c, p in enumerate(src)}
-        for p, (i, j, shared) in enumerate(pairs):
-            if len(shared) == n + 1:
-                raise InvalidComplex("simplices %d and %d coincide" % (i, j))
-            if len(shared) == n:
-                # shared facet: opposite vertices must be on opposite sides
-                si, sj = self.simplices[i], self.simplices[j]
-                fverts = V[shared]
-                _, _, vt = np.linalg.svd(fverts[1:] - fverts[0], full_matrices=True)
-                u = vt[-1]
-                off = u @ fverts[0]
-                a = u @ V[list(set(si) - set(shared))[0]] - off
-                b = u @ V[list(set(sj) - set(shared))[0]] - off
-                if a * b > -(atol**2):
-                    raise InvalidComplex(
-                        "simplices %d and %d overlap across their shared facet" % (i, j)
-                    )
-                continue
-            if p not in meet:
-                continue
-            X = cells.cell(meet[p])[0]
-            if not shared:
-                if np.max(np.ptp(X, axis=0)) > 10 * atol:
-                    raise InvalidComplex(
-                        "simplices %d and %d intersect without common vertices" % (i, j)
-                    )
-                continue
-            S = V[shared]
-            A_ls = np.vstack([S.T, np.ones(len(shared))])
-            for x in X:
-                rhs = np.concatenate([x, [1.0]])
-                _, resid = nnls(A_ls, rhs)
-                if resid > 100 * atol:
-                    raise InvalidComplex(
-                        "intersection of simplices %d and %d exceeds their shared face"
-                        % (i, j)
-                    )
+        floor = convex.simplex_floor(np.ptp(X, axis=1).max(axis=1, initial=0.0), n, tol)
+        bad = np.flatnonzero(vols <= floor)
+        if len(bad):
+            raise InvalidComplex("simplex %d is degenerate (measure %.3g)" % (bad[0], vols[bad[0]]))
+        atol = 10 * tol * float(np.abs(self.vertices).max(initial=0.0))
+        lo, hi = X.min(axis=1) - atol, X.max(axis=1) + atol
+        A, b = self.simplex_rows()
+        # sorted by the low end of the first axis, a simplex's partners
+        # along it are the run after it up to its high end; the runs go in
+        # chunks of about CLIP_PAIRS pairs, which bounds the temporaries of
+        # a large mesh, as a cell's clip does not depend on its stack-mates
+        order = np.argsort(lo[:, 0], kind="stable")
+        run = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(m) - 1
+        cuts = np.flatnonzero(np.diff((np.cumsum(run) - run) // CLIP_PAIRS)) + 1
+        parts = []
+        for s, e in zip([0, *cuts], [*cuts, m]):
+            r = run[s:e]
+            a = np.repeat(np.arange(s, e), r)
+            c = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(r) - r, r)
+            i, j = order[a], order[c]
+            near = ((lo[i] <= hi[j]) & (lo[j] <= hi[i])).all(axis=1)
+            i, j = np.concatenate([i[near], j[near]]), np.concatenate([j[near], i[near]])
+            cells, src = convex.clip_rows(convex.Cells.of_simplices(X[i], A[i], b[i]), A[j], b[j], atol, flat=True)
+            parts.append((cells, i[src], j[src]))
+        clips = convex.Cells.concat([p[0] for p in parts])
+        i, j = (np.concatenate([p[k] for p in parts]) for k in (1, 2))
+        # i's rows stay first in a flat chain, which drops no row
+        on = np.zeros((len(i), n + 1), dtype=bool)
+        if len(i):
+            on = (clips.T[:, :, : n + 1] | ~clips.vm[:, :, None]).all(axis=1)
+        over = np.flatnonzero(~on.any(axis=1))
+        if len(over):
+            c = over[np.lexsort((j[over], i[over]))[0]]
+            raise InvalidComplex("simplices %d and %d overlap" % (i[c], j[c]))
+        return i, j, clips, on, atol
 
 
 @dataclass(eq=False)
@@ -345,8 +277,8 @@ class PLFunction:
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; points outside the support give 0.
 
-        A point on several simplices (SimplicialComplex.containing) takes
-        the value of the first in index order.
+        A point on several simplices (see locate) takes the value of the
+        first in index order.
         """
         X = np.asarray(X, dtype=float)
         return evaluate_each([self], X, np.zeros(len(X), dtype=int))
@@ -362,16 +294,48 @@ class PLFunction:
     # -- validation ---------------------------------------------------------
 
     def validate(self, tol: float = EPS) -> None:
-        """Complex invariants plus zero values on the support boundary;
-        like boundary_vertex_indices, assumes a conforming complex."""
-        self.complex.validate(tol=tol)
-        bidx = self.complex.boundary_vertex_indices()
-        vscale = max(1.0, float(np.max(np.abs(self.values))) if len(self.values) else 1.0)
-        for i in bidx:
-            if abs(self.values[i]) > 10 * tol * vscale:
-                raise InvalidComplex(
-                    "boundary vertex %d has nonzero value %.3g" % (i, self.values[i])
-                )
+        """Check the partition contract: the complex's half
+        (SimplicialComplex.validate), then continuity and a zero boundary.
+
+        Where two simplices meet, their affine pieces agree at every vertex
+        of the intersection, T-junctions included.  A facet that the
+        intersections lying on it leave uncovered by more than a strip of
+        the clip tolerance's width across it (atol times its extent to the
+        n-2) holds part of the support's boundary, so its vertices must be
+        0.  Values are judged within 10 tol times the largest |value|.
+        Raises InvalidComplex."""
+        n, cx = self.dim, self.complex
+        i, j, clips, on, atol = cx._contacts(tol)
+        vtol = 10 * tol * float(np.abs(self.values).max(initial=0.0))
+        grads, offs = self.affines()
+        gap = np.abs(convex.dot_rows(clips.V, grads[i] - grads[j]) + (offs[i] - offs[j])[:, None])
+        bad = np.flatnonzero((np.where(clips.vm, gap, 0.0) > vtol).any(axis=1))
+        if len(bad):
+            c = bad[np.lexsort((j[bad], i[bad]))[0]]
+            raise InvalidComplex(
+                "simplices %d and %d differ by %.3g where they meet" % (i[c], j[c], gap[c][clips.vm[c]].max())
+            )
+        # each facet's cover: the (n-1)-measure of the intersections lying
+        # on it alone (one on two rows lies in a lower face)
+        one = np.flatnonzero(on.sum(axis=1) == 1)
+        drop = np.array([[c for c in range(n + 1) if c != k] for k in range(n + 1)])
+        facets = cx.index_array()[:, drop].reshape(-1, n)
+        if n > 1:
+            flat = clips.take(one)
+            P = flat.V.reshape(-1, n)
+            idx = np.arange(len(P)).reshape(flat.vm.shape)
+            S, cell = convex.pulling_triangulation(P, idx, flat.vm, flat.T, n - 1, tol=0.0)
+            area = np.bincount(cell, weights=convex.simplex_measures(P, S), minlength=len(one))
+            strip = atol * np.ptp(cx.vertices[facets], axis=1).max(axis=1) ** (n - 2)
+        else:  # a facet is a point, covered or not
+            area, strip = np.ones(len(one)), 0.0
+        key = i[one] * (n + 1) + on[one].argmax(axis=1)
+        cover = np.bincount(key, weights=area, minlength=len(facets))
+        uncovered = cover < convex.simplex_measures(cx.vertices, facets) - strip
+        edge = np.unique(facets[uncovered])
+        nonzero = edge[np.abs(self.values[edge]) > vtol]
+        if len(nonzero):
+            raise InvalidComplex("boundary vertex %d has nonzero value %.3g" % (nonzero[0], self.values[nonzero[0]]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -462,6 +426,9 @@ def evaluate_each(functions, X: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def from_json_dict(data: dict) -> PLFunction:
+    """The function of a JSON dict {"dim", "vertices", "simplices",
+    "values"}, checked against the partition contract (PLFunction.validate);
+    simplices must be rows of dim+1 integer indices into vertices."""
     for key in ("dim", "vertices", "simplices", "values"):
         if key not in data:
             raise ValueError("PL function JSON needs '%s'" % key)
@@ -469,7 +436,18 @@ def from_json_dict(data: dict) -> PLFunction:
     verts = read_finite(data, "vertices", "PL function")
     if len(verts) and (verts.ndim != 2 or verts.shape[1] != dim):
         raise ValueError("vertex array shape does not match dim %d" % dim)
-    cx = SimplicialComplex(dim=dim, vertices=verts, simplices=tuple(map(tuple, data["simplices"])))
+    try:
+        index = np.array(data["simplices"])
+    except ValueError:  # ragged rows
+        index = None
+    if index is None or (index.size and (index.ndim != 2 or index.shape[1] != dim + 1 or index.dtype.kind not in "iu")):
+        raise InvalidComplex("PL function field 'simplices' needs rows of %d integers" % (dim + 1))
+    outside = index[(index < 0) | (index >= len(verts))]
+    if len(outside):
+        raise InvalidComplex(
+            "PL function field 'simplices' holds index %d, outside the %d vertices" % (outside[0], len(verts))
+        )
+    cx = SimplicialComplex(dim=dim, vertices=verts, simplices=index)
     f = PLFunction(complex=cx, values=read_finite(data, "values", "PL function"))
     f.validate()
     return f

@@ -48,12 +48,6 @@ class Polytope:
     # by facet (a 1-D facet is its vertex), read-only
     facet_simplices: np.ndarray
 
-    def facet_normals(self) -> np.ndarray:
-        return np.array([f.normal for f in self.facets])
-
-    def facet_supports(self) -> np.ndarray:
-        return np.array([f.support for f in self.facets])
-
     def scale(self) -> float:
         return float(np.max(np.abs(self.vertices)))
 

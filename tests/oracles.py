@@ -260,6 +260,51 @@ def check_complex_invariants(cx, eps: float = 1e-9) -> list:
     return bad
 
 
+def check_conforming(vertices, simplices, tol: float = 1e-9) -> list:
+    """Pairs of simplices that meet in more than a common face, one pair
+    at a time.  A pair's intersection is cut out of its 2(n+1) facet
+    planes by solving every n-subset of them; each vertex it has must lie
+    in the convex hull of the pair's shared vertices (barycentric
+    coordinates on them, by least squares, reproduce it and are >= 0), so
+    a pair sharing no vertex must not meet at all.  Returns violation
+    strings; empty means the mesh is conforming (every two simplices meet
+    in a common face, or not at all)."""
+    verts = np.asarray(vertices, dtype=float)
+    simplices = [tuple(s) for s in simplices]
+    if len(simplices) < 2:
+        return []
+    n = verts.shape[1]
+    scale = max(1.0, float(np.max(np.abs(verts))))
+    rows = []
+    for s in simplices:
+        facets = brute_facets(verts[list(s)], tol=tol * scale)
+        rows.append((np.array([u for u, _ in facets]), np.array([h for _, h in facets])))
+    lo = np.array([verts[list(s)].min(axis=0) for s in simplices])
+    hi = np.array([verts[list(s)].max(axis=0) for s in simplices])
+    combos = np.array(list(itertools.combinations(range(2 * (n + 1)), n)))
+    bad = []
+    for a, b in itertools.combinations(range(len(simplices)), 2):
+        if np.any(lo[a] > hi[b] + tol * scale) or np.any(lo[b] > hi[a] + tol * scale):
+            continue
+        U = np.vstack([rows[a][0], rows[b][0]])
+        h = np.concatenate([rows[a][1], rows[b][1]])
+        M = U[combos]
+        ok = np.abs(np.linalg.det(M)) > tol
+        X = np.linalg.solve(M[ok], h[combos[ok]][..., None])[..., 0]
+        X = X[np.all(X @ U.T <= h + tol * scale, axis=1)]
+        if not len(X):
+            continue
+        shared = sorted(set(simplices[a]) & set(simplices[b]))
+        S = np.vstack([verts[shared].T, np.ones(len(shared))])
+        for x in X:
+            y = np.append(x, 1.0)
+            lam = np.linalg.lstsq(S, y, rcond=None)[0] if shared else np.zeros(0)
+            if not shared or np.linalg.norm(S @ lam - y) > 100 * tol * scale or lam.min() < -100 * tol:
+                bad.append("simplices %d and %d meet in more than a common face" % (a, b))
+                break
+    return bad
+
+
 def evaluate_pl_brute(vertices, simplices, values, points, tol: float = 1e-9):
     """Values of a PL function at points, one point and one simplex at a time.
 

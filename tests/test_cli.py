@@ -166,6 +166,65 @@ def test_valuate_rejects_non_finite_input(capsys, tmp_path, target, field):
     assert "'%s'" % field in err and "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "simplices",
+    [[[0, 1, 99]], [[0, 1, 0.9]], [[0, 1, 4, 1, 2, 4]], [[-1, 0, 1]]],
+    ids=["out-of-range", "fraction", "one-flat-row", "negative"],
+)
+@pytest.mark.parametrize("command", ["norms", "valuate"])
+def test_bad_simplices_are_input_errors(capsys, tmp_path, kernel_file, simplices, command):
+    data = pf.cone_function(pt.cube(2)).to_json_dict()
+    data["simplices"] = simplices
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    kernel = ["--kernel", kernel_file] if command == "valuate" else []
+    code, out, err = run(capsys, command, "--input", str(path), *kernel)
+    assert code == 2
+    assert out == ""
+    assert "field 'simplices'" in err
+
+
+def test_norms_and_valuate_read_a_join_with_t_junctions(capsys, tmp_path, kernel_file):
+    # the join of two random cones, a partition whose vertices lie inside
+    # neighbouring faces, read back from JSON gives the bytes of the
+    # in-process results
+    from plval.integration import grad_p_norm, lq_norm, sobolev_norm
+    from plval.valuation import PowerKernel, apply
+    from plval.verify import random_cone_function
+
+    rng = np.random.default_rng(1)
+    f = pf.join(random_cone_function(rng, 2), random_cone_function(rng, 2))
+    path = tmp_path / "join.json"
+    path.write_text(dumps_canonical(f.to_json_dict()))
+    code, out, _ = run(capsys, "norms", "--input", str(path), "--p", "1.5", "--q-list", "1,2")
+    assert code == 0
+    assert out == dumps_canonical({
+        "p": 1.5,
+        "q_norms": [{"q": q, "value": lq_norm(f, q)} for q in (1.0, 2.0)],
+        "grad_norm": grad_p_norm(f, 1.5),
+        "sobolev_norm": sobolev_norm(f, 1.5),
+    })
+    code, out, _ = run(capsys, "valuate", "--input", str(path), "--kernel", kernel_file)
+    assert code == 0
+    assert out == dumps_canonical({"z": apply(PowerKernel(1.0, 2.0), f)})
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    import os
+    import subprocess
+    import sys
+
+    import plval
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plval.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    probe = "import sys, plval.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
+
+
 # -- recover --------------------------------------------------------------------
 
 

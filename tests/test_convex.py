@@ -229,6 +229,7 @@ def test_incidence_triangulation_is_conforming_and_exact(d):
         S = _pull_one(V, np.arange(len(V)), d, T)
         cx = pf.SimplicialComplex(dim=d, vertices=V, simplices=tuple(S))
         cx.validate()
+        assert oracles.check_conforming(V, S) == []
         assert cx.simplex_volumes().sum() == pytest.approx(ConvexHull(V).volume, rel=1e-12)
 
         # the two halves of a cut, triangulated on one vertex table, meet
@@ -242,6 +243,7 @@ def test_incidence_triangulation_is_conforming_and_exact(d):
         S += _pull_one(table, mapping[k:], d, hi[3])
         both = pf.SimplicialComplex(dim=d, vertices=table, simplices=tuple(S))
         both.validate()
+        assert oracles.check_conforming(table, S) == []
         assert both.simplex_volumes().sum() == pytest.approx(ConvexHull(V).volume, rel=1e-12)
 
 
@@ -255,6 +257,7 @@ def test_incidence_triangulation_of_hulls(d, k):
         S = _pull_one(P.vertices, np.arange(len(P.vertices)), d, on)
         cx = pf.SimplicialComplex(dim=d, vertices=P.vertices, simplices=tuple(S))
         cx.validate()
+        assert oracles.check_conforming(P.vertices, S) == []
         assert cx.simplex_volumes().sum() == pytest.approx(ConvexHull(P.vertices).volume, rel=1e-12)
 
 
@@ -666,29 +669,46 @@ def test_evaluate_many_first_simplex_wins():
     assert np.max(np.abs(f.evaluate_many(pts) - want)) <= 1e-12
 
 
-def test_validate_rejects_coplanar_faces_that_only_overlap():
+def test_star_of_david_is_a_partition_but_not_conforming():
     # two tetrahedra on opposite sides of z = 0 whose bases form a star of
     # David: no vertex lies in the other simplex and the interiors are
-    # disjoint, so only the clipped, lower-dimensional intersection shows
-    # that they meet in more than a common face
+    # disjoint, so the complex is a partition, but the bases overlap only
+    # in part, which the brute-force conformity oracle sees
     base = np.array([[0.0, 1.2], [-1.04, -0.6], [1.04, -0.6]])
     V = np.vstack([np.column_stack([base, np.zeros(3)]), [[0, 0, 1]],
                    np.column_stack([-base, np.zeros(3)]), [[0, 0, -1]]])
-    cx = pf.SimplicialComplex(3, V, ((0, 1, 2, 3), (4, 5, 6, 7)))
-    with pytest.raises(InvalidComplex, match="intersect"):
-        cx.validate()
+    S = ((0, 1, 2, 3), (4, 5, 6, 7))
+    cx = pf.SimplicialComplex(3, V, S)
+    cx.validate()
+    assert oracles.check_conforming(V, S) == ["simplices 0 and 1 meet in more than a common face"]
+    # as a function whose bases disagree where they overlap it is
+    # discontinuous there, with no vertex of either on the other
+    f = pf.PLFunction(cx, np.array([0.0, 0, 0, 0, 1, 1, 1, 0]))
+    with pytest.raises(InvalidComplex, match="simplices 0 and 1 differ by 1 where they meet"):
+        f.validate()
 
 
-@pytest.mark.parametrize("pairs", [1 << 14, 3])
-def test_validate_names_the_first_foreign_vertex_by_simplex(monkeypatch, pairs):
-    # unused vertex 3 lies on simplex 1 and unused vertex 7 on simplex 0:
-    # the scan names the lower simplex first, whatever the vertex order
-    # and however the (point, simplex) pairs are chunked
-    monkeypatch.setattr(pf, "EVAL_PAIRS", pairs)
-    V = np.array([[0, 0], [4, 0], [0, 4], [11, 1], [10, 0], [14, 0], [10, 4], [1, 1]], dtype=float)
-    cx = pf.SimplicialComplex(2, V, ((0, 1, 2), (4, 5, 6)))
-    with pytest.raises(InvalidComplex, match="vertex 7 lies on simplex 0 without"):
-        cx.validate()
+@pytest.mark.parametrize("pairs", [1 << 14, 1])
+@pytest.mark.parametrize("defect", ["overlap", "discontinuous"])
+def test_validate_names_the_first_offending_pair(monkeypatch, defect, pairs):
+    # bad pairs (0, 3) and (1, 2), with 1 and 2 first along the sweep's
+    # axis: the pair first in (i, j) order is named, however the sweep's
+    # pairs are chunked
+    monkeypatch.setattr(pf, "CLIP_PAIRS", pairs)
+    tri = np.array([[0, 0], [2, 0], [0, 2]], dtype=float)
+    values = np.zeros(12)
+    if defect == "overlap":
+        other = tri + 0.5
+    else:
+        # tri's mirror image across its hypotenuse, meeting it along that
+        # edge with its own copies of the ends, valued 1 there, tri 0
+        other = 2.0 - tri
+        values[[7, 8, 10, 11]] = 1.0
+    V = np.vstack([tri + [20, 0], tri, other, other + [20, 0]])
+    f = pf.PLFunction(pf.SimplicialComplex(2, V, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))), values)
+    match = "overlap" if defect == "overlap" else "differ by 1 where they meet"
+    with pytest.raises(InvalidComplex, match="simplices 0 and 3 " + match):
+        f.validate()
 
 
 @settings(max_examples=150, deadline=None)

@@ -633,6 +633,94 @@ def test_json_rejects_nonconforming():
     assert "simplex" in str(err.value) or "simplices" in str(err.value)
 
 
+def _json_bytes(f):
+    from plval.serialize import dumps_canonical
+
+    return dumps_canonical(f.to_json_dict())
+
+
+def _round_trips(f) -> bool:
+    import json
+
+    text = _json_bytes(f)
+    return _json_bytes(pf.from_json_dict(json.loads(text))) == text
+
+
+def test_overlay_results_read_back_from_their_own_json(monkeypatch):
+    # every join, meet and f ^ (f v g) of the random cone pairs at seeds
+    # 0-25, every tent of the fans at seeds 0-5, every subset meet of
+    # inclusion-exclusion at seed 0 and every result of the 3-D identity
+    # suite at seed 1, one of whose joins leaves a facet uncovered by
+    # 1.1e-9 of its area, a sliver narrower than the clip tolerance; many
+    # are partitions with T-junctions
+    from plval import overlay
+    from plval.valuation import PowerKernel
+    from plval.verify import default_battery, inclusion_exclusion_suite, random_cone_function
+
+    outputs = []
+    for n in (2, 3):
+        pairs = []
+        for seed in range(26):
+            rng = np.random.default_rng(seed)
+            pairs.append((random_cone_function(rng, n), random_cone_function(rng, n)))
+        joins = overlay.lattice_overlays(pairs, "join")
+        outputs += joins + overlay.lattice_overlays(pairs, "meet")
+        outputs += overlay.lattice_overlays([(f, h) for (f, _), h in zip(pairs, joins)], "meet")
+    for seed in range(6):
+        outputs += pf.tent_decomposition(fan_function(seed))
+    batched = overlay.lattice_overlays
+
+    def recorded(pairs, op):
+        out = batched(pairs, op)
+        outputs.extend(out)
+        return out
+
+    monkeypatch.setattr(overlay, "lattice_overlays", recorded)
+    inclusion_exclusion_suite(PowerKernel(1.0, 1.5), seed=0)
+    dict(default_battery(1))["valuation_identity_3d"]()
+    assert len(outputs) > 156 + 36 + 60
+    assert [k for k, f in enumerate(outputs) if not _round_trips(f)] == []
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-4, 1e6])
+def test_json_round_trip_at_any_scale(scale):
+    from plval.verify import random_cone_function
+
+    rng = np.random.default_rng(1)
+    join = pf.join(random_cone_function(rng, 2), random_cone_function(rng, 2))
+    for f in (pf.cone_function(pt.cube(2)), pf.cone_function(pt.cube(3)), join):
+        g = pf.scale_values(pf.compose_affine(f, scale * np.eye(f.dim)), scale)
+        assert _round_trips(g)
+
+
+@pytest.mark.parametrize(
+    "simplices",
+    [[[0, 1, 99]], [[0, 1, 0.9]], [[0, 1, 4, 1, 2, 4]], [[-1, 0, 1]], [[0, 1]], [[0, 1, 4], [1, 2]]],
+    ids=["out-of-range", "fraction", "one-flat-row", "negative", "short-row", "ragged"],
+)
+def test_json_simplices_must_be_rows_of_vertex_indices(cone_square, simplices):
+    data = cone_square.to_json_dict()
+    data["simplices"] = simplices
+    with pytest.raises(InvalidComplex, match="field 'simplices'"):
+        pf.from_json_dict(data)
+
+
+def test_validate_finds_boundary_on_a_partly_covered_facet():
+    # the cone over [-1, 1]^2 (apex 0), its right triangle cut at the
+    # midpoint 1 of the edge it shares with the bottom one, a T-junction
+    # on that edge; without the cut triangle's outer half, the edge is
+    # covered only from 0 to 1, so the rest of it is boundary and the
+    # apex, whose other facets are all covered, must be 0
+    V = np.array([[0, 0], [0.5, -0.5], [-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
+    S = [(0, 2, 3), (0, 1, 4), (0, 4, 5), (0, 5, 2), (1, 3, 4)]
+    values = np.array([1.0, 0.5, 0, 0, 0, 0])
+    pf.PLFunction(pf.SimplicialComplex(2, V, S), values).validate()
+    cx = pf.SimplicialComplex(2, V, S[:-1])
+    cx.validate()
+    with pytest.raises(InvalidComplex, match="boundary vertex 0 has nonzero value 1"):
+        pf.PLFunction(cx, values).validate()
+
+
 def test_boundary_values_vanish():
     f = fan_function(8)
     cx = f.complex
