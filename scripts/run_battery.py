@@ -4,8 +4,9 @@
 Usage: python scripts/run_battery.py [--seed N] [--out DIR]
 
 Each suite's line ends with the SHA-256 of its JSONL bytes as `plval
-verify` writes them by default (wall times as 0.0), so two checkouts'
-outputs at one seed can be compared line by line.
+verify` writes them, so two checkouts' outputs at one seed can be compared
+line by line.  summary.csv ends in each suite's wall seconds, as with
+`plval verify --timing`.
 """
 
 import argparse
@@ -24,19 +25,20 @@ def main() -> int:
     args = ap.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
-    all_reports = []
+    all_reports, wall = [], {}
     for name, thunk in default_battery(args.seed):
         t0 = time.perf_counter()
         reports = thunk()
-        took = time.perf_counter() - t0
+        wall[name] = time.perf_counter() - t0
         fails = sum(1 for r in reports if r.status == "fail")
-        digest = hashlib.sha256(reports_to_jsonl(reports, include_timing=False).encode()).hexdigest()
-        print("%-24s %3d cases  %d failed  %.1fs  sha256 %s" % (name, len(reports), fails, took, digest))
+        digest = hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest()
+        print("%-24s %3d cases  %d failed  %.1fs  sha256 %s" % (name, len(reports), fails, wall[name], digest))
         all_reports.extend(reports)
 
+    summary = summarize_csv(all_reports, wall)
     (args.out / "reports.jsonl").write_text(reports_to_jsonl(all_reports))
-    (args.out / "summary.csv").write_text(summarize_csv(all_reports))
-    print(summarize_csv(all_reports))
+    (args.out / "summary.csv").write_text(summary)
+    print(summary)
     failures = sum(1 for r in all_reports if r.status == "fail")
     print("total: %d cases, %d failed" % (len(all_reports), failures))
     return 1 if failures else 0

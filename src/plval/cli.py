@@ -9,11 +9,10 @@ output is byte-identical across runs for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+import time
 
 import numpy as np
 
@@ -30,36 +29,6 @@ from .valuation import (
     kernel_from_json_dict,
     recover_kernel,
 )
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; unknown fields are rejected, p < n enforced."""
-
-    subcommand: str
-    input: str = None
-    kernel: str = None
-    output: str = None
-    n: int = None
-    p: float = None
-    q_list: tuple = None
-    s_grid: tuple = None
-    seed: int = 0
-    suite: str = None
-    tolerance: float = None
-    timing: bool = False
-
-    def __post_init__(self):
-        if self.p is not None and self.n is not None and not self.p < self.n:
-            raise ValueError("need p < n, got p=%g n=%d" % (self.p, self.n))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ValueError("unknown config fields: %s" % ", ".join(unknown))
-        return cls(**data)
 
 
 def _finite(text: str) -> float:
@@ -87,10 +56,10 @@ def _parse_q_list(text: str) -> tuple:
 def _parse_s_grid(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("s-grid must be start:stop:step, got %r" % text)
-    start, stop, step = (float(x) for x in parts)
+        raise argparse.ArgumentTypeError("must be start:stop:step, got %r" % text)
+    start, stop, step = (_finite(x) for x in parts)
     if step <= 0 or stop <= start:
-        raise ValueError("s-grid needs stop > start and step > 0")
+        raise argparse.ArgumentTypeError("needs stop > start and step > 0, got %r" % text)
     return start, stop, step
 
 
@@ -108,104 +77,109 @@ def _emit(text: str, path: str = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands, each called with the parsed options of its own subparser
 # ---------------------------------------------------------------------------
 
 
-def cmd_polytope(config: RunConfig) -> int:
+def cmd_polytope(args: argparse.Namespace) -> int:
     """Polytope JSON in, enriched JSON (facets, volume, polar volume,
     p-surface areas for the requested exponents) out."""
-    P = pt.from_json_dict(_read_json(config.input))
+    P = pt.from_json_dict(_read_json(args.input))
     out = P.to_json_dict()
     out["volume"] = pt.volume(P)
     if P.origin_interior:
         out["polar_volume"] = pt.volume(pt.polar(P))
-        exps = config.q_list if config.q_list else (1.0, 2.0)
+        exps = args.q_list if args.q_list else (1.0, 2.0)
         out["p_surface_areas"] = [
             {"p": p, "value": pt.p_surface_area(P, p)} for p in exps
         ]
     else:
         sys.stderr.write("origin not interior: no polar volume or p-surface areas\n")
-    _emit(dumps_canonical(out), config.output)
+    _emit(dumps_canonical(out), args.output)
     return 0
 
 
-def cmd_norms(config: RunConfig) -> int:
+def cmd_norms(args: argparse.Namespace) -> int:
     """Function JSON in, the q-norms, gradient p-norm, and Sobolev norm out."""
-    f = pf.from_json_dict(_read_json(config.input))
-    p = 1.0 if config.p is None else config.p
-    qs = config.q_list if config.q_list else (p,)
+    f = pf.from_json_dict(_read_json(args.input))
+    p = 1.0 if args.p is None else args.p
+    qs = args.q_list if args.q_list else (p,)
     out = {
         "p": p,
         "q_norms": [{"q": q, "value": lq_norm(f, q)} for q in qs],
         "grad_norm": grad_p_norm(f, p),
         "sobolev_norm": sobolev_norm(f, p),
     }
-    _emit(dumps_canonical(out), config.output)
+    _emit(dumps_canonical(out), args.output)
     return 0
 
 
-def cmd_valuate(config: RunConfig) -> int:
+def cmd_valuate(args: argparse.Namespace) -> int:
     """Kernel JSON + function JSON in, z(f) out; with --s-grid also the
     cone profile as CSV, which then needs --output."""
-    kernel = kernel_from_json_dict(_read_json(config.kernel))
-    f = pf.from_json_dict(_read_json(config.input))
+    kernel = kernel_from_json_dict(_read_json(args.kernel))
+    f = pf.from_json_dict(_read_json(args.input))
     z = {"z": apply(kernel, f)}
-    if config.s_grid is not None:
-        if not config.output:
+    if args.s_grid is not None:
+        if not args.output:
             raise ValueError("--s-grid profile output needs --output")
-        n = f.dim if config.n is None else config.n
-        start, stop, step = config.s_grid
+        n = f.dim if args.n is None else args.n
+        start, stop, step = args.s_grid
         grid = np.arange(start, stop + 0.5 * step, step)
         prof = c_profile(kernel, pt.cube(n), grid)
-        _emit(prof.to_csv(), config.output)
+        _emit(prof.to_csv(), args.output)
         sys.stdout.write(dumps_canonical(z))
     else:
-        _emit(dumps_canonical(z), config.output)
+        _emit(dumps_canonical(z), args.output)
     return 0
 
 
-def cmd_recover(config: RunConfig) -> int:
+def cmd_recover(args: argparse.Namespace) -> int:
     """Profile CSV in, tabulated kernel JSON out; growth report on stderr
     when --p is given."""
-    if config.n is None:
-        raise ValueError("--n (profile dimension) is required")
-    with open(config.input) as fh:
-        prof = CProfile.from_csv(fh.read(), config.n)
-    kern = recover_kernel(prof, config.n)
-    if config.p is not None:
-        report = growth_check(prof, config.p)
+    if args.p is not None and not args.p < args.n:
+        raise ValueError("need p < n, got p=%g n=%d" % (args.p, args.n))
+    with open(args.input) as fh:
+        prof = CProfile.from_csv(fh.read(), args.n)
+    kern = recover_kernel(prof, args.n)
+    if args.p is not None:
+        report = growth_check(prof, args.p)
         sys.stderr.write("growth: " + dumps_canonical(report.to_json_dict()))
-    _emit(dumps_canonical(kern.to_json_dict()), config.output)
+    _emit(dumps_canonical(kern.to_json_dict()), args.output)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Run the selected suite or the full battery; JSONL to --output (or
-    stdout) plus a CSV summary; exit 0 only with zero failures."""
+    stdout) plus a CSV summary, which with --timing ends in each suite's
+    wall seconds; exit 0 only with zero failures."""
     from .verify import default_battery, reports_to_jsonl, summarize_csv
 
-    battery = default_battery(config.seed)
-    if config.suite is not None:
-        battery = [(name, thunk) for name, thunk in battery if name == config.suite]
+    battery = default_battery(args.seed)
+    if args.suite is not None:
+        battery = [(name, thunk) for name, thunk in battery if name == args.suite]
         if not battery:
             raise ValueError(
                 "unknown suite %r; known: %s"
-                % (config.suite, ", ".join(name for name, _ in default_battery(config.seed)))
+                % (args.suite, ", ".join(name for name, _ in default_battery(args.seed)))
             )
 
-    reports = [r for _, thunk in battery for r in thunk()]
+    reports, wall = [], {}
+    for name, thunk in battery:
+        t0 = time.perf_counter()
+        reports += thunk()
+        wall[name] = time.perf_counter() - t0
 
-    if config.tolerance is not None:
+    if args.tolerance is not None:
         # override: re-judge every relative comparison against the new
         # tolerance; skips and other verdicts (decay, growth) stand
-        reports = [r.rejudged(config.tolerance) for r in reports]
+        reports = [r.rejudged(args.tolerance) for r in reports]
 
-    jsonl = reports_to_jsonl(reports, include_timing=config.timing)
-    csv = summarize_csv(reports)
-    if config.output:
-        _emit(jsonl, config.output)
-        _emit(csv, config.output + ".csv")
+    jsonl = reports_to_jsonl(reports)
+    csv = summarize_csv(reports, wall if args.timing else None)
+    if args.output:
+        _emit(jsonl, args.output)
+        _emit(csv, args.output + ".csv")
         sys.stdout.write(csv)
     else:
         sys.stdout.write(jsonl)
@@ -223,15 +197,6 @@ def cmd_verify(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
-COMMANDS = {
-    "polytope": cmd_polytope,
-    "norms": cmd_norms,
-    "valuate": cmd_valuate,
-    "recover": cmd_recover,
-    "verify": cmd_verify,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="plval",
@@ -240,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("polytope", help="enrich a polytope JSON file")
+    sp.set_defaults(command=cmd_polytope)
     sp.add_argument("--input", required=True)
     sp.add_argument("--output")
     sp.add_argument(
@@ -247,25 +213,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("norms", help="q-norms, gradient norm, Sobolev norm of a function")
+    sp.set_defaults(command=cmd_norms)
     sp.add_argument("--input", required=True)
     sp.add_argument("--output")
     sp.add_argument("--p", type=_finite)
     sp.add_argument("--q-list", dest="q_list", type=_parse_q_list, help="norm exponents, comma separated")
 
     sp = sub.add_parser("valuate", help="apply a kernel to a function")
+    sp.set_defaults(command=cmd_valuate)
     sp.add_argument("--input", required=True)
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--output")
     sp.add_argument("--n", type=int)
-    sp.add_argument("--s-grid", dest="s_grid", help="profile grid start:stop:step")
+    sp.add_argument("--s-grid", dest="s_grid", type=_parse_s_grid, help="profile grid start:stop:step")
 
     sp = sub.add_parser("recover", help="recover a kernel from a profile CSV")
+    sp.set_defaults(command=cmd_recover)
     sp.add_argument("--input", required=True)
     sp.add_argument("--output")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=_finite)
 
     sp = sub.add_parser("verify", help="run verification suites")
+    sp.set_defaults(command=cmd_verify)
     sp.add_argument("--output")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--suite")
@@ -273,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--timing",
         action="store_true",
-        help="write each case's wall time (the default writes 0.0, so output is byte-identical); "
-        "a case integrated in a batch takes its input's build plus an equal share of the batch",
+        help="add each suite's wall seconds to the CSV summary as a last column, wall_s; "
+        "the JSONL is the same either way",
     )
 
     return ap
@@ -282,15 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    data = vars(ns)
     try:
-        if data.get("s_grid"):
-            data["s_grid"] = _parse_s_grid(data["s_grid"])
-        config = RunConfig.from_dict(data)
-        return COMMANDS[config.subcommand](config)
+        return args.command(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, PLValError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -53,6 +53,10 @@ class NonFinite(PLValError):
     """A number read from JSON input is NaN or infinite."""
 
 
+class InvalidField(PLValError):
+    """A field of JSON input has the wrong type or range."""
+
+
 class InvalidComplex(PLValError):
     """A simplicial complex violates its structural invariants."""
 

@@ -38,7 +38,7 @@ from .errors import (
     OriginNotInterior,
 )
 from .polytope import Polytope, central_triangulation
-from .serialize import read_finite
+from .serialize import read_dim, read_finite
 
 # evaluate_many tests at most this many (point, simplex) pairs at once.
 EVAL_PAIRS = 1 << 14
@@ -432,7 +432,7 @@ def from_json_dict(data: dict) -> PLFunction:
     for key in ("dim", "vertices", "simplices", "values"):
         if key not in data:
             raise ValueError("PL function JSON needs '%s'" % key)
-    dim = int(data["dim"])
+    dim = read_dim(data, "PL function")
     verts = read_finite(data, "vertices", "PL function")
     if len(verts) and (verts.ndim != 2 or verts.shape[1] != dim):
         raise ValueError("vertex array shape does not match dim %d" % dim)

@@ -20,7 +20,7 @@ import numpy as np
 from . import convex
 from .convex import EPS
 from .errors import ConstructionFailure, Degenerate, OriginNotInterior
-from .serialize import read_finite
+from .serialize import read_dim, read_finite
 
 # Retry predicate for random_polytope: the origin must clear the boundary
 # by this much so downstream cone constructions are well conditioned.
@@ -219,7 +219,7 @@ def from_json_dict(data: dict) -> Polytope:
     """Rebuild from {"dim": n, "vertices": [...]}; facets are recomputed."""
     if "dim" not in data or "vertices" not in data:
         raise ValueError("polytope JSON needs 'dim' and 'vertices'")
-    n = int(data["dim"])
+    n = read_dim(data, "polytope")
     verts = read_finite(data, "vertices", "polytope")
     if verts.ndim != 2 or verts.shape[1] != n:
         raise ValueError("vertex array shape %s does not match dim %d" % (verts.shape, n))

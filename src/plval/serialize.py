@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import InvalidField, NonFinite
 
 
 def read_finite(data: dict, key: str, what: str, default=None) -> np.ndarray:
@@ -25,6 +25,15 @@ def read_finite(data: dict, key: str, what: str, default=None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFinite("%s field '%s' holds a non-finite number" % (what, key))
     return arr
+
+
+def read_dim(data: dict, what: str) -> int:
+    """data["dim"]; InvalidField, naming the field, unless it is an
+    integer >= 1 and not a bool (JSON's 2.0, "2" and true are refused)."""
+    n = data["dim"]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidField("%s field 'dim' must be an integer >= 1, got %r" % (what, n))
+    return int(n)
 
 
 def format_float(x: float) -> str:

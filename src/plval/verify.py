@@ -3,8 +3,8 @@ numerical experiments, each case reduced to a left/right comparison.
 
 Every suite is deterministic for a fixed seed.  A suite builds its
 functions first and integrates those under one kernel in one engine pass
-(valuation.apply_each); such a case's wall time is its input's build
-plus an equal share of the batch.
+(valuation.apply_each).  Reports carry no timing: a suite is timed as a
+whole by its caller (`plval verify --timing`).
 A report never passes on a NaN or Inf residual.  Overlay failures turn
 into skipped cases where the contract allows it (the join/meet identity
 suite); elsewhere they propagate.
@@ -13,7 +13,6 @@ suite); elsewhere they propagate.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,6 @@ class PropertyReport:
     tolerance: float
     status: str
     reason: str = ""
-    wall_time: float = 0.0
     comparison: bool = False
 
     @property
@@ -83,9 +81,7 @@ class PropertyReport:
         and keeps its reason; any other verdict stands as it is."""
         if not self.comparison:
             return self
-        return make_report(
-            self.suite, self.case, self.left, self.right, tolerance, self.wall_time, self.reason
-        )
+        return make_report(self.suite, self.case, self.left, self.right, tolerance, self.reason)
 
     def to_json_dict(self) -> dict:
         def fin(x):
@@ -100,7 +96,6 @@ class PropertyReport:
             "tolerance": float(self.tolerance),
             "status": self.status,
             "reason": self.reason,
-            "wall_time": float(self.wall_time),
         }
 
 
@@ -119,7 +114,6 @@ def make_report(
     left: float,
     right: float,
     tolerance: float,
-    wall_time: float = 0.0,
     reason: str = "",
 ) -> PropertyReport:
     residual = relative_residual(float(left), float(right))
@@ -133,12 +127,11 @@ def make_report(
         tolerance=float(tolerance),
         status="pass" if ok else "fail",
         reason=reason,
-        wall_time=float(wall_time),
         comparison=True,
     )
 
 
-def skip_report(suite: str, case: str, reason: str, wall_time: float = 0.0) -> PropertyReport:
+def skip_report(suite: str, case: str, reason: str) -> PropertyReport:
     return PropertyReport(
         suite=suite,
         case=case,
@@ -148,28 +141,20 @@ def skip_report(suite: str, case: str, reason: str, wall_time: float = 0.0) -> P
         tolerance=0.0,
         status="skip",
         reason=reason,
-        wall_time=float(wall_time),
     )
 
 
-def reports_to_jsonl(reports, include_timing: bool = True) -> str:
-    """One canonical JSON object per line.  With include_timing=False
-    wall times are written as 0.0 so outputs are byte-identical across
-    runs."""
+def reports_to_jsonl(reports) -> str:
+    """One canonical JSON object per line, byte-identical across runs."""
     from .serialize import dumps_canonical
 
-    out = []
-    for r in reports:
-        d = r.to_json_dict()
-        if not include_timing:
-            d["wall_time"] = 0.0
-        out.append(dumps_canonical(d))
-    return "".join(out)
+    return "".join(dumps_canonical(r.to_json_dict()) for r in reports)
 
 
-def summarize_csv(reports) -> str:
+def summarize_csv(reports, wall: dict = None) -> str:
     """Per-suite summary: suite, cases, passes, max residual (skips
-    excluded from the residual), skips."""
+    excluded from the residual), skips; given wall, a map from suite name
+    to its measured seconds, a last column wall_s."""
     from .serialize import csv_row
 
     order, groups = [], {}
@@ -178,7 +163,7 @@ def summarize_csv(reports) -> str:
             order.append(r.suite)
             groups[r.suite] = []
         groups[r.suite].append(r)
-    lines = ["suite,cases,passes,max_residual,skips\n"]
+    lines = ["suite,cases,passes,max_residual,skips%s\n" % ("" if wall is None else ",wall_s")]
     for name in order:
         rs = groups[name]
         resids = [r.residual for r in rs if r.status != "skip" and math.isfinite(r.residual)]
@@ -191,6 +176,7 @@ def summarize_csv(reports) -> str:
                     max(resids) if resids else 0.0,
                     sum(1 for r in rs if r.status == "skip"),
                 ]
+                + ([] if wall is None else [wall[name]])
             )
         )
     return "".join(lines)
@@ -265,18 +251,12 @@ def valuation_identity_suite(
         f = random_cone_function(rng, n, points)
         g = random_cone_function(rng, n, points)
         case = "seed=%d,n=%d,pair=%d" % (seed, n, idx)
-        t0 = time.perf_counter()
         try:
             lhs = apply(h, join(f, g)) + apply(h, meet(f, g))
         except OverlayFailure as exc:
-            reports.append(
-                skip_report(suite, case, "overlay: %s" % exc, time.perf_counter() - t0)
-            )
+            reports.append(skip_report(suite, case, "overlay: %s" % exc))
             continue
-        rhs = apply(h, f) + apply(h, g)
-        reports.append(
-            make_report(suite, case, lhs, rhs, tolerance, time.perf_counter() - t0)
-        )
+        reports.append(make_report(suite, case, lhs, apply(h, f) + apply(h, g), tolerance))
     return reports
 
 
@@ -286,41 +266,22 @@ def invariance_suite(
     """z is unchanged by volume-preserving linear maps and translations.
     Emits one shear case and one translation case per index.  Every
     function is built first, in the rng's draw order, and all are
-    integrated in one apply_each call; a case's wall time is the build of
-    its input plus an equal share of that call."""
+    integrated in one apply_each call."""
     rng = np.random.default_rng(seed)
-    functions, builds = [], []
+    functions = []
     for idx in range(count):
         f = random_cone_function(rng, n)
-        phi = random_unimodular(rng, n)
-        t0 = time.perf_counter()
-        shear = compose_affine(f, phi)
-        t1 = time.perf_counter()
-        t = rng.uniform(-10.0, 10.0, size=n)
-        t2 = time.perf_counter()
-        trans = compose_affine(f, np.eye(n), t)
+        shear = compose_affine(f, random_unimodular(rng, n))
+        trans = compose_affine(f, np.eye(n), rng.uniform(-10.0, 10.0, size=n))
         functions += [f, shear, trans]
-        builds += [t1 - t0, time.perf_counter() - t2]
-    t0 = time.perf_counter()
     z = apply_each(h, functions).reshape(count, 3)
-    share = (time.perf_counter() - t0) / max(len(builds), 1)
-    reports = []
-    for idx, (zf, z_shear, z_trans) in enumerate(z):
-        for kind, z_moved, build in (
-            ("shear", z_shear, builds[2 * idx]),
-            ("translate", z_trans, builds[2 * idx + 1]),
-        ):
-            reports.append(
-                make_report(
-                    "invariance",
-                    "seed=%d,n=%d,%s=%d" % (seed, n, kind, idx),
-                    z_moved,
-                    zf,
-                    tolerance,
-                    build + share,
-                )
-            )
-    return reports
+    return [
+        make_report(
+            "invariance", "seed=%d,n=%d,%s=%d" % (seed, n, kind, idx), z_moved, zf, tolerance
+        )
+        for idx, (zf, z_shear, z_trans) in enumerate(z)
+        for kind, z_moved in (("shear", z_shear), ("translate", z_trans))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +303,14 @@ def homogeneity_suite(q: float, p: float = 1.0, n: int = 2, seed: int = 0):
     reports = []
 
     # every function under h is built first, in the rng's draw order, and
-    # integrated in one apply_each call; a scaling case's wall time is its
-    # input's build plus an equal share of that call
+    # integrated in one apply_each call
     cases = [("square", cone_function(pt.cube(n))), ("random", random_cone_function(rng, n))]
     f = random_cone_function(rng, n)
-    scaled, builds = [], []
-    for name, base in cases:
-        for s in HOMOGENEITY_SCALES:
-            t0 = time.perf_counter()
-            scaled.append((name, s, scale_values(base, s)))
-            builds.append(time.perf_counter() - t0)
+    scaled = [(name, s, scale_values(base, s)) for name, base in cases for s in HOMOGENEITY_SCALES]
     functions = [base for _, base in cases] + [g for _, _, g in scaled] + ([f] if q >= 1 else [])
-    t0 = time.perf_counter()
     z = apply_each(h, functions)
-    share = (time.perf_counter() - t0) / (len(functions) - len(cases))
     z_base = {name: zf for (name, _), zf in zip(cases, z)}
-    for (name, s, _), zsf, build in zip(scaled, z[len(cases) :], builds):
+    for (name, s, _), zsf in zip(scaled, z[len(cases) :]):
         reports.append(
             make_report(
                 "homogeneity",
@@ -365,12 +318,10 @@ def homogeneity_suite(q: float, p: float = 1.0, n: int = 2, seed: int = 0):
                 zsf,
                 abs(s) ** q * z_base[name],
                 HOMOGENEITY_TOL,
-                build + share,
             )
         )
 
     P = pt.random_polytope(seed + 17, n, n + 4)
-    t0 = time.perf_counter()
     reports.append(
         make_report(
             "homogeneity",
@@ -378,12 +329,10 @@ def homogeneity_suite(q: float, p: float = 1.0, n: int = 2, seed: int = 0):
             apply(homogeneous_kernel(1.0, q, n), cone_function(P)),
             pt.volume(P),
             HOMOGENEITY_TOL,
-            time.perf_counter() - t0,
         )
     )
 
     if q >= 1:
-        t0 = time.perf_counter()
         reports.append(
             make_report(
                 "homogeneity",
@@ -391,7 +340,6 @@ def homogeneity_suite(q: float, p: float = 1.0, n: int = 2, seed: int = 0):
                 z[-1],
                 lq_norm(f, q) ** q,
                 HOMOGENEITY_TOL,
-                time.perf_counter() - t0 + share,
             )
         )
     else:
@@ -403,7 +351,6 @@ def homogeneity_suite(q: float, p: float = 1.0, n: int = 2, seed: int = 0):
 
     # growth window: the profile of |t|^q grows like s^q at both ends,
     # so growth_check passes exactly when q sits inside [p, p*]
-    t0 = time.perf_counter()
     prof = c_profile(h, pt.cube(n), np.linspace(0.0, 2.0, 201))
     growth = growth_check(prof, p)
     p_star = sobolev_conjugate(p, n)
@@ -419,7 +366,6 @@ def homogeneity_suite(q: float, p: float = 1.0, n: int = 2, seed: int = 0):
             status="pass" if growth.passed == expected else "fail",
             reason=growth.notes
             or "fitted %s near 0, %s at top" % (growth.fitted_low, growth.fitted_high),
-            wall_time=time.perf_counter() - t0,
         )
     )
     return reports
@@ -492,24 +438,17 @@ def continuity_example_1(
     and the Sobolev norm must decrease in k.  The valuation trend under
     |t|^q is reported, not asserted.  f_1..f_kmax are built first; their
     p-norms and the base cone's take one batched call (lq_norms) and their
-    z one apply_each call, and a p_norm case's wall time is its input's
-    build plus an equal share of the norm call."""
+    z one apply_each call."""
     n = P.dim
     q = p if q is None else q
     base = cone_function(P)
     base_gp = grad_p_norm(base, p) ** p
     reports = []
-    fs, builds = [], []
-    for k in range(1, k_max + 1):
-        t0 = time.perf_counter()
-        fs.append(scale_values(_stack_disjoint(_packed_copies(P, k), n), s))
-        builds.append(time.perf_counter() - t0)
-    t0 = time.perf_counter()
+    fs = [scale_values(_stack_disjoint(_packed_copies(P, k), n), s) for k in range(1, k_max + 1)]
     base_norm, *norms = lq_norms([base] + fs, p)
-    share = (time.perf_counter() - t0) / max(k_max, 1)
     base_lp = float(base_norm) ** p
     sobolev_seq = []
-    for k, f_k, lp, build in zip(range(1, k_max + 1), fs, norms, builds):
+    for k, f_k, lp in zip(range(1, k_max + 1), fs, norms):
         lp = float(lp)
         geom_n = sum(float(k) ** (-i * n) for i in range(1, k + 1))
         geom_g = sum(float(k) ** (-i * (n - p)) for i in range(1, k + 1))
@@ -520,10 +459,8 @@ def continuity_example_1(
                 lp ** p,
                 abs(s) ** p * base_lp * geom_n,
                 tolerance,
-                build + share,
             )
         )
-        t0 = time.perf_counter()
         gp = grad_p_norm(f_k, p)
         reports.append(
             make_report(
@@ -532,7 +469,6 @@ def continuity_example_1(
                 gp ** p,
                 abs(s) ** p * base_gp * geom_g,
                 tolerance,
-                time.perf_counter() - t0,
             )
         )
         # sobolev_norm(f_k, p), from the norms at hand
@@ -586,20 +522,15 @@ def _vanishing_cones(suite, P, growth_fn_id, k_max, p, tolerance, shape, closed_
     checked against closed_forms(k, g(k)) and for monotone decay, and
     z(f_k) under |t|^q is reported, not asserted.  The f_k are built
     first; their p-norms take one batched call (lq_norms) and their z one
-    apply_each call, and a p_norm case's wall time is its input's build,
-    its gradient norm and an equal share of the norm call."""
-    cases, fs, builds = [], [], []
+    apply_each call."""
+    cases, fs = [], []
     for k in range(1, k_max + 1):
         g = _growth_value(growth_fn_id, float(k))
         cases.append((k, g))
         if g > 0.0:
             lam, mult = shape(float(k), g)
-            t0 = time.perf_counter()
             fs.append(scale_values(cone_function(pt.hull_from_points(P.vertices * lam)), mult))
-            builds.append(time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    live = iter(zip(fs, lq_norms(fs, p), builds))
-    share = (time.perf_counter() - t0) / max(len(fs), 1)
+    live = iter(zip(fs, lq_norms(fs, p)))
     reports = []
     lp_seq, gp_seq = [], []
     for k, g in cases:
@@ -607,13 +538,11 @@ def _vanishing_cones(suite, P, growth_fn_id, k_max, p, tolerance, shape, closed_
         if g <= 0.0:
             reports.append(skip_report(suite, case, "growth value %g gives no finite scale" % g))
             continue
-        f_k, lp, build = next(live)
-        t0 = time.perf_counter()
+        f_k, lp = next(live)
         lp = float(lp) ** p
         gp = grad_p_norm(f_k, p) ** p
         lp_form, gp_form = closed_forms(float(k), g)
-        wall = build + share + time.perf_counter() - t0
-        reports.append(make_report(suite, case + ",p_norm", lp, lp_form, tolerance, wall))
+        reports.append(make_report(suite, case + ",p_norm", lp, lp_form, tolerance))
         reports.append(make_report(suite, case + ",grad_norm", gp, gp_form, tolerance))
         lp_seq.append(lp)
         gp_seq.append(gp)
@@ -704,18 +633,13 @@ def inclusion_exclusion_suite(
     Overlay failures propagate."""
     if f is None:
         f = random_fan_function(seed)
-    t0 = time.perf_counter()
     tents = tent_decomposition(f)
     m = len(tents)
     if m > 8:
         raise ValueError("need at most 8 tents for subset enumeration, got %d" % m)
     case = "seed=%d,tents=%d" % (seed, m)
     if m == 0:
-        return [
-            make_report(
-                "inclusion_exclusion", case, 0.0, apply(h, f), tolerance, time.perf_counter() - t0
-            )
-        ]
+        return [make_report("inclusion_exclusion", case, 0.0, apply(h, f), tolerance)]
     memo = {1 << idx: tent for idx, tent in enumerate(tents)}
     for size in range(2, m + 1):
         masks, pairs = [], []
@@ -736,11 +660,7 @@ def inclusion_exclusion_suite(
     for mask, z_j in zip(masks, z):
         sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
         total += sign * float(z_j)
-    return [
-        make_report(
-            "inclusion_exclusion", case, total, z[-1], tolerance, time.perf_counter() - t0
-        )
-    ]
+    return [make_report("inclusion_exclusion", case, total, z[-1], tolerance)]
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +687,6 @@ def default_battery(seed: int = 0):
     def recovery_thunk():
         reports = []
         for q, tol in ((1.0, 1e-4), (1.5, 1e-3), (2.0, 1e-4)):
-            t0 = time.perf_counter()
             prof = c_profile(PowerKernel(1.0, q), square, np.arange(0.0, 2.0 + 1e-12, 0.01))
             rec = recover_kernel(prof)
             inner = rec.ts[1:]
@@ -779,7 +698,6 @@ def default_battery(seed: int = 0):
                     float(rec.hs[1:][worst]),
                     float(inner[worst] ** q),
                     tol,
-                    time.perf_counter() - t0,
                 )
             )
         return reports

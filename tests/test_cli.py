@@ -8,7 +8,7 @@ import pytest
 
 from plval import plfunction as pf
 from plval import polytope as pt
-from plval.cli import RunConfig, main
+from plval.cli import main
 from plval.serialize import dumps_canonical
 
 
@@ -39,21 +39,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# -- config -----------------------------------------------------------------
-
-
-def test_runconfig_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        RunConfig.from_dict({"subcommand": "norms", "bogus": 1})
-
-
-def test_runconfig_requires_p_below_n():
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="norms", p=2.0, n=2)
-    cfg = RunConfig(subcommand="norms", p=1.5, n=2)
-    assert cfg.seed == 0
-
-
 # -- polytope ------------------------------------------------------------------
 
 
@@ -69,6 +54,23 @@ def test_polytope_missing_file(capsys):
     code, _, err = run(capsys, "polytope", "--input", "/nonexistent/x.json")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "command, dim",
+    [("norms", 2.7), ("norms", "2"), ("norms", True), ("norms", 0), ("polytope", 2.9)],
+    ids=["norms-fraction", "norms-string", "norms-bool", "norms-zero", "polytope-fraction"],
+)
+def test_non_integral_dim_is_an_input_error(capsys, tmp_path, command, dim):
+    obj = pt.cube(2) if command == "polytope" else pf.cone_function(pt.cube(2))
+    data = obj.to_json_dict()
+    data["dim"] = dim
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "field 'dim'" in err
 
 
 def test_polytope_malformed_json(capsys, tmp_path):
@@ -258,6 +260,14 @@ def test_recover_rejects_nonuniform_grid(capsys, tmp_path):
     assert "uniform" in err
 
 
+def test_recover_requires_p_below_n(capsys):
+    # refused before the input is read: the file does not exist
+    code, out, err = run(capsys, "recover", "--input", "/nonexistent/prof.csv", "--n", "2", "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert "need p < n" in err
+
+
 def test_recover_growth_report_on_stderr(capsys, tmp_path):
     s = np.arange(0.0, 2.0 + 0.005, 0.01)
     path = tmp_path / "prof.csv"
@@ -316,19 +326,23 @@ def test_verify_deterministic_output(capsys, tmp_path):
 
 
 def test_verify_timing_adds_only_wall_time(capsys, tmp_path):
+    # --timing leaves the JSONL as it is and adds one last CSV column,
+    # wall_s, with one finite time per suite
     plain, timed = tmp_path / "plain.jsonl", tmp_path / "timed.jsonl"
-    assert run(capsys, "verify", "--suite", "invariance", "--output", str(plain))[0] == 0
-    assert run(capsys, "verify", "--suite", "invariance", "--timing", "--output", str(timed))[0] == 0
-    rows = [json.loads(line) for line in plain.read_text().splitlines()]
-    timed_rows = [json.loads(line) for line in timed.read_text().splitlines()]
-    assert len(rows) == len(timed_rows) > 0
-    assert all(r["wall_time"] == 0 for r in rows)
-    assert any(r["wall_time"] > 0 for r in timed_rows)
-    for r, t in zip(rows, timed_rows):
-        assert sorted(r) == sorted(t)
-        assert {k: v for k, v in t.items() if k != "wall_time"} == {
-            k: v for k, v in r.items() if k != "wall_time"
-        }
+    for path, extra in ((plain, ()), (timed, ("--timing",))):
+        code, out, _ = run(capsys, "verify", "--suite", "invariance", *extra, "--output", str(path))
+        assert code == 0
+    assert timed.read_bytes() == plain.read_bytes()
+    assert "wall_time" not in plain.read_text()
+    rows = plain.with_name("plain.jsonl.csv").read_text().splitlines()
+    timed_rows = timed.with_name("timed.jsonl.csv").read_text().splitlines()
+    assert out == timed.with_name("timed.jsonl.csv").read_text()
+    assert timed_rows[0] == rows[0] + ",wall_s"
+    assert len(timed_rows) == len(rows) == 2
+    for row, timed_row in zip(rows[1:], timed_rows[1:]):
+        head, wall = timed_row.rsplit(",", 1)
+        assert head == row
+        assert math.isfinite(float(wall)) and float(wall) > 0
 
 
 def test_entry_point_subprocess(square_file):
@@ -364,8 +378,11 @@ def test_usage_error_exit_code(capsys):
         (("recover", "--input", "missing.csv", "--n", "2", "--p", "-inf"), "--p"),
         (("norms", "--input", "missing.json", "--q-list", "1,nan"), "--q-list"),
         (("polytope", "--input", "missing.json", "--q-list", "inf"), "--q-list"),
+        (("valuate", "--input", "missing.json", "--kernel", "missing.json", "--s-grid", "0:2:nan"), "--s-grid"),
+        (("valuate", "--input", "missing.json", "--kernel", "missing.json", "--s-grid", "2:0:0.1"), "--s-grid"),
     ],
-    ids=["tolerance-negative", "tolerance-nan", "tolerance-inf", "norms-p", "recover-p", "norms-q", "polytope-q"],
+    ids=["tolerance-negative", "tolerance-nan", "tolerance-inf", "norms-p", "recover-p", "norms-q", "polytope-q",
+         "s-grid-nan", "s-grid-empty"],
 )
 def test_bad_numeric_options_are_usage_errors(capsys, monkeypatch, argv, option):
     # refused by the parser, naming the option, before any suite runs or

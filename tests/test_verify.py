@@ -47,14 +47,14 @@ def test_make_report_threshold():
 
 def test_jsonl_and_csv_shapes():
     reports = [
-        make_report("a", "x", 1.0, 1.0, 1e-8, wall_time=0.5),
+        make_report("a", "x", 1.0, 1.0, 1e-8),
         make_report("a", "y", 1.0, 2.0, 1e-8),
         skip_report("b", "z", "nope"),
     ]
-    lines = reports_to_jsonl(reports, include_timing=False).strip().splitlines()
+    lines = reports_to_jsonl(reports).strip().splitlines()
     assert len(lines) == 3
     row = json.loads(lines[0])
-    assert row["wall_time"] == 0 and row["status"] == "pass"
+    assert row["status"] == "pass" and "wall_time" not in row
     assert json.loads(lines[2])["left"] is None  # skips carry no numbers
     csv = summarize_csv(reports)
     assert csv.splitlines()[0] == "suite,cases,passes,max_residual,skips"
@@ -90,10 +90,8 @@ def test_identity_trivial_cases(cone_square):
 
 
 def test_identity_suite_deterministic():
-    a = reports_to_jsonl(valuation_identity_suite(PowerKernel(1.0, 1.0), seed=3, count=5),
-                         include_timing=False)
-    b = reports_to_jsonl(valuation_identity_suite(PowerKernel(1.0, 1.0), seed=3, count=5),
-                         include_timing=False)
+    a = reports_to_jsonl(valuation_identity_suite(PowerKernel(1.0, 1.0), seed=3, count=5))
+    b = reports_to_jsonl(valuation_identity_suite(PowerKernel(1.0, 1.0), seed=3, count=5))
     assert a == b
 
 
@@ -235,7 +233,7 @@ def test_identity_suites_get_separate_summary_rows():
 
 
 def test_report_json_round_trip():
-    r = make_report("suite", "case", 1.5, 1.5000001, 1e-3, wall_time=0.25)
+    r = make_report("suite", "case", 1.5, 1.5000001, 1e-3)
     d = r.to_json_dict()
     assert d["suite"] == "suite"
     assert d["status"] == "pass"
