@@ -3,10 +3,12 @@
 
 Usage: python scripts/run_battery.py [--seed N] [--out DIR]
 
-Each suite's line ends with the SHA-256 of its JSONL bytes as `plval
-verify` writes them, so two checkouts' outputs at one seed can be compared
-line by line.  summary.csv ends in each suite's wall seconds, as with
-`plval verify --timing`.
+Each suite's line gives the number of qhull hulls it built (calls to
+convex.hull, from polytopes and convex supports) next to its seconds, and
+ends with the SHA-256 of its JSONL bytes as `plval verify` writes them,
+so two checkouts' outputs at one seed can be compared line by line.
+summary.csv ends in each suite's wall seconds, as with `plval verify
+--timing`.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import pathlib
 import sys
 import time
 
+from plval import convex
 from plval.verify import default_battery, reports_to_jsonl, summarize_csv
 
 
@@ -24,15 +27,27 @@ def main() -> int:
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("battery_out"))
     args = ap.parse_args()
 
+    hulls = [0]
+    hull = convex.hull
+
+    def counted_hull(points):
+        hulls[0] += 1
+        return hull(points)
+
+    convex.hull = counted_hull
     args.out.mkdir(parents=True, exist_ok=True)
     all_reports, wall = [], {}
     for name, thunk in default_battery(args.seed):
+        hulls[0] = 0
         t0 = time.perf_counter()
         reports = thunk()
         wall[name] = time.perf_counter() - t0
         fails = sum(1 for r in reports if r.status == "fail")
         digest = hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest()
-        print("%-24s %3d cases  %d failed  %.1fs  sha256 %s" % (name, len(reports), fails, wall[name], digest))
+        print(
+            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  sha256 %s"
+            % (name, len(reports), fails, wall[name], hulls[0], digest)
+        )
         all_reports.extend(reports)
 
     summary = summarize_csv(all_reports, wall)

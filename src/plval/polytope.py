@@ -7,7 +7,9 @@ machinery. Construction is one qhull call (convex.hull) whose rows and
 points are cut down to facets and vertices by their incidence
 (convex.hull_incidence), and one stacked triangulation of the facets;
 all orderings are canonicalized so identical inputs produce identical
-objects.
+objects. dilate(P, lam) gives lam P without qhull, scaling P's data and
+keeping its facets and triangulation, and random_polytope rejects a draw
+on its hull's rows before the rest of the build.
 """
 
 from __future__ import annotations
@@ -78,7 +80,10 @@ def _facet_stack(on: np.ndarray):
     return idx, mask, on[idx] & mask[:, :, None]
 
 
-def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
+def _hull(points: np.ndarray):
+    """The hull step of a build: (pts, A, b, scale), the points deduped,
+    the rows A x <= b of their one qhull hull (convex.hull), and the
+    largest coordinate magnitude of the points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[1]
     if len(points) < n + 1:
@@ -90,6 +95,23 @@ def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
     scale = float(np.max(np.abs(points)))
     pts, _ = convex.dedupe_points(points, EPS * max(scale, 1.0))
     A, b, _ = convex.hull(pts)
+    return pts, A, b, scale
+
+
+def _origin_interior(offsets: np.ndarray, scale: float, required: bool) -> bool:
+    """Every facet's support clears EPS times the data scale; raises
+    OriginNotInterior when required and not."""
+    floor = EPS * max(scale, 1.0)
+    inside = bool(np.all(offsets > floor))
+    if required and not inside:
+        raise OriginNotInterior("origin support margin %.3g (needs > %.3g)" % (float(np.min(offsets)), floor))
+    return inside
+
+
+def _finish(pts: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, require_origin_interior: bool) -> Polytope:
+    """The rest of a build from the hull step's output: incidence,
+    canonical orders, the origin rule, and the facets' triangulation."""
+    n = pts.shape[1]
     tol = 10 * EPS * float(np.max(np.abs(pts - pts.mean(axis=0))))
     vert, normals, offsets, on = convex.hull_incidence(pts, A, b, tol)
     vorder = np.lexsort(pts[vert].T[::-1])
@@ -100,12 +122,7 @@ def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
     normals, offsets, on = normals[forder], offsets[forder], on[vorder][:, forder]
     incidences = [np.flatnonzero(col) for col in on.T]
 
-    origin_interior = bool(np.all(offsets > EPS * max(scale, 1.0)))
-    if require_origin_interior and not origin_interior:
-        raise OriginNotInterior(
-            "origin support margin %.3g (needs > %.3g)"
-            % (float(np.min(offsets)), EPS * max(scale, 1.0))
-        )
+    origin_interior = _origin_interior(offsets, scale, require_origin_interior)
 
     if n == 1:
         S = np.array([inc[:1] for inc in incidences])
@@ -126,6 +143,10 @@ def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
         for u, off, inc, measure in zip(normals, offsets, incidences, measures)
     ]
     return Polytope(dim=n, vertices=verts, facets=tuple(facets), origin_interior=origin_interior, facet_simplices=S)
+
+
+def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:
+    return _finish(*_hull(points), require_origin_interior)
 
 
 def hull_from_points(points) -> Polytope:
@@ -178,6 +199,27 @@ def central_triangulation(P: Polytope):
     return SimplicialComplex(dim=n, vertices=verts, simplices=tuple(map(tuple, simplices.tolist())))
 
 
+def dilate(P: Polytope, lam: float) -> Polytope:
+    """lam P for finite lam > 0, without a hull: P's facet order, normals,
+    incidences and triangulation, its vertices times lam, its supports
+    times lam and its facet measures times lam^(n-1).  The vertices and
+    facet_simplices equal those of hull_from_points(P.vertices * lam),
+    whose origin rule it applies (OriginNotInterior)."""
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError("dilation factor must be finite and positive, got %r" % lam)
+    verts = P.vertices * lam
+    verts.setflags(write=False)
+    supports = np.array([f.support for f in P.facets]) * lam
+    _origin_interior(supports, float(np.max(np.abs(verts))), True)
+    grow = lam ** (P.dim - 1)
+    facets = tuple(
+        Facet(normal=f.normal, support=float(h), vertices=f.vertices, measure=f.measure * grow)
+        for f, h in zip(P.facets, supports)
+    )
+    return Polytope(dim=P.dim, vertices=verts, facets=facets, origin_interior=True, facet_simplices=P.facet_simplices)
+
+
 def apply_unimodular(P: Polytope, phi) -> Polytope:
     """Image under an invertible linear map (volume-preserving when det=1)."""
     phi = np.asarray(phi, dtype=float)
@@ -205,11 +247,13 @@ def random_polytope(seed: int, n: int, k: int) -> Polytope:
         radii = rng.uniform(0.8, 1.2, size=k)
         pts = dirs / norms[:, None] * radii[:, None]
         try:
-            P = _build(pts, require_origin_interior=True)
-        except (Degenerate, OriginNotInterior):
+            kept, A, b, scale = _hull(pts)
+            # a draw is rejected on its hull's rows, before the rest of the
+            # build; the clearance is far above the origin rule's floor
+            if np.min(b) > MIN_INTERIOR_CLEARANCE:
+                return _finish(kept, A, b, scale, require_origin_interior=True)
+        except Degenerate:
             continue
-        if min(f.support for f in P.facets) > MIN_INTERIOR_CLEARANCE:
-            return P
     raise ConstructionFailure(
         "could not sample an origin-interior polytope (seed=%d n=%d k=%d)" % (seed, n, k)
     )

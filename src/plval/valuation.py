@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GridTooCoarse,
@@ -375,22 +376,28 @@ class CProfile:
         return len(self.s)
 
     def derivative_table(self, order: int) -> np.ndarray:
-        """c^{(order)} at every grid point; centered stencils inside,
-        shifted ones near the ends."""
+        """c^{(order)} at every grid point, read-only for order >= 1: the
+        interior points share one centered stencil, applied to all of
+        them in one correlation; the w points at each end take shifted
+        stencils."""
         if order == 0:
             return self.c.copy()
         if order in self._deriv:
             return self._deriv[order]
         w = stencil_halfwidth(order)
         npts = len(self.s)
-        if npts < 2 * w + 1:
+        width = 2 * w + 1
+        if npts < width:
             raise GridTooCoarse("grid too short for order-%d derivatives" % order)
-        out = np.zeros(npts)
-        for i in range(npts):
-            start = min(max(i - w, 0), npts - (2 * w + 1))
-            offsets = tuple(range(start - i, start - i + 2 * w + 1))
-            wts = np.array(_fd_weights_cached(offsets, order))
-            out[i] = wts @ self.c[start : start + 2 * w + 1] / self.step**order
+        out = np.empty(npts)
+        centered = np.array(_fd_weights_cached(tuple(range(-w, w + 1)), order))
+        out[w : npts - w] = sliding_window_view(self.c, width) @ centered
+        for i in (*range(w), *range(npts - w, npts)):
+            start = min(max(i - w, 0), npts - width)
+            offsets = tuple(range(start - i, start - i + width))
+            out[i] = np.array(_fd_weights_cached(offsets, order)) @ self.c[start : start + width]
+        out /= self.step**order
+        out.setflags(write=False)
         self._deriv[order] = out
         return out
 

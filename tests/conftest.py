@@ -35,3 +35,20 @@ def counted_densities(monkeypatch):
 
     monkeypatch.setattr(integration, "_segment_density", counting)
     return calls
+
+
+@pytest.fixture
+def counted_hulls(monkeypatch):
+    """A list that grows by one each time convex.hull runs qhull, with the
+    number of points it was given."""
+    from plval import convex
+
+    hull = convex.hull
+    calls = []
+
+    def counting(points):
+        calls.append(len(points))
+        return hull(points)
+
+    monkeypatch.setattr(convex, "hull", counting)
+    return calls

@@ -216,3 +216,115 @@ def test_random_polytope_gives_up_with_typed_error():
     with pytest.raises(ConstructionFailure, match="could not sample"):
         pt.random_polytope(0, 2, 2)
     assert issubclass(ConstructionFailure, PLValError)
+
+
+DILATIONS = (6.0**-6, 1.0 / 6.0, 0.37, 1.0, 2.5, 1e3)
+
+
+def _near_boundary_square():
+    # the origin clears the bottom facet by 5e-9, against the origin
+    # rule's floor of 1e-9 max(1, scale): lam P is interior for lam above
+    # 0.2 and on the boundary below
+    return pt.hull_from_points(np.array([[-1.0, -5e-9], [1.0, -5e-9], [1.0, 2.0], [-1.0, 2.0]]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: pt.random_polytope(2, 2, 7), lambda: pt.random_polytope(5, 3, 8), lambda: pt.cube(3)],
+    ids=["random2d", "random3d", "cube3"],
+)
+@pytest.mark.parametrize("lam", DILATIONS)
+def test_dilate_matches_a_rebuild(make, lam):
+    from plval.plfunction import cone_function
+
+    P = make()
+    D, R = pt.dilate(P, lam), pt.hull_from_points(P.vertices * lam)
+    assert D.vertices.tobytes() == R.vertices.tobytes()
+    assert D.facet_simplices.tobytes() == R.facet_simplices.tobytes()
+    assert not D.vertices.flags.writeable and not D.facet_simplices.flags.writeable
+    assert D.origin_interior and D.dim == R.dim
+    assert [f.vertices for f in D.facets] == [f.vertices for f in R.facets]
+    np.testing.assert_allclose([f.normal for f in D.facets], [f.normal for f in R.facets], rtol=0, atol=1e-14)
+    np.testing.assert_allclose([f.support for f in D.facets], [f.support for f in R.facets], rtol=1e-14)
+    np.testing.assert_allclose([f.measure for f in D.facets], [f.measure for f in R.facets], rtol=1e-14)
+    assert pt.volume(D) == pytest.approx(pt.volume(R), rel=1e-14)
+    fD, fR = cone_function(D), cone_function(R)
+    assert fD.complex.vertices.tobytes() == fR.complex.vertices.tobytes()
+    assert fD.complex.simplices == fR.complex.simplices
+    assert fD.values.tobytes() == fR.values.tobytes()
+
+
+@pytest.mark.parametrize("lam", DILATIONS)
+def test_dilate_raises_where_a_rebuild_raises(lam):
+    P = _near_boundary_square()
+    try:
+        R = pt.hull_from_points(P.vertices * lam)
+    except OriginNotInterior:
+        with pytest.raises(OriginNotInterior):
+            pt.dilate(P, lam)
+        assert lam < 0.2
+        return
+    D = pt.dilate(P, lam)
+    assert D.vertices.tobytes() == R.vertices.tobytes()
+    assert D.facet_simplices.tobytes() == R.facet_simplices.tobytes()
+    # a support of 5e-9 lam is known to qhull's rounding at the data scale
+    np.testing.assert_allclose(
+        [f.support for f in D.facets], [f.support for f in R.facets], rtol=1e-14, atol=1e-14 * R.scale())
+
+
+def test_dilate_keeps_the_origin_rule_of_a_translate(square):
+    with pytest.raises(OriginNotInterior):
+        pt.dilate(pt.translate(square, [1.5, 0.0]), 2.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_dilate_rejects_a_factor_that_is_not_finite_and_positive(square, lam):
+    with pytest.raises(ValueError, match="finite and positive"):
+        pt.dilate(square, lam)
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed,n,k,draws", [(13, 2, 6, 2), (4, 2, 6, 3), (6, 3, 7, 5)])
+def test_random_polytope_rejects_a_draw_on_its_hull_rows(monkeypatch, counted_hulls, seed, n, k, draws):
+    # each draw before the accepted one is rejected on clearance after its
+    # one qhull call, and never reaches the incidence or triangulation
+    from plval import convex
+
+    incidence = _counted(monkeypatch, convex, "hull_incidence")
+    triangulation = _counted(monkeypatch, convex, "pulling_triangulation")
+    P = pt.random_polytope(seed, n, k)
+    assert len(counted_hulls) == draws
+    assert len(incidence) == 1 and len(triangulation) == 1
+    assert min(f.support for f in P.facets) > pt.MIN_INTERIOR_CLEARANCE
+
+
+@pytest.mark.parametrize("n,k", [(2, 5), (2, 6), (3, 7), (3, 8)])
+def test_random_polytope_accepts_the_draw_a_full_build_accepts(n, k):
+    # the rejection used to run on built polytopes: the first draw whose
+    # build clears the origin by MIN_INTERIOR_CLEARANCE
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        while True:
+            dirs = rng.normal(size=(k, n))
+            pts = dirs / np.linalg.norm(dirs, axis=1)[:, None] * rng.uniform(0.8, 1.2, size=k)[:, None]
+            try:
+                ref = pt.hull_from_points(pts)
+            except (Degenerate, OriginNotInterior):
+                continue
+            if min(f.support for f in ref.facets) > pt.MIN_INTERIOR_CLEARANCE:
+                break
+        P = pt.random_polytope(seed, n, k)
+        assert P.vertices.tobytes() == ref.vertices.tobytes()
+        assert P.facets == ref.facets
+        assert P.facet_simplices.tobytes() == ref.facet_simplices.tobytes()

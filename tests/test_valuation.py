@@ -180,6 +180,56 @@ def test_cprofile_csv_round_trip():
     assert np.allclose(back.c, prof.c)
 
 
+def _derivative_loop(prof, order):
+    """The derivative table one grid point at a time, each with its own
+    stencil, and each term's magnitude summed alongside."""
+    from plval.valuation import _fd_weights_cached, stencil_halfwidth
+
+    w = stencil_halfwidth(order)
+    width, npts = 2 * w + 1, len(prof)
+    out, mag = np.zeros(npts), np.zeros(npts)
+    for i in range(npts):
+        start = min(max(i - w, 0), npts - width)
+        wts = np.array(_fd_weights_cached(tuple(range(start - i, start - i + width)), order))
+        out[i] = wts @ prof.c[start : start + width] / prof.step**order
+        mag[i] = np.abs(wts) @ np.abs(prof.c[start : start + width]) / prof.step**order
+    return out, mag, w
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_table_matches_the_pointwise_loop(order):
+    # the interior is one correlation, so it may differ from the loop by
+    # the rounding of two summation orders of 2w+1 terms; the shifted end
+    # stencils are computed as the loop does
+    rng = np.random.default_rng(order)
+    for _ in range(20):
+        npts = int(rng.integers(9, 300))
+        step = float(rng.uniform(1e-3, 0.5))
+        c = rng.normal(size=npts) * 10.0 ** rng.uniform(-3, 3)
+        c[0] = 0.0
+        prof = CProfile(s=step * np.arange(npts), c=c, dim=2)
+        table = prof.derivative_table(order)
+        ref, mag, w = _derivative_loop(prof, order)
+        assert np.array_equal(table[:w], ref[:w]) and np.array_equal(table[npts - w :], ref[npts - w :])
+        bound = 2 * (2 * w + 1) * np.finfo(float).eps * mag
+        assert np.all(np.abs(table - ref) <= bound)
+
+
+def test_derivative_tables_are_read_only():
+    grid = np.linspace(0.0, 2.0, 41)
+    prof = CProfile(s=grid, c=grid**3, dim=2)
+    for order in (1, 2, 3):
+        table = prof.derivative_table(order)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        assert prof.derivative_table(order) is table
+    # order 0 is a copy of the samples, the caller's own
+    copy = prof.derivative_table(0)
+    copy[1] = -1.0
+    assert prof.c[1] == grid[1] ** 3
+
+
 # -- recovery --------------------------------------------------------------------
 
 

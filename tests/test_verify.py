@@ -219,6 +219,57 @@ def test_suite_builds_one_density_per_kernel(suite, densities, counted_densities
     assert len(counted_densities) == densities
 
 
+# The continuity families dilate their input polytope (polytope.dilate),
+# and homogeneity builds its polytopes once for all its exponents: the
+# number of qhull hulls each makes.
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda P: continuity_example_1(P, 1.5, k_max=6, p=1.0),
+        lambda P: continuity_example_2(P, "log", k_max=6, p=1.0),
+        lambda P: continuity_example_3(P, "sqrt", k_max=6, p=1.0),
+    ],
+    ids=["continuity_1", "continuity_2", "continuity_3"],
+)
+def test_continuity_suites_build_no_hull_beyond_their_input(suite, counted_hulls):
+    P = pt.cube(2)
+    assert len(counted_hulls) == 1
+    suite(P)
+    assert len(counted_hulls) == 1
+
+
+HOMOGENEITY_QS = (1.0, 1.5, 2.0, 0.5)
+
+
+def test_homogeneity_builds_as_many_hulls_for_four_exponents_as_for_one(counted_hulls):
+    homogeneity_suite(1.5, p=1.0, n=2, seed=3)
+    one = len(counted_hulls)
+    homogeneity_suite(HOMOGENEITY_QS, p=1.0, n=2, seed=3)
+    assert len(counted_hulls) == 2 * one
+
+
+def test_homogeneity_exponents_give_the_rows_each_gives_alone():
+    # the exponents share the cube, the cones and their cached densities;
+    # each q's rows are byte for byte those of a call with q alone
+    together = reports_to_jsonl(homogeneity_suite(HOMOGENEITY_QS, p=1.0, n=2, seed=3))
+    alone = [reports_to_jsonl(homogeneity_suite((q,), p=1.0, n=2, seed=3)) for q in HOMOGENEITY_QS]
+    assert together == "".join(alone)
+    assert reports_to_jsonl(homogeneity_suite(0.5, p=1.0, n=2, seed=3)) == alone[-1]
+
+
+def test_battery_repeats_byte_for_byte_in_one_process():
+    # nothing a suite caches (densities on shared functions, derivative
+    # tables, stencil weights) carries from one run into the next
+    def run():
+        return [
+            reports_to_jsonl(thunk())
+            for name, thunk in default_battery(0)
+            if not name.startswith("valuation_identity")
+        ]
+
+    assert run() == run()
+
+
 def test_default_battery_names_unique():
     names = [name for name, _ in default_battery(0)]
     assert len(names) == len(set(names))
