@@ -9,10 +9,11 @@ the overlay requires to stay within COVER_TOL (a batch that fails the
 balance counts too), the number of pairs overlaid and of batched overlay
 calls (overlay.lattice_overlays) with the simplices they returned in
 total, so that output growing more fragmented shows in the log, the
-number of qhull hulls built (calls to convex.hull, from polytopes and
-convex supports), the merge groups the assembly tested and merged
-(overlay._merges), the qhull hulls built inside the assembly
-(convex.hull calls and scipy ConvexHull constructions; there must be
+number of hulls built (calls to convex.hull, from polytopes and convex
+supports), the merge groups the assembly tested and merged
+(overlay._merges), the hull kernels run inside the assembly (calls to
+convex.hull and to convex._facets, the brute-force facet pass under
+both convex.hull and the cell volumes of convex.volumes; there must be
 none), and where the time went: the seconds spent refining batches of
 pairs (overlay._refine, the cutting) and assembling cells into functions
 (overlay.assemble_cells, for the overlays' results and the tents alike),
@@ -120,9 +121,9 @@ def main() -> int:
         hulls[1] += assembling[0]
         return hull(points)
 
-    def counted_qhull(*args, **kwargs):
+    def counted_facets(*args, **kwargs):
         hulls[1] += assembling[0]
-        return qhull(*args, **kwargs)
+        return facets(*args, **kwargs)
 
     def counted_merges(*args):
         out = merges(*args)
@@ -130,13 +131,13 @@ def main() -> int:
         groups[1] += int(out.sum())
         return out
 
-    merges, qhull = overlay._merges, convex.ConvexHull
+    merges, facets = overlay._merges, convex._facets
     overlay._refine, overlay.assemble_cells = functools.lru_cache(maxsize=1)(timed_refine), timed_assemble
     overlay.lattice_overlays = counted_overlays
     overlay._check_cover = recorded_check_cover
     overlay._merges = counted_merges
     convex.split, convex.hull = counted_split, counted_hull
-    convex.ConvexHull = overlay.ConvexHull = counted_qhull
+    convex._facets = counted_facets
     failed = 0
     for seed in args.seeds:
         worst[0] = 0.0

@@ -3,7 +3,7 @@
 
 Usage: python scripts/run_battery.py [--seed N] [--out DIR]
 
-Each suite's line gives the number of qhull hulls it built (calls to
+Each suite's line gives the number of hulls it built (calls to
 convex.hull, from polytopes and convex supports) next to its seconds, and
 ends with the SHA-256 of its JSONL bytes as `plval verify` writes them,
 so two checkouts' outputs at one seed can be compared line by line.

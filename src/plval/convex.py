@@ -20,17 +20,25 @@ Conventions used throughout:
   maximal sets (_maximal): incidence_faces() gives a polytope's from its
   points' incidence on rows that hold it, and the triangulation gives
   each face's facets the same way.  A V-form polytope becomes a cell in
-  two steps: hull() is the one qhull call, giving a row per qhull facet
-  and the volume, and hull_incidence() applies incidence_faces() to the
-  points on those rows.
+  two steps: hull() gives one row per facet and the volume, and
+  hull_incidence() applies incidence_faces() to the points on those rows.
+* Hulls are found in numpy by brute force: a d-subset of the points
+  spans a facet row when every point lies on one side of its plane
+  (_facets), and hull() runs that over a candidate set grown from the
+  axis-extreme points until no point lies outside a row.  volumes() gives
+  the volume of each vertex set of a stack from its own points alone: a
+  shoelace in 2-D, and in higher dimensions the facets of the same brute
+  force, vol = sum of h_F |F| / d, with |F| from volumes() one dimension
+  down.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import Degenerate, Singular
 
@@ -42,6 +50,17 @@ SNAP = 5e-12
 # A linear map is singular when its condition number exceeds this; the
 # test is the same at every scale of the map.
 MAX_CONDITION = 1e12
+# Hull predicates, on a point set centred on its mean and divided by its
+# largest coordinate offset from it: a point within HULL_TOL of a plane
+# lies on it, and a d-subset whose normal (its (d-1)-volume times
+# (d-1)!) is at or below SPAN_FLOOR spans no plane.
+HULL_TOL = 1e-12
+SPAN_FLOOR = 1e-12
+# hull() takes every d-subset of its points at once while the subsets
+# times the points stay within ONE_SHOT, and grows a candidate set
+# otherwise; _facets works in chunks of about HULL_CHUNK subset-points.
+ONE_SHOT = 1 << 13
+HULL_CHUNK = 1 << 17
 
 
 def simplex_measure(pts: np.ndarray) -> float:
@@ -71,14 +90,14 @@ def dedupe_points(pts: np.ndarray, tol, batch=None):
 
     Returns (unique_points, mapping): unique_points in lex order, and
     mapping[i] the row of unique_points that pts[i] collapsed onto.  A
-    group is a connected set of the within-tol pairs, so a chain of
-    points each within tol of the next collapses to one row.
+    group is a connected set of the within-tol pairs (near_pairs), so a
+    chain of points each within tol of the next collapses to one row.
 
     With batch (k,), each row's batch, the batches are deduped apart, in
-    one KD-tree query: batch b within tol[b], and no two rows of
-    different batches merge.  unique_points then come by batch, each
-    batch's in lex order, so a batch's rows and mapping are those it
-    gets alone, shifted by the rows of the batches before it.
+    one sweep: batch b within tol[b], and no two rows of different
+    batches merge.  unique_points then come by batch, each batch's in lex
+    order, so a batch's rows and mapping are those it gets alone, shifted
+    by the rows of the batches before it.
     """
     pts = np.asarray(pts, dtype=float)
     k = len(pts)
@@ -88,13 +107,7 @@ def dedupe_points(pts: np.ndarray, tol, batch=None):
     label = np.empty(k, dtype=int)
     label[order] = np.arange(k)  # each point's lex rank
     if k > 1:
-        reach = tol if batch is None else float(np.max(tol))
-        i, j = cKDTree(pts).query_pairs(reach, p=np.inf, output_type="ndarray").T
-        if batch is not None:
-            # the tree's test, |p_i - p_j| <= reach in max-norm, made
-            # again at each pair's own batch tol
-            near = (batch[i] == batch[j]) & (np.abs(pts[i] - pts[j]).max(axis=1) <= np.asarray(tol)[batch[i]])
-            i, j = i[near], j[near]
+        i, j = near_pairs(pts, tol, batch)
         # each point takes the smallest label among its pairs, then the
         # label of the point that label ranks, until no label moves
         while len(i):
@@ -108,6 +121,45 @@ def dedupe_points(pts: np.ndarray, tol, batch=None):
             label = new
     reps, mapping = np.unique(label, return_inverse=True)
     return pts[order[reps]], mapping
+
+
+def _within(count):
+    """0, 1, ..., c-1 for each c in count, one after another."""
+    return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+
+
+def near_pairs(pts: np.ndarray, tol, batch=None):
+    """The pairs (i, j) of rows of pts (k, d) with |p_i - p_j| <= tol in
+    the max-norm, each pair once; with batch (k,), only pairs within one
+    batch b, at tol[b].
+
+    A sort-and-window sweep: the rows are sorted (by batch, then) on one
+    generic projection t = w.x.  A pair within tol has |t_i - t_j| <= tol
+    |w|_1, so each row's window takes the rows after it up to that width,
+    padded by the projection's rounding error, and every pair in a window
+    is tested exactly."""
+    k, d = pts.shape
+    if batch is None:
+        batch, tol = np.zeros(k, dtype=np.intp), [tol]
+    own = np.asarray(tol, dtype=float)[batch]
+    w = 1.0 / np.sqrt(np.arange(d) + 1.5)
+    t = (pts * w).sum(axis=1)
+    slack = 8 * (d + 2) * np.finfo(float).eps * float(np.abs(pts).max(initial=0.0))
+    order = np.lexsort((t, batch))
+    ts, bs = t[order], batch[order]
+    # each window ends after the rows of its batch at or below its end,
+    # counted in one sort of the rows and the ends together (an end after
+    # the rows it equals)
+    ends = ts + (own[order] + slack) * w.sum()
+    merged = np.lexsort((np.repeat([0, 1], k), np.concatenate([ts, ends]), np.concatenate([bs, bs])))
+    is_end = merged >= k
+    hi = np.empty(k, dtype=np.intp)
+    hi[merged[is_end] - k] = np.cumsum(~is_end)[is_end]
+    count = hi - np.arange(k) - 1
+    a = np.repeat(np.arange(k), count)
+    i, j = order[a], order[a + 1 + _within(count)]
+    near = np.abs(pts[i] - pts[j]).max(axis=1, initial=0.0) <= own[i]
+    return i[near], j[near]
 
 
 # ---------------------------------------------------------------------------
@@ -388,29 +440,283 @@ def clip_rows(cells: Cells, A, b, tol, flat: bool = False):
 
 def hull(points: np.ndarray):
     """(A, b, volume) of the convex hull of a point set spanning its
-    dimension: unit outward rows A x <= b, one per qhull facet (a facet
-    qhull splits into coplanar pieces gives a row for each; see
-    hull_incidence), and the hull's volume.  qhull runs once, on the
-    points centred on their centroid and divided by their largest
-    coordinate offset from it; a 1-D hull is read off the min and max.
-    Raises Degenerate when the points span no hull."""
+    dimension: unit outward rows A x <= b, one per facet (rows whose
+    tight points agree are one row; a facet whose points are coplanar
+    only to within the tolerance may still give several, see
+    hull_incidence), and the hull's volume.
+
+    The points are centred on their mean and divided by their largest
+    coordinate offset from it.  Few points take every d-subset at once
+    (_facets); more grow a candidate set from the axis-extreme points and
+    a spanning simplex, adding each round the farthest point outside each
+    row of the candidates' hull, until no point is outside.  The volume
+    is the candidates' (_facet_volumes).  A 1-D hull is read off the min
+    and max.  Raises Degenerate when the points span no hull."""
     points = np.asarray(points, dtype=float)
-    d = points.shape[1]
+    k, d = points.shape
     if d == 1:
         lo, hi = float(points.min()), float(points.max())
         if hi == lo:
             raise Degenerate("all points coincide")
         return np.array([[-1.0], [1.0]]), np.array([-lo, hi]), hi - lo
     center = points.mean(axis=0)
-    scale = float(np.max(np.abs(points - center)))
+    X = points - center
+    scale = float(np.abs(X).max())
     if scale == 0.0:
         raise Degenerate("all points coincide")
-    try:
-        qh = ConvexHull((points - center) / scale)
-    except QhullError as exc:
-        raise Degenerate("hull construction failed: %s" % exc) from exc
-    A = qh.equations[:, :d]
-    return A, A @ center - qh.equations[:, d] * scale, float(qh.volume) * scale**d
+    X /= scale
+    cand = np.arange(k) if math.comb(k, d) * k <= ONE_SHOT else _seeds(X)
+    while True:
+        _, A, b, T, norm, flat = _facets(X[None] if len(cand) == k else X[cand][None])
+        if flat[0] or not len(A):
+            raise Degenerate("points span no hull in R^%d" % d)
+        if len(cand) == k:
+            break
+        # the farthest point outside each row joins the candidates
+        side = (X[:, None, :] * A[None]).sum(axis=2) - b
+        far = side.argmax(axis=0)
+        out = side[far, np.arange(len(b))] > HULL_TOL
+        if not out.any():
+            break
+        cand = np.union1d(cand, far[out])
+    vol = float(_facet_volumes(X[cand][None], None, np.zeros(len(A), dtype=np.intp), A, b, T, norm)[0])
+    return A, b * scale + (A * center).sum(axis=1), vol * scale**d
+
+
+def _seeds(X: np.ndarray) -> np.ndarray:
+    """The first candidates of hull(): the points extreme on each axis and
+    a simplex spanning the points, grown greedily from the first of them
+    by the point farthest from the flat of those before it."""
+    d = X.shape[1]
+    seeds = [*X.argmin(axis=0), *X.argmax(axis=0)]
+    rel = X - X[seeds[0]]
+    for _ in range(d):
+        dist = (rel * rel).sum(axis=1)
+        j = int(dist.argmax())
+        if dist[j] <= SPAN_FLOOR**2:
+            raise Degenerate("points span no hull in R^%d" % d)
+        seeds.append(j)
+        u = rel[j] / math.sqrt(dist[j])
+        rel = rel - (rel * u).sum(axis=1)[:, None] * u
+    return np.unique(seeds)
+
+
+@functools.lru_cache(maxsize=32)
+def _subsets(k: int, d: int) -> np.ndarray:
+    """The d-subsets of range(k) (m, d), in lex order, read-only; the
+    sizes a stack of cells or a small hull repeats stay cached."""
+    S = np.array(list(itertools.combinations(range(k), d)), dtype=np.intp).reshape(-1, d)
+    S.setflags(write=False)
+    return S
+
+
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinants of the stack M (..., m, m) by cofactors of the first
+    row, in elementwise products and sums."""
+    m = M.shape[-1]
+    if m == 1:
+        return M[..., 0, 0]
+    out = 0.0
+    for j in range(m):
+        term = M[..., 0, j] * _det(np.delete(M[..., 1:, :], j, axis=-1))
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def _dot0(U, V) -> np.ndarray:
+    """The sum over the leading axis of U * V, term by term in order."""
+    out = U[0] * V[0]
+    for l in range(1, len(U)):
+        out = out + U[l] * V[l]
+    return out
+
+
+def _normals(E: np.ndarray) -> np.ndarray:
+    """A normal of the span of each edge stack, E (d, m, d-1) holding
+    coordinate l of edge i at E[l, :, i], as (d, m): component l is
+    (-1)^l times the minor without coordinate l (in 3-D the cross
+    product), orthogonal to every edge, of length (d-1)! times the
+    (d-1)-volume the edges span."""
+    d = len(E)
+    if d == 2:
+        return np.stack([E[1, :, 0], -E[0, :, 0]])
+    if d == 3:
+        (u0, v0), (u1, v1), (u2, v2) = E.transpose(0, 2, 1)
+        return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+    M = E.transpose(1, 2, 0)
+    return np.stack([(-1.0) ** l * _det(np.delete(M, l, axis=-1)) for l in range(d)])
+
+
+def _subset_pairs(vm: np.ndarray, d: int):
+    """(own, sub): every d-subset of each set's marked points vm (B, k),
+    as the set it belongs to and its k-slots (n, d), set by set, each
+    set's in the lex order of its marked points."""
+    count = vm.sum(axis=1)
+    slots = np.argsort(~vm, axis=1, kind="stable")  # marked slots first
+    own, sub = [], []
+    for c in np.unique(count[count >= d]):
+        S = _subsets(int(c), d)
+        sets = np.flatnonzero(count == c)
+        own.append(np.repeat(sets, len(S)))
+        sub.append(slots[own[-1][:, None], np.tile(S, (len(sets), 1))])
+    if not own:
+        return np.zeros(0, dtype=np.intp), np.zeros((0, d), dtype=np.intp)
+    own, sub = np.concatenate(own), np.concatenate(sub)
+    order = np.argsort(own, kind="stable")
+    return own[order], sub[order]
+
+
+def _facets(P: np.ndarray, vm=None, tol: float = HULL_TOL):
+    """The facet rows of each point set of the stack P (B, k, d), d >= 2,
+    its points those marked in vm (B, k; all by default), each set
+    centred and scaled as HULL_TOL assumes, by brute force over the
+    d-subsets of its points.
+
+    A subset spanning a plane gives a row when every point of its set
+    lies on one side of the plane, within tol, oriented outward.  Rows of
+    one set whose tight points (those within tol) agree are one row, the
+    one of largest subset normal, the best conditioned.  Returns (owner,
+    A, b, T, norm, flat): each row's set (R,), in set order, then subset
+    order; unit normals A (R, d) and offsets b (R,); tight points T (R,
+    k); the length of the row's subset normal (R,), (d-1)! times its
+    simplex's measure; and flat (B,), True for a set lying within tol of
+    one plane, whose rows hold nothing.  The work runs one coordinate at
+    a time, every step elementwise per subset and summed over the
+    coordinates in order, so a set's rows do not depend on its
+    stack-mates or on the unmarked slots."""
+    B, k, d = P.shape
+    if vm is None:
+        S = _subsets(k, d)
+        own, sub = np.repeat(np.arange(B), len(S)), np.tile(S, (B, 1))
+    else:
+        own, sub = _subset_pairs(vm, d)
+    C = P.transpose(2, 0, 1)  # (d, B, k)
+    flat = np.zeros(B, dtype=bool)
+    out = []
+    step = max(1, HULL_CHUNK // max(k, 1))
+    for lo in range(0, len(own), step):
+        o, sb = own[lo : lo + step], sub[lo : lo + step]
+        X = C[:, o[:, None], sb]  # (d, m, d)
+        N = _normals(X[:, :, 1:] - X[:, :, :1])
+        norm = np.sqrt(_dot0(N, N))
+        live = norm > SPAN_FLOOR
+        if not live.all():
+            o, X, N, norm = o[live], X[:, live], N[:, live], norm[live]
+        n = N / norm
+        offset = _dot0(X[:, :, 0], n)
+        side = _dot0(C[:, o] if B > 1 else C, n[:, :, None]) - offset[:, None]
+        if vm is not None:
+            mark = vm[o]
+            side = np.where(mark, side, 0.0)
+        below = (side <= tol).all(axis=1)
+        above = (side >= -tol).all(axis=1)
+        flat[o[below & above]] = True
+        r = np.flatnonzero(below ^ above)
+        sign = np.where(below[r], 1.0, -1.0)
+        A = (n[:, r] * sign).T
+        T = np.abs(side[r]) <= tol
+        out.append((o[r], A, offset[r] * sign, T if vm is None else T & mark[r], norm[r]))
+    if not out:
+        return np.zeros(0, dtype=np.intp), np.zeros((0, d)), np.zeros(0), np.zeros((0, k), dtype=bool), np.zeros(0), flat
+    owner, A, b, T, norm = out[0] if len(out) == 1 else (np.concatenate(x) for x in zip(*out))
+    if (T.sum(axis=1) > d).any():
+        # a row tight at its own d points alone is the only row of that
+        # set; the others group by tight set, the largest normal first
+        bits = np.packbits(T, axis=1)
+        order = np.lexsort((-norm, *bits.T[::-1], owner))
+        key = np.column_stack([owner, bits])[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (key[1:] != key[:-1]).any(axis=1)
+        keep = np.sort(order[first])
+        owner, A, b, T, norm = owner[keep], A[keep], b[keep], T[keep], norm[keep]
+    return owner, A, b, T, norm, flat
+
+
+def _frame(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Coordinates of the points X (F, c, d) in the hyperplanes with unit
+    normals A (F, d), (F, c, d-1): each hyperplane's Householder
+    reflection sends its normal to the axis e_j, j its largest component,
+    and the other d-1 axes are kept."""
+    F, c, d = X.shape
+    j = np.abs(A).argmax(axis=1)
+    u = A.copy()
+    u[np.arange(F), j] += np.where(A[np.arange(F), j] < 0.0, -1.0, 1.0)
+    uu = (u * u).sum(axis=1)
+    Y = X - (2.0 / uu)[:, None, None] * (X * u[:, None, :]).sum(axis=2)[:, :, None] * u[:, None, :]
+    rest = np.arange(d - 1)[None, :] + (np.arange(d - 1)[None, :] >= j[:, None])
+    return np.take_along_axis(Y, rest[:, None, :], axis=2)
+
+
+def _facet_volumes(P: np.ndarray, vm, owner, A, b, T, norm) -> np.ndarray:
+    """The volume of each point set of the stack P (B, k, d), its points
+    marked in vm, centred and scaled, from its facet rows (owner, A, b,
+    T, norm as _facets gives them): the sum over its facets F of b_F |F|
+    / d, the cones from the centre (the origin) over the facets.
+
+    In a set whose every row is tight at its own d points alone, every
+    row is a simplex facet, |F| = norm / (d-1)!.  In the others, facets
+    and vertices are read off T by incidence_faces, so a row through a
+    lower face, or a point inside a face, counts for nothing, and |F| is
+    volumes() of F's vertices in F's hyperplane, all such facets in one
+    stack.  The choice is made per set, so a set's volume does not depend
+    on its stack-mates."""
+    B, k, d = P.shape
+    measure = norm / math.factorial(d - 1)
+    keep = np.ones(len(owner), dtype=bool)
+    mixed = np.bincount(owner[T.sum(axis=1) > d], minlength=B) > 0
+    i = np.flatnonzero(mixed[owner])
+    if len(i):
+        own = owner[i]
+        count = np.bincount(own, minlength=B)
+        slot = np.arange(len(i)) - (np.cumsum(count) - count)[own]
+        Tpad = np.zeros((B, k, int(count.max())), dtype=bool)
+        Tpad[own[:, None], np.arange(k)[None, :], slot[:, None]] = T[i]
+        vert, facet = incidence_faces(Tpad, vm, np.arange(Tpad.shape[2])[None, :] < count[:, None])
+        keep[i] = facet[own, slot]
+        i = i[keep[i]]
+        measure[i] = volumes(_frame(P[owner[i]], A[i]), T[i] & vert[owner[i]])
+    return np.bincount(owner[keep], weights=b[keep] * measure[keep], minlength=B) / d
+
+
+def volumes(P: np.ndarray, vm=None) -> np.ndarray:
+    """The volume of the convex hull of each point set of the stack P (B,
+    k, d), its points those marked in vm (B, k; all by default), from the
+    set's own points alone; 0 for a flat set.
+
+    In 1-D, the extent; in 2-D, the shoelace over the points sorted by
+    angle about their mean, which takes every point to lie on the hull's
+    boundary (a cell's vertices do); above, the facets of _facets on the
+    set centred and scaled, and _facet_volumes.  Sums over a set's points
+    run in order (cumsum), so each set's volume depends on its own points
+    alone, whatever its stack-mates and unmarked slots."""
+    P = np.asarray(P, dtype=float)
+    B, k, d = P.shape
+    if vm is None:
+        vm = np.ones((B, k), dtype=bool)
+    count = vm.sum(axis=1)
+    if k == 0 or not count.any():
+        return np.zeros(B)
+    if d == 1:
+        x = P[:, :, 0]
+        return np.where(count > 0, np.where(vm, x, -np.inf).max(axis=1) - np.where(vm, x, np.inf).min(axis=1), 0.0)
+    M = vm[:, :, None]
+    mean = np.cumsum(np.where(M, P, 0.0), axis=1)[:, -1] / np.maximum(count, 1)[:, None]
+    X = np.where(M, P - mean[:, None, :], 0.0)
+    if d == 2:
+        angle = np.where(vm, np.arctan2(X[:, :, 1], X[:, :, 0]), np.inf)
+        X = np.take_along_axis(X, np.argsort(angle, axis=1, kind="stable")[:, :, None], axis=1)
+        at = np.arange(k)
+        nxt = np.where(at[None, :] + 1 < count[:, None], at[None, :] + 1, 0)
+        Y = np.take_along_axis(X, nxt[:, :, None], axis=1)
+        term = np.where(at[None, :] < count[:, None], X[:, :, 0] * Y[:, :, 1] - Y[:, :, 0] * X[:, :, 1], 0.0)
+        return 0.5 * np.abs(np.cumsum(term, axis=1)[:, -1])
+    scale = np.abs(X).max(axis=(1, 2))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    X = X / scale[:, None, None]
+    *rows, flat = _facets(X, vm)
+    vol = _facet_volumes(X, vm, *rows) * scale**d
+    vol[flat] = 0.0
+    return vol
 
 
 def _maximal(M: np.ndarray, keep=None) -> np.ndarray:
@@ -448,10 +754,10 @@ def incidence_faces(T: np.ndarray, vm=None, rm=None):
 def hull_incidence(points: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float):
     """(vert, A, b, T): the hull rows (A, b) of the points cut down to
     its facets, its vertices, and their incidence, all read off
-    tight_rows(points, A, b, tol) by incidence_faces, so qhull's coplanar
-    pieces of one facet give one row.  vert indexes the vertices in
-    points, in order; T (len(vert), facets) is their incidence on the
-    facet rows A, b."""
+    tight_rows(points, A, b, tol) by incidence_faces, so the rows hull()
+    gives a facet whose points are coplanar only within tol are one row.
+    vert indexes the vertices in points, in order; T (len(vert), facets)
+    is their incidence on the facet rows A, b."""
     T = tight_rows(points, A, b, tol)
     vert, facet = incidence_faces(T)
     vert = np.flatnonzero(vert)

@@ -48,22 +48,16 @@ else ValueDensity.stack) and runs one means(h) over all rows; each
 function's integral is its own simplex volumes times its own rows'
 means.  lq_norm, level_set_volume and valuation.apply are that sum
 for one function.
-
-For integer exponents there is an independent route through complete
-homogeneous symmetric polynomials; the two must agree and the tests
-exploit that.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta, gammaln
 
-from .errors import NegativeValues
 from .plfunction import PLFunction, value_densities
 
 # Power pieces with near/far at least this ratio take the Gauss-Legendre
@@ -74,11 +68,12 @@ GL_POWER_NODES = 16
 
 
 def c_pn(p: float, n: int) -> float:
-    """Gamma(p+1) Gamma(n+1) / Gamma(n+p+1): the p-th moment of a cone
-    function's value distribution on any polytope."""
+    """Gamma(p+1) Gamma(n+1) / Gamma(n+p+1) = n! / ((p+1) ... (p+n)): the
+    p-th moment of a cone function's value distribution on any polytope,
+    as that finite product."""
     if p <= -1:
         raise ValueError("exponent must exceed -1")
-    return math.exp(gammaln(p + 1) + gammaln(n + 1) - gammaln(n + p + 1))
+    return math.factorial(n) / math.prod(p + j for j in range(1, n + 1))
 
 
 def sobolev_conjugate(p: float, n: int) -> float:
@@ -102,26 +97,6 @@ def hq_complete_homogeneous(values, q: int) -> float:
         for k in range(1, q + 1):
             H[k] += v * H[k - 1]
     return float(H[q])
-
-
-def integrate_power_over_simplex(values, volume: float, q: float) -> float:
-    """Integral of f^q over a simplex, f affine with the given nonnegative
-    vertex values.
-
-    Integer q uses the closed form vol * n! q! / (n+q)! * h_q(values);
-    other exponents go through the engine (simplex_means).
-    """
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise NegativeValues("vertex values must be nonnegative for power integrals")
-    n = len(values) - 1
-    if q < 0:
-        raise ValueError("exponent must be nonnegative, got %r" % (q,))
-    if q != int(q):
-        return volume * float(simplex_means(values[None, :], Pieces.power(1.0, float(q)))[0])
-    q = int(q)
-    coeff = math.exp(gammaln(n + 1) + gammaln(q + 1) - gammaln(n + q + 1))
-    return volume * coeff * hq_complete_homogeneous(values, q)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +258,12 @@ def _subdivide(c, s0, s1):
     return left
 
 
+def _beta(x: float, m: int) -> float:
+    """The Beta function B(x, m) at an integer m >= 1, as the finite
+    product (m-1)! / (x (x+1) ... (x+m-1))."""
+    return math.factorial(m - 1) / math.prod(x + j for j in range(m))
+
+
 @functools.lru_cache(maxsize=64)
 def _closed_form_tables(q: float, N: int):
     """Coefficient tables of the closed form (see _power_pieces):
@@ -293,7 +274,7 @@ def _closed_form_tables(q: float, N: int):
         b = N - k
         for i in range(k + 1):
             sign = (-1) ** (k - i)
-            P[k - i, k] = math.comb(N, k) * math.comb(k, i) * sign * beta(q + i + 1.0, b + 1.0)
+            P[k - i, k] = math.comb(N, k) * math.comb(k, i) * sign * _beta(q + i + 1.0, b + 1)
         for l in range(b + 1):
             # sum_i C(k,i) (-1)^{k-i} / (x+i) = (-1)^k k! / (x (x+1) ... (x+k)),
             # x = q+l+1: the sum over i in closed form, free of cancellation
@@ -520,52 +501,6 @@ def simplex_means(values, h: Pieces) -> np.ndarray:
     value density, all rows at once.  A function integrated under several
     kernels should build its density once (PLFunction.value_density)."""
     return value_density(values).means(h)
-
-
-@dataclass(eq=False)
-class PushforwardDensity:
-    """Distribution of an affine function's value under the uniform
-    probability measure on an n-simplex: a one-row view of the engine."""
-
-    values: np.ndarray
-    dim: int
-    _density: ValueDensity = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.values = np.sort(np.asarray(self.values, dtype=float))
-        if len(self.values) != self.dim + 1:
-            raise ValueError("need dim+1 vertex values")
-        self._density = value_density(self.values[None, :])
-
-    @property
-    def is_dirac(self) -> bool:
-        return bool(self.values[-1] == self.values[0])
-
-    def pdf(self, t):
-        if self.is_dirac:
-            raise ValueError("point mass has no density")
-        t = np.asarray(t, dtype=float)
-        V = self.values
-        j = np.clip(np.searchsorted(V, t, side="right") - 1, 0, self.dim - 1)
-        d = V[j + 1] - V[j]
-        # segment j's place among the live ones; a dead one is masked below
-        live = np.flatnonzero(V[1:] > V[:-1])
-        A = self._density.coefficients[np.minimum(np.searchsorted(live, j), len(live) - 1)]
-        s = (t - V[j]) / np.where(d > 0.0, d, 1.0)
-        basis = _bernstein(s, self.dim - 1)
-        dens = np.sum(A * basis, axis=-1) / np.where(d > 0.0, d, 1.0)
-        inside = (t >= V[0]) & (t <= V[-1]) & (d > 0.0)
-        return np.where(inside, dens, 0.0)
-
-    def cdf(self, t: float) -> float:
-        """Fraction of the simplex where the function is at most t."""
-        return 1.0 - float(self._density.means(Pieces.above(t))[0])
-
-    def moment_abs(self, q: float) -> float:
-        """Integral of |t|^q against the density."""
-        if q < 0:
-            raise ValueError("exponent must be nonnegative")
-        return float(self._density.means(Pieces.power(1.0, q))[0])
 
 
 def integrals(functions, h: Pieces) -> np.ndarray:

@@ -16,8 +16,9 @@ stacked cut per row.  Every cut is one convex.split over the stack, and
 nothing in the cutting depends on the dimension.  The refinement carries
 its cells as arrays: vertices with their tight rows and incidence, each
 cell's simplex of f and of g, and its volume (one batched determinant
-for the cells that are simplices, qhull's hull for the others, an
-independent route for the cover balance).
+for the cells that are simplices, convex.volumes of the vertex set for
+the others: never read off the cut incidence, so the cover balance and
+the fill check do not compare the triangulation with itself).
 
 Each cell keeps the winning affine piece, decided for join and meet at
 once at each cell's centroid.  The cells one function wins are merged
@@ -85,7 +86,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import convex
 from .convex import EPS, SNAP
@@ -171,11 +171,6 @@ class _Pieces(NamedTuple):
     g: np.ndarray
     vol: np.ndarray
     pair: np.ndarray
-
-
-def _within(count):
-    """0, 1, ..., c-1 for each c in count, one after another."""
-    return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
 
 
 def _zeros(functions, dim):
@@ -324,20 +319,19 @@ def _leftovers(mesh: _Mesh, mi, mj, shared, tol):
 
 
 def _volumes(cells):
-    """Each cell's volume: one batched determinant for the simplices,
-    qhull's hull for the others (a flat cell has volume 0)."""
+    """Each cell's volume from its vertices alone: one batched
+    determinant for the simplices, one convex.volumes stack for the
+    others (a flat cell has volume 0)."""
     d = cells.V.shape[2]
     vol = np.zeros(len(cells))
-    simplex = cells.counts() == d + 1
-    si = np.flatnonzero(simplex)
+    count = cells.counts()
+    si = np.flatnonzero(count == d + 1)
     if len(si):
         X = cells.V[si][cells.vm[si]].reshape(-1, d + 1, d)
         vol[si] = np.abs(np.linalg.det(X[:, 1:] - X[:, :1])) / math.factorial(d)
-    for i in np.flatnonzero(~simplex):
-        try:
-            vol[i] = ConvexHull(cells.V[i, cells.vm[i]]).volume
-        except QhullError:
-            pass
+    oi = np.flatnonzero(count != d + 1)
+    if len(oi):
+        vol[oi] = convex.volumes(cells.V[oi], cells.vm[oi])
     return vol
 
 
@@ -356,7 +350,7 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     first = np.cumsum(count) - count
     c = count[mesh.pair[fi]]
     pi = np.repeat(fi, c)
-    pj = gi[np.repeat(first[mesh.pair[fi]], c) + _within(c)]
+    pj = gi[np.repeat(first[mesh.pair[fi]], c) + convex._within(c)]
     near = np.all((lo[pi] <= hi[pj] + EPS) & (lo[pj] <= hi[pi] + EPS), axis=1)
     pi, pj = pi[near], pj[near]
     # regions covered by both functions: every near pair clipped at once,

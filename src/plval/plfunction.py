@@ -127,7 +127,7 @@ class SimplicialComplex:
         """The support as rows (A, b), A x <= b with unit rows, when it is
         convex, else None.  It is convex when the hull of the vertices in
         use has the simplices' total volume, within the overlay's
-        COVER_TOL; one qhull call per complex."""
+        COVER_TOL; one convex.hull call per complex."""
         from .overlay import COVER_TOL
 
         if self.is_empty():

@@ -3,11 +3,12 @@
 A Polytope stores its extreme points together with the facet data
 (unit outward normal, support value, incident vertices, facet measure)
 and the facets' triangulation needed by the cone-function and valuation
-machinery. Construction is one qhull call (convex.hull) whose rows and
-points are cut down to facets and vertices by their incidence
-(convex.hull_incidence), and one stacked triangulation of the facets;
-all orderings are canonicalized so identical inputs produce identical
-objects. dilate(P, lam) gives lam P without qhull, scaling P's data and
+machinery. Construction is one convex.hull call (numpy brute force,
+one row per facet) whose rows and points are cut down to facets and
+vertices by their incidence (convex.hull_incidence), and one stacked
+triangulation of the facets; all orderings are canonicalized so
+identical inputs produce identical objects. dilate(P, lam) gives lam P
+without a hull, scaling P's data and
 keeping its facets and triangulation, and random_polytope rejects a draw
 on its hull's rows before the rest of the build.
 """
@@ -82,7 +83,7 @@ def _facet_stack(on: np.ndarray):
 
 def _hull(points: np.ndarray):
     """The hull step of a build: (pts, A, b, scale), the points deduped,
-    the rows A x <= b of their one qhull hull (convex.hull), and the
+    the rows A x <= b of their one hull (convex.hull), and the
     largest coordinate magnitude of the points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[1]

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GridTooCoarse,
@@ -376,10 +375,11 @@ class CProfile:
         return len(self.s)
 
     def derivative_table(self, order: int) -> np.ndarray:
-        """c^{(order)} at every grid point, read-only for order >= 1: the
-        interior points share one centered stencil, applied to all of
-        them in one correlation; the w points at each end take shifted
-        stencils."""
+        """c^{(order)} at every grid point, read-only for order >= 1: each
+        point's stencil (the one centered stencil inside, shifted ones at
+        the w points of each end) applied as elementwise products summed
+        term by term in stencil order, for every point at once, so the
+        bytes are those of a sequential loop and no BLAS kernel's."""
         if order == 0:
             return self.c.copy()
         if order in self._deriv:
@@ -389,13 +389,14 @@ class CProfile:
         width = 2 * w + 1
         if npts < width:
             raise GridTooCoarse("grid too short for order-%d derivatives" % order)
-        out = np.empty(npts)
-        centered = np.array(_fd_weights_cached(tuple(range(-w, w + 1)), order))
-        out[w : npts - w] = sliding_window_view(self.c, width) @ centered
+        start = np.clip(np.arange(npts) - w, 0, npts - width)
+        weights = np.empty((npts, width))
+        weights[w : npts - w] = _fd_weights_cached(tuple(range(-w, w + 1)), order)
         for i in (*range(w), *range(npts - w, npts)):
-            start = min(max(i - w, 0), npts - width)
-            offsets = tuple(range(start - i, start - i + width))
-            out[i] = np.array(_fd_weights_cached(offsets, order)) @ self.c[start : start + width]
+            weights[i] = _fd_weights_cached(tuple(range(start[i] - i, start[i] - i + width)), order)
+        out = np.zeros(npts)
+        for j in range(width):
+            out += weights[:, j] * self.c[start + j]
         out /= self.step**order
         out.setflags(write=False)
         self._deriv[order] = out

@@ -39,7 +39,7 @@ def counted_densities(monkeypatch):
 
 @pytest.fixture
 def counted_hulls(monkeypatch):
-    """A list that grows by one each time convex.hull runs qhull, with the
+    """A list that grows by one each time convex.hull runs, with the
     number of points it was given."""
     from plval import convex
 

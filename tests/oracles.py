@@ -198,6 +198,60 @@ def complete_homogeneous(values, q: int) -> float:
     )
 
 
+def integrate_power_over_simplex(values, volume: float, q: int) -> float:
+    """Integral of f^q over an n-simplex of the given volume, f affine
+    with the given nonnegative vertex values and q a nonnegative integer:
+    the closed form vol * n! q! / (n+q)! * h_q(values)."""
+    values = [float(v) for v in values]
+    if min(values) < 0:
+        raise ValueError("vertex values must be nonnegative for power integrals")
+    if q < 0 or q != int(q):
+        raise ValueError("the closed form needs a nonnegative integer exponent, got %r" % (q,))
+    n, q = len(values) - 1, int(q)
+    coeff = math.factorial(n) * math.factorial(q) / math.factorial(n + q)
+    return volume * coeff * complete_homogeneous(values, q)
+
+
+class PushforwardDensity:
+    """Density of an affine function's value under the uniform probability
+    measure on an n-simplex with the given vertex values: the B-spline of
+    degree n-1 on those knots with unit mass (Curry-Schoenberg), by the
+    Cox-de Boor recursion at each point."""
+
+    def __init__(self, values, dim: int):
+        self.values = sorted(float(v) for v in values)
+        if len(self.values) != dim + 1:
+            raise ValueError("need dim+1 vertex values")
+        self.dim = dim
+
+    @property
+    def is_dirac(self) -> bool:
+        return self.values[-1] == self.values[0]
+
+    def _at(self, t: float) -> float:
+        v, n = self.values, self.dim
+        # order 1: M_i = 1 / (v_{i+1} - v_i) on [v_i, v_{i+1}), the last
+        # live piece closed on the right
+        last = max(i for i in range(n) if v[i + 1] > v[i])
+        M = [
+            1.0 / (v[i + 1] - v[i]) if v[i + 1] > v[i] and (v[i] <= t < v[i + 1] or (i == last and t == v[i + 1]))
+            else 0.0
+            for i in range(n)
+        ]
+        for k in range(2, n + 1):
+            M = [
+                k / (k - 1) * ((t - v[i]) * M[i] + (v[i + k] - t) * M[i + 1]) / (v[i + k] - v[i])
+                if v[i + k] > v[i] else 0.0
+                for i in range(n + 1 - k)
+            ]
+        return M[0]
+
+    def pdf(self, t):
+        if self.is_dirac:
+            raise ValueError("point mass has no density")
+        return np.array([self._at(float(x)) for x in np.atleast_1d(t)])
+
+
 def loglog_slope(x, y) -> float:
     """Least-squares slope of log|y| against log x."""
     x = np.asarray(x, dtype=float)

@@ -211,7 +211,10 @@ def test_norms_and_valuate_read_a_join_with_t_junctions(capsys, tmp_path, kernel
     assert out == dumps_canonical({"z": apply(PowerKernel(1.0, 2.0), f)})
 
 
-def test_cli_import_leaves_scipy_optimize_out():
+def test_cli_verify_imports_no_scipy(tmp_path):
+    # plval runs on numpy alone: a process that imports the CLI and runs a
+    # suite through it (hulls, overlays, dedupe, the engine) has loaded no
+    # scipy module, lazily or not
     import os
     import subprocess
     import sys
@@ -221,10 +224,16 @@ def test_cli_import_leaves_scipy_optimize_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(plval.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    probe = "import sys, plval.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout == "False\n"
+    probe = (
+        "import sys, plval.cli\n"
+        "code = plval.cli.main(['verify', '--suite', 'inclusion_exclusion', '--output', sys.argv[1]])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out.jsonl")], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out.jsonl").read_text().count('"suite": "inclusion_exclusion"') > 0
 
 
 # -- recover --------------------------------------------------------------------

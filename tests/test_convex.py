@@ -2,13 +2,14 @@
 batched point location, each against a brute-force oracle."""
 
 import itertools
+import math
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from plval import convex
 from plval import plfunction as pf
@@ -339,7 +340,7 @@ def test_stacked_pulling_matches_the_recursion(kinds, seed):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_overlay_builds_no_hull_facets(monkeypatch, n):
-    # every qhull hull the overlay builds is a complex's convex support,
+    # every hull the overlay builds is a complex's convex support,
     # once per complex; cutting, merging and triangulation read facets off
     # incidence and never build one
     rng = np.random.default_rng(20 + n)
@@ -367,8 +368,8 @@ def test_overlay_builds_no_hull_facets(monkeypatch, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_assembly_builds_no_hull_and_triangulates_once(monkeypatch, n):
     # assemble_cells, for overlays, chained meets, batches of pairs and
-    # tents alike, calls neither convex.hull nor qhull, and makes one
-    # stacked triangulation per batch
+    # tents alike, never calls convex.hull, and makes one stacked
+    # triangulation per batch
     from plval import overlay
 
     rng = np.random.default_rng(40 + n)
@@ -403,8 +404,6 @@ def test_assembly_builds_no_hull_and_triangulates_once(monkeypatch, n):
 
     monkeypatch.setattr(overlay, "assemble_cells", assembling)
     monkeypatch.setattr(convex, "hull", counting(convex.hull, hull_seen))
-    for module in (convex, overlay):
-        monkeypatch.setattr(module, "ConvexHull", counting(module.ConvexHull, hull_seen))
     monkeypatch.setattr(convex, "pulling_triangulation", counting(convex.pulling_triangulation, pull_seen))
     overlay._refine.cache_clear()
     jo = pf.join(f, g)
@@ -552,20 +551,10 @@ def test_merge_verdicts_of_overlays_match_the_group_hull(monkeypatch, n):
     assert np.array_equal(verdicts[:, 0], verdicts[:, 1])
 
 
-def test_hull_from_points_calls_qhull_once(monkeypatch):
-    calls = []
-    qhull = convex.ConvexHull
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return qhull(*args, **kwargs)
-
-    for module in (convex, pt):
-        if hasattr(module, "ConvexHull"):
-            monkeypatch.setattr(module, "ConvexHull", counted)
+def test_hull_from_points_calls_hull_once(counted_hulls):
     P = pt.hull_from_points(np.random.default_rng(50).normal(size=(12, 3)) + 0.01)
     assert len(P.facets) >= 4
-    assert calls == [1]
+    assert counted_hulls == [12]
 
 
 def _cube_with_extras():
@@ -577,9 +566,9 @@ def _cube_with_extras():
 
 @st.composite
 def _point_sets(draw):
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = draw(st.integers(d + 1, 10))
+    k = draw(st.integers(d + 1, 10 if d < 4 else 8))
     kind = draw(st.sampled_from(["random", "rounded", "cube"] if d == 3 else ["random", "rounded"]))
     if kind == "cube":
         P = _cube_with_extras()
@@ -622,6 +611,136 @@ def test_hull_incidence_matches_brute_facets(P):
     corners = {tuple(x) for x, U in zip(P, facets_at) if U and np.linalg.matrix_rank(np.array(U)) == d}
     assert len(vert) == len(corners)
     assert {tuple(x) for x in P[vert]} == corners
+
+
+@settings(max_examples=100, deadline=None)
+@given(_point_sets())
+@example(_cube_with_extras())
+@example(np.vstack([_cube_with_extras()] * 2))
+def test_hull_rows_and_volume_match_qhull(P):
+    # the numpy hull against qhull: the same volume and the same vertices,
+    # every row holds every point and is tight on a facet of qhull's, and
+    # no two rows have one tight set
+    d = P.shape[1]
+    try:
+        A, b, vol = convex.hull(P)
+    except Degenerate:
+        assert np.linalg.matrix_rank(P[1:] - P[0]) < d
+        return
+    assert np.allclose((A * A).sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    assert (P @ A.T - b).max() <= 1e-12
+    if d == 1:
+        assert vol == P.max() - P.min()
+        return
+    qh = ConvexHull(P)
+    assert vol == pytest.approx(qh.volume, rel=1e-12)
+    tight = np.abs(P @ A.T - b) <= 1e-9
+    assert len({tuple(col) for col in tight.T}) == len(A)
+    vert, _, _, _ = convex.hull_incidence(P, A, b, 1e-9)
+    assert {tuple(x) for x in P[vert]} == {tuple(x) for x in P[qh.vertices]}
+    # each row is one of qhull's facet planes
+    for a, h in zip(A, b):
+        assert np.min(np.abs(qh.equations[:, :d] - a).max(axis=1) + np.abs(-qh.equations[:, d] - h)) <= 1e-9
+
+
+def test_hull_grows_candidates_on_many_points():
+    # past the one-shot size the candidates grow from the extremes: points
+    # on a sphere (all extreme) and a cloud with a few extreme points
+    rng = np.random.default_rng(3)
+    sphere = rng.normal(size=(40, 3))
+    sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+    for P in (rng.normal(size=(60, 3)), rng.normal(size=(151, 3)), rng.normal(size=(80, 2)), sphere):
+        assert math.comb(len(P), P.shape[1]) * len(P) > convex.ONE_SHOT
+        A, b, vol = convex.hull(P)
+        qh = ConvexHull(P)
+        assert vol == pytest.approx(qh.volume, rel=1e-12)
+        assert (P @ A.T - b).max() <= 1e-12
+        assert len(A) == len(qh.equations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), cuts=st.integers(1, 4), mates=st.integers(0, 3))
+def test_cell_volumes_match_qhull_on_cut_stacks(d, seed, cuts, mates):
+    # cells cut from boxes and simplices by planes through their interior,
+    # left uncompacted: each cell's volume from its vertices alone is
+    # qhull's, and the same bits alone as in the stack
+    from plval import overlay
+
+    rng = np.random.default_rng(seed)
+    cells = [_box_cell(-rng.uniform(0.5, 2, d), rng.uniform(0.5, 2, d), 1e-12) for _ in range(mates + 1)]
+    cells.append(_simplex_cell(rng, d, 1.0, 0.0, 1e-12))
+    stack = convex.Cells.of(cells)
+    for _ in range(cuts):
+        a = np.array([_random_unit(rng, d) for _ in range(len(stack))])
+        c = (a * rng.uniform(-0.3, 0.3, (len(stack), d))).sum(axis=1)
+        stack, _ = convex.clip(stack, a, c, 1e-12)
+    vol = overlay._volumes(stack)
+    kernel = convex.volumes(stack.V, stack.vm)
+    for i in range(len(stack)):
+        V = stack.V[i, stack.vm[i]]
+        assert vol[i] == pytest.approx(_volume(V, d), rel=1e-12)
+        assert overlay._volumes(stack.take([i]))[0] == vol[i]
+        # the kernel alone on the cell's own points, unpadded, gives the
+        # bits it gives in the padded stack
+        assert convex.volumes(V[None])[0] == kernel[i]
+
+
+def test_cell_volumes_of_flat_cells_are_zero():
+    from plval import overlay
+
+    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]], dtype=float)
+    stack = convex.Cells.of([(square, np.eye(3), np.ones(3), np.zeros((5, 3), dtype=bool))])
+    assert overlay._volumes(stack)[0] == 0.0
+
+
+def _kdtree_pairs(pts, tol):
+    return {tuple(sorted(p)) for p in cKDTree(pts).query_pairs(tol, p=np.inf)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    k=st.integers(2, 60),
+    step=st.sampled_from([0.25, 0.1, 1e-12, 3.0]),
+    reach=st.sampled_from([1, 2]),
+    shift=st.sampled_from([0.0, 1.0, -250.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_pairs_match_the_kd_tree(d, k, step, reach, shift, seed):
+    # grid-aligned points share many coordinates, and at tol = reach
+    # steps many pairs lie exactly at tol: the sweep finds the KD-tree's
+    # pairs, no more and no fewer
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-3, 4, size=(k, d)) * step + shift
+    tol = reach * step
+    i, j = convex.near_pairs(pts, tol)
+    got = [tuple(sorted(p)) for p in zip(i.tolist(), j.tolist())]
+    assert len(got) == len(set(got))
+    assert set(got) == _kdtree_pairs(pts, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    tols=st.lists(st.sampled_from([1e-12, 0.25, 0.5, 1.0]), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_near_pairs_in_batches_match_the_kd_tree(d, tols, data):
+    # each batch at its own tol, the batches sharing a grid: the pairs are
+    # the KD-tree's within each batch alone
+    B = len(tols)
+    sizes = data.draw(st.lists(st.integers(0, 12), min_size=B, max_size=B))
+    grid = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    pts = np.array([data.draw(grid) for _ in range(sum(sizes))], dtype=float).reshape(-1, d) * 0.25
+    batch = np.repeat(np.arange(B), sizes)
+    i, j = convex.near_pairs(pts, np.array(tols), batch)
+    got = {tuple(sorted(p)) for p in zip(i.tolist(), j.tolist())}
+    want = set()
+    for b, tol in enumerate(tols):
+        idx = np.flatnonzero(batch == b)
+        if len(idx) > 1:
+            want |= {(idx[p], idx[q]) for p, q in _kdtree_pairs(pts[idx], tol)}
+    assert got == want
 
 
 def _shared_edge_midpoints(cx):

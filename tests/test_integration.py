@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 
 from plval import plfunction as pf
 from plval import polytope as pt
-from plval.errors import NegativeValues
 from plval.integration import (
     Pieces,
-    PushforwardDensity,
     c_pn,
     fisher_matrix,
     grad_p_norm,
-    integrate_power_over_simplex,
     level_set_volume,
     lq_norm,
     simplex_means,
@@ -37,11 +34,17 @@ def zero_like(f: pf.PLFunction) -> pf.PLFunction:
     return pf.PLFunction(complex=f.complex, values=np.zeros(len(f.values)))
 
 
-# -- integrate_power_over_simplex -------------------------------------------
+# -- powers over one simplex: the engine and the closed form ----------------
+
+
+def _power_mean(vals, q):
+    """The engine's mean of |f|^q over one simplex with vertex values vals."""
+    return float(simplex_means(np.asarray(vals, dtype=float)[None, :], Pieces.power(1.0, float(q)))[0])
 
 
 def test_power_over_interval():
-    assert integrate_power_over_simplex([0.0, 1.0], 1.0, 1) == pytest.approx(0.5, abs=1e-14)
+    assert _power_mean([0.0, 1.0], 1) == pytest.approx(0.5, abs=1e-14)
+    assert oracles.integrate_power_over_simplex([0.0, 1.0], 1.0, 1) == pytest.approx(0.5, abs=1e-14)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 1.5, 2.75])
@@ -51,7 +54,9 @@ def test_power_over_cone_simplex(q):
         vals = np.zeros(n + 1)
         vals[0] = 1.0
         expected = vol * oracles.beta_cpn(float(q), n)
-        assert integrate_power_over_simplex(vals, vol, q) == pytest.approx(expected, rel=1e-10)
+        assert vol * _power_mean(vals, q) == pytest.approx(expected, rel=1e-10)
+        if q == int(q):
+            assert oracles.integrate_power_over_simplex(vals, vol, q) == pytest.approx(expected, rel=1e-10)
 
 
 def test_power_matches_adaptive_quadrature():
@@ -60,12 +65,13 @@ def test_power_matches_adaptive_quadrature():
     vals = rng.uniform(0, 2, 3)
     vol = oracles.det_simplex_volume(tri)
     ref = oracles.quad_power_triangle(tri, vals, 3.0)
-    assert integrate_power_over_simplex(vals, vol, 3) == pytest.approx(ref, rel=1e-9)
+    assert vol * _power_mean(vals, 3) == pytest.approx(ref, rel=1e-9)
+    assert oracles.integrate_power_over_simplex(vals, vol, 3) == pytest.approx(ref, rel=1e-9)
 
 
 def test_power_rejects_negative_values():
-    with pytest.raises(NegativeValues):
-        integrate_power_over_simplex([-0.5, 1.0, 0.0], 1.0, 2)
+    with pytest.raises(ValueError):
+        oracles.integrate_power_over_simplex([-0.5, 1.0, 0.0], 1.0, 2)
 
 
 # -- pushforward density ------------------------------------------------------
@@ -73,33 +79,37 @@ def test_power_rejects_negative_values():
 
 @pytest.mark.parametrize("vals", [(0.0, 1.0, 0.5), (0.2, 0.9, 0.4, 0.7), (1.0, 1.0, 1.0)])
 def test_density_nonnegative_unit_mass(vals):
-    dens = PushforwardDensity(np.array(vals), len(vals) - 1)
+    # the engine's mass and the B-spline density of the oracle
+    dens = oracles.PushforwardDensity(np.array(vals), len(vals) - 1)
     lo, hi = min(vals), max(vals)
+    assert _power_mean(vals, 0.0) == pytest.approx(1.0, rel=1e-12)
     if dens.is_dirac:
         assert lo == hi
         return
     ts = np.linspace(lo, hi, 500)
     assert np.all(dens.pdf(ts) >= -1e-12)
-    assert dens.moment_abs(0.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_density_moment_matches_quadrature():
     vals = np.array([0.1, 0.8, 0.3])
-    dens = PushforwardDensity(vals, 2)
+    dens = oracles.PushforwardDensity(vals, 2)
     from scipy.integrate import quad
 
     ref, _ = quad(lambda t: t**1.7 * dens.pdf(np.array([t]))[0], 0.1, 0.8,
                   epsabs=1e-13, limit=200)
-    assert dens.moment_abs(1.7) == pytest.approx(ref, rel=1e-9)
+    assert _power_mean(vals, 1.7) == pytest.approx(ref, rel=1e-9)
 
 
 def test_density_cdf():
     # P(f <= 0.5) for values (0.2, 0.5, 0.9) on a triangle: (0.3)^2 / (0.7 * 0.3)
-    dens = PushforwardDensity(np.array([0.9, 0.2, 0.5]), 2)
-    assert [dens.cdf(t) for t in (0.1, 0.2, 0.9, 1.0)] == [0.0, 0.0, 1.0, 1.0]
-    assert dens.cdf(0.5) == pytest.approx(3.0 / 7.0, rel=1e-14)
-    point = PushforwardDensity(np.full(3, 0.3), 2)
-    assert point.is_dirac and [point.cdf(t) for t in (0.29, 0.3)] == [0.0, 1.0]
+    def cdf(vals, t):
+        return 1.0 - float(simplex_means(np.array(vals)[None, :], Pieces.above(t))[0])
+
+    vals = [0.9, 0.2, 0.5]
+    assert [cdf(vals, t) for t in (0.1, 0.2, 0.9, 1.0)] == [0.0, 0.0, 1.0, 1.0]
+    assert cdf(vals, 0.5) == pytest.approx(3.0 / 7.0, rel=1e-14)
+    assert oracles.PushforwardDensity(np.full(3, 0.3), 2).is_dirac
+    assert [cdf(np.full(3, 0.3), t) for t in (0.29, 0.3)] == [0.0, 1.0]
 
 
 # -- norms ---------------------------------------------------------------------
@@ -223,7 +233,7 @@ def test_near_tie_square_integral():
     f = _kuhn_square(3, [0.3, 0.1 + 0.2, 0.7, 0.1 + 0.2 + 0.4])
     vols = f.complex.simplex_volumes()
     ref = sum(
-        vol * integrate_power_over_simplex(np.abs(v), 1.0, 2)
+        vol * oracles.integrate_power_over_simplex(np.abs(v), 1.0, 2)
         for vol, v in zip(vols, f.simplex_values())
     )
     assert apply(PowerKernel(1.0, 2.0), f) == pytest.approx(ref, rel=1e-12)

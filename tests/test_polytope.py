@@ -267,7 +267,7 @@ def test_dilate_raises_where_a_rebuild_raises(lam):
     D = pt.dilate(P, lam)
     assert D.vertices.tobytes() == R.vertices.tobytes()
     assert D.facet_simplices.tobytes() == R.facet_simplices.tobytes()
-    # a support of 5e-9 lam is known to qhull's rounding at the data scale
+    # a support of 5e-9 lam is known to the hull's rounding at the data scale
     np.testing.assert_allclose(
         [f.support for f in D.facets], [f.support for f in R.facets], rtol=1e-14, atol=1e-14 * R.scale())
 
@@ -298,7 +298,7 @@ def _counted(monkeypatch, module, name):
 @pytest.mark.parametrize("seed,n,k,draws", [(13, 2, 6, 2), (4, 2, 6, 3), (6, 3, 7, 5)])
 def test_random_polytope_rejects_a_draw_on_its_hull_rows(monkeypatch, counted_hulls, seed, n, k, draws):
     # each draw before the accepted one is rejected on clearance after its
-    # one qhull call, and never reaches the incidence or triangulation
+    # one hull call, and never reaches the incidence or triangulation
     from plval import convex
 
     incidence = _counted(monkeypatch, convex, "hull_incidence")

@@ -221,7 +221,7 @@ def test_suite_builds_one_density_per_kernel(suite, densities, counted_densities
 
 # The continuity families dilate their input polytope (polytope.dilate),
 # and homogeneity builds its polytopes once for all its exponents: the
-# number of qhull hulls each makes.
+# number of hulls each makes.
 @pytest.mark.parametrize(
     "suite",
     [
