@@ -3,22 +3,39 @@
 
 Usage: python scripts/run_battery.py [--seed N] [--out DIR]
 
-Each suite's line gives the number of hulls it built (calls to
-convex.hull, from polytopes and convex supports) next to its seconds, and
-ends with the SHA-256 of its JSONL bytes as `plval verify` writes them,
-so two checkouts' outputs at one seed can be compared line by line.
-summary.csv ends in each suite's wall seconds, as with `plval verify
---timing`.
+Each suite's line gives, next to its seconds, the number of hulls it
+built (calls to convex.hull, from polytopes and convex supports), of
+overlay assemblies (calls to overlay.assemble_cells, for overlay results
+and tents alike) and of batched point locations (calls to
+plfunction.evaluate_each, from overlay checks, tent checks and
+evaluation).  It ends with the SHA-256 of its JSONL bytes as `plval
+verify` writes them, so two checkouts' outputs at one seed can be
+compared line by line.  summary.csv ends in each suite's wall seconds,
+as with `plval verify --timing`.
 """
 
 import argparse
+import collections
 import hashlib
 import pathlib
 import sys
 import time
 
-from plval import convex
+from plval import convex, overlay, plfunction
 from plval.verify import default_battery, reports_to_jsonl, summarize_csv
+
+
+def count_calls(calls, key, *places):
+    """Count calls of the function at each (module, name) of places under
+    calls[key], one counter for all of them."""
+    for module, name in places:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[key] += 1
+            return _fn(*args, **kwargs)
+
+        setattr(module, name, counted)
 
 
 def main() -> int:
@@ -27,26 +44,23 @@ def main() -> int:
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("battery_out"))
     args = ap.parse_args()
 
-    hulls = [0]
-    hull = convex.hull
-
-    def counted_hull(points):
-        hulls[0] += 1
-        return hull(points)
-
-    convex.hull = counted_hull
+    calls = collections.Counter()
+    count_calls(calls, "hulls", (convex, "hull"))
+    count_calls(calls, "assemblies", (overlay, "assemble_cells"))
+    # overlay imports evaluate_each by name; plfunction calls its own
+    count_calls(calls, "locates", (overlay, "evaluate_each"), (plfunction, "evaluate_each"))
     args.out.mkdir(parents=True, exist_ok=True)
     all_reports, wall = [], {}
     for name, thunk in default_battery(args.seed):
-        hulls[0] = 0
+        calls.clear()
         t0 = time.perf_counter()
         reports = thunk()
         wall[name] = time.perf_counter() - t0
         fails = sum(1 for r in reports if r.status == "fail")
         digest = hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest()
         print(
-            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  sha256 %s"
-            % (name, len(reports), fails, wall[name], hulls[0], digest)
+            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %3d assemblies  %3d locates  sha256 %s"
+            % (name, len(reports), fails, wall[name], calls["hulls"], calls["assemblies"], calls["locates"], digest)
         )
         all_reports.extend(reports)
 

@@ -12,7 +12,10 @@ Conventions used throughout:
   incidence.  Cells are cut in padded stacks (Cells), one plane per
   cell, in one array pass of split/clip (Sutherland-Hodgman style, in
   any dimension, reading edges off the incidence); one cell is a stack
-  of one, and a cell's result does not depend on its stack-mates.
+  of one, and a cell's result does not depend on its stack-mates.  A
+  stack holds each vertex's incidence as one uint64 bitmask over at most
+  MAX_ROWS rows, so the cut's edge test and its count of the vertices on
+  each row are integer operations on (B, k) arrays.
   Cells are triangulated from the same incidence, also in padded stacks
   (pulling_triangulation, one array pass per face dimension), so neither
   step enumerates row subsets or builds a hull.
@@ -169,7 +172,16 @@ def near_pairs(pts: np.ndarray, tol, batch=None):
 # A cell is a tuple (V, A, b, T): its vertices V (k, d); rows A x <= b,
 # with unit normals, that hold on the cell; and the incidence T (k, r),
 # True where vertex i lies on row j.  Every facet of the cell is a row.
-# Cells are cut in stacks (Cells); one cell is a stack of one.
+# Cells are cut in stacks (Cells), which hold each vertex's incidence as
+# one integer bitmask over the rows; one cell is a stack of one.
+
+# A stack of cells has at most this many row slots, one bit of a uint64
+# each; a cut that finds them all taken compacts the stack first.
+MAX_ROWS = 64
+_BIT = np.left_shift(np.uint64(1), np.arange(MAX_ROWS, dtype=np.uint64))
+_ALL = np.full(1, ~np.uint64(0))  # every bit
+# The cut's row on the side below, then above.
+_SIGN = np.array([1.0, -1.0])
 
 
 def tight_rows(V: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -177,27 +189,59 @@ def tight_rows(V: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float) -> np.nd
     return np.abs(V @ A.T - b) <= tol
 
 
+def _pack_rows(T: np.ndarray) -> np.ndarray:
+    """The incidence T (..., r), r <= MAX_ROWS, as one uint64 bitmask per
+    vertex (...): bit j set where T[..., j]."""
+    T = np.asarray(T, dtype=bool)
+    r = T.shape[-1]
+    if r > MAX_ROWS:
+        raise Degenerate("a cell of %d rows: at most %d fit a bitmask" % (r, MAX_ROWS))
+    out = np.zeros(T.shape[:-1] + (8,), dtype=np.uint8)
+    out[..., : (r + 7) // 8] = np.packbits(T, axis=-1, bitorder="little")
+    return out.view("<u8")[..., 0].astype(np.uint64, copy=False)
+
+
+def _unpack_rows(bits: np.ndarray, r: int) -> np.ndarray:
+    """The bitmasks bits (...) as the incidence (..., r) on rows 0..r-1."""
+    raw = np.ascontiguousarray(bits, dtype="<u8").reshape(np.shape(bits) + (1,)).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=r, bitorder="little").view(bool)
+
+
+def _at_least(M: np.ndarray, d: int) -> np.ndarray:
+    """The bits set in at least d of the masks M (..., k), along the last
+    axis.  G_1 = M, and G_{j+1}[v] = M[v] & (G_j[u] or-ed over u < v): a
+    bit of G_j[v] is set where v is at least the j-th mask that has it."""
+    G = M
+    for j in range(1, d):
+        G = M[..., j:] & np.bitwise_or.accumulate(G, axis=-1)[..., :-1]
+    return np.bitwise_or.reduce(G, axis=-1)
+
+
 class Cells:
     """A stack of B cells in padded arrays.
 
-    V (B, k, d) holds the vertices and A (B, r, d), b (B, r) the rows;
-    vm (B, k) and rm (B, r) mark the entries that belong to each cell, in
-    order, and T (B, k, r) is the incidence, False outside them.  A cut
+    V (B, k, d) holds the vertices and H (B, r, d+1) the rows [A, b] of
+    A x <= b (A and b are views of it); vm (B, k) marks the vertices that
+    belong to each cell, in order, and live (B,) its rows, bit j for row
+    j.  bits (B, k) is the incidence, one uint64 per vertex with bit j
+    set where the vertex lies on row j, never outside vm and live.  T and
+    rm unpack bits and live to (B, k, r) and (B, r) booleans.  A cut
     leaves the vertices it drops in place, unmarked, and appends its
     crossings and its row; compact() closes the gaps.
     """
 
-    __slots__ = ("V", "A", "b", "T", "vm", "rm")
+    __slots__ = ("V", "H", "bits", "vm", "live")
 
-    def __init__(self, V, A, b, T, vm, rm):
-        self.V, self.A, self.b, self.T, self.vm, self.rm = V, A, b, T, vm, rm
+    def __init__(self, V, H, bits, vm, live):
+        self.V, self.H, self.bits, self.vm, self.live = V, H, bits, vm, live
 
     @classmethod
     def of(cls, cells):
         """The stack of the cells (V, A, b, T), in order."""
         return cls.concat([
-            cls(np.asarray(V, dtype=float)[None], np.asarray(A, dtype=float)[None], np.asarray(b, dtype=float)[None],
-                np.asarray(T, dtype=bool)[None], np.ones((1, len(V)), dtype=bool), np.ones((1, len(A)), dtype=bool))
+            cls(np.asarray(V, dtype=float)[None], _rows(np.asarray(A, dtype=float), np.asarray(b, dtype=float))[None],
+                _pack_rows(np.asarray(T, dtype=bool).reshape(len(V), len(A)))[None], np.ones((1, len(V)), dtype=bool),
+                _pack_rows(np.ones((1, len(A)), dtype=bool)))
             for V, A, b, T in cells
         ])
 
@@ -206,11 +250,31 @@ class Cells:
         """The stack of the simplices V (m, d+1, d) with their rows A
         (m, d+1, d), b (m, d+1), row j opposite vertex j."""
         m, k = V.shape[:2]
-        full = np.ones((m, k), dtype=bool)
-        return cls(V, A, b, np.broadcast_to(~np.eye(k, dtype=bool), (m, k, k)), full, full)
+        rows = _BIT[:k].sum()
+        return cls(V, _rows(A, b), np.tile(rows ^ _BIT[:k], (m, 1)), np.ones((m, k), dtype=bool), np.full(m, rows))
 
     def __len__(self) -> int:
         return len(self.vm)
+
+    @property
+    def A(self) -> np.ndarray:
+        """The row normals (B, r, d)."""
+        return self.H[..., :-1]
+
+    @property
+    def b(self) -> np.ndarray:
+        """The row offsets (B, r)."""
+        return self.H[..., -1]
+
+    @property
+    def T(self) -> np.ndarray:
+        """The incidence (B, k, r): True where vertex i lies on row j."""
+        return _unpack_rows(self.bits, self.H.shape[1])
+
+    @property
+    def rm(self) -> np.ndarray:
+        """The rows of each cell (B, r)."""
+        return _unpack_rows(self.live, self.H.shape[1])
 
     def counts(self) -> np.ndarray:
         """The number of vertices of each cell."""
@@ -218,33 +282,36 @@ class Cells:
 
     def cell(self, i: int):
         """Cell i as (V, A, b, T)."""
-        vm, rm = self.vm[i], self.rm[i]
-        return self.V[i, vm], self.A[i, rm], self.b[i, rm], self.T[i][vm][:, rm]
+        vm, rm = self.vm[i], _unpack_rows(self.live[i], self.H.shape[1])
+        H = self.H[i, rm]
+        return self.V[i, vm], H[:, :-1], H[:, -1], _unpack_rows(self.bits[i], self.H.shape[1])[vm][:, rm]
 
     def take(self, idx) -> "Cells":
         """The cells idx (positions, or a mask), in that order."""
         idx = np.asarray(idx)
         idx = idx.nonzero()[0] if idx.dtype == bool else idx.astype(np.intp, copy=False)
-        return Cells(*(x.take(idx, 0) for x in (self.V, self.A, self.b, self.T, self.vm, self.rm)))
+        return Cells(self.V.take(idx, 0), self.H.take(idx, 0), self.bits.take(idx, 0), self.vm.take(idx, 0),
+                     self.live.take(idx))
 
     def slice(self, start: int, stop: int) -> "Cells":
         """The cells start to stop, as views."""
-        return Cells(*(x[start:stop] for x in (self.V, self.A, self.b, self.T, self.vm, self.rm)))
+        return Cells(self.V[start:stop], self.H[start:stop], self.bits[start:stop], self.vm[start:stop],
+                     self.live[start:stop])
 
     def compact(self) -> "Cells":
         """The same cells with their vertices and rows moved to the front,
         in order, and the arrays cut to the widths they need."""
+        rm = self.rm
         k = int(self.vm.sum(axis=1).max(initial=0))
-        r = int(self.rm.sum(axis=1).max(initial=0))
+        r = int(rm.sum(axis=1).max(initial=0))
         # a stable sort of the marks, descending, brings each cell's
         # entries to the front in order
         vo = np.argsort(~self.vm, axis=1, kind="stable")[:, :k]
-        ro = np.argsort(~self.rm, axis=1, kind="stable")[:, :r]
+        ro = np.argsort(~rm, axis=1, kind="stable")[:, :r]
         B = np.arange(len(self))[:, None]
-        return Cells(
-            self.V[B, vo], self.A[B, ro], self.b[B, ro], self.T[B[:, :, None], vo[:, :, None], ro[:, None, :]],
-            self.vm[B, vo], self.rm[B, ro],
-        )
+        T = _unpack_rows(self.bits[B, vo], self.H.shape[1])
+        return Cells(self.V[B, vo], self.H[B, ro], _pack_rows(T[B[:, :, None], np.arange(k)[:, None], ro[:, None, :]]),
+                     self.vm[B, vo], _pack_rows(rm[B, ro]))
 
     @classmethod
     def concat(cls, stacks) -> "Cells":
@@ -255,23 +322,24 @@ class Cells:
         d = stacks[0].V.shape[2]
         m = sum(len(s) for s in stacks)
         k = max(s.V.shape[1] for s in stacks)
-        r = max(s.A.shape[1] for s in stacks)
-        out = cls(
-            np.zeros((m, k, d)), np.zeros((m, r, d)), np.zeros((m, r)), np.zeros((m, k, r), dtype=bool),
-            np.zeros((m, k), dtype=bool), np.zeros((m, r), dtype=bool),
-        )
+        r = max(s.H.shape[1] for s in stacks)
+        out = cls(np.zeros((m, k, d)), np.zeros((m, r, d + 1)), np.zeros((m, k), dtype=np.uint64),
+                  np.zeros((m, k), dtype=bool), np.concatenate([s.live for s in stacks]))
         at = 0
         for s in stacks:
             end = at + len(s)
-            sk, sr = s.V.shape[1], s.A.shape[1]
+            sk, sr = s.V.shape[1], s.H.shape[1]
             out.V[at:end, :sk] = s.V
-            out.A[at:end, :sr] = s.A
-            out.b[at:end, :sr] = s.b
-            out.T[at:end, :sk, :sr] = s.T
+            out.H[at:end, :sr] = s.H
+            out.bits[at:end, :sk] = s.bits
             out.vm[at:end, :sk] = s.vm
-            out.rm[at:end, :sr] = s.rm
             at = end
         return out
+
+
+def _rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows A (..., r, d), b (..., r) as one array (..., r, d+1)."""
+    return np.concatenate([A, b[..., None]], axis=-1)
 
 
 def dot_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -295,116 +363,120 @@ def split(cells: Cells, a, c, tol, above: bool = True, flat: bool = False):
     on opposite sides.  u and w span an edge exactly when the rows tight
     at both have rank d - 1; since the rows hold every facet, that is
     when no third vertex is tight at all of them, which the incidence
-    answers without a numerical rank.  A row stays only while it is
-    tight at d or more vertices.  A cell the plane does not cross is
-    kept whole on its side, with no row added; c[i] = inf (-inf) keeps
-    cell i whole below (above) its plane.
+    answers without a numerical rank: with C the bits of u and w and-ed,
+    exactly two vertices v have bits[v] & C == C.  A row stays only while
+    it is tight at d or more vertices (_at_least).  A cell the plane does
+    not cross is kept whole on its side, with no row added; c[i] = inf
+    (-inf) keeps cell i whole below (above) its plane.
 
     With flat=True a side that meets the plane only in a face is kept as
     that face, and no row is dropped, so a chain of cuts yields the
     intersection whatever its dimension.
 
     Every step is elementwise per cell or gathers within one cell, so a
-    cell's result does not depend on the other cells of its stack.
+    cell's result does not depend on the other cells of its stack.  The
+    cut's row takes the stack's next row slot; a stack whose MAX_ROWS
+    slots are taken is compacted first.
     """
-    V, T, vm = cells.V, cells.T, cells.vm
+    if cells.H.shape[1] >= MAX_ROWS:
+        cells = cells.compact()
+        if cells.H.shape[1] >= MAX_ROWS:
+            raise Degenerate("a cell of %d rows has no slot for another cut" % cells.H.shape[1])
+    V, M, vm = cells.V, cells.bits, cells.vm
     B, k, d = V.shape
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a, c = np.repeat(a[None], B, axis=0), np.full(B, c, dtype=float)
-    norm = np.sqrt((a * a).sum(axis=1))
-    a = a / norm[:, None]
-    c = c / norm
-    s = dot_rows(V, a) - c[:, None]
-    tol = np.reshape(tol, (-1, 1))
+    # the cut's row [a, c], a of unit length
+    row = np.empty((B, d + 1))
+    row[:, :d] = a
+    row[:, d] = c
+    row /= np.sqrt(np.add.reduce(a * a, axis=1))[:, None]
+    a, c = row[:, :d], row[:, d]
+    s = np.add.reduce(V * a[:, None, :], axis=2) - c[:, None]  # dot_rows
+    tol = np.asarray(tol, dtype=float).reshape(-1, 1)
     out = (s > tol) & vm
     inn = (s < -tol) & vm
-    any_out = out.any(axis=1)
-    cross = any_out & inn.any(axis=1)
-    # candidate edges (u, w), u inside and w outside, in vertex order, as
-    # flat indices b * k + u and b * k + w
-    p = (inn[:, :, None] & out[:, None, :]).ravel().nonzero()[0]
-    pb = p // (k * k)
-    fu = p // k
-    fw = pb * k + p % k
-    Tf = T.reshape(B * k, T.shape[2])
-    C = Tf.take(fu, 0) & Tf.take(fw, 0)
-    # vertices tight at every row of C: exactly u and w on an edge
-    e = (~(C[:, None, :] & ~T.take(pb, 0)).any(axis=2) & vm.take(pb, 0)).sum(axis=1) == 2
-    pb, fu, fw = pb[e], fu[e], fw[e]
+    any_out = np.logical_or.reduce(out, axis=1)
+    cross = any_out & np.logical_or.reduce(inn, axis=1)
+    # candidate edges (u, w) of cell pb, u inside and w outside, in vertex
+    # order, as flat indices fu and fw, each with its crossing X
+    pb, u, w = (inn[:, :, None] & out[:, None, :]).nonzero()
+    at = pb * k
+    fu, fw = at + u, at + w
     sf = s.ravel()
     su = sf.take(fu)
     t = su / (su - sf.take(fw))
     Vf = V.reshape(B * k, d)
     Vu = Vf.take(fu, 0)
     X = Vu + t[:, None] * (Vf.take(fw, 0) - Vu)
+    # the candidates that are edges: the vertices tight at every row of C
+    # are exactly u and w
+    Mf = M.ravel()
+    C = Mf.take(fu) & Mf.take(fw)
+    C1 = C[:, None]
+    e = (np.add.reduce(((M.take(pb, 0) & C1) == C1) & vm.take(pb, 0), axis=1) == 2).nonzero()[0]
+    pb = pb.take(e)
     # the crossings of cell b go in its own slots after its vertices
-    rank = np.arange(len(pb)) - pb.searchsorted(pb)
-    return _sides(cells, a, c, out, inn, any_out, cross, pb, rank, X, C[e], above, flat)
+    slot = k + np.arange(len(pb)) - pb.searchsorted(pb)
+    return _sides(cells, row, out, inn, any_out, cross, pb, slot, X.take(e, 0), C.take(e), above, flat)
 
 
-def _sides(cells, a, c, out, inn, any_out, cross, pb, rank, X, TX, above, flat):
-    """Both sides of a stacked cut, as split returns them, built in one
-    pass over a leading side axis (below, then above).
+def _sides(cells, row, out, inn, any_out, cross, pb, slot, X, CX, above, flat):
+    """Both sides of a stacked cut by the rows row (B, d+1), as split
+    returns them, built in one pass over a leading side axis (below, then
+    above).
 
     Each cell keeps its vertices on the side (on the plane where on)
-    and gains its crossings X, cell pb[i] in its slot rank[i] after its
-    vertices, with incidence TX and the cut's row.  A side that keeps a
-    cell whole (no vertex beyond the plane) adds no row; with flat, a
-    cell that only touches the plane in a face keeps that face with the
-    row."""
-    V, T, vm = cells.V, cells.T, cells.vm
+    and gains its crossings X, cell pb[i]'s in slot[i], with incidence
+    bits CX and the cut's row.  A side that keeps a cell whole (no vertex
+    beyond the plane) adds no row; with flat, a cell that only touches
+    the plane in a face keeps that face with the row."""
+    V, M, vm = cells.V, cells.bits, cells.vm
     B, k, d = V.shape
-    r = T.shape[2]
+    r = cells.H.shape[1]
     S = 2 if above else 1
-    K, R = k + int(rank.max(initial=-1)) + 1, r + 1
-    fx = pb * K + k + rank  # the crossings' flat slots
+    K, R = int(slot.max(initial=k - 1)) + 1, r + 1
+    fx = pb * K + slot  # the crossings' flat slots
     V2 = np.zeros((B, K, d))
     V2[:, :k] = V
     V2.reshape(B * K, d)[fx] = X
     # out and inn lie within vm, so vm ^ out marks the vertices not beyond
-    # the plane
+    # the plane, and vm ^ out ^ inn those on it
+    below = vm ^ out
     vm2 = np.zeros((S, B, K), dtype=bool)
-    vm2[0, :, :k] = vm ^ out
-    whole = np.empty((S, B), dtype=bool)
-    whole[0] = ~any_out
+    vm2[0, :, :k] = below
     if above:
         vm2[1, :, :k] = vm ^ inn
-        whole[1] = any_out & ~cross
+        # a side is whole when no vertex lies beyond it: below when none is
+        # out, above when some are and none is in
+        add = np.array([any_out, cross | ~any_out])
+    else:
+        add = any_out[None]
+    whole = ~add
     vm2.reshape(S, B * K)[:, fx] = True
-    # incidence on the old rows and the cut's row, masked to each side's
-    # vertices and rows
-    T2 = np.zeros((B, K, R), dtype=bool)
-    T2[:, :k, :r] = T
-    T2[:, :k, r] = vm ^ out ^ inn  # on the plane
-    T2 = T2.reshape(B * K, R)
-    T2[fx, :r] = TX
-    T2[fx, r] = True
-    T2 = T2.reshape(1, B, K, R) & vm2[:, :, :, None]
-    add = ~whole
-    rm2 = np.empty((S, B, R), dtype=bool)
-    rm2[:, :, :r] = cells.rm
-    rm2[:, :, r] = add
+    # incidence on the old rows and the cut's row, bit r, masked to each
+    # side's vertices and rows
+    bit = _BIT[r : r + 1]
+    M2 = np.zeros((B, K), dtype=np.uint64)
+    M2[:, :k] = M | (below ^ inn) * bit  # on the plane
+    M2.reshape(B * K)[fx] = CX | bit
+    M2 = M2 * vm2
+    live = cells.live | add * bit
     if not flat:
         # a row of a cut cell stays while it is tight at d or more vertices
-        rm2 &= (T2.sum(axis=2) >= d) | ~cross[:, None]
-    T2 &= rm2[:, :, None, :]
-    n = vm2.sum(axis=2)
+        live &= np.where(cross, _at_least(M2, d), _ALL)
+    M2 &= live[:, :, None]
+    n = np.add.reduce(vm2, axis=2)
     ok = whole | (n > 0) if flat else whole | (cross & (n > d))
-    A2 = np.zeros((S, B, R, d))
-    A2[:, :, :r] = cells.A
-    b2 = np.zeros((S, B, R))
-    b2[:, :, :r] = cells.b
-    for i, sign in enumerate((1.0, -1.0)[:S]):
-        A2[i, add[i], r] = sign * a[add[i]]
-        b2[i, add[i], r] = sign * c[add[i]]
+    H2 = np.empty((S, B, R, d + 1))
+    H2[:, :, :r] = cells.H
+    H2[:, :, r] = _SIGN[:S, None, None] * row  # a dead slot where no row is added
     # the kept cells, the side below first
     oi = ok.ravel().nonzero()[0]
     src = oi % B
-    kept = Cells(
-        V2.take(src, 0), A2.reshape(S * B, R, d).take(oi, 0), b2.reshape(S * B, R).take(oi, 0),
-        T2.reshape(S * B, K, R).take(oi, 0), vm2.reshape(S * B, K).take(oi, 0), rm2.reshape(S * B, R).take(oi, 0),
-    )
+    kept = Cells(V2.take(src, 0), H2.reshape(S * B, R, d + 1).take(oi, 0), M2.reshape(S * B, K).take(oi, 0),
+                 vm2.reshape(S * B, K).take(oi, 0), live.ravel().take(oi))
     if not above:
         return (kept, src), None
     m = int(oi.searchsorted(B))

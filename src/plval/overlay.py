@@ -62,21 +62,30 @@ cover balance, its vertex snap and row dedupe (convex.dedupe_points
 keeps batches apart), its degenerate floor and its fill and value
 checks, and its 128 sample points, the same draws from
 default_rng(424242) spread over the pair's own box.  The sampled check
-locates the points of every result in one stacked pass
+locates the points of every f, g and result in one stacked pass
 (plfunction.evaluate_each).  So a pair's result is byte-identical alone
 and in any batch, in any order; an OverlayFailure of any pair fails its
 batch.  Inclusion-exclusion meets all subsets of one size in one batch,
 and tent_decomposition builds a round's tents in one.
 
 Join and meet of one batch cut the same cells and differ only in which
-piece wins each one, and the valuation identity always asks for both.
-So the op-independent half (the cells, both winners, the support
-volumes, the sample points and the inputs' values there) is memoised
-for the last batch overlaid, keyed on the tuple of pairs, each pair by
-its two functions' identities: a meet of f and g right after their join,
-or the other way round, cuts once.  A PLFunction's arrays are
-write-protected, so a hit is never stale, and the memo keeps at most one
-batch alive.
+piece wins each one.  So the op-independent half (the cells, both
+winners, the support volumes and the sample points) is memoised for the
+last batch overlaid, keyed on the tuple of pairs, each pair by its two
+functions' identities, and the results built for that batch are kept
+with it.  The pair API (lattice_overlay, and so plfunction.join and
+meet) serves callers that want both ops, as the valuation identity does:
+it builds join and meet in one assemble_cells call (join as batches
+0..B-1, meet as B..2B-1) and checks both in one evaluate_each with f and
+g, so a meet of f and g right after their join, or the other way round,
+is a memo hit.  lattice_overlays builds only the op it is asked for
+(inclusion-exclusion wants meets alone); the other op of the same batch
+right after still cuts nothing.  Failures stay per op: an op whose
+results fail the sampled check raises its own OverlayFailure, and a
+joint assembly that raises is redone op by op, so each op raises exactly
+when, and with the message, it does built alone.  A PLFunction's arrays
+are write-protected, so a hit is never stale, and the memo keeps at most
+one batch and its results alive.
 """
 
 from __future__ import annotations
@@ -114,6 +123,8 @@ COVER_TOL = 1e-9
 # A simplex whose intersections with the other mesh fill all but this
 # fraction of its volume leaves no region that only its function covers.
 FULL_COVER = 1e-12
+# The ops, and the pointwise value each one's result must take.
+_OPS = {"join": np.maximum, "meet": np.minimum}
 
 
 class _Mesh(NamedTuple):
@@ -666,22 +677,27 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     return _zeros(out, dim)
 
 
-def _assemble(ref, op, dim):
-    """The functions op keeps, one per pair: each cell with the piece that
-    wins it, assembled into a partition."""
-    win = ref.winners[op]
-    kept = np.flatnonzero(win >= 0)
-    win = win[kept]
-    return assemble_cells(ref.pieces.cells.take(kept), ref.pieces.vol[kept], ref.grad[win], ref.off[win], dim, ref.supp,
-                          ref.pieces.pair[kept])
+def _assemble(ref, ops, dim) -> dict:
+    """{op: the functions op keeps, one per pair} for each op of ops: each
+    cell with the piece that wins it, assembled into a partition.  Every
+    op is assembled in one assemble_cells call, op i's pair k as its
+    batch i B + k, so each result is the one its op gets alone."""
+    B = len(ref.supp)
+    kept = [np.flatnonzero(ref.winners[op] >= 0) for op in ops]
+    win = np.concatenate([ref.winners[op][k] for op, k in zip(ops, kept)])
+    at = np.concatenate(kept)
+    batch = np.concatenate([ref.pieces.pair[k] + i * B for i, k in enumerate(kept)])
+    got = assemble_cells(ref.pieces.cells.take(at), ref.pieces.vol[at], ref.grad[win], ref.off[win], dim,
+                         np.tile(ref.supp, len(ops)), batch)
+    return {op: got[i * B : (i + 1) * B] for i, op in enumerate(ops)}
 
 
 class _Refinement(NamedTuple):
     """The op-independent half of an overlay of a batch of pairs: the cut
     cells, the affine pieces of the _Mesh, the piece each cell keeps
     under join and meet, each pair's vol supp f + vol supp g, and each
-    pair's sample points of the final check (B, 128, d) with its f and g
-    evaluated there (B, 128)."""
+    pair's sample points of the final check (B, 128, d).  built holds,
+    for each op built so far, its results or its OverlayFailure."""
 
     pieces: _Pieces
     grad: np.ndarray
@@ -689,8 +705,7 @@ class _Refinement(NamedTuple):
     winners: dict
     supp: np.ndarray
     pts: np.ndarray
-    fe: np.ndarray
-    ge: np.ndarray
+    built: dict
 
 
 @functools.lru_cache(maxsize=1)
@@ -708,21 +723,53 @@ def _refine(pairs: tuple) -> _Refinement:
     lo = np.array([np.minimum(f.bbox()[0], g.bbox()[0]) for f, g in pairs])
     hi = np.array([np.maximum(f.bbox()[1], g.bbox()[1]) for f, g in pairs])
     pts = lo[:, None, :] + (hi - lo)[:, None, :] * U
-    # every f and g at its pair's points, in one point location
-    B = len(pairs)
-    at = np.repeat(np.arange(2 * B), len(U))
-    vals = evaluate_each([fn for pair in pairs for fn in pair], np.repeat(pts, 2, axis=0).reshape(-1, dim), at)
-    fe, ge = vals.reshape(B, 2, len(U)).transpose(1, 0, 2)
-    for arr in (pts, fe, ge):
-        arr.setflags(write=False)
-    return _Refinement(pieces, mesh.grad, mesh.off, _winners(pieces, mesh), supp, pts, fe, ge)
+    pts.setflags(write=False)
+    return _Refinement(pieces, mesh.grad, mesh.off, _winners(pieces, mesh), supp, pts, {})
 
 
-def lattice_overlays(pairs, op: str) -> list:
-    """[f v g for (f, g) in pairs] for op "join", f ^ g for "meet": every
-    pair cut, assembled and checked in one stacked pass, each result the
-    one its pair gets alone.  An OverlayFailure of any pair raises."""
+def _build(ref, pairs, ops, dim) -> None:
+    """Build the ops of ops for the refinement of pairs, in one
+    assemble_cells call, and record each op's results, or its
+    OverlayFailure, in ref.built.  Failures stay per op: when the joint
+    assembly raises, each op is assembled alone, as it would be asked
+    alone.  The sampled check locates every f, g and every result at its
+    pair's points in one evaluate_each, and fails an op whose results
+    stray from the pointwise max/min."""
+    built = {}
+    try:
+        built.update(_assemble(ref, ops, dim))
+    except OverlayFailure as exc:
+        if len(ops) == 1:
+            built[ops[0]] = exc
+        else:
+            for op in ops:
+                try:
+                    built.update(_assemble(ref, (op,), dim))
+                except OverlayFailure as alone:
+                    built[op] = alone
+    fine = [op for op in ops if not isinstance(built[op], OverlayFailure)]
+    B, P, _ = ref.pts.shape
+    functions = [fn for pair in pairs for fn in pair] + [h for op in fine for h in built[op]]
+    X = np.concatenate([np.repeat(ref.pts, 2, axis=0), np.tile(ref.pts, (len(fine), 1, 1))]).reshape(-1, dim)
+    vals = evaluate_each(functions, X, np.repeat(np.arange(len(functions)), P)).reshape(-1, P)
+    fe, ge = vals[0 : 2 * B : 2], vals[1 : 2 * B : 2]
+    for i, op in enumerate(fine):
+        want = _OPS[op](fe, ge)
+        err = np.abs(vals[(2 + i) * B : (3 + i) * B] - want).max(axis=1)
+        vscale = np.maximum(1.0, np.abs(want).max(axis=1))
+        bad = np.flatnonzero(err > 1e-8 * vscale)
+        if len(bad):
+            built[op] = OverlayFailure("overlay disagrees with pointwise %s by %.3g" % (op, err[bad[0]]))
+    ref.built.update(built)
+
+
+def _overlays(pairs, op, ops) -> list:
+    """[f v g for (f, g) in pairs] for op "join", f ^ g for "meet",
+    building every op of ops the memo does not hold yet for these pairs
+    in one pass (_build).  An OverlayFailure of any pair raises."""
     pairs = tuple((f, g) for f, g in pairs)
+    if op not in _OPS:
+        raise ValueError("unknown overlay op %r: expected 'join' or 'meet'" % (op,))
     if not pairs:
         return []
     dim = pairs[0][0].dim
@@ -733,22 +780,31 @@ def lattice_overlays(pairs, op: str) -> list:
     live = [k for k, (f, g) in enumerate(pairs) if not (f.complex.is_empty() and g.complex.is_empty())]
     if not live:
         return _zeros(out, dim)
-    ref = _refine(tuple(pairs[k] for k in live))
-    got = _assemble(ref, op, dim)
-
-    want = np.maximum(ref.fe, ref.ge) if op == "join" else np.minimum(ref.fe, ref.ge)
-    B, P = want.shape
-    at = np.repeat(np.arange(B), P)
-    err = np.abs(evaluate_each(got, ref.pts.reshape(-1, dim), at).reshape(B, P) - want).max(axis=1)
-    vscale = np.maximum(1.0, np.abs(want).max(axis=1))
-    bad = np.flatnonzero(err > 1e-8 * vscale)
-    if len(bad):
-        raise OverlayFailure("overlay disagrees with pointwise %s by %.3g" % (op, err[bad[0]]))
+    live_pairs = tuple(pairs[k] for k in live)
+    ref = _refine(live_pairs)
+    todo = tuple(o for o in ops if o not in ref.built)
+    if todo:
+        _build(ref, live_pairs, todo, dim)
+    got = ref.built[op]
+    if isinstance(got, OverlayFailure):
+        raise OverlayFailure(str(got))
     for k, h in zip(live, got):
         out[k] = h
     return _zeros(out, dim)
 
 
+def lattice_overlays(pairs, op: str) -> list:
+    """[f v g for (f, g) in pairs] for op "join", f ^ g for "meet": every
+    pair cut, assembled and checked in one stacked pass, each result the
+    one its pair gets alone.  Only op is built; the refinement is kept,
+    so the other op of the same pairs right after cuts nothing.  An
+    OverlayFailure of any pair raises."""
+    return _overlays(pairs, op, (op,))
+
+
 def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:
-    """f v g for op "join", f ^ g for "meet": a batch of one pair."""
-    return lattice_overlays([(f, g)], op)[0]
+    """f v g for op "join", f ^ g for "meet": a batch of one pair, whose
+    join and meet are built together, so that the other op right after
+    is a memo hit.  Each op fails alone: op raises OverlayFailure exactly
+    when it does built on its own."""
+    return _overlays([(f, g)], op, tuple(_OPS))[0]

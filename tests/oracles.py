@@ -532,3 +532,76 @@ def inclusion_exclusion_one_meet_at_a_time(tents, meet, z, is_zero):
             sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
             total += sign * z(f_j)
     return total
+
+
+def split_boolean(V, A, b, T, vm, rm, a, c, tol, above: bool = True, flat: bool = False):
+    """A stacked cut of padded cells held with a boolean incidence: V
+    (B, k, d) vertices, rows A (B, r, d), b (B, r), T (B, k, r) True where
+    a vertex lies on a row, vm (B, k) and rm (B, r) the entries of each
+    cell; each cell is cut by its plane a[i].x = c[i] at tol[i].
+
+    Returns one (V, A, b, T, vm, rm, src) per side, below then above (one
+    side when above is False).  The rule: a vertex within tol of the
+    plane lies on it, the others beyond it are dropped; an edge (u, w)
+    with ends strictly on opposite sides, u and w the only vertices
+    tight at every row tight at both, gives a crossing in the cell's next
+    free slots; a cell not crossed stays whole on its side and adds no
+    row; a crossed side keeps the rows tight at d or more of its
+    vertices (all of them with flat) and adds the plane as a row; a side
+    is kept when whole, or crossed with more than d vertices (with flat,
+    any vertex)."""
+    B, k, d = V.shape
+    r = T.shape[2]
+    a = np.asarray(a, dtype=float)
+    norm = np.sqrt((a * a).sum(axis=1))
+    a = a / norm[:, None]
+    c = np.asarray(c, dtype=float) / norm
+    s = (V * a[:, None, :]).sum(axis=2) - c[:, None]
+    tol = np.reshape(tol, (-1, 1))
+    out = (s > tol) & vm
+    inn = (s < -tol) & vm
+    any_out = out.any(axis=1)
+    cross = any_out & inn.any(axis=1)
+    p = (inn[:, :, None] & out[:, None, :]).ravel().nonzero()[0]
+    pb, fu = p // (k * k), p // k
+    fw = pb * k + p % k
+    Tf = T.reshape(B * k, r)
+    C = Tf[fu] & Tf[fw]
+    e = (~(C[:, None, :] & ~T[pb]).any(axis=2) & vm[pb]).sum(axis=1) == 2
+    pb, fu, fw, C = pb[e], fu[e], fw[e], C[e]
+    sf, Vf = s.ravel(), V.reshape(B * k, d)
+    t = sf[fu] / (sf[fu] - sf[fw])
+    X = Vf[fu] + t[:, None] * (Vf[fw] - Vf[fu])
+    rank = np.arange(len(pb)) - pb.searchsorted(pb)
+    K, R = k + int(rank.max(initial=-1)) + 1, r + 1
+    sides = []
+    for side, (beyond, whole, sign) in enumerate(((out, ~any_out, 1.0), (inn, any_out & ~cross, -1.0))[: 1 + above]):
+        V2 = np.zeros((B, K, d))
+        V2[:, :k] = V
+        V2[pb, k + rank] = X
+        vm2 = np.zeros((B, K), dtype=bool)
+        vm2[:, :k] = vm & ~beyond
+        vm2[pb, k + rank] = True
+        T2 = np.zeros((B, K, R), dtype=bool)
+        T2[:, :k, :r] = T
+        T2[:, :k, r] = vm & ~out & ~inn
+        T2[pb, k + rank, :r] = C
+        T2[pb, k + rank, r] = True
+        T2 &= vm2[:, :, None]
+        rm2 = np.zeros((B, R), dtype=bool)
+        rm2[:, :r] = rm
+        rm2[:, r] = ~whole
+        if not flat:
+            rm2 &= (T2.sum(axis=1) >= d) | ~cross[:, None]
+        T2 &= rm2[:, None, :]
+        n = vm2.sum(axis=1)
+        ok = whole | (n > 0) if flat else whole | (cross & (n > d))
+        A2 = np.zeros((B, R, d))
+        A2[:, :r] = A
+        A2[~whole, r] = sign * a[~whole]
+        b2 = np.zeros((B, R))
+        b2[:, :r] = b
+        b2[~whole, r] = sign * c[~whole]
+        src = np.flatnonzero(ok)
+        sides.append((V2[src], A2[src], b2[src], T2[src], vm2[src], rm2[src], src))
+    return sides

@@ -157,6 +157,31 @@ def _same_cell(x, y):
     return all(np.asarray(p).tobytes() == np.asarray(q).tobytes() for p, q in zip(x, y))
 
 
+def _planes(rng, cells):
+    """One plane per cell (V, A, b, T) of a stack: through a vertex or
+    just off one, along a facet, at infinity, missing the cell, or
+    through its interior."""
+    d = cells[0][0].shape[1]
+    a = np.array([_random_unit(rng, d) for _ in cells])
+    c = np.empty(len(cells))
+    for i, (V, A, b, _) in enumerate(cells):
+        kind = rng.integers(6)
+        if kind == 0:
+            c[i] = a[i] @ V[rng.integers(len(V))]
+        elif kind == 5:
+            c[i] = a[i] @ V[rng.integers(len(V))] + rng.choice([-1e-8, 1e-8])
+        elif kind == 1:
+            j = rng.integers(len(A))
+            a[i], c[i] = A[j], b[j]
+        elif kind == 2:
+            c[i] = rng.choice([np.inf, -np.inf])
+        elif kind == 3:
+            c[i] = a[i] @ V.mean(axis=0) + 10.0
+        else:
+            c[i] = a[i] @ (rng.dirichlet(np.ones(len(V))) @ V)
+    return a, c
+
+
 @given(
     d=st.sampled_from([2, 3]),
     flat=st.booleans(),
@@ -178,23 +203,7 @@ def test_stacked_cut_matches_the_cell_cut_alone(d, flat, size, seed):
         V, A, b, T = _random_cell(rng, d, cuts=int(rng.integers(0, 4)))
         scale, shift = 10.0 ** rng.uniform(-1, 3), rng.uniform(-100, 100, d)
         cells.append((V * scale + shift, A, b * scale + A @ shift, T))
-    a = np.array([_random_unit(rng, d) for _ in cells])
-    c = np.empty(size)
-    for i, (V, A, b, _) in enumerate(cells):
-        kind = rng.integers(6)
-        if kind == 0:
-            c[i] = a[i] @ V[rng.integers(len(V))]
-        elif kind == 5:  # a vertex just off the plane, past the tolerance
-            c[i] = a[i] @ V[rng.integers(len(V))] + rng.choice([-1e-8, 1e-8])
-        elif kind == 1:
-            j = rng.integers(len(A))
-            a[i], c[i] = A[j], b[j]
-        elif kind == 2:
-            c[i] = rng.choice([np.inf, -np.inf])
-        elif kind == 3:
-            c[i] = a[i] @ V.mean(axis=0) + 10.0
-        else:
-            c[i] = a[i] @ (rng.dirichlet(np.ones(len(V))) @ V)
+    a, c = _planes(rng, cells)
     sides = convex.split(convex.Cells.of(cells), a, c, tol, flat=flat)
     for i, cell in enumerate(cells):
         alone = convex.split(convex.Cells.of([cell]), a[i : i + 1], c[i : i + 1], tol, flat=flat)
@@ -203,6 +212,78 @@ def test_stacked_cut_matches_the_cell_cut_alone(d, flat, size, seed):
             assert len(hit) == len(one) <= 1
             if len(one):
                 assert _same_cell(stack.cell(hit[0]), one.cell(0))
+
+
+@given(
+    d=st.integers(1, 4),
+    flat=st.booleans(),
+    above=st.booleans(),
+    size=st.integers(1, 5),
+    precuts=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_bitmask_split_matches_the_boolean_split(d, flat, above, size, precuts, seed):
+    # the incidence held as one bitmask per vertex cuts every cell as the
+    # boolean incidence (oracles.split_boolean) does, bit for bit: the
+    # same vertices in the same slots, the same incidence and rows, the
+    # same sources.  The stack is cut precuts times first, without
+    # compacting, so it holds dropped vertices, dead rows and cells of
+    # different widths.
+    rng = np.random.default_rng(seed)
+    cells = []
+    for _ in range(size):
+        V, A, b, T = _random_cell(rng, d, cuts=int(rng.integers(0, 3)))
+        scale, shift = 10.0 ** rng.uniform(-1, 3), rng.uniform(-100, 100, d)
+        cells.append((V * scale + shift, A, b * scale + A @ shift, T))
+    stack = convex.Cells.of(cells)
+    tol = 1e-10 * 10.0 ** rng.uniform(0, 3, size)
+    for _ in range(precuts):
+        a, c = _planes(rng, [stack.cell(i) for i in range(len(stack))])
+        (lo, lo_src), (hi, hi_src) = convex.split(stack, a, c, tol)
+        pick = rng.integers(2)
+        stack, src = ((lo, lo_src), (hi, hi_src))[pick] if len((lo, hi)[pick]) else (lo, lo_src)
+        if not len(stack):
+            return
+        tol = tol[src]
+    a, c = _planes(rng, [stack.cell(i) for i in range(len(stack))])
+    got = convex.split(stack, a, c, tol, above=above, flat=flat)
+    want = oracles.split_boolean(stack.V, stack.A, stack.b, stack.T, stack.vm, stack.rm, a, c, tol, above, flat)
+    if not above:
+        assert got[1] is None
+    for (out, src), (V, A, b, T, vm, rm, wsrc) in zip(got, want):
+        assert np.array_equal(src, wsrc)
+        assert out.V.tobytes() == V.tobytes()
+        assert np.array_equal(out.vm, vm) and np.array_equal(out.rm, rm) and np.array_equal(out.T, T)
+        # a slot no row holds is never read
+        assert out.A[rm].tobytes() == A[rm].tobytes() and out.b[rm].tobytes() == b[rm].tobytes()
+
+
+def test_split_compacts_a_stack_whose_row_slots_are_taken():
+    # every cut takes a row slot, even one that keeps its cell whole; once
+    # all MAX_ROWS are taken the next cut compacts the stack first, and a
+    # cell gets what it gets from the cut alone
+    V, A, b, T = _box_cell(-np.ones(2), np.ones(2), 1e-12)
+    cells = convex.Cells.of([(V, A, b, T)])
+    while cells.A.shape[1] < convex.MAX_ROWS:
+        cells, _ = convex.clip(cells, np.array([1.0, 0.0]), np.inf, 1e-12)
+    assert not cells.rm[0, 4:].any()
+    a, c = np.array([1.0, 1.0]), 0.5
+    for (full, _), (alone, _) in zip(convex.split(cells, a, c, 1e-12), convex.split(convex.Cells.of([(V, A, b, T)]), a, c,
+                                                                                       1e-12)):
+        assert _same_cell(full.cell(0), alone.cell(0))
+
+
+def test_split_refuses_a_cell_with_every_row_slot_live():
+    # a polygon of MAX_ROWS edges leaves no bit for a cut's row
+    angle = 2 * np.pi * np.arange(convex.MAX_ROWS) / convex.MAX_ROWS
+    V = np.column_stack([np.cos(angle), np.sin(angle)])
+    A = np.column_stack([np.cos(angle + np.pi / convex.MAX_ROWS), np.sin(angle + np.pi / convex.MAX_ROWS)])
+    b = (V * A).sum(axis=1)
+    cells = convex.Cells.of([(V, A, b, convex.tight_rows(V, A, b, 1e-12))])
+    assert np.array_equal(cells.T.sum(axis=1), np.full((1, convex.MAX_ROWS), 2))
+    with pytest.raises(Degenerate, match="no slot"):
+        convex.split(cells, np.array([1.0, 0.0]), 0.0, 1e-12)
 
 
 def _stack_cells(cells):
@@ -447,8 +528,9 @@ def test_overlay_triangulates_only_cells_that_are_not_simplices(monkeypatch, n):
     cells = ref.pieces.cells
     assert all(not h.is_zero() for h in outs)
     assert (cells.counts() == n + 1).any() and (cells.counts() > n + 1).any()
-    assert len(stacks) == 2
-    for stack, op in zip(stacks, ("join", "meet")):
+    # join and meet of the pair are assembled together: one stack for both
+    (stack,) = stacks
+    for op in ("join", "meet"):
         kept = ref.winners[op] >= 0
         simplices = [cells.V[c, cells.vm[c]] for c in np.flatnonzero(kept & (cells.counts() == n + 1))]
         assert simplices
@@ -671,6 +753,8 @@ def test_cell_volumes_match_qhull_on_cut_stacks(d, seed, cuts, mates):
     cells.append(_simplex_cell(rng, d, 1.0, 0.0, 1e-12))
     stack = convex.Cells.of(cells)
     for _ in range(cuts):
+        if not len(stack):  # planes through different points can clip every cell away
+            break
         a = np.array([_random_unit(rng, d) for _ in range(len(stack))])
         c = (a * rng.uniform(-0.3, 0.3, (len(stack), d))).sum(axis=1)
         stack, _ = convex.clip(stack, a, c, 1e-12)

@@ -667,14 +667,21 @@ def test_overlay_results_read_back_from_their_own_json(monkeypatch):
         outputs += overlay.lattice_overlays([(f, h) for (f, _), h in zip(pairs, joins)], "meet")
     for seed in range(6):
         outputs += pf.tent_decomposition(fan_function(seed))
-    batched = overlay.lattice_overlays
+    batched, pair = overlay.lattice_overlays, overlay.lattice_overlay
 
     def recorded(pairs, op):
         out = batched(pairs, op)
         outputs.extend(out)
         return out
 
+    def recorded_pair(f, g, op):
+        out = pair(f, g, op)
+        outputs.append(out)
+        return out
+
+    # inclusion-exclusion meets in batches, the identity suite pair by pair
     monkeypatch.setattr(overlay, "lattice_overlays", recorded)
+    monkeypatch.setattr(overlay, "lattice_overlay", recorded_pair)
     inclusion_exclusion_suite(PowerKernel(1.0, 1.5), seed=0)
     dict(default_battery(1))["valuation_identity_3d"]()
     assert len(outputs) > 156 + 36 + 60
