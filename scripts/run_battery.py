@@ -4,11 +4,13 @@
 Usage: python scripts/run_battery.py [--seed N] [--out DIR]
 
 Each suite's line gives, next to its seconds, the number of hulls it
-built (calls to convex.hull, from polytopes and convex supports), of
-overlay assemblies (calls to overlay.assemble_cells, for overlay results
-and tents alike) and of batched point locations (calls to
-plfunction.evaluate_each, from overlay checks, tent checks and
-evaluation).  It ends with the SHA-256 of its JSONL bytes as `plval
+built (calls to convex.hull, from polytope builds and convex supports),
+of polytope builds that got past the hull (calls to polytope._finish;
+hulls less builds are random_polytope draws rejected on their rows, and
+convex supports), of overlay assemblies (calls to
+overlay.assemble_cells, for overlay results and tents alike) and of
+batched point locations (calls to plfunction.evaluate_each, from
+overlay checks, tent checks and evaluation).  It ends with the SHA-256 of its JSONL bytes as `plval
 verify` writes them, so two checkouts' outputs at one seed can be
 compared line by line.  summary.csv ends in each suite's wall seconds,
 as with `plval verify --timing`.
@@ -21,7 +23,7 @@ import pathlib
 import sys
 import time
 
-from plval import convex, overlay, plfunction
+from plval import convex, overlay, plfunction, polytope
 from plval.verify import default_battery, reports_to_jsonl, summarize_csv
 
 
@@ -46,6 +48,7 @@ def main() -> int:
 
     calls = collections.Counter()
     count_calls(calls, "hulls", (convex, "hull"))
+    count_calls(calls, "builds", (polytope, "_finish"))
     count_calls(calls, "assemblies", (overlay, "assemble_cells"))
     # overlay imports evaluate_each by name; plfunction calls its own
     count_calls(calls, "locates", (overlay, "evaluate_each"), (plfunction, "evaluate_each"))
@@ -59,8 +62,9 @@ def main() -> int:
         fails = sum(1 for r in reports if r.status == "fail")
         digest = hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest()
         print(
-            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %3d assemblies  %3d locates  sha256 %s"
-            % (name, len(reports), fails, wall[name], calls["hulls"], calls["assemblies"], calls["locates"], digest)
+            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %4d builds  %3d assemblies  %3d locates  sha256 %s"
+            % (name, len(reports), fails, wall[name], calls["hulls"], calls["builds"], calls["assemblies"],
+               calls["locates"], digest)
         )
         all_reports.extend(reports)
 

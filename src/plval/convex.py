@@ -23,8 +23,11 @@ Conventions used throughout:
   maximal sets (_maximal): incidence_faces() gives a polytope's from its
   points' incidence on rows that hold it, and the triangulation gives
   each face's facets the same way.  A V-form polytope becomes a cell in
-  two steps: hull() gives one row per facet and the volume, and
-  hull_incidence() applies incidence_faces() to the points on those rows.
+  two steps: hull() gives one row per facet (and the volume on demand),
+  and hull_incidence() applies incidence_faces() to the points on those
+  rows; when every row is tight at d points of its own and no point's
+  rows lie inside another's (simplex_facets), the rows and the points on
+  them are the answer already.
 * Hulls are found in numpy by brute force: a d-subset of the points
   spans a facet row when every point lies on one side of its plane
   (_facets), and hull() runs that over a candidate set grown from the
@@ -64,6 +67,10 @@ SPAN_FLOOR = 1e-12
 # otherwise; _facets works in chunks of about HULL_CHUNK subset-points.
 ONE_SHOT = 1 << 13
 HULL_CHUNK = 1 << 17
+# near_pairs compares every pair of rows at once up to NEAR_DENSE rows,
+# and sweeps a sorted projection above.
+NEAR_DENSE = 32
+_UPPER = np.triu(np.ones((NEAR_DENSE, NEAR_DENSE), dtype=bool), 1)  # the pairs i < j
 
 
 def simplex_measure(pts: np.ndarray) -> float:
@@ -109,19 +116,21 @@ def dedupe_points(pts: np.ndarray, tol, batch=None):
     order = np.lexsort(pts.T[::-1] if batch is None else (*pts.T[::-1], batch))
     label = np.empty(k, dtype=int)
     label[order] = np.arange(k)  # each point's lex rank
-    if k > 1:
-        i, j = near_pairs(pts, tol, batch)
-        # each point takes the smallest label among its pairs, then the
-        # label of the point that label ranks, until no label moves
-        while len(i):
-            low = np.minimum(label[i], label[j])
-            new = label.copy()
-            np.minimum.at(new, i, low)
-            np.minimum.at(new, j, low)
-            new = new[order[new]]
-            if np.array_equal(new, label):
-                break
-            label = new
+    i, j = near_pairs(pts, tol, batch)
+    if not len(i):
+        # no two points merge: each is its own row, in lex order
+        return pts[order], label
+    # each point takes the smallest label among its pairs, then the label
+    # of the point that label ranks, until no label moves
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[order[new]]
+        if np.array_equal(new, label):
+            break
+        label = new
     reps, mapping = np.unique(label, return_inverse=True)
     return pts[order[reps]], mapping
 
@@ -136,15 +145,37 @@ def near_pairs(pts: np.ndarray, tol, batch=None):
     the max-norm, each pair once; with batch (k,), only pairs within one
     batch b, at tol[b].
 
-    A sort-and-window sweep: the rows are sorted (by batch, then) on one
-    generic projection t = w.x.  A pair within tol has |t_i - t_j| <= tol
-    |w|_1, so each row's window takes the rows after it up to that width,
-    padded by the projection's rounding error, and every pair in a window
-    is tested exactly."""
-    k, d = pts.shape
+    Up to NEAR_DENSE rows, one (k, k) comparison of every pair
+    (_dense_pairs); above, a sort-and-window sweep (_swept_pairs).  Both
+    test every pair within tol exactly and find the same pairs, each in
+    its own orientation and order."""
+    k = len(pts)
+    if k <= NEAR_DENSE:
+        return _dense_pairs(pts, tol, batch)
     if batch is None:
         batch, tol = np.zeros(k, dtype=np.intp), [tol]
-    own = np.asarray(tol, dtype=float)[batch]
+    return _swept_pairs(pts, np.asarray(tol, dtype=float)[batch], batch)
+
+
+def _dense_pairs(pts: np.ndarray, tol, batch=None):
+    """near_pairs from the (k, k) max-norm distances: each pair i < j
+    within tol, or of one batch b within tol[b]."""
+    k = len(pts)
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2, initial=0.0)
+    if batch is None:
+        near = dist <= tol
+    else:
+        near = (dist <= np.asarray(tol, dtype=float)[batch][:, None]) & (batch[:, None] == batch[None, :])
+    return np.nonzero(near & _UPPER[:k, :k])
+
+
+def _swept_pairs(pts: np.ndarray, own: np.ndarray, batch: np.ndarray):
+    """near_pairs by a sort-and-window sweep: the rows are sorted by
+    batch, then on one generic projection t = w.x.  A pair within tol has
+    |t_i - t_j| <= tol |w|_1, so each row's window takes the rows after
+    it up to that width, padded by the projection's rounding error, and
+    every pair in a window is tested exactly."""
+    k, d = pts.shape
     w = 1.0 / np.sqrt(np.arange(d) + 1.5)
     t = (pts * w).sum(axis=1)
     slack = 8 * (d + 2) * np.finfo(float).eps * float(np.abs(pts).max(initial=0.0))
@@ -515,7 +546,9 @@ def hull(points: np.ndarray):
     dimension: unit outward rows A x <= b, one per facet (rows whose
     tight points agree are one row; a facet whose points are coplanar
     only to within the tolerance may still give several, see
-    hull_incidence), and the hull's volume.
+    hull_incidence), and a function of no arguments that gives the
+    hull's volume, so that a caller who needs only the rows does not
+    pay for it.
 
     The points are centred on their mean and divided by their largest
     coordinate offset from it.  Few points take every d-subset at once
@@ -530,7 +563,7 @@ def hull(points: np.ndarray):
         lo, hi = float(points.min()), float(points.max())
         if hi == lo:
             raise Degenerate("all points coincide")
-        return np.array([[-1.0], [1.0]]), np.array([-lo, hi]), hi - lo
+        return np.array([[-1.0], [1.0]]), np.array([-lo, hi]), lambda: hi - lo
     center = points.mean(axis=0)
     X = points - center
     scale = float(np.abs(X).max())
@@ -551,8 +584,12 @@ def hull(points: np.ndarray):
         if not out.any():
             break
         cand = np.union1d(cand, far[out])
-    vol = float(_facet_volumes(X[cand][None], None, np.zeros(len(A), dtype=np.intp), A, b, T, norm)[0])
-    return A, b * scale + (A * center).sum(axis=1), vol * scale**d
+
+    def volume() -> float:
+        vol = float(_facet_volumes(X[cand][None], None, np.zeros(len(A), dtype=np.intp), A, b, T, norm)[0])
+        return vol * scale**d
+
+    return A, b * scale + (A * center).sum(axis=1), volume
 
 
 def _seeds(X: np.ndarray) -> np.ndarray:
@@ -659,7 +696,10 @@ def _facets(P: np.ndarray, vm=None, tol: float = HULL_TOL):
     B, k, d = P.shape
     if vm is None:
         S = _subsets(k, d)
-        own, sub = np.repeat(np.arange(B), len(S)), np.tile(S, (B, 1))
+        if B == 1:
+            own, sub = np.zeros(len(S), dtype=np.intp), S
+        else:
+            own, sub = np.repeat(np.arange(B), len(S)), np.tile(S, (B, 1))
     else:
         own, sub = _subset_pairs(vm, d)
     C = P.transpose(2, 0, 1)  # (d, B, k)
@@ -836,6 +876,26 @@ def hull_incidence(points: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float)
     return vert, A[facet], b[facet], T[vert][:, facet]
 
 
+def simplex_facets(T: np.ndarray, d: int) -> bool:
+    """Whether the hull rows of a point set in R^d, with its points'
+    incidence T (k, r) on them, are all simplex facets whose points are
+    all vertices, as incidence_faces reads them off T: each row is tight
+    at exactly d points and no two rows at the same ones, so no row's
+    points lie inside another's and every row is a facet; and no point on
+    a row lies on a subset of another point's rows, so every such point
+    is a vertex.  hull_incidence's answer is then the rows and the points
+    on them, found with two small overlap products and not _maximal's."""
+    F = T.astype(float)
+    rows = F.T @ F  # points two rows share: d on the diagonal alone
+    if (rows.diagonal() != d).any() or np.count_nonzero(rows == d) != T.shape[1]:
+        return False
+    # rows two points share: a point on some row matches its own count
+    # only on the diagonal, and a point on none matches every point
+    pts = F @ F.T
+    k, on = len(T), np.count_nonzero(pts.diagonal())
+    return bool(np.count_nonzero(pts == pts.diagonal()[:, None]) == on + (k - on) * k)
+
+
 # ---------------------------------------------------------------------------
 # Pulling triangulation
 # ---------------------------------------------------------------------------
@@ -948,11 +1008,7 @@ def pulling_triangulation(points: np.ndarray, idx, mask, incidence, dim: int, to
     i = np.flatnonzero(n == 2)
     if len(i):
         E = idx[cell[i]][face[i]].reshape(-1, 2)
-        p, q = points[E[:, 0]], points[E[:, 1]]
-        e = q - p
-        length = np.sqrt((e * e).sum(axis=1))
-        reach = np.maximum(np.abs((p * e).sum(axis=1)), np.abs((q * e).sum(axis=1)))
-        ok = (length > 0.0) & (length > tol * np.maximum(1.0, reach / np.where(length > 0.0, length, 1.0)))
+        ok = _long_edges(points[E[:, 0]], points[E[:, 1]], tol)
         out.append((np.hstack([apex[i[ok]], E[ok]]), cell[i[ok]], key[i[ok]] * base))
     for i in np.flatnonzero(n > 2):
         ids = idx[cell[i]][face[i]]
@@ -979,17 +1035,31 @@ def simplex_floor(spread, dim: int, tol: float = EPS):
     return (tol * spread) ** dim / math.factorial(dim)
 
 
+def _long_edges(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """Which edges (p[i], q[i]) pulling_triangulation keeps: those whose
+    length clears tol times the larger of 1 and their ends' reach along
+    the edge from the origin."""
+    e = q - p
+    length = np.sqrt((e * e).sum(axis=1))
+    reach = np.maximum(np.abs((p * e).sum(axis=1)), np.abs((q * e).sum(axis=1)))
+    return (length > 0.0) & (length > tol * np.maximum(1.0, reach / np.where(length > 0.0, length, 1.0)))
+
+
 def simplex_cells(points: np.ndarray, S: np.ndarray, tol: float = EPS):
-    """The cells points[S] (m, dim+1), dim >= 2, that are simplices
-    already, as pulling_triangulation gives them: (S, keep) with each row
-    sorted, and keep False where the row repeats a vertex or its measure
-    is at or below the floor."""
+    """The cells points[S] (m, dim+1), dim >= 1, that are simplices
+    already, as pulling_triangulation gives them: (S, keep, measure) with
+    each row sorted, keep False where the row repeats a vertex or falls
+    below pulling_triangulation's floor (an edge its length test, a
+    higher simplex its measure floor), and each row's simplex_measures."""
     S = np.sort(S, axis=1)
     dim = S.shape[1] - 1
+    keep = (S[:, 1:] != S[:, :-1]).all(axis=1)
+    measure = simplex_measures(points, S)
+    if dim == 1:
+        return S, keep & _long_edges(points[S[:, 0]], points[S[:, 1]], tol), measure
     pts = points[S]
     spread = (pts.max(axis=1) - pts.min(axis=1)).max(axis=1)
-    keep = (S[:, 1:] != S[:, :-1]).all(axis=1)
-    return S, keep & (simplex_measures(points, S) > simplex_floor(spread, dim, tol))
+    return S, keep & (measure > simplex_floor(spread, dim, tol)), measure
 
 
 # ---------------------------------------------------------------------------

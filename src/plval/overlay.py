@@ -611,7 +611,7 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     owner = np.concatenate([oi, K + np.arange(G)])[tri]
     keep = out_cell[owner]
     si = np.flatnonzero(simplex & out_cell[:K])
-    S_si, ok = convex.simplex_cells(table, idx[si][vm[si]].reshape(-1, dim + 1))
+    S_si, ok, _ = convex.simplex_cells(table, idx[si][vm[si]].reshape(-1, dim + 1))
     S = np.concatenate([S_si[ok], S[keep]])
     cells_of = np.concatenate([si[ok], owner[keep]])
     svols = convex.simplex_measures(table, S)

@@ -134,10 +134,10 @@ class SimplicialComplex:
             return None
         vol = float(self.simplex_volumes().sum())
         try:
-            A, b, hull_vol = convex.hull(self.vertices[np.unique(self.index_array())])
+            A, b, hull_volume = convex.hull(self.vertices[np.unique(self.index_array())])
         except Degenerate:
             return None
-        if abs(hull_vol - vol) > COVER_TOL * vol:
+        if abs(hull_volume() - vol) > COVER_TOL * vol:
             return None
         return A, b
 

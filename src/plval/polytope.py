@@ -4,13 +4,17 @@ A Polytope stores its extreme points together with the facet data
 (unit outward normal, support value, incident vertices, facet measure)
 and the facets' triangulation needed by the cone-function and valuation
 machinery. Construction is one convex.hull call (numpy brute force,
-one row per facet) whose rows and points are cut down to facets and
-vertices by their incidence (convex.hull_incidence), and one stacked
-triangulation of the facets; all orderings are canonicalized so
-identical inputs produce identical objects. dilate(P, lam) gives lam P
-without a hull, scaling P's data and
-keeping its facets and triangulation, and random_polytope rejects a draw
-on its hull's rows before the rest of the build.
+one row per facet; the hull's volume is not asked for).
+When every row is a simplex facet (convex.simplex_facets), the rows are
+the facets, the points on them the vertices, and each facet is its own
+triangulation (convex.simplex_cells); otherwise the rows and points are
+cut down to facets and vertices by their incidence
+(convex.hull_incidence) and the facets triangulated in one stack.  The
+two paths give the same polytope bit for bit.  All orderings are
+canonicalized so identical inputs produce identical objects.
+dilate(P, lam) gives lam P without a hull, scaling P's data and keeping
+its facets and triangulation, and random_polytope rejects a draw on its
+hull's rows before the rest of the build.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ def _hull(points: np.ndarray):
     if rank < n or spread == 0.0:
         raise Degenerate("points span only %d of %d dimensions" % (rank, n))
 
-    scale = float(np.max(np.abs(points)))
+    scale = float(np.abs(points).max())
     pts, _ = convex.dedupe_points(points, EPS * max(scale, 1.0))
     A, b, _ = convex.hull(pts)
     return pts, A, b, scale
@@ -111,39 +115,56 @@ def _origin_interior(offsets: np.ndarray, scale: float, required: bool) -> bool:
 
 def _finish(pts: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, require_origin_interior: bool) -> Polytope:
     """The rest of a build from the hull step's output: incidence,
-    canonical orders, the origin rule, and the facets' triangulation."""
+    canonical orders, the origin rule, and the facets' triangulation.
+    The points come deduped, in lex order, so the vertices keep theirs.
+
+    When the hull rows are simplex facets (convex.simplex_facets) they
+    are the facets, the points on them the vertices, and each facet is
+    its own triangulation, kept or dropped by the rule the triangulation
+    applies to a cell that is a simplex already (convex.simplex_cells);
+    other hulls take the general path, hull_incidence and the stacked
+    pulling triangulation.  Both give the same polytope bit for bit."""
     n = pts.shape[1]
-    tol = 10 * EPS * float(np.max(np.abs(pts - pts.mean(axis=0))))
-    vert, normals, offsets, on = convex.hull_incidence(pts, A, b, tol)
-    vorder = np.lexsort(pts[vert].T[::-1])
-    verts = pts[vert[vorder]]
+    tol = 10 * EPS * float(np.abs(pts - pts.mean(axis=0)).max())
+    T = convex.tight_rows(pts, A, b, tol)
+    simple = convex.simplex_facets(T, n)
+    if simple:
+        vert = T.any(axis=1).nonzero()[0]
+        normals, offsets, on = A, b, T[vert]
+    else:
+        vert, normals, offsets, on = convex.hull_incidence(pts, A, b, tol)
+    verts = pts[vert]
     verts.setflags(write=False)
-    key = np.hstack([np.round(normals, 9), np.round(offsets[:, None], 9)])
+    key = np.concatenate([normals, offsets[:, None]], axis=1).round(9)
     forder = np.lexsort(key.T[::-1])
-    normals, offsets, on = normals[forder], offsets[forder], on[vorder][:, forder]
-    incidences = [np.flatnonzero(col) for col in on.T]
+    normals, offsets, on = normals[forder], offsets[forder], on[:, forder]
 
     origin_interior = _origin_interior(offsets, scale, require_origin_interior)
 
+    if simple:
+        S = np.nonzero(on.T)[1].reshape(-1, n)  # facet j's vertices, in order
+        incidences = S.tolist()
+    else:
+        incidences = [np.flatnonzero(col).tolist() for col in on.T]
     if n == 1:
         S = np.array([inc[:1] for inc in incidences])
         measures = np.ones(len(incidences))
+    elif simple:
+        # each facet is its own simplex, kept as the triangulation keeps a
+        # cell that is a simplex already, and measured as one
+        S, keep, measures = convex.simplex_cells(verts, S)
+        S, measures = S[keep], np.where(keep, measures, 0.0)
     else:
         # all facets triangulated in one stack; each measure is its
         # simplices' sum, in order
         S, facet = convex.pulling_triangulation(verts, *_facet_stack(on), n - 1)
         measures = np.bincount(facet, weights=convex.simplex_measures(verts, S), minlength=len(incidences))
     S.setflags(write=False)
-    facets = [
-        Facet(
-            normal=tuple(float(x) for x in u),
-            support=float(off),
-            vertices=tuple(int(i) for i in inc),
-            measure=float(measure),
-        )
-        for u, off, inc, measure in zip(normals, offsets, incidences, measures)
-    ]
-    return Polytope(dim=n, vertices=verts, facets=tuple(facets), origin_interior=origin_interior, facet_simplices=S)
+    facets = tuple(
+        Facet(normal=tuple(u), support=off, vertices=tuple(inc), measure=measure)
+        for u, off, inc, measure in zip(normals.tolist(), offsets.tolist(), incidences, measures.tolist())
+    )
+    return Polytope(dim=n, vertices=verts, facets=facets, origin_interior=origin_interior, facet_simplices=S)
 
 
 def _build(points: np.ndarray, require_origin_interior: bool) -> Polytope:

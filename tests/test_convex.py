@@ -14,7 +14,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 from plval import convex
 from plval import plfunction as pf
 from plval import polytope as pt
-from plval.errors import Degenerate, InvalidComplex
+from plval.errors import Degenerate, InvalidComplex, PLValError
 from plval.verify import random_cone_function, random_fan_function
 
 import oracles
@@ -705,17 +705,17 @@ def test_hull_rows_and_volume_match_qhull(P):
     # no two rows have one tight set
     d = P.shape[1]
     try:
-        A, b, vol = convex.hull(P)
+        A, b, volume = convex.hull(P)
     except Degenerate:
         assert np.linalg.matrix_rank(P[1:] - P[0]) < d
         return
     assert np.allclose((A * A).sum(axis=1), 1.0, rtol=0, atol=1e-14)
     assert (P @ A.T - b).max() <= 1e-12
     if d == 1:
-        assert vol == P.max() - P.min()
+        assert volume() == P.max() - P.min()
         return
     qh = ConvexHull(P)
-    assert vol == pytest.approx(qh.volume, rel=1e-12)
+    assert volume() == pytest.approx(qh.volume, rel=1e-12)
     tight = np.abs(P @ A.T - b) <= 1e-9
     assert len({tuple(col) for col in tight.T}) == len(A)
     vert, _, _, _ = convex.hull_incidence(P, A, b, 1e-9)
@@ -723,6 +723,136 @@ def test_hull_rows_and_volume_match_qhull(P):
     # each row is one of qhull's facet planes
     for a, h in zip(A, b):
         assert np.min(np.abs(qh.equations[:, :d] - a).max(axis=1) + np.abs(-qh.equations[:, d] - h)) <= 1e-9
+
+
+@st.composite
+def _build_sets(draw):
+    """_point_sets with up to two near-duplicates of its points, each
+    moved by 1e-12 to 1e-6 of the spread, and up to two points within
+    twice a build's incidence tolerance of a hull row, on either side."""
+    P = draw(_point_sets())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d = P.shape
+    spread = float(np.abs(P - P.mean(axis=0)).max())
+    near = draw(st.integers(0, 2))
+    moves = rng.uniform(-1.0, 1.0, (near, d)) * spread * 10.0 ** rng.uniform(-12.0, -6.0, (near, 1))
+    P = np.vstack([P, P[rng.integers(0, k, near)] + moves])
+    planes = draw(st.integers(0, 2))
+    if planes:
+        try:
+            A, b, _ = convex.hull(P)
+        except Degenerate:
+            return P
+        tol = 10 * convex.EPS * spread  # the build's incidence tolerance
+        for j in rng.integers(0, len(A), planes):
+            on = P[np.abs(P @ A[j] - b[j]) <= tol]
+            x = rng.dirichlet(np.ones(len(on))) @ on + A[j] * rng.uniform(-2.0, 2.0) * tol
+            P = np.vstack([P, x])
+    return P[rng.permutation(len(P))]
+
+
+def _built(P):
+    """Everything a build gives for P, or the type of error it raises."""
+    try:
+        Q = pt._build(P, require_origin_interior=False)
+    except PLValError as e:
+        return type(e)
+    S = Q.facet_simplices
+    return Q.vertices.tobytes(), Q.vertices.shape, Q.facets, S.tobytes(), S.shape, S.dtype, Q.origin_interior
+
+
+@settings(max_examples=300, deadline=None)
+@given(_build_sets())
+@example(_cube_with_extras())
+@example(np.vstack([pt.cube(3).vertices, [[1.0, 0.2, 0.3 + 1.5e-8]]]))
+def test_simplex_facet_builds_match_the_general_path(P):
+    # a build whose hull rows are simplex facets reads its facets and
+    # vertices off the rows and keeps each facet as its own simplex; the
+    # general path (hull_incidence and the stacked pulling triangulation)
+    # gives the same polytope, bit for bit, or the same error
+    fast = _built(P)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convex, "simplex_facets", lambda T, d: False)
+        general = _built(P)
+    assert fast == general
+    if not isinstance(fast, type):
+        # the vertices are in lex order
+        V = np.frombuffer(fast[0]).reshape(fast[1])
+        assert np.array_equal(np.lexsort(V.T[::-1]), np.arange(len(V)))
+
+
+def test_only_hulls_with_simplex_facets_skip_the_incidence(monkeypatch):
+    # random draws on the sphere are simplicial: no incidence pass and no
+    # triangulation; a cube, or a point inside a facet or near a
+    # neighbour, takes the general path
+    general = []
+    incidence = convex.hull_incidence
+
+    def counted(*args):
+        general.append(1)
+        return incidence(*args)
+
+    monkeypatch.setattr(convex, "hull_incidence", counted)
+    for n in (2, 3, 4):
+        for seed in range(10):
+            pt.random_polytope(seed, n, n + 4)
+    assert general == []
+    pt.cube(3)
+    pt.hull_from_points(np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0], [0.0, -1.0]]))
+    # two points 1.2e-7 apart, beyond the dedupe and incidence tolerances:
+    # one of them lies on a subset of the other's rows, so not every
+    # point on a row is a vertex
+    rng = np.random.default_rng(6)
+    P = rng.normal(size=(int(rng.integers(4, 10)), 3))
+    P /= np.linalg.norm(P, axis=1)[:, None]
+    P = np.vstack([P, P[:2] + rng.uniform(-1.0, 1.0, (2, 3)) * 10 ** rng.uniform(-12, -6)])
+    pt._build(P, require_origin_interior=False)
+    assert general == [1, 1, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 8), r=st.integers(1, 8), d=st.integers(1, 3), fill=st.floats(0.1, 0.9),
+       exact=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_simplex_facets_is_what_incidence_faces_reads(k, r, d, fill, exact, seed):
+    # on any incidence, random or with d points on every row: every row
+    # is a facet of d points and the vertices are the points on the rows,
+    # exactly when simplex_facets says so
+    rng = np.random.default_rng(seed)
+    T = rng.random((k, r)) < fill
+    if exact and d <= k:
+        T = np.zeros((k, r), dtype=bool)
+        for j in range(r):
+            T[rng.choice(k, d, replace=False), j] = True
+    vert, facet = convex.incidence_faces(T)
+    want = bool((T.sum(axis=0) == d).all() and facet.all() and np.array_equal(vert, T.any(axis=1)))
+    assert convex.simplex_facets(T, d) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    k=st.integers(1, convex.NEAR_DENSE),
+    step=st.sampled_from([0.25, 0.1, 1e-12, 3.0]),
+    shift=st.sampled_from([0.0, 1.0, -250.0, 1e6]),
+    tols=st.lists(st.sampled_from([1e-12, 0.1, 0.25, 0.5, 3.0]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_pairs_match_the_sweep(d, k, step, shift, tols, seed):
+    # below NEAR_DENSE rows near_pairs compares every pair at once: the
+    # same pairs as the sweep, alone and in batches, each once
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-3, 4, size=(k, d)) * step + shift
+    tols = np.array(tols) * step
+    batch = rng.integers(0, len(tols), k)
+
+    def pairs(i, j):
+        got = [tuple(sorted(p)) for p in zip(i.tolist(), j.tolist())]
+        assert len(got) == len(set(got))
+        return set(got)
+
+    one = np.zeros(k, dtype=np.intp)
+    assert pairs(*convex._dense_pairs(pts, tols[0])) == pairs(*convex._swept_pairs(pts, tols[one], one))
+    assert pairs(*convex._dense_pairs(pts, tols, batch)) == pairs(*convex._swept_pairs(pts, tols[batch], batch))
 
 
 def test_hull_grows_candidates_on_many_points():
@@ -733,9 +863,9 @@ def test_hull_grows_candidates_on_many_points():
     sphere /= np.linalg.norm(sphere, axis=1)[:, None]
     for P in (rng.normal(size=(60, 3)), rng.normal(size=(151, 3)), rng.normal(size=(80, 2)), sphere):
         assert math.comb(len(P), P.shape[1]) * len(P) > convex.ONE_SHOT
-        A, b, vol = convex.hull(P)
+        A, b, volume = convex.hull(P)
         qh = ConvexHull(P)
-        assert vol == pytest.approx(qh.volume, rel=1e-12)
+        assert volume() == pytest.approx(qh.volume, rel=1e-12)
         assert (P @ A.T - b).max() <= 1e-12
         assert len(A) == len(qh.equations)
 

@@ -272,6 +272,27 @@ def test_dilate_raises_where_a_rebuild_raises(lam):
         [f.support for f in D.facets], [f.support for f in R.facets], rtol=1e-14, atol=1e-14 * R.scale())
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("s", [1e-12, 1e-10, 1e-8])
+def test_a_tiny_cube_builds_right_or_raises(n, s):
+    # a tiny polytope raises a typed error or builds as dilate scales the
+    # unit one: never a wrong number.  Below about 1e-9 the dedupe's floor
+    # at 1 merges every point ("all points coincide")
+    C = pt.cube(n)
+    try:
+        P = pt.hull_from_points(C.vertices * s)
+    except PLValError:
+        return
+    D = pt.dilate(C, s)
+    assert len(P.vertices) == 2**n
+    assert pt.volume(P) == pytest.approx((2 * s) ** n, rel=1e-12, abs=0.0)
+    assert P.vertices.tobytes() == D.vertices.tobytes()
+    assert P.facet_simplices.tobytes() == D.facet_simplices.tobytes()
+    assert [(f.normal, f.vertices) for f in P.facets] == [(f.normal, f.vertices) for f in D.facets]
+    np.testing.assert_allclose([f.support for f in P.facets], [f.support for f in D.facets], rtol=1e-12)
+    np.testing.assert_allclose([f.measure for f in P.facets], [f.measure for f in D.facets], rtol=1e-12)
+
+
 def test_dilate_keeps_the_origin_rule_of_a_translate(square):
     with pytest.raises(OriginNotInterior):
         pt.dilate(pt.translate(square, [1.5, 0.0]), 2.0)
@@ -298,14 +319,11 @@ def _counted(monkeypatch, module, name):
 @pytest.mark.parametrize("seed,n,k,draws", [(13, 2, 6, 2), (4, 2, 6, 3), (6, 3, 7, 5)])
 def test_random_polytope_rejects_a_draw_on_its_hull_rows(monkeypatch, counted_hulls, seed, n, k, draws):
     # each draw before the accepted one is rejected on clearance after its
-    # one hull call, and never reaches the incidence or triangulation
-    from plval import convex
-
-    incidence = _counted(monkeypatch, convex, "hull_incidence")
-    triangulation = _counted(monkeypatch, convex, "pulling_triangulation")
+    # one hull call, and never reaches the rest of the build
+    finished = _counted(monkeypatch, pt, "_finish")
     P = pt.random_polytope(seed, n, k)
     assert len(counted_hulls) == draws
-    assert len(incidence) == 1 and len(triangulation) == 1
+    assert len(finished) == 1
     assert min(f.support for f in P.facets) > pt.MIN_INTERIOR_CLEARANCE
 
 
