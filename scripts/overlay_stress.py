@@ -5,7 +5,7 @@ For each seed it prints the suite's status (pass, the failed cases, or the
 error raised), its worst relative residual |z(f) - sum over tent subsets|,
 the worst cover-balance residual over the pairs the suite overlaid:
 |covered volume - (vol supp f + vol supp g)| divided by that sum, which
-the overlay requires to stay within COVER_TOL (a batch that fails the
+the overlay requires to stay within COVER_TOL (a pair that fails the
 balance counts too), the number of pairs overlaid and of batched overlay
 calls (overlay.lattice_overlays) with the simplices they returned in
 total, so that output growing more fragmented shows in the log, the
@@ -14,12 +14,11 @@ supports), the merge groups the assembly tested and merged
 (overlay._merges), the hull kernels run inside the assembly (calls to
 convex.hull and to convex._facets, the brute-force facet pass under
 both convex.hull and the cell volumes of convex.volumes; there must be
-none), and where the time went: the seconds spent refining batches of
-pairs (overlay._refine, the cutting) and assembling cells into functions
-(overlay.assemble_cells, for the overlays' results and the tents alike),
-each in total and per batch (a refinement the memo returns again is
-not counted), with the number of stacked cuts
-(convex.split calls) made inside the refinements.  Every overlay result
+none), and where the time went: the seconds spent cutting batches of pairs
+against each other (overlay._pieces_pairwise) and assembling cells into
+functions (overlay.assemble_cells, for the overlays' results and the
+tents alike), each in total and per batch, with the number of stacked
+cuts (convex.split calls) made inside the cutting.  Every overlay result
 is also written as JSON and read back (plfunction.from_json_dict), and
 the log gives how many read back to the same bytes; a result refused or
 changed on the way fails its seed.  It exits 1 if any seed fails or
@@ -29,7 +28,6 @@ Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -55,29 +53,26 @@ def main() -> int:
 
     worst = [0.0]
     calls = [0, 0, 0]  # pairs overlaid, batched overlay calls, simplices returned
-    seconds = {"refine": 0.0, "assemble": 0.0}
-    batches = {"refine": 0, "assemble": 0}
-    cuts = [0, 0]  # convex.split calls, those made inside overlay._refine
-    # the undecorated refinement, so a batch is timed and counted only
-    # when it is computed, not when the memo returns it
-    refine, assemble, check_cover = overlay._refine.__wrapped__, overlay.assemble_cells, overlay._check_cover
+    seconds = {"cut": 0.0, "assemble": 0.0}
+    batches = {"cut": 0, "assemble": 0}
+    splits = [0, 0]  # convex.split calls, those made inside overlay._pieces_pairwise
+    cut, assemble, cover_failures = overlay._pieces_pairwise, overlay.assemble_cells, overlay._cover_failures
     lattice_overlays = overlay.lattice_overlays
     split, hull = convex.split, convex.hull
 
-    def timed_refine(pairs):
-        t0, before = time.perf_counter(), cuts[0]
+    def timed_cut(mesh):
+        t0, before = time.perf_counter(), splits[0]
         try:
-            return refine(pairs)
+            return cut(mesh)
         finally:
-            seconds["refine"] += time.perf_counter() - t0
-            batches["refine"] += 1
-            cuts[1] += cuts[0] - before
+            seconds["cut"] += time.perf_counter() - t0
+            batches["cut"] += 1
+            splits[1] += splits[0] - before
 
-    def recorded_check_cover(pieces, supp):
-        # recorded before the check can raise, so a failing batch counts
+    def recorded_cover_failures(pieces, supp):
         residual = np.abs(overlay._cover(pieces, len(supp)) - supp) / supp
         worst[0] = max(worst[0], float(residual.max(initial=0.0)))
-        check_cover(pieces, supp)
+        return cover_failures(pieces, supp)
 
     assembling = [False]
 
@@ -110,7 +105,7 @@ def main() -> int:
         return out
 
     def counted_split(*args, **kwargs):
-        cuts[0] += 1
+        splits[0] += 1
         return split(*args, **kwargs)
 
     hulls = [0, 0]  # convex.hull calls, hulls built inside the assembly
@@ -132,9 +127,9 @@ def main() -> int:
         return out
 
     merges, facets = overlay._merges, convex._facets
-    overlay._refine, overlay.assemble_cells = functools.lru_cache(maxsize=1)(timed_refine), timed_assemble
+    overlay._pieces_pairwise, overlay.assemble_cells = timed_cut, timed_assemble
     overlay.lattice_overlays = counted_overlays
-    overlay._check_cover = recorded_check_cover
+    overlay._cover_failures = recorded_cover_failures
     overlay._merges = counted_merges
     convex.split, convex.hull = counted_split, counted_hull
     convex._facets = counted_facets
@@ -142,9 +137,9 @@ def main() -> int:
     for seed in args.seeds:
         worst[0] = 0.0
         calls[:] = [0, 0, 0]
-        seconds.update(refine=0.0, assemble=0.0)
-        batches.update(refine=0, assemble=0)
-        cuts[:] = [0, 0]
+        seconds.update(cut=0.0, assemble=0.0)
+        batches.update(cut=0, assemble=0)
+        splits[:] = [0, 0]
         hulls[:] = [0, 0]
         groups[:] = [0, 0]
         trips[:] = [0, 0]
@@ -164,9 +159,9 @@ def main() -> int:
         print(
             "seed %3d  %-12s residual %.2e  worst cover residual %.2e  %3d overlays in %2d batches -> %5d simplices"
             "  %4d hulls  %4d groups -> %4d merged  %d assembly hulls  %3d of %3d read back"
-            "  refine %.3f s (%.4f s/batch, %4d cuts)  assemble %.3f s (%.4f s/batch)  %5.1f s"
+            "  cut %.3f s (%.4f s/batch, %4d splits)  assemble %.3f s (%.4f s/batch)  %5.1f s"
             % (seed, status, residual, worst[0], calls[0], calls[1], calls[2], hulls[0], groups[0], groups[1],
-               hulls[1], trips[1], sum(trips), seconds["refine"], per["refine"], cuts[1], seconds["assemble"],
+               hulls[1], trips[1], sum(trips), seconds["cut"], per["cut"], splits[1], seconds["assemble"],
                per["assemble"], time.perf_counter() - t0),
             flush=True,
         )

@@ -7,7 +7,8 @@ Each suite's line gives, next to its seconds, the number of hulls it
 built (calls to convex.hull, from polytope builds and convex supports),
 of polytope builds that got past the hull (calls to polytope._finish;
 hulls less builds are random_polytope draws rejected on their rows, and
-convex supports), of overlay assemblies (calls to
+convex supports), of overlay cuts (calls to overlay._pieces_pairwise,
+one per batch of pairs), of overlay assemblies (calls to
 overlay.assemble_cells, for overlay results and tents alike) and of
 batched point locations (calls to plfunction.evaluate_each, from
 overlay checks, tent checks and evaluation).  It ends with the SHA-256 of its JSONL bytes as `plval
@@ -49,6 +50,7 @@ def main() -> int:
     calls = collections.Counter()
     count_calls(calls, "hulls", (convex, "hull"))
     count_calls(calls, "builds", (polytope, "_finish"))
+    count_calls(calls, "cuts", (overlay, "_pieces_pairwise"))
     count_calls(calls, "assemblies", (overlay, "assemble_cells"))
     # overlay imports evaluate_each by name; plfunction calls its own
     count_calls(calls, "locates", (overlay, "evaluate_each"), (plfunction, "evaluate_each"))
@@ -62,9 +64,9 @@ def main() -> int:
         fails = sum(1 for r in reports if r.status == "fail")
         digest = hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest()
         print(
-            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %4d builds  %3d assemblies  %3d locates  sha256 %s"
-            % (name, len(reports), fails, wall[name], calls["hulls"], calls["builds"], calls["assemblies"],
-               calls["locates"], digest)
+            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %4d builds  %3d cuts  %3d assemblies  %3d locates  sha256 %s"
+            % (name, len(reports), fails, wall[name], calls["hulls"], calls["builds"], calls["cuts"],
+               calls["assemblies"], calls["locates"], digest)
         )
         all_reports.extend(reports)
 

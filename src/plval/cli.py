@@ -49,6 +49,13 @@ def _tolerance(text: str) -> float:
     return x
 
 
+def _dimension(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %r" % text)
+    return n
+
+
 def _parse_q_list(text: str) -> tuple:
     return tuple(_finite(x) for x in text.split(",") if x.strip())
 
@@ -224,14 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--output")
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=_dimension)
     sp.add_argument("--s-grid", dest="s_grid", type=_parse_s_grid, help="profile grid start:stop:step")
 
     sp = sub.add_parser("recover", help="recover a kernel from a profile CSV")
     sp.set_defaults(command=cmd_recover)
     sp.add_argument("--input", required=True)
     sp.add_argument("--output")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_dimension, required=True)
     sp.add_argument("--p", type=_finite)
 
     sp = sub.add_parser("verify", help="run verification suites")

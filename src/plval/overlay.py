@@ -44,48 +44,39 @@ plfunction.tent_decomposition.  A vertex shared by several pieces takes
 its value from the least steep of them, whose value a small error in the
 vertex's position moves least (a tent's wedges are steep).  Simplices at
 or below the degenerate-measure floor are dropped, so every output
-simplex is nondegenerate.  Before a result is returned it
-is checked, each check raising OverlayFailure: by volume, the cells
-cover supp f and supp g exactly (cells both functions cover counted
-twice, before any merging; once per pair) and each kept or merged
-cell's simplices fill it; simplices sharing a vertex agree on its value;
-and the output agrees with the pointwise max/min at sample points.
+simplex is nondegenerate.  Each result is checked, and a check it fails
+gives an OverlayFailure in its place: by volume, the cells cover supp f
+and supp g exactly (cells both functions cover counted twice, before any
+merging; once per pair, and a pair that fails is not assembled), each
+kept or merged cell's simplices fill it, and simplices sharing a vertex
+agree on its value (assemble_cells, the fill check first); and the
+output agrees with the pointwise max/min at sample points.
 
-Pairs are overlaid in batches (lattice_overlays; lattice_overlay is a
-batch of one).  A batch's simplices are laid out pair by pair in one
-_Mesh, and every stage above runs once over all of them: near pairs are
-taken only between the simplices of one pair, the cuts of all pairs share
-each stacked convex.split, and one assemble_cells builds every pair's
+Pairs are overlaid in batches by overlays(pairs, ops), which keeps no
+state.  A batch's simplices are laid out pair by pair in one _Mesh, and
+every stage above runs once over all of them: near pairs are taken only
+between the simplices of one pair, the cuts of all pairs share each
+stacked convex.split, one assemble_cells builds every op of every pair
+(op i's pair k as its batch i B + k), and one stacked pass
+(plfunction.evaluate_each) locates the sample points of every f, g and
 result.  What depends on a pair stays the pair's own: its tolerance
 scale (split takes one tolerance per cell), its convex supports, its
 cover balance, its vertex snap and row dedupe (convex.dedupe_points
 keeps batches apart), its degenerate floor and its fill and value
 checks, and its 128 sample points, the same draws from
-default_rng(424242) spread over the pair's own box.  The sampled check
-locates the points of every f, g and result in one stacked pass
-(plfunction.evaluate_each).  So a pair's result is byte-identical alone
-and in any batch, in any order; an OverlayFailure of any pair fails its
-batch.  Inclusion-exclusion meets all subsets of one size in one batch,
-and tent_decomposition builds a round's tents in one.
+default_rng(424242) spread over the pair's own box.  So each (op, pair)
+result or failure is byte-identical alone and in any batch, in any
+order, next to any failing pair.
 
-Join and meet of one batch cut the same cells and differ only in which
-piece wins each one.  So the op-independent half (the cells, both
-winners, the support volumes and the sample points) is memoised for the
-last batch overlaid, keyed on the tuple of pairs, each pair by its two
-functions' identities, and the results built for that batch are kept
-with it.  The pair API (lattice_overlay, and so plfunction.join and
-meet) serves callers that want both ops, as the valuation identity does:
-it builds join and meet in one assemble_cells call (join as batches
-0..B-1, meet as B..2B-1) and checks both in one evaluate_each with f and
-g, so a meet of f and g right after their join, or the other way round,
-is a memo hit.  lattice_overlays builds only the op it is asked for
-(inclusion-exclusion wants meets alone); the other op of the same batch
-right after still cuts nothing.  Failures stay per op: an op whose
-results fail the sampled check raises its own OverlayFailure, and a
-joint assembly that raises is redone op by op, so each op raises exactly
-when, and with the message, it does built alone.  A PLFunction's arrays
-are write-protected, so a hit is never stale, and the memo keeps at most
-one batch and its results alive.
+lattice_overlays(pairs, op) raises the first failing pair's failure;
+inclusion-exclusion meets all subsets of one size in one call, the
+identity suites join and meet all their pairs in one overlays call, and
+tent_decomposition builds a round's tents in one assemble_cells.  The
+pair API (lattice_overlay, and so plfunction.join and meet) builds join
+and meet of its pair together and keeps them for the last pair asked
+(_pair), so a meet of f and g right after their join, or the other way
+round, cuts nothing.  A PLFunction's arrays are write-protected, so a
+kept result is never stale.
 """
 
 from __future__ import annotations
@@ -405,13 +396,14 @@ def _cover(pieces: _Pieces, B: int) -> np.ndarray:
     return np.array([np.sum(w[a:b]) for a, b in zip(ends[:-1], ends[1:])])
 
 
-def _check_cover(pieces: _Pieces, supp: np.ndarray) -> None:
-    """supp[k] is vol supp f + vol supp g of pair k: its cells must cover
-    it exactly, with each cell both functions cover counted twice."""
+def _cover_failures(pieces: _Pieces, supp: np.ndarray) -> dict:
+    """{k: OverlayFailure} for each pair k whose cells do not cover
+    supp[k] = vol supp f + vol supp g exactly, each cell both functions
+    cover counted twice."""
     covered = _cover(pieces, len(supp))
     bad = np.flatnonzero(np.abs(covered - supp) > COVER_TOL * supp)
-    if len(bad):
-        raise OverlayFailure("cells cover volume %.17g, the two supports %.17g" % (covered[bad[0]], supp[bad[0]]))
+    return {int(k): OverlayFailure("cells cover volume %.17g, the two supports %.17g" % (covered[k], supp[k]))
+            for k in bad}
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +558,26 @@ def _merges(groups: _Groups, S, g, vol):
     return closed & (np.abs(filled - groups.total) <= COVER_TOL * groups.total)
 
 
+def _fail(out, batch, bad, messages) -> None:
+    """out[b] = OverlayFailure(messages[i]) for the first i with
+    batch[bad[i]] = b, for each batch b that has not failed already."""
+    if not len(bad):
+        return
+    for b, i in zip(*np.unique(batch[bad], return_index=True)):
+        if out[b] is None:
+            out[b] = OverlayFailure(messages[i])
+
+
 def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
-    """[PLFunction of batch b for b in range(len(supp))]: the function of
-    batch b equals grad[k].x + off[k] on each cell k of cells with
-    batch[k] = b, a convex.Cells partition of its support with volumes
-    vol; batch is non-decreasing, and batch b's fill check is relative to
-    the volume supp[b].  Each batch is assembled as it would be alone, in
-    one pass over all of them.
+    """[the function of batch b, or its OverlayFailure, for b in
+    range(len(supp))]: the function of batch b equals grad[k].x + off[k]
+    on each cell k of cells with batch[k] = b, a convex.Cells partition
+    of its support with volumes vol; batch is non-decreasing, and batch
+    b's fill check is relative to the volume supp[b].  Each batch is
+    assembled, and fails, as it would alone, in one pass over all of
+    them: a batch whose cells its simplices do not fill, or whose
+    simplices disagree at a shared vertex, gets the first such failure in
+    place of its function.
 
     Vertices within SNAP (times the batch's data scale) are one; cells
     with one piece are merged where their union is convex (_groups), and
@@ -629,10 +634,8 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     S, cells_of, svols = S[keep], cells_of[keep], svols[keep]
     filled = np.bincount(cells_of, weights=svols, minlength=len(cell_vol))
     bad = np.flatnonzero(np.abs(filled - cell_vol) > COVER_TOL * supp[cell_batch])
-    if len(bad):
-        raise OverlayFailure(
-            "a cell of volume %.3g triangulates to volume %.3g" % (cell_vol[bad[0]], filled[bad[0]])
-        )
+    _fail(out, cell_batch, bad, ["a cell of volume %.3g triangulates to volume %.3g" % (cell_vol[c], filled[c])
+                                 for c in bad])
     if not len(S):
         return _zeros(out, dim)
 
@@ -654,8 +657,7 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     vscale = _batch_max(np.abs(flat_vals), tb[flat_idx], B)
     spread = hi - lo
     bad = np.flatnonzero(spread > VALUE_AGREE * vscale[tb] + 20.0 * VERTEX_TOL * scale[tb] * steep)
-    if len(bad):
-        raise OverlayFailure("value disagreement %.3g at a shared vertex" % spread[bad[0]])
+    _fail(out, tb, bad, ["value disagreement %.3g at a shared vertex" % spread[v] for v in bad])
     # the least steep piece at each vertex, the first simplex among equals
     by = np.lexsort((flat_steep, flat_idx))
     used, first = np.unique(flat_idx[by], return_index=True)
@@ -669,7 +671,7 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     used, local = np.unique(S, return_inverse=True)
     local = local.reshape(-1, dim + 1)
     vends, sends = _bounds(tb[used], B), _bounds(tb[S[:, 0]], B)
-    for k in np.flatnonzero(sends[1:] > sends[:-1]):
+    for k in np.flatnonzero((sends[1:] > sends[:-1]) & np.array([h is None for h in out])):
         v = used[vends[k] : vends[k + 1]]
         s = slice(sends[k], sends[k + 1])
         out_cx = SimplicialComplex(dim=dim, vertices=table[v], simplices=local[s] - vends[k], _volumes=svols[s])
@@ -677,134 +679,100 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     return _zeros(out, dim)
 
 
-def _assemble(ref, ops, dim) -> dict:
-    """{op: the functions op keeps, one per pair} for each op of ops: each
-    cell with the piece that wins it, assembled into a partition.  Every
-    op is assembled in one assemble_cells call, op i's pair k as its
-    batch i B + k, so each result is the one its op gets alone."""
-    B = len(ref.supp)
-    kept = [np.flatnonzero(ref.winners[op] >= 0) for op in ops]
-    win = np.concatenate([ref.winners[op][k] for op, k in zip(ops, kept)])
-    at = np.concatenate(kept)
-    batch = np.concatenate([ref.pieces.pair[k] + i * B for i, k in enumerate(kept)])
-    got = assemble_cells(ref.pieces.cells.take(at), ref.pieces.vol[at], ref.grad[win], ref.off[win], dim,
-                         np.tile(ref.supp, len(ops)), batch)
-    return {op: got[i * B : (i + 1) * B] for i, op in enumerate(ops)}
-
-
-class _Refinement(NamedTuple):
-    """The op-independent half of an overlay of a batch of pairs: the cut
-    cells, the affine pieces of the _Mesh, the piece each cell keeps
-    under join and meet, each pair's vol supp f + vol supp g, and each
-    pair's sample points of the final check (B, 128, d).  built holds,
-    for each op built so far, its results or its OverlayFailure."""
-
-    pieces: _Pieces
-    grad: np.ndarray
-    off: np.ndarray
-    winners: dict
-    supp: np.ndarray
-    pts: np.ndarray
-    built: dict
-
-
-@functools.lru_cache(maxsize=1)
-def _refine(pairs: tuple) -> _Refinement:
-    """The refinement of the pairs, a tuple of (f, g), each pair's cover
-    balance checked.  PLFunction compares by identity, so the key is the
-    tuple of objects."""
-    mesh = _prep(pairs)
-    pieces = _pieces_pairwise(mesh)
-    supp = np.array([f.support_volume() + g.support_volume() for f, g in pairs])
-    _check_cover(pieces, supp)
-    # the same 128 draws for every pair, spread over its own box
-    dim = mesh.cells.V.shape[2]
+def _sample_failures(pairs, results, dim) -> None:
+    """Replace each result in results ({op: one per pair}) that strays
+    from op's pointwise value of its pair (f, g) with an OverlayFailure.
+    The same 128 draws from default_rng(424242) serve every pair, spread
+    over its own box, and every f, g and result is located in one
+    evaluate_each."""
     U = np.random.default_rng(424242).random((128, dim))
     lo = np.array([np.minimum(f.bbox()[0], g.bbox()[0]) for f, g in pairs])
     hi = np.array([np.maximum(f.bbox()[1], g.bbox()[1]) for f, g in pairs])
     pts = lo[:, None, :] + (hi - lo)[:, None, :] * U
-    pts.setflags(write=False)
-    return _Refinement(pieces, mesh.grad, mesh.off, _winners(pieces, mesh), supp, pts, {})
+    done = [(op, k) for op, got in results.items() for k, h in enumerate(got) if not isinstance(h, OverlayFailure)]
+    functions = [fn for pair in pairs for fn in pair] + [results[op][k] for op, k in done]
+    X = np.concatenate([np.repeat(pts, 2, axis=0), pts[[k for _, k in done]]]).reshape(-1, dim)
+    vals = evaluate_each(functions, X, np.repeat(np.arange(len(functions)), len(U))).reshape(-1, len(U))
+    B = len(pairs)
+    for (op, k), v in zip(done, vals[2 * B :]):
+        want = _OPS[op](vals[2 * k], vals[2 * k + 1])
+        err = np.abs(v - want).max()
+        if err > 1e-8 * max(1.0, np.abs(want).max()):
+            results[op][k] = OverlayFailure("overlay disagrees with pointwise %s by %.3g" % (op, err))
 
 
-def _build(ref, pairs, ops, dim) -> None:
-    """Build the ops of ops for the refinement of pairs, in one
-    assemble_cells call, and record each op's results, or its
-    OverlayFailure, in ref.built.  Failures stay per op: when the joint
-    assembly raises, each op is assembled alone, as it would be asked
-    alone.  The sampled check locates every f, g and every result at its
-    pair's points in one evaluate_each, and fails an op whose results
-    stray from the pointwise max/min."""
-    built = {}
-    try:
-        built.update(_assemble(ref, ops, dim))
-    except OverlayFailure as exc:
-        if len(ops) == 1:
-            built[ops[0]] = exc
-        else:
-            for op in ops:
-                try:
-                    built.update(_assemble(ref, (op,), dim))
-                except OverlayFailure as alone:
-                    built[op] = alone
-    fine = [op for op in ops if not isinstance(built[op], OverlayFailure)]
-    B, P, _ = ref.pts.shape
-    functions = [fn for pair in pairs for fn in pair] + [h for op in fine for h in built[op]]
-    X = np.concatenate([np.repeat(ref.pts, 2, axis=0), np.tile(ref.pts, (len(fine), 1, 1))]).reshape(-1, dim)
-    vals = evaluate_each(functions, X, np.repeat(np.arange(len(functions)), P)).reshape(-1, P)
-    fe, ge = vals[0 : 2 * B : 2], vals[1 : 2 * B : 2]
-    for i, op in enumerate(fine):
-        want = _OPS[op](fe, ge)
-        err = np.abs(vals[(2 + i) * B : (3 + i) * B] - want).max(axis=1)
-        vscale = np.maximum(1.0, np.abs(want).max(axis=1))
-        bad = np.flatnonzero(err > 1e-8 * vscale)
-        if len(bad):
-            built[op] = OverlayFailure("overlay disagrees with pointwise %s by %.3g" % (op, err[bad[0]]))
-    ref.built.update(built)
-
-
-def _overlays(pairs, op, ops) -> list:
-    """[f v g for (f, g) in pairs] for op "join", f ^ g for "meet",
-    building every op of ops the memo does not hold yet for these pairs
-    in one pass (_build).  An OverlayFailure of any pair raises."""
-    pairs = tuple((f, g) for f, g in pairs)
+def _check_op(op) -> None:
     if op not in _OPS:
         raise ValueError("unknown overlay op %r: expected 'join' or 'meet'" % (op,))
+
+
+def _raise_first(results) -> list:
+    """results, unless one is an OverlayFailure: then the first raises."""
+    for h in results:
+        if isinstance(h, OverlayFailure):
+            raise OverlayFailure(str(h))
+    return results
+
+
+def overlays(pairs, ops) -> dict:
+    """{op: [f v g for (f, g) in pairs]} for op "join", f ^ g for "meet",
+    for each op of ops, with an OverlayFailure in place of each result
+    that fails a check.  The pairs are cut once, every op is assembled in
+    one assemble_cells call (op i's pair k as its batch i B + k) and
+    checked in one evaluate_each, so each result or failure is the one
+    its pair and op get alone."""
+    pairs = [(f, g) for f, g in pairs]
+    for op in ops:
+        _check_op(op)
+    out = {op: [None] * len(pairs) for op in ops}
     if not pairs:
-        return []
+        return out
     dim = pairs[0][0].dim
     for fn in (fn for pair in pairs for fn in pair):
         if fn.dim != dim:
             raise ValueError("dimension mismatch: %d vs %d" % (dim, fn.dim))
-    out = [None] * len(pairs)
     live = [k for k, (f, g) in enumerate(pairs) if not (f.complex.is_empty() and g.complex.is_empty())]
-    if not live:
-        return _zeros(out, dim)
-    live_pairs = tuple(pairs[k] for k in live)
-    ref = _refine(live_pairs)
-    todo = tuple(o for o in ops if o not in ref.built)
-    if todo:
-        _build(ref, live_pairs, todo, dim)
-    got = ref.built[op]
-    if isinstance(got, OverlayFailure):
-        raise OverlayFailure(str(got))
-    for k, h in zip(live, got):
-        out[k] = h
-    return _zeros(out, dim)
+    if live:
+        pairs = [pairs[k] for k in live]
+        B = len(pairs)
+        mesh = _prep(pairs)
+        pieces = _pieces_pairwise(mesh)
+        supp = np.array([f.support_volume() + g.support_volume() for f, g in pairs])
+        winners = _winners(pieces, mesh)
+        # a pair whose cells fail the cover balance is not assembled
+        cover = _cover_failures(pieces, supp)
+        ok = ~np.isin(pieces.pair, list(cover))
+        kept = [np.flatnonzero((winners[op] >= 0) & ok) for op in ops]
+        win = np.concatenate([winners[op][k] for op, k in zip(ops, kept)])
+        at = np.concatenate(kept)
+        batch = np.concatenate([pieces.pair[k] + i * B for i, k in enumerate(kept)])
+        got = assemble_cells(pieces.cells.take(at), pieces.vol[at], mesh.grad[win], mesh.off[win], dim,
+                             np.tile(supp, len(ops)), batch)
+        results = {op: [cover.get(k, got[i * B + k]) for k in range(B)] for i, op in enumerate(ops)}
+        _sample_failures(pairs, results, dim)
+        for op in ops:
+            for k, h in zip(live, results[op]):
+                out[op][k] = h
+    return {op: _zeros(res, dim) for op, res in out.items()}
 
 
 def lattice_overlays(pairs, op: str) -> list:
-    """[f v g for (f, g) in pairs] for op "join", f ^ g for "meet": every
-    pair cut, assembled and checked in one stacked pass, each result the
-    one its pair gets alone.  Only op is built; the refinement is kept,
-    so the other op of the same pairs right after cuts nothing.  An
-    OverlayFailure of any pair raises."""
-    return _overlays(pairs, op, (op,))
+    """[f v g for (f, g) in pairs] for op "join", f ^ g for "meet", in one
+    overlays call; the first pair that fails raises its OverlayFailure."""
+    return _raise_first(overlays(pairs, (op,))[op])
+
+
+@functools.lru_cache(maxsize=1)
+def _pair(f: PLFunction, g: PLFunction) -> dict:
+    """{op: f op g, or its OverlayFailure} for join and meet, from one
+    overlays call, kept for the last pair asked.  PLFunction compares by
+    identity, so the key is the two objects."""
+    return {op: got[0] for op, got in overlays([(f, g)], tuple(_OPS)).items()}
 
 
 def lattice_overlay(f: PLFunction, g: PLFunction, op: str) -> PLFunction:
-    """f v g for op "join", f ^ g for "meet": a batch of one pair, whose
-    join and meet are built together, so that the other op right after
-    is a memo hit.  Each op fails alone: op raises OverlayFailure exactly
-    when it does built on its own."""
-    return _overlays([(f, g)], op, tuple(_OPS))[0]
+    """f v g for op "join", f ^ g for "meet", or its OverlayFailure
+    raised.  Join and meet of the pair are built together (_pair), so the
+    other op right after cuts nothing."""
+    _check_op(op)
+    return _raise_first([_pair(f, g)[op]])[0]

@@ -38,7 +38,7 @@ from .errors import (
     OriginNotInterior,
 )
 from .polytope import Polytope, central_triangulation
-from .serialize import read_dim, read_finite
+from .serialize import read_dim, read_finite, read_object
 
 # evaluate_many tests at most this many (point, simplex) pairs at once.
 EVAL_PAIRS = 1 << 14
@@ -429,6 +429,7 @@ def from_json_dict(data: dict) -> PLFunction:
     """The function of a JSON dict {"dim", "vertices", "simplices",
     "values"}, checked against the partition contract (PLFunction.validate);
     simplices must be rows of dim+1 integer indices into vertices."""
+    read_object(data, "PL function")
     for key in ("dim", "vertices", "simplices", "values"):
         if key not in data:
             raise ValueError("PL function JSON needs '%s'" % key)
@@ -522,7 +523,7 @@ def _build_tents(f: PLFunction, simplices, M) -> list:
     affine functions is concave on the region where it is positive.  The
     n+2 cells of every tent are cut in one stacked chain and assembled by
     one batched overlay.assemble_cells, tent by tent as each would be
-    alone.
+    alone; the first tent that fails raises its OverlayFailure.
     """
     from . import overlay
 
@@ -564,9 +565,9 @@ def _build_tents(f: PLFunction, simplices, M) -> list:
     vol = overlay._volumes(cells)
     ends = overlay._bounds(tent, len(M))
     supp = np.array([float(vol[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])])
+    tents = overlay._raise_first(overlay.assemble_cells(cells, vol, grad[src], off[src], n, supp, tent))
     # a piece of slope M placed within tol of its zero can dip below 0
-    return [PLFunction(complex=t.complex, values=np.maximum(t.values, 0.0))
-            for t in overlay.assemble_cells(cells, vol, grad[src], off[src], n, supp, tent)]
+    return [PLFunction(complex=t.complex, values=np.maximum(t.values, 0.0)) for t in tents]
 
 
 def tent_decomposition(f: PLFunction, delta: float = 1e-2):

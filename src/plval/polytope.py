@@ -27,7 +27,7 @@ import numpy as np
 from . import convex
 from .convex import EPS
 from .errors import ConstructionFailure, Degenerate, OriginNotInterior
-from .serialize import read_dim, read_finite
+from .serialize import read_dim, read_finite, read_object
 
 # Retry predicate for random_polytope: the origin must clear the boundary
 # by this much so downstream cone constructions are well conditioned.
@@ -283,7 +283,7 @@ def random_polytope(seed: int, n: int, k: int) -> Polytope:
 
 def from_json_dict(data: dict) -> Polytope:
     """Rebuild from {"dim": n, "vertices": [...]}; facets are recomputed."""
-    if "dim" not in data or "vertices" not in data:
+    if "dim" not in read_object(data, "polytope") or "vertices" not in data:
         raise ValueError("polytope JSON needs 'dim' and 'vertices'")
     n = read_dim(data, "polytope")
     verts = read_finite(data, "vertices", "polytope")
@@ -293,6 +293,8 @@ def from_json_dict(data: dict) -> Polytope:
 
 
 def cube(n: int, half_width: float = 1.0) -> Polytope:
+    if n < 1:
+        raise ValueError("need n >= 1, got %r" % (n,))
     corners = np.array(
         [[(half_width if (i >> j) & 1 else -half_width) for j in range(n)] for i in range(2**n)]
     )
@@ -300,6 +302,8 @@ def cube(n: int, half_width: float = 1.0) -> Polytope:
 
 
 def cross_polytope(n: int, radius: float = 1.0) -> Polytope:
+    if n < 1:
+        raise ValueError("need n >= 1, got %r" % (n,))
     pts = np.vstack([radius * np.eye(n), -radius * np.eye(n)])
     return hull_from_points(pts)
 

@@ -17,6 +17,13 @@ import numpy as np
 from .errors import InvalidField, NonFinite
 
 
+def read_object(data, what: str) -> dict:
+    """data; InvalidField unless it is a JSON object."""
+    if not isinstance(data, dict):
+        raise InvalidField("%s JSON must be an object, got %s" % (what, type(data).__name__))
+    return data
+
+
 def read_finite(data: dict, key: str, what: str, default=None) -> np.ndarray:
     """data[key], or default when the key is absent, as a float array (0-d
     for a number); NonFinite, naming the field, if any entry is NaN or

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .integration import Pieces, c_pn, integrals, simplex_means, sobolev_conjugate
 from .plfunction import PLFunction
-from .serialize import read_finite
+from .serialize import read_finite, read_object
 
 KERNEL_ZERO_TOL = 1e-12
 BREAK_CONTINUITY_TOL = 1e-12
@@ -209,7 +209,7 @@ class TabulatedKernel(Kernel):
 
 
 def kernel_from_json_dict(data: dict) -> Kernel:
-    kind = data.get("type")
+    kind = read_object(data, "kernel").get("type")
 
     def number(key, default=None):
         return float(read_finite(data, key, "kernel", default))

@@ -73,6 +73,28 @@ def test_non_integral_dim_is_an_input_error(capsys, tmp_path, command, dim):
     assert "field 'dim'" in err
 
 
+@pytest.mark.parametrize(
+    "command, option, text",
+    [
+        ("polytope", "--input", '["dim", "vertices"]'),
+        ("norms", "--input", '["dim", "vertices", "simplices", "values"]'),
+        ("valuate", "--input", '"dim vertices simplices values"'),
+        ("valuate", "--kernel", '["type"]'),
+        ("valuate", "--kernel", "3"),
+    ],
+    ids=["polytope-list", "norms-list", "valuate-string", "kernel-list", "kernel-number"],
+)
+def test_non_object_json_is_an_input_error(capsys, tmp_path, cone_file, kernel_file, command, option, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files = {"--input": cone_file, "--kernel": kernel_file} if command == "valuate" else {}
+    files[option] = str(bad)
+    code, out, err = run(capsys, command, *(x for item in files.items() for x in item))
+    assert code == 2
+    assert out == ""
+    assert "JSON must be an object" in err
+
+
 def test_polytope_malformed_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")
@@ -389,9 +411,13 @@ def test_usage_error_exit_code(capsys):
         (("polytope", "--input", "missing.json", "--q-list", "inf"), "--q-list"),
         (("valuate", "--input", "missing.json", "--kernel", "missing.json", "--s-grid", "0:2:nan"), "--s-grid"),
         (("valuate", "--input", "missing.json", "--kernel", "missing.json", "--s-grid", "2:0:0.1"), "--s-grid"),
+        (("valuate", "--input", "missing.json", "--kernel", "missing.json", "--s-grid", "0:1:0.1", "--n", "-1"),
+         "--n"),
+        (("valuate", "--input", "missing.json", "--kernel", "missing.json", "--s-grid", "0:1:0.1", "--n", "0"), "--n"),
+        (("recover", "--input", "missing.csv", "--n", "0"), "--n"),
     ],
     ids=["tolerance-negative", "tolerance-nan", "tolerance-inf", "norms-p", "recover-p", "norms-q", "polytope-q",
-         "s-grid-nan", "s-grid-empty"],
+         "s-grid-nan", "s-grid-empty", "valuate-n-negative", "valuate-n-zero", "recover-n-zero"],
 )
 def test_bad_numeric_options_are_usage_errors(capsys, monkeypatch, argv, option):
     # refused by the parser, naming the option, before any suite runs or

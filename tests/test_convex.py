@@ -486,13 +486,13 @@ def test_assembly_builds_no_hull_and_triangulates_once(monkeypatch, n):
     monkeypatch.setattr(overlay, "assemble_cells", assembling)
     monkeypatch.setattr(convex, "hull", counting(convex.hull, hull_seen))
     monkeypatch.setattr(convex, "pulling_triangulation", counting(convex.pulling_triangulation, pull_seen))
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
     jo = pf.join(f, g)
     assert len(pf.meet(f, jo).complex) == len(f.complex)
     assert len(overlay.lattice_overlays([(f, g), (g, jo), (jo, f)], "meet")) == 3
     if fan is not None:
         assert pf.tent_decomposition(fan)
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
     assert hulls == [0]
     assert len(pulls) >= 2 and set(pulls) == {1}
 
@@ -521,17 +521,19 @@ def test_overlay_triangulates_only_cells_that_are_not_simplices(monkeypatch, n):
         return pull(points, idx, mask, incidence, dim, tol)
 
     monkeypatch.setattr(convex, "pulling_triangulation", recorded)
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
     outs = [pf.join(f, g), pf.meet(f, g)]
-    ref = overlay._refine(((f, g),))
-    overlay._refine.cache_clear()
-    cells = ref.pieces.cells
+    overlay._pair.cache_clear()
+    mesh = overlay._prep([(f, g)])
+    pieces = overlay._pieces_pairwise(mesh)
+    winners = overlay._winners(pieces, mesh)
+    cells = pieces.cells
     assert all(not h.is_zero() for h in outs)
     assert (cells.counts() == n + 1).any() and (cells.counts() > n + 1).any()
     # join and meet of the pair are assembled together: one stack for both
     (stack,) = stacks
     for op in ("join", "meet"):
-        kept = ref.winners[op] >= 0
+        kept = winners[op] >= 0
         simplices = [cells.V[c, cells.vm[c]] for c in np.flatnonzero(kept & (cells.counts() == n + 1))]
         assert simplices
         assert not any(_same_points(pts, s) for pts in stack for s in simplices)
@@ -620,14 +622,14 @@ def test_merge_verdicts_of_overlays_match_the_group_hull(monkeypatch, n):
 
     monkeypatch.setattr(overlay, "assemble_cells", assembling)
     monkeypatch.setattr(overlay, "_merges", merging)
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
     for seed in range(12 if n == 2 else 4):
         rng = np.random.default_rng(seed)
         f = random_cone_function(rng, n)
         g = random_cone_function(rng, n)
         jo = pf.join(f, g)
         pf.meet(f, g), pf.meet(f, jo), pf.meet(jo, f)
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
     verdicts = np.array(seen)
     assert verdicts[:, 0].any() and not verdicts[:, 0].all()
     assert np.array_equal(verdicts[:, 0], verdicts[:, 1])

@@ -53,15 +53,14 @@ def test_batched_overlays_match_single_calls(n):
         pairs = pairs + [(zero, zero), (pairs[0][0], zero)]
         alone = []
         for f, g in pairs:
-            overlay._refine.cache_clear()
+            overlay._pair.cache_clear()
             alone.append(overlay.lattice_overlay(f, g, op))
         for order in (np.arange(len(pairs)), np.arange(len(pairs))[::-1]):
-            overlay._refine.cache_clear()
             got = overlay.lattice_overlays([pairs[k] for k in order], op)
             assert len(got) == len(pairs)
             assert all(_same(h, alone[k]) for h, k in zip(got, order))
         assert alone[-2].is_zero() and not alone[-3].is_zero()
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -80,20 +79,37 @@ def test_batched_tents_match_single_tents(n):
             assert _same(t, alone)
 
 
-def test_a_failing_pair_fails_its_batch():
-    # positions scaled by 1e-8 break the cover balance; the pair fails
-    # alone and in a batch, and the batch without it passes
+def _planted():
+    """The pair of default_rng(5) with positions times 1e-8: its cells
+    miss a sliver of its supports, so it fails the cover balance."""
     f, g = _cones(2, 5)
-    tiny = [pf.compose_affine(fn, 1e-8 * np.eye(2)) for fn in (f, g)]
-    good = _cones(2, 6)
+    return tuple(pf.compose_affine(fn, 1e-8 * np.eye(2)) for fn in (f, g))
+
+
+PLANTED_FAILURE = "cells cover volume 2.593722927967423e-16, the two supports 2.5997568975031539e-16"
+
+
+def test_a_failing_pair_fails_alone_in_its_batch():
+    # the planted pair fails alone and in a batch, for both ops, with the
+    # same failure; its batch-mates get the results they get alone
+    tiny = _planted()
+    good = [_cones(2, 6), _cones(2, 7)]
     for op in ("join", "meet"):
-        overlay._refine.cache_clear()
-        with pytest.raises(OverlayFailure, match="cover"):
+        overlay._pair.cache_clear()
+        with pytest.raises(OverlayFailure) as exc:
             overlay.lattice_overlay(*tiny, op)
-        with pytest.raises(OverlayFailure, match="cover"):
-            overlay.lattice_overlays([good, tuple(tiny), good[::-1]], op)
-        assert all(not h.is_zero() for h in overlay.lattice_overlays([good, good[::-1]], op))
-    overlay._refine.cache_clear()
+        assert str(exc.value) == PLANTED_FAILURE
+        alone = [overlay.lattice_overlays([pair], op)[0] for pair in good]
+        with pytest.raises(OverlayFailure) as exc:
+            overlay.lattice_overlays([good[0], tiny, good[1]], op)
+        assert str(exc.value) == PLANTED_FAILURE
+    got = overlay.overlays([good[0], tiny, good[1]], ("join", "meet"))
+    for op, (first, failed, last) in got.items():
+        assert isinstance(failed, OverlayFailure) and str(failed) == PLANTED_FAILURE
+        assert _same(first, overlay.lattice_overlays([good[0]], op)[0])
+        assert _same(last, overlay.lattice_overlays([good[1]], op)[0])
+        assert not first.is_zero() and not last.is_zero()
+    overlay._pair.cache_clear()
 
 
 def test_batches_refuse_mixed_dimensions():
@@ -156,41 +172,30 @@ def test_tent_decomposition_builds_a_round_in_one_chain(monkeypatch):
 
 
 def test_join_and_meet_of_one_batch_cut_once(monkeypatch):
-    cut = overlay._pieces_pairwise
-    calls = []
-
-    def counting(mesh):
-        calls.append(len(mesh.rows))
-        return cut(mesh)
-
-    overlay._refine.cache_clear()
-    monkeypatch.setattr(overlay, "_pieces_pairwise", counting)
+    # one overlays call for both ops cuts, assembles and locates once, and
+    # gives the results of one lattice_overlays call per op
     pairs = [_cones(2, seed) for seed in range(3)]
-    joins = overlay.lattice_overlays(pairs, "join")
-    meets = overlay.lattice_overlays(pairs, "meet")
-    overlay._refine.cache_clear()
-    assert calls == [3]
-    assert len(joins) == len(meets) == 3
+    want = {op: overlay.lattice_overlays(pairs, op) for op in ("join", "meet")}
+    with monkeypatch.context() as m:
+        calls = [_counted(m, name) for name in ("_pieces_pairwise", "assemble_cells", "evaluate_each")]
+        got = overlay.overlays(pairs, ("join", "meet"))
+        assert [len(c) for c in calls] == [1, 1, 1]
+    assert all(_same(h, w) for op in want for h, w in zip(got[op], want[op]))
 
 
-@pytest.mark.parametrize("api", ["pair", "batch"])
+@pytest.mark.parametrize("api", ["pair", "batch", "ops"])
 def test_an_unknown_op_is_refused_before_any_cut(monkeypatch, api):
-    cut = overlay._pieces_pairwise
-    calls = []
-
-    def counting(mesh):
-        calls.append(len(mesh.rows))
-        return cut(mesh)
-
-    overlay._refine.cache_clear()
-    monkeypatch.setattr(overlay, "_pieces_pairwise", counting)
+    calls = _counted(monkeypatch, "_pieces_pairwise")
+    overlay._pair.cache_clear()
     f, g = _cones(2, 0)
     with pytest.raises(ValueError, match="'union'"):
         if api == "pair":
             overlay.lattice_overlay(f, g, "union")
-        else:
+        elif api == "batch":
             overlay.lattice_overlays([(f, g)], "union")
-    assert calls == [] and overlay._refine.cache_info().currsize == 0
+        else:
+            overlay.overlays([(f, g)], ("join", "union"))
+    assert calls == [] and overlay._pair.cache_info().currsize == 0
 
 
 def _counted(monkeypatch, name):
@@ -214,28 +219,25 @@ def test_the_pair_api_builds_both_ops_in_one_pass(monkeypatch, n):
     for seed in range(26):
         rng = np.random.default_rng(seed)
         f, g = random_cone_function(rng, n), random_cone_function(rng, n)
-        want = {}
-        for op in ("join", "meet"):
-            overlay._refine.cache_clear()
-            (want[op],) = overlay.lattice_overlays([(f, g)], op)
-        overlay._refine.cache_clear()
+        want = {op: overlay.lattice_overlays([(f, g)], op)[0] for op in ("join", "meet")}
+        overlay._pair.cache_clear()
         with monkeypatch.context() as m:
             calls = [_counted(m, name) for name in ("_pieces_pairwise", "assemble_cells", "evaluate_each")]
             got = {"join": pf.join(f, g), "meet": pf.meet(f, g)}
             assert [len(c) for c in calls] == [1, 1, 1]
         assert all(_same(got[op], want[op]) for op in got)
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
 
 
 def test_a_meet_fault_leaves_the_join_alone(monkeypatch):
     # two planted faults that break the meet only: meet keeps the join's
     # pieces (caught by the sampled check), or f's piece wherever f is
-    # (caught by the assembly's value check, which fails the joint
-    # assembly, so each op is assembled alone).  The join is the one
-    # built without the fault, bit for bit, and the meet raises its own
-    # failure, every time it is asked for.
+    # (caught by the assembly's value check, which fails the meet's batch
+    # of the joint assembly only).  The join is the one built without the
+    # fault, bit for bit, and the meet raises its own failure, every time
+    # it is asked for.
     f, g = _cones(2, 3)
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
     clean = pf.join(f, g)
     winners = overlay._winners
 
@@ -248,14 +250,14 @@ def test_a_meet_fault_leaves_the_join_alone(monkeypatch):
         return {"join": win["join"], "meet": np.where(pieces.f >= 0, pieces.f, pieces.g)}
 
     for fault, message in ((joins_twice, "disagrees with pointwise meet"), (f_wins, "value disagreement")):
-        overlay._refine.cache_clear()
+        overlay._pair.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(overlay, "_winners", fault)
             assert _same(pf.join(f, g), clean)
             for _ in range(2):
                 with pytest.raises(OverlayFailure, match=message):
                     pf.meet(f, g)
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
 
 
 def test_the_identity_suite_skips_a_pair_both_ops_fail(monkeypatch):
@@ -267,14 +269,39 @@ def test_the_identity_suite_skips_a_pair_both_ops_fail(monkeypatch):
     draw = verify.random_cone_function
     monkeypatch.setattr(verify, "random_cone_function",
                         lambda rng, n, points=None: pf.compose_affine(draw(rng, n, points), 1e-8 * np.eye(n)))
-    want = "cells cover volume 2.593722927967423e-16, the two supports 2.5997568975031539e-16"
     rng = np.random.default_rng(5)
     f, g = verify.random_cone_function(rng, 2), verify.random_cone_function(rng, 2)
     for op in (pf.join, pf.meet):
-        overlay._refine.cache_clear()
+        overlay._pair.cache_clear()
         with pytest.raises(OverlayFailure) as exc:
             op(f, g)
-        assert str(exc.value) == want
+        assert str(exc.value) == PLANTED_FAILURE
     (report,) = verify.valuation_identity_suite(PowerKernel(1.0, 2.0), seed=5, count=1)
-    assert report.status == "skip" and report.reason == "overlay: " + want
-    overlay._refine.cache_clear()
+    assert report.status == "skip" and report.reason == "overlay: " + PLANTED_FAILURE
+    overlay._pair.cache_clear()
+
+
+def test_a_planted_pair_skips_alone_in_the_identity_suite(monkeypatch):
+    # the suite overlays all its pairs in one call: with the planted pair
+    # drawn second, that row is the cover failure's skip and every other
+    # row is the one the suite gives without it
+    import plval.verify as verify
+
+    h = PowerKernel(1.0, 2.0)
+    clean = verify.valuation_identity_suite(h, seed=0, count=4)
+    draw, drawn = verify.random_cone_function, []
+
+    def planting(rng, n, points=None):
+        # the pair's draws come third and fourth; the planted ones stand in
+        # for them, and rng advances as it does without them
+        fn = draw(rng, n, points)
+        drawn.append(fn)
+        return _planted()[len(drawn) - 3] if len(drawn) in (3, 4) else fn
+
+    monkeypatch.setattr(verify, "random_cone_function", planting)
+    rows = verify.valuation_identity_suite(h, seed=0, count=4)
+    assert rows[1].status == "skip"
+    assert rows[1].reason == "overlay: " + PLANTED_FAILURE
+    assert [r.to_json_dict() for k, r in enumerate(rows) if k != 1] == [
+        r.to_json_dict() for k, r in enumerate(clean) if k != 1]
+    assert all(r.status == "pass" for r in clean)

@@ -201,26 +201,26 @@ def test_partition_check_rejects_duplicated_and_dropped_cells(monkeypatch):
     g = random_cone_function(rng, 3, points=5)
     pieces = overlay._pieces_pairwise(overlay._prep([(f, g)]))
     supp = np.array([f.support_volume() + g.support_volume()])
-    overlay._check_cover(pieces, supp)
+    assert overlay._cover_failures(pieces, supp) == {}
     assert not pf.join(f, g).is_zero()
     every = np.arange(len(pieces.vol))
     big = int(np.argmax(pieces.vol))
     for idx in (np.append(every, big), np.delete(every, big)):
         changed = overlay._Pieces(pieces.cells.take(idx), *(x[idx] for x in pieces[1:]))
-        with pytest.raises(OverlayFailure, match="cover"):
-            overlay._check_cover(changed, supp)
+        (failure,) = overlay._cover_failures(changed, supp).values()
+        assert "cover" in str(failure)
         # join and meet run the balance on the cells they are given
         monkeypatch.setattr(overlay, "_pieces_pairwise", lambda mesh, changed=changed: changed)
         for op in (pf.join, pf.meet):
-            overlay._refine.cache_clear()
+            overlay._pair.cache_clear()
             with pytest.raises(OverlayFailure, match="cover"):
                 op(f, g)
 
 
 @pytest.fixture
 def counted_cuts(monkeypatch):
-    """The overlay memo emptied, and a list that grows by one each time
-    the overlay cuts two meshes against each other."""
+    """The pair API's kept pair emptied, and a list that grows by one
+    each time the overlay cuts two meshes against each other."""
     from plval import overlay
 
     cut = overlay._pieces_pairwise
@@ -230,10 +230,10 @@ def counted_cuts(monkeypatch):
         calls.append(1)
         return cut(*args)
 
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
     monkeypatch.setattr(overlay, "_pieces_pairwise", counting)
     yield calls
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
 
 
 def _cone_pairs(count):
@@ -275,7 +275,7 @@ def test_memo_hit_matches_a_fresh_cut(counted_cuts):
     f, g = _cone_pairs(1)
     pf.join(f, g)
     hit = pf.meet(f, g)
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
     fresh = pf.meet(f, g)
     assert len(counted_cuts) == 2
     assert hit.complex.vertices.tobytes() == fresh.complex.vertices.tobytes()
@@ -439,10 +439,10 @@ def test_subtract_runs_once_per_partly_covered_simplex(monkeypatch, convex_other
         calls.append((cells, A))
         return subtract(cells, A, b, tol)
 
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
     monkeypatch.setattr(overlay, "_subtract", counting)
     pf.join(f, g)
-    overlay._refine.cache_clear()
+    overlay._pair.cache_clear()
 
     def whole(A):
         # a whole support's rows, padded with zero rows
@@ -667,21 +667,17 @@ def test_overlay_results_read_back_from_their_own_json(monkeypatch):
         outputs += overlay.lattice_overlays([(f, h) for (f, _), h in zip(pairs, joins)], "meet")
     for seed in range(6):
         outputs += pf.tent_decomposition(fan_function(seed))
-    batched, pair = overlay.lattice_overlays, overlay.lattice_overlay
+    batched = overlay.overlays
 
-    def recorded(pairs, op):
-        out = batched(pairs, op)
-        outputs.extend(out)
+    def recorded(pairs, ops):
+        out = batched(pairs, ops)
+        outputs.extend(h for got in out.values() for h in got if isinstance(h, pf.PLFunction))
         return out
 
-    def recorded_pair(f, g, op):
-        out = pair(f, g, op)
-        outputs.append(out)
-        return out
-
-    # inclusion-exclusion meets in batches, the identity suite pair by pair
-    monkeypatch.setattr(overlay, "lattice_overlays", recorded)
-    monkeypatch.setattr(overlay, "lattice_overlay", recorded_pair)
+    # inclusion-exclusion meets in batches (lattice_overlays), the
+    # identity suite joins and meets all its pairs in one call; both go
+    # through overlays
+    monkeypatch.setattr(overlay, "overlays", recorded)
     inclusion_exclusion_suite(PowerKernel(1.0, 1.5), seed=0)
     dict(default_battery(1))["valuation_identity_3d"]()
     assert len(outputs) > 156 + 36 + 60

@@ -43,6 +43,13 @@ def test_hull_rejects_degenerate_and_offset_inputs():
         pt.hull_from_points([[1, 1], [2, 1], [1, 2]])
 
 
+@pytest.mark.parametrize("build", [pt.cube, pt.cross_polytope])
+@pytest.mark.parametrize("n", [0, -1])
+def test_standard_bodies_need_a_dimension_of_at_least_one(build, n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        build(n)
+
+
 def test_volume_square_and_cross(square):
     assert pt.volume(square) == pytest.approx(4.0, abs=1e-12)
     cross = pt.cross_polytope(2)
