@@ -12,9 +12,9 @@ total, so that output growing more fragmented shows in the log, the
 number of hulls built (calls to convex.hull, from polytopes and convex
 supports), the merge groups the assembly tested and merged
 (overlay._merges), the hull kernels run inside the assembly (calls to
-convex.hull and to convex._facets, the brute-force facet pass under
-both convex.hull and the cell volumes of convex.volumes; there must be
-none), and where the time went: the seconds spent cutting batches of pairs
+convex.hull and to convex._facets, its brute-force facet pass; cells are
+measured and triangulated from their incidence, so there must be none),
+and where the time went: the seconds spent cutting batches of pairs
 against each other (overlay._pieces_pairwise) and assembling cells into
 functions (overlay.assemble_cells, for the overlays' results and the
 tents alike), each in total and per batch, with the number of stacked

@@ -31,11 +31,15 @@ Conventions used throughout:
 * Hulls are found in numpy by brute force: a d-subset of the points
   spans a facet row when every point lies on one side of its plane
   (_facets), and hull() runs that over a candidate set grown from the
-  axis-extreme points until no point lies outside a row.  volumes() gives
-  the volume of each vertex set of a stack from its own points alone: a
-  shoelace in 2-D, and in higher dimensions the facets of the same brute
-  force, vol = sum of h_F |F| / d, with |F| from volumes() one dimension
-  down.
+  axis-extreme points until no point lies outside a row.
+* Volumes come from the same incidence, never from a second hull:
+  cell_volumes() measures each cell of a stack by one determinant when
+  it is a simplex, by the shoelace in 2-D, and above by the sum of its
+  pulling triangulation at tol 0, which keeps every needle of a thin
+  cell.  hull() measures a hull whose rows are all simplex facets by the
+  cones over them, and any other as one cell in the same way.  Facet
+  measures below full dimension (simplex_measures) are edge lengths, or
+  a QR of the edges, not a Gram determinant.
 """
 
 from __future__ import annotations
@@ -77,21 +81,6 @@ def simplex_measure(pts: np.ndarray) -> float:
     """d-dimensional measure of a simplex given as (d+1, k) vertices, k >= d."""
     pts = np.asarray(pts, dtype=float)
     return float(simplex_measures(pts, np.arange(len(pts))[None, :])[0])
-
-
-def affine_frame(pts: np.ndarray, rtol: float = 1e-9):
-    """Centered SVD frame: (centroid, principal rows, rank, spread)."""
-    pts = np.asarray(pts, dtype=float)
-    c = pts.mean(axis=0)
-    x = pts - c
-    if len(pts) <= 1:
-        return c, np.zeros((0, pts.shape[1])), 0, 0.0
-    _, s, vt = np.linalg.svd(x, full_matrices=False)
-    spread = float(s[0]) if s.size else 0.0
-    if spread == 0.0:
-        return c, vt, 0, 0.0
-    rank = int(np.sum(s > spread * rtol))
-    return c, vt, rank, spread
 
 
 def dedupe_points(pts: np.ndarray, tol, batch=None):
@@ -554,9 +543,14 @@ def hull(points: np.ndarray):
     coordinate offset from it.  Few points take every d-subset at once
     (_facets); more grow a candidate set from the axis-extreme points and
     a spanning simplex, adding each round the farthest point outside each
-    row of the candidates' hull, until no point is outside.  The volume
-    is the candidates' (_facet_volumes).  A 1-D hull is read off the min
-    and max.  Raises Degenerate when the points span no hull."""
+    row of the candidates' hull, until no point is outside.  When every
+    row is tight at its own d points alone, every row is a simplex facet
+    F and the volume is the sum of b_F |F| / d, the cones from the centre
+    over the facets, with |F| its subset normal's length over (d-1)!;
+    any other hull is measured as one cell, its vertices and facets read
+    off the candidates' incidence (hull_incidence) and measured as
+    cell_volumes measures a cell.  A 1-D hull is read off the min and
+    max.  Raises Degenerate when the points span no hull."""
     points = np.asarray(points, dtype=float)
     k, d = points.shape
     if d == 1:
@@ -572,8 +566,8 @@ def hull(points: np.ndarray):
     X /= scale
     cand = np.arange(k) if math.comb(k, d) * k <= ONE_SHOT else _seeds(X)
     while True:
-        _, A, b, T, norm, flat = _facets(X[None] if len(cand) == k else X[cand][None])
-        if flat[0] or not len(A):
+        A, b, T, norm, flat = _facets(X if len(cand) == k else X[cand])
+        if flat or not len(A):
             raise Degenerate("points span no hull in R^%d" % d)
         if len(cand) == k:
             break
@@ -586,7 +580,11 @@ def hull(points: np.ndarray):
         cand = np.union1d(cand, far[out])
 
     def volume() -> float:
-        vol = float(_facet_volumes(X[cand][None], None, np.zeros(len(A), dtype=np.intp), A, b, T, norm)[0])
+        if T.sum(axis=1).max() == d:
+            vol = float(np.sum(b * norm)) / (math.factorial(d - 1) * d)
+        else:
+            vert, _, _, on = hull_incidence(X[cand], A, b, HULL_TOL)
+            vol = float(_polytope_volumes(X[cand][vert][None], np.ones((1, len(vert)), dtype=bool), on[None])[0])
         return vol * scale**d
 
     return A, b * scale + (A * center).sum(axis=1), volume
@@ -613,7 +611,7 @@ def _seeds(X: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _subsets(k: int, d: int) -> np.ndarray:
     """The d-subsets of range(k) (m, d), in lex order, read-only; the
-    sizes a stack of cells or a small hull repeats stay cached."""
+    sizes a small hull repeats stay cached."""
     S = np.array(list(itertools.combinations(range(k), d)), dtype=np.intp).reshape(-1, d)
     S.setflags(write=False)
     return S
@@ -656,179 +654,57 @@ def _normals(E: np.ndarray) -> np.ndarray:
     return np.stack([(-1.0) ** l * _det(np.delete(M, l, axis=-1)) for l in range(d)])
 
 
-def _subset_pairs(vm: np.ndarray, d: int):
-    """(own, sub): every d-subset of each set's marked points vm (B, k),
-    as the set it belongs to and its k-slots (n, d), set by set, each
-    set's in the lex order of its marked points."""
-    count = vm.sum(axis=1)
-    slots = np.argsort(~vm, axis=1, kind="stable")  # marked slots first
-    own, sub = [], []
-    for c in np.unique(count[count >= d]):
-        S = _subsets(int(c), d)
-        sets = np.flatnonzero(count == c)
-        own.append(np.repeat(sets, len(S)))
-        sub.append(slots[own[-1][:, None], np.tile(S, (len(sets), 1))])
-    if not own:
-        return np.zeros(0, dtype=np.intp), np.zeros((0, d), dtype=np.intp)
-    own, sub = np.concatenate(own), np.concatenate(sub)
-    order = np.argsort(own, kind="stable")
-    return own[order], sub[order]
+def _facets(X: np.ndarray, tol: float = HULL_TOL):
+    """The facet rows of the point set X (k, d), d >= 2, centred and
+    scaled as HULL_TOL assumes, by brute force over its d-subsets.
 
-
-def _facets(P: np.ndarray, vm=None, tol: float = HULL_TOL):
-    """The facet rows of each point set of the stack P (B, k, d), d >= 2,
-    its points those marked in vm (B, k; all by default), each set
-    centred and scaled as HULL_TOL assumes, by brute force over the
-    d-subsets of its points.
-
-    A subset spanning a plane gives a row when every point of its set
-    lies on one side of the plane, within tol, oriented outward.  Rows of
-    one set whose tight points (those within tol) agree are one row, the
-    one of largest subset normal, the best conditioned.  Returns (owner,
-    A, b, T, norm, flat): each row's set (R,), in set order, then subset
-    order; unit normals A (R, d) and offsets b (R,); tight points T (R,
-    k); the length of the row's subset normal (R,), (d-1)! times its
-    simplex's measure; and flat (B,), True for a set lying within tol of
-    one plane, whose rows hold nothing.  The work runs one coordinate at
-    a time, every step elementwise per subset and summed over the
-    coordinates in order, so a set's rows do not depend on its
-    stack-mates or on the unmarked slots."""
-    B, k, d = P.shape
-    if vm is None:
-        S = _subsets(k, d)
-        if B == 1:
-            own, sub = np.zeros(len(S), dtype=np.intp), S
-        else:
-            own, sub = np.repeat(np.arange(B), len(S)), np.tile(S, (B, 1))
-    else:
-        own, sub = _subset_pairs(vm, d)
-    C = P.transpose(2, 0, 1)  # (d, B, k)
-    flat = np.zeros(B, dtype=bool)
+    A subset spanning a plane gives a row when every point lies on one
+    side of the plane, within tol, oriented outward.  Rows whose tight
+    points (those within tol) agree are one row, the one of largest
+    subset normal, the best conditioned.  Returns (A, b, T, norm, flat):
+    unit normals A (R, d) and offsets b (R,), in subset order; tight
+    points T (R, k); the length of each row's subset normal (R,), (d-1)!
+    times its simplex's measure; and flat, True when the set lies within
+    tol of one plane, whose rows hold nothing.  The work runs one
+    coordinate at a time, in chunks of about HULL_CHUNK subset-points,
+    every step elementwise per subset and summed over the coordinates in
+    order."""
+    k, d = X.shape
+    S = _subsets(k, d)
+    C = X.T  # (d, k)
+    flat = False
     out = []
     step = max(1, HULL_CHUNK // max(k, 1))
-    for lo in range(0, len(own), step):
-        o, sb = own[lo : lo + step], sub[lo : lo + step]
-        X = C[:, o[:, None], sb]  # (d, m, d)
-        N = _normals(X[:, :, 1:] - X[:, :, :1])
+    for lo in range(0, len(S), step):
+        Y = C[:, S[lo : lo + step]]  # (d, m, d)
+        N = _normals(Y[:, :, 1:] - Y[:, :, :1])
         norm = np.sqrt(_dot0(N, N))
         live = norm > SPAN_FLOOR
         if not live.all():
-            o, X, N, norm = o[live], X[:, live], N[:, live], norm[live]
+            Y, N, norm = Y[:, live], N[:, live], norm[live]
         n = N / norm
-        offset = _dot0(X[:, :, 0], n)
-        side = _dot0(C[:, o] if B > 1 else C, n[:, :, None]) - offset[:, None]
-        if vm is not None:
-            mark = vm[o]
-            side = np.where(mark, side, 0.0)
+        offset = _dot0(Y[:, :, 0], n)
+        side = _dot0(C, n[:, :, None]) - offset[:, None]
         below = (side <= tol).all(axis=1)
         above = (side >= -tol).all(axis=1)
-        flat[o[below & above]] = True
+        flat = flat or bool((below & above).any())
         r = np.flatnonzero(below ^ above)
         sign = np.where(below[r], 1.0, -1.0)
-        A = (n[:, r] * sign).T
-        T = np.abs(side[r]) <= tol
-        out.append((o[r], A, offset[r] * sign, T if vm is None else T & mark[r], norm[r]))
+        out.append(((n[:, r] * sign).T, offset[r] * sign, np.abs(side[r]) <= tol, norm[r]))
     if not out:
-        return np.zeros(0, dtype=np.intp), np.zeros((0, d)), np.zeros(0), np.zeros((0, k), dtype=bool), np.zeros(0), flat
-    owner, A, b, T, norm = out[0] if len(out) == 1 else (np.concatenate(x) for x in zip(*out))
+        return np.zeros((0, d)), np.zeros(0), np.zeros((0, k), dtype=bool), np.zeros(0), flat
+    A, b, T, norm = out[0] if len(out) == 1 else (np.concatenate(x) for x in zip(*out))
     if (T.sum(axis=1) > d).any():
-        # a row tight at its own d points alone is the only row of that
-        # set; the others group by tight set, the largest normal first
+        # a row tight at its own d points alone is the only row of its
+        # tight set; the others group by tight set, the largest normal first
         bits = np.packbits(T, axis=1)
-        order = np.lexsort((-norm, *bits.T[::-1], owner))
-        key = np.column_stack([owner, bits])[order]
+        order = np.lexsort((-norm, *bits.T[::-1]))
+        key = bits[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = (key[1:] != key[:-1]).any(axis=1)
         keep = np.sort(order[first])
-        owner, A, b, T, norm = owner[keep], A[keep], b[keep], T[keep], norm[keep]
-    return owner, A, b, T, norm, flat
-
-
-def _frame(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Coordinates of the points X (F, c, d) in the hyperplanes with unit
-    normals A (F, d), (F, c, d-1): each hyperplane's Householder
-    reflection sends its normal to the axis e_j, j its largest component,
-    and the other d-1 axes are kept."""
-    F, c, d = X.shape
-    j = np.abs(A).argmax(axis=1)
-    u = A.copy()
-    u[np.arange(F), j] += np.where(A[np.arange(F), j] < 0.0, -1.0, 1.0)
-    uu = (u * u).sum(axis=1)
-    Y = X - (2.0 / uu)[:, None, None] * (X * u[:, None, :]).sum(axis=2)[:, :, None] * u[:, None, :]
-    rest = np.arange(d - 1)[None, :] + (np.arange(d - 1)[None, :] >= j[:, None])
-    return np.take_along_axis(Y, rest[:, None, :], axis=2)
-
-
-def _facet_volumes(P: np.ndarray, vm, owner, A, b, T, norm) -> np.ndarray:
-    """The volume of each point set of the stack P (B, k, d), its points
-    marked in vm, centred and scaled, from its facet rows (owner, A, b,
-    T, norm as _facets gives them): the sum over its facets F of b_F |F|
-    / d, the cones from the centre (the origin) over the facets.
-
-    In a set whose every row is tight at its own d points alone, every
-    row is a simplex facet, |F| = norm / (d-1)!.  In the others, facets
-    and vertices are read off T by incidence_faces, so a row through a
-    lower face, or a point inside a face, counts for nothing, and |F| is
-    volumes() of F's vertices in F's hyperplane, all such facets in one
-    stack.  The choice is made per set, so a set's volume does not depend
-    on its stack-mates."""
-    B, k, d = P.shape
-    measure = norm / math.factorial(d - 1)
-    keep = np.ones(len(owner), dtype=bool)
-    mixed = np.bincount(owner[T.sum(axis=1) > d], minlength=B) > 0
-    i = np.flatnonzero(mixed[owner])
-    if len(i):
-        own = owner[i]
-        count = np.bincount(own, minlength=B)
-        slot = np.arange(len(i)) - (np.cumsum(count) - count)[own]
-        Tpad = np.zeros((B, k, int(count.max())), dtype=bool)
-        Tpad[own[:, None], np.arange(k)[None, :], slot[:, None]] = T[i]
-        vert, facet = incidence_faces(Tpad, vm, np.arange(Tpad.shape[2])[None, :] < count[:, None])
-        keep[i] = facet[own, slot]
-        i = i[keep[i]]
-        measure[i] = volumes(_frame(P[owner[i]], A[i]), T[i] & vert[owner[i]])
-    return np.bincount(owner[keep], weights=b[keep] * measure[keep], minlength=B) / d
-
-
-def volumes(P: np.ndarray, vm=None) -> np.ndarray:
-    """The volume of the convex hull of each point set of the stack P (B,
-    k, d), its points those marked in vm (B, k; all by default), from the
-    set's own points alone; 0 for a flat set.
-
-    In 1-D, the extent; in 2-D, the shoelace over the points sorted by
-    angle about their mean, which takes every point to lie on the hull's
-    boundary (a cell's vertices do); above, the facets of _facets on the
-    set centred and scaled, and _facet_volumes.  Sums over a set's points
-    run in order (cumsum), so each set's volume depends on its own points
-    alone, whatever its stack-mates and unmarked slots."""
-    P = np.asarray(P, dtype=float)
-    B, k, d = P.shape
-    if vm is None:
-        vm = np.ones((B, k), dtype=bool)
-    count = vm.sum(axis=1)
-    if k == 0 or not count.any():
-        return np.zeros(B)
-    if d == 1:
-        x = P[:, :, 0]
-        return np.where(count > 0, np.where(vm, x, -np.inf).max(axis=1) - np.where(vm, x, np.inf).min(axis=1), 0.0)
-    M = vm[:, :, None]
-    mean = np.cumsum(np.where(M, P, 0.0), axis=1)[:, -1] / np.maximum(count, 1)[:, None]
-    X = np.where(M, P - mean[:, None, :], 0.0)
-    if d == 2:
-        angle = np.where(vm, np.arctan2(X[:, :, 1], X[:, :, 0]), np.inf)
-        X = np.take_along_axis(X, np.argsort(angle, axis=1, kind="stable")[:, :, None], axis=1)
-        at = np.arange(k)
-        nxt = np.where(at[None, :] + 1 < count[:, None], at[None, :] + 1, 0)
-        Y = np.take_along_axis(X, nxt[:, :, None], axis=1)
-        term = np.where(at[None, :] < count[:, None], X[:, :, 0] * Y[:, :, 1] - Y[:, :, 0] * X[:, :, 1], 0.0)
-        return 0.5 * np.abs(np.cumsum(term, axis=1)[:, -1])
-    scale = np.abs(X).max(axis=(1, 2))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    X = X / scale[:, None, None]
-    *rows, flat = _facets(X, vm)
-    vol = _facet_volumes(X, vm, *rows) * scale**d
-    vol[flat] = 0.0
-    return vol
+        A, b, T, norm = A[keep], b[keep], T[keep], norm[keep]
+    return A, b, T, norm, flat
 
 
 def _maximal(M: np.ndarray, keep=None) -> np.ndarray:
@@ -902,13 +778,20 @@ def simplex_facets(T: np.ndarray, d: int) -> bool:
 
 
 def simplex_measures(points: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Measures of the simplices points[S] (m, d+1), d <= dim of points."""
+    """Measures of the simplices points[S] (m, d+1), 1 <= d <= dim of
+    points: |det E| / d! of the edges E from the first vertex in full
+    dimension; below it, an edge's length, and a higher simplex's
+    |prod diag R| / d! from a QR of its edges, whose error stays relative
+    to the measure on a needle or sliver, where that of the Gram
+    determinant det(E E^T) grows like eps over the squared measure."""
     E = points[S[:, 1:]] - points[S[:, :1]]
     d = E.shape[1]
     if d == E.shape[2]:
         return np.abs(np.linalg.det(E)) / math.factorial(d)
-    gram = np.linalg.det(E @ np.swapaxes(E, 1, 2))
-    return np.sqrt(np.maximum(gram, 0.0)) / math.factorial(d)
+    if d == 1:
+        return np.sqrt((E[:, 0] * E[:, 0]).sum(axis=1))
+    R = np.linalg.qr(np.swapaxes(E, 1, 2), mode="r")
+    return np.abs(np.diagonal(R, axis1=1, axis2=2).prod(axis=1)) / math.factorial(d)
 
 
 def _merge_repeats(idx, mask, T):
@@ -1060,6 +943,58 @@ def simplex_cells(points: np.ndarray, S: np.ndarray, tol: float = EPS):
     pts = points[S]
     spread = (pts.max(axis=1) - pts.min(axis=1)).max(axis=1)
     return S, keep & (measure > simplex_floor(spread, dim, tol)), measure
+
+
+# ---------------------------------------------------------------------------
+# Cell volumes
+# ---------------------------------------------------------------------------
+
+
+def cell_volumes(cells: Cells) -> np.ndarray:
+    """The volume of each cell of the stack, from its own vertices and
+    incidence: one batched determinant for the cells that are simplices,
+    and _polytope_volumes for the cells of more vertices; a cell of d or
+    fewer vertices is flat, of volume 0.  Each cell's volume depends on
+    that cell alone, whatever its stack-mates and unmarked slots."""
+    B, k, d = cells.V.shape
+    vol = np.zeros(B)
+    count = cells.counts()
+    si = np.flatnonzero(count == d + 1)
+    if len(si):
+        X = cells.V[si][cells.vm[si]].reshape(-1, d + 1, d)
+        vol[si] = np.abs(np.linalg.det(X[:, 1:] - X[:, :1])) / math.factorial(d)
+    oi = np.flatnonzero(count > d + 1)
+    if len(oi):
+        T = None if d == 2 else _unpack_rows(cells.bits[oi], cells.H.shape[1])
+        vol[oi] = _polytope_volumes(cells.V[oi], cells.vm[oi], T)
+    return vol
+
+
+def _polytope_volumes(P: np.ndarray, vm: np.ndarray, T) -> np.ndarray:
+    """The volume of each convex polytope of the stack P (B, k, d), its
+    vertices those marked in vm (B, k) and their incidence T (B, k, r) on
+    rows that hold every facet.  In 2-D, the shoelace over the vertices
+    sorted by angle about their mean (T is not read); in any other
+    dimension, the sum of the polytope's pulling triangulation from T at
+    tol 0, so that no needle of a thin polytope is dropped.  Sums over a
+    polytope's points run in order, so each volume depends on its own
+    points alone."""
+    B, k, d = P.shape
+    if d == 2:
+        count = vm.sum(axis=1)
+        M = vm[:, :, None]
+        mean = np.cumsum(np.where(M, P, 0.0), axis=1)[:, -1] / np.maximum(count, 1)[:, None]
+        X = np.where(M, P - mean[:, None, :], 0.0)
+        angle = np.where(vm, np.arctan2(X[:, :, 1], X[:, :, 0]), np.inf)
+        X = np.take_along_axis(X, np.argsort(angle, axis=1, kind="stable")[:, :, None], axis=1)
+        at = np.arange(k)
+        nxt = np.where(at[None, :] + 1 < count[:, None], at[None, :] + 1, 0)
+        Y = np.take_along_axis(X, nxt[:, :, None], axis=1)
+        term = np.where(at[None, :] < count[:, None], X[:, :, 0] * Y[:, :, 1] - Y[:, :, 0] * X[:, :, 1], 0.0)
+        return 0.5 * np.abs(np.cumsum(term, axis=1)[:, -1])
+    points = P.reshape(B * k, d)
+    S, cell = pulling_triangulation(points, np.arange(B * k).reshape(B, k), vm, T, d, tol=0.0)
+    return np.bincount(cell, weights=simplex_measures(points, S), minlength=B)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,15 @@ every simplex with a leftover, f's and g's alike, run in lockstep, one
 stacked cut per row.  Every cut is one convex.split over the stack, and
 nothing in the cutting depends on the dimension.  The refinement carries
 its cells as arrays: vertices with their tight rows and incidence, each
-cell's simplex of f and of g, and its volume (one batched determinant
-for the cells that are simplices, convex.volumes of the vertex set for
-the others: never read off the cut incidence, so the cover balance and
-the fill check do not compare the triangulation with itself).
+cell's simplex of f and of g, and its volume (convex.cell_volumes: one
+batched determinant for the cells that are simplices, the shoelace for
+the others in 2-D, and above their pulling triangulation from the cut
+incidence at tol 0).  What stays independent of that incidence is the
+other side of each check: the cover balance compares the cells' volumes
+with the inputs' own simplex determinants, and the fill check compares
+each kept or merged cell's volume with its output simplices, which the
+assembly triangulates anew on the snapped vertex table at the
+degenerate floor.
 
 Each cell keeps the winning affine piece, decided for join and meet at
 once at each cell's centroid.  The cells one function wins are merged
@@ -320,23 +325,6 @@ def _leftovers(mesh: _Mesh, mi, mj, shared, tol):
     return convex.Cells.concat([c for c, _ in done]).take(order), owner[order]
 
 
-def _volumes(cells):
-    """Each cell's volume from its vertices alone: one batched
-    determinant for the simplices, one convex.volumes stack for the
-    others (a flat cell has volume 0)."""
-    d = cells.V.shape[2]
-    vol = np.zeros(len(cells))
-    count = cells.counts()
-    si = np.flatnonzero(count == d + 1)
-    if len(si):
-        X = cells.V[si][cells.vm[si]].reshape(-1, d + 1, d)
-        vol[si] = np.abs(np.linalg.det(X[:, 1:] - X[:, :1])) / math.factorial(d)
-    oi = np.flatnonzero(count != d + 1)
-    if len(oi):
-        vol[oi] = convex.volumes(cells.V[oi], cells.vm[oi])
-    return vol
-
-
 def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     """Cells covering supp f and supp g of every pair, the cells both
     cover once for each, by pair; mesh comes from _prep.  A pair's cells
@@ -361,7 +349,7 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     mi, mj = pi[src], pj[src]  # the pairs that meet in an interior
     both, src = _cut_by_affine(both, mesh.grad[mi] - mesh.grad[mj], mesh.off[mi] - mesh.off[mj], tol[mi])
     pi, pj = mi[src], mj[src]
-    vol = _volumes(both)
+    vol = convex.cell_volumes(both)
     shared = np.bincount(pi, weights=vol, minlength=m) + np.bincount(pj, weights=vol, minlength=m)
     # single-cover leftovers of each function, cut where it crosses zero
     parts, owner = _leftovers(mesh, mi, mj, shared, tol)
@@ -374,7 +362,7 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
         convex.Cells.concat([both, parts]),
         np.concatenate([pi, np.where(of_f, owner, absent)]),
         np.concatenate([pj, np.where(of_f, absent, owner)]),
-        np.concatenate([vol, _volumes(parts)]),
+        np.concatenate([vol, convex.cell_volumes(parts)]),
         pair,
     )
     # each pair's cells together, in the order it gets alone

@@ -562,7 +562,7 @@ def _build_tents(f: PLFunction, simplices, M) -> list:
     cells, src = convex.clip_rows(box.take(np.zeros(len(rows), dtype=int)), np.array(rows), np.array(rhs), tol)
     grad, off = (np.array(x) for x in zip(*pieces))
     tent = src // (n + 2)
-    vol = overlay._volumes(cells)
+    vol = convex.cell_volumes(cells)
     ends = overlay._bounds(tent, len(M))
     supp = np.array([float(vol[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])])
     tents = overlay._raise_first(overlay.assemble_cells(cells, vol, grad[src], off[src], n, supp, tent))

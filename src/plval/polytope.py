@@ -10,7 +10,9 @@ the facets, the points on them the vertices, and each facet is its own
 triangulation (convex.simplex_cells); otherwise the rows and points are
 cut down to facets and vertices by their incidence
 (convex.hull_incidence) and the facets triangulated in one stack.  The
-two paths give the same polytope bit for bit.  All orderings are
+two paths give the same polytope bit for bit.  A build whose incidence
+leaves fewer than n+1 vertices or facets, a polytope thinner than the
+incidence tolerance, raises Degenerate.  All orderings are
 canonicalized so identical inputs produce identical objects.
 dilate(P, lam) gives lam P without a hull, scaling P's data and keeping
 its facets and triangulation, and random_polytope rejects a draw on its
@@ -93,10 +95,6 @@ def _hull(points: np.ndarray):
     n = points.shape[1]
     if len(points) < n + 1:
         raise Degenerate("need at least %d points in R^%d, got %d" % (n + 1, n, len(points)))
-    _, _, rank, spread = convex.affine_frame(points)
-    if rank < n or spread == 0.0:
-        raise Degenerate("points span only %d of %d dimensions" % (rank, n))
-
     scale = float(np.abs(points).max())
     pts, _ = convex.dedupe_points(points, EPS * max(scale, 1.0))
     A, b, _ = convex.hull(pts)
@@ -123,7 +121,9 @@ def _finish(pts: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, require
     its own triangulation, kept or dropped by the rule the triangulation
     applies to a cell that is a simplex already (convex.simplex_cells);
     other hulls take the general path, hull_incidence and the stacked
-    pulling triangulation.  Both give the same polytope bit for bit."""
+    pulling triangulation.  Both give the same polytope bit for bit.
+    Raises Degenerate when the incidence leaves fewer than n+1 vertices
+    or facets."""
     n = pts.shape[1]
     tol = 10 * EPS * float(np.abs(pts - pts.mean(axis=0)).max())
     T = convex.tight_rows(pts, A, b, tol)
@@ -133,6 +133,10 @@ def _finish(pts: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, require
         normals, offsets, on = A, b, T[vert]
     else:
         vert, normals, offsets, on = convex.hull_incidence(pts, A, b, tol)
+    if len(vert) < n + 1 or len(normals) < n + 1:
+        # a polytope thinner than tol: its opposite facets' points lie on
+        # each other's rows
+        raise Degenerate("the incidence leaves %d vertices and %d facets in R^%d" % (len(vert), len(normals), n))
     verts = pts[vert]
     verts.setflags(write=False)
     key = np.concatenate([normals, offsets[:, None]], axis=1).round(9)

@@ -526,16 +526,16 @@ def test_tent_is_assembled_by_the_overlay(monkeypatch, cone_square):
 
 
 def test_tent_cell_volumes_are_checked(monkeypatch, cone_square):
-    from plval import overlay
+    from plval import convex
 
-    volumes = overlay._volumes
+    volumes = convex.cell_volumes
 
     def corrupted(cells):
         vol = volumes(cells).copy()
         vol[0] *= 1.5
         return vol
 
-    monkeypatch.setattr(overlay, "_volumes", corrupted)
+    monkeypatch.setattr(convex, "cell_volumes", corrupted)
     with pytest.raises(OverlayFailure, match="triangulates"):
         pf._build_tents(cone_square, [0], [4.0])
 

@@ -1,5 +1,7 @@
 """Hulls, volumes, polars, support data, triangulations, transforms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -353,3 +355,31 @@ def test_random_polytope_accepts_the_draw_a_full_build_accepts(n, k):
         assert P.vertices.tobytes() == ref.vertices.tobytes()
         assert P.facets == ref.facets
         assert P.facet_simplices.tobytes() == ref.facet_simplices.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("w", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_thin_parallelepipeds_measure_right_or_raise(n, w):
+    # centred parallelepipeds with unit edges but one of length w: each
+    # build raises Degenerate, or has at least n+1 vertices and a volume
+    # within 1e-13 / w relative of |det E|; a hundred times thicker than
+    # the incidence tolerance (10 EPS), every one builds
+    rng = np.random.default_rng(0)
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=n)))
+    built = 0
+    for _ in range(60):
+        E = rng.normal(size=(n, n))
+        E /= np.linalg.norm(E, axis=1)[:, None]
+        E[-1] *= w
+        want = abs(np.linalg.det(E))
+        if want < 0.05 * w:
+            continue
+        try:
+            P = pt._build(corners @ E, require_origin_interior=False)
+        except Degenerate:
+            assert w < 1e-6
+            continue
+        built += 1
+        assert len(P.vertices) >= n + 1
+        assert pt.volume(P) == pytest.approx(want, rel=1e-13 / w)
+    assert built
