@@ -9,12 +9,16 @@ of polytope builds that got past the hull (calls to polytope._finish;
 hulls less builds are random_polytope draws rejected on their rows, and
 convex supports), of overlay cuts (calls to overlay._pieces_pairwise,
 one per batch of pairs), of overlay assemblies (calls to
-overlay.assemble_cells, for overlay results and tents alike) and of
+overlay.assemble_cells, for overlay results and tents alike), of
 batched point locations (calls to plfunction.evaluate_each, from
-overlay checks, tent checks and evaluation).  It ends with the SHA-256 of its JSONL bytes as `plval
-verify` writes them, so two checkouts' outputs at one seed can be
-compared line by line.  summary.csv ends in each suite's wall seconds,
-as with `plval verify --timing`.
+overlay checks, tent checks and evaluation), of value-density builds
+(calls to integration.value_density, one per batch of functions that
+lack one and one per simplex_means call) and of engine passes (calls to
+integration.ValueDensity.means, one per kernel or norm per batch).  It
+ends with the SHA-256 of its JSONL bytes as `plval verify` writes them,
+so two checkouts' outputs at one seed can be compared line by line.
+summary.csv ends in each suite's wall seconds, as with `plval verify
+--timing`.
 """
 
 import argparse
@@ -24,7 +28,7 @@ import pathlib
 import sys
 import time
 
-from plval import convex, overlay, plfunction, polytope
+from plval import convex, integration, overlay, plfunction, polytope
 from plval.verify import default_battery, reports_to_jsonl, summarize_csv
 
 
@@ -54,6 +58,9 @@ def main() -> int:
     count_calls(calls, "assemblies", (overlay, "assemble_cells"))
     # overlay imports evaluate_each by name; plfunction calls its own
     count_calls(calls, "locates", (overlay, "evaluate_each"), (plfunction, "evaluate_each"))
+    # plfunction imports value_density at each call, so the module's name serves all
+    count_calls(calls, "densities", (integration, "value_density"))
+    count_calls(calls, "means", (integration.ValueDensity, "means"))
     args.out.mkdir(parents=True, exist_ok=True)
     all_reports, wall = [], {}
     for name, thunk in default_battery(args.seed):
@@ -64,9 +71,10 @@ def main() -> int:
         fails = sum(1 for r in reports if r.status == "fail")
         digest = hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest()
         print(
-            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %4d builds  %3d cuts  %3d assemblies  %3d locates  sha256 %s"
+            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %4d builds  %3d cuts  %3d assemblies  %3d locates"
+            "  %4d densities  %4d means  sha256 %s"
             % (name, len(reports), fails, wall[name], calls["hulls"], calls["builds"], calls["cuts"],
-               calls["assemblies"], calls["locates"], digest)
+               calls["assemblies"], calls["locates"], calls["densities"], calls["means"], digest)
         )
         all_reports.extend(reports)
 

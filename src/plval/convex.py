@@ -836,11 +836,12 @@ def pulling_triangulation(points: np.ndarray, idx, mask, incidence, dim: int, to
     rows of points, those marked in mask (K, k) (repeats are merged);
     incidence (K, k, r): True where the vertex lies on row r of its cell,
     the rows holding every facet of the cell; dim: the cells' affine
-    dimension.  Returns (S, cell): the simplices (m, dim+1) as rows of
-    points and the cell each lies in, by cell and, within a cell, in the
-    order of the recursion below.  For dim >= 2 simplices at or below the
-    degenerate-measure floor (simplex_floor of the cell's extent) are left
-    out; an edge is kept when its length clears tol.
+    dimension.  Returns (S, cell, measure): the simplices (m, dim+1) as
+    rows of points, the cell each lies in and each one's simplex_measures,
+    by cell and, within a cell, in the order of the recursion below.  For
+    dim >= 2 simplices at or below the degenerate-measure floor
+    (simplex_floor of the cell's extent) are left out; an edge is kept
+    when its length clears tol.
 
     A d-face with more than d+1 vertices is the cone from its
     lexicographically smallest vertex over the pulled triangulations of
@@ -901,15 +902,16 @@ def pulling_triangulation(points: np.ndarray, idx, mask, incidence, dim: int, to
     S, cell, key = (np.concatenate(x) for x in zip(*out))
     order = np.lexsort((key, cell))
     S, cell = S[order], cell[order]
+    measure = simplex_measures(points, S)
     if dim > 1 and len(S):
         # the floor scales with each cell's extent; slot 0 holds a vertex
         # of every cell with one
         P = points[idx]
         P = np.where(mask[:, :, None], P, P[:, :1])
         spread = (P.max(axis=1) - P.min(axis=1)).max(axis=1)
-        keep = simplex_measures(points, S) > simplex_floor(spread, dim, tol)[cell]
-        S, cell = S[keep], cell[keep]
-    return S, cell
+        keep = measure > simplex_floor(spread, dim, tol)[cell]
+        S, cell, measure = S[keep], cell[keep], measure[keep]
+    return S, cell, measure
 
 
 def simplex_floor(spread, dim: int, tol: float = EPS):
@@ -993,8 +995,8 @@ def _polytope_volumes(P: np.ndarray, vm: np.ndarray, T) -> np.ndarray:
         term = np.where(at[None, :] < count[:, None], X[:, :, 0] * Y[:, :, 1] - Y[:, :, 0] * X[:, :, 1], 0.0)
         return 0.5 * np.abs(np.cumsum(term, axis=1)[:, -1])
     points = P.reshape(B * k, d)
-    S, cell = pulling_triangulation(points, np.arange(B * k).reshape(B, k), vm, T, d, tol=0.0)
-    return np.bincount(cell, weights=simplex_measures(points, S), minlength=B)
+    _, cell, measure = pulling_triangulation(points, np.arange(B * k).reshape(B, k), vm, T, d, tol=0.0)
+    return np.bincount(cell, weights=measure, minlength=B)
 
 
 # ---------------------------------------------------------------------------

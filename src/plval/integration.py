@@ -25,6 +25,8 @@ exact.  A power piece does not straddle 0; with near and far its
 endpoints' magnitudes, it takes a 16-node Gauss-Legendre rule when
 near/far >= 1/3, where |t|^e is analytic well beyond the piece, and a
 closed form through complete and incomplete Beta integrals otherwise.
+Which rule a piece takes, and the powers of near/far the closed form
+needs, depend on the piece alone (_Orientation).
 
 No cancellation.  The Bernstein coefficients are nonnegative, so when h
 is nonnegative (|t|^q, indicators) each sub-piece contributes a
@@ -32,13 +34,20 @@ nonnegative amount computed to a few ulps, and the sum over sub-pieces
 and segments cannot cancel.  A value row with a zero spread is a point
 mass and contributes h at its value.
 
-Two halves.  The segments' coefficients do not depend on h:
-value_density(values) sorts the rows and builds them once, and
-ValueDensity.means(h) does the cutting, subdivision and piece integrals
-for one h.  A PLFunction caches its density (PLFunction.value_density),
-so z(f) under several kernels, the L^q norms and the level sets of one
-function build it once; simplex_means composes the two halves for
-one-off rows.
+Two halves.  Everything that does not depend on h is done once per
+density: value_density(values) sorts the rows, builds the segments'
+coefficients, cuts the segments that cross 0 (the one cut every h has)
+and reads each piece's coefficients from its end nearer 0; the power
+rule's orientation of the pieces is computed on the first power kernel
+that meets the density and kept.  ValueDensity.means(h) does only what
+depends on h: it cuts the pieces at the cuts of h other than 0 that
+they cross (none for a power kernel or an L^q norm), drops the
+sub-pieces on which h is 0, and integrates the rest, reusing the kept
+orientation when the sub-pieces are the density's own pieces.  A
+PLFunction caches its density (PLFunction.value_density), so z(f) under
+several kernels, the L^q norms and the level sets of one function build
+and orient it once; simplex_means composes the two halves for one-off
+rows.
 
 Densities stack across functions.  integrals(functions, h) builds the
 densities its functions lack in one value_density call (each function
@@ -55,6 +64,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +114,19 @@ def hq_complete_homogeneous(values, q: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Flags(NamedTuple):
+    """The kernel-only reads of a Pieces: its cuts other than 0 (the only
+    ones a density's pieces can cross), every interval's ends, which
+    intervals h is not identically 0 on and which carry a polynomial, and
+    for each exponent of a power term the intervals carrying it."""
+
+    inner: np.ndarray  # (L-1,)
+    edges: np.ndarray  # (L+2,) -inf, the cuts, +inf
+    active: np.ndarray  # (L+1,) bool
+    poly: np.ndarray  # (L+1,) bool
+    groups: tuple  # ((exponent, (L+1,) bool), ...)
+
+
 @dataclass(frozen=True, eq=False)
 class Pieces:
     """h: R -> R given on the intervals between sorted cuts.
@@ -129,6 +152,19 @@ class Pieces:
     def __post_init__(self):
         if not (self.cuts == 0.0).any() or (np.diff(self.cuts) <= 0.0).any():
             raise ValueError("cuts must be strictly increasing and include 0")
+
+    @functools.cached_property
+    def flags(self) -> "_Flags":
+        """What the engine reads of h alone, computed once (see _Flags)."""
+        poly = (self.coefficients != 0.0).any(axis=1)
+        power = self.scales != 0.0
+        return _Flags(
+            inner=self.cuts[self.cuts != 0.0],
+            edges=np.concatenate([[-np.inf], self.cuts, [np.inf]]),
+            active=poly | power,
+            poly=poly,
+            groups=tuple((float(e), power & (self.exponents == e)) for e in np.unique(self.exponents[power])),
+        )
 
     @staticmethod
     def power(coefficient: float, exponent: float) -> "Pieces":
@@ -300,13 +336,51 @@ def _expansion_table(N: int) -> np.ndarray:
     return M
 
 
-def _power_pieces(x0, x1, c, q: float) -> np.ndarray:
-    """integral_0^1 |x0 + (x1 - x0) u|^q sum_k c[p, k] B^N_k(u) du per
-    piece; no piece straddles 0.
+class _Orientation(NamedTuple):
+    """The h-independent half of _power_pieces for a stack of pieces that
+    do not straddle 0.  With near <= far the magnitudes of a piece's ends:
+    the pieces taking Gauss-Legendre (near/far >= NEAR_RATIO), with near
+    and far - near, and the others, which take the closed form, with far,
+    rho = near/far, rho^0 .. rho^{2N} and (1 - rho)^{N+1}."""
 
-    With near <= far the endpoint magnitudes and u counted from the near
-    end, pieces with near/far >= NEAR_RATIO take Gauss-Legendre.  The
-    others take the closed form in rho = near/far and y = t/far:
+    quad: np.ndarray  # (k,) bool, the a Gauss-Legendre pieces
+    near: np.ndarray  # (a,)
+    span: np.ndarray  # (a,) far - near
+    closed: np.ndarray  # (k,) bool, the b closed-form pieces
+    far: np.ndarray  # (b,)
+    rho: np.ndarray  # (b,)
+    powers: np.ndarray  # (b, 2N+1)
+    shrink: np.ndarray  # (b,) (1 - rho)^{N+1}
+
+
+def _orient(lo, hi, N: int) -> _Orientation:
+    """The _Orientation of the pieces [lo, hi] (none straddling 0) whose
+    density polynomials have Bernstein degree N."""
+    neg = hi <= 0.0
+    near = np.where(neg, -hi, lo)
+    far = np.where(neg, -lo, hi)
+    quad = near >= NEAR_RATIO * far
+    closed = ~quad
+    rho = near[closed] / far[closed]
+    return _Orientation(
+        quad=quad,
+        near=near[quad],
+        span=(far - near)[quad],
+        closed=closed,
+        far=far[closed],
+        rho=rho,
+        powers=rho[:, None] ** np.arange(2 * N + 1),
+        shrink=(1.0 - rho) ** (N + 1),
+    )
+
+
+def _power_pieces(o: _Orientation, c, q: float) -> np.ndarray:
+    """integral_0^1 (near + (far - near) u)^q sum_k c[p, k] B^N_k(u) du per
+    piece, for pieces oriented by o and their coefficients c read from the
+    near end (u = 0 at near).
+
+    Pieces with near/far >= NEAR_RATIO take Gauss-Legendre.  The others
+    take the closed form in rho = near/far and y = t/far:
 
         integral_0^1 (near + (far - near) u)^q B^N_k(u) du
             = far^q C(N,k) / (1-rho)^{N+1}
@@ -318,20 +392,13 @@ def _power_pieces(x0, x1, c, q: float) -> np.ndarray:
     Exponents at or below -1 (anchored extensions away from 0) expand the
     inner integral directly instead."""
     N = c.shape[1] - 1
-    neg = x1 <= 0.0
-    near = np.where(neg, -x1, x0)
-    far = np.where(neg, -x0, x1)
-    c = np.where(neg[:, None], c[:, ::-1], c)  # orient u from the near end
-    out = np.empty(len(x0))
-    quad = near >= NEAR_RATIO * far
-    if quad.any():
+    out = np.empty(len(c))
+    if len(o.near):
         u, w, basis = _gl_bernstein(GL_POWER_NODES, N)
-        F = (near[quad, None] + (far - near)[quad, None] * u) ** q
-        out[quad] = np.sum(((F * w) @ basis) * c[quad], axis=1)
-    closed = ~quad
-    if closed.any():
-        rho = near[closed] / far[closed]
-        powers = rho[:, None] ** np.arange(2 * N + 1)
+        F = (o.near[:, None] + o.span[:, None] * u) ** q
+        out[o.quad] = np.sum(((F * w) @ basis) * c[o.quad], axis=1)
+    if len(o.far):
+        rho, powers = o.rho, o.powers
         if q > -1.0:
             P, Q = _closed_form_tables(q, N)
             K = powers[:, : N + 1] @ P - (powers @ Q) * (rho ** (q + 1.0))[:, None]
@@ -343,13 +410,13 @@ def _power_pieces(x0, x1, c, q: float) -> np.ndarray:
             safe_e = np.where(e == 0.0, 1.0, e)
             inner = np.where(e == 0.0, -log_rho, -np.expm1(e * log_rho) / safe_e)
             K = np.einsum("xp,xs,psk->xk", powers[:, : N + 1], inner, _expansion_table(N))
-        out[closed] = np.sum(K * c[closed], axis=1) * far[closed] ** q / (1.0 - rho) ** (N + 1)
+        out[o.closed] = np.sum(K * c[o.closed], axis=1) * o.far**q / o.shrink
     return out
 
 
 def _poly_pieces(x0, x1, c, anchors, coefficients) -> np.ndarray:
     """Exact Gauss-Legendre integral of a polynomial piece against each
-    sub-piece's density polynomial."""
+    sub-piece's density polynomial (c read from x0)."""
     N = c.shape[1] - 1
     D = coefficients.shape[1] - 1
     u, w, basis = _gl_bernstein((D + N) // 2 + 1, N)
@@ -360,13 +427,69 @@ def _poly_pieces(x0, x1, c, anchors, coefficients) -> np.ndarray:
     return np.sum(((h * w) @ basis) * c, axis=1)
 
 
+def _crossings(lo, hi, cuts):
+    """(piece, interval, whole): one entry per sub-piece of the pieces
+    [lo, hi] between consecutive sorted cuts, by piece and within a piece
+    from low to high: its piece, the interval of the cuts it lies in
+    (interval l runs from cuts[l-1] to cuts[l]), and whether no cut
+    crosses any piece, so that the sub-pieces are the pieces."""
+    first = np.searchsorted(cuts, lo, side="right")
+    if not len(cuts):
+        return np.arange(len(lo)), first, True
+    count = np.searchsorted(cuts, hi, side="left") - first + 1
+    piece = np.repeat(np.arange(len(lo)), count)
+    interval = first[piece] + np.arange(len(piece)) - np.repeat(np.cumsum(count) - count, count)
+    return piece, interval, len(piece) == len(lo)
+
+
+def _restrict(c, lo, hi, x0, x1):
+    """Bernstein coefficients (read from the low end) of the density on
+    [x0, x1] within pieces [lo, hi] of coefficients c: de Casteljau
+    subdivision, times the share x1 - x0 of the piece's width."""
+    width = hi - lo
+    c = _subdivide(c, (x0 - lo) / width, (x1 - lo) / width)
+    c *= ((x1 - x0) / width)[:, None]
+    return c
+
+
+def _flip(c, neg):
+    """Bernstein coefficients read from the other end where neg; exact,
+    and its own inverse."""
+    return np.where(neg[:, None], c[:, ::-1], c)
+
+
+def _cut(c, lo, hi, high, piece, interval, edges):
+    """(c, x0, x1): the part [x0, x1] of pieces[piece] in interval
+    `interval` of the sorted edges, for pieces [lo, hi] with coefficients
+    c read from the high end where high, from the low end elsewhere; the
+    parts' coefficients are read from the same end as their pieces'.  A
+    part that is its whole piece keeps the piece's coefficients."""
+    x0 = np.maximum(lo[piece], edges[interval])
+    x1 = np.minimum(hi[piece], edges[interval + 1])
+    lo, hi, c, high = lo[piece], hi[piece], c[piece], high[piece]
+    cut = np.flatnonzero((x0 > lo) | (x1 < hi))
+    if len(cut):
+        low = _restrict(_flip(c[cut], high[cut]), lo[cut], hi[cut], x0[cut], x1[cut])
+        c[cut] = _flip(low, high[cut])
+    return c, x0, x1
+
+
 @dataclass(frozen=True, eq=False)
 class ValueDensity:
     """The value densities of a stack of simplices, the kernel-independent
     half of the engine: each row's vertex values sorted, the rows with zero
-    spread (point masses) with their values, and the Bernstein
-    coefficients, ends and row index of every segment of positive width.
-    means(h) is the kernel-dependent half.
+    spread (point masses) with their values, and the density's pieces.  A
+    piece is a segment of positive width between two knots of a row, cut
+    at 0 where it crosses it, so no piece straddles 0; each has its ends,
+    row and Bernstein coefficients, read from its end nearer 0 (from lo on
+    a piece at or above 0, from hi below).
+
+    means(h) is the kernel-dependent half.  It cuts the pieces only at
+    h's cuts other than 0, so a power kernel or a norm cuts nothing.  The
+    power rule's orientation of the pieces (_Orientation: which rule each
+    piece takes and the powers of rho) is computed once, on first use,
+    and kept in a slot outside the fields: two densities of the same rows
+    have the same fields whether or not either has met a power kernel.
 
     A row's density is the same whatever rows share its stack, so split
     and stack move rows between stacks without changing them.  A row's
@@ -377,13 +500,15 @@ class ValueDensity:
     remove the difference at a cost of about a fifth of the engine's
     speed."""
 
+    __slots__ = ("__dict__", "__weakref__", "_orientation")
+
     sorted_rows: np.ndarray  # (m, n+1)
     point_rows: np.ndarray  # (p,) indices of the point-mass rows
     point_values: np.ndarray  # (p,)
-    coefficients: np.ndarray  # (k, n), see _segment_density
+    coefficients: np.ndarray  # (k, n), see _segment_density, read from the near end
     lo: np.ndarray  # (k,)
     hi: np.ndarray  # (k,)
-    seg_row: np.ndarray  # (k,)
+    piece_row: np.ndarray  # (k,)
 
     @staticmethod
     def stack(densities) -> "ValueDensity":
@@ -398,7 +523,7 @@ class ValueDensity:
         return _frozen(
             ValueDensity(
                 point_rows=np.concatenate([d.point_rows + r for d, r in zip(densities, start)]),
-                seg_row=np.concatenate([d.seg_row + r for d, r in zip(densities, start)]),
+                piece_row=np.concatenate([d.piece_row + r for d, r in zip(densities, start)]),
                 **joined,
             )
         )
@@ -408,12 +533,12 @@ class ValueDensity:
         their arrays are read-only views of this density's."""
         rows = np.cumsum([0] + list(counts))
         points = np.searchsorted(self.point_rows, rows)
-        segs = np.searchsorted(self.seg_row, rows)
+        pieces = np.searchsorted(self.piece_row, rows)
         # row indices counted from the first row of their own block
         point_rows = self.point_rows - np.repeat(rows[:-1], np.diff(points))
-        seg_row = self.seg_row - np.repeat(rows[:-1], np.diff(segs))
+        piece_row = self.piece_row - np.repeat(rows[:-1], np.diff(pieces))
         point_rows.setflags(write=False)
-        seg_row.setflags(write=False)
+        piece_row.setflags(write=False)
         return [
             ValueDensity(
                 sorted_rows=self.sorted_rows[r0:r1],
@@ -422,52 +547,57 @@ class ValueDensity:
                 coefficients=self.coefficients[s0:s1],
                 lo=self.lo[s0:s1],
                 hi=self.hi[s0:s1],
-                seg_row=seg_row[s0:s1],
+                piece_row=piece_row[s0:s1],
             )
-            for r0, r1, p0, p1, s0, s1 in zip(rows, rows[1:], points, points[1:], segs, segs[1:])
+            for r0, r1, p0, p1, s0, s1 in zip(rows, rows[1:], points, points[1:], pieces, pieces[1:])
         ]
 
+    def orientation(self) -> _Orientation:
+        """The power rule's orientation of this density's pieces, computed
+        on first use."""
+        o = getattr(self, "_orientation", None)
+        if o is None:
+            o = _orient(self.lo, self.hi, self.coefficients.shape[1] - 1)
+            object.__setattr__(self, "_orientation", o)
+        return o
+
     def means(self, h: Pieces) -> np.ndarray:
-        """Mean of h over each row's density: split every segment at the
-        cuts of h it crosses, then integrate each sub-piece."""
+        """Mean of h over each row's density: cut the pieces at the cuts of
+        h other than 0 they cross, keeping the sub-pieces on which h is not
+        identically 0, then integrate each sub-piece."""
         m = len(self.sorted_rows)
         out = np.zeros(m)
         if len(self.point_rows):
             out[self.point_rows] = h(self.point_values)
         if len(self.lo) == 0:
             return out
-        A, lo, hi, seg_row = self.coefficients, self.lo, self.hi, self.seg_row
+        flags = h.flags
+        lo, hi, c, row = self.lo, self.hi, self.coefficients, self.piece_row
+        neg = hi <= 0.0
+        piece, interval, whole = _crossings(lo, hi, flags.inner)
+        interval += ~neg[piece]  # a piece's side of 0 picks its interval of h
+        live = flags.active[interval]
+        own = whole and live.all()  # the sub-pieces are this density's pieces
+        if not own:
+            piece, interval = piece[live], interval[live]
+            c, lo, hi = _cut(c, lo, hi, neg, piece, interval, flags.edges)
+            row, neg = row[piece], neg[piece]
 
-        # split every segment at the cuts it crosses, keeping the sub-pieces
-        # on which h is not identically 0
-        poly_on = (h.coefficients != 0.0).any(axis=1)
-        power_on = h.scales != 0.0
-        first = np.searchsorted(h.cuts, lo, side="right")
-        count = np.searchsorted(h.cuts, hi, side="left") - first + 1
-        seg = np.repeat(np.arange(len(lo)), count)
-        interval = first[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
-        active = (poly_on | power_on)[interval]
-        seg, interval = seg[active], interval[active]
-        edges = np.concatenate([[-np.inf], h.cuts, [np.inf]])
-        x0 = np.maximum(lo[seg], edges[interval])
-        x1 = np.minimum(hi[seg], edges[interval + 1])
-        width = hi[seg] - lo[seg]
-        c = _subdivide(A[seg], (x0 - lo[seg]) / width, (x1 - lo[seg]) / width)
-        c *= ((x1 - x0) / width)[:, None]
-
-        piece_val = np.zeros(len(seg))
-        poly = poly_on[interval]
+        val = np.zeros(len(lo))
+        poly = flags.poly[interval]
         if poly.any():
             ip = interval[poly]
-            piece_val[poly] = _poly_pieces(
-                x0[poly], x1[poly], c[poly], h.anchors[ip], h.coefficients[ip]
+            val[poly] = _poly_pieces(
+                lo[poly], hi[poly], _flip(c[poly], neg[poly]), h.anchors[ip], h.coefficients[ip]
             )
-        for e in np.unique(h.exponents[power_on]):
-            sel = (power_on & (h.exponents == e))[interval]
-            if sel.any():
-                power = _power_pieces(x0[sel], x1[sel], c[sel], float(e))
-                piece_val[sel] += h.scales[interval[sel]] * power
-        out += np.bincount(seg_row[seg], weights=piece_val, minlength=m)
+        for e, on in flags.groups:
+            sel = on[interval]
+            if own and sel.all():
+                val += h.scales[interval] * _power_pieces(self.orientation(), c, e)
+            elif sel.any():
+                o = _orient(lo[sel], hi[sel], c.shape[1] - 1)
+                val[sel] += h.scales[interval[sel]] * _power_pieces(o, c[sel], e)
+        out += np.bincount(row, weights=val, minlength=m)
         return out
 
 
@@ -484,9 +614,14 @@ def value_density(values) -> ValueDensity:
     hi = spread[:, 1:].ravel()
     seg_row = np.repeat(rows[~point], n)
     live = hi > lo
-    return _frozen(
-        ValueDensity(V, rows[point], V[point, 0], A[live], lo[live], hi[live], seg_row[live])
-    )
+    A, lo, hi, seg_row = A[live], lo[live], hi[live], seg_row[live]
+    # cut every segment that crosses 0, as means would for any h
+    seg, interval, whole = _crossings(lo, hi, np.zeros(1))
+    if not whole:
+        edges = np.array([-np.inf, 0.0, np.inf])
+        A, lo, hi = _cut(A, lo, hi, np.zeros(len(lo), dtype=bool), seg, interval, edges)
+        seg_row = seg_row[seg]
+    return _frozen(ValueDensity(V, rows[point], V[point, 0], _flip(A, hi <= 0.0), lo, hi, seg_row))
 
 
 def _frozen(density: ValueDensity) -> ValueDensity:

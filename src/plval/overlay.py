@@ -594,9 +594,9 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     K, G = len(cells), len(groups.total)
     simplex = cells.counts() == dim + 1 if dim > 1 else np.zeros(K, dtype=bool)
     oi = np.flatnonzero(~simplex)
-    S, tri = convex.pulling_triangulation(table, *_stack((idx[oi], vm[oi], cells.T[oi]), groups.cell), dim)
+    S, tri, svols = convex.pulling_triangulation(table, *_stack((idx[oi], vm[oi], cells.T[oi]), groups.cell), dim)
     c = tri >= len(oi)
-    merged = _merges(groups, S[c], tri[c] - len(oi), convex.simplex_measures(table, S[c]))
+    merged = _merges(groups, S[c], tri[c] - len(oi), svols[c])
     # the cells that go to the output: kept cells 0..K-1 not merged (a
     # cell alone has group -1, which reads the appended False), then the
     # merged groups
@@ -604,10 +604,10 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     owner = np.concatenate([oi, K + np.arange(G)])[tri]
     keep = out_cell[owner]
     si = np.flatnonzero(simplex & out_cell[:K])
-    S_si, ok, _ = convex.simplex_cells(table, idx[si][vm[si]].reshape(-1, dim + 1))
+    S_si, ok, vol_si = convex.simplex_cells(table, idx[si][vm[si]].reshape(-1, dim + 1))
     S = np.concatenate([S_si[ok], S[keep]])
     cells_of = np.concatenate([si[ok], owner[keep]])
-    svols = convex.simplex_measures(table, S)
+    svols = np.concatenate([vol_si[ok], svols[keep]])
     # each cell's volume, piece and batch, the merged groups last; a
     # merged group's members are filled through it
     cell_vol = np.where(out_cell, np.concatenate([vol, groups.total]), 0.0)

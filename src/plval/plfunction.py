@@ -264,7 +264,10 @@ class PLFunction:
 
     def value_density(self):
         """The integration.ValueDensity of the simplex value rows, built on
-        first use and shared by every kernel and norm integrated over f."""
+        first use and shared by every kernel and norm integrated over f:
+        its pieces are cut at 0 once, and oriented for power kernels once,
+        so each later kernel or norm does only the work that depends on
+        it (ValueDensity.means)."""
         if self._density is None:
             from .integration import value_density
 
@@ -324,8 +327,8 @@ class PLFunction:
             flat = clips.take(one)
             P = flat.V.reshape(-1, n)
             idx = np.arange(len(P)).reshape(flat.vm.shape)
-            S, cell = convex.pulling_triangulation(P, idx, flat.vm, flat.T, n - 1, tol=0.0)
-            area = np.bincount(cell, weights=convex.simplex_measures(P, S), minlength=len(one))
+            _, cell, measure = convex.pulling_triangulation(P, idx, flat.vm, flat.T, n - 1, tol=0.0)
+            area = np.bincount(cell, weights=measure, minlength=len(one))
             strip = atol * np.ptp(cx.vertices[facets], axis=1).max(axis=1) ** (n - 2)
         else:  # a facet is a point, covered or not
             area, strip = np.ones(len(one)), 0.0

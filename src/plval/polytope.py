@@ -161,8 +161,8 @@ def _finish(pts: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, require
     else:
         # all facets triangulated in one stack; each measure is its
         # simplices' sum, in order
-        S, facet = convex.pulling_triangulation(verts, *_facet_stack(on), n - 1)
-        measures = np.bincount(facet, weights=convex.simplex_measures(verts, S), minlength=len(incidences))
+        S, facet, measure = convex.pulling_triangulation(verts, *_facet_stack(on), n - 1)
+        measures = np.bincount(facet, weights=measure, minlength=len(incidences))
     S.setflags(write=False)
     facets = tuple(
         Facet(normal=tuple(u), support=off, vertices=tuple(inc), measure=measure)

@@ -8,6 +8,7 @@ oracle and the library is evidence, not tautology.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -605,3 +606,252 @@ def split_boolean(V, A, b, T, vm, rm, a, c, tol, above: bool = True, flat: bool 
         src = np.flatnonzero(ok)
         sides.append((V2[src], A2[src], b2[src], T2[src], vm2[src], rm2[src], src))
     return sides
+
+
+# ---------------------------------------------------------------------------
+# The value-density engine with raw segments: every call of means cuts each
+# segment at every cut of h, 0 included, and orients each power piece on the
+# spot.  Power kernels must agree with the library bit for bit; kernels whose
+# cuts cross a piece the library cut at 0 already, to a few ulps.
+# ---------------------------------------------------------------------------
+
+NEAR_RATIO = 1.0 / 3.0
+GL_POWER_NODES = 16
+
+
+def _bernstein(u, degree: int) -> np.ndarray:
+    """The degree-`degree` Bernstein basis at the points u, (..., degree+1)."""
+    k = np.arange(degree + 1)
+    comb = np.array([math.comb(degree, i) for i in k], dtype=float)
+    u = np.asarray(u, dtype=float)[..., None]
+    return comb * u**k * (1.0 - u) ** (degree - k)
+
+
+@functools.lru_cache(maxsize=64)
+def _gl_bernstein(nodes: int, degree: int):
+    """Gauss-Legendre nodes and weights on [0, 1], with the Bernstein basis
+    at the nodes, (nodes, degree+1)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * (x + 1.0)
+    return u, 0.5 * w, _bernstein(u, degree)
+
+
+def _ratio(num, den):
+    """num/den clipped to [0, 1]; 0 where den is 0.  Where a recursion
+    factor matters it lies in [0, 1] exactly; elsewhere it multiplies a
+    zero coefficient and only needs to stay finite."""
+    return np.clip(num / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
+
+
+def _times_linear(c, l0, l1):
+    """Bernstein coefficients of (sum_r c_r B^{k-1}_r) * (l0 (1-s) + l1 s):
+    degree elevation by a linear factor, all weights nonnegative."""
+    k = c.shape[-1]
+    r = np.arange(k, dtype=float)
+    out = np.zeros(c.shape[:-1] + (k + 1,))
+    out[..., :k] += c * (l0[..., None] * ((k - r) / k))
+    out[..., 1:] += c * (l1[..., None] * ((r + 1) / k))
+    return out
+
+
+def _segment_density(V: np.ndarray) -> np.ndarray:
+    """(m, n, n) Bernstein coefficients A[row, j, :] with
+
+        integral over [v_j, v_{j+1}] of g(t) density(t) dt
+            = integral_0^1 g(v_j + d_j s) sum_k A[row, j, k] B^{n-1}_k(s) ds,
+
+    d_j = v_{j+1} - v_j, for sorted rows V (m, n+1) with v_n > v_0.
+    Cox-de Boor recursion restricted to each segment: B_{i,k} on segment
+    j lives in C[:, j, i, :]."""
+    m, n = V.shape[0], V.shape[1] - 1
+    C = np.broadcast_to(np.eye(n)[None, :, :, None], (m, n, n, 1))
+    lo = V[:, :-1, None]  # v_j
+    hi = V[:, 1:, None]  # v_{j+1}
+    for k in range(1, n):
+        count = n - k  # splines B_{i,k}, i = 0 .. n-k-1
+        vi = V[:, None, :count]
+        vik = V[:, None, k : k + count]
+        vi1 = V[:, None, 1 : 1 + count]
+        vik1 = V[:, None, k + 1 : k + 1 + count]
+        rise = vik - vi
+        fall = vik1 - vi1
+        C = _times_linear(C[:, :, :count], _ratio(lo - vi, rise), _ratio(hi - vi, rise)) + (
+            _times_linear(C[:, :, 1 : count + 1], _ratio(vik1 - lo, fall), _ratio(vik1 - hi, fall))
+        )
+    spread = V[:, -1] - V[:, 0]
+    mass = n * (V[:, 1:] - V[:, :-1]) / spread[:, None]
+    return C[:, :, 0, :] * mass[..., None]
+
+
+def _subdivide(c, s0, s1):
+    """Bernstein coefficients on [s0, s1] of the polynomial with
+    coefficients c on [0, 1], 0 <= s0 < s1 <= 1; two de Casteljau passes,
+    each a chain of convex combinations."""
+    N = c.shape[1] - 1
+    work = c.copy()
+    right = np.empty_like(c)
+    right[:, N] = work[:, N]
+    t = s0[:, None]
+    for r in range(1, N + 1):
+        work[:, : N - r + 1] = (1.0 - t) * work[:, : N - r + 1] + t * work[:, 1 : N - r + 2]
+        right[:, N - r] = work[:, N - r]
+    t = ((s1 - s0) / (1.0 - s0))[:, None]
+    left = np.empty_like(c)
+    left[:, 0] = right[:, 0]
+    for r in range(1, N + 1):
+        right[:, : N - r + 1] = (1.0 - t) * right[:, : N - r + 1] + t * right[:, 1 : N - r + 2]
+        left[:, r] = right[:, 0]
+    return left
+
+
+def _beta(x: float, m: int) -> float:
+    """The Beta function B(x, m) at an integer m >= 1, as the finite
+    product (m-1)! / (x (x+1) ... (x+m-1))."""
+    return math.factorial(m - 1) / math.prod(x + j for j in range(m))
+
+
+@functools.lru_cache(maxsize=64)
+def _closed_form_tables(q: float, N: int):
+    """Coefficient tables of the closed form (see _power_pieces):
+    P[p, k] multiplies rho^p, Q[p, k] multiplies rho^{q+1+p}."""
+    P = np.zeros((N + 1, N + 1))
+    Q = np.zeros((2 * N + 1, N + 1))
+    for k in range(N + 1):
+        b = N - k
+        for i in range(k + 1):
+            sign = (-1) ** (k - i)
+            P[k - i, k] = math.comb(N, k) * math.comb(k, i) * sign * _beta(q + i + 1.0, b + 1)
+        for l in range(b + 1):
+            # sum_i C(k,i) (-1)^{k-i} / (x+i) = (-1)^k k! / (x (x+1) ... (x+k)),
+            # x = q+l+1: the sum over i in closed form, free of cancellation
+            Q[k + l, k] = (
+                math.comb(N, k) * (-1) ** (k + l) * math.comb(b, l) * math.factorial(k)
+                / math.prod(q + l + 1.0 + j for j in range(k + 1))
+            )
+    return P, Q
+
+
+@functools.lru_cache(maxsize=8)
+def _expansion_table(N: int) -> np.ndarray:
+    """M[p, s, k] = sum of C(N,k) C(k,i) C(N-k,l) (-1)^{k-i+l} over
+    p = k-i, s = i+l: the closed form of _power_pieces with both
+    binomials expanded, for exponents at or below -1."""
+    M = np.zeros((N + 1, N + 1, N + 1))
+    for k in range(N + 1):
+        for i in range(k + 1):
+            for l in range(N - k + 1):
+                M[k - i, i + l, k] += (
+                    math.comb(N, k) * math.comb(k, i) * math.comb(N - k, l) * (-1) ** (k - i + l)
+                )
+    return M
+
+
+def _power_pieces(x0, x1, c, q: float) -> np.ndarray:
+    """integral_0^1 |x0 + (x1 - x0) u|^q sum_k c[p, k] B^N_k(u) du per
+    piece; no piece straddles 0.
+
+    With near <= far the endpoint magnitudes and u counted from the near
+    end, pieces with near/far >= NEAR_RATIO take Gauss-Legendre.  The
+    others take the closed form in rho = near/far and y = t/far:
+
+        integral_0^1 (near + (far - near) u)^q B^N_k(u) du
+            = far^q C(N,k) / (1-rho)^{N+1}
+              * sum_i C(k,i) (-rho)^{k-i} integral_rho^1 y^{q+i} (1-y)^{N-k} dy,
+
+    each inner integral a complete Beta minus a short series in rho times
+    rho^{q+i+1}.  At rho < 1/3 the alternating sums lose a few bits at
+    most, and at rho = 0 (a piece ending at 0) only Beta terms remain.
+    Exponents at or below -1 (anchored extensions away from 0) expand the
+    inner integral directly instead."""
+    N = c.shape[1] - 1
+    neg = x1 <= 0.0
+    near = np.where(neg, -x1, x0)
+    far = np.where(neg, -x0, x1)
+    c = np.where(neg[:, None], c[:, ::-1], c)  # orient u from the near end
+    out = np.empty(len(x0))
+    quad = near >= NEAR_RATIO * far
+    if quad.any():
+        u, w, basis = _gl_bernstein(GL_POWER_NODES, N)
+        F = (near[quad, None] + (far - near)[quad, None] * u) ** q
+        out[quad] = np.sum(((F * w) @ basis) * c[quad], axis=1)
+    closed = ~quad
+    if closed.any():
+        rho = near[closed] / far[closed]
+        powers = rho[:, None] ** np.arange(2 * N + 1)
+        if q > -1.0:
+            P, Q = _closed_form_tables(q, N)
+            K = powers[:, : N + 1] @ P - (powers @ Q) * (rho ** (q + 1.0))[:, None]
+        else:
+            # the Beta integrals diverge: expand (1-y)^{N-k} and integrate
+            # each power from rho to 1, (1 - rho^e)/e, or -log(rho) at e = 0
+            e = q + 1.0 + np.arange(N + 1)
+            log_rho = np.log(rho)[:, None]
+            safe_e = np.where(e == 0.0, 1.0, e)
+            inner = np.where(e == 0.0, -log_rho, -np.expm1(e * log_rho) / safe_e)
+            K = np.einsum("xp,xs,psk->xk", powers[:, : N + 1], inner, _expansion_table(N))
+        out[closed] = np.sum(K * c[closed], axis=1) * far[closed] ** q / (1.0 - rho) ** (N + 1)
+    return out
+
+
+def _poly_pieces(x0, x1, c, anchors, coefficients) -> np.ndarray:
+    """Exact Gauss-Legendre integral of a polynomial piece against each
+    sub-piece's density polynomial."""
+    N = c.shape[1] - 1
+    D = coefficients.shape[1] - 1
+    u, w, basis = _gl_bernstein((D + N) // 2 + 1, N)
+    loc = x0[:, None] + (x1 - x0)[:, None] * u - anchors[:, None]
+    h = np.zeros_like(loc)
+    for k in range(D, -1, -1):
+        h = h * loc + coefficients[:, k, None]
+    return np.sum(((h * w) @ basis) * c, axis=1)
+
+
+
+def means_split_at_all_cuts(values, h) -> np.ndarray:
+    """Mean of h over each row's value density, for the value rows
+    `values` (m, n+1): h is read through its arrays (cuts, anchors,
+    coefficients, scales, exponents) and called at point masses."""
+    V = np.sort(np.asarray(values, dtype=float), axis=1)
+    m, n = V.shape[0], V.shape[1] - 1
+    rows = np.arange(m)
+    point = V[:, -1] == V[:, 0]
+    out = np.zeros(m)
+    if point.any():
+        out[point] = h(V[point, 0])
+    spread = V[~point]
+    A = _segment_density(spread).reshape(-1, n)
+    lo = spread[:, :-1].ravel()
+    hi = spread[:, 1:].ravel()
+    seg_row = np.repeat(rows[~point], n)
+    live = hi > lo
+    A, lo, hi, seg_row = A[live], lo[live], hi[live], seg_row[live]
+    if len(lo) == 0:
+        return out
+
+    poly_on = (h.coefficients != 0.0).any(axis=1)
+    power_on = h.scales != 0.0
+    first = np.searchsorted(h.cuts, lo, side="right")
+    count = np.searchsorted(h.cuts, hi, side="left") - first + 1
+    seg = np.repeat(np.arange(len(lo)), count)
+    interval = first[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+    active = (poly_on | power_on)[interval]
+    seg, interval = seg[active], interval[active]
+    edges = np.concatenate([[-np.inf], h.cuts, [np.inf]])
+    x0 = np.maximum(lo[seg], edges[interval])
+    x1 = np.minimum(hi[seg], edges[interval + 1])
+    width = hi[seg] - lo[seg]
+    c = _subdivide(A[seg], (x0 - lo[seg]) / width, (x1 - lo[seg]) / width)
+    c *= ((x1 - x0) / width)[:, None]
+
+    piece_val = np.zeros(len(seg))
+    poly = poly_on[interval]
+    if poly.any():
+        ip = interval[poly]
+        piece_val[poly] = _poly_pieces(x0[poly], x1[poly], c[poly], h.anchors[ip], h.coefficients[ip])
+    for e in np.unique(h.exponents[power_on]):
+        sel = (power_on & (h.exponents == e))[interval]
+        if sel.any():
+            power = _power_pieces(x0[sel], x1[sel], c[sel], float(e))
+            piece_val[sel] += h.scales[interval[sel]] * power
+    out += np.bincount(seg_row[seg], weights=piece_val, minlength=m)
+    return out

@@ -299,7 +299,7 @@ def _stack_cells(cells):
 
 def _pull_one(points, subset, dim, incidence):
     """pulling_triangulation of one cell, as a list of index tuples."""
-    S, _ = convex.pulling_triangulation(points, *_stack_cells([(subset, np.asarray(incidence))]), dim)
+    S, _, _ = convex.pulling_triangulation(points, *_stack_cells([(subset, np.asarray(incidence))]), dim)
     return list(map(tuple, S.tolist()))
 
 
@@ -407,13 +407,14 @@ def _pulling_cases(kind, rng):
 @settings(max_examples=80, deadline=None)
 def test_stacked_pulling_matches_the_recursion(kinds, seed):
     # one stacked pass gives each cell the simplices the recursion gives
-    # it, in its order, after the floor; cells of every kind share the
-    # stack (one kind's dimension at a time)
+    # it, in its order, after the floor, each with its simplex_measures;
+    # cells of every kind share the stack (one kind's dimension at a time)
     rng = np.random.default_rng(seed)
     for kind in kinds:
         table, cells, dim = _pulling_cases(kind, rng)
-        S, cell = convex.pulling_triangulation(table, *_stack_cells(cells), dim)
+        S, cell, measure = convex.pulling_triangulation(table, *_stack_cells(cells), dim)
         assert np.all(np.diff(cell) >= 0)
+        assert np.array_equal(measure, convex.simplex_measures(table, S))
         for i, (sub, inc) in enumerate(cells):
             want = oracles.pulling_triangulation_recursive(table, sub, dim, inc)
             assert list(map(tuple, S[cell == i].tolist())) == want

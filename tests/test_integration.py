@@ -19,6 +19,7 @@ from plval.integration import (
     grad_p_norm,
     level_set_volume,
     lq_norm,
+    lq_norms,
     simplex_means,
     sobolev_conjugate,
     sobolev_norm,
@@ -520,6 +521,161 @@ def test_a_batch_caches_each_members_own_density(counted_densities):
         for name, arr in vars(f.value_density()).items():
             assert np.array_equal(arr, getattr(alone, name)), name
             assert not arr.flags.writeable
+
+
+# -- the engine against raw segments cut at every cut --------------------------
+
+# Outside power kernels, a piece that crosses 0 and another cut of h is cut
+# twice (at 0 once per density, then at the other cut) where the raw-segment
+# engine cuts it once.  The two agree to this many ulps of the row's largest
+# |h| over its values: each subdivision's error is relative to the piece it
+# cuts, not to a thin sub-piece, on which either engine may be off by many
+# ulps of the sub-piece's own mean.
+CUT_ULPS = 4
+
+
+def _oracle_row(kind, n, rng):
+    """Rows with exact zeros, ties, point masses (at 0 and away from it),
+    all-negative rows and rows of one sign, next to generic ones."""
+    if kind == "mixed":
+        return rng.uniform(-1.4, 1.4, n + 1)
+    if kind == "zeros":
+        row = rng.uniform(-1.4, 1.4, n + 1)
+        row[rng.choice(n + 1, rng.integers(1, n + 1), replace=False)] = 0.0
+        return row
+    if kind == "tied":
+        return rng.choice([0.0, -0.5, 0.3, 0.3, 1.1, -1.2], n + 1)
+    if kind == "point":
+        return np.full(n + 1, rng.choice([0.0, 0.3, -0.8]))
+    if kind == "negative":
+        return -rng.uniform(0.05, 1.6, n + 1)
+    return rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 1.6, n + 1)  # one sign
+
+
+def _oracle_rows(n, rng, size=36):
+    kinds = ("mixed", "zeros", "tied", "point", "negative", "one_sign")
+    return np.array([_oracle_row(kinds[i % len(kinds)], n, rng) for i in rng.permutation(size)])
+
+
+def _shifted(p, b):
+    """Coefficients of p(t) in ascending powers of (t - b)."""
+    return np.polynomial.Polynomial(p)(np.polynomial.Polynomial([b, 1.0])).coef
+
+
+def _crossing_kernel(kind, rng) -> Pieces:
+    """A kernel whose cuts fall inside the rows' values, with power-law
+    extensions (exponents at or below -1 among them) beyond its knots."""
+    if kind == "above":
+        return Pieces.above(float(rng.choice([0.3, rng.uniform(0.01, 1.3)])))
+    knots = np.union1d(np.round(rng.uniform(-1.2, 1.2, rng.integers(1, 4)), 2), [0.0])
+    if len(knots) < 2:
+        knots = np.array([0.0, 0.7])
+    ext = [float(e) for e in rng.choice([-1.5, -1.0, 0.5, 2.0], 2)]
+    if kind == "tabulated":
+        hs = rng.uniform(-1.0, 1.0, len(knots))
+        hs[knots == 0.0] = 0.0
+        return TabulatedKernel(knots, hs, *ext).pieces()
+    p = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 3)])  # p(0) = 0
+    rows = np.array([_shifted(p, b)[:4] for b in knots[:-1]])
+    return PiecewisePolyKernel(knots, rows, *ext).pieces()
+
+
+def _row_scale(h, rows):
+    """The largest |h| over each row's values, sampled."""
+    t = rows.min(axis=1)[:, None] + np.linspace(0.0, 1.0, 129) * np.ptp(rows, axis=1)[:, None]
+    return np.abs(h(t)).max(axis=1)
+
+
+@given(n=st.integers(1, 4), q=st.floats(0.25, 4.5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_power_means_equal_the_raw_segment_engine_bit_for_bit(n, q, seed):
+    rng = np.random.default_rng(seed)
+    rows = _oracle_rows(n, rng)
+    for h in (Pieces.power(1.0, q), Pieces.power(-2.5, round(q)), Pieces.power(0.7, q + 0.5)):
+        got = value_density(rows).means(h)
+        assert np.array_equal(got, oracles.means_split_at_all_cuts(rows, h))
+
+
+@given(q=st.floats(1.0, 4.5), seed=st.integers(0, 2**32 - 1), size=st.integers(1, 5))
+@settings(max_examples=25, deadline=None)
+def test_lq_norms_equal_the_raw_segment_engine_bit_for_bit(q, seed, size):
+    rng = np.random.default_rng(seed)
+    pool = _batch_pool()
+    pool += [pf.PLFunction(complex=f.complex, values=f.values - 0.25) for f in pool[:4]]
+    batch = [pool[i] for i in rng.choice(len(pool), size)]
+    rows = np.concatenate([f.simplex_values() for f in batch if not f.complex.is_empty()] + [np.zeros((0, 3))])
+    means = oracles.means_split_at_all_cuts(rows, Pieces.power(1.0, q))
+    want, start = [], 0
+    for f in batch:
+        stop = start + len(f.complex)
+        want.append(float(f.complex.simplex_volumes() @ means[start:stop]) ** (1.0 / q) if len(f.complex) else 0.0)
+        start = stop
+    got = lq_norms([_fresh(f) for f in batch], q)
+    assert np.array_equal(got, want), (got, want)
+
+
+@given(
+    n=st.integers(1, 4),
+    kind=st.sampled_from(["piecewise", "tabulated", "above"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_kernels_with_other_cuts_agree_with_the_raw_segment_engine(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    rows = _oracle_rows(n, rng)
+    h = _crossing_kernel(kind, rng)
+    got = value_density(rows).means(h)
+    want = oracles.means_split_at_all_cuts(rows, h)
+    scale = np.maximum(np.maximum(np.abs(got), np.abs(want)), _row_scale(h, rows))
+    bad = np.abs(got - want) > CUT_ULPS * np.spacing(scale)
+    assert not bad.any(), (rows[bad].tolist(), got[bad], want[bad])
+
+
+def test_power_kernels_and_norms_cut_nothing_and_orient_once(monkeypatch, counted_densities):
+    # three power kernels, a norm and a level set on one function whose
+    # values cross 0: the only cut at 0 is the density build's, no power
+    # kernel or norm subdivides, and the pieces are oriented once
+    from plval import integration
+
+    inside, crossed, restricted, oriented = [], [], [], []
+    build, crossings, restrict, orient = (
+        integration.value_density, integration._crossings, integration._restrict, integration._orient)
+
+    def building(values):
+        inside.append(True)
+        try:
+            return build(values)
+        finally:
+            inside.pop()
+
+    def crossing(lo, hi, cuts):
+        crossed.append((bool(inside), cuts.tolist()))
+        return crossings(lo, hi, cuts)
+
+    def restricting(*args):
+        restricted.append(bool(inside))
+        return restrict(*args)
+
+    def orienting(*args):
+        oriented.append(len(args[0]))
+        return orient(*args)
+
+    for name, fn in (("value_density", building), ("_crossings", crossing),
+                     ("_restrict", restricting), ("_orient", orienting)):
+        monkeypatch.setattr(integration, name, fn)
+    f = _tied_mesh()
+    f = pf.PLFunction(complex=f.complex, values=f.values - 0.3 * (f.values > 0.0))
+    for q in (1.0, 1.5, 2.5):
+        apply(PowerKernel(1.0, q), f)
+    lq_norm(f, 3.0)
+    assert len(counted_densities) == 1
+    assert crossed[0] == (True, [0.0]) and restricted == [True]
+    assert crossed[1:] == [(False, [])] * 4
+    assert oriented == [len(f.value_density().lo)]
+    level_set_volume(f, 0.1)
+    assert crossed[-1] == (False, [0.1]) and len(counted_densities) == 1
+    assert [c for c in crossed if 0.0 in c[1]] == [(True, [0.0])]
+    assert len(oriented) == 1
 
 
 # -- the combinatorial constant ---------------------------------------------------
