@@ -10,10 +10,13 @@ hulls less builds are random_polytope draws rejected on their rows, and
 convex supports), of overlay cuts (calls to overlay._pieces_pairwise,
 one per batch of pairs), of overlay assemblies (calls to
 overlay.assemble_cells, for overlay results and tents alike), of
-batched point locations (calls to plfunction.evaluate_each, from
-overlay checks, tent checks and evaluation), of value-density builds
-(calls to integration.value_density, one per batch of functions that
-lack one and one per simplex_means call) and of engine passes (calls to
+stacked cuts (calls to convex.split: the overlay's pair clips, cuts by
+f = g and difference chains, the tents' cells and the overlap test of
+SimplicialComplex.validate alike), of batched point locations (calls
+to plfunction.evaluate_each, from overlay checks, tent checks and
+evaluation), of value-density builds (calls to
+integration.value_density, one per batch of functions that lack one
+and one per simplex_means call) and of engine passes (calls to
 integration.ValueDensity.means, one per kernel or norm per batch).  It
 ends with the SHA-256 of its JSONL bytes as `plval verify` writes them,
 so two checkouts' outputs at one seed can be compared line by line.
@@ -56,6 +59,8 @@ def main() -> int:
     count_calls(calls, "builds", (polytope, "_finish"))
     count_calls(calls, "cuts", (overlay, "_pieces_pairwise"))
     count_calls(calls, "assemblies", (overlay, "assemble_cells"))
+    # overlay and convex.clip both call split through the module
+    count_calls(calls, "splits", (convex, "split"))
     # overlay imports evaluate_each by name; plfunction calls its own
     count_calls(calls, "locates", (overlay, "evaluate_each"), (plfunction, "evaluate_each"))
     # plfunction imports value_density at each call, so the module's name serves all
@@ -71,10 +76,10 @@ def main() -> int:
         fails = sum(1 for r in reports if r.status == "fail")
         digest = hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest()
         print(
-            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %4d builds  %3d cuts  %3d assemblies  %3d locates"
-            "  %4d densities  %4d means  sha256 %s"
+            "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %4d builds  %3d cuts  %3d assemblies  %4d splits"
+            "  %3d locates  %4d densities  %4d means  sha256 %s"
             % (name, len(reports), fails, wall[name], calls["hulls"], calls["builds"], calls["cuts"],
-               calls["assemblies"], calls["locates"], calls["densities"], calls["means"], digest)
+               calls["assemblies"], calls["splits"], calls["locates"], calls["densities"], calls["means"], digest)
         )
         all_reports.extend(reports)
 

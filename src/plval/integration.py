@@ -30,8 +30,11 @@ needs, depend on the piece alone (_Orientation).
 
 No cancellation.  The Bernstein coefficients are nonnegative, so when h
 is nonnegative (|t|^q, indicators) each sub-piece contributes a
-nonnegative amount computed to a few ulps, and the sum over sub-pieces
-and segments cannot cancel.  A value row with a zero spread is a point
+nonnegative amount, and the sum over sub-pieces and segments cannot
+cancel.  A sub-piece's amount is accurate to a few ulps of the piece it
+was cut from, the row's scale, not of its own value: a thin sub-piece,
+such as the sliver of a row that barely passes a cut of h, may be off
+by many ulps of itself.  A value row with a zero spread is a point
 mass and contributes h at its value.
 
 Two halves.  Everything that does not depend on h is done once per

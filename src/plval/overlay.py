@@ -11,8 +11,10 @@ against the other's simplices it meets one by one when it is not.
 Cells are cut in stacks (convex.Cells), never one at a time: all near
 pairs of a refinement are clipped at once, by d+1 stacked cuts with the
 other simplex's rows, then by one stacked cut where f = g; the chains of
-every simplex with a leftover, f's and g's alike, run in lockstep, one
-stacked cut per row.  Every cut is one convex.split over the stack, and
+every simplex with a leftover, f's and g's alike, run in lockstep, each
+cell cut only by the rows that cross it, in order, so a round takes as
+many stacked cuts as its most-crossed cell has rows, not one per row of
+the widest region.  Every cut is one convex.split over the stack, and
 nothing in the cutting depends on the dimension.  The refinement carries
 its cells as arrays: vertices with their tight rows and incidence, each
 cell's simplex of f and of g, and its volume (convex.cell_volumes: one
@@ -223,27 +225,44 @@ def _subtract(cells, A, b, tol):
     (B, R, d) and b (B, R), cut at tolerances tol (B,), as (cells, src)
     in order of src, then of row.
 
-    Difference chains, run in lockstep over the stack with one stacked
-    cut per row: piece k is inside rows < k and outside row k; the part
-    inside every row is dropped (the double-cover pass holds it).  A row
-    0.x <= 1 pads a region with fewer rows."""
-    B, R = A.shape[:2]
+    Difference chains, run in lockstep over the stack: piece k is inside
+    rows < k and outside row k; the part inside every row is dropped (the
+    double-cover pass holds it).  Each cell is cut only by the rows that
+    cross it, in order, each stacked cut taking every cell's next one: a
+    row that every vertex of the cell lies EPS or more inside holds every
+    piece of it (a convex combination of those vertices) inside, so the
+    chain would keep the piece whole there.  A row 0.x <= 1 pads a region
+    with fewer rows, and crosses nothing."""
+    B = len(A)
     if not B:
         return cells, np.zeros(0, dtype=int)
     vm = cells.vm[:, :, None]
-    D = np.stack([convex.dot_rows(cells.V, A[:, q]) for q in range(R)], axis=2) - b[:, None, :]
+    D = (cells.V[:, :, None, :] * A[:, None]).sum(axis=3) - b[:, None, :]
     disjoint = np.where(vm, D >= EPS, True).all(axis=1).any(axis=1)  # certified
     covered = np.where(vm, D <= EPS, True).all(axis=(1, 2))
     di = np.flatnonzero(disjoint)
     out = [(cells.take(di), di, -1)]
     act = np.flatnonzero(~disjoint & ~covered)
+    # each active cell's rows in order, the cells with the most first, so
+    # that the cells whose rows run out at a step are the stack's last
+    need = np.where(vm[act], D[act] > -EPS, False).any(axis=1)
+    count = need.sum(axis=1)
+    by = np.argsort(-count, kind="stable")
+    act, count = act[by], count[by]
+    rows = np.argsort(~need[by], axis=1, kind="stable")
+    at = np.arange(len(act))  # each piece's chain, by position in act
     cur = cells.take(act)
-    for q in range(R):
-        if not len(act):
+    for t in range(int(count.max(initial=0))):
+        # the pieces whose rows ran out lie inside every row: dropped
+        n = int(np.count_nonzero(count[at] > t))
+        if not n:
             break
-        a, c = A[act, q], b[act, q]
+        if n < len(at):
+            cur, at = cur.slice(0, n), at[:n]
+        i, q = act[at], rows[at, t]
+        a, c = A[i, q], b[i, q]
         rowd = convex.dot_rows(cur.V, a) - c[:, None]
-        # all inside row q: the outside piece is empty, the row redundant
+        # all inside the row: the outside piece is empty, the row redundant
         skip = np.where(cur.vm, rowd <= EPS, True).all(axis=1)
         if skip.all():
             continue
@@ -252,16 +271,17 @@ def _subtract(cells, A, b, tol):
         # the cells not cut lie wholly inside or outside a plane at infinity
         a = np.where(skip[:, None], 1.0, a)
         c = np.where(skip, np.inf, np.where(rest, -np.inf, c))
-        (cur, in_src), (outside, out_src) = convex.split(cur, a, c, tol[act])
-        out.append((outside, act[out_src], q))
-        act = act[in_src]
+        (cur, in_src), (outside, out_src) = convex.split(cur, a, c, tol[i])
+        out.append((outside, i[out_src], t))
+        at = at[in_src]
         # a cut leaves the vertices it drops in place: close the gaps once
         # they outnumber the vertices
         if cur.V.shape[1] > 2 * cur.counts().max(initial=0):
             cur = cur.compact()
+    # a chain takes its rows in order, so its steps order its pieces by row
     src = np.concatenate([s for _, s, _ in out])
-    row = np.concatenate([np.full(len(s), q) for _, s, q in out])
-    order = np.lexsort((row, src))
+    step = np.concatenate([np.full(len(s), t) for _, s, t in out])
+    order = np.lexsort((step, src))
     return convex.Cells.concat([c for c, _, _ in out]).take(order), src[order]
 
 
@@ -297,7 +317,8 @@ def _leftovers(mesh: _Mesh, mi, mj, shared, tol):
     against that whole support when it is convex, and one chain per
     simplex of the other function it meets, in order, when it is not.
     Each round of chains runs in lockstep over both functions' simplices
-    that have one."""
+    that have one, every cell cut only by the rows of its region that
+    cross it, in order (_subtract)."""
     m = len(mesh.vol)
     partly = np.flatnonzero(shared < (1.0 - FULL_COVER) * mesh.vol)
     own, other = np.concatenate([mi, mj]), np.concatenate([mj, mi])

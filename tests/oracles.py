@@ -855,3 +855,52 @@ def means_split_at_all_cuts(values, h) -> np.ndarray:
             piece_val[sel] += h.scales[interval[sel]] * power
     out += np.bincount(seg_row[seg], weights=piece_val, minlength=m)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The overlay's difference chain with every row: each stacked cut takes row q
+# of every cell's region, whether it crosses the cell or not.  The library's
+# chain cuts each cell by the rows that cross it alone, and must give the
+# same cells bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def subtract_every_row(convex, cells, A, b, tol, eps):
+    """The parts of the stacked cells outside their convex regions {A x <=
+    b}, A (B, R, d) and b (B, R), cut at tolerances tol (B,), as (cells,
+    src) in order of src, then of row: difference chains in lockstep, one
+    stacked cut per row q for every cell, piece k inside rows < k and
+    outside row k, the part inside every row dropped.  A cell certified
+    outside one row (every vertex eps or more beyond it) is one piece
+    whole; one inside every row to within eps gives none.  convex is
+    plval.convex, passed in so that this module imports nothing from
+    plval: the cut is the library's, the order of the cuts is this one."""
+    B, R = A.shape[:2]
+    if not B:
+        return cells, np.zeros(0, dtype=int)
+    vm = cells.vm[:, :, None]
+    D = np.stack([convex.dot_rows(cells.V, A[:, q]) for q in range(R)], axis=2) - b[:, None, :]
+    disjoint = np.where(vm, D >= eps, True).all(axis=1).any(axis=1)
+    covered = np.where(vm, D <= eps, True).all(axis=(1, 2))
+    di = np.flatnonzero(disjoint)
+    out = [(cells.take(di), di, -1)]
+    act = np.flatnonzero(~disjoint & ~covered)
+    cur = cells.take(act)
+    for q in range(R):
+        if not len(act):
+            break
+        a, c = A[act, q], b[act, q]
+        rowd = convex.dot_rows(cur.V, a) - c[:, None]
+        skip = np.where(cur.vm, rowd <= eps, True).all(axis=1)
+        if skip.all():
+            continue
+        rest = ~skip & np.where(cur.vm, rowd >= -eps, True).all(axis=1)
+        a = np.where(skip[:, None], 1.0, a)
+        c = np.where(skip, np.inf, np.where(rest, -np.inf, c))
+        (cur, in_src), (outside, out_src) = convex.split(cur, a, c, tol[act])
+        out.append((outside, act[out_src], q))
+        act = act[in_src]
+    src = np.concatenate([s for _, s, _ in out])
+    row = np.concatenate([np.full(len(s), q) for _, s, q in out])
+    order = np.lexsort((row, src))
+    return convex.Cells.concat([c for c, _, _ in out]).take(order), src[order]

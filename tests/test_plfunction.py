@@ -424,7 +424,7 @@ def test_convex_support_detected():
 
 @pytest.mark.parametrize("convex_other", [True, False], ids=["convex", "not-convex"])
 def test_subtract_runs_once_per_partly_covered_simplex(monkeypatch, convex_other):
-    from plval import overlay
+    from plval import convex, overlay
 
     f = pf.cone_function(pt.cube(2))
     g = pf.compose_affine(pf.cone_function(pt.cube(2)), np.eye(2), [0.7, 0.4])
@@ -437,7 +437,11 @@ def test_subtract_runs_once_per_partly_covered_simplex(monkeypatch, convex_other
 
     def counting(cells, A, b, tol):
         calls.append((cells, A))
-        return subtract(cells, A, b, tol)
+        got = subtract(cells, A, b, tol)
+        # the chains cut by the rows that cross each cell give the every-row
+        # chains' cells, whole supports and per-simplex rounds alike
+        _assert_same_pieces(got, oracles.subtract_every_row(convex, cells, A, b, tol, convex.EPS))
+        return got
 
     overlay._pair.cache_clear()
     monkeypatch.setattr(overlay, "_subtract", counting)
@@ -466,6 +470,129 @@ def test_subtract_runs_once_per_partly_covered_simplex(monkeypatch, convex_other
         # f's by g's simplices one at a time
         flags = [w for _, A in calls for w in whole(A)]
         assert any(flags) and not all(flags)
+
+
+def _assert_same_pieces(got, want):
+    """Two (cells, src) results of a difference chain hold the same cells
+    bit for bit once compacted: vertices, rows, incidence and marks, in
+    the same (src, row) order."""
+    (cells, src), (wcells, wsrc) = got, want
+    assert np.array_equal(src, wsrc)
+    cells, wcells = cells.compact(), wcells.compact()
+    assert cells.V.shape == wcells.V.shape and cells.H.shape == wcells.H.shape
+    assert np.array_equal(cells.vm, wcells.vm) and np.array_equal(cells.live, wcells.live)
+    assert np.array_equal(cells.bits, wcells.bits)
+    # a slot no vertex or row holds is never read
+    assert cells.V[cells.vm].tobytes() == wcells.V[wcells.vm].tobytes()
+    assert cells.H[cells.rm].tobytes() == wcells.H[wcells.rm].tobytes()
+
+
+def _simplex_stack(V):
+    """The simplices V (m, d+1, d) as a convex.Cells stack, row j opposite
+    vertex j."""
+    from plval import convex
+
+    m, k, d = V.shape
+    cx = pf.SimplicialComplex(dim=d, vertices=V.reshape(-1, d), simplices=np.arange(m * k).reshape(m, k))
+    return convex.Cells.of_simplices(V, *cx.simplex_rows())
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    region=st.sampled_from(["support", "simplex"]),
+    size=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_chains_cut_by_crossing_rows_equal_the_every_row_chains(d, region, size, seed):
+    # a stack of simplices, each across, inside, far outside or touching
+    # its region (a vertex or a facet within 0, +-EPS or +-tol of one of
+    # its rows), cut by a whole convex support padded with 0.x <= 1 rows
+    # or, as a chain against a non-convex support does, each by its own
+    # simplex: the chains that cut each cell only by the rows crossing it
+    # give the every-row chains' cells bit for bit
+    from plval import convex, overlay
+
+    rng = np.random.default_rng(seed)
+    tol = overlay.CLIP_TOL * 10.0 ** rng.uniform(0, 2, size)
+    if region == "support":
+        A, b, _ = convex.hull(rng.normal(size=(d + 1 + int(rng.integers(0, 6)), d)))
+        pad = int(rng.integers(0, 3))
+        A = np.broadcast_to(np.concatenate([A, np.zeros((pad, d))]), (size, len(A) + pad, d)).copy()
+        b = np.broadcast_to(np.concatenate([b, np.ones(pad)]), (size, len(b) + pad)).copy()
+    else:
+        region_cells = _simplex_stack(rng.normal(size=(max(size, 1), d + 1, d)))
+        A, b = region_cells.A[:size].copy(), region_cells.b[:size].copy()
+    V = np.zeros((size, d + 1, d))
+    offsets = np.array([0.0, 1.0, -1.0, 1.0 + 1e-6, -1.0 - 1e-6, 1.0 - 1e-6, -1.0 + 1e-6, 2.0, -2.0]) * convex.EPS
+    for i in range(size):
+        # a point of the region (where its rows meet) as the cell's centre
+        inside = rng.choice(len(A[i]), d, replace=False)
+        centre = np.linalg.lstsq(A[i, inside], b[i, inside], rcond=None)[0]
+        kind = rng.choice(["across", "inside", "outside", "touch"])
+        radius = {"inside": 1e-3, "across": rng.uniform(0.2, 2.0)}.get(kind, rng.uniform(0.2, 1.0))
+        if kind == "inside":
+            centre = centre - 0.1 * A[i, inside].sum(axis=0)
+        elif kind == "outside":
+            centre = centre + 10.0 * A[i, inside[0]]
+        V[i] = centre + radius * rng.normal(size=(d + 1, d))
+        if kind == "touch":
+            # 1..d vertices moved onto row q, then off it by an offset
+            q = int(rng.integers(len(A[i])))
+            a = A[i, q]
+            if not a.any():
+                continue
+            off = np.where(rng.random(d) < 0.5, rng.choice(offsets, d), rng.choice([1.0, -1.0], d) * tol[i])
+            for j, o in zip(rng.choice(d + 1, int(rng.integers(1, d + 1)), replace=False), off):
+                V[i, j] -= (V[i, j] @ a - b[i, q] - o) * a / (a @ a)
+    cells = _simplex_stack(V) if size else _simplex_stack(np.eye(d + 1, d)[None]).take(np.arange(0))
+    got = overlay._subtract(cells, A, b, tol)
+    _assert_same_pieces(got, oracles.subtract_every_row(convex, cells, A, b, tol, convex.EPS))
+
+
+def test_subtract_splits_only_as_deep_as_its_deepest_cell(monkeypatch):
+    # a cone over a regular 8-gon and a small triangle across one of its
+    # edges: the chains cut by f's 8 support rows and g's 3, yet no cell
+    # is crossed by more than 2, and the chains make 2 stacked cuts where
+    # the every-row chains make 3
+    from plval import convex, overlay
+
+    angle = np.pi / 8
+    f = pf.cone_function(pt.hull_from_points(np.column_stack([np.cos(2 * angle * np.arange(8)),
+                                                              np.sin(2 * angle * np.arange(8))])))
+    turn = angle + np.pi + 2 * np.pi * np.arange(3) / 3
+    g = pf.cone_function(pt.simplex_polytope(0.2 * np.column_stack([np.cos(turn), np.sin(turn)])))
+    g = pf.compose_affine(g, np.eye(2), np.cos(angle) * np.array([np.cos(angle), np.sin(angle)]))
+    subtract, split = overlay._subtract, convex.split
+    calls = []
+
+    def counted_split(*args, **kwargs):
+        calls[-1]["splits"] += 1
+        return split(*args, **kwargs)
+
+    def counting(cells, A, b, tol):
+        calls.append({"cells": cells, "A": A, "b": b, "splits": 0})
+        monkeypatch.setattr(convex, "split", counted_split)
+        try:
+            return subtract(cells, A, b, tol)
+        finally:
+            monkeypatch.setattr(convex, "split", split)
+
+    monkeypatch.setattr(overlay, "_subtract", counting)
+    overlay.overlays([(f, g)], ("join", "meet"))
+    assert len(calls) == 1
+    call = calls[0]
+    cells, A, b = call["cells"], call["A"], call["b"]
+    assert A.shape[1] == 8
+    # the rows each cell has vertices strictly on both sides of
+    D = np.einsum("ikd,ird->ikr", cells.V, A) - b[:, None, :]
+    vm = cells.vm[:, :, None]
+    crossing = np.where(vm, D > convex.EPS, False).any(axis=1) & np.where(vm, D < -convex.EPS, False).any(axis=1)
+    assert call["splits"] == crossing.sum(axis=1).max() == 2
+    every = []
+    monkeypatch.setattr(convex, "split", lambda *args, **kwargs: every.append(1) or split(*args, **kwargs))
+    oracles.subtract_every_row(convex, cells, A, b, np.full(len(cells), overlay.CLIP_TOL), convex.EPS)
+    assert len(every) == 3
 
 
 def test_tent_decomposition_raises_typed_error_when_it_cannot_converge(monkeypatch, cone_square):
