@@ -77,12 +77,6 @@ NEAR_DENSE = 32
 _UPPER = np.triu(np.ones((NEAR_DENSE, NEAR_DENSE), dtype=bool), 1)  # the pairs i < j
 
 
-def simplex_measure(pts: np.ndarray) -> float:
-    """d-dimensional measure of a simplex given as (d+1, k) vertices, k >= d."""
-    pts = np.asarray(pts, dtype=float)
-    return float(simplex_measures(pts, np.arange(len(pts))[None, :])[0])
-
-
 def dedupe_points(pts: np.ndarray, tol, batch=None):
     """Merge rows within tol of each other (max-norm), each group onto
     its lexicographically first row.
@@ -1010,16 +1004,3 @@ def check_invertible(phi: np.ndarray) -> None:
     sv = np.linalg.svd(phi, compute_uv=False)
     if not sv[-1] * MAX_CONDITION >= sv[0]:
         raise Singular("linear map is singular (singular values %.3g to %.3g)" % (sv[0], sv[-1]))
-
-
-def barycentric_matrix(verts: np.ndarray):
-    """Matrix/offset turning x into barycentric coordinates w.r.t. a simplex.
-
-    Returns (M, v0) with coords = M @ (x - v0) giving b_1..b_d, and
-    b_0 = 1 - sum(coords).
-    """
-    verts = np.asarray(verts, dtype=float)
-    v0 = verts[0]
-    E = (verts[1:] - v0).T
-    M = np.linalg.inv(E)
-    return M, v0

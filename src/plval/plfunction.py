@@ -50,8 +50,8 @@ CLIP_PAIRS = 1 << 14
 class SimplicialComplex:
     """Simplices with disjoint interiors in R^dim.
 
-    vertices: (k, dim) float array; simplices: tuple of sorted index
-    tuples of length dim+1. Treated as immutable after construction.
+    vertices: (k, dim) float array; simplices: (m, dim+1) int array of
+    vertex indices, each row sorted; both read-only after construction.
     The simplices partition the support and need not meet face to face:
     a vertex may lie inside a neighbour's face (a T-junction), as in
     join/meet output, here and in meshes read from JSON alike (validate).
@@ -59,20 +59,16 @@ class SimplicialComplex:
 
     dim: int
     vertices: np.ndarray
-    simplices: tuple
+    simplices: np.ndarray
     _volumes: np.ndarray = field(default=None, repr=False, compare=False)
-    _index: np.ndarray = field(default=None, repr=False, compare=False)
     _locator: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, self.dim)
         if not np.isfinite(self.vertices).all():
             raise NonFinite("complex vertices hold a non-finite number")
-        # each simplex's indices sorted once, as one array
-        index = np.sort(np.asarray(self.simplices, dtype=int).reshape(-1, self.dim + 1), axis=1)
-        index.setflags(write=False)
-        self._index = index
-        self.simplices = tuple(map(tuple, index.tolist()))
+        self.simplices = np.sort(np.asarray(self.simplices, dtype=int).reshape(-1, self.dim + 1), axis=1)
+        self.simplices.setflags(write=False)
         self.vertices.setflags(write=False)
 
     def __len__(self):
@@ -93,18 +89,14 @@ class SimplicialComplex:
             self._volumes = np.abs(np.linalg.det(edges)) / math.factorial(self.dim)
         return self._volumes
 
-    def index_array(self) -> np.ndarray:
-        """(m, dim+1) vertex indices per simplex."""
-        return self._index
-
     def simplex_arrays(self):
         """(m, dim+1, dim) stacked vertex coordinates per simplex."""
-        return self.vertices[self.index_array()]
+        return self.vertices[self.simplices]
 
     def locator(self):
-        """(lo, hi, M, v0): per-simplex bounding boxes and the batched
-        barycentric_matrix, so simplex i has coordinates b_1..b_dim =
-        M[i] @ (x - v0[i]) and b_0 = 1 - their sum."""
+        """(lo, hi, M, v0): per-simplex bounding boxes and barycentric
+        maps, so simplex i has coordinates b_1..b_dim = M[i] @ (x - v0[i])
+        and b_0 = 1 - their sum."""
         if self._locator is None:
             X = self.simplex_arrays()
             M = np.linalg.inv(np.swapaxes(X[:, 1:] - X[:, :1], 1, 2))
@@ -134,7 +126,7 @@ class SimplicialComplex:
             return None
         vol = float(self.simplex_volumes().sum())
         try:
-            A, b, hull_volume = convex.hull(self.vertices[np.unique(self.index_array())])
+            A, b, hull_volume = convex.hull(self.vertices[np.unique(self.simplices)])
         except Degenerate:
             return None
         if abs(hull_volume() - vol) > COVER_TOL * vol:
@@ -233,7 +225,7 @@ class PLFunction:
     @staticmethod
     def zero(dim: int) -> "PLFunction":
         return PLFunction(
-            complex=SimplicialComplex(dim=dim, vertices=np.zeros((0, dim)), simplices=()),
+            complex=SimplicialComplex(dim=dim, vertices=np.zeros((0, dim)), simplices=np.zeros((0, dim + 1), dtype=int)),
             values=np.zeros(0),
         )
 
@@ -244,7 +236,7 @@ class PLFunction:
         """Per-simplex gradient rows and offsets: f(x) = g.x + c on simplex i."""
         if self._grads is None:
             cx = self.complex
-            m = len(cx.simplices)
+            m = len(cx)
             grads = np.zeros((m, cx.dim))
             offs = np.zeros(m)
             if m:
@@ -260,7 +252,7 @@ class PLFunction:
 
     def simplex_values(self) -> np.ndarray:
         """(m, dim+1) vertex values per simplex."""
-        return self.values[self.complex.index_array()]
+        return self.values[self.complex.simplices]
 
     def value_density(self):
         """The integration.ValueDensity of the simplex value rows, built on
@@ -322,7 +314,7 @@ class PLFunction:
         # on it alone (one on two rows lies in a lower face)
         one = np.flatnonzero(on.sum(axis=1) == 1)
         drop = np.array([[c for c in range(n + 1) if c != k] for k in range(n + 1)])
-        facets = cx.index_array()[:, drop].reshape(-1, n)
+        facets = cx.simplices[:, drop].reshape(-1, n)
         if n > 1:
             flat = clips.take(one)
             P = flat.V.reshape(-1, n)
@@ -344,7 +336,7 @@ class PLFunction:
         return {
             "dim": self.dim,
             "vertices": [[float(x) for x in v] for v in self.complex.vertices],
-            "simplices": [[int(i) for i in s] for s in self.complex.simplices],
+            "simplices": self.complex.simplices.tolist(),
             "values": [float(v) for v in self.values],
         }
 
@@ -475,12 +467,6 @@ def cone_function(P: Polytope) -> PLFunction:
 
 def evaluate(f: PLFunction, x) -> float:
     return f.evaluate(x)
-
-
-def gradient_field(f: PLFunction):
-    """[(simplex index, gradient vector)] over the complex."""
-    grads, _ = f.affines()
-    return [(i, grads[i].copy()) for i in range(len(grads))]
 
 
 def scale_values(f: PLFunction, s: float) -> PLFunction:

@@ -222,7 +222,7 @@ def central_triangulation(P: Polytope):
     verts = np.vstack([P.vertices, np.zeros(n)])
     faces = P.facet_simplices
     simplices = np.column_stack([faces, np.full(len(faces), len(P.vertices))])
-    return SimplicialComplex(dim=n, vertices=verts, simplices=tuple(map(tuple, simplices.tolist())))
+    return SimplicialComplex(dim=n, vertices=verts, simplices=simplices)
 
 
 def dilate(P: Polytope, lam: float) -> Polytope:

@@ -28,6 +28,7 @@ from .errors import (
     InsufficientDecades,
     KernelNonzeroAtZero,
     NegativeValues,
+    NonFinite,
 )
 from .integration import Pieces, c_pn, integrals, simplex_means, sobolev_conjugate
 from .plfunction import PLFunction
@@ -415,10 +416,25 @@ class CProfile:
 
     @staticmethod
     def from_csv(text: str, dim: int) -> "CProfile":
+        """The profile of a CSV with header 's,c' and at least one data
+        row, each exactly two finite numbers s,c.  Raises ValueError, or
+        NonFinite for NaN or inf, naming the line (the header is line 1)."""
         rows = [ln.strip() for ln in text.strip().splitlines()]
         if not rows or rows[0].lower().replace(" ", "") != "s,c":
             raise ValueError("profile CSV must start with header 's,c'")
-        data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
+        if len(rows) == 1:
+            raise ValueError("profile CSV has no data rows")
+        data = np.empty((len(rows) - 1, 2))
+        for k, row in enumerate(rows[1:]):
+            cells = row.split(",")
+            if len(cells) != 2:
+                raise ValueError("profile CSV line %d needs 2 values s,c, got %d: %r" % (k + 2, len(cells), row))
+            try:
+                data[k] = [float(x) for x in cells]
+            except ValueError:
+                raise ValueError("profile CSV line %d is not two numbers: %r" % (k + 2, row)) from None
+            if not np.isfinite(data[k]).all():
+                raise NonFinite("profile CSV line %d holds a non-finite number: %r" % (k + 2, row))
         return CProfile(s=data[:, 0], c=data[:, 1], dim=dim)
 
 

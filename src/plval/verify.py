@@ -386,16 +386,14 @@ def _diameter(P: pt.Polytope) -> float:
 
 def _stack_disjoint(cones, dim: int) -> PLFunction:
     """One function from cones with pairwise disjoint supports."""
-    verts, simplices, values = [], [], []
-    off = 0
-    for f in cones:
-        cx = f.complex
-        verts.append(cx.vertices)
-        simplices.extend(tuple(i + off for i in s) for s in cx.simplices)
-        values.append(f.values)
-        off += len(cx.vertices)
-    cx = SimplicialComplex(dim=dim, vertices=np.vstack(verts), simplices=tuple(simplices))
-    return PLFunction(complex=cx, values=np.concatenate(values))
+    counts = [len(f.complex.vertices) for f in cones]
+    offs = np.cumsum(counts) - counts
+    cx = SimplicialComplex(
+        dim=dim,
+        vertices=np.vstack([f.complex.vertices for f in cones]),
+        simplices=np.concatenate([f.complex.simplices + off for f, off in zip(cones, offs)]),
+    )
+    return PLFunction(complex=cx, values=np.concatenate([f.values for f in cones]))
 
 
 def _packed_copies(P: pt.Polytope, k: int):

@@ -25,6 +25,13 @@ def det_simplex_volume(verts) -> float:
     return abs(float(np.linalg.det(edges))) / np.prod(range(1, n + 1))
 
 
+def barycentric(verts, x) -> np.ndarray:
+    """Barycentric coordinates of x in the n-simplex verts (n+1, n), by
+    one linear solve."""
+    verts = np.asarray(verts, dtype=float)
+    return np.linalg.solve(np.vstack([verts.T, np.ones(len(verts))]), np.append(x, 1.0))
+
+
 def shoelace_area(points) -> float:
     """Area of a 2-D convex polygon given in any order (sorted by angle)."""
     pts = np.asarray(points, dtype=float)
@@ -374,7 +381,7 @@ def evaluate_pl_brute(vertices, simplices, values, points, tol: float = 1e-9):
         val = 0.0
         for simplex in simplices:
             idx = list(simplex)
-            lam = np.linalg.solve(np.vstack([verts[idx].T, np.ones(len(idx))]), np.append(x, 1.0))
+            lam = barycentric(verts[idx], x)
             if np.all(lam >= -tol):
                 val = float(lam @ values[idx])
                 break

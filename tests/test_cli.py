@@ -1,7 +1,9 @@
 """Command line contract: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -291,6 +293,27 @@ def test_recover_rejects_nonuniform_grid(capsys, tmp_path):
     assert "uniform" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s,c\n", "no data rows"),
+        ("s,c\n0\n0.1\n", "line 2 needs 2 values s,c, got 1"),
+        ("s,c\n0,0,0\n0.1,1,1\n", "line 2 needs 2 values s,c, got 3"),
+        ("s,c\n0,0\n0.1,nan\n", "line 3 holds a non-finite number"),
+        ("s,c\n0,0\n0.1,inf\n", "line 3 holds a non-finite number"),
+    ],
+    ids=["header-only", "one-column", "three-column", "nan", "inf"],
+)
+def test_recover_rejects_malformed_profile_csv(capsys, tmp_path, text, message):
+    path = tmp_path / "prof.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "recover", "--input", str(path), "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: profile CSV") and message in err
+    assert "Traceback" not in err
+
+
 def test_recover_requires_p_below_n(capsys):
     # refused before the input is read: the file does not exist
     code, out, err = run(capsys, "recover", "--input", "/nonexistent/prof.csv", "--n", "2", "--p", "2")
@@ -310,6 +333,21 @@ def test_recover_growth_report_on_stderr(capsys, tmp_path):
 
 
 # -- verify ---------------------------------------------------------------------
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_verify_bytes_match_the_golden_record(capsys, tmp_path, seed):
+    # the full battery's JSONL (by SHA-256) and CSV summary, pinned per seed;
+    # a change that moves a byte updates tests/data/verify_golden.json
+    out_path = tmp_path / "reports.jsonl"
+    code, out, _ = run(capsys, "verify", "--seed", seed, "--output", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN[seed]["jsonl_sha256"]
+    assert (tmp_path / "reports.jsonl.csv").read_text() == GOLDEN[seed]["csv"]
+    assert out == GOLDEN[seed]["csv"]
 
 
 def test_verify_one_suite(capsys, tmp_path):

@@ -224,7 +224,7 @@ def _kuhn_square(cells, interior):
     cx = pf.SimplicialComplex(
         dim=2,
         vertices=-1.0 + 2.0 * grid / cells,
-        simplices=tuple(map(tuple, np.concatenate(simplices))),
+        simplices=np.concatenate(simplices),
     )
     return pf.PLFunction(complex=cx, values=values)
 

@@ -16,7 +16,7 @@ import oracles
 def _same(a, b):
     return (
         a.complex.vertices.tobytes() == b.complex.vertices.tobytes()
-        and a.complex.simplices == b.complex.simplices
+        and np.array_equal(a.complex.simplices, b.complex.simplices)
         and a.values.tobytes() == b.values.tobytes()
     )
 

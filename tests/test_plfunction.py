@@ -34,8 +34,6 @@ def test_cone_square_values(cone_square):
 
 
 def test_simplex_volumes_match_per_simplex_measure():
-    from plval import convex
-
     rng = np.random.default_rng(5)
     P = pt.hull_from_points(rng.normal(size=(9, 3)))
     phi = rng.uniform(0.5, 2.0) * np.eye(3)
@@ -44,13 +42,13 @@ def test_simplex_volumes_match_per_simplex_measure():
     vols = cx.simplex_volumes()
     assert len(vols) == len(cx) > 8
     for vol, s in zip(vols, cx.simplices):
-        assert vol == pytest.approx(convex.simplex_measure(cx.vertices[list(s)]), rel=1e-14)
+        assert vol == pytest.approx(oracles.det_simplex_volume(cx.vertices[s]), rel=1e-14)
 
 
 def test_cone_gradients_are_scaled_normals(square, cone_square):
     # each central simplex sits under one facet; gradient must be -u_i/h_i
     expected = {tuple(np.round(-np.asarray(f.normal) / f.support, 9)) for f in square.facets}
-    got = {tuple(np.round(g, 9)) for _, g in pf.gradient_field(cone_square)}
+    got = {tuple(np.round(g, 9)) for g in cone_square.affines()[0]}
     assert got == expected
 
 
@@ -70,8 +68,9 @@ def test_evaluate_at_vertices(cone_square):
 def test_gradient_field_constant_zero(square):
     cx = pt.central_triangulation(square)
     zero = pf.PLFunction(complex=cx, values=np.zeros(len(cx.vertices)))
-    for _, g in pf.gradient_field(zero):
-        assert np.allclose(g, 0.0, atol=1e-14)
+    grads, _ = zero.affines()
+    assert len(grads) == len(cx)
+    assert np.allclose(grads, 0.0, atol=1e-14)
 
 
 def test_gradient_field_affine_exact(square):
@@ -80,8 +79,9 @@ def test_gradient_field_affine_exact(square):
     a = np.array([0.7, -0.3])
     vals = cx.vertices @ a + 0.25
     f = pf.PLFunction(complex=cx, values=vals)
-    for _, g in pf.gradient_field(f):
-        assert np.allclose(g, a, atol=1e-12)
+    grads, _ = f.affines()
+    assert len(grads) == len(cx)
+    assert np.allclose(grads, a, atol=1e-12)
 
 
 def test_scale_values(cone_square):
@@ -279,7 +279,7 @@ def test_memo_hit_matches_a_fresh_cut(counted_cuts):
     fresh = pf.meet(f, g)
     assert len(counted_cuts) == 2
     assert hit.complex.vertices.tobytes() == fresh.complex.vertices.tobytes()
-    assert hit.complex.simplices == fresh.complex.simplices
+    assert np.array_equal(hit.complex.simplices, fresh.complex.simplices)
     assert hit.values.tobytes() == fresh.values.tobytes()
 
 
@@ -303,26 +303,19 @@ def test_join_carries_winning_gradient():
     f = random_cone_function(rng, 2)
     g = random_cone_function(rng, 2)
     jo = pf.join(f, g)
-    grads = dict(pf.gradient_field(jo))
-    fg = dict(pf.gradient_field(f))
-    gg = dict(pf.gradient_field(g))
+    grads, fg, gg = (h.affines()[0] for h in (jo, f, g))
 
     def source_gradient(func, table, x):
         # gradient of the simplex of func containing x, if x is interior
-        from plval.convex import barycentric_matrix
-
         cx = func.complex
         for si, s in enumerate(cx.simplices):
-            M, v0 = barycentric_matrix(cx.vertices[list(s)])
-            tail = M @ (x - v0)
-            bary = np.append(1.0 - tail.sum(), tail)
-            if np.all(bary > 1e-7):
-                return table.get(si)
+            if np.all(oracles.barycentric(cx.vertices[s], x) > 1e-7):
+                return table[si]
         return None
 
     checked = 0
     for si, s in enumerate(jo.complex.simplices):
-        c = jo.complex.vertices[list(s)].mean(axis=0)
+        c = jo.complex.vertices[s].mean(axis=0)
         fv, gv = pf.evaluate(f, c), pf.evaluate(g, c)
         if abs(fv - gv) < 1e-6:
             continue
@@ -897,6 +890,22 @@ def test_code_built_complex_rejects_non_finite_vertices(bad):
     V[1, 0] = bad
     with pytest.raises(NonFinite, match="vertices"):
         pf.SimplicialComplex(dim=2, vertices=V, simplices=cx.simplices)
+
+
+@pytest.mark.parametrize(
+    "simplices",
+    [((2, 0, 1), (3, 2, 1)), [[2, 0, 1], [3, 2, 1]], np.array([[2, 0, 1], [3, 2, 1]]), ()],
+    ids=["tuples", "list", "ndarray", "empty"],
+)
+def test_complex_holds_simplices_as_one_sorted_read_only_int_array(simplices):
+    want = np.sort(np.reshape(simplices, (-1, 3)), axis=1)
+    cx = pf.SimplicialComplex(dim=2, vertices=[[0, 0], [1, 0], [0, 1], [1, 1]], simplices=simplices)
+    S = cx.simplices
+    assert isinstance(S, np.ndarray) and S.dtype.kind == "i"
+    assert S.shape == (len(want), 3) == (len(cx), cx.dim + 1)
+    assert np.array_equal(S, want) and (np.diff(S, axis=1) > 0).all()
+    with pytest.raises(ValueError, match="read-only"):
+        S[...] = 0
 
 
 def test_transforms_refuse_non_finite_results():
