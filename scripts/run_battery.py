@@ -16,8 +16,12 @@ SimplicialComplex.validate alike), of batched point locations (calls
 to plfunction.evaluate_each, from overlay checks, tent checks and
 evaluation), of value-density builds (calls to
 integration.value_density, one per batch of functions that lack one
-and one per simplex_means call) and of engine passes (calls to
-integration.ValueDensity.means, one per kernel or norm per batch).  It
+and one per simplex_means call), of engine passes (calls to
+integration.ValueDensity.means, one per kernel or norm per batch) and
+of crossing searches (calls to integration._crossings: one per density
+build, and one per engine pass whose kernel has a cut other than 0
+inside the density's values, or differs on the two sides of 0; power
+kernels and norms make none).  It
 ends with the SHA-256 of its JSONL bytes as `plval verify` writes them,
 so two checkouts' outputs at one seed can be compared line by line.
 summary.csv ends in each suite's wall seconds, as with `plval verify
@@ -66,6 +70,7 @@ def main() -> int:
     # plfunction imports value_density at each call, so the module's name serves all
     count_calls(calls, "densities", (integration, "value_density"))
     count_calls(calls, "means", (integration.ValueDensity, "means"))
+    count_calls(calls, "crossings", (integration, "_crossings"))
     args.out.mkdir(parents=True, exist_ok=True)
     all_reports, wall = [], {}
     for name, thunk in default_battery(args.seed):
@@ -77,9 +82,10 @@ def main() -> int:
         digest = hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest()
         print(
             "%-24s %3d cases  %d failed  %.3fs  %4d hulls  %4d builds  %3d cuts  %3d assemblies  %4d splits"
-            "  %3d locates  %4d densities  %4d means  sha256 %s"
+            "  %3d locates  %4d densities  %4d means  %4d crossings  sha256 %s"
             % (name, len(reports), fails, wall[name], calls["hulls"], calls["builds"], calls["cuts"],
-               calls["assemblies"], calls["splits"], calls["locates"], calls["densities"], calls["means"], digest)
+               calls["assemblies"], calls["splits"], calls["locates"], calls["densities"], calls["means"],
+               calls["crossings"], digest)
         )
         all_reports.extend(reports)
 

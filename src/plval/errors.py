@@ -50,7 +50,8 @@ class PackingFailure(PLValError):
 
 
 class NonFinite(PLValError):
-    """A number read from JSON input is NaN or infinite."""
+    """A number read from JSON input, or passed as an argument, is NaN or
+    infinite."""
 
 
 class InvalidField(PLValError):

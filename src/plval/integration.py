@@ -40,17 +40,23 @@ mass and contributes h at its value.
 Two halves.  Everything that does not depend on h is done once per
 density: value_density(values) sorts the rows, builds the segments'
 coefficients, cuts the segments that cross 0 (the one cut every h has)
-and reads each piece's coefficients from its end nearer 0; the power
-rule's orientation of the pieces is computed on the first power kernel
-that meets the density and kept.  ValueDensity.means(h) does only what
-depends on h: it cuts the pieces at the cuts of h other than 0 that
-they cross (none for a power kernel or an L^q norm), drops the
-sub-pieces on which h is 0, and integrates the rest, reusing the kept
-orientation when the sub-pieces are the density's own pieces.  A
-PLFunction caches its density (PLFunction.value_density), so z(f) under
-several kernels, the L^q norms and the level sets of one function build
-and orient it once; simplex_means composes the two halves for one-off
-rows.
+and reads each piece's coefficients from its end nearer 0.  A layout
+that every kernel reads is kept on the density on first use: each
+piece's side of 0 and the pieces' span, the power rule's orientation of
+the pieces with its Gauss-Legendre abscissae and their coefficients
+gathered by rule, and the coefficients read from the low end.  ValueDensity.means(h) does only
+what depends on h.  When no cut of h other than 0 falls inside the
+pieces' span and h has the same terms on both sides of 0 there (every
+power kernel and L^q norm), it integrates the pieces whole from the
+layout: no crossing search, no per-piece gather, only the kernel's
+powers, its tables and one bincount.  Otherwise it cuts the pieces at
+the cuts of h they cross, drops the sub-pieces on which h is 0, and
+integrates the rest.  A PLFunction caches its density
+(PLFunction.value_density), so z(f) under several kernels, the L^q norms
+and the level sets of one function build it and its layout once;
+Pieces.power and Pieces.above hand out one shared Pieces per parameter,
+so a norm or a level set does not rebuild h either; simplex_means
+composes the two halves for one-off rows.
 
 Densities stack across functions.  integrals(functions, h) builds the
 densities its functions lack in one value_density call (each function
@@ -71,6 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NonFinite
 from .plfunction import PLFunction, value_densities
 
 # Power pieces with near/far at least this ratio take the Gauss-Legendre
@@ -78,6 +85,14 @@ from .plfunction import PLFunction, value_densities
 # piece, and GL_POWER_NODES nodes reach the rounding level.
 NEAR_RATIO = 1.0 / 3.0
 GL_POWER_NODES = 16
+
+
+def _finite(value, name: str) -> float:
+    """value as a float; NonFinite, naming it, for NaN or inf."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NonFinite("%s must be finite, got %r" % (name, value))
+    return value
 
 
 def c_pn(p: float, n: int) -> float:
@@ -120,14 +135,16 @@ def hq_complete_homogeneous(values, q: int) -> float:
 class _Flags(NamedTuple):
     """The kernel-only reads of a Pieces: its cuts other than 0 (the only
     ones a density's pieces can cross), every interval's ends, which
-    intervals h is not identically 0 on and which carry a polynomial, and
-    for each exponent of a power term the intervals carrying it."""
+    intervals h is not identically 0 on and which carry a polynomial, for
+    each exponent of a power term the intervals carrying it, and which
+    neighbouring intervals carry the same terms."""
 
     inner: np.ndarray  # (L-1,)
     edges: np.ndarray  # (L+2,) -inf, the cuts, +inf
     active: np.ndarray  # (L+1,) bool
     poly: np.ndarray  # (L+1,) bool
     groups: tuple  # ((exponent, (L+1,) bool), ...)
+    alike: np.ndarray  # (L,) bool, intervals l and l+1 carry the same terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,41 +175,34 @@ class Pieces:
 
     @functools.cached_property
     def flags(self) -> "_Flags":
-        """What the engine reads of h alone, computed once (see _Flags)."""
+        """What the engine reads of h alone, computed once (see _Flags);
+        its arrays are write-protected."""
         poly = (self.coefficients != 0.0).any(axis=1)
         power = self.scales != 0.0
-        return _Flags(
+        groups = tuple((float(e), power & (self.exponents == e)) for e in np.unique(self.exponents[power]))
+        flags = _Flags(
             inner=self.cuts[self.cuts != 0.0],
             edges=np.concatenate([[-np.inf], self.cuts, [np.inf]]),
             active=poly | power,
             poly=poly,
-            groups=tuple((float(e), power & (self.exponents == e)) for e in np.unique(self.exponents[power])),
+            groups=groups,
+            alike=np.all([on[1:] == on[:-1] for on in (poly,) + tuple(on for _, on in groups)], axis=0),
         )
+        for arr in (flags.inner, flags.edges, flags.active, poly, flags.alike) + tuple(on for _, on in groups):
+            arr.setflags(write=False)
+        return flags
 
     @staticmethod
     def power(coefficient: float, exponent: float) -> "Pieces":
-        """coefficient * |t|^exponent."""
-        return Pieces(
-            cuts=np.zeros(1),
-            anchors=np.zeros(2),
-            coefficients=np.zeros((2, 1)),
-            scales=np.full(2, float(coefficient)),
-            exponents=np.full(2, float(exponent)),
-        )
+        """coefficient * |t|^exponent, both finite (else NonFinite): one
+        shared, write-protected Pieces per pair."""
+        return _power(_finite(coefficient, "coefficient"), _finite(exponent, "exponent"))
 
     @staticmethod
     def above(level: float) -> "Pieces":
-        """The indicator of (level, inf)."""
-        cuts = np.union1d([0.0], [float(level)])
-        # interval l lies above the level iff it starts at or after it
-        step = np.concatenate([[0.0], cuts >= level])
-        return Pieces(
-            cuts=cuts,
-            anchors=np.zeros(len(cuts) + 1),
-            coefficients=step[:, None],
-            scales=np.zeros(len(cuts) + 1),
-            exponents=np.zeros(len(cuts) + 1),
-        )
+        """The indicator of (level, inf), level finite (else NonFinite):
+        one shared, write-protected Pieces per level."""
+        return _above(_finite(level, "level"))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -205,6 +215,41 @@ class Pieces:
         nz = t != 0.0
         power = self.scales[idx] * np.abs(np.where(nz, t, 1.0)) ** self.exponents[idx]
         return out + np.where(nz, power, 0.0)
+
+
+def _shared(pieces: Pieces) -> Pieces:
+    for arr in (pieces.cuts, pieces.anchors, pieces.coefficients, pieces.scales, pieces.exponents):
+        arr.setflags(write=False)
+    return pieces
+
+
+@functools.lru_cache(maxsize=64)
+def _power(coefficient: float, exponent: float) -> Pieces:
+    return _shared(
+        Pieces(
+            cuts=np.zeros(1),
+            anchors=np.zeros(2),
+            coefficients=np.zeros((2, 1)),
+            scales=np.full(2, coefficient),
+            exponents=np.full(2, exponent),
+        )
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _above(level: float) -> Pieces:
+    cuts = np.union1d([0.0], [level])
+    # interval l lies above the level iff it starts at or after it
+    step = np.concatenate([[0.0], cuts >= level])
+    return _shared(
+        Pieces(
+            cuts=cuts,
+            anchors=np.zeros(len(cuts) + 1),
+            coefficients=step[:, None],
+            scales=np.zeros(len(cuts) + 1),
+            exponents=np.zeros(len(cuts) + 1),
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,45 +387,52 @@ def _expansion_table(N: int) -> np.ndarray:
 class _Orientation(NamedTuple):
     """The h-independent half of _power_pieces for a stack of pieces that
     do not straddle 0.  With near <= far the magnitudes of a piece's ends:
-    the pieces taking Gauss-Legendre (near/far >= NEAR_RATIO), with near
-    and far - near, and the others, which take the closed form, with far,
-    rho = near/far, rho^0 .. rho^{2N} and (1 - rho)^{N+1}."""
+    the pieces taking Gauss-Legendre (near/far >= NEAR_RATIO), with the
+    rule's abscissae near + (far - near) u and their coefficients, and the
+    others, which take the closed form, with far, rho = near/far,
+    rho^0 .. rho^{2N}, (1 - rho)^{N+1} and their coefficients."""
 
-    quad: np.ndarray  # (k,) bool, the a Gauss-Legendre pieces
-    near: np.ndarray  # (a,)
-    span: np.ndarray  # (a,) far - near
-    closed: np.ndarray  # (k,) bool, the b closed-form pieces
+    quad: np.ndarray  # (a,) indices of the Gauss-Legendre pieces
+    abscissae: np.ndarray  # (a, GL_POWER_NODES)
+    quad_c: np.ndarray  # (a, N+1)
+    closed: np.ndarray  # (b,) indices of the closed-form pieces
     far: np.ndarray  # (b,)
     rho: np.ndarray  # (b,)
     powers: np.ndarray  # (b, 2N+1)
     shrink: np.ndarray  # (b,) (1 - rho)^{N+1}
+    closed_c: np.ndarray  # (b, N+1)
 
 
-def _orient(lo, hi, N: int) -> _Orientation:
+def _orient(lo, hi, c) -> _Orientation:
     """The _Orientation of the pieces [lo, hi] (none straddling 0) whose
-    density polynomials have Bernstein degree N."""
+    density polynomials have the Bernstein coefficients c (k, N+1), read
+    from their near ends."""
+    N = c.shape[1] - 1
     neg = hi <= 0.0
     near = np.where(neg, -hi, lo)
     far = np.where(neg, -lo, hi)
     quad = near >= NEAR_RATIO * far
-    closed = ~quad
+    closed = np.flatnonzero(~quad)
+    quad = np.flatnonzero(quad)
     rho = near[closed] / far[closed]
+    u = _gl_bernstein(GL_POWER_NODES, N)[0]
     return _Orientation(
         quad=quad,
-        near=near[quad],
-        span=(far - near)[quad],
+        abscissae=near[quad][:, None] + (far - near)[quad][:, None] * u,
+        quad_c=c[quad],
         closed=closed,
         far=far[closed],
         rho=rho,
         powers=rho[:, None] ** np.arange(2 * N + 1),
         shrink=(1.0 - rho) ** (N + 1),
+        closed_c=c[closed],
     )
 
 
-def _power_pieces(o: _Orientation, c, q: float) -> np.ndarray:
+def _power_pieces(o: _Orientation, q: float) -> np.ndarray:
     """integral_0^1 (near + (far - near) u)^q sum_k c[p, k] B^N_k(u) du per
-    piece, for pieces oriented by o and their coefficients c read from the
-    near end (u = 0 at near).
+    piece p, for pieces oriented by o (their coefficients c read from the
+    near end, u = 0 at near).
 
     Pieces with near/far >= NEAR_RATIO take Gauss-Legendre.  The others
     take the closed form in rho = near/far and y = t/far:
@@ -394,13 +446,13 @@ def _power_pieces(o: _Orientation, c, q: float) -> np.ndarray:
     most, and at rho = 0 (a piece ending at 0) only Beta terms remain.
     Exponents at or below -1 (anchored extensions away from 0) expand the
     inner integral directly instead."""
-    N = c.shape[1] - 1
-    out = np.empty(len(c))
-    if len(o.near):
-        u, w, basis = _gl_bernstein(GL_POWER_NODES, N)
-        F = (o.near[:, None] + o.span[:, None] * u) ** q
-        out[o.quad] = np.sum(((F * w) @ basis) * c[o.quad], axis=1)
-    if len(o.far):
+    N = o.quad_c.shape[1] - 1
+    out = np.empty(len(o.quad) + len(o.closed))
+    if len(o.quad):
+        _, w, basis = _gl_bernstein(GL_POWER_NODES, N)
+        F = o.abscissae**q
+        out[o.quad] = np.sum(((F * w) @ basis) * o.quad_c, axis=1)
+    if len(o.closed):
         rho, powers = o.rho, o.powers
         if q > -1.0:
             P, Q = _closed_form_tables(q, N)
@@ -413,7 +465,7 @@ def _power_pieces(o: _Orientation, c, q: float) -> np.ndarray:
             safe_e = np.where(e == 0.0, 1.0, e)
             inner = np.where(e == 0.0, -log_rho, -np.expm1(e * log_rho) / safe_e)
             K = np.einsum("xp,xs,psk->xk", powers[:, : N + 1], inner, _expansion_table(N))
-        out[o.closed] = np.sum(K * c[o.closed], axis=1) * o.far**q / o.shrink
+        out[o.closed] = np.sum(K * o.closed_c, axis=1) * o.far**q / o.shrink
     return out
 
 
@@ -461,20 +513,30 @@ def _flip(c, neg):
     return np.where(neg[:, None], c[:, ::-1], c)
 
 
-def _cut(c, lo, hi, high, piece, interval, edges):
+def _cut(c, lo, hi, piece, interval, edges):
     """(c, x0, x1): the part [x0, x1] of pieces[piece] in interval
     `interval` of the sorted edges, for pieces [lo, hi] with coefficients
-    c read from the high end where high, from the low end elsewhere; the
-    parts' coefficients are read from the same end as their pieces'.  A
-    part that is its whole piece keeps the piece's coefficients."""
+    c read from the low end; so are the parts'.  A part that is its whole
+    piece keeps the piece's coefficients."""
     x0 = np.maximum(lo[piece], edges[interval])
     x1 = np.minimum(hi[piece], edges[interval + 1])
-    lo, hi, c, high = lo[piece], hi[piece], c[piece], high[piece]
+    lo, hi, c = lo[piece], hi[piece], c[piece]
     cut = np.flatnonzero((x0 > lo) | (x1 < hi))
     if len(cut):
-        low = _restrict(_flip(c[cut], high[cut]), lo[cut], hi[cut], x0[cut], x1[cut])
-        c[cut] = _flip(low, high[cut])
+        c[cut] = _restrict(c[cut], lo[cut], hi[cut], x0[cut], x1[cut])
     return c, x0, x1
+
+
+class _Sides(NamedTuple):
+    """Which side of 0 each piece of a density lies on, and which sides
+    occur.  A piece's side is its interval of h when 0 is h's only cut,
+    and its interval less the number of h's other cuts at or below the
+    pieces when none falls inside the pieces' span
+    (ValueDensity._uncut_base)."""
+
+    below: np.ndarray  # (k,) bool, the pieces at or below 0
+    first: int  # the lowest side that occurs: 0 below, 1 above
+    last: int  # the highest
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,11 +550,19 @@ class ValueDensity:
     a piece at or above 0, from hi below).
 
     means(h) is the kernel-dependent half.  It cuts the pieces only at
-    h's cuts other than 0, so a power kernel or a norm cuts nothing.  The
-    power rule's orientation of the pieces (_Orientation: which rule each
-    piece takes and the powers of rho) is computed once, on first use,
-    and kept in a slot outside the fields: two densities of the same rows
-    have the same fields whether or not either has met a power kernel.
+    h's cuts other than 0 that fall inside the pieces' span, so a power
+    kernel or a norm cuts nothing.  What means reads of the density alone
+    is computed on first use and kept in slots outside the fields: each
+    piece's side of 0 (sides), the pieces' span, the power rule's
+    orientation with its Gauss-Legendre abscissae and the coefficients
+    gathered by rule (orientation), and the coefficients read from the
+    low end for the polynomial rule (low).  Two densities of the same
+    rows have the same fields whatever kernels either has met, and a
+    kernel on a kept density does only its own arithmetic.  The layout
+    is linear in the pieces; its largest part is the power rule's
+    abscissae, GL_POWER_NODES floats per piece that takes it, which on a
+    large mesh halve a repeated power kernel's time for about a sixth
+    more peak memory.
 
     A row's density is the same whatever rows share its stack, so split
     and stack move rows between stacks without changing them.  A row's
@@ -503,7 +573,7 @@ class ValueDensity:
     remove the difference at a cost of about a fifth of the engine's
     speed."""
 
-    __slots__ = ("__dict__", "__weakref__", "_orientation")
+    __slots__ = ("__dict__", "__weakref__", "_sides", "_span", "_orientation", "_low")
 
     sorted_rows: np.ndarray  # (m, n+1)
     point_rows: np.ndarray  # (p,) indices of the point-mass rows
@@ -555,19 +625,54 @@ class ValueDensity:
             for r0, r1, p0, p1, s0, s1 in zip(rows, rows[1:], points, points[1:], pieces, pieces[1:])
         ]
 
+    def _kept(self, slot: str, build):
+        """The slot's value, built on first use."""
+        got = getattr(self, slot, None)
+        if got is None:
+            got = build()
+            object.__setattr__(self, slot, got)
+        return got
+
+    def sides(self) -> _Sides:
+        """Each piece's side of 0, and which sides occur; needs a piece."""
+
+        def build():
+            below = self.hi <= 0.0
+            count = np.count_nonzero(below)
+            return _Sides(below, 0 if count else 1, 0 if count == len(below) else 1)
+
+        return self._kept("_sides", build)
+
+    def span(self) -> tuple:
+        """The smallest and largest ends of the pieces; needs a piece."""
+        return self._kept("_span", lambda: (self.lo.min(), self.hi.max()))
+
     def orientation(self) -> _Orientation:
-        """The power rule's orientation of this density's pieces, computed
-        on first use."""
-        o = getattr(self, "_orientation", None)
-        if o is None:
-            o = _orient(self.lo, self.hi, self.coefficients.shape[1] - 1)
-            object.__setattr__(self, "_orientation", o)
-        return o
+        """The power rule's orientation of this density's pieces."""
+        return self._kept("_orientation", lambda: _orient(self.lo, self.hi, self.coefficients))
+
+    def low(self) -> np.ndarray:
+        """The pieces' coefficients read from their low ends."""
+        return self._kept("_low", lambda: _flip(self.coefficients, self.sides().below))
+
+    def _uncut_base(self, inner):
+        """The interval of h that the pieces below 0 lie in, when none of
+        h's cuts other than 0, inner, falls strictly inside the pieces'
+        span (each piece then lies in the interval of its side plus that
+        base); None otherwise."""
+        if not len(inner):
+            return 0
+        low, high = self.span()
+        base = int(np.searchsorted(inner, low, side="right"))
+        return base if base == np.searchsorted(inner, high, side="left") else None
 
     def means(self, h: Pieces) -> np.ndarray:
-        """Mean of h over each row's density: cut the pieces at the cuts of
-        h other than 0 they cross, keeping the sub-pieces on which h is not
-        identically 0, then integrate each sub-piece."""
+        """Mean of h over each row's density.  When no cut of h other than
+        0 falls inside the pieces' span and every term of h covers all the
+        sides of 0 the pieces lie on or none, the pieces are integrated
+        whole from the kept layout; otherwise they are cut at the cuts of
+        h other than 0 they cross, keeping the sub-pieces on which h is
+        not identically 0, and each sub-piece is integrated."""
         m = len(self.sorted_rows)
         out = np.zeros(m)
         if len(self.point_rows):
@@ -575,33 +680,64 @@ class ValueDensity:
         if len(self.lo) == 0:
             return out
         flags = h.flags
-        lo, hi, c, row = self.lo, self.hi, self.coefficients, self.piece_row
-        neg = hi <= 0.0
+        sides = self.sides()
+        base = self._uncut_base(flags.inner)
+        val = None if base is None else self._whole_means(h, flags, sides, base)
+        row = self.piece_row
+        if val is None:
+            val, row = self._cut_means(h, flags, sides)
+        out += np.bincount(row, weights=val, minlength=m)
+        return out
+
+    def _whole_means(self, h: Pieces, flags: _Flags, sides: _Sides, base: int):
+        """Each piece's integral when every piece lies in the interval of
+        h of its side plus base; None when a side's interval carries no
+        term of h, or the two sides' intervals carry different terms."""
+        first, last = base + sides.first, base + sides.last
+        if not (flags.active[first] and flags.active[last]) or (first < last and not flags.alike[first]):
+            return None
+
+        def per_piece(arr):
+            # the sides' one value broadcast over the pieces, if they share it
+            if first == last or (arr[first] == arr[last]).all():
+                return arr[first : first + 1]
+            return arr[np.where(sides.below, first, last)]
+
+        val = None
+        if flags.poly[first]:
+            val = _poly_pieces(self.lo, self.hi, self.low(), per_piece(h.anchors), per_piece(h.coefficients))
+        for e, on in flags.groups:
+            if on[first]:
+                term = per_piece(h.scales) * _power_pieces(self.orientation(), e)
+                val = term if val is None else val + term
+        return val
+
+    def _cut_means(self, h: Pieces, flags: _Flags, sides: _Sides):
+        """(val, row): the integral and row of each sub-piece on which h is
+        not identically 0, the pieces cut at the cuts of h other than 0."""
+        lo, hi, c, row, below = self.lo, self.hi, self.low(), self.piece_row, sides.below
         piece, interval, whole = _crossings(lo, hi, flags.inner)
-        interval += ~neg[piece]  # a piece's side of 0 picks its interval of h
+        interval += ~below[piece]  # a piece's side of 0 picks its interval of h
         live = flags.active[interval]
         own = whole and live.all()  # the sub-pieces are this density's pieces
         if not own:
             piece, interval = piece[live], interval[live]
-            c, lo, hi = _cut(c, lo, hi, neg, piece, interval, flags.edges)
-            row, neg = row[piece], neg[piece]
+            c, lo, hi = _cut(c, lo, hi, piece, interval, flags.edges)
+            row, below = row[piece], below[piece]
 
         val = np.zeros(len(lo))
         poly = flags.poly[interval]
         if poly.any():
             ip = interval[poly]
-            val[poly] = _poly_pieces(
-                lo[poly], hi[poly], _flip(c[poly], neg[poly]), h.anchors[ip], h.coefficients[ip]
-            )
+            val[poly] = _poly_pieces(lo[poly], hi[poly], c[poly], h.anchors[ip], h.coefficients[ip])
         for e, on in flags.groups:
             sel = on[interval]
             if own and sel.all():
-                val += h.scales[interval] * _power_pieces(self.orientation(), c, e)
+                val += h.scales[interval] * _power_pieces(self.orientation(), e)
             elif sel.any():
-                o = _orient(lo[sel], hi[sel], c.shape[1] - 1)
-                val[sel] += h.scales[interval[sel]] * _power_pieces(o, c[sel], e)
-        out += np.bincount(row, weights=val, minlength=m)
-        return out
+                o = _orient(lo[sel], hi[sel], _flip(c[sel], below[sel]))
+                val[sel] += h.scales[interval[sel]] * _power_pieces(o, e)
+        return val, row
 
 
 def value_density(values) -> ValueDensity:
@@ -622,7 +758,7 @@ def value_density(values) -> ValueDensity:
     seg, interval, whole = _crossings(lo, hi, np.zeros(1))
     if not whole:
         edges = np.array([-np.inf, 0.0, np.inf])
-        A, lo, hi = _cut(A, lo, hi, np.zeros(len(lo), dtype=bool), seg, interval, edges)
+        A, lo, hi = _cut(A, lo, hi, seg, interval, edges)
         seg_row = seg_row[seg]
     return _frozen(ValueDensity(V, rows[point], V[point, 0], _flip(A, hi <= 0.0), lo, hi, seg_row))
 
@@ -665,19 +801,23 @@ def integrals(functions, h: Pieces) -> np.ndarray:
 
 
 def lq_norms(functions, q: float) -> np.ndarray:
-    """The L^q norm of each function (q >= 1), integrated in one batch."""
+    """The L^q norm of each function (q >= 1, finite), integrated in one
+    batch."""
+    _finite(q, "norm exponent")
     if q < 1:
         raise ValueError("norm exponent must be >= 1")
     return np.array([float(v) ** (1.0 / q) for v in integrals(functions, Pieces.power(1.0, q))])
 
 
 def lq_norm(f: PLFunction, q: float) -> float:
-    """L^q norm of f (q >= 1); exact per-simplex moments."""
+    """L^q norm of f (q >= 1, finite); exact per-simplex moments."""
     return float(lq_norms([f], q)[0])
 
 
 def grad_p_norm(f: PLFunction, p: float) -> float:
-    """L^p norm of |grad f|; the gradient is constant per simplex."""
+    """L^p norm of |grad f| (p >= 1, finite); the gradient is constant
+    per simplex."""
+    _finite(p, "norm exponent")
     if p < 1:
         raise ValueError("norm exponent must be >= 1")
     if f.complex.is_empty():
@@ -689,12 +829,15 @@ def grad_p_norm(f: PLFunction, p: float) -> float:
 
 
 def sobolev_norm(f: PLFunction, p: float) -> float:
-    """W^{1,p} norm: (||f||_p^p + ||grad f||_p^p)^{1/p}."""
+    """W^{1,p} norm: (||f||_p^p + ||grad f||_p^p)^{1/p}, p >= 1 finite."""
+    _finite(p, "norm exponent")
     return float((lq_norm(f, p) ** p + grad_p_norm(f, p) ** p) ** (1.0 / p))
 
 
 def level_set_volume(f: PLFunction, t: float) -> float:
-    """Volume of {f > t} for t > 0 (finite because supports are compact)."""
+    """Volume of {f > t} for finite t > 0 (finite because supports are
+    compact)."""
+    _finite(t, "level")
     if t <= 0:
         raise ValueError("level must be positive; {f > t} has infinite volume otherwise")
     return float(integrals([f], Pieces.above(t))[0])

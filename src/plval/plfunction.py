@@ -563,7 +563,12 @@ def tent_decomposition(f: PLFunction, delta: float = 1e-2):
     """Concave tents f_1..f_m, one per simplex carrying positive values,
     whose join reproduces f. The ring width starts at roughly delta times
     the simplex size and halves until the sampled join matches f; each
-    round builds every tent at once (_build_tents)."""
+    round builds every tent at once (_build_tents).  delta must be finite
+    (else NonFinite) and positive (else ValueError)."""
+    if not math.isfinite(delta):
+        raise NonFinite("tent decomposition delta must be finite, got %r" % delta)
+    if delta <= 0:
+        raise ValueError("tent decomposition delta must be positive, got %r" % delta)
     if np.any(f.values < -10 * EPS):
         raise NotNonnegative("tent decomposition requires f >= 0")
     peak = f.simplex_values().max(axis=1)

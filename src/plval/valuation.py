@@ -59,18 +59,19 @@ class Kernel:
 
 @dataclass(eq=False)
 class PowerKernel(Kernel):
-    """h(t) = coefficient * |t|^exponent, exponent > 0."""
+    """h(t) = coefficient * |t|^exponent, both finite (else NonFinite),
+    exponent > 0."""
 
     coefficient: float
     exponent: float
     _pieces: Pieces = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._pieces = Pieces.power(self.coefficient, self.exponent)  # NonFinite first
         if self.exponent <= 0:
             raise KernelNonzeroAtZero(
                 "power kernel with exponent %g does not vanish at zero" % self.exponent
             )
-        self._pieces = Pieces.power(self.coefficient, self.exponent)
 
     def pieces(self) -> Pieces:
         return self._pieces

@@ -1,5 +1,6 @@
 """Exact simplex integrals, norms, level sets, densities, Fisher matrices."""
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from plval import plfunction as pf
 from plval import polytope as pt
+from plval.errors import NonFinite
 from plval.integration import (
     Pieces,
     c_pn,
@@ -159,6 +161,35 @@ def test_sobolev_norm(cone_square):
     assert sobolev_norm(cone_square, 1.0) == pytest.approx(16.0 / 3.0, rel=1e-12)
     for s in (0.2, 0.7, 0.95):
         assert sobolev_norm(pf.scale_values(cone_square, s), 1.0) < sobolev_norm(cone_square, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, x: PowerKernel(1.0, x),
+        lambda f, x: PowerKernel(x, 2.0),
+        lambda f, x: Pieces.power(1.0, x),
+        lambda f, x: Pieces.power(x, 2.0),
+        lambda f, x: Pieces.above(x),
+        lambda f, x: lq_norm(f, x),
+        lambda f, x: lq_norms([f, f], x),
+        lambda f, x: grad_p_norm(f, x),
+        lambda f, x: sobolev_norm(f, x),
+        lambda f, x: level_set_volume(f, x),
+    ],
+    ids=["power_exponent", "power_coefficient", "pieces_exponent", "pieces_coefficient", "above",
+         "lq_norm", "lq_norms", "grad_p_norm", "sobolev_norm", "level_set_volume"],
+)
+def test_non_finite_parameters_are_refused_before_any_arithmetic(monkeypatch, cone_square, call, bad):
+    # a NaN or infinite exponent, coefficient or level once gave a silent
+    # number (PowerKernel(1, nan) integrated to 0, an infinite q to 1)
+    from plval import integration
+
+    monkeypatch.setattr(integration, "integrals", lambda *args: pytest.fail("integrated"))
+    monkeypatch.setattr(pf.PLFunction, "affines", lambda self: pytest.fail("took gradients"))
+    with pytest.raises(NonFinite, match="finite"):
+        call(pf.scale_values(cone_square, 2.0), bad)
 
 
 def test_sobolev_conjugate():
@@ -631,10 +662,66 @@ def test_kernels_with_other_cuts_agree_with_the_raw_segment_engine(n, kind, seed
     assert not bad.any(), (rows[bad].tolist(), got[bad], want[bad])
 
 
+def _kept_kernels(rows, rng):
+    """Power kernels, polynomial kernels whose knots lie beyond the rows'
+    values (no cut but 0 inside them) and among them, a kernel with
+    different terms on the two sides of 0, and indicators above a level
+    inside and outside the values."""
+    wide = 2.0  # beyond every _oracle_row value
+    inside = float(rng.uniform(rows.min(), rows.max()))
+    # t below 0, |t|^1.5 above
+    two_sided = Pieces(np.zeros(1), np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]),
+                       np.array([0.0, 1.5]))
+    return [Pieces.power(1.0, q) for q in (0.5, 1.0, 1.5, 2.0, 3.0)] + [
+        two_sided,
+        PiecewisePolyKernel([-wide, 0.0, wide], [[wide * wide, -2.0 * wide, 1.0], [0.0, 0.0, 1.0]], 2.0, 2.0).pieces(),
+        TabulatedKernel([-wide, 0.0, wide], [wide, 0.0, wide], 1.0, 1.0).pieces(),
+        _crossing_kernel("piecewise", rng),
+        _crossing_kernel("tabulated", rng),
+        Pieces.above(inside),
+        Pieces.above(float(rows.max()) + 0.5),
+        Pieces.above(float(rows.min()) - 0.5),
+    ]
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_a_kept_density_gives_a_fresh_densitys_means_bit_for_bit(n, seed):
+    # rows with tied knots, zeros, point masses and both signs
+    rng = np.random.default_rng(seed)
+    rows = _oracle_rows(n, rng)
+    kernels = _kept_kernels(rows, rng)
+    kept = value_density(rows)
+    for i in rng.permutation(len(kernels)):  # the kept density meets every kernel first
+        kept.means(kernels[i])
+    for h in kernels:
+        fresh = value_density(rows)
+        want = fresh.means(h)
+        assert np.array_equal(kept.means(h), want)
+        assert np.array_equal(want, value_density(rows).means(h))
+        # where the pieces are integrated whole, the cut route's
+        # arithmetic gives the same amount for every piece
+        base = fresh._uncut_base(h.flags.inner)
+        whole = None if base is None else fresh._whole_means(h, h.flags, fresh.sides(), base)
+        if whole is not None:
+            assert np.array_equal(whole, fresh._cut_means(h, h.flags, fresh.sides())[0])
+    assert list(vars(kept)) == list(vars(fresh)) == [f.name for f in dataclasses.fields(kept)]
+
+
+def test_norms_and_level_sets_share_one_write_protected_pieces():
+    for make, arg in ((lambda x: Pieces.power(1.0, x), 2.5), (Pieces.above, 0.3)):
+        h = make(arg)
+        assert make(arg) is h and make(np.float64(arg)) is h
+        for arr in (h.cuts, h.anchors, h.coefficients, h.scales, h.exponents, h.flags.active, h.flags.alike):
+            assert not arr.flags.writeable
+    assert PowerKernel(2.0, 1.5).pieces() is Pieces.power(2, 1.5)
+
+
 def test_power_kernels_and_norms_cut_nothing_and_orient_once(monkeypatch, counted_densities):
     # three power kernels, a norm and a level set on one function whose
     # values cross 0: the only cut at 0 is the density build's, no power
-    # kernel or norm subdivides, and the pieces are oriented once
+    # kernel or norm looks for crossings or subdivides, and the pieces are
+    # oriented once
     from plval import integration
 
     inside, crossed, restricted, oriented = [], [], [], []
@@ -669,8 +756,7 @@ def test_power_kernels_and_norms_cut_nothing_and_orient_once(monkeypatch, counte
         apply(PowerKernel(1.0, q), f)
     lq_norm(f, 3.0)
     assert len(counted_densities) == 1
-    assert crossed[0] == (True, [0.0]) and restricted == [True]
-    assert crossed[1:] == [(False, [])] * 4
+    assert crossed == [(True, [0.0])] and restricted == [True]
     assert oriented == [len(f.value_density().lo)]
     level_set_volume(f, 0.1)
     assert crossed[-1] == (False, [0.1]) and len(counted_densities) == 1

@@ -599,6 +599,17 @@ def test_tent_decomposition_raises_typed_error_when_it_cannot_converge(monkeypat
     assert issubclass(ConstructionFailure, PLValError)
 
 
+@pytest.mark.parametrize(
+    "delta, error", [(0.0, ValueError), (-0.01, ValueError), (np.inf, NonFinite), (np.nan, NonFinite)]
+)
+def test_tent_decomposition_refuses_a_bad_delta_before_any_work(monkeypatch, cone_square, delta, error):
+    built = []
+    monkeypatch.setattr(pf, "_build_tents", lambda *args: built.append(args))
+    with pytest.raises(error, match="delta"):
+        pf.tent_decomposition(cone_square, delta)
+    assert built == []
+
+
 def test_tent_decomposition_central_fan(square, cone_square):
     tents = pf.tent_decomposition(cone_square)
     assert len(tents) == len(square.facets)
