@@ -9,16 +9,16 @@ the overlay requires to stay within COVER_TOL (a pair that fails the
 balance counts too), the number of pairs overlaid and of batched overlay
 calls (overlay.lattice_overlays) with the simplices they returned in
 total, so that output growing more fragmented shows in the log, the
-number of hulls built (calls to convex.hull, from polytopes and convex
-supports), the merge groups the assembly tested and merged
-(overlay._merges), the hull kernels run inside the assembly (calls to
-convex.hull and to convex._facets, its brute-force facet pass; cells are
-measured and triangulated from their incidence, so there must be none),
-and where the time went: the seconds spent cutting batches of pairs
-against each other (overlay._pieces_pairwise) and assembling cells into
-functions (overlay.assemble_cells, for the overlays' results and the
-tents alike), each in total and per batch, with the number of stacked
-cuts (convex.split calls) made inside the cutting.  Every overlay result
+number of hulls built (from polytopes and convex supports), the merge
+groups the assembly tested and merged, the hull kernels run inside the
+assembly (hulls and brute-force facet passes; cells are measured and
+triangulated from their incidence, so there must be none), and where the
+time went: the seconds spent cutting batches of pairs against each other
+(overlay._pieces_pairwise) and assembling cells into functions
+(overlay.assemble_cells, for the overlays' results and the tents alike),
+each in total and per batch, with the number of stacked cuts made inside
+the cutting.  The counts are read from plval.stats.calls (hulls, facets,
+merge_groups, merged, splits).  Every overlay result
 is also written as JSON and read back (plfunction.from_json_dict), and
 the log gives how many read back to the same bytes; a result refused or
 changed on the way fails its seed.  It exits 1 if any seed fails or
@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from plval import convex, overlay
+from plval import overlay, stats
 from plval.errors import PLValError
 from plval.plfunction import from_json_dict
 from plval.serialize import dumps_canonical
@@ -55,38 +55,37 @@ def main() -> int:
     calls = [0, 0, 0]  # pairs overlaid, batched overlay calls, simplices returned
     seconds = {"cut": 0.0, "assemble": 0.0}
     batches = {"cut": 0, "assemble": 0}
-    splits = [0, 0]  # convex.split calls, those made inside overlay._pieces_pairwise
+    inside = {"splits": 0, "hulls": 0}  # stacked cuts inside the cutting, hull kernels inside the assembly
     cut, assemble, cover_failures = overlay._pieces_pairwise, overlay.assemble_cells, overlay._cover_failures
     lattice_overlays = overlay.lattice_overlays
-    split, hull = convex.split, convex.hull
+
+    def hull_kernels() -> int:
+        return stats.calls["hulls"] + stats.calls["facets"]
 
     def timed_cut(mesh):
-        t0, before = time.perf_counter(), splits[0]
+        t0, before = time.perf_counter(), stats.calls["splits"]
         try:
             return cut(mesh)
         finally:
             seconds["cut"] += time.perf_counter() - t0
             batches["cut"] += 1
-            splits[1] += splits[0] - before
+            inside["splits"] += stats.calls["splits"] - before
 
     def recorded_cover_failures(pieces, supp):
         residual = np.abs(overlay._cover(pieces, len(supp)) - supp) / supp
         worst[0] = max(worst[0], float(residual.max(initial=0.0)))
         return cover_failures(pieces, supp)
 
-    assembling = [False]
-
     def timed_assemble(*args):
-        t0 = time.perf_counter()
-        assembling[0] = True
+        t0, before = time.perf_counter(), hull_kernels()
         try:
             return assemble(*args)
         finally:
-            assembling[0] = False
             seconds["assemble"] += time.perf_counter() - t0
             batches["assemble"] += 1
+            inside["hulls"] += hull_kernels() - before
 
-    trips = [0, 0]  # results read back from JSON to the same bytes, results refused or changed
+    trips = [0, 0]  # results refused or changed on the way back from JSON, results read back to the same bytes
 
     def read_back(h) -> bool:
         text = dumps_canonical(h.to_json_dict())
@@ -104,45 +103,18 @@ def main() -> int:
             trips[read_back(h)] += 1
         return out
 
-    def counted_split(*args, **kwargs):
-        splits[0] += 1
-        return split(*args, **kwargs)
-
-    hulls = [0, 0]  # convex.hull calls, hulls built inside the assembly
-    groups = [0, 0]  # merge groups tested, merged
-
-    def counted_hull(points):
-        hulls[0] += 1
-        hulls[1] += assembling[0]
-        return hull(points)
-
-    def counted_facets(*args, **kwargs):
-        hulls[1] += assembling[0]
-        return facets(*args, **kwargs)
-
-    def counted_merges(*args):
-        out = merges(*args)
-        groups[0] += len(out)
-        groups[1] += int(out.sum())
-        return out
-
-    merges, facets = overlay._merges, convex._facets
     overlay._pieces_pairwise, overlay.assemble_cells = timed_cut, timed_assemble
     overlay.lattice_overlays = counted_overlays
     overlay._cover_failures = recorded_cover_failures
-    overlay._merges = counted_merges
-    convex.split, convex.hull = counted_split, counted_hull
-    convex._facets = counted_facets
     failed = 0
     for seed in args.seeds:
         worst[0] = 0.0
         calls[:] = [0, 0, 0]
         seconds.update(cut=0.0, assemble=0.0)
         batches.update(cut=0, assemble=0)
-        splits[:] = [0, 0]
-        hulls[:] = [0, 0]
-        groups[:] = [0, 0]
+        inside.update(splits=0, hulls=0)
         trips[:] = [0, 0]
+        stats.calls.clear()
         t0 = time.perf_counter()
         suite = dict(default_battery(seed))["inclusion_exclusion"]
         residual = float("nan")
@@ -154,15 +126,16 @@ def main() -> int:
         except Exception as exc:  # a typed PLValError or a defect: both fail the seed
             fails = 1
             status = "error: %s: %s" % (type(exc).__name__, exc)
-        failed += fails > 0 or hulls[1] > 0 or trips[0] > 0
+        failed += fails > 0 or inside["hulls"] > 0 or trips[0] > 0
         per = {k: seconds[k] / max(batches[k], 1) for k in seconds}
         print(
             "seed %3d  %-12s residual %.2e  worst cover residual %.2e  %3d overlays in %2d batches -> %5d simplices"
             "  %4d hulls  %4d groups -> %4d merged  %d assembly hulls  %3d of %3d read back"
             "  cut %.3f s (%.4f s/batch, %4d splits)  assemble %.3f s (%.4f s/batch)  %5.1f s"
-            % (seed, status, residual, worst[0], calls[0], calls[1], calls[2], hulls[0], groups[0], groups[1],
-               hulls[1], trips[1], sum(trips), seconds["cut"], per["cut"], splits[1], seconds["assemble"],
-               per["assemble"], time.perf_counter() - t0),
+            % (seed, status, residual, worst[0], calls[0], calls[1], calls[2], stats.calls["hulls"],
+               stats.calls["merge_groups"], stats.calls["merged"], inside["hulls"], trips[1], sum(trips),
+               seconds["cut"], per["cut"], inside["splits"], seconds["assemble"], per["assemble"],
+               time.perf_counter() - t0),
             flush=True,
         )
     print("%d of %d seeds failed" % (failed, len(args.seeds)))

@@ -11,6 +11,7 @@ from . import (  # noqa: F401
     plfunction,
     polytope,
     serialize,
+    stats,
     valuation,
     verify,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "plfunction",
     "polytope",
     "serialize",
+    "stats",
     "valuation",
     "verify",
 ]

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import plfunction as pf
 from . import polytope as pt
+from . import stats
 from .errors import PLValError
 from .integration import grad_p_norm, lq_norm, sobolev_norm
 from .serialize import dumps_canonical
@@ -159,7 +160,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the selected suite or the full battery; JSONL to --output (or
     stdout) plus a CSV summary, which with --timing ends in each suite's
-    wall seconds; exit 0 only with zero failures."""
+    wall seconds and work counts (stats.calls); exit 0 only with zero
+    failures."""
     from .verify import default_battery, reports_to_jsonl, summarize_csv
 
     battery = default_battery(args.seed)
@@ -171,11 +173,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 % (args.suite, ", ".join(name for name, _ in default_battery(args.seed)))
             )
 
-    reports, wall = [], {}
+    reports, timing = [], {}
     for name, thunk in battery:
+        stats.calls.clear()
         t0 = time.perf_counter()
         reports += thunk()
-        wall[name] = time.perf_counter() - t0
+        timing[name] = [time.perf_counter() - t0] + [stats.calls[key] for key in stats.COUNTS]
 
     if args.tolerance is not None:
         # override: re-judge every relative comparison against the new
@@ -183,7 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports = [r.rejudged(args.tolerance) for r in reports]
 
     jsonl = reports_to_jsonl(reports)
-    csv = summarize_csv(reports, wall if args.timing else None)
+    csv = summarize_csv(reports, timing if args.timing else None)
     if args.output:
         _emit(jsonl, args.output)
         _emit(csv, args.output + ".csv")
@@ -250,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--timing",
         action="store_true",
-        help="add each suite's wall seconds to the CSV summary as a last column, wall_s; "
-        "the JSONL is the same either way",
+        help="add each suite's wall seconds and work counts (plval.stats) to the CSV summary as last "
+        "columns: %s; the JSONL is the same either way" % ", ".join(("wall_s",) + stats.COUNTS),
     )
 
     return ap

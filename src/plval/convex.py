@@ -50,6 +50,7 @@ import math
 
 import numpy as np
 
+from . import stats
 from .errors import Degenerate, Singular
 
 # Geometric predicate tolerance on unit-normalized data.
@@ -392,6 +393,7 @@ def split(cells: Cells, a, c, tol, above: bool = True, flat: bool = False):
     cut's row takes the stack's next row slot; a stack whose MAX_ROWS
     slots are taken is compacted first.
     """
+    stats.calls["splits"] += 1
     if cells.H.shape[1] >= MAX_ROWS:
         cells = cells.compact()
         if cells.H.shape[1] >= MAX_ROWS:
@@ -545,6 +547,7 @@ def hull(points: np.ndarray):
     off the candidates' incidence (hull_incidence) and measured as
     cell_volumes measures a cell.  A 1-D hull is read off the min and
     max.  Raises Degenerate when the points span no hull."""
+    stats.calls["hulls"] += 1
     points = np.asarray(points, dtype=float)
     k, d = points.shape
     if d == 1:
@@ -663,6 +666,7 @@ def _facets(X: np.ndarray, tol: float = HULL_TOL):
     coordinate at a time, in chunks of about HULL_CHUNK subset-points,
     every step elementwise per subset and summed over the coordinates in
     order."""
+    stats.calls["facets"] += 1
     k, d = X.shape
     S = _subsets(k, d)
     C = X.T  # (d, k)
@@ -924,21 +928,22 @@ def _long_edges(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
     return (length > 0.0) & (length > tol * np.maximum(1.0, reach / np.where(length > 0.0, length, 1.0)))
 
 
-def simplex_cells(points: np.ndarray, S: np.ndarray, tol: float = EPS):
+def simplex_cells(points: np.ndarray, S: np.ndarray):
     """The cells points[S] (m, dim+1), dim >= 1, that are simplices
     already, as pulling_triangulation gives them: (S, keep, measure) with
     each row sorted, keep False where the row repeats a vertex or falls
-    below pulling_triangulation's floor (an edge its length test, a
-    higher simplex its measure floor), and each row's simplex_measures."""
+    below pulling_triangulation's floor at its default tol, EPS (an edge
+    its length test, a higher simplex its measure floor), and each row's
+    simplex_measures."""
     S = np.sort(S, axis=1)
     dim = S.shape[1] - 1
     keep = (S[:, 1:] != S[:, :-1]).all(axis=1)
     measure = simplex_measures(points, S)
     if dim == 1:
-        return S, keep & _long_edges(points[S[:, 0]], points[S[:, 1]], tol), measure
+        return S, keep & _long_edges(points[S[:, 0]], points[S[:, 1]], EPS), measure
     pts = points[S]
     spread = (pts.max(axis=1) - pts.min(axis=1)).max(axis=1)
-    return S, keep & (measure > simplex_floor(spread, dim, tol)), measure
+    return S, keep & (measure > simplex_floor(spread, dim, EPS)), measure
 
 
 # ---------------------------------------------------------------------------

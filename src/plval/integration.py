@@ -77,6 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import stats
 from .errors import NonFinite
 from .plfunction import PLFunction, value_densities
 
@@ -85,6 +86,21 @@ from .plfunction import PLFunction, value_densities
 # piece, and GL_POWER_NODES nodes reach the rounding level.
 NEAR_RATIO = 1.0 / 3.0
 GL_POWER_NODES = 16
+
+
+# natural logs of the smallest normal and the largest finite float
+_LOG_TINY, _LOG_HUGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+
+
+def _in_float_range(reach: float, exponent: float, what: str) -> None:
+    """NonFinite, naming the float range, when reach**exponent (reach >= 0,
+    exponent > 0) overflows or falls below the smallest normal float; a
+    power of 0 is 0 exactly.  Decided on logs, so no power is taken."""
+    if reach > 0.0 and not _LOG_TINY <= exponent * math.log(reach) <= _LOG_HUGE:
+        raise NonFinite(
+            "%s %.6g to the power %.6g leaves the float range [%.3g, %.3g]"
+            % (what, reach, exponent, np.finfo(float).tiny, np.finfo(float).max)
+        )
 
 
 def _finite(value, name: str) -> float:
@@ -136,8 +152,9 @@ class _Flags(NamedTuple):
     """The kernel-only reads of a Pieces: its cuts other than 0 (the only
     ones a density's pieces can cross), every interval's ends, which
     intervals h is not identically 0 on and which carry a polynomial, for
-    each exponent of a power term the intervals carrying it, and which
-    neighbouring intervals carry the same terms."""
+    each exponent of a power term the intervals carrying it, which
+    neighbouring intervals carry the same terms, and the largest exponent
+    > 0 of a power term (0.0 when there is none)."""
 
     inner: np.ndarray  # (L-1,)
     edges: np.ndarray  # (L+2,) -inf, the cuts, +inf
@@ -145,6 +162,7 @@ class _Flags(NamedTuple):
     poly: np.ndarray  # (L+1,) bool
     groups: tuple  # ((exponent, (L+1,) bool), ...)
     alike: np.ndarray  # (L,) bool, intervals l and l+1 carry the same terms
+    top: float  # 0.0 when no power term has an exponent > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +205,7 @@ class Pieces:
             poly=poly,
             groups=groups,
             alike=np.all([on[1:] == on[:-1] for on in (poly,) + tuple(on for _, on in groups)], axis=0),
+            top=max((e for e, _ in groups if e > 0.0), default=0.0),
         )
         for arr in (flags.inner, flags.edges, flags.active, poly, flags.alike) + tuple(on for _, on in groups):
             arr.setflags(write=False)
@@ -488,6 +507,7 @@ def _crossings(lo, hi, cuts):
     from low to high: its piece, the interval of the cuts it lies in
     (interval l runs from cuts[l-1] to cuts[l]), and whether no cut
     crosses any piece, so that the sub-pieces are the pieces."""
+    stats.calls["crossings"] += 1
     first = np.searchsorted(cuts, lo, side="right")
     if not len(cuts):
         return np.arange(len(lo)), first, True
@@ -573,7 +593,7 @@ class ValueDensity:
     remove the difference at a cost of about a fifth of the engine's
     speed."""
 
-    __slots__ = ("__dict__", "__weakref__", "_sides", "_span", "_orientation", "_low")
+    __slots__ = ("__dict__", "__weakref__", "_sides", "_span", "_reach", "_orientation", "_low")
 
     sorted_rows: np.ndarray  # (m, n+1)
     point_rows: np.ndarray  # (p,) indices of the point-mass rows
@@ -647,6 +667,16 @@ class ValueDensity:
         """The smallest and largest ends of the pieces; needs a piece."""
         return self._kept("_span", lambda: (self.lo.min(), self.hi.max()))
 
+    def reach(self) -> float:
+        """The largest |value| the rows reach, read off the pieces' span
+        and the point masses."""
+
+        def build():
+            low, high = self.span() if len(self.lo) else (0.0, 0.0)
+            return max(-float(low), float(high), float(np.abs(self.point_values).max(initial=0.0)))
+
+        return self._kept("_reach", build)
+
     def orientation(self) -> _Orientation:
         """The power rule's orientation of this density's pieces."""
         return self._kept("_orientation", lambda: _orient(self.lo, self.hi, self.coefficients))
@@ -672,14 +702,19 @@ class ValueDensity:
         sides of 0 the pieces lie on or none, the pieces are integrated
         whole from the kept layout; otherwise they are cut at the cuts of
         h other than 0 they cross, keeping the sub-pieces on which h is
-        not identically 0, and each sub-piece is integrated."""
+        not identically 0, and each sub-piece is integrated.  Raises
+        NonFinite, before any power is taken, when the largest |value|
+        to a power of h leaves the float range."""
+        stats.calls["means"] += 1
+        flags = h.flags
+        if flags.top:
+            _in_float_range(self.reach(), flags.top, "the largest |value|")
         m = len(self.sorted_rows)
         out = np.zeros(m)
         if len(self.point_rows):
             out[self.point_rows] = h(self.point_values)
         if len(self.lo) == 0:
             return out
-        flags = h.flags
         sides = self.sides()
         base = self._uncut_base(flags.inner)
         val = None if base is None else self._whole_means(h, flags, sides, base)
@@ -743,6 +778,7 @@ class ValueDensity:
 def value_density(values) -> ValueDensity:
     """The ValueDensity of the value rows `values` (m, n+1), one simplex
     per row; its arrays are write-protected."""
+    stats.calls["densities"] += 1
     V = np.sort(np.asarray(values, dtype=float), axis=1)
     n = V.shape[1] - 1
     rows = np.arange(len(V))
@@ -816,7 +852,8 @@ def lq_norm(f: PLFunction, q: float) -> float:
 
 def grad_p_norm(f: PLFunction, p: float) -> float:
     """L^p norm of |grad f| (p >= 1, finite); the gradient is constant
-    per simplex."""
+    per simplex.  Raises NonFinite when the largest |grad f| to the p
+    leaves the float range."""
     _finite(p, "norm exponent")
     if p < 1:
         raise ValueError("norm exponent must be >= 1")
@@ -825,6 +862,7 @@ def grad_p_norm(f: PLFunction, p: float) -> float:
     grads, _ = f.affines()
     vols = f.complex.simplex_volumes()
     mags = np.linalg.norm(grads, axis=1)
+    _in_float_range(float(mags.max()), p, "the largest |grad f|")
     return float(np.sum(vols * mags**p)) ** (1.0 / p)
 
 

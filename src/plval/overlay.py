@@ -94,7 +94,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import convex
+from . import convex, stats
 from .convex import EPS, SNAP
 from .errors import OverlayFailure
 from .plfunction import PLFunction, SimplicialComplex, evaluate_each
@@ -350,6 +350,7 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     """Cells covering supp f and supp g of every pair, the cells both
     cover once for each, by pair; mesh comes from _prep.  A pair's cells
     are cut at its own scale, and only its own simplices meet."""
+    stats.calls["cuts"] += 1
     m, B = len(mesh.vol), len(mesh.rows)
     scale = _batch_max(np.abs(mesh.cells.V).max(axis=(1, 2), initial=0.0), mesh.pair, B)
     tol = CLIP_TOL * scale[mesh.pair]
@@ -564,7 +565,9 @@ def _merges(groups: _Groups, S, g, vol):
     at = pi[np.searchsorted(key, fg * n + single[:, 1:])]
     on_facet = T[fg, at].all(axis=1).any(axis=1)
     closed = np.bincount(single[~on_facet, 0], minlength=G) == 0
-    return closed & (np.abs(filled - groups.total) <= COVER_TOL * groups.total)
+    merges = closed & (np.abs(filled - groups.total) <= COVER_TOL * groups.total)
+    stats.calls.update(merge_groups=len(merges), merged=int(merges.sum()))
+    return merges
 
 
 def _fail(out, batch, bad, messages) -> None:
@@ -594,6 +597,7 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     value of the least steep piece that has it: a position error delta
     gives a value error |grad| delta.  Simplices that are 0 at every
     vertex are left out."""
+    stats.calls["assemblies"] += 1
     B = len(supp)
     out = [None] * B
     if not len(cells):

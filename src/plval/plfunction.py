@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import convex
+from . import convex, stats
 from .convex import EPS
 from .errors import (
     ConstructionFailure,
@@ -135,21 +135,21 @@ class SimplicialComplex:
 
     # -- the partition contract ----------------------------------------------
 
-    def validate(self, tol: float = EPS) -> None:
+    def validate(self) -> None:
         """Check the complex's half of the partition contract: every
         simplex is nondegenerate (measure above convex.simplex_floor of its
         own extent) and no two simplices overlap in their interiors.  Faces
         need not match: a vertex may lie inside a neighbour's face.  Raises
         InvalidComplex naming the first offending simplex, or pair (i, j)
         in (i, j) order."""
-        self._contacts(tol)
+        self._contacts()
 
-    def _contacts(self, tol: float):
+    def _contacts(self):
         """(i, j, clips, on, atol): the ordered pairs (i, j) of simplices
         that meet, clips[c] the intersection of pair c (simplex i clipped
         by j's rows, a convex.Cells stack), on[c, k] whether it lies on row
         k of simplex i, the facet opposite vertex k, and atol the clip
-        tolerance, 10 tol times the largest vertex coordinate.  Raises
+        tolerance, 10 EPS times the largest vertex coordinate.  Raises
         InvalidComplex for a degenerate simplex, or for a pair whose
         intersection lies on none of i's rows, i.e. has interior, naming
         the first such pair in (i, j) order.
@@ -160,11 +160,11 @@ class SimplicialComplex:
         n, m = self.dim, len(self)
         X = self.simplex_arrays()
         vols = self.simplex_volumes()
-        floor = convex.simplex_floor(np.ptp(X, axis=1).max(axis=1, initial=0.0), n, tol)
+        floor = convex.simplex_floor(np.ptp(X, axis=1).max(axis=1, initial=0.0), n, EPS)
         bad = np.flatnonzero(vols <= floor)
         if len(bad):
             raise InvalidComplex("simplex %d is degenerate (measure %.3g)" % (bad[0], vols[bad[0]]))
-        atol = 10 * tol * float(np.abs(self.vertices).max(initial=0.0))
+        atol = 10 * EPS * float(np.abs(self.vertices).max(initial=0.0))
         lo, hi = X.min(axis=1) - atol, X.max(axis=1) + atol
         A, b = self.simplex_rows()
         # sorted by the low end of the first axis, a simplex's partners
@@ -288,7 +288,7 @@ class PLFunction:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self, tol: float = EPS) -> None:
+    def validate(self) -> None:
         """Check the partition contract: the complex's half
         (SimplicialComplex.validate), then continuity and a zero boundary.
 
@@ -297,11 +297,11 @@ class PLFunction:
         intersections lying on it leave uncovered by more than a strip of
         the clip tolerance's width across it (atol times its extent to the
         n-2) holds part of the support's boundary, so its vertices must be
-        0.  Values are judged within 10 tol times the largest |value|.
+        0.  Values are judged within 10 EPS times the largest |value|.
         Raises InvalidComplex."""
         n, cx = self.dim, self.complex
-        i, j, clips, on, atol = cx._contacts(tol)
-        vtol = 10 * tol * float(np.abs(self.values).max(initial=0.0))
+        i, j, clips, on, atol = cx._contacts()
+        vtol = 10 * EPS * float(np.abs(self.values).max(initial=0.0))
         grads, offs = self.affines()
         gap = np.abs(convex.dot_rows(clips.V, grads[i] - grads[j]) + (offs[i] - offs[j])[:, None])
         bad = np.flatnonzero((np.where(clips.vm, gap, 0.0) > vtol).any(axis=1))
@@ -361,14 +361,14 @@ def value_densities(functions) -> tuple:
     return densities, ValueDensity.stack(densities)
 
 
-def locate(complexes, X: np.ndarray, at: np.ndarray, tol: float = EPS):
+def locate(complexes, X: np.ndarray, at: np.ndarray):
     """(p, i): the pairs of point X[p] and simplex i of complexes[at[p]]
     that holds it, by point, then by simplex, in one pass over every
     point; i numbers the complexes' simplices one after another.
 
     A simplex holds the points whose barycentric coordinates there are
-    all >= -10 tol; those are dimensionless, and only the bounding-box
-    prefilter pads by a length, 10 tol times its complex's scale.  A
+    all >= -10 EPS; those are dimensionless, and only the bounding-box
+    prefilter pads by a length, 10 EPS times its complex's scale.  A
     point is tested against every simplex of its own complex, at most
     EVAL_PAIRS candidate pairs at a time, and each pair's test reads that
     pair alone, so a point's pairs do not depend on the other complexes."""
@@ -379,7 +379,7 @@ def locate(complexes, X: np.ndarray, at: np.ndarray, tol: float = EPS):
     if not live:
         return P[0], I[0]
     lo, hi, M, v0 = (np.concatenate(x) for x in zip(*live))
-    pad = np.repeat([10 * tol * cx.scale() for cx in complexes], m)[:, None]
+    pad = np.repeat([10 * EPS * cx.scale() for cx in complexes], m)[:, None]
     lo, hi = lo - pad, hi + pad
     count = m[at]
     start = np.cumsum(count) - count
@@ -397,7 +397,7 @@ def locate(complexes, X: np.ndarray, at: np.ndarray, tol: float = EPS):
             near = (xp >= a[i]) & (xp <= b[i])
             p, i = p[near], i[near]
         bc = np.einsum("kij,kj->ki", M[i], X[p] - v0[i])
-        inside = np.all(bc >= -10 * tol, axis=1) & (1.0 - bc.sum(axis=1) >= -10 * tol)
+        inside = np.all(bc >= -10 * EPS, axis=1) & (1.0 - bc.sum(axis=1) >= -10 * EPS)
         P.append(p[inside])
         I.append(i[inside])
     return np.concatenate(P), np.concatenate(I)
@@ -408,6 +408,7 @@ def evaluate_each(functions, X: np.ndarray, at: np.ndarray) -> np.ndarray:
     (locate); a point outside its function's support gives 0, and one on
     several simplices takes the value of the first in index order.  Each
     value is the one evaluate_many gives alone."""
+    stats.calls["locates"] += 1
     X = np.asarray(X, dtype=float)
     out = np.zeros(len(X))
     p, i = locate([fn.complex for fn in functions], X, at)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import convex
+from . import convex, stats
 from .convex import EPS
 from .errors import ConstructionFailure, Degenerate, OriginNotInterior
 from .serialize import read_dim, read_finite, read_object
@@ -124,6 +124,7 @@ def _finish(pts: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, require
     pulling triangulation.  Both give the same polytope bit for bit.
     Raises Degenerate when the incidence leaves fewer than n+1 vertices
     or facets."""
+    stats.calls["builds"] += 1
     n = pts.shape[1]
     tol = 10 * EPS * float(np.abs(pts - pts.mean(axis=0)).max())
     T = convex.tight_rows(pts, A, b, tol)

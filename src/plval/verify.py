@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import overlay
+from . import overlay, stats
 from . import polytope as pt
 from .errors import ConstructionFailure, OverlayFailure, PackingFailure
 from .integration import c_pn, grad_p_norm, lq_norm, lq_norms, sobolev_conjugate
@@ -149,10 +149,11 @@ def reports_to_jsonl(reports) -> str:
     return "".join(dumps_canonical(r.to_json_dict()) for r in reports)
 
 
-def summarize_csv(reports, wall: dict = None) -> str:
+def summarize_csv(reports, timing: dict = None) -> str:
     """Per-suite summary: suite, cases, passes, max residual (skips
-    excluded from the residual), skips; given wall, a map from suite name
-    to its measured seconds, a last column wall_s."""
+    excluded from the residual), skips; given timing, a map from suite
+    name to its measured seconds followed by its stats.COUNTS, those as
+    last columns."""
     from .serialize import csv_row
 
     order, groups = [], {}
@@ -161,7 +162,8 @@ def summarize_csv(reports, wall: dict = None) -> str:
             order.append(r.suite)
             groups[r.suite] = []
         groups[r.suite].append(r)
-    lines = ["suite,cases,passes,max_residual,skips%s\n" % ("" if wall is None else ",wall_s")]
+    columns = "" if timing is None else ",wall_s," + ",".join(stats.COUNTS)
+    lines = ["suite,cases,passes,max_residual,skips%s\n" % columns]
     for name in order:
         rs = groups[name]
         resids = [r.residual for r in rs if r.status != "skip" and math.isfinite(r.residual)]
@@ -174,7 +176,7 @@ def summarize_csv(reports, wall: dict = None) -> str:
                     max(resids) if resids else 0.0,
                     sum(1 for r in rs if r.status == "skip"),
                 ]
-                + ([] if wall is None else [wall[name]])
+                + ([] if timing is None else timing[name])
             )
         )
     return "".join(lines)

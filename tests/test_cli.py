@@ -1,5 +1,6 @@
 """Command line contract: exit codes, output formats, determinism."""
 
+import collections
 import hashlib
 import json
 import math
@@ -394,9 +395,9 @@ def test_verify_deterministic_output(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_timing_adds_only_wall_time(capsys, tmp_path):
-    # --timing leaves the JSONL as it is and adds one last CSV column,
-    # wall_s, with one finite time per suite
+def test_verify_timing_adds_wall_time_and_counts(capsys, tmp_path):
+    # --timing leaves the JSONL as it is and adds last CSV columns: wall_s,
+    # with one finite time per suite, then the suite's nine work counts
     plain, timed = tmp_path / "plain.jsonl", tmp_path / "timed.jsonl"
     for path, extra in ((plain, ()), (timed, ("--timing",))):
         code, out, _ = run(capsys, "verify", "--suite", "invariance", *extra, "--output", str(path))
@@ -406,12 +407,62 @@ def test_verify_timing_adds_only_wall_time(capsys, tmp_path):
     rows = plain.with_name("plain.jsonl.csv").read_text().splitlines()
     timed_rows = timed.with_name("timed.jsonl.csv").read_text().splitlines()
     assert out == timed.with_name("timed.jsonl.csv").read_text()
-    assert timed_rows[0] == rows[0] + ",wall_s"
+    assert timed_rows[0] == rows[0] + ",wall_s,hulls,builds,cuts,assemblies,splits,locates,densities,means,crossings"
     assert len(timed_rows) == len(rows) == 2
     for row, timed_row in zip(rows[1:], timed_rows[1:]):
-        head, wall = timed_row.rsplit(",", 1)
+        head, wall, *counts = timed_row.rsplit(",", 10)
         assert head == row
         assert math.isfinite(float(wall)) and float(wall) > 0
+        assert len(counts) == 9 and all(c.isdigit() for c in counts)
+
+
+def test_verify_timing_counts_equal_the_wrapped_calls(capsys, monkeypatch, tmp_path):
+    # the reference count: each counted function wrapped where it is looked
+    # up, as a call-counting script does; the counts plval keeps itself
+    # (plval.stats) and --timing writes must equal it, suite by suite
+    from plval import convex, integration, overlay, polytope
+    from plval.verify import default_battery
+
+    places = {
+        "hulls": [(convex, "hull")],
+        "builds": [(polytope, "_finish")],
+        "cuts": [(overlay, "_pieces_pairwise")],
+        "assemblies": [(overlay, "assemble_cells")],
+        # overlay and convex.clip both call split through the module
+        "splits": [(convex, "split")],
+        # overlay imports evaluate_each by name; plfunction calls its own
+        "locates": [(overlay, "evaluate_each"), (pf, "evaluate_each")],
+        # plfunction imports value_density at each call
+        "densities": [(integration, "value_density")],
+        "means": [(integration.ValueDensity, "means")],
+        "crossings": [(integration, "_crossings")],
+    }
+    wrapped = collections.Counter()
+    for key, at in places.items():
+        for module, name in at:
+
+            def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+                wrapped[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    reference = {}
+    for name, thunk in default_battery(0):
+        if name in ("inclusion_exclusion", "homogeneity"):
+            wrapped.clear()
+            thunk()
+            reference[name] = {key: wrapped[key] for key in places}
+    for suite, want in reference.items():
+        path = tmp_path / (suite + ".jsonl")
+        code, _, _ = run(capsys, "verify", "--suite", suite, "--timing", "--output", str(path))
+        assert code == 0
+        header, row = path.with_name(path.name + ".csv").read_text().splitlines()
+        counts = dict(zip(header.split(",")[6:], map(int, row.split(",")[6:])))
+        assert counts == want, suite
+    # no count of inclusion_exclusion is 0, and homogeneity passes one
+    # density to several kernels
+    assert all(reference["inclusion_exclusion"].values())
+    assert reference["homogeneity"]["means"] > reference["homogeneity"]["densities"] > 0
 
 
 def test_entry_point_subprocess(square_file):

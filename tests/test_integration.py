@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plval import plfunction as pf
@@ -135,9 +135,15 @@ def test_lq_norm_zero(cone_square):
 
 
 @given(s=st.floats(-3, 3), q=st.sampled_from([1.0, 1.5, 2.0]))
+@example(s=2.732569981923868e-165, q=2.0)  # |s|^q below the smallest normal float
 @settings(max_examples=30, deadline=None)
 def test_lq_norm_homogeneous(s, q):
     f = pf.cone_function(pt.cube(2))
+    if s != 0.0 and q * math.log(abs(s)) < math.log(np.finfo(float).tiny):
+        # the cone's largest value is |s|; its q-th power would underflow
+        with pytest.raises(NonFinite, match="float range"):
+            lq_norm(pf.scale_values(f, s), q)
+        return
     assert lq_norm(pf.scale_values(f, s), q) == pytest.approx(abs(s) * lq_norm(f, q), rel=1e-10, abs=1e-12)
 
 
@@ -190,6 +196,38 @@ def test_non_finite_parameters_are_refused_before_any_arithmetic(monkeypatch, co
     monkeypatch.setattr(pf.PLFunction, "affines", lambda self: pytest.fail("took gradients"))
     with pytest.raises(NonFinite, match="finite"):
         call(pf.scale_values(cone_square, 2.0), bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda two, small: lq_norm(two, 1100.0),
+        lambda two, small: lq_norm(two, 1e300),
+        lambda two, small: lq_norm(small, 150.0),
+        lambda two, small: grad_p_norm(two, 1100.0),
+        lambda two, small: sobolev_norm(two, 1100.0),
+        lambda two, small: apply(PowerKernel(1.0, 1e300), two),
+        lambda two, small: lq_norms([two, small], 1100.0),
+    ],
+    ids=["lq_norm_overflow", "lq_norm_1e300", "lq_norm_underflow", "grad_p_norm", "sobolev_norm", "apply",
+         "lq_norms"],
+)
+def test_powers_beyond_the_float_range_are_refused_before_any_power(cone_square, call):
+    # the largest |value| (or |grad f|) to the kernel's power overflows or
+    # falls below the smallest normal float: these once gave inf, nan or
+    # 0.0 after RuntimeWarnings, which Tier-1 turns into errors
+    two, small = pf.scale_values(cone_square, 2.0), pf.scale_values(cone_square, 1e-3)
+    with pytest.raises(NonFinite, match="float range"):
+        call(two, small)
+
+
+def test_powers_inside_the_float_range_are_integrated(cone_square):
+    # next to the refused probes: ||s f||_q = s (c_{q,2} vol)^(1/q) for the
+    # cone f on the square, and |grad 2f| = 2 on every simplex
+    for s, q in ((1e-3, 100.0), (2.0, 1000.0)):
+        want = s * (c_pn(q, 2) * 4.0) ** (1.0 / q)
+        assert lq_norm(pf.scale_values(cone_square, s), q) == pytest.approx(want, rel=1e-12)
+    assert grad_p_norm(pf.scale_values(cone_square, 2.0), 1000.0) == pytest.approx(2.0 * 4.0 ** 1e-3, rel=1e-12)
 
 
 def test_sobolev_conjugate():
