@@ -160,8 +160,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the selected suite or the full battery; JSONL to --output (or
     stdout) plus a CSV summary, which with --timing ends in each suite's
-    wall seconds and work counts (stats.calls); exit 0 only with zero
-    failures."""
+    wall seconds, work counts, stage seconds and overlay check margins
+    (plval.stats); exit 0 only with zero failures."""
     from .verify import default_battery, reports_to_jsonl, summarize_csv
 
     battery = default_battery(args.seed)
@@ -175,10 +175,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     reports, timing = [], {}
     for name, thunk in battery:
-        stats.calls.clear()
+        stats.clear()
         t0 = time.perf_counter()
         reports += thunk()
-        timing[name] = [time.perf_counter() - t0] + [stats.calls[key] for key in stats.COUNTS]
+        timing[name] = [time.perf_counter() - t0] + stats.row()
 
     if args.tolerance is not None:
         # override: re-judge every relative comparison against the new
@@ -253,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--timing",
         action="store_true",
-        help="add each suite's wall seconds and work counts (plval.stats) to the CSV summary as last "
-        "columns: %s; the JSONL is the same either way" % ", ".join(("wall_s",) + stats.COUNTS),
+        help="add each suite's wall seconds, work counts, overlay stage seconds and overlay check margins "
+        "(largest value over bound, at most 1 passes; plval.stats) to the CSV summary as last columns: %s; "
+        "the JSONL is the same either way" % ", ".join(stats.COLUMNS),
     )
 
     return ap

@@ -651,18 +651,18 @@ def _normals(E: np.ndarray) -> np.ndarray:
     return np.stack([(-1.0) ** l * _det(np.delete(M, l, axis=-1)) for l in range(d)])
 
 
-def _facets(X: np.ndarray, tol: float = HULL_TOL):
+def _facets(X: np.ndarray):
     """The facet rows of the point set X (k, d), d >= 2, centred and
     scaled as HULL_TOL assumes, by brute force over its d-subsets.
 
     A subset spanning a plane gives a row when every point lies on one
-    side of the plane, within tol, oriented outward.  Rows whose tight
-    points (those within tol) agree are one row, the one of largest
+    side of the plane, within HULL_TOL, oriented outward.  Rows whose tight
+    points (those within HULL_TOL) agree are one row, the one of largest
     subset normal, the best conditioned.  Returns (A, b, T, norm, flat):
     unit normals A (R, d) and offsets b (R,), in subset order; tight
     points T (R, k); the length of each row's subset normal (R,), (d-1)!
     times its simplex's measure; and flat, True when the set lies within
-    tol of one plane, whose rows hold nothing.  The work runs one
+    HULL_TOL of one plane, whose rows hold nothing.  The work runs one
     coordinate at a time, in chunks of about HULL_CHUNK subset-points,
     every step elementwise per subset and summed over the coordinates in
     order."""
@@ -683,12 +683,12 @@ def _facets(X: np.ndarray, tol: float = HULL_TOL):
         n = N / norm
         offset = _dot0(Y[:, :, 0], n)
         side = _dot0(C, n[:, :, None]) - offset[:, None]
-        below = (side <= tol).all(axis=1)
-        above = (side >= -tol).all(axis=1)
+        below = (side <= HULL_TOL).all(axis=1)
+        above = (side >= -HULL_TOL).all(axis=1)
         flat = flat or bool((below & above).any())
         r = np.flatnonzero(below ^ above)
         sign = np.where(below[r], 1.0, -1.0)
-        out.append(((n[:, r] * sign).T, offset[r] * sign, np.abs(side[r]) <= tol, norm[r]))
+        out.append(((n[:, r] * sign).T, offset[r] * sign, np.abs(side[r]) <= HULL_TOL, norm[r]))
     if not out:
         return np.zeros((0, d)), np.zeros(0), np.zeros((0, k), dtype=bool), np.zeros(0), flat
     A, b, T, norm = out[0] if len(out) == 1 else (np.concatenate(x) for x in zip(*out))

@@ -39,19 +39,18 @@ mass and contributes h at its value.
 
 Two halves.  Everything that does not depend on h is done once per
 density: value_density(values) sorts the rows, builds the segments'
-coefficients, cuts the segments that cross 0 (the one cut every h has)
-and reads each piece's coefficients from its end nearer 0.  A layout
-that every kernel reads is kept on the density on first use: each
-piece's side of 0 and the pieces' span, the power rule's orientation of
-the pieces with its Gauss-Legendre abscissae and their coefficients
-gathered by rule, and the coefficients read from the low end.  ValueDensity.means(h) does only
-what depends on h.  When no cut of h other than 0 falls inside the
-pieces' span and h has the same terms on both sides of 0 there (every
-power kernel and L^q norm), it integrates the pieces whole from the
-layout: no crossing search, no per-piece gather, only the kernel's
-powers, its tables and one bincount.  Otherwise it cuts the pieces at
-the cuts of h they cross, drops the sub-pieces on which h is 0, and
-integrates the rest.  A PLFunction caches its density
+coefficients and cuts the segments that cross 0 (the one cut every h
+has).  A layout that every kernel reads is kept on the density on first
+use: each piece's side of 0 and the pieces' span, and the power rule's
+orientation of the pieces, with its Gauss-Legendre abscissae and their
+coefficients, read from each piece's end nearer 0, gathered by rule.
+ValueDensity.means(h) does only what depends on h.  When no cut of h
+other than 0 falls inside the pieces' span and h has the same terms on
+both sides of 0 there (every power kernel and L^q norm), it integrates
+the pieces whole from the layout: no crossing search, no per-piece
+gather, only the kernel's powers, its tables and one bincount.
+Otherwise it cuts the pieces at the cuts of h they cross, drops the
+sub-pieces on which h is 0, and integrates the rest.  A PLFunction caches its density
 (PLFunction.value_density), so z(f) under several kernels, the L^q norms
 and the level sets of one function build it and its layout once;
 Pieces.power and Pieces.above hand out one shared Pieces per parameter,
@@ -502,19 +501,16 @@ def _poly_pieces(x0, x1, c, anchors, coefficients) -> np.ndarray:
 
 
 def _crossings(lo, hi, cuts):
-    """(piece, interval, whole): one entry per sub-piece of the pieces
-    [lo, hi] between consecutive sorted cuts, by piece and within a piece
-    from low to high: its piece, the interval of the cuts it lies in
-    (interval l runs from cuts[l-1] to cuts[l]), and whether no cut
-    crosses any piece, so that the sub-pieces are the pieces."""
+    """(piece, interval): one entry per sub-piece of the pieces [lo, hi]
+    between consecutive sorted cuts, by piece and within a piece from low
+    to high: its piece, and the interval of the cuts it lies in (interval
+    l runs from cuts[l-1] to cuts[l])."""
     stats.calls["crossings"] += 1
     first = np.searchsorted(cuts, lo, side="right")
-    if not len(cuts):
-        return np.arange(len(lo)), first, True
     count = np.searchsorted(cuts, hi, side="left") - first + 1
     piece = np.repeat(np.arange(len(lo)), count)
     interval = first[piece] + np.arange(len(piece)) - np.repeat(np.cumsum(count) - count, count)
-    return piece, interval, len(piece) == len(lo)
+    return piece, interval
 
 
 def _restrict(c, lo, hi, x0, x1):
@@ -566,19 +562,18 @@ class ValueDensity:
     spread (point masses) with their values, and the density's pieces.  A
     piece is a segment of positive width between two knots of a row, cut
     at 0 where it crosses it, so no piece straddles 0; each has its ends,
-    row and Bernstein coefficients, read from its end nearer 0 (from lo on
-    a piece at or above 0, from hi below).
+    row and Bernstein coefficients, read from its low end.
 
     means(h) is the kernel-dependent half.  It cuts the pieces only at
     h's cuts other than 0 that fall inside the pieces' span, so a power
     kernel or a norm cuts nothing.  What means reads of the density alone
     is computed on first use and kept in slots outside the fields: each
-    piece's side of 0 (sides), the pieces' span, the power rule's
-    orientation with its Gauss-Legendre abscissae and the coefficients
-    gathered by rule (orientation), and the coefficients read from the
-    low end for the polynomial rule (low).  Two densities of the same
-    rows have the same fields whatever kernels either has met, and a
-    kernel on a kept density does only its own arithmetic.  The layout
+    piece's side of 0 (sides), the pieces' span, and the power rule's
+    orientation with its Gauss-Legendre abscissae and the coefficients,
+    read from each piece's end nearer 0, gathered by rule (orientation).
+    Two densities of the same rows have the same fields whatever kernels
+    either has met, and a kernel on a kept density does only its own
+    arithmetic.  The layout
     is linear in the pieces; its largest part is the power rule's
     abscissae, GL_POWER_NODES floats per piece that takes it, which on a
     large mesh halve a repeated power kernel's time for about a sixth
@@ -593,12 +588,12 @@ class ValueDensity:
     remove the difference at a cost of about a fifth of the engine's
     speed."""
 
-    __slots__ = ("__dict__", "__weakref__", "_sides", "_span", "_reach", "_orientation", "_low")
+    __slots__ = ("__dict__", "__weakref__", "_sides", "_span", "_reach", "_orientation")
 
     sorted_rows: np.ndarray  # (m, n+1)
     point_rows: np.ndarray  # (p,) indices of the point-mass rows
     point_values: np.ndarray  # (p,)
-    coefficients: np.ndarray  # (k, n), see _segment_density, read from the near end
+    coefficients: np.ndarray  # (k, n), see _segment_density, read from the low end
     lo: np.ndarray  # (k,)
     hi: np.ndarray  # (k,)
     piece_row: np.ndarray  # (k,)
@@ -679,11 +674,9 @@ class ValueDensity:
 
     def orientation(self) -> _Orientation:
         """The power rule's orientation of this density's pieces."""
-        return self._kept("_orientation", lambda: _orient(self.lo, self.hi, self.coefficients))
-
-    def low(self) -> np.ndarray:
-        """The pieces' coefficients read from their low ends."""
-        return self._kept("_low", lambda: _flip(self.coefficients, self.sides().below))
+        return self._kept(
+            "_orientation", lambda: _orient(self.lo, self.hi, _flip(self.coefficients, self.sides().below))
+        )
 
     def _uncut_base(self, inner):
         """The interval of h that the pieces below 0 lie in, when none of
@@ -740,7 +733,7 @@ class ValueDensity:
 
         val = None
         if flags.poly[first]:
-            val = _poly_pieces(self.lo, self.hi, self.low(), per_piece(h.anchors), per_piece(h.coefficients))
+            val = _poly_pieces(self.lo, self.hi, self.coefficients, per_piece(h.anchors), per_piece(h.coefficients))
         for e, on in flags.groups:
             if on[first]:
                 term = per_piece(h.scales) * _power_pieces(self.orientation(), e)
@@ -750,15 +743,12 @@ class ValueDensity:
     def _cut_means(self, h: Pieces, flags: _Flags, sides: _Sides):
         """(val, row): the integral and row of each sub-piece on which h is
         not identically 0, the pieces cut at the cuts of h other than 0."""
-        lo, hi, c, row, below = self.lo, self.hi, self.low(), self.piece_row, sides.below
-        piece, interval, whole = _crossings(lo, hi, flags.inner)
-        interval += ~below[piece]  # a piece's side of 0 picks its interval of h
+        piece, interval = _crossings(self.lo, self.hi, flags.inner)
+        interval += ~sides.below[piece]  # a piece's side of 0 picks its interval of h
         live = flags.active[interval]
-        own = whole and live.all()  # the sub-pieces are this density's pieces
-        if not own:
-            piece, interval = piece[live], interval[live]
-            c, lo, hi = _cut(c, lo, hi, piece, interval, flags.edges)
-            row, below = row[piece], below[piece]
+        piece, interval = piece[live], interval[live]
+        c, lo, hi = _cut(self.coefficients, self.lo, self.hi, piece, interval, flags.edges)
+        row, below = self.piece_row[piece], sides.below[piece]
 
         val = np.zeros(len(lo))
         poly = flags.poly[interval]
@@ -767,9 +757,7 @@ class ValueDensity:
             val[poly] = _poly_pieces(lo[poly], hi[poly], c[poly], h.anchors[ip], h.coefficients[ip])
         for e, on in flags.groups:
             sel = on[interval]
-            if own and sel.all():
-                val += h.scales[interval] * _power_pieces(self.orientation(), e)
-            elif sel.any():
+            if sel.any():
                 o = _orient(lo[sel], hi[sel], _flip(c[sel], below[sel]))
                 val[sel] += h.scales[interval[sel]] * _power_pieces(o, e)
         return val, row
@@ -791,12 +779,12 @@ def value_density(values) -> ValueDensity:
     live = hi > lo
     A, lo, hi, seg_row = A[live], lo[live], hi[live], seg_row[live]
     # cut every segment that crosses 0, as means would for any h
-    seg, interval, whole = _crossings(lo, hi, np.zeros(1))
-    if not whole:
+    seg, interval = _crossings(lo, hi, np.zeros(1))
+    if len(seg) > len(lo):
         edges = np.array([-np.inf, 0.0, np.inf])
         A, lo, hi = _cut(A, lo, hi, seg, interval, edges)
         seg_row = seg_row[seg]
-    return _frozen(ValueDensity(V, rows[point], V[point, 0], _flip(A, hi <= 0.0), lo, hi, seg_row))
+    return _frozen(ValueDensity(V, rows[point], V[point, 0], A, lo, hi, seg_row))
 
 
 def _frozen(density: ValueDensity) -> ValueDensity:
@@ -817,7 +805,9 @@ def integrals(functions, h: Pieces) -> np.ndarray:
     """The integral over R^n of h(f) for each function (h(0) = 0), in
     input order: one means(h) over the stacked densities of all functions,
     then each function's simplex volumes times its own rows' means.  An
-    empty function gives 0.  The functions must share a dimension."""
+    empty function gives 0.  The functions must share a dimension.  Raises
+    NonFinite, before any power is taken, when a function's own largest
+    |value| to a power of h leaves the float range."""
     functions = list(functions)
     for f in functions[1:]:
         if f.dim != functions[0].dim:
@@ -827,6 +817,9 @@ def integrals(functions, h: Pieces) -> np.ndarray:
     if not live:
         return out
     densities, stacked = value_densities([functions[i] for i in live])
+    if h.flags.top:
+        for density in densities:
+            _in_float_range(density.reach(), h.flags.top, "the largest |value|")
     means = stacked.means(h)
     start = 0
     for i, density in zip(live, densities):

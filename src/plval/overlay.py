@@ -90,6 +90,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -351,6 +352,7 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     cover once for each, by pair; mesh comes from _prep.  A pair's cells
     are cut at its own scale, and only its own simplices meet."""
     stats.calls["cuts"] += 1
+    t0 = time.perf_counter()
     m, B = len(mesh.vol), len(mesh.rows)
     scale = _batch_max(np.abs(mesh.cells.V).max(axis=(1, 2), initial=0.0), mesh.pair, B)
     tol = CLIP_TOL * scale[mesh.pair]
@@ -389,7 +391,9 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     )
     # each pair's cells together, in the order it gets alone
     order = np.argsort(pair, kind="stable")
-    return _Pieces(pieces.cells.take(order), *(x[order] for x in pieces[1:]))
+    pieces = _Pieces(pieces.cells.take(order), *(x[order] for x in pieces[1:]))
+    stats.seconds["cut"] += time.perf_counter() - t0
+    return pieces
 
 
 def _bounds(batch, B):
@@ -411,7 +415,9 @@ def _cover_failures(pieces: _Pieces, supp: np.ndarray) -> dict:
     supp[k] = vol supp f + vol supp g exactly, each cell both functions
     cover counted twice."""
     covered = _cover(pieces, len(supp))
-    bad = np.flatnonzero(np.abs(covered - supp) > COVER_TOL * supp)
+    gap, bound = np.abs(covered - supp), COVER_TOL * supp
+    stats.margin("cover", gap / bound)
+    bad = np.flatnonzero(gap > bound)
     return {int(k): OverlayFailure("cells cover volume %.17g, the two supports %.17g" % (covered[k], supp[k]))
             for k in bad}
 
@@ -570,14 +576,17 @@ def _merges(groups: _Groups, S, g, vol):
     return merges
 
 
-def _fail(out, batch, bad, messages) -> None:
-    """out[b] = OverlayFailure(messages[i]) for the first i with
-    batch[bad[i]] = b, for each batch b that has not failed already."""
+def _fail(out, batch, key, gap, bound, message) -> None:
+    """Check key, gap against bound, its largest gap / bound to stats.margin:
+    out[b] = OverlayFailure(message(i)) for the first i with gap[i] >
+    bound[i] and batch[i] = b, for each batch b not failed already."""
+    stats.margin(key, gap / bound)
+    bad = np.flatnonzero(gap > bound)
     if not len(bad):
         return
     for b, i in zip(*np.unique(batch[bad], return_index=True)):
         if out[b] is None:
-            out[b] = OverlayFailure(messages[i])
+            out[b] = OverlayFailure(message(bad[i]))
 
 
 def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
@@ -602,6 +611,7 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     out = [None] * B
     if not len(cells):
         return _zeros(out, dim)
+    t0 = time.perf_counter()
     vm = cells.vm
     allv = cells.V[vm]
     vb = np.repeat(batch, vm.sum(axis=1))
@@ -646,11 +656,8 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     keep = svols > floor[cell_batch[cells_of]]
     S, cells_of, svols = S[keep], cells_of[keep], svols[keep]
     filled = np.bincount(cells_of, weights=svols, minlength=len(cell_vol))
-    bad = np.flatnonzero(np.abs(filled - cell_vol) > COVER_TOL * supp[cell_batch])
-    _fail(out, cell_batch, bad, ["a cell of volume %.3g triangulates to volume %.3g" % (cell_vol[c], filled[c])
-                                 for c in bad])
-    if not len(S):
-        return _zeros(out, dim)
+    _fail(out, cell_batch, "fill", np.abs(filled - cell_vol), COVER_TOL * supp[cell_batch],
+          lambda c: "a cell of volume %.3g triangulates to volume %.3g" % (cell_vol[c], filled[c]))
 
     order = np.lexsort(S.T[::-1])
     S, cells_of, svols = S[order], cells_of[order], svols[order]
@@ -669,8 +676,8 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     np.maximum.at(steep, flat_idx, flat_steep)
     vscale = _batch_max(np.abs(flat_vals), tb[flat_idx], B)
     spread = hi - lo
-    bad = np.flatnonzero(spread > VALUE_AGREE * vscale[tb] + 20.0 * VERTEX_TOL * scale[tb] * steep)
-    _fail(out, tb, bad, ["value disagreement %.3g at a shared vertex" % spread[v] for v in bad])
+    _fail(out, tb, "spread", spread, VALUE_AGREE * vscale[tb] + 20.0 * VERTEX_TOL * scale[tb] * steep,
+          lambda v: "value disagreement %.3g at a shared vertex" % spread[v])
     # the least steep piece at each vertex, the first simplex among equals
     by = np.lexsort((flat_steep, flat_idx))
     used, first = np.unique(flat_idx[by], return_index=True)
@@ -689,6 +696,7 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
         s = slice(sends[k], sends[k + 1])
         out_cx = SimplicialComplex(dim=dim, vertices=table[v], simplices=local[s] - vends[k], _volumes=svols[s])
         out[k] = PLFunction(complex=out_cx, values=values[v])
+    stats.seconds["assemble"] += time.perf_counter() - t0
     return _zeros(out, dim)
 
 
@@ -706,12 +714,14 @@ def _sample_failures(pairs, results, dim) -> None:
     functions = [fn for pair in pairs for fn in pair] + [results[op][k] for op, k in done]
     X = np.concatenate([np.repeat(pts, 2, axis=0), pts[[k for _, k in done]]]).reshape(-1, dim)
     vals = evaluate_each(functions, X, np.repeat(np.arange(len(functions)), len(U))).reshape(-1, len(U))
-    B = len(pairs)
+    B, ratios = len(pairs), []
     for (op, k), v in zip(done, vals[2 * B :]):
         want = _OPS[op](vals[2 * k], vals[2 * k + 1])
-        err = np.abs(v - want).max()
-        if err > 1e-8 * max(1.0, np.abs(want).max()):
+        err, bound = np.abs(v - want).max(), 1e-8 * max(1.0, np.abs(want).max())
+        ratios.append(err / bound)
+        if err > bound:
             results[op][k] = OverlayFailure("overlay disagrees with pointwise %s by %.3g" % (op, err))
+    stats.margin("sample", ratios)
 
 
 def _check_op(op) -> None:

@@ -61,7 +61,7 @@ class SimplicialComplex:
     vertices: np.ndarray
     simplices: np.ndarray
     _volumes: np.ndarray = field(default=None, repr=False, compare=False)
-    _locator: tuple = field(default=None, repr=False, compare=False)
+    _locator: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, self.dim)
@@ -203,9 +203,9 @@ class PLFunction:
 
     complex: SimplicialComplex
     values: np.ndarray
-    _grads: np.ndarray = field(default=None, repr=False, compare=False)
-    _offs: np.ndarray = field(default=None, repr=False, compare=False)
-    _density: object = field(default=None, repr=False, compare=False)
+    _grads: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _offs: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _density: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)

@@ -152,8 +152,8 @@ def reports_to_jsonl(reports) -> str:
 def summarize_csv(reports, timing: dict = None) -> str:
     """Per-suite summary: suite, cases, passes, max residual (skips
     excluded from the residual), skips; given timing, a map from suite
-    name to its measured seconds followed by its stats.COUNTS, those as
-    last columns."""
+    name to its measured seconds followed by its stats.COUNTS, SECONDS
+    and MARGINS, those as last columns (stats.COLUMNS)."""
     from .serialize import csv_row
 
     order, groups = [], {}
@@ -162,7 +162,7 @@ def summarize_csv(reports, timing: dict = None) -> str:
             order.append(r.suite)
             groups[r.suite] = []
         groups[r.suite].append(r)
-    columns = "" if timing is None else ",wall_s," + ",".join(stats.COUNTS)
+    columns = "" if timing is None else "," + ",".join(stats.COLUMNS)
     lines = ["suite,cases,passes,max_residual,skips%s\n" % columns]
     for name in order:
         rs = groups[name]

@@ -397,7 +397,8 @@ def test_verify_deterministic_output(capsys, tmp_path):
 
 def test_verify_timing_adds_wall_time_and_counts(capsys, tmp_path):
     # --timing leaves the JSONL as it is and adds last CSV columns: wall_s,
-    # with one finite time per suite, then the suite's nine work counts
+    # with one finite time per suite, then the suite's nine work counts, its
+    # two overlay stage times and its four overlay check margins
     plain, timed = tmp_path / "plain.jsonl", tmp_path / "timed.jsonl"
     for path, extra in ((plain, ()), (timed, ("--timing",))):
         code, out, _ = run(capsys, "verify", "--suite", "invariance", *extra, "--output", str(path))
@@ -407,13 +408,17 @@ def test_verify_timing_adds_wall_time_and_counts(capsys, tmp_path):
     rows = plain.with_name("plain.jsonl.csv").read_text().splitlines()
     timed_rows = timed.with_name("timed.jsonl.csv").read_text().splitlines()
     assert out == timed.with_name("timed.jsonl.csv").read_text()
-    assert timed_rows[0] == rows[0] + ",wall_s,hulls,builds,cuts,assemblies,splits,locates,densities,means,crossings"
+    assert timed_rows[0] == rows[0] + (",wall_s,hulls,builds,cuts,assemblies,splits,locates,densities,means,"
+                                       "crossings,cut_s,assemble_s,cover,fill,spread,sample")
     assert len(timed_rows) == len(rows) == 2
     for row, timed_row in zip(rows[1:], timed_rows[1:]):
-        head, wall, *counts = timed_row.rsplit(",", 10)
+        head, wall, *rest = timed_row.rsplit(",", 16)
         assert head == row
         assert math.isfinite(float(wall)) and float(wall) > 0
+        counts, records = rest[:9], rest[9:]
         assert len(counts) == 9 and all(c.isdigit() for c in counts)
+        # invariance overlays nothing: no stage time and no margin
+        assert [float(x) for x in records] == [0.0] * 6
 
 
 def test_verify_timing_counts_equal_the_wrapped_calls(capsys, monkeypatch, tmp_path):
@@ -457,12 +462,68 @@ def test_verify_timing_counts_equal_the_wrapped_calls(capsys, monkeypatch, tmp_p
         code, _, _ = run(capsys, "verify", "--suite", suite, "--timing", "--output", str(path))
         assert code == 0
         header, row = path.with_name(path.name + ".csv").read_text().splitlines()
-        counts = dict(zip(header.split(",")[6:], map(int, row.split(",")[6:])))
+        counts = dict(zip(header.split(",")[6:15], map(int, row.split(",")[6:15])))
         assert counts == want, suite
     # no count of inclusion_exclusion is 0, and homogeneity passes one
     # density to several kernels
     assert all(reference["inclusion_exclusion"].values())
     assert reference["homogeneity"]["means"] > reference["homogeneity"]["densities"] > 0
+
+
+def test_verify_timing_margins_and_seconds_equal_the_wrapped_checks(capsys, monkeypatch, tmp_path):
+    # the reference margins: each overlay check wrapped where it is looked
+    # up, its value over its bound recomputed from the check's arguments
+    # (the cover balance from overlay._cover, the sampled error from each
+    # result, f and g located alone); the margins the overlay keeps itself
+    # (plval.stats) and --timing writes must equal their maxima bit for bit
+    from plval import overlay
+    from plval.errors import OverlayFailure
+    from plval.verify import default_battery
+
+    reference = collections.Counter()
+
+    def keep(key, ratio):
+        reference[key] = max(reference[key], float(ratio))
+
+    def cover_failures(pieces, supp, _fn=overlay._cover_failures):
+        covered = overlay._cover(pieces, len(supp))
+        keep("cover", (np.abs(covered - supp) / (overlay.COVER_TOL * supp)).max(initial=0.0))
+        return _fn(pieces, supp)
+
+    def fail(out, batch, key, gap, bound, message, _fn=overlay._fail):
+        keep(key, (gap / bound).max(initial=0.0))
+        return _fn(out, batch, key, gap, bound, message)
+
+    def sample_failures(pairs, results, dim, _fn=overlay._sample_failures):
+        U = np.random.default_rng(424242).random((128, dim))
+        for op, got in results.items():
+            for (f, g), h in zip(pairs, got):
+                if isinstance(h, OverlayFailure):
+                    continue
+                lo, hi = np.minimum(f.bbox()[0], g.bbox()[0]), np.maximum(f.bbox()[1], g.bbox()[1])
+                X = lo + (hi - lo) * U
+                v, a, b = (pf.evaluate_each([fn], X, np.zeros(len(X), dtype=int)) for fn in (h, f, g))
+                want = np.maximum(a, b) if op == "join" else np.minimum(a, b)
+                keep("sample", np.abs(v - want).max() / (1e-8 * max(1.0, np.abs(want).max())))
+        return _fn(pairs, results, dim)
+
+    monkeypatch.setattr(overlay, "_cover_failures", cover_failures)
+    monkeypatch.setattr(overlay, "_fail", fail)
+    monkeypatch.setattr(overlay, "_sample_failures", sample_failures)
+    dict(default_battery(0))["inclusion_exclusion"]()
+    monkeypatch.undo()
+    path = tmp_path / "inclusion_exclusion.jsonl"
+    code, _, _ = run(capsys, "verify", "--suite", "inclusion_exclusion", "--timing", "--output", str(path))
+    assert code == 0
+    header, row = path.with_name(path.name + ".csv").read_text().splitlines()
+    got = dict(zip(header.split(","), row.split(",")))
+    margins = {key: float(got[key]) for key in ("cover", "fill", "spread", "sample")}
+    assert margins == dict(reference)
+    # every check passed, and each came within its bound by a nonzero amount
+    assert all(0.0 < m <= 1.0 for m in margins.values())
+    wall = float(got["wall_s"])
+    for key in ("cut_s", "assemble_s"):
+        assert 0.0 < float(got[key]) < wall
 
 
 def test_entry_point_subprocess(square_file):

@@ -208,9 +208,16 @@ def test_non_finite_parameters_are_refused_before_any_arithmetic(monkeypatch, co
         lambda two, small: sobolev_norm(two, 1100.0),
         lambda two, small: apply(PowerKernel(1.0, 1e300), two),
         lambda two, small: lq_norms([two, small], 1100.0),
+        # a stack is judged function by function: the small one underflows
+        # alone, whichever side of the large one it is stacked on
+        lambda two, small: lq_norms([two, small], 150.0),
+        lambda two, small: lq_norms([small, two], 150.0),
+        lambda two, small: apply_each(PowerKernel(1.0, 150.0), [two, small]),
+        lambda two, small: apply_each(PowerKernel(1.0, 150.0), [small, two]),
     ],
     ids=["lq_norm_overflow", "lq_norm_1e300", "lq_norm_underflow", "grad_p_norm", "sobolev_norm", "apply",
-         "lq_norms"],
+         "lq_norms", "lq_norms_small_last", "lq_norms_small_first", "apply_each_small_last",
+         "apply_each_small_first"],
 )
 def test_powers_beyond_the_float_range_are_refused_before_any_power(cone_square, call):
     # the largest |value| (or |grad f|) to the kernel's power overflows or

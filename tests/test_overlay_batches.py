@@ -4,7 +4,7 @@ stacked pass gives each pair the result it gets alone, bit for bit."""
 import numpy as np
 import pytest
 
-from plval import convex, overlay
+from plval import convex, overlay, stats
 from plval import plfunction as pf
 from plval.errors import OverlayFailure
 from plval.valuation import PowerKernel, apply
@@ -110,6 +110,23 @@ def test_a_failing_pair_fails_alone_in_its_batch():
         assert _same(last, overlay.lattice_overlays([good[1]], op)[0])
         assert not first.is_zero() and not last.is_zero()
     overlay._pair.cache_clear()
+
+
+def test_an_assembly_with_every_simplex_below_the_floor_fails_the_fill_check(monkeypatch):
+    # a degenerate floor above every output simplex leaves the assembly no
+    # simplex: each pair fails the fill check, and its margin records it
+    pairs = [_cones(2, 6), _cones(2, 7)]
+    mesh = overlay._prep(pairs)
+    pieces = overlay._pieces_pairwise(mesh)
+    win = overlay._winners(pieces, mesh)["join"]
+    monkeypatch.setattr(overlay, "EPS", 1e6)  # the assembly reads EPS only for its floor
+    k = np.flatnonzero(win >= 0)
+    supp = np.array([f.support_volume() + g.support_volume() for f, g in pairs])
+    stats.clear()
+    got = overlay.assemble_cells(pieces.cells.take(k), pieces.vol[k], mesh.grad[win[k]], mesh.off[win[k]], 2,
+                                 supp, pieces.pair[k])
+    assert [str(h).startswith("a cell of volume") for h in got] == [True, True]
+    assert stats.worst["fill"] > 1.0 and stats.seconds["assemble"] > 0.0
 
 
 def test_batches_refuse_mixed_dimensions():
