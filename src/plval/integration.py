@@ -42,8 +42,8 @@ density: value_density(values) sorts the rows, builds the segments'
 coefficients and cuts the segments that cross 0 (the one cut every h
 has).  A layout that every kernel reads is kept on the density on first
 use: each piece's side of 0 and the pieces' span, and the power rule's
-orientation of the pieces, with its Gauss-Legendre abscissae and their
-coefficients, read from each piece's end nearer 0, gathered by rule.
+orientation of the pieces, with its Gauss-Legendre abscissae and node
+weights, read from each piece's end nearer 0, gathered by rule.
 ValueDensity.means(h) does only what depends on h.  When no cut of h
 other than 0 falls inside the pieces' span and h has the same terms on
 both sides of 0 there (every power kernel and L^q norm), it integrates
@@ -65,6 +65,16 @@ else ValueDensity.stack) and runs one means(h) over all rows; each
 function's integral is its own simplex volumes times its own rows'
 means.  lq_norm, level_set_volume and valuation.apply are that sum
 for one function.
+
+Row-local arithmetic.  A row's mean depends on that row alone: every
+step is elementwise or sums one row's own pieces in order (bincount),
+and every sum over a small axis (Gauss-Legendre node, Bernstein index,
+power of rho) runs term by term with the stack axis last (convex._dot0),
+never in a matrix product, whose BLAS blocking follows the stack's
+shape.  So a function's integral is the same bits alone, in any batch
+and in any order.  The price is memory: a Gauss-Legendre power piece
+keeps GL_POWER_NODES node weights w_j sum_k c_k B_k(u_j), 128 bytes, in
+place of its N+1 coefficients, next to its GL_POWER_NODES abscissae.
 """
 
 from __future__ import annotations
@@ -77,6 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stats
+from .convex import _dot0
 from .errors import NonFinite
 from .plfunction import PLFunction, value_densities
 
@@ -406,19 +417,20 @@ class _Orientation(NamedTuple):
     """The h-independent half of _power_pieces for a stack of pieces that
     do not straddle 0.  With near <= far the magnitudes of a piece's ends:
     the pieces taking Gauss-Legendre (near/far >= NEAR_RATIO), with the
-    rule's abscissae near + (far - near) u and their coefficients, and the
-    others, which take the closed form, with far, rho = near/far,
-    rho^0 .. rho^{2N}, (1 - rho)^{N+1} and their coefficients."""
+    rule's abscissae near + (far - near) u_j and weights w_j sum_k c_k
+    B_k(u_j), and the others, which take the closed form, with far,
+    rho = near/far, rho^0 .. rho^{2N}, (1 - rho)^{N+1} and their
+    coefficients.  The stack axis is last."""
 
     quad: np.ndarray  # (a,) indices of the Gauss-Legendre pieces
-    abscissae: np.ndarray  # (a, GL_POWER_NODES)
-    quad_c: np.ndarray  # (a, N+1)
+    abscissae: np.ndarray  # (GL_POWER_NODES, a)
+    weights: np.ndarray  # (GL_POWER_NODES, a)
     closed: np.ndarray  # (b,) indices of the closed-form pieces
     far: np.ndarray  # (b,)
     rho: np.ndarray  # (b,)
-    powers: np.ndarray  # (b, 2N+1)
+    powers: np.ndarray  # (2N+1, b)
     shrink: np.ndarray  # (b,) (1 - rho)^{N+1}
-    closed_c: np.ndarray  # (b, N+1)
+    closed_c: np.ndarray  # (N+1, b)
 
 
 def _orient(lo, hi, c) -> _Orientation:
@@ -433,17 +445,17 @@ def _orient(lo, hi, c) -> _Orientation:
     closed = np.flatnonzero(~quad)
     quad = np.flatnonzero(quad)
     rho = near[closed] / far[closed]
-    u = _gl_bernstein(GL_POWER_NODES, N)[0]
+    u, w, basis = _gl_bernstein(GL_POWER_NODES, N)
     return _Orientation(
         quad=quad,
-        abscissae=near[quad][:, None] + (far - near)[quad][:, None] * u,
-        quad_c=c[quad],
+        abscissae=near[quad] + (far - near)[quad] * u[:, None],
+        weights=w[:, None] * _dot0(basis.T[:, :, None], c[quad].T[:, None, :]),
         closed=closed,
         far=far[closed],
         rho=rho,
-        powers=rho[:, None] ** np.arange(2 * N + 1),
+        powers=rho ** np.arange(2 * N + 1)[:, None],
         shrink=(1.0 - rho) ** (N + 1),
-        closed_c=c[closed],
+        closed_c=c[closed].T,
     )
 
 
@@ -464,26 +476,25 @@ def _power_pieces(o: _Orientation, q: float) -> np.ndarray:
     most, and at rho = 0 (a piece ending at 0) only Beta terms remain.
     Exponents at or below -1 (anchored extensions away from 0) expand the
     inner integral directly instead."""
-    N = o.quad_c.shape[1] - 1
+    N = len(o.closed_c) - 1
     out = np.empty(len(o.quad) + len(o.closed))
     if len(o.quad):
-        _, w, basis = _gl_bernstein(GL_POWER_NODES, N)
-        F = o.abscissae**q
-        out[o.quad] = np.sum(((F * w) @ basis) * o.quad_c, axis=1)
+        out[o.quad] = _dot0(o.abscissae**q, o.weights)
     if len(o.closed):
         rho, powers = o.rho, o.powers
         if q > -1.0:
             P, Q = _closed_form_tables(q, N)
-            K = powers[:, : N + 1] @ P - (powers @ Q) * (rho ** (q + 1.0))[:, None]
+            K = _dot0(powers[: N + 1, None], P[:, :, None]) - rho ** (q + 1.0) * _dot0(powers[:, None], Q[:, :, None])
         else:
             # the Beta integrals diverge: expand (1-y)^{N-k} and integrate
             # each power from rho to 1, (1 - rho^e)/e, or -log(rho) at e = 0
-            e = q + 1.0 + np.arange(N + 1)
-            log_rho = np.log(rho)[:, None]
+            e = q + 1.0 + np.arange(N + 1)[:, None]
+            log_rho = np.log(rho)
             safe_e = np.where(e == 0.0, 1.0, e)
             inner = np.where(e == 0.0, -log_rho, -np.expm1(e * log_rho) / safe_e)
-            K = np.einsum("xp,xs,psk->xk", powers[:, : N + 1], inner, _expansion_table(N))
-        out[o.closed] = np.sum(K * o.closed_c, axis=1) * o.far**q / o.shrink
+            M = _expansion_table(N).transpose(1, 0, 2)[..., None]  # (s, p, k, 1)
+            K = _dot0(powers[: N + 1, None], _dot0(inner[:, None, None], M))
+        out[o.closed] = _dot0(K, o.closed_c) * o.far**q / o.shrink
     return out
 
 
@@ -493,11 +504,11 @@ def _poly_pieces(x0, x1, c, anchors, coefficients) -> np.ndarray:
     N = c.shape[1] - 1
     D = coefficients.shape[1] - 1
     u, w, basis = _gl_bernstein((D + N) // 2 + 1, N)
-    loc = x0[:, None] + (x1 - x0)[:, None] * u - anchors[:, None]
+    loc = x0 + (x1 - x0) * u[:, None] - anchors
     h = np.zeros_like(loc)
     for k in range(D, -1, -1):
-        h = h * loc + coefficients[:, k, None]
-    return np.sum(((h * w) @ basis) * c, axis=1)
+        h = h * loc + coefficients[:, k]
+    return _dot0(h, w[:, None] * _dot0(basis.T[:, :, None], c.T[:, None, :]))
 
 
 def _crossings(lo, hi, cuts):
@@ -569,24 +580,18 @@ class ValueDensity:
     kernel or a norm cuts nothing.  What means reads of the density alone
     is computed on first use and kept in slots outside the fields: each
     piece's side of 0 (sides), the pieces' span, and the power rule's
-    orientation with its Gauss-Legendre abscissae and the coefficients,
-    read from each piece's end nearer 0, gathered by rule (orientation).
-    Two densities of the same rows have the same fields whatever kernels
+    orientation with its Gauss-Legendre abscissae and node weights, read
+    from each piece's end nearer 0, gathered by rule (orientation).  Two
+    densities of the same rows have the same fields whatever kernels
     either has met, and a kernel on a kept density does only its own
-    arithmetic.  The layout
-    is linear in the pieces; its largest part is the power rule's
-    abscissae, GL_POWER_NODES floats per piece that takes it, which on a
-    large mesh halve a repeated power kernel's time for about a sixth
-    more peak memory.
+    arithmetic.  The layout is linear in the pieces; its largest part is
+    the power rule's abscissae and node weights, 2 GL_POWER_NODES floats
+    per piece that takes it.
 
-    A row's density is the same whatever rows share its stack, so split
-    and stack move rows between stacks without changing them.  A row's
-    mean is not bit-identical alone and inside a stack: the power and
-    polynomial pieces contract with a matrix product, whose BLAS kernel
-    depends on the stack's shape.  The two agree to 4 ulps of the larger
-    (tests/test_integration.py pins the bound); fixed-order products would
-    remove the difference at a cost of about a fifth of the engine's
-    speed."""
+    A row's density and its mean under any h are the same whatever rows
+    share its stack (the module's row-local arithmetic), so split and
+    stack move rows between stacks without changing them or their
+    means."""
 
     __slots__ = ("__dict__", "__weakref__", "_sides", "_span", "_reach", "_orientation")
 
@@ -779,10 +784,9 @@ def value_density(values) -> ValueDensity:
     live = hi > lo
     A, lo, hi, seg_row = A[live], lo[live], hi[live], seg_row[live]
     # cut every segment that crosses 0, as means would for any h
-    seg, interval = _crossings(lo, hi, np.zeros(1))
-    if len(seg) > len(lo):
-        edges = np.array([-np.inf, 0.0, np.inf])
-        A, lo, hi = _cut(A, lo, hi, seg, interval, edges)
+    if ((lo < 0.0) & (hi > 0.0)).any():
+        seg, interval = _crossings(lo, hi, np.zeros(1))
+        A, lo, hi = _cut(A, lo, hi, seg, interval, np.array([-np.inf, 0.0, np.inf]))
         seg_row = seg_row[seg]
     return _frozen(ValueDensity(V, rows[point], V[point, 0], A, lo, hi, seg_row))
 

@@ -292,8 +292,8 @@ def even_odd_split(kernel: Kernel):
 def apply_each(kernel: Kernel, functions) -> np.ndarray:
     """[z(f) for f in functions], in input order: every value row of the
     batch integrated in one engine pass (integration.integrals).  A
-    function's z agrees with apply(kernel, f) to 4 ulps whatever its
-    stack-mates (see integration.ValueDensity)."""
+    function's z is apply(kernel, f) bit for bit, whatever its
+    stack-mates and their order (the engine's row-local arithmetic)."""
     return integrals(functions, kernel.pieces())
 
 

@@ -619,7 +619,9 @@ def split_boolean(V, A, b, T, vm, rm, a, c, tol, above: bool = True, flat: bool 
 # The value-density engine with raw segments: every call of means cuts each
 # segment at every cut of h, 0 included, and orients each power piece on the
 # spot.  Power kernels must agree with the library bit for bit; kernels whose
-# cuts cross a piece the library cut at 0 already, to a few ulps.
+# cuts cross a piece the library cut at 0 already, to a few ulps.  Every sum
+# over a node, a power or a Bernstein index is taken term by term from the
+# first, the library's order, with loops of its own over a row-major layout.
 # ---------------------------------------------------------------------------
 
 NEAR_RATIO = 1.0 / 3.0
@@ -753,6 +755,24 @@ def _expansion_table(N: int) -> np.ndarray:
     return M
 
 
+def _in_order(terms):
+    """The sum of the terms, added one at a time from the first: each sum
+    over a small axis in the engine's order, whatever the stack."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _against_nodes(F, w, basis, c) -> np.ndarray:
+    """sum_j F[:, j] w_j sum_k c[:, k] basis[j, k], both sums in order."""
+    N = c.shape[1] - 1
+    return _in_order(
+        F[:, j] * (w[j] * _in_order(c[:, k] * basis[j, k] for k in range(N + 1))) for j in range(len(w))
+    )
+
+
 def _power_pieces(x0, x1, c, q: float) -> np.ndarray:
     """integral_0^1 |x0 + (x1 - x0) u|^q sum_k c[p, k] B^N_k(u) du per
     piece; no piece straddles 0.
@@ -780,14 +800,18 @@ def _power_pieces(x0, x1, c, q: float) -> np.ndarray:
     if quad.any():
         u, w, basis = _gl_bernstein(GL_POWER_NODES, N)
         F = (near[quad, None] + (far - near)[quad, None] * u) ** q
-        out[quad] = np.sum(((F * w) @ basis) * c[quad], axis=1)
+        out[quad] = _against_nodes(F, w, basis, c[quad])
     closed = ~quad
     if closed.any():
         rho = near[closed] / far[closed]
         powers = rho[:, None] ** np.arange(2 * N + 1)
         if q > -1.0:
             P, Q = _closed_form_tables(q, N)
-            K = powers[:, : N + 1] @ P - (powers @ Q) * (rho ** (q + 1.0))[:, None]
+            K = np.column_stack([
+                _in_order(powers[:, p] * P[p, k] for p in range(N + 1))
+                - _in_order(powers[:, p] * Q[p, k] for p in range(2 * N + 1)) * rho ** (q + 1.0)
+                for k in range(N + 1)
+            ])
         else:
             # the Beta integrals diverge: expand (1-y)^{N-k} and integrate
             # each power from rho to 1, (1 - rho^e)/e, or -log(rho) at e = 0
@@ -795,8 +819,14 @@ def _power_pieces(x0, x1, c, q: float) -> np.ndarray:
             log_rho = np.log(rho)[:, None]
             safe_e = np.where(e == 0.0, 1.0, e)
             inner = np.where(e == 0.0, -log_rho, -np.expm1(e * log_rho) / safe_e)
-            K = np.einsum("xp,xs,psk->xk", powers[:, : N + 1], inner, _expansion_table(N))
-        out[closed] = np.sum(K * c[closed], axis=1) * far[closed] ** q / (1.0 - rho) ** (N + 1)
+            M = _expansion_table(N)
+            K = np.column_stack([
+                _in_order(powers[:, p] * _in_order(inner[:, s] * M[p, s, k] for s in range(N + 1))
+                          for p in range(N + 1))
+                for k in range(N + 1)
+            ])
+        c = c[closed]
+        out[closed] = _in_order(K[:, k] * c[:, k] for k in range(N + 1)) * far[closed] ** q / (1.0 - rho) ** (N + 1)
     return out
 
 
@@ -810,8 +840,7 @@ def _poly_pieces(x0, x1, c, anchors, coefficients) -> np.ndarray:
     h = np.zeros_like(loc)
     for k in range(D, -1, -1):
         h = h * loc + coefficients[:, k, None]
-    return np.sum(((h * w) @ basis) * c, axis=1)
-
+    return _against_nodes(h, w, basis, c)
 
 
 def means_split_at_all_cuts(values, h) -> np.ndarray:

@@ -464,9 +464,11 @@ def test_verify_timing_counts_equal_the_wrapped_calls(capsys, monkeypatch, tmp_p
         header, row = path.with_name(path.name + ".csv").read_text().splitlines()
         counts = dict(zip(header.split(",")[6:15], map(int, row.split(",")[6:15])))
         assert counts == want, suite
-    # no count of inclusion_exclusion is 0, and homogeneity passes one
-    # density to several kernels
-    assert all(reference["inclusion_exclusion"].values())
+    # no count of inclusion_exclusion is 0 but crossings (no battery
+    # function has a segment that crosses 0, so no density searches; see
+    # tests/test_integration.py for one that does), and homogeneity passes
+    # one density to several kernels
+    assert all(count for key, count in reference["inclusion_exclusion"].items() if key != "crossings")
     assert reference["homogeneity"]["means"] > reference["homogeneity"]["densities"] > 0
 
 

@@ -1,9 +1,12 @@
 """Exact simplex integrals, norms, level sets, densities, Fisher matrices."""
 
+import ast
 import dataclasses
 import gc
+import inspect
 import itertools
 import math
+import textwrap
 import weakref
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from plval import plfunction as pf
 from plval import polytope as pt
+from plval import stats
 from plval.errors import NonFinite
 from plval.integration import (
     Pieces,
@@ -488,16 +492,6 @@ def test_density_is_freed_with_its_function():
 
 # -- stacks of rows and batches of functions --------------------------------------
 
-# A row's mean alone and inside a stack differ by at most this many ulps of
-# the larger (ValueDensity): the pieces contract with a matrix product
-# whose BLAS kernel depends on the stack's shape.
-STACK_ULPS = 4
-
-
-def _agree_in_ulps(a, b):
-    return abs(a - b) <= STACK_ULPS * np.spacing(max(abs(a), abs(b)))
-
-
 def _stack_row(kind, n, rng):
     """'far' keeps away from 0 (a power piece's Gauss-Legendre route),
     'near' starts at 0 and may cross it (the closed form), 'tied' repeats
@@ -511,23 +505,51 @@ def _stack_row(kind, n, rng):
     return np.full(n + 1, rng.uniform(-2.0, 2.0))
 
 
+def _stack_kernel(kind, q) -> Pieces:
+    """A power, the piecewise t^2, a tabulated kernel whose cuts fall
+    inside the rows' values (the cut route) with extensions of exponents
+    -1.5 and -2 that take both power rules, and an indicator."""
+    if kind == "power":
+        return Pieces.power(1.0, q)
+    if kind == "poly":
+        return _mesh_kernels()["piecewise_poly"].pieces()
+    if kind == "tabulated":
+        return TabulatedKernel([-0.5, 0.0, 0.4, 0.6], [0.5, 0.0, 0.7, -0.2], -1.5, -2.0).pieces()
+    return Pieces.above(0.3)
+
+
+def _row_function(row):
+    """The affine function on the standard simplex with vertex values row."""
+    n = len(row) - 1
+    simplex = pf.SimplicialComplex(n, np.vstack([np.zeros(n), np.eye(n)]), [np.arange(n + 1)])
+    return pf.PLFunction(complex=simplex, values=row)
+
+
 @given(
-    n=st.integers(2, 4),
+    n=st.integers(1, 4),
     q=st.floats(0.5, 3.7),
-    kernel=st.sampled_from(["power", "poly"]),
+    kernel=st.sampled_from(["power", "poly", "tabulated", "above"]),
     seed=st.integers(0, 2**32 - 1),
 )
+# two draws whose stacked means differed from the rows' own when the
+# pieces contracted by matrix product
+@example(n=3, q=1.5, kernel="power", seed=0)
+@example(n=2, q=1.5, kernel="tabulated", seed=0)
 @settings(max_examples=60, deadline=None)
 def test_row_mean_alone_and_in_any_stack_agree(n, q, kernel, seed):
+    # bit for bit: every sum over a node, power or Bernstein index runs in
+    # order, not in a matrix product whose blocking follows the stack
     rng = np.random.default_rng(seed)
     kinds = ("far", "near", "tied", "point")
     rows = np.array([_stack_row(kind, n, rng) for kind in kinds for _ in range(3)])
-    h = Pieces.power(1.0, q) if kernel == "power" else _mesh_kernels()["piecewise_poly"].pieces()
-    alone = [simplex_means(row[None, :], h)[0] for row in rows]
-    for size in (2, 5, len(rows), 3 * len(rows)):
+    h = _stack_kernel(kernel, q)
+    alone = np.array([simplex_means(row[None, :], h)[0] for row in rows])
+    norms = np.array([lq_norm(_row_function(row), q + 0.5) for row in rows])
+    for size in (1, 2, 5, len(rows), 3 * len(rows)):
         pick = rng.choice(len(rows), size, replace=size > len(rows))
-        for i, got in zip(pick, simplex_means(rows[pick], h)):
-            assert _agree_in_ulps(got, alone[i]), (rows[i].tolist(), got, alone[i])
+        got = simplex_means(rows[pick], h)
+        assert np.array_equal(got, alone[pick]), (rows[pick].tolist(), got, alone[pick])
+        assert np.array_equal(lq_norms([_row_function(row) for row in rows[pick]], q + 0.5), norms[pick])
 
 
 def _fresh(f):
@@ -555,8 +577,7 @@ def test_apply_each_agrees_with_apply_in_any_order_and_stack(q, seed, size):
         f.value_density()
     got = apply_each(h, batch)
     assert got.shape == (size,)
-    for g, a in zip(got, alone):
-        assert _agree_in_ulps(g, a), (g, a)
+    assert np.array_equal(got, alone), (got, alone)
 
 
 def test_apply_each_of_no_functions_is_an_empty_array():
@@ -580,7 +601,7 @@ def test_a_function_twice_in_a_batch_builds_one_density(counted_densities):
     f, g = _fresh(_tied_mesh()), _fresh(_tied_mesh())
     got = apply_each(PowerKernel(1.0, 1.5), [f, g, f])
     assert len(counted_densities) == 1
-    assert _agree_in_ulps(got[0], got[2]) and _agree_in_ulps(got[0], got[1])
+    assert got[0] == got[1] == got[2]
 
 
 def test_a_batch_caches_each_members_own_density(counted_densities):
@@ -807,6 +828,73 @@ def test_power_kernels_and_norms_cut_nothing_and_orient_once(monkeypatch, counte
     assert crossed[-1] == (False, [0.1]) and len(counted_densities) == 1
     assert [c for c in crossed if 0.0 in c[1]] == [(True, [0.0])]
     assert len(oriented) == 1
+
+
+def test_a_density_searches_for_crossings_only_when_a_segment_crosses_0():
+    f = _tied_mesh()  # values in {0, 0.25, 0.5}: no segment crosses 0
+    before = stats.calls["crossings"]
+    f.value_density()
+    assert stats.calls["crossings"] == before
+    g = pf.PLFunction(complex=f.complex, values=f.values - 0.3 * (f.values > 0.0))
+    g.value_density()
+    assert stats.calls["crossings"] == before + 1
+
+
+# -- no matrix product over the stack ------------------------------------------
+
+PRODUCTS = ("dot", "matmul", "einsum", "tensordot", "inner", "vdot")
+# the engine's kernel-dependent contractions and the orientation they read
+KERNEL_HALF = ("_orient", "_power_pieces", "_poly_pieces", "ValueDensity")
+
+
+def matrix_products(source: str) -> list:
+    """(line, form) for each matrix product in source, by line: `@` and
+    `@=`, and calls of numpy's PRODUCTS, as np.<name>, a.<name> or a bare
+    name."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in PRODUCTS:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_the_kernel_half_takes_no_matrix_product_over_the_stack():
+    # a BLAS product picks its blocking from the stack's shape, so a row's
+    # bits would depend on its stack-mates
+    from plval import integration
+
+    source = inspect.getsource(integration)
+    parts = {
+        node.name: ast.get_source_segment(source, node)
+        for node in ast.parse(source).body
+        if getattr(node, "name", None) in KERNEL_HALF
+    }
+    found = {name: matrix_products(part) for name, part in parts.items()}
+    assert not any(found.values()), found
+    assert sorted(parts) == sorted(KERNEL_HALF)
+
+
+def test_the_product_finder_sees_every_form():
+    source = """
+    def f(a, b):
+        c = a @ b
+        c @= b
+        np.dot(a, b)
+        numpy.matmul(a, b)
+        np.einsum("ij,jk", a, b)
+        np.tensordot(a, b)
+        np.inner(a, b)
+        np.vdot(a, b)
+        a.dot(b)
+        dot(a, b)
+        return a * b + np.sum(a, axis=0) + np.add.reduce(a)
+    """
+    assert [form for _, form in matrix_products(source)] == [
+        "@", "@", "dot", "matmul", "einsum", "tensordot", "inner", "vdot", "dot", "dot"]
 
 
 # -- the combinatorial constant ---------------------------------------------------

@@ -205,6 +205,8 @@ def test_inclusion_exclusion_residual_stays_at_rounding_level():
 @pytest.mark.parametrize(
     "suite,densities",
     [
+        (lambda: valuation_identity_suite(PowerKernel(1.0, 2.0), seed=0, count=3, n=2), 1),
+        (lambda: valuation_identity_suite(PowerKernel(1.0, 1.5), seed=1, count=2, n=3, points=5), 1),
         (lambda: invariance_suite(PowerKernel(1.0, 2.0), seed=2, count=5), 1),
         (lambda: inclusion_exclusion_suite(PowerKernel(1.0, 1.5), seed=4), 1),
         (lambda: continuity_example_1(pt.cube(2), s=1.5, k_max=4, p=1.0), 1),
@@ -212,7 +214,8 @@ def test_inclusion_exclusion_residual_stays_at_rounding_level():
         (lambda: continuity_example_3(pt.cube(2), growth_fn_id="sqrt", k_max=4, p=1.0), 1),
         (lambda: homogeneity_suite(1.5, p=1.0, n=2, seed=3), 3),
     ],
-    ids=["invariance", "inclusion_exclusion", "continuity_1", "continuity_2", "continuity_3", "homogeneity"],
+    ids=["identity", "identity_3d", "invariance", "inclusion_exclusion", "continuity_1", "continuity_2",
+         "continuity_3", "homogeneity"],
 )
 def test_suite_builds_one_density_per_kernel(suite, densities, counted_densities):
     suite()
