@@ -8,13 +8,13 @@ A simplex's chain runs against the other function's whole support when
 that support is convex (its rows are cached with the complex), and
 against the other's simplices it meets one by one when it is not.
 
-Cells are cut in stacks (convex.Cells), never one at a time: all near
-pairs of a refinement are clipped at once, by d+1 stacked cuts with the
-other simplex's rows, then by one stacked cut where f = g; the chains of
-every simplex with a leftover, f's and g's alike, run in lockstep, each
-cell cut only by the rows that cross it, in order, so a round takes as
-many stacked cuts as its most-crossed cell has rows, not one per row of
-the widest region.  Every cut is one convex.split over the stack, and
+Cells are cut in stacks (convex.Cells), never one at a time: one
+lockstep clips every near pair by the other simplex's rows and runs every
+chain against a whole convex support, each cell cut only by its own rows
+that cross it, in order, so it takes as many stacked cuts as its
+most-crossed cell has rows; chains against the simplices met run after
+it, and one stacked cut splits the cells where f = g or where their one
+function crosses 0.  Every cut is one convex.split over the stack, and
 nothing in the cutting depends on the dimension.  The refinement carries
 its cells as arrays: vertices with their tight rows and incidence, each
 cell's simplex of f and of g, and its volume (convex.cell_volumes: one
@@ -221,28 +221,30 @@ def _cut_by_affine(cells, grad, off, tol):
     return convex.Cells.concat([lo, hi]).take(order), src[order]
 
 
-def _subtract(cells, A, b, tol):
-    """The parts of the cells outside their convex regions {A x <= b}, A
-    (B, R, d) and b (B, R), cut at tolerances tol (B,), as (cells, src)
-    in order of src, then of row.
+def _lockstep(cells, A, b, tol, clip):
+    """Every cell cut by its own convex region {A x <= b}, A (B, R, d) and
+    b (B, R), at its tolerance tol (B,), as (cells, src) in order of src,
+    then of row: where clip, the cell's part inside the region, as
+    convex.clip_rows cuts it; elsewhere its difference chain, piece k
+    inside rows < k and outside row k, the part inside every row dropped
+    (the double-cover pass holds it).
 
-    Difference chains, run in lockstep over the stack: piece k is inside
-    rows < k and outside row k; the part inside every row is dropped (the
-    double-cover pass holds it).  Each cell is cut only by the rows that
-    cross it, in order, each stacked cut taking every cell's next one: a
-    row that every vertex of the cell lies EPS or more inside holds every
-    piece of it (a convex combination of those vertices) inside, so the
-    chain would keep the piece whole there.  A row 0.x <= 1 pads a region
-    with fewer rows, and crosses nothing."""
-    B = len(A)
-    if not B:
-        return cells, np.zeros(0, dtype=int)
+    Each stacked convex.split takes every cell's next row that may cross
+    it, in order: a clip keeps the inside, a chain emits the outside and
+    carries the inside on.  A row that every vertex of a cell lies EPS or
+    more inside holds every piece of it (a convex combination of those
+    vertices) inside, where the cut keeps it whole: the cell skips it.  A
+    chain keeps a piece whole within EPS of a row: a cell inside every row
+    gives none, one outside a row is one piece.  A row 0.x <= 1 pads a
+    region with fewer rows, and crosses nothing."""
+    chain = ~clip
     vm = cells.vm[:, :, None]
     D = (cells.V[:, :, None, :] * A[:, None]).sum(axis=3) - b[:, None, :]
-    disjoint = np.where(vm, D >= EPS, True).all(axis=1).any(axis=1)  # certified
-    covered = np.where(vm, D <= EPS, True).all(axis=(1, 2))
+    disjoint = chain & np.where(vm, D >= EPS, True).all(axis=1).any(axis=1)  # certified
+    covered = chain & np.where(vm, D <= EPS, True).all(axis=(1, 2))
     di = np.flatnonzero(disjoint)
-    out = [(cells.take(di), di, -1)]
+    # (cells, src, step, whether they are ends): a clip's piece is its end
+    out = [(cells.take(di), di, -1, False)]
     act = np.flatnonzero(~disjoint & ~covered)
     # each active cell's rows in order, the cells with the most first, so
     # that the cells whose rows run out at a step are the stack's last
@@ -251,50 +253,51 @@ def _subtract(cells, A, b, tol):
     by = np.argsort(-count, kind="stable")
     act, count = act[by], count[by]
     rows = np.argsort(~need[by], axis=1, kind="stable")
-    at = np.arange(len(act))  # each piece's chain, by position in act
+    at = np.arange(len(act))  # each piece's cell, by position in act
     cur = cells.take(act)
-    for t in range(int(count.max(initial=0))):
-        # the pieces whose rows ran out lie inside every row: dropped
+    for t in range(int(count.max(initial=0)) + 1):
+        # the pieces whose rows ran out end: a chain's lies inside every row
         n = int(np.count_nonzero(count[at] > t))
+        if n < len(at):
+            out.append((cur.slice(n, len(at)), act[at[n:]], t, True))
+            cur, at = cur.slice(0, n), at[:n]
         if not n:
             break
-        if n < len(at):
-            cur, at = cur.slice(0, n), at[:n]
         i, q = act[at], rows[at, t]
         a, c = A[i, q], b[i, q]
         rowd = convex.dot_rows(cur.V, a) - c[:, None]
-        # all inside the row: the outside piece is empty, the row redundant
-        skip = np.where(cur.vm, rowd <= EPS, True).all(axis=1)
+        # a chain's piece all inside the row: its outside is empty
+        skip = chain[i] & np.where(cur.vm, rowd <= EPS, True).all(axis=1)
         if skip.all():
             continue
-        # all outside: the rest of the cell is a piece
-        rest = ~skip & np.where(cur.vm, rowd >= -EPS, True).all(axis=1)
+        # all outside: the rest of the chain's cell is a piece
+        rest = chain[i] & ~skip & np.where(cur.vm, rowd >= -EPS, True).all(axis=1)
         # the cells not cut lie wholly inside or outside a plane at infinity
         a = np.where(skip[:, None], 1.0, a)
         c = np.where(skip, np.inf, np.where(rest, -np.inf, c))
         (cur, in_src), (outside, out_src) = convex.split(cur, a, c, tol[i])
-        out.append((outside, i[out_src], t))
+        out.append((outside, i[out_src], t, False))
         at = at[in_src]
         # a cut leaves the vertices it drops in place: close the gaps once
         # they outnumber the vertices
         if cur.V.shape[1] > 2 * cur.counts().max(initial=0):
             cur = cur.compact()
-    # a chain takes its rows in order, so its steps order its pieces by row
-    src = np.concatenate([s for _, s, _ in out])
-    step = np.concatenate([np.full(len(s), t) for _, s, t in out])
-    order = np.lexsort((step, src))
-    return convex.Cells.concat([c for c, _, _ in out]).take(order), src[order]
+    src = np.concatenate([s for _, s, _, _ in out])
+    step = np.concatenate([np.full(len(s), t) for _, s, t, _ in out])
+    # a clip gives its end, a chain its outside pieces, in order of row
+    keep = np.flatnonzero(clip[src] == np.concatenate([np.full(len(s), end) for _, s, _, end in out]))
+    order = keep[np.lexsort((step[keep], src[keep]))]
+    return convex.Cells.concat([c for c, _, _, _ in out]).take(order), src[order]
 
 
 def _regions(mesh: _Mesh, owner, met, whole):
     """(A, b): for each cell of a simplex owner, the rows of the region
-    its chain subtracts next: the other function's whole support (of the
-    owner's pair) where whole, else its simplex met; padded with
-    0.x <= 1."""
+    it is cut by: the other function's whole support (of the owner's
+    pair) where whole, else its simplex met; padded with 0.x <= 1."""
     d = mesh.cells.V.shape[2]
     # f's simplices subtract g's support (1), g's simplices f's (0)
     pair, other = mesh.pair[owner], mesh.of_f[owner].astype(int)
-    R = int(np.where(whole, mesh.rows[pair, other], d + 1).max(initial=0))
+    R = int(np.where(whole, mesh.rows[pair, other], d + 1).max(initial=d + 1))
     A = np.zeros((len(owner), R, d))
     b = np.ones((len(owner), R))
     i = np.flatnonzero(~whole)
@@ -308,40 +311,33 @@ def _regions(mesh: _Mesh, owner, met, whole):
     return A, b
 
 
-def _leftovers(mesh: _Mesh, mi, mj, shared, tol):
-    """The cells of the simplices that the other function does not cover,
-    as (cells, owner), by owner.  (mi, mj) are the pairs of f's and g's
-    simplices that meet, in order; shared[i] is the volume of simplex i
-    that such pairs cover and tol[i] its pair's cut tolerance.
-
-    A simplex's part outside the other support is one difference chain
-    against that whole support when it is convex, and one chain per
-    simplex of the other function it meets, in order, when it is not.
-    Each round of chains runs in lockstep over both functions' simplices
-    that have one, every cell cut only by the rows of its region that
-    cross it, in order (_subtract)."""
+def _leftovers(mesh: _Mesh, mi, mj, chained, whole, tol):
+    """The cells of every simplex outside the other function's simplices
+    it meets, as (cells, owner), by owner.  (mi, mj) are the pairs of f's
+    and g's simplices that meet in an interior, in order; chained, as
+    (cells, owner), holds the chains of each simplex i with whole[i]
+    against the other's convex support; tol[i] is i's cut tolerance.  A
+    simplex that meets none is one cell, whole; any other runs one chain
+    per simplex it meets, in order, each round in lockstep (_lockstep)."""
     m = len(mesh.vol)
-    partly = np.flatnonzero(shared < (1.0 - FULL_COVER) * mesh.vol)
     own, other = np.concatenate([mi, mj]), np.concatenate([mj, mi])
     met = other[np.argsort(own, kind="stable")]
     count = np.bincount(own, minlength=m)
     start = np.cumsum(count) - count
-    whole = mesh.rows[mesh.pair, mesh.of_f.astype(int)] > 0
-    count[whole] = np.minimum(count[whole], 1)
-    parts, owner = mesh.cells.take(partly), partly
-    done = [(parts.take(owner[:0]), owner[:0])]
-    t = 0
-    while len(owner):
+    cells, owner = chained
+    k = np.flatnonzero(count[owner] > 0)
+    done = [(cells.take(k), owner[k])]
+    owner = np.flatnonzero(~whole | (count == 0))
+    parts = mesh.cells.take(owner)
+    for t in range(int(count[owner].max(initial=0))):
         more = count[owner] > t
         if not more.all():
             done.append((parts.take(np.flatnonzero(~more)), owner[~more]))
             parts, owner = parts.take(np.flatnonzero(more)), owner[more]
-        if not len(owner):
-            break
         A, b = _regions(mesh, owner, met[start[owner] + t], whole[owner])
-        parts, src = _subtract(parts, A, b, tol[owner])
+        parts, src = _lockstep(parts, A, b, tol[owner], np.zeros(len(owner), dtype=bool))
         owner = owner[src]
-        t += 1
+    done.append((parts, owner))
     owner = np.concatenate([o for _, o in done])
     order = np.argsort(owner, kind="stable")
     return convex.Cells.concat([c for c, _ in done]).take(order), owner[order]
@@ -350,13 +346,18 @@ def _leftovers(mesh: _Mesh, mi, mj, shared, tol):
 def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     """Cells covering supp f and supp g of every pair, the cells both
     cover once for each, by pair; mesh comes from _prep.  A pair's cells
-    are cut at its own scale, and only its own simplices meet."""
+    are cut at its own scale, and only its own simplices meet.
+
+    One _lockstep clips every near pair, f's simplex by g's rows, and runs
+    the chains against whole convex supports, then _leftovers the others.
+    One _cut_by_affine cuts all the cells, one cell_volumes measures them,
+    and a simplex keeps its single-cover cells where those it shares fill
+    less than its volume."""
     stats.calls["cuts"] += 1
     t0 = time.perf_counter()
     m, B = len(mesh.vol), len(mesh.rows)
     scale = _batch_max(np.abs(mesh.cells.V).max(axis=(1, 2), initial=0.0), mesh.pair, B)
     tol = CLIP_TOL * scale[mesh.pair]
-    lo, hi = mesh.lo, mesh.hi
     # near pairs (i, j): f's simplex i and g's simplex j of one pair, with
     # overlapping boxes, by i, then j
     fi, gi = np.flatnonzero(mesh.of_f), np.flatnonzero(~mesh.of_f)
@@ -365,35 +366,34 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     c = count[mesh.pair[fi]]
     pi = np.repeat(fi, c)
     pj = gi[np.repeat(first[mesh.pair[fi]], c) + convex._within(c)]
-    near = np.all((lo[pi] <= hi[pj] + EPS) & (lo[pj] <= hi[pi] + EPS), axis=1)
+    near = np.all((mesh.lo[pi] <= mesh.hi[pj] + EPS) & (mesh.lo[pj] <= mesh.hi[pi] + EPS), axis=1)
     pi, pj = pi[near], pj[near]
-    # regions covered by both functions: every near pair clipped at once,
-    # f's simplex by g's rows, then cut by {f = g}
-    both, src = convex.clip_rows(mesh.cells.take(pi), mesh.cells.A[pj], mesh.cells.b[pj], tol[pi])
-    mi, mj = pi[src], pj[src]  # the pairs that meet in an interior
-    both, src = _cut_by_affine(both, mesh.grad[mi] - mesh.grad[mj], mesh.off[mi] - mesh.off[mj], tol[mi])
-    pi, pj = mi[src], mj[src]
-    vol = convex.cell_volumes(both)
-    shared = np.bincount(pi, weights=vol, minlength=m) + np.bincount(pj, weights=vol, minlength=m)
-    # single-cover leftovers of each function, cut where it crosses zero
-    parts, owner = _leftovers(mesh, mi, mj, shared, tol)
-    parts, src = _cut_by_affine(parts, mesh.grad[owner], mesh.off[owner], tol[owner])
-    owner = owner[src]
-    absent = np.full(len(owner), -1)
-    of_f = mesh.of_f[owner]
-    pair = mesh.pair[np.concatenate([pi, owner])]
-    pieces = _Pieces(
-        convex.Cells.concat([both, parts]),
-        np.concatenate([pi, np.where(of_f, owner, absent)]),
-        np.concatenate([pj, np.where(of_f, absent, owner)]),
-        np.concatenate([vol, convex.cell_volumes(parts)]),
-        pair,
-    )
-    # each pair's cells together, in the order it gets alone
-    order = np.argsort(pair, kind="stable")
-    pieces = _Pieces(pieces.cells.take(order), *(x[order] for x in pieces[1:]))
+    # the clips by the simplex met, then the chains against whole supports, which read no simplex met
+    whole = mesh.rows[mesh.pair, mesh.of_f.astype(int)] > 0
+    wi = np.flatnonzero(whole & (np.bincount(np.concatenate([pi, pj]), minlength=m) > 0))
+    own, clip = np.concatenate([pi, wi]), np.arange(len(pi) + len(wi)) < len(pi)
+    A, b = _regions(mesh, own, np.concatenate([pj, wi]), ~clip)
+    cells, src = _lockstep(mesh.cells.take(own), A, b, tol[own], clip)
+    n = int(np.searchsorted(src, len(pi)))
+    mi, mj = pi[src[:n]], pj[src[:n]]  # the pairs that meet in an interior
+    parts, owner = _leftovers(mesh, mi, mj, (cells.slice(n, len(cells)), own[src[n:]]), whole, tol)
+    cells, src = _cut_by_affine(convex.Cells.concat([cells.slice(0, n), parts]),
+                                np.concatenate([mesh.grad[mi] - mesh.grad[mj], mesh.grad[owner]]),
+                                np.concatenate([mesh.off[mi] - mesh.off[mj], mesh.off[owner]]),
+                                tol[np.concatenate([mi, owner])])
+    vol = convex.cell_volumes(cells)
+    # each cell's simplex of f and of g (-1 where absent), the first n both
+    f = np.concatenate([mi, np.where(mesh.of_f[owner], owner, -1)])[src]
+    g = np.concatenate([mj, np.where(mesh.of_f[owner], -1, owner)])[src]
+    n, one = int(np.searchsorted(src, len(mi))), np.maximum(f, g)
+    shared = np.bincount(f[:n], weights=vol[:n], minlength=m) + np.bincount(g[:n], weights=vol[:n], minlength=m)
+    # the cells both cover and the others of the simplices covered in part,
+    # each pair's together in the order it gets alone
+    at = np.concatenate([np.arange(n), n + np.flatnonzero(shared[one[n:]] < (1.0 - FULL_COVER) * mesh.vol[one[n:]])])
+    pair = mesh.pair[one]
+    at = at[np.argsort(pair[at], kind="stable")]
     stats.seconds["cut"] += time.perf_counter() - t0
-    return pieces
+    return _Pieces(cells.take(at), f[at], g[at], vol[at], pair[at])
 
 
 def _bounds(batch, B):
@@ -704,11 +704,11 @@ def _sample_failures(pairs, results, dim) -> None:
     """Replace each result in results ({op: one per pair}) that strays
     from op's pointwise value of its pair (f, g) with an OverlayFailure.
     The same 128 draws from default_rng(424242) serve every pair, spread
-    over its own box, and every f, g and result is located in one
-    evaluate_each."""
+    over the box of its nonempty functions (an empty one's box is the
+    origin), and every f, g and result is located in one evaluate_each."""
     U = np.random.default_rng(424242).random((128, dim))
-    lo = np.array([np.minimum(f.bbox()[0], g.bbox()[0]) for f, g in pairs])
-    hi = np.array([np.maximum(f.bbox()[1], g.bbox()[1]) for f, g in pairs])
+    box = [np.array([fn.bbox() for fn in pair if not fn.complex.is_empty()]) for pair in pairs]
+    lo, hi = np.array([b[:, 0].min(axis=0) for b in box]), np.array([b[:, 1].max(axis=0) for b in box])
     pts = lo[:, None, :] + (hi - lo)[:, None, :] * U
     done = [(op, k) for op, got in results.items() for k, h in enumerate(got) if not isinstance(h, OverlayFailure)]
     functions = [fn for pair in pairs for fn in pair] + [results[op][k] for op, k in done]

@@ -940,3 +940,32 @@ def subtract_every_row(convex, cells, A, b, tol, eps):
     row = np.concatenate([np.full(len(s), q) for _, s, q in out])
     order = np.lexsort((row, src))
     return convex.Cells.concat([c for c, _, _ in out]).take(order), src[order]
+
+
+# ---------------------------------------------------------------------------
+# The overlay's clip with every row: each stacked clip takes row q of every
+# cell's region, whether it crosses the cell or not, as convex.clip_rows
+# does.  The library's lockstep clips each cell by the rows that may cross
+# it alone, next to difference chains, and must give the same cells bit for
+# bit, before and after the cut where f = g.
+# ---------------------------------------------------------------------------
+
+
+def clip_every_row(convex, cut_by_affine, cells, A, b, tol, grad, off):
+    """The parts of the stacked cells inside their convex regions {A x <=
+    b}, A (B, R, d) and b (B, R), clipped at tolerances tol (B,) by one
+    stacked clip per row (convex.clip_rows), as (cells, src); then those
+    parts cut where their cell's affine function grad.x + off changes sign
+    (cut_by_affine, the overlay's), as (cells, src) again.  A zero row,
+    0.x <= 1, pads a region and holds everything: it is clipped as a plane
+    at infinity, and a row that pads every region is left out.  convex is
+    plval.convex, passed in so that this module imports nothing from
+    plval."""
+    pad = ~A.any(axis=2)
+    used = ~pad.all(axis=0)
+    A, b, pad = A[:, used], b[:, used], pad[:, used]
+    A = np.where(pad[:, :, None], np.eye(A.shape[2])[0], A)
+    b = np.where(pad, np.inf, b)
+    clipped, src = convex.clip_rows(cells, A, b, tol)
+    cut, at = cut_by_affine(clipped, grad[src], off[src], tol[src])
+    return (clipped, src), (cut, src[at])

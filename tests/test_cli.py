@@ -502,7 +502,8 @@ def test_verify_timing_margins_and_seconds_equal_the_wrapped_checks(capsys, monk
             for (f, g), h in zip(pairs, got):
                 if isinstance(h, OverlayFailure):
                     continue
-                lo, hi = np.minimum(f.bbox()[0], g.bbox()[0]), np.maximum(f.bbox()[1], g.bbox()[1])
+                box = np.array([fn.bbox() for fn in (f, g) if not fn.complex.is_empty()])
+                lo, hi = box[:, 0].min(axis=0), box[:, 1].max(axis=0)
                 X = lo + (hi - lo) * U
                 v, a, b = (pf.evaluate_each([fn], X, np.zeros(len(X), dtype=int)) for fn in (h, f, g))
                 want = np.maximum(a, b) if op == "join" else np.minimum(a, b)

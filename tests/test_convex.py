@@ -509,8 +509,7 @@ def test_overlay_triangulates_only_cells_that_are_not_simplices(monkeypatch, n):
     # merge group becomes if it merges, and none of its cells is a kept
     # simplex.  Above 2-D the cut also measures its cells that are not
     # simplices by their triangulation at tol 0 (convex.cell_volumes), in
-    # one stack for the cells both functions cover and one for the rest;
-    # in 2-D the shoelace measures them
+    # one stack for every cut cell; in 2-D the shoelace measures them
     from plval import overlay
 
     rng = np.random.default_rng(60 + n)
@@ -538,7 +537,7 @@ def test_overlay_triangulates_only_cells_that_are_not_simplices(monkeypatch, n):
     measured = [pts for tol, s in made if tol == 0.0 for pts in s]
     if n == 3:
         big = [cells.V[c, cells.vm[c]] for c in np.flatnonzero(cells.counts() > n + 1)]
-        assert len(made) == 3 and len(measured) == len(big)
+        assert len(made) == 2 and len(measured) == len(big)
         assert all(any(_same_points(pts, c) for pts in measured) for c in big)
     else:
         assert len(made) == 1 and not measured

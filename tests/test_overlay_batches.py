@@ -6,6 +6,7 @@ import pytest
 
 from plval import convex, overlay, stats
 from plval import plfunction as pf
+from plval import polytope as pt
 from plval.errors import OverlayFailure
 from plval.valuation import PowerKernel, apply
 from plval.verify import inclusion_exclusion_suite, random_cone_function, random_fan_function
@@ -322,3 +323,27 @@ def test_a_planted_pair_skips_alone_in_the_identity_suite(monkeypatch):
     assert [r.to_json_dict() for k, r in enumerate(rows) if k != 1] == [
         r.to_json_dict() for k, r in enumerate(clean) if k != 1]
     assert all(r.status == "pass" for r in clean)
+
+
+@pytest.mark.parametrize("zero_first", [False, True], ids=["f-zero", "zero-f"])
+def test_the_sampled_check_spreads_over_the_nonempty_functions_box(monkeypatch, zero_first):
+    # f is the square's cone moved to (1000, 1000) and the other function
+    # is zero, whose box is the origin: every point the check locates (f,
+    # the zero function, join and meet, 128 each) lies in f's support, so
+    # the check compares values where f is not 0
+    f = pf.compose_affine(pf.cone_function(pt.cube(2)), np.eye(2), [1000.0, 1000.0])
+    zero = pf.PLFunction.zero(2)
+    locate = overlay.evaluate_each
+    seen = []
+
+    def capturing(functions, X, which):
+        seen.append(X)
+        return locate(functions, X, which)
+
+    monkeypatch.setattr(overlay, "evaluate_each", capturing)
+    got = overlay.overlays([(zero, f) if zero_first else (f, zero)], ("join", "meet"))
+    (X,) = seen
+    assert len(X) == 4 * 128
+    assert np.all(pf.evaluate_each([f], X, np.zeros(len(X), dtype=int)) > 0.0)
+    assert got["join"][0].support_volume() == pytest.approx(f.support_volume(), rel=1e-12)
+    assert got["meet"][0].is_zero()

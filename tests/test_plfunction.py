@@ -416,8 +416,8 @@ def test_convex_support_detected():
 
 
 @pytest.mark.parametrize("convex_other", [True, False], ids=["convex", "not-convex"])
-def test_subtract_runs_once_per_partly_covered_simplex(monkeypatch, convex_other):
-    from plval import convex, overlay
+def test_one_lockstep_clips_every_near_pair_and_chains_against_whole_supports(monkeypatch, convex_other):
+    from plval import overlay
 
     f = pf.cone_function(pt.cube(2))
     g = pf.compose_affine(pf.cone_function(pt.cube(2)), np.eye(2), [0.7, 0.4])
@@ -425,50 +425,75 @@ def test_subtract_runs_once_per_partly_covered_simplex(monkeypatch, convex_other
         g = pf.join(g, _disjoint_cones()[0])
     supports = [fn.complex.convex_support for fn in (f, g)]
     assert (supports[1] is not None) == convex_other
-    subtract = overlay._subtract
+    lockstep = overlay._lockstep
     calls = []
 
-    def counting(cells, A, b, tol):
-        calls.append((cells, A))
-        got = subtract(cells, A, b, tol)
-        # the chains cut by the rows that cross each cell give the every-row
-        # chains' cells, whole supports and per-simplex rounds alike
-        _assert_same_pieces(got, oracles.subtract_every_row(convex, cells, A, b, tol, convex.EPS))
+    def counting(cells, A, b, tol, clip):
+        got = lockstep(cells, A, b, tol, clip)
+        # each cell, clip or chain, gives its role's every-row cells
+        _assert_roles_match_their_oracles(cells, A, b, tol, clip, got)
+        calls.append((cells, A, clip))
         return got
 
     overlay._pair.cache_clear()
-    monkeypatch.setattr(overlay, "_subtract", counting)
+    monkeypatch.setattr(overlay, "_lockstep", counting)
     pf.join(f, g)
     overlay._pair.cache_clear()
 
     def whole(A):
         # a whole support's rows, padded with zero rows
-        return [
+        return np.array([
             any(len(Ai) >= len(S[0]) and np.array_equal(Ai[: len(S[0])], S[0]) and not Ai[len(S[0]) :].any()
                 for S in supports if S is not None)
             for Ai in A
-        ]
+        ], dtype=bool)
 
-    assert calls
+    # the first call clips every near pair by a simplex's rows, next to one
+    # difference chain per simplex against the other's whole support
+    cells, A, clip = calls[0]
+    assert clip.any() and (~clip).any()
+    assert not whole(A[clip]).any() and whole(A[~clip]).all()
+    starts = [cells.cell(i)[0].tobytes() for i in np.flatnonzero(~clip)]
+    assert len(set(starts)) == len(starts) <= len(f.complex) + len(g.complex)
     if convex_other:
-        # one difference chain per simplex, all in one lockstep round, run
-        # against the whole support
         assert len(calls) == 1
-        cells, A = calls[0]
-        assert all(whole(A))
-        starts = [cells.cell(i)[0].tobytes() for i in range(len(cells))]
-        assert len(set(starts)) == len(starts) <= len(f.complex) + len(g.complex)
     else:
-        # g's simplices that f covers in part are cut by f's support whole,
-        # f's by g's simplices one at a time
-        flags = [w for _, A in calls for w in whole(A)]
-        assert any(flags) and not all(flags)
+        # g's simplices chain against f's support whole in the lockstep, f's
+        # against g's simplices one at a time after it
+        assert len(calls) > 1
+        assert not any(clip.any() or whole(A).any() for _, A, clip in calls[1:])
+
+
+def _assert_roles_match_their_oracles(cells, A, b, tol, clip, got):
+    """The (cells, src) that _lockstep gave for the stack cells: its chain
+    cells' pieces are the every-row chains' (oracles.subtract_every_row)
+    and its clip cells' the every-row clips' (oracles.clip_every_row), bit
+    for bit, the clips also once cut by an affine function that crosses
+    each cell, as the overlay cuts them where f = g."""
+    from plval import convex, overlay
+
+    out, src = got
+    chain = np.flatnonzero(~clip)
+    mine = np.flatnonzero(~clip[src])
+    wcells, wsrc = oracles.subtract_every_row(convex, cells.take(chain), A[chain], b[chain], tol[chain], convex.EPS)
+    _assert_same_pieces((out.take(mine), src[mine]), (wcells, chain[wsrc]))
+    # an affine function through each cell's first vertex
+    grad = np.random.default_rng(len(cells)).normal(size=cells.V.shape[::2])
+    off = -convex.dot_rows(cells.V[:, :1], grad)[:, 0]
+    at = np.flatnonzero(clip)
+    mine = np.flatnonzero(clip[src])
+    (wcells, wsrc), (wcut, wcsrc) = oracles.clip_every_row(convex, overlay._cut_by_affine, cells.take(at), A[at], b[at],
+                                                         tol[at], grad[at], off[at])
+    _assert_same_pieces((out.take(mine), src[mine]), (wcells, at[wsrc]))
+    s = src[mine]
+    cut, csrc = overlay._cut_by_affine(out.take(mine), grad[s], off[s], tol[s])
+    _assert_same_pieces((cut, s[csrc]), (wcut, at[wcsrc]))
 
 
 def _assert_same_pieces(got, want):
-    """Two (cells, src) results of a difference chain hold the same cells
-    bit for bit once compacted: vertices, rows, incidence and marks, in
-    the same (src, row) order."""
+    """Two (cells, src) results of a cut (a clip or a difference chain)
+    hold the same cells bit for bit once compacted: vertices, rows,
+    incidence and marks, in the same (src, row) order."""
     (cells, src), (wcells, wsrc) = got, want
     assert np.array_equal(src, wsrc)
     cells, wcells = cells.compact(), wcells.compact()
@@ -497,17 +522,19 @@ def _simplex_stack(V):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_chains_cut_by_crossing_rows_equal_the_every_row_chains(d, region, size, seed):
-    # a stack of simplices, each across, inside, far outside or touching
-    # its region (a vertex or a facet within 0, +-EPS or +-tol of one of
-    # its rows), cut by a whole convex support padded with 0.x <= 1 rows
-    # or, as a chain against a non-convex support does, each by its own
-    # simplex: the chains that cut each cell only by the rows crossing it
-    # give the every-row chains' cells bit for bit
+def test_lockstep_cells_equal_their_roles_every_row_cells(d, region, size, seed):
+    # a stack of simplices, each a clip or a chain, across, inside, far
+    # outside or touching its region (a vertex or a facet within 0, +-EPS
+    # or +-tol of one of its rows), cut by a whole convex support padded
+    # with 0.x <= 1 rows or, as a clip or a chain against a non-convex
+    # support does, each by its own simplex: the lockstep that cuts each
+    # cell only by the rows that may cross it gives each cell its role's
+    # every-row cells bit for bit, a clip's also once cut where f = g
     from plval import convex, overlay
 
     rng = np.random.default_rng(seed)
     tol = overlay.CLIP_TOL * 10.0 ** rng.uniform(0, 2, size)
+    clip = rng.random(size) < 0.5
     if region == "support":
         A, b, _ = convex.hull(rng.normal(size=(d + 1 + int(rng.integers(0, 6)), d)))
         pad = int(rng.integers(0, 3))
@@ -539,53 +566,94 @@ def test_chains_cut_by_crossing_rows_equal_the_every_row_chains(d, region, size,
             for j, o in zip(rng.choice(d + 1, int(rng.integers(1, d + 1)), replace=False), off):
                 V[i, j] -= (V[i, j] @ a - b[i, q] - o) * a / (a @ a)
     cells = _simplex_stack(V) if size else _simplex_stack(np.eye(d + 1, d)[None]).take(np.arange(0))
-    got = overlay._subtract(cells, A, b, tol)
-    _assert_same_pieces(got, oracles.subtract_every_row(convex, cells, A, b, tol, convex.EPS))
+    got = overlay._lockstep(cells, A, b, tol, clip)
+    _assert_roles_match_their_oracles(cells, A, b, tol, clip, got)
 
 
-def test_subtract_splits_only_as_deep_as_its_deepest_cell(monkeypatch):
-    # a cone over a regular 8-gon and a small triangle across one of its
-    # edges: the chains cut by f's 8 support rows and g's 3, yet no cell
-    # is crossed by more than 2, and the chains make 2 stacked cuts where
-    # the every-row chains make 3
-    from plval import convex, overlay
-
+def _octagon_and_triangle():
+    """A cone over a regular 8-gon and a small triangle's cone across one
+    of its edges."""
     angle = np.pi / 8
     f = pf.cone_function(pt.hull_from_points(np.column_stack([np.cos(2 * angle * np.arange(8)),
                                                               np.sin(2 * angle * np.arange(8))])))
     turn = angle + np.pi + 2 * np.pi * np.arange(3) / 3
     g = pf.cone_function(pt.simplex_polytope(0.2 * np.column_stack([np.cos(turn), np.sin(turn)])))
-    g = pf.compose_affine(g, np.eye(2), np.cos(angle) * np.array([np.cos(angle), np.sin(angle)]))
-    subtract, split = overlay._subtract, convex.split
+    return f, pf.compose_affine(g, np.eye(2), np.cos(angle) * np.array([np.cos(angle), np.sin(angle)]))
+
+
+def _lockstep_depth(cells, A, b, clip):
+    """The most rows any cell of a _lockstep call may be cut by: a clip's
+    and an uncertified chain's rows that a vertex lies less than EPS
+    inside."""
+    from plval import convex
+
+    D = np.einsum("ikd,ird->ikr", cells.V, A) - b[:, None, :]
+    vm = cells.vm[:, :, None]
+    disjoint = np.where(vm, D >= convex.EPS, True).all(axis=1).any(axis=1)
+    covered = np.where(vm, D <= convex.EPS, True).all(axis=(1, 2))
+    need = np.where(vm, D > -convex.EPS, False).any(axis=1).sum(axis=1)
+    return int(need[clip | ~(disjoint | covered)].max(initial=0))
+
+
+def test_lockstep_splits_only_as_deep_as_its_deepest_cell(monkeypatch):
+    # the 8-gon's and the triangle's simplices clip each other and chain
+    # against the other's support, 8 rows or 3, yet no cell may be crossed
+    # by more than 3: the lockstep makes 3 stacked cuts, where the
+    # every-row clips and chains make 3 each
+    from plval import convex, overlay
+
+    f, g = _octagon_and_triangle()
+    lockstep, split = overlay._lockstep, convex.split
     calls = []
 
     def counted_split(*args, **kwargs):
         calls[-1]["splits"] += 1
         return split(*args, **kwargs)
 
-    def counting(cells, A, b, tol):
-        calls.append({"cells": cells, "A": A, "b": b, "splits": 0})
+    def counting(cells, A, b, tol, clip):
+        calls.append({"cells": cells, "A": A, "b": b, "tol": tol, "clip": clip, "splits": 0})
         monkeypatch.setattr(convex, "split", counted_split)
         try:
-            return subtract(cells, A, b, tol)
+            return lockstep(cells, A, b, tol, clip)
         finally:
             monkeypatch.setattr(convex, "split", split)
 
-    monkeypatch.setattr(overlay, "_subtract", counting)
+    monkeypatch.setattr(overlay, "_lockstep", counting)
     overlay.overlays([(f, g)], ("join", "meet"))
     assert len(calls) == 1
     call = calls[0]
-    cells, A, b = call["cells"], call["A"], call["b"]
-    assert A.shape[1] == 8
-    # the rows each cell has vertices strictly on both sides of
-    D = np.einsum("ikd,ird->ikr", cells.V, A) - b[:, None, :]
-    vm = cells.vm[:, :, None]
-    crossing = np.where(vm, D > convex.EPS, False).any(axis=1) & np.where(vm, D < -convex.EPS, False).any(axis=1)
-    assert call["splits"] == crossing.sum(axis=1).max() == 2
+    cells, A, b, tol, clip = (call[k] for k in ("cells", "A", "b", "tol", "clip"))
+    assert A.shape[1] == 8 and clip.any() and (~clip).any()
+    assert call["splits"] == _lockstep_depth(cells, A, b, clip) == 3
     every = []
     monkeypatch.setattr(convex, "split", lambda *args, **kwargs: every.append(1) or split(*args, **kwargs))
-    oracles.subtract_every_row(convex, cells, A, b, np.full(len(cells), overlay.CLIP_TOL), convex.EPS)
+    chain, at = np.flatnonzero(~clip), np.flatnonzero(clip)
+    oracles.subtract_every_row(convex, cells.take(chain), A[chain], b[chain], tol[chain], convex.EPS)
     assert len(every) == 3
+    zero = np.zeros((len(at), 2))
+    oracles.clip_every_row(convex, overlay._cut_by_affine, cells.take(at), A[at], b[at], tol[at], zero, zero[:, 0])
+    assert len(every) == 6
+
+
+def test_an_overlay_splits_as_deep_as_its_lockstep_and_one_affine_cut(monkeypatch):
+    # one overlays call of the 8-gon and the triangle: the lockstep's depth
+    # in stacked cuts, and one more where f = g, 4 in all (the separate
+    # clips, chains and cut made 6)
+    from plval import overlay, stats
+
+    f, g = _octagon_and_triangle()
+    lockstep = overlay._lockstep
+    depths = []
+
+    def recording(cells, A, b, tol, clip):
+        depths.append(_lockstep_depth(cells, A, b, clip))
+        return lockstep(cells, A, b, tol, clip)
+
+    monkeypatch.setattr(overlay, "_lockstep", recording)
+    before = stats.calls["splits"]
+    overlay.overlays([(f, g)], ("join", "meet"))
+    assert len(depths) == 1
+    assert stats.calls["splits"] - before == depths[0] + 1 <= 4
 
 
 def test_tent_decomposition_raises_typed_error_when_it_cannot_converge(monkeypatch, cone_square):
