@@ -18,7 +18,7 @@ import numpy as np
 
 from . import plfunction as pf
 from . import polytope as pt
-from . import stats
+from . import stats, verify
 from .errors import PLValError
 from .integration import grad_p_norm, lq_norm, sobolev_norm
 from .serialize import dumps_canonical
@@ -162,15 +162,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     stdout) plus a CSV summary, which with --timing ends in each suite's
     wall seconds, work counts, stage seconds and overlay check margins
     (plval.stats); exit 0 only with zero failures."""
-    from .verify import default_battery, reports_to_jsonl, summarize_csv
-
-    battery = default_battery(args.seed)
+    battery = verify.default_battery(args.seed)
     if args.suite is not None:
         battery = [(name, thunk) for name, thunk in battery if name == args.suite]
         if not battery:
             raise ValueError(
                 "unknown suite %r; known: %s"
-                % (args.suite, ", ".join(name for name, _ in default_battery(args.seed)))
+                % (args.suite, ", ".join(name for name, _ in verify.default_battery(args.seed)))
             )
 
     reports, timing = [], {}
@@ -185,8 +183,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # tolerance; skips and other verdicts (decay, growth) stand
         reports = [r.rejudged(args.tolerance) for r in reports]
 
-    jsonl = reports_to_jsonl(reports)
-    csv = summarize_csv(reports, timing if args.timing else None)
+    jsonl = verify.reports_to_jsonl(reports)
+    csv = verify.summarize_csv(reports, timing if args.timing else None)
     if args.output:
         _emit(jsonl, args.output)
         _emit(csv, args.output + ".csv")

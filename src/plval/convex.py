@@ -58,6 +58,9 @@ EPS = 1e-9
 # Vertex snap tolerance in overlay assembly; well above intersection
 # roundoff (~1e-13) and far below feature sizes.
 SNAP = 5e-12
+# Relative tolerance of the volume balances: the overlay's partition
+# checks, and a complex's convex_support against its hull.
+COVER_TOL = 1e-9
 # A linear map is singular when its condition number exceeds this; the
 # test is the same at every scale of the map.
 MAX_CONDITION = 1e12
@@ -119,7 +122,7 @@ def dedupe_points(pts: np.ndarray, tol, batch=None):
     return pts[order[reps]], mapping
 
 
-def _within(count):
+def within(count):
     """0, 1, ..., c-1 for each c in count, one after another."""
     return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
 
@@ -175,7 +178,7 @@ def _swept_pairs(pts: np.ndarray, own: np.ndarray, batch: np.ndarray):
     hi[merged[is_end] - k] = np.cumsum(~is_end)[is_end]
     count = hi - np.arange(k) - 1
     a = np.repeat(np.arange(k), count)
-    i, j = order[a], order[a + 1 + _within(count)]
+    i, j = order[a], order[a + 1 + within(count)]
     near = np.abs(pts[i] - pts[j]).max(axis=1, initial=0.0) <= own[i]
     return i[near], j[near]
 
@@ -627,7 +630,7 @@ def _det(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dot0(U, V) -> np.ndarray:
+def dot0(U, V) -> np.ndarray:
     """The sum over the leading axis of U * V, term by term in order."""
     out = U[0] * V[0]
     for l in range(1, len(U)):
@@ -676,13 +679,13 @@ def _facets(X: np.ndarray):
     for lo in range(0, len(S), step):
         Y = C[:, S[lo : lo + step]]  # (d, m, d)
         N = _normals(Y[:, :, 1:] - Y[:, :, :1])
-        norm = np.sqrt(_dot0(N, N))
+        norm = np.sqrt(dot0(N, N))
         live = norm > SPAN_FLOOR
         if not live.all():
             Y, N, norm = Y[:, live], N[:, live], norm[live]
         n = N / norm
-        offset = _dot0(Y[:, :, 0], n)
-        side = _dot0(C, n[:, :, None]) - offset[:, None]
+        offset = dot0(Y[:, :, 0], n)
+        side = dot0(C, n[:, :, None]) - offset[:, None]
         below = (side <= HULL_TOL).all(axis=1)
         above = (side >= -HULL_TOL).all(axis=1)
         flat = flat or bool((below & above).any())

@@ -50,16 +50,17 @@ both sides of 0 there (every power kernel and L^q norm), it integrates
 the pieces whole from the layout: no crossing search, no per-piece
 gather, only the kernel's powers, its tables and one bincount.
 Otherwise it cuts the pieces at the cuts of h they cross, drops the
-sub-pieces on which h is 0, and integrates the rest.  A PLFunction caches its density
-(PLFunction.value_density), so z(f) under several kernels, the L^q norms
-and the level sets of one function build it and its layout once;
+sub-pieces on which h is 0, and integrates the rest.  This module keeps
+each function's density for as long as the function lives (density_of),
+so z(f) under several kernels, the L^q norms and the level sets of one
+function build it and its layout once;
 Pieces.power and Pieces.above hand out one shared Pieces per parameter,
 so a norm or a level set does not rebuild h either; simplex_means
 composes the two halves for one-off rows.
 
 Densities stack across functions.  integrals(functions, h) builds the
-densities its functions lack in one value_density call (each function
-caches its own slice, plfunction.value_densities), stacks every
+densities its functions lack in one value_density call (value_densities:
+this module keeps each function's own slice as its density), stacks every
 function's density (that call's result itself when no function had one,
 else ValueDensity.stack) and runs one means(h) over all rows; each
 function's integral is its own simplex volumes times its own rows'
@@ -69,7 +70,7 @@ for one function.
 Row-local arithmetic.  A row's mean depends on that row alone: every
 step is elementwise or sums one row's own pieces in order (bincount),
 and every sum over a small axis (Gauss-Legendre node, Bernstein index,
-power of rho) runs term by term with the stack axis last (convex._dot0),
+power of rho) runs term by term with the stack axis last (convex.dot0),
 never in a matrix product, whose BLAS blocking follows the stack's
 shape.  So a function's integral is the same bits alone, in any batch
 and in any order.  The price is memory: a Gauss-Legendre power piece
@@ -81,15 +82,18 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import stats
-from .convex import _dot0
+from .convex import dot0
 from .errors import NonFinite
-from .plfunction import PLFunction, value_densities
+
+if TYPE_CHECKING:
+    from .plfunction import PLFunction
 
 # Power pieces with near/far at least this ratio take the Gauss-Legendre
 # rule; |t|^e is then analytic on a disc of radius 1.5 widths around the
@@ -449,7 +453,7 @@ def _orient(lo, hi, c) -> _Orientation:
     return _Orientation(
         quad=quad,
         abscissae=near[quad] + (far - near)[quad] * u[:, None],
-        weights=w[:, None] * _dot0(basis.T[:, :, None], c[quad].T[:, None, :]),
+        weights=w[:, None] * dot0(basis.T[:, :, None], c[quad].T[:, None, :]),
         closed=closed,
         far=far[closed],
         rho=rho,
@@ -479,12 +483,12 @@ def _power_pieces(o: _Orientation, q: float) -> np.ndarray:
     N = len(o.closed_c) - 1
     out = np.empty(len(o.quad) + len(o.closed))
     if len(o.quad):
-        out[o.quad] = _dot0(o.abscissae**q, o.weights)
+        out[o.quad] = dot0(o.abscissae**q, o.weights)
     if len(o.closed):
         rho, powers = o.rho, o.powers
         if q > -1.0:
             P, Q = _closed_form_tables(q, N)
-            K = _dot0(powers[: N + 1, None], P[:, :, None]) - rho ** (q + 1.0) * _dot0(powers[:, None], Q[:, :, None])
+            K = dot0(powers[: N + 1, None], P[:, :, None]) - rho ** (q + 1.0) * dot0(powers[:, None], Q[:, :, None])
         else:
             # the Beta integrals diverge: expand (1-y)^{N-k} and integrate
             # each power from rho to 1, (1 - rho^e)/e, or -log(rho) at e = 0
@@ -493,8 +497,8 @@ def _power_pieces(o: _Orientation, q: float) -> np.ndarray:
             safe_e = np.where(e == 0.0, 1.0, e)
             inner = np.where(e == 0.0, -log_rho, -np.expm1(e * log_rho) / safe_e)
             M = _expansion_table(N).transpose(1, 0, 2)[..., None]  # (s, p, k, 1)
-            K = _dot0(powers[: N + 1, None], _dot0(inner[:, None, None], M))
-        out[o.closed] = _dot0(K, o.closed_c) * o.far**q / o.shrink
+            K = dot0(powers[: N + 1, None], dot0(inner[:, None, None], M))
+        out[o.closed] = dot0(K, o.closed_c) * o.far**q / o.shrink
     return out
 
 
@@ -508,7 +512,7 @@ def _poly_pieces(x0, x1, c, anchors, coefficients) -> np.ndarray:
     h = np.zeros_like(loc)
     for k in range(D, -1, -1):
         h = h * loc + coefficients[:, k]
-    return _dot0(h, w[:, None] * _dot0(basis.T[:, :, None], c.T[:, None, :]))
+    return dot0(h, w[:, None] * dot0(basis.T[:, :, None], c.T[:, None, :]))
 
 
 def _crossings(lo, hi, cuts):
@@ -797,12 +801,46 @@ def _frozen(density: ValueDensity) -> ValueDensity:
     return density
 
 
+# each function's density, freed with the function
+_densities = weakref.WeakKeyDictionary()
+
+
+def density_of(f: PLFunction) -> ValueDensity:
+    """The ValueDensity of f's simplex value rows, built on first use and
+    kept while f lives, shared by every kernel and norm integrated over
+    f: its pieces are cut at 0 once, and oriented for power kernels once,
+    so each later kernel or norm does only the work that depends on it
+    (ValueDensity.means)."""
+    density = _densities.get(f)
+    if density is None:
+        density = _densities[f] = value_density(f.simplex_values())
+    return density
+
+
 def simplex_means(values, h: Pieces) -> np.ndarray:
     """Mean of h(f) over each simplex, f affine with the vertex values in
     each row of `values` (m, n+1): the integral of h against each row's
     value density, all rows at once.  A function integrated under several
-    kernels should build its density once (PLFunction.value_density)."""
+    kernels should build its density once (density_of)."""
     return value_density(values).means(h)
+
+
+def value_densities(functions) -> tuple:
+    """(densities, stacked): each function's density_of, and one
+    ValueDensity holding all their rows in order.  The densities not yet
+    built come from one engine call over all their value rows, and each
+    function keeps its own slice (ValueDensity.split), the density it
+    would build alone; when no function had one, that call's result is
+    the stack."""
+    fresh = [f for f in functions if f not in _densities]
+    if len(fresh) > 1:
+        batch = value_density(np.concatenate([f.simplex_values() for f in fresh]))
+        for f, density in zip(fresh, batch.split([len(f.complex) for f in fresh])):
+            _densities[f] = density
+        if len(fresh) == len(functions):
+            return [_densities[f] for f in functions], batch
+    densities = [density_of(f) for f in functions]
+    return densities, ValueDensity.stack(densities)
 
 
 def integrals(functions, h: Pieces) -> np.ndarray:

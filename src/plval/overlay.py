@@ -47,9 +47,12 @@ contract that plfunction.PLFunction.validate checks on JSON input, so a
 result reads back from its own JSON.
 
 The assembly, assemble_cells, also builds the tents of
-plfunction.tent_decomposition.  A vertex shared by several pieces takes
-its value from the least steep of them, whose value a small error in the
-vertex's position moves least (a tent's wedges are steep).  Simplices at
+tent_decomposition: concave tents, one per simplex carrying positive
+values, whose join is f.  A tent's convex cells are assembled into a
+function by the same code as an overlay's, all tents of a decomposition
+round in one batch.  A vertex shared by several pieces takes its value
+from the least steep of them, whose value a small error in the vertex's
+position moves least (a tent's wedges are steep).  Simplices at
 or below the degenerate-measure floor are dropped, so every output
 simplex is nondegenerate.  Each result is checked, and a check it fails
 gives an OverlayFailure in its place: by volume, the cells cover supp f
@@ -89,6 +92,7 @@ kept result is never stale.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from typing import NamedTuple
@@ -96,8 +100,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import convex, stats
-from .convex import EPS, SNAP
-from .errors import OverlayFailure
+from .convex import COVER_TOL, EPS, SNAP
+from .errors import ConstructionFailure, NonFinite, NotNonnegative, OverlayFailure
 from .plfunction import PLFunction, SimplicialComplex, evaluate_each
 
 # Vertex values smaller than this are snapped to exact zero when cells
@@ -117,8 +121,6 @@ VALUE_AGREE = 1e-7
 # scale), so steep pieces may disagree at a shared vertex by gradient
 # times it.
 VERTEX_TOL = 1e-9
-# Relative tolerance of the volume balances in the partition check.
-COVER_TOL = 1e-9
 # A simplex whose intersections with the other mesh fill all but this
 # fraction of its volume leaves no region that only its function covers.
 FULL_COVER = 1e-12
@@ -213,12 +215,13 @@ def _cut_by_affine(cells, grad, off, tol):
     cut = (np.where(vm, vals, np.inf).min(axis=1) < -CUT_TOL) & (np.where(vm, vals, -np.inf).max(axis=1) > CUT_TOL)
     if not cut.any():
         return cells, np.arange(len(cells))
-    # a cell kept whole lies below a plane at infinity
-    a = np.where(cut[:, None], grad, 1.0)
-    (lo, lo_src), (hi, hi_src) = convex.split(cells, a, np.where(cut, -off, np.inf), tol)
-    src = np.concatenate([lo_src, hi_src])
-    order = np.lexsort((np.repeat([0, 1], [len(lo_src), len(hi_src)]), src))
-    return convex.Cells.concat([lo, hi]).take(order), src[order]
+    # only the crossed cells are split; the others go back in whole, each
+    # as the part below
+    ci, whole = np.flatnonzero(cut), np.flatnonzero(~cut)
+    (lo, lo_src), (hi, hi_src) = convex.split(cells.take(ci), grad[ci], -off[ci], tol[ci])
+    src = np.concatenate([whole, ci[lo_src], ci[hi_src]])
+    order = np.lexsort((np.repeat([0, 1], [len(whole) + len(lo_src), len(hi_src)]), src))
+    return convex.Cells.concat([cells.take(whole), lo, hi]).take(order), src[order]
 
 
 def _lockstep(cells, A, b, tol, clip):
@@ -365,7 +368,7 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     first = np.cumsum(count) - count
     c = count[mesh.pair[fi]]
     pi = np.repeat(fi, c)
-    pj = gi[np.repeat(first[mesh.pair[fi]], c) + convex._within(c)]
+    pj = gi[np.repeat(first[mesh.pair[fi]], c) + convex.within(c)]
     near = np.all((mesh.lo[pi] <= mesh.hi[pj] + EPS) & (mesh.lo[pj] <= mesh.hi[pi] + EPS), axis=1)
     pi, pj = pi[near], pj[near]
     # the clips by the simplex met, then the chains against whole supports, which read no simplex met
@@ -652,7 +655,7 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
     # needles at or below the degenerate floor carry no volume at the
     # data's scale; the fill check below still sees each cell filled
     # without them
-    floor = np.array([(EPS * float(x)) ** dim / math.factorial(dim) for x in scale])
+    floor = convex.simplex_floor(scale, dim, EPS)
     keep = svols > floor[cell_batch[cells_of]]
     S, cells_of, svols = S[keep], cells_of[keep], svols[keep]
     filled = np.bincount(cells_of, weights=svols, minlength=len(cell_vol))
@@ -698,6 +701,114 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
         out[k] = PLFunction(complex=out_cx, values=values[v])
     stats.seconds["assemble"] += time.perf_counter() - t0
     return _zeros(out, dim)
+
+
+# ---------------------------------------------------------------------------
+# Tent decomposition
+# ---------------------------------------------------------------------------
+
+
+def _build_tents(f: PLFunction, simplices, M) -> list:
+    """Concave tents over the simplices of f, tent k over simplex
+    simplices[k]: it equals f on the simplex and slopes to 0 at rate M[k]
+    outside it.
+
+    A tent is min(A, A + M b_0, ..., A + M b_n) clipped at 0, where A is
+    f's affine extension and b_j the barycentric coordinates; a minimum of
+    affine functions is concave on the region where it is positive.  The
+    n+2 cells of every tent are cut in one stacked chain and assembled by
+    one batched assemble_cells, tent by tent as each would be alone; the
+    first tent that fails raises its OverlayFailure.
+    """
+    n = f.dim
+    grads, offs = f.affines()
+    _, _, Ms, v0s = f.complex.locator()
+    # cells: the central simplex (all b_j >= 0), where the tent is A, and
+    # one wedge per j where b_j is the most negative coordinate, where it
+    # is A + M b_j.  Each is cut at once from an inflated box around
+    # supp f (a too-small M can otherwise leave a recession direction; the
+    # spill is then caught and M doubled) together with its own piece >= 0,
+    # which there implies every other piece of the support: A + M b_j <= A
+    # and <= A + M b_l on wedge j, A <= A + M b_l on the simplex.
+    lo, hi = f.bbox()
+    pad = 0.5 * float(np.max(hi - lo)) + 1.0
+    corners = np.array(list(itertools.product(*zip(lo - pad, hi + pad))))
+    box_A = np.vstack([np.eye(n), -np.eye(n)])
+    box_b = np.concatenate([hi + pad, -(lo - pad)])
+    tol = EPS * max(1.0, float(np.max(np.abs(box_b))))
+    rows, rhs, pieces = [], [], []
+    for si, Mk in zip(simplices, M):
+        gA, cA = grads[si], offs[si]
+        # b_j(x) = row_j . (x - v0) for j=1..n, b_0 = 1 - sum
+        b_rows = np.vstack([-Ms[si].sum(axis=0), Ms[si]])
+        b_offs = np.array([1.0, *np.zeros(n)]) - b_rows @ v0s[si]
+        pieces.append((gA, cA))
+        rows.append(np.vstack([-b_rows, -gA]))
+        rhs.append(np.append(b_offs, cA))
+        for j in range(n + 1):
+            others = [l for l in range(n + 1) if l != j]
+            gj, cj = gA + Mk * b_rows[j], cA + Mk * b_offs[j]
+            pieces.append((gj, cj))
+            rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others], -gj]))
+            rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j], [cj]]))
+    box = convex.Cells.of([(corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol))])
+    cells, src = convex.clip_rows(box.take(np.zeros(len(rows), dtype=int)), np.array(rows), np.array(rhs), tol)
+    grad, off = (np.array(x) for x in zip(*pieces))
+    tent = src // (n + 2)
+    vol = convex.cell_volumes(cells)
+    ends = _bounds(tent, len(M))
+    supp = np.array([float(vol[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])])
+    tents = _raise_first(assemble_cells(cells, vol, grad[src], off[src], n, supp, tent))
+    # a piece of slope M placed within tol of its zero can dip below 0
+    return [PLFunction(complex=t.complex, values=np.maximum(t.values, 0.0)) for t in tents]
+
+
+def tent_decomposition(f: PLFunction, delta: float = 1e-2):
+    """Concave tents f_1..f_m, one per simplex carrying positive values,
+    whose join reproduces f. The ring width starts at roughly delta times
+    the simplex size and halves until the sampled join matches f; each
+    round builds every tent at once (_build_tents).  delta must be finite
+    (else NonFinite) and positive (else ValueError)."""
+    if not math.isfinite(delta):
+        raise NonFinite("tent decomposition delta must be finite, got %r" % delta)
+    if delta <= 0:
+        raise ValueError("tent decomposition delta must be positive, got %r" % delta)
+    if np.any(f.values < -10 * EPS):
+        raise NotNonnegative("tent decomposition requires f >= 0")
+    peak = f.simplex_values().max(axis=1)
+    active = np.flatnonzero(peak > EPS)
+    if not len(active):
+        return []
+    if len(active) == 1:
+        # every positive vertex is exclusive to this simplex (a shared one
+        # would activate its other simplex), so f is its own single tent:
+        # affine on the simplex, hence concave on its support
+        return [f]
+
+    lo, hi = f.bbox()
+    rng = np.random.default_rng(1234)
+    samples = rng.uniform(lo, hi, size=(1024, f.dim))
+    f_ref = f.evaluate_many(samples)
+    vscale = max(1.0, float(np.max(np.abs(f.values))))
+
+    d = delta
+    for _ in range(40):
+        tents = _build_tents(f, active, peak[active] / d)
+        # a tent spills when it reaches past supp f's box or above f at
+        # one of its vertices
+        tlo, thi = (np.array(x) for x in zip(*(t.bbox() for t in tents)))
+        spilled = bool(np.any(tlo < lo - 1e-7) or np.any(thi > hi + 1e-7))
+        if not spilled:
+            verts = np.concatenate([t.complex.vertices for t in tents])
+            values = np.concatenate([t.values for t in tents])
+            spilled = bool(np.any(values > f.evaluate_many(verts) + 1e-9 * vscale))
+        if not spilled:
+            at = np.repeat(np.arange(len(tents)), len(samples))
+            joint = evaluate_each(tents, np.tile(samples, (len(tents), 1)), at).reshape(len(tents), -1).max(axis=0)
+            if np.max(np.abs(joint - f_ref)) <= 1e-9 * vscale:
+                return tents
+        d *= 0.5
+    raise ConstructionFailure("tent decomposition did not converge (delta down to %.3g)" % d)
 
 
 def _sample_failures(pairs, results, dim) -> None:

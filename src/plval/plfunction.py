@@ -10,34 +10,23 @@ need not match: a vertex of one simplex may lie inside a face of another
 return such partitions, cone functions and tents are partitions too, and
 PLFunction.validate checks the contract, with array passes only, on every
 function read from JSON, so the package reads back what it writes.
-A tent's convex cells are assembled into a function by the same code as
-an overlay's (overlay.assemble_cells), all tents of a decomposition round
-in one batch, so a vertex takes its value from the least steep piece
-that has it.  Evaluation, gradients, integrals and norms only need a
-partition; points are located in several functions at once by locate
-and evaluate_each, and evaluate_many is the case of one.
+Evaluation, gradients, integrals and norms only need a partition; points
+are located in several functions at once by locate and evaluate_each,
+and evaluate_many is the case of one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import convex, stats
-from .convex import EPS
-from .errors import (
-    ConstructionFailure,
-    Degenerate,
-    InvalidComplex,
-    NonFinite,
-    NotNonnegative,
-    OriginNotInterior,
-)
-from .polytope import Polytope, central_triangulation
+from .convex import COVER_TOL, EPS
+from .errors import Degenerate, InvalidComplex, NonFinite, OriginNotInterior
+from .polytope import Polytope
 from .serialize import read_dim, read_finite, read_object
 
 # evaluate_many tests at most this many (point, simplex) pairs at once.
@@ -118,10 +107,8 @@ class SimplicialComplex:
     def convex_support(self):
         """The support as rows (A, b), A x <= b with unit rows, when it is
         convex, else None.  It is convex when the hull of the vertices in
-        use has the simplices' total volume, within the overlay's
-        COVER_TOL; one convex.hull call per complex."""
-        from .overlay import COVER_TOL
-
+        use has the simplices' total volume, within COVER_TOL; one
+        convex.hull call per complex."""
         if self.is_empty():
             return None
         vol = float(self.simplex_volumes().sum())
@@ -205,7 +192,6 @@ class PLFunction:
     values: np.ndarray
     _grads: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _offs: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _density: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
@@ -253,18 +239,6 @@ class PLFunction:
     def simplex_values(self) -> np.ndarray:
         """(m, dim+1) vertex values per simplex."""
         return self.values[self.complex.simplices]
-
-    def value_density(self):
-        """The integration.ValueDensity of the simplex value rows, built on
-        first use and shared by every kernel and norm integrated over f:
-        its pieces are cut at 0 once, and oriented for power kernels once,
-        so each later kernel or norm does only the work that depends on
-        it (ValueDensity.means)."""
-        if self._density is None:
-            from .integration import value_density
-
-            self._density = value_density(self.simplex_values())
-        return self._density
 
     def evaluate(self, x) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -339,26 +313,6 @@ class PLFunction:
             "simplices": self.complex.simplices.tolist(),
             "values": [float(v) for v in self.values],
         }
-
-
-def value_densities(functions) -> tuple:
-    """(densities, stacked): each function's PLFunction.value_density, and
-    one ValueDensity holding all their rows in order.  The densities not
-    yet built come from one engine call over all their value rows, and
-    each function caches its own slice (ValueDensity.split), the density
-    it would build alone; when no function had one, that call's result is
-    the stack."""
-    from .integration import ValueDensity, value_density
-
-    fresh = [f for f in functions if f._density is None]
-    if len(fresh) > 1:
-        batch = value_density(np.concatenate([f.simplex_values() for f in fresh]))
-        for f, density in zip(fresh, batch.split([len(f.complex) for f in fresh])):
-            f._density = density
-        if len(fresh) == len(functions):
-            return [f._density for f in functions], batch
-    densities = [f.value_density() for f in functions]
-    return densities, ValueDensity.stack(densities)
 
 
 def locate(complexes, X: np.ndarray, at: np.ndarray):
@@ -455,6 +409,19 @@ def from_json_dict(data: dict) -> PLFunction:
 # ---------------------------------------------------------------------------
 
 
+def central_triangulation(P: Polytope) -> SimplicialComplex:
+    """Fan over the origin: the facets' triangulations coned with 0.
+    Returns a SimplicialComplex (vertices = P's plus the origin appended
+    last)."""
+    if not P.origin_interior:
+        raise OriginNotInterior("central triangulation requires the origin strictly interior")
+    n = P.dim
+    verts = np.vstack([P.vertices, np.zeros(n)])
+    faces = P.facet_simplices
+    simplices = np.column_stack([faces, np.full(len(faces), len(P.vertices))])
+    return SimplicialComplex(dim=n, vertices=verts, simplices=simplices)
+
+
 def cone_function(P: Polytope) -> PLFunction:
     """The function equal to 1 at the origin, 0 outside P, affine on each
     central simplex of P (gradient -u_i/h_i on the simplex under facet i)."""
@@ -496,113 +463,3 @@ def meet(f: PLFunction, g: PLFunction) -> PLFunction:
     from .overlay import lattice_overlay
 
     return lattice_overlay(f, g, "meet")
-
-
-# ---------------------------------------------------------------------------
-# Tent decomposition
-# ---------------------------------------------------------------------------
-
-
-def _build_tents(f: PLFunction, simplices, M) -> list:
-    """Concave tents over the simplices of f, tent k over simplex
-    simplices[k]: it equals f on the simplex and slopes to 0 at rate M[k]
-    outside it.
-
-    A tent is min(A, A + M b_0, ..., A + M b_n) clipped at 0, where A is
-    f's affine extension and b_j the barycentric coordinates; a minimum of
-    affine functions is concave on the region where it is positive.  The
-    n+2 cells of every tent are cut in one stacked chain and assembled by
-    one batched overlay.assemble_cells, tent by tent as each would be
-    alone; the first tent that fails raises its OverlayFailure.
-    """
-    from . import overlay
-
-    n = f.dim
-    grads, offs = f.affines()
-    _, _, Ms, v0s = f.complex.locator()
-    # cells: the central simplex (all b_j >= 0), where the tent is A, and
-    # one wedge per j where b_j is the most negative coordinate, where it
-    # is A + M b_j.  Each is cut at once from an inflated box around
-    # supp f (a too-small M can otherwise leave a recession direction; the
-    # spill is then caught and M doubled) together with its own piece >= 0,
-    # which there implies every other piece of the support: A + M b_j <= A
-    # and <= A + M b_l on wedge j, A <= A + M b_l on the simplex.
-    lo, hi = f.bbox()
-    pad = 0.5 * float(np.max(hi - lo)) + 1.0
-    corners = np.array(list(itertools.product(*zip(lo - pad, hi + pad))))
-    box_A = np.vstack([np.eye(n), -np.eye(n)])
-    box_b = np.concatenate([hi + pad, -(lo - pad)])
-    tol = EPS * max(1.0, float(np.max(np.abs(box_b))))
-    rows, rhs, pieces = [], [], []
-    for si, Mk in zip(simplices, M):
-        gA, cA = grads[si], offs[si]
-        # b_j(x) = row_j . (x - v0) for j=1..n, b_0 = 1 - sum
-        b_rows = np.vstack([-Ms[si].sum(axis=0), Ms[si]])
-        b_offs = np.array([1.0, *np.zeros(n)]) - b_rows @ v0s[si]
-        pieces.append((gA, cA))
-        rows.append(np.vstack([-b_rows, -gA]))
-        rhs.append(np.append(b_offs, cA))
-        for j in range(n + 1):
-            others = [l for l in range(n + 1) if l != j]
-            gj, cj = gA + Mk * b_rows[j], cA + Mk * b_offs[j]
-            pieces.append((gj, cj))
-            rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others], -gj]))
-            rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j], [cj]]))
-    box = convex.Cells.of([(corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol))])
-    cells, src = convex.clip_rows(box.take(np.zeros(len(rows), dtype=int)), np.array(rows), np.array(rhs), tol)
-    grad, off = (np.array(x) for x in zip(*pieces))
-    tent = src // (n + 2)
-    vol = convex.cell_volumes(cells)
-    ends = overlay._bounds(tent, len(M))
-    supp = np.array([float(vol[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])])
-    tents = overlay._raise_first(overlay.assemble_cells(cells, vol, grad[src], off[src], n, supp, tent))
-    # a piece of slope M placed within tol of its zero can dip below 0
-    return [PLFunction(complex=t.complex, values=np.maximum(t.values, 0.0)) for t in tents]
-
-
-def tent_decomposition(f: PLFunction, delta: float = 1e-2):
-    """Concave tents f_1..f_m, one per simplex carrying positive values,
-    whose join reproduces f. The ring width starts at roughly delta times
-    the simplex size and halves until the sampled join matches f; each
-    round builds every tent at once (_build_tents).  delta must be finite
-    (else NonFinite) and positive (else ValueError)."""
-    if not math.isfinite(delta):
-        raise NonFinite("tent decomposition delta must be finite, got %r" % delta)
-    if delta <= 0:
-        raise ValueError("tent decomposition delta must be positive, got %r" % delta)
-    if np.any(f.values < -10 * EPS):
-        raise NotNonnegative("tent decomposition requires f >= 0")
-    peak = f.simplex_values().max(axis=1)
-    active = np.flatnonzero(peak > EPS)
-    if not len(active):
-        return []
-    if len(active) == 1:
-        # every positive vertex is exclusive to this simplex (a shared one
-        # would activate its other simplex), so f is its own single tent:
-        # affine on the simplex, hence concave on its support
-        return [f]
-
-    lo, hi = f.bbox()
-    rng = np.random.default_rng(1234)
-    samples = rng.uniform(lo, hi, size=(1024, f.dim))
-    f_ref = f.evaluate_many(samples)
-    vscale = max(1.0, float(np.max(np.abs(f.values))))
-
-    d = delta
-    for _ in range(40):
-        tents = _build_tents(f, active, peak[active] / d)
-        # a tent spills when it reaches past supp f's box or above f at
-        # one of its vertices
-        tlo, thi = (np.array(x) for x in zip(*(t.bbox() for t in tents)))
-        spilled = bool(np.any(tlo < lo - 1e-7) or np.any(thi > hi + 1e-7))
-        if not spilled:
-            verts = np.concatenate([t.complex.vertices for t in tents])
-            values = np.concatenate([t.values for t in tents])
-            spilled = bool(np.any(values > f.evaluate_many(verts) + 1e-9 * vscale))
-        if not spilled:
-            at = np.repeat(np.arange(len(tents)), len(samples))
-            joint = evaluate_each(tents, np.tile(samples, (len(tents), 1)), at).reshape(len(tents), -1).max(axis=0)
-            if np.max(np.abs(joint - f_ref)) <= 1e-9 * vscale:
-                return tents
-        d *= 0.5
-    raise ConstructionFailure("tent decomposition did not converge (delta down to %.3g)" % d)

@@ -211,21 +211,6 @@ def p_surface_area(P: Polytope, p: float) -> float:
     return float(sum(f.measure * f.support ** (1.0 - p) for f in P.facets))
 
 
-def central_triangulation(P: Polytope):
-    """Fan over the origin: the facets' triangulations coned with 0.
-    Returns a SimplicialComplex (vertices = P's plus the origin appended
-    last)."""
-    from .plfunction import SimplicialComplex
-
-    if not P.origin_interior:
-        raise OriginNotInterior("central triangulation requires the origin strictly interior")
-    n = P.dim
-    verts = np.vstack([P.vertices, np.zeros(n)])
-    faces = P.facet_simplices
-    simplices = np.column_stack([faces, np.full(len(faces), len(P.vertices))])
-    return SimplicialComplex(dim=n, vertices=verts, simplices=simplices)
-
-
 def dilate(P: Polytope, lam: float) -> Polytope:
     """lam P for finite lam > 0, without a hull: P's facet order, normals,
     incidences and triangulation, its vertices times lam, its supports

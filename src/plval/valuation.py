@@ -11,8 +11,8 @@ an (n-1)-fold smoothing of h.  Differentiating n times inverts it:
 
     h(s) = sum_{j=0}^n  C(n,j) s^j c^{(j)}(s) / j!
 
-which recover_kernel implements on a uniform grid, and psi_check tests
-order-k versions of the same identity.
+which recover_kernel implements on a uniform grid, and verify.psi_check
+tests order-k versions of the same identity.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import polytope as pt
 from .errors import (
     GridTooCoarse,
     InsufficientDecades,
@@ -31,8 +32,8 @@ from .errors import (
     NonFinite,
 )
 from .integration import Pieces, c_pn, integrals, simplex_means, sobolev_conjugate
-from .plfunction import PLFunction
-from .serialize import read_finite, read_object
+from .plfunction import PLFunction, cone_function
+from .serialize import csv_row, read_finite, read_object
 
 KERNEL_ZERO_TOL = 1e-12
 BREAK_CONTINUITY_TOL = 1e-12
@@ -411,8 +412,6 @@ class CProfile:
         return i
 
     def to_csv(self) -> str:
-        from .serialize import csv_row
-
         return "s,c\n" + "".join(csv_row([sv, cv]) for sv, cv in zip(self.s, self.c))
 
     @staticmethod
@@ -445,14 +444,11 @@ def c_profile(kernel: Kernel, P, s_grid) -> CProfile:
     The value is independent of the polytope; passing one anyway keeps
     that independence a checkable statement rather than a construction
     artifact."""
-    from . import polytope as _pt
-    from .plfunction import cone_function
-
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(s_grid < 0):
         raise NegativeValues("profile grid must be nonnegative")
     cone = cone_function(P)
-    vol = _pt.volume(P)
+    vol = pt.volume(P)
     rows = cone.simplex_values()
     # the value rows of s * cone for every grid point s, in one engine call
     stacked = (s_grid[:, None, None] * rows[None, :, :]).reshape(-1, rows.shape[1])
@@ -503,63 +499,8 @@ def recover_kernel(
 
 
 # ---------------------------------------------------------------------------
-# Smoothing identity and growth checks
+# Growth checks
 # ---------------------------------------------------------------------------
-
-
-def _weighted_h_integral(kernel: Kernel, s: float, m: int) -> float:
-    """integral_0^s h(t) (s - t)^m dt.  The weight is s^{m+1}/(m+1) times
-    the value density of the cone row (s, 0, ..., 0) in dimension m+1."""
-    row = np.zeros((1, m + 2))
-    row[0, 0] = s
-    return s ** (m + 1) / (m + 1) * float(simplex_means(row, kernel.pieces())[0])
-
-
-def psi_check(kernel: Kernel, P, profile: CProfile, k: int, s: float, tolerance: float = 1e-5):
-    """Both sides of the order-k smoothing identity at grid point s,
-    scaled by |P|, packaged as a report:
-
-        |P| * n!/(n-1-k)! * integral_0^s h(t)(s-t)^{n-1-k} dt   (k < n)
-        |P| * n! * h(s)                                          (k = n)
-      =
-        sum_j C(k,j) n!/(n-k+j)! s^{n-k+j} * D^j z(s)
-
-    with D^j z(s) = |P| c^{(j)}(s).  The left side is the measure form
-    integrated by parts against h, so dh itself never appears.
-    """
-    from . import polytope as _pt
-    from .verify import make_report
-
-    n = profile.dim
-    if not 0 <= k <= n:
-        raise ValueError("order k must be in 0..%d" % n)
-    vol = _pt.volume(P)
-    if k == n:
-        lhs = math.factorial(n) * float(kernel(np.array([s]))[0])
-    else:
-        lhs = (
-            math.factorial(n)
-            / math.factorial(n - 1 - k)
-            * _weighted_h_integral(kernel, s, n - 1 - k)
-        )
-    i = profile.grid_index(s)
-    rhs = 0.0
-    for j in range(k + 1):
-        table = profile.derivative_table(j)
-        rhs += (
-            math.comb(k, j)
-            * math.factorial(n)
-            / math.factorial(n - k + j)
-            * s ** (n - k + j)
-            * table[i]
-        )
-    return make_report(
-        suite="psi_identity",
-        case="n=%d,k=%d,s=%g" % (n, k, s),
-        left=vol * lhs,
-        right=vol * rhs,
-        tolerance=tolerance,
-    )
 
 
 @dataclass

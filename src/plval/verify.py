@@ -20,17 +20,12 @@ import numpy as np
 from . import overlay, stats
 from . import polytope as pt
 from .errors import ConstructionFailure, OverlayFailure, PackingFailure
-from .integration import c_pn, grad_p_norm, lq_norm, lq_norms, sobolev_conjugate
+from .integration import c_pn, grad_p_norm, lq_norm, lq_norms, simplex_means, sobolev_conjugate
 from .polytope import p_surface_area
-from .plfunction import (
-    PLFunction,
-    SimplicialComplex,
-    compose_affine,
-    cone_function,
-    scale_values,
-    tent_decomposition,
-)
+from .plfunction import PLFunction, SimplicialComplex, compose_affine, cone_function, scale_values
+from .serialize import csv_row, dumps_canonical
 from .valuation import (
+    CProfile,
     Kernel,
     PowerKernel,
     apply,
@@ -38,6 +33,7 @@ from .valuation import (
     c_profile,
     growth_check,
     homogeneous_kernel,
+    recover_kernel,
 )
 
 IDENTITY_TOL = 1e-8
@@ -144,8 +140,6 @@ def skip_report(suite: str, case: str, reason: str) -> PropertyReport:
 
 def reports_to_jsonl(reports) -> str:
     """One canonical JSON object per line, byte-identical across runs."""
-    from .serialize import dumps_canonical
-
     return "".join(dumps_canonical(r.to_json_dict()) for r in reports)
 
 
@@ -154,8 +148,6 @@ def summarize_csv(reports, timing: dict = None) -> str:
     excluded from the residual), skips; given timing, a map from suite
     name to its measured seconds followed by its stats.COUNTS, SECONDS
     and MARGINS, those as last columns (stats.COLUMNS)."""
-    from .serialize import csv_row
-
     order, groups = [], {}
     for r in reports:
         if r.suite not in groups:
@@ -622,6 +614,63 @@ def continuity_example_3(
 
 
 # ---------------------------------------------------------------------------
+# Smoothing identity
+# ---------------------------------------------------------------------------
+
+
+def _weighted_h_integral(kernel: Kernel, s: float, m: int) -> float:
+    """integral_0^s h(t) (s - t)^m dt.  The weight is s^{m+1}/(m+1) times
+    the value density of the cone row (s, 0, ..., 0) in dimension m+1."""
+    row = np.zeros((1, m + 2))
+    row[0, 0] = s
+    return s ** (m + 1) / (m + 1) * float(simplex_means(row, kernel.pieces())[0])
+
+
+def psi_check(kernel: Kernel, P, profile: CProfile, k: int, s: float, tolerance: float = 1e-5):
+    """Both sides of the order-k smoothing identity at grid point s,
+    scaled by |P|, packaged as a report:
+
+        |P| * n!/(n-1-k)! * integral_0^s h(t)(s-t)^{n-1-k} dt   (k < n)
+        |P| * n! * h(s)                                          (k = n)
+      =
+        sum_j C(k,j) n!/(n-k+j)! s^{n-k+j} * D^j z(s)
+
+    with D^j z(s) = |P| c^{(j)}(s).  The left side is the measure form
+    integrated by parts against h, so dh itself never appears.
+    """
+    n = profile.dim
+    if not 0 <= k <= n:
+        raise ValueError("order k must be in 0..%d" % n)
+    vol = pt.volume(P)
+    if k == n:
+        lhs = math.factorial(n) * float(kernel(np.array([s]))[0])
+    else:
+        lhs = (
+            math.factorial(n)
+            / math.factorial(n - 1 - k)
+            * _weighted_h_integral(kernel, s, n - 1 - k)
+        )
+    i = profile.grid_index(s)
+    rhs = 0.0
+    for j in range(k + 1):
+        table = profile.derivative_table(j)
+        rhs += (
+            math.comb(k, j)
+            * math.factorial(n)
+            / math.factorial(n - k + j)
+            * s ** (n - k + j)
+            * table[i]
+        )
+    return make_report(
+        suite="psi_identity",
+        case="n=%d,k=%d,s=%g" % (n, k, s),
+        left=vol * lhs,
+        right=vol * rhs,
+        tolerance=tolerance,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Inclusion-exclusion over tent decompositions
 # ---------------------------------------------------------------------------
 
@@ -640,7 +689,7 @@ def inclusion_exclusion_suite(
     Overlay failures propagate."""
     if f is None:
         f = random_fan_function(seed)
-    tents = tent_decomposition(f)
+    tents = overlay.tent_decomposition(f)
     m = len(tents)
     if m > 8:
         raise ValueError("need at most 8 tents for subset enumeration, got %d" % m)
@@ -678,8 +727,6 @@ def inclusion_exclusion_suite(
 def default_battery(seed: int = 0):
     """Named thunks covering every suite at battery-sized parameters.
     Running all of them is the repository's main verification gate."""
-    from .valuation import CProfile, psi_check, recover_kernel
-
     square = pt.cube(2)
 
     def psi_thunk():

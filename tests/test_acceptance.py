@@ -13,7 +13,7 @@ from plval import plfunction as pf
 from plval import polytope as pt
 from plval.errors import OverlayFailure
 from plval.integration import c_pn, fisher_matrix, grad_p_norm, lq_norm
-from plval.valuation import PowerKernel, apply, c_profile, psi_check, recover_kernel
+from plval.valuation import PowerKernel, apply, c_profile, recover_kernel
 from plval.verify import (
     continuity_example_1,
     continuity_example_2,
@@ -21,6 +21,7 @@ from plval.verify import (
     homogeneity_suite,
     inclusion_exclusion_suite,
     invariance_suite,
+    psi_check,
     random_cone_function,
     random_fan_function,
 )

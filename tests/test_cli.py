@@ -437,7 +437,7 @@ def test_verify_timing_counts_equal_the_wrapped_calls(capsys, monkeypatch, tmp_p
         "splits": [(convex, "split")],
         # overlay imports evaluate_each by name; plfunction calls its own
         "locates": [(overlay, "evaluate_each"), (pf, "evaluate_each")],
-        # plfunction imports value_density at each call
+        # integration's density_of and value_densities look it up at each call
         "densities": [(integration, "value_density")],
         "means": [(integration.ValueDensity, "means")],
         "crossings": [(integration, "_crossings")],

@@ -21,6 +21,7 @@ from plval.errors import NonFinite
 from plval.integration import (
     Pieces,
     c_pn,
+    density_of,
     fisher_matrix,
     grad_p_norm,
     level_set_volume,
@@ -153,7 +154,7 @@ def test_lq_norm_homogeneous(s, q):
 
 def test_lq_norm_splits_sign_changes(square):
     # odd function: |f| integrates like the positive tent on each half
-    cx = pt.central_triangulation(square)
+    cx = pf.central_triangulation(square)
     vals = np.where(cx.vertices[:, 0] > 0.5, 1.0, 0.0) - np.where(cx.vertices[:, 0] < -0.5, 1.0, 0.0)
     f = pf.PLFunction(complex=cx, values=vals)
     ref = oracles.quad_lq_power_2d(cx.vertices, [list(t) for t in cx.simplices], vals, 1.0)
@@ -462,7 +463,7 @@ def test_one_density_serves_every_kernel_and_norm(counted_densities):
 )
 def test_cached_density_matches_a_fresh_engine_call(name):
     f = _tied_mesh()
-    density = f.value_density()
+    density = density_of(f)
     assert {0.0, 0.5} <= set(density.point_values)
     assert not density.coefficients.flags.writeable
     pieces = {k: kern.pieces() for k, kern in _mesh_kernels().items()}
@@ -472,7 +473,7 @@ def test_cached_density_matches_a_fresh_engine_call(name):
     fresh = simplex_means(f.simplex_values(), h)
     for other in pieces.values():  # the density now serves every kernel
         density.means(other)
-    assert f.value_density() is density
+    assert density_of(f) is density
     assert np.array_equal(density.means(h), fresh)
     vols = f.complex.simplex_volumes()
     if name in _mesh_kernels():
@@ -484,7 +485,7 @@ def test_cached_density_matches_a_fresh_engine_call(name):
 def test_density_is_freed_with_its_function():
     f = _tied_mesh()
     lq_norm(f, 2.0)
-    ref = weakref.ref(f.value_density())
+    ref = weakref.ref(density_of(f))
     del f
     gc.collect()
     assert ref() is None
@@ -574,7 +575,7 @@ def test_apply_each_agrees_with_apply_in_any_order_and_stack(q, seed, size):
     # half the members come with their density already built
     batch = [_fresh(pool[i]) for i in pick]
     for f in batch[: size // 2]:
-        f.value_density()
+        density_of(f)
     got = apply_each(h, batch)
     assert got.shape == (size,)
     assert np.array_equal(got, alone), (got, alone)
@@ -615,7 +616,7 @@ def test_a_batch_caches_each_members_own_density(counted_densities):
     assert len(counted_densities) == 1
     for f in batch:
         alone = value_density(f.simplex_values())
-        for name, arr in vars(f.value_density()).items():
+        for name, arr in vars(density_of(f)).items():
             assert np.array_equal(arr, getattr(alone, name)), name
             assert not arr.flags.writeable
 
@@ -823,7 +824,7 @@ def test_power_kernels_and_norms_cut_nothing_and_orient_once(monkeypatch, counte
     lq_norm(f, 3.0)
     assert len(counted_densities) == 1
     assert crossed == [(True, [0.0])] and restricted == [True]
-    assert oriented == [len(f.value_density().lo)]
+    assert oriented == [len(density_of(f).lo)]
     level_set_volume(f, 0.1)
     assert crossed[-1] == (False, [0.1]) and len(counted_densities) == 1
     assert [c for c in crossed if 0.0 in c[1]] == [(True, [0.0])]
@@ -833,10 +834,10 @@ def test_power_kernels_and_norms_cut_nothing_and_orient_once(monkeypatch, counte
 def test_a_density_searches_for_crossings_only_when_a_segment_crosses_0():
     f = _tied_mesh()  # values in {0, 0.25, 0.5}: no segment crosses 0
     before = stats.calls["crossings"]
-    f.value_density()
+    density_of(f)
     assert stats.calls["crossings"] == before
     g = pf.PLFunction(complex=f.complex, values=f.values - 0.3 * (f.values > 0.0))
-    g.value_density()
+    density_of(g)
     assert stats.calls["crossings"] == before + 1
 
 

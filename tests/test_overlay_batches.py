@@ -73,10 +73,10 @@ def test_batched_tents_match_single_tents(n):
         peak = f.simplex_values().max(axis=1)
         active = np.flatnonzero(peak > convex.EPS)
         M = peak[active] / 0.01
-        batch = pf._build_tents(f, active, M)
+        batch = overlay._build_tents(f, active, M)
         assert len(batch) == len(active)
         for t, si, Mk in zip(batch, active, M):
-            (alone,) = pf._build_tents(f, [si], [Mk])
+            (alone,) = overlay._build_tents(f, [si], [Mk])
             assert _same(t, alone)
 
 
@@ -145,7 +145,7 @@ def test_inclusion_exclusion_matches_one_meet_at_a_time(seed):
     f = random_fan_function(seed)
     (report,) = inclusion_exclusion_suite(h, f=f, seed=seed)
     want = oracles.inclusion_exclusion_one_meet_at_a_time(
-        pf.tent_decomposition(f), pf.meet, lambda fn: apply(h, fn), lambda fn: fn.is_zero()
+        overlay.tent_decomposition(f), pf.meet, lambda fn: apply(h, fn), lambda fn: fn.is_zero()
     )
     assert report.left == want
 
@@ -182,7 +182,7 @@ def test_tent_decomposition_builds_a_round_in_one_chain(monkeypatch):
 
     monkeypatch.setattr(convex, "split", counting_split)
     monkeypatch.setattr(overlay, "assemble_cells", counting_assemble)
-    tents = pf.tent_decomposition(f)
+    tents = overlay.tent_decomposition(f)
     n = f.dim
     assert len(tents) == 6
     assert batches == [6] * len(batches)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plval import overlay
 from plval import plfunction as pf
 from plval import polytope as pt
 from plval.errors import (
@@ -66,7 +67,7 @@ def test_evaluate_at_vertices(cone_square):
 
 
 def test_gradient_field_constant_zero(square):
-    cx = pt.central_triangulation(square)
+    cx = pf.central_triangulation(square)
     zero = pf.PLFunction(complex=cx, values=np.zeros(len(cx.vertices)))
     grads, _ = zero.affines()
     assert len(grads) == len(cx)
@@ -75,7 +76,7 @@ def test_gradient_field_constant_zero(square):
 
 def test_gradient_field_affine_exact(square):
     # affine data is reproduced exactly on every simplex
-    cx = pt.central_triangulation(square)
+    cx = pf.central_triangulation(square)
     a = np.array([0.7, -0.3])
     vals = cx.vertices @ a + 0.25
     f = pf.PLFunction(complex=cx, values=vals)
@@ -193,7 +194,6 @@ def test_lattice_laws_sampled(n, examples):
 
 
 def test_partition_check_rejects_duplicated_and_dropped_cells(monkeypatch):
-    from plval import overlay
     from plval.verify import random_cone_function
 
     rng = np.random.default_rng(3)
@@ -221,8 +221,6 @@ def test_partition_check_rejects_duplicated_and_dropped_cells(monkeypatch):
 def counted_cuts(monkeypatch):
     """The pair API's kept pair emptied, and a list that grows by one
     each time the overlay cuts two meshes against each other."""
-    from plval import overlay
-
     cut = overlay._pieces_pairwise
     calls = []
 
@@ -270,8 +268,6 @@ def test_memo_keys_on_identity_not_content(counted_cuts):
 
 
 def test_memo_hit_matches_a_fresh_cut(counted_cuts):
-    from plval import overlay
-
     f, g = _cone_pairs(1)
     pf.join(f, g)
     hit = pf.meet(f, g)
@@ -417,8 +413,6 @@ def test_convex_support_detected():
 
 @pytest.mark.parametrize("convex_other", [True, False], ids=["convex", "not-convex"])
 def test_one_lockstep_clips_every_near_pair_and_chains_against_whole_supports(monkeypatch, convex_other):
-    from plval import overlay
-
     f = pf.cone_function(pt.cube(2))
     g = pf.compose_affine(pf.cone_function(pt.cube(2)), np.eye(2), [0.7, 0.4])
     if not convex_other:
@@ -639,7 +633,7 @@ def test_an_overlay_splits_as_deep_as_its_lockstep_and_one_affine_cut(monkeypatc
     # one overlays call of the 8-gon and the triangle: the lockstep's depth
     # in stacked cuts, and one more where f = g, 4 in all (the separate
     # clips, chains and cut made 6)
-    from plval import overlay, stats
+    from plval import stats
 
     f, g = _octagon_and_triangle()
     lockstep = overlay._lockstep
@@ -661,9 +655,9 @@ def test_tent_decomposition_raises_typed_error_when_it_cannot_converge(monkeypat
         # a tent reaching past f's bounding box is rejected every time
         return [pf.compose_affine(f, np.eye(f.dim), np.full(f.dim, 10.0)) for _ in simplices]
 
-    monkeypatch.setattr(pf, "_build_tents", spilling)
+    monkeypatch.setattr(overlay, "_build_tents", spilling)
     with pytest.raises(ConstructionFailure, match="did not converge"):
-        pf.tent_decomposition(cone_square)
+        overlay.tent_decomposition(cone_square)
     assert issubclass(ConstructionFailure, PLValError)
 
 
@@ -672,14 +666,14 @@ def test_tent_decomposition_raises_typed_error_when_it_cannot_converge(monkeypat
 )
 def test_tent_decomposition_refuses_a_bad_delta_before_any_work(monkeypatch, cone_square, delta, error):
     built = []
-    monkeypatch.setattr(pf, "_build_tents", lambda *args: built.append(args))
+    monkeypatch.setattr(overlay, "_build_tents", lambda *args: built.append(args))
     with pytest.raises(error, match="delta"):
-        pf.tent_decomposition(cone_square, delta)
+        overlay.tent_decomposition(cone_square, delta)
     assert built == []
 
 
 def test_tent_decomposition_central_fan(square, cone_square):
-    tents = pf.tent_decomposition(cone_square)
+    tents = overlay.tent_decomposition(cone_square)
     assert len(tents) == len(square.facets)
     rng = np.random.default_rng(5)
     for x in rng.uniform(-1.4, 1.4, (500, 2)):
@@ -698,7 +692,7 @@ def test_tent_cuts_its_cells_in_one_stacked_chain(monkeypatch, cone_square):
         return split(cells, *args, **kwargs)
 
     monkeypatch.setattr(convex, "split", counting)
-    pf._build_tents(cone_square, [0], [4.0])
+    overlay._build_tents(cone_square, [0], [4.0])
     # the central simplex and n + 1 wedges, each cut by the n + 1 rows of
     # its region and then by its own piece >= 0
     n = cone_square.dim
@@ -706,8 +700,6 @@ def test_tent_cuts_its_cells_in_one_stacked_chain(monkeypatch, cone_square):
 
 
 def test_tent_is_assembled_by_the_overlay(monkeypatch, cone_square):
-    from plval import overlay
-
     assemble = overlay.assemble_cells
     stacks = []
 
@@ -716,7 +708,7 @@ def test_tent_is_assembled_by_the_overlay(monkeypatch, cone_square):
         return assemble(cells, *args)
 
     monkeypatch.setattr(overlay, "assemble_cells", counted)
-    (t,) = pf._build_tents(cone_square, [0], [4.0])
+    (t,) = overlay._build_tents(cone_square, [0], [4.0])
     # the central simplex and the wedges that are not empty, assembled in
     # one call
     assert len(stacks) == 1 and 0 < stacks[0] <= cone_square.dim + 2
@@ -736,7 +728,7 @@ def test_tent_cell_volumes_are_checked(monkeypatch, cone_square):
 
     monkeypatch.setattr(convex, "cell_volumes", corrupted)
     with pytest.raises(OverlayFailure, match="triangulates"):
-        pf._build_tents(cone_square, [0], [4.0])
+        overlay._build_tents(cone_square, [0], [4.0])
 
 
 def test_shared_vertex_takes_the_least_steep_value():
@@ -765,7 +757,7 @@ def test_tent_decomposition_single_simplex():
         simplices=((0, 1, 2),),
     )
     f = pf.PLFunction(complex=cx, values=np.array([1.0, 0.0, 0.0]))
-    tents = pf.tent_decomposition(f)
+    tents = overlay.tent_decomposition(f)
     assert len(tents) == 1
     for x in np.random.default_rng(6).uniform(-0.2, 1.2, (100, 2)):
         assert pf.evaluate(tents[0], x) == pytest.approx(pf.evaluate(f, x), abs=1e-12)
@@ -773,7 +765,7 @@ def test_tent_decomposition_single_simplex():
 
 def test_tent_decomposition_random_fan():
     f = fan_function(7)
-    tents = pf.tent_decomposition(f)
+    tents = overlay.tent_decomposition(f)
     rng = np.random.default_rng(7)
     lo = f.complex.vertices.min(axis=0) - 0.1
     hi = f.complex.vertices.max(axis=0) + 0.1
@@ -851,7 +843,6 @@ def test_overlay_results_read_back_from_their_own_json(monkeypatch):
     # suite at seed 1, one of whose joins leaves a facet uncovered by
     # 1.1e-9 of its area, a sliver narrower than the clip tolerance; many
     # are partitions with T-junctions
-    from plval import overlay
     from plval.valuation import PowerKernel
     from plval.verify import default_battery, inclusion_exclusion_suite, random_cone_function
 
@@ -865,7 +856,7 @@ def test_overlay_results_read_back_from_their_own_json(monkeypatch):
         outputs += joins + overlay.lattice_overlays(pairs, "meet")
         outputs += overlay.lattice_overlays([(f, h) for (f, _), h in zip(pairs, joins)], "meet")
     for seed in range(6):
-        outputs += pf.tent_decomposition(fan_function(seed))
+        outputs += overlay.tent_decomposition(fan_function(seed))
     batched = overlay.overlays
 
     def recorded(pairs, ops):

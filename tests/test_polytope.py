@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plval import plfunction as pf
 from plval import polytope as pt
 from plval.errors import ConstructionFailure, Degenerate, NonFinite, OriginNotInterior, PLValError
 
@@ -122,14 +123,14 @@ def test_p_surface_area_matches_gradient_norm():
 
 
 def test_central_triangulation_square(square):
-    tri = pt.central_triangulation(square)
+    tri = pf.central_triangulation(square)
     assert len(tri.simplices) == 4
     for s in tri.simplices:
         assert oracles.det_simplex_volume(tri.vertices[list(s)]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_central_triangulation_cube3():
-    tri = pt.central_triangulation(pt.cube(3))
+    tri = pf.central_triangulation(pt.cube(3))
     assert len(tri.simplices) == 12
     vols = [oracles.det_simplex_volume(tri.vertices[list(s)]) for s in tri.simplices]
     assert vols == pytest.approx([2.0 / 3.0] * 12, abs=1e-12)
@@ -138,7 +139,7 @@ def test_central_triangulation_cube3():
 
 def test_central_triangulation_partitions():
     P = pt.random_polytope(seed=11, n=2, k=8)
-    tri = pt.central_triangulation(P)
+    tri = pf.central_triangulation(P)
     vols = [oracles.det_simplex_volume(tri.vertices[list(s)]) for s in tri.simplices]
     assert sum(vols) == pytest.approx(pt.volume(P), rel=1e-12)
     # sampled interior points land in exactly one simplex interior

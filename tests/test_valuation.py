@@ -25,9 +25,9 @@ from plval.valuation import (
     growth_check,
     homogeneous_kernel,
     kernel_from_json_dict,
-    psi_check,
     recover_kernel,
 )
+from plval.verify import psi_check
 
 import oracles
 
