@@ -360,11 +360,22 @@ def _rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([A, b[..., None]], axis=-1)
 
 
+def dot_last(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X . Y along the last axis, broadcast over the others: the
+    elementwise products summed in index order, one coordinate at a time
+    (the order of a numpy sum over an axis this short), so that each
+    item's result depends on that item alone (a matrix product may pick
+    its kernel by the stack's shape)."""
+    out = X[..., 0] * Y[..., 0]
+    for j in range(1, X.shape[-1]):
+        out += X[..., j] * Y[..., j]
+    return out
+
+
 def dot_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """X (B, k, d) times a (B, d): elementwise products summed along each
-    row, so that each item's result depends on that item alone (a matrix
-    product may pick its kernel by the stack's shape)."""
-    return (X * a[:, None, :]).sum(axis=2)
+    """X (B, k, d) times a (B, d): each row of X[i] dotted with a[i]
+    (dot_last)."""
+    return dot_last(X, a[:, None, :])
 
 
 def split(cells: Cells, a, c, tol, above: bool = True, flat: bool = False):
@@ -412,7 +423,7 @@ def split(cells: Cells, a, c, tol, above: bool = True, flat: bool = False):
     row[:, d] = c
     row /= np.sqrt(np.add.reduce(a * a, axis=1))[:, None]
     a, c = row[:, :d], row[:, d]
-    s = np.add.reduce(V * a[:, None, :], axis=2) - c[:, None]  # dot_rows
+    s = dot_rows(V, a) - c[:, None]
     tol = np.asarray(tol, dtype=float).reshape(-1, 1)
     out = (s > tol) & vm
     inn = (s < -tol) & vm

@@ -50,17 +50,18 @@ The assembly, assemble_cells, also builds the tents of
 tent_decomposition: concave tents, one per simplex carrying positive
 values, whose join is f.  A tent's convex cells are assembled into a
 function by the same code as an overlay's, all tents of a decomposition
-round in one batch.  A vertex shared by several pieces takes its value
-from the least steep of them, whose value a small error in the vertex's
-position moves least (a tent's wedges are steep).  Simplices at
-or below the degenerate-measure floor are dropped, so every output
-simplex is nondegenerate.  Each result is checked, and a check it fails
-gives an OverlayFailure in its place: by volume, the cells cover supp f
-and supp g exactly (cells both functions cover counted twice, before any
-merging; once per pair, and a pair that fails is not assembled), each
-kept or merged cell's simplices fill it, and simplices sharing a vertex
-agree on its value (assemble_cells, the fill check first); and the
-output agrees with the pointwise max/min at sample points.
+round, of every function decomposed together, in one batch.  A vertex
+shared by several pieces takes its value from the least steep of them,
+whose value a small error in the vertex's position moves least (a
+tent's wedges are steep).  Simplices at or below the degenerate-measure
+floor are dropped, so every output simplex is nondegenerate.  Each
+result is checked, and a check it fails gives an OverlayFailure in its
+place: by volume, the cells cover supp f and supp g exactly (cells both
+functions cover counted twice, before any merging; once per pair, and a
+pair that fails is not assembled), each kept or merged cell's simplices
+fill it, and simplices sharing a vertex agree on its value
+(assemble_cells, the fill check first); and the output agrees with the
+pointwise max/min at sample points.
 
 Pairs are overlaid in batches by overlays(pairs, ops), which keeps no
 state.  A batch's simplices are laid out pair by pair in one _Mesh, and
@@ -79,14 +80,14 @@ result or failure is byte-identical alone and in any batch, in any
 order, next to any failing pair.
 
 lattice_overlays(pairs, op) raises the first failing pair's failure;
-inclusion-exclusion meets all subsets of one size in one call, the
-identity suites join and meet all their pairs in one overlays call, and
-tent_decomposition builds a round's tents in one assemble_cells.  The
-pair API (lattice_overlay, and so plfunction.join and meet) builds join
-and meet of its pair together and keeps them for the last pair asked
-(_pair), so a meet of f and g right after their join, or the other way
-round, cuts nothing.  A PLFunction's arrays are write-protected, so a
-kept result is never stale.
+inclusion-exclusion meets the subsets of one size of all its fans in one
+overlays call, the identity suites join and meet all their pairs in one,
+and tent_decomposition builds a round's tents of all its functions in one
+assemble_cells.  The pair API (lattice_overlay, and so plfunction.join
+and meet) builds join and meet of its pair together and keeps them for
+the last pair asked (_pair), so a meet of f and g right after their
+join, or the other way round, cuts nothing.  A PLFunction's arrays are
+write-protected, so a kept result is never stale.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ import numpy as np
 
 from . import convex, stats
 from .convex import COVER_TOL, EPS, SNAP
-from .errors import ConstructionFailure, NonFinite, NotNonnegative, OverlayFailure
+from .errors import ConstructionFailure, NonFinite, NotNonnegative, OverlayFailure, PLValError
 from .plfunction import PLFunction, SimplicialComplex, evaluate_each
 
 # Vertex values smaller than this are snapped to exact zero when cells
@@ -203,25 +204,34 @@ def _batch_max(values, batch, B):
 # ---------------------------------------------------------------------------
 
 
-def _cut_by_affine(cells, grad, off, tol):
+def _cut_by_affine(cells, grad, off, tol, vol=None):
     """Split every cell by the sign of its own affine function grad.x +
-    off, at its own tolerance tol, as (cells, src): a cell on which the
-    function keeps its sign to within CUT_TOL stays whole, any other gives
-    its negative part, then its positive part."""
+    off, at its own tolerance tol, as (cells, src, vol): a cell on which
+    the function keeps its sign to within CUT_TOL stays whole, any other
+    gives its negative part, then its positive part.  vol holds each
+    input cell's volume, NaN where it is not measured yet (every cell if
+    vol is None); a whole cell keeps its volume, and the parts and the
+    cells not measured are measured in one convex.cell_volumes call."""
+    src = np.arange(len(cells))
+    vol = np.full(len(cells), np.nan) if vol is None else vol
     if not len(cells):
-        return cells, np.zeros(0, dtype=int)
+        return cells, src, vol
     vals = convex.dot_rows(cells.V, grad) + off[:, None]
     vm = cells.vm
     cut = (np.where(vm, vals, np.inf).min(axis=1) < -CUT_TOL) & (np.where(vm, vals, -np.inf).max(axis=1) > CUT_TOL)
-    if not cut.any():
-        return cells, np.arange(len(cells))
-    # only the crossed cells are split; the others go back in whole, each
-    # as the part below
-    ci, whole = np.flatnonzero(cut), np.flatnonzero(~cut)
-    (lo, lo_src), (hi, hi_src) = convex.split(cells.take(ci), grad[ci], -off[ci], tol[ci])
-    src = np.concatenate([whole, ci[lo_src], ci[hi_src]])
-    order = np.lexsort((np.repeat([0, 1], [len(whole) + len(lo_src), len(hi_src)]), src))
-    return convex.Cells.concat([cells.take(whole), lo, hi]).take(order), src[order]
+    if cut.any():
+        # only the crossed cells are split; the others go back in whole,
+        # each as the part below
+        ci, whole = np.flatnonzero(cut), np.flatnonzero(~cut)
+        (lo, lo_src), (hi, hi_src) = convex.split(cells.take(ci), grad[ci], -off[ci], tol[ci])
+        src = np.concatenate([whole, ci[lo_src], ci[hi_src]])
+        order = np.lexsort((np.repeat([0, 1], [len(whole) + len(lo_src), len(hi_src)]), src))
+        cells, src = convex.Cells.concat([cells.take(whole), lo, hi]).take(order), src[order]
+        vol = np.concatenate([vol[whole], np.full(len(lo_src) + len(hi_src), np.nan)])[order]
+    new = np.flatnonzero(np.isnan(vol))
+    vol = vol.copy()
+    vol[new] = convex.cell_volumes(cells.take(new))
+    return cells, src, vol
 
 
 def _lockstep(cells, A, b, tol, clip):
@@ -242,16 +252,22 @@ def _lockstep(cells, A, b, tol, clip):
     region with fewer rows, and crosses nothing."""
     chain = ~clip
     vm = cells.vm[:, :, None]
-    D = (cells.V[:, :, None, :] * A[:, None]).sum(axis=3) - b[:, None, :]
-    disjoint = chain & np.where(vm, D >= EPS, True).all(axis=1).any(axis=1)  # certified
-    covered = chain & np.where(vm, D <= EPS, True).all(axis=(1, 2))
+    D = convex.dot_last(cells.V[:, :, None, :], A[:, None]) - b[:, None, :]
+    # each row's lowest and highest value over each cell's vertices
+    lo, hi = np.where(vm, D, np.inf).min(axis=1), np.where(vm, D, -np.inf).max(axis=1)
+    outside = lo >= EPS
+    disjoint = chain & outside.any(axis=1)  # certified
+    covered = chain & (hi <= EPS).all(axis=1)
+    # a clip outside a row by more than twice its tolerance, where its cut
+    # would drop every vertex, is empty
+    empty = clip & (outside & (lo > 2 * tol[:, None])).any(axis=1)
     di = np.flatnonzero(disjoint)
     # (cells, src, step, whether they are ends): a clip's piece is its end
     out = [(cells.take(di), di, -1, False)]
-    act = np.flatnonzero(~disjoint & ~covered)
+    act = np.flatnonzero(~disjoint & ~covered & ~empty)
     # each active cell's rows in order, the cells with the most first, so
     # that the cells whose rows run out at a step are the stack's last
-    need = np.where(vm[act], D[act] > -EPS, False).any(axis=1)
+    need = hi[act] > -EPS
     count = need.sum(axis=1)
     by = np.argsort(-count, kind="stable")
     act, count = act[by], count[by]
@@ -285,12 +301,11 @@ def _lockstep(cells, A, b, tol, clip):
         # they outnumber the vertices
         if cur.V.shape[1] > 2 * cur.counts().max(initial=0):
             cur = cur.compact()
-    src = np.concatenate([s for _, s, _, _ in out])
-    step = np.concatenate([np.full(len(s), t) for _, s, t, _ in out])
     # a clip gives its end, a chain its outside pieces, in order of row
-    keep = np.flatnonzero(clip[src] == np.concatenate([np.full(len(s), end) for _, s, _, end in out]))
-    order = keep[np.lexsort((step[keep], src[keep]))]
-    return convex.Cells.concat([c for c, _, _, _ in out]).take(order), src[order]
+    out = [(c.take(k), s[k], t) for c, s, t, end in out for k in [np.flatnonzero(clip[s] == end)]]
+    src = np.concatenate([s for _, s, _ in out])
+    order = np.lexsort((np.concatenate([np.full(len(s), t) for _, s, t in out]), src))
+    return convex.Cells.concat([c for c, _, _ in out]).take(order), src[order]
 
 
 def _regions(mesh: _Mesh, owner, met, whole):
@@ -314,14 +329,16 @@ def _regions(mesh: _Mesh, owner, met, whole):
     return A, b
 
 
-def _leftovers(mesh: _Mesh, mi, mj, chained, whole, tol):
+def _leftovers(mesh: _Mesh, mi, mj, chained, whole, covered, tol):
     """The cells of every simplex outside the other function's simplices
     it meets, as (cells, owner), by owner.  (mi, mj) are the pairs of f's
     and g's simplices that meet in an interior, in order; chained, as
     (cells, owner), holds the chains of each simplex i with whole[i]
-    against the other's convex support; tol[i] is i's cut tolerance.  A
-    simplex that meets none is one cell, whole; any other runs one chain
-    per simplex it meets, in order, each round in lockstep (_lockstep)."""
+    against the other's convex support; covered[i] is True where the
+    simplices simplex i meets cover it fully, and tol[i] is i's cut
+    tolerance.  A simplex that meets none is one cell, whole; a covered
+    one gives none; any other runs one chain per simplex it meets, in
+    order, each round in lockstep (_lockstep)."""
     m = len(mesh.vol)
     own, other = np.concatenate([mi, mj]), np.concatenate([mj, mi])
     met = other[np.argsort(own, kind="stable")]
@@ -330,7 +347,7 @@ def _leftovers(mesh: _Mesh, mi, mj, chained, whole, tol):
     cells, owner = chained
     k = np.flatnonzero(count[owner] > 0)
     done = [(cells.take(k), owner[k])]
-    owner = np.flatnonzero(~whole | (count == 0))
+    owner = np.flatnonzero((~whole | (count == 0)) & ~covered)
     parts = mesh.cells.take(owner)
     for t in range(int(count[owner].max(initial=0))):
         more = count[owner] > t
@@ -353,9 +370,12 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
 
     One _lockstep clips every near pair, f's simplex by g's rows, and runs
     the chains against whole convex supports, then _leftovers the others.
-    One _cut_by_affine cuts all the cells, one cell_volumes measures them,
-    and a simplex keeps its single-cover cells where those it shares fill
-    less than its volume."""
+    A simplex whose other support is not convex would run one chain per
+    simplex it meets, so the clip cells of those simplices are measured
+    first, and the simplices they cover fully (as every simplex of f is in
+    f ^ (f v g)) run none.  One _cut_by_affine cuts all the cells and
+    measures those not measured yet, and a simplex keeps its single-cover
+    cells where those it shares fill less than its volume."""
     stats.calls["cuts"] += 1
     t0 = time.perf_counter()
     m, B = len(mesh.vol), len(mesh.rows)
@@ -379,12 +399,20 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     cells, src = _lockstep(mesh.cells.take(own), A, b, tol[own], clip)
     n = int(np.searchsorted(src, len(pi)))
     mi, mj = pi[src[:n]], pj[src[:n]]  # the pairs that meet in an interior
-    parts, owner = _leftovers(mesh, mi, mj, (cells.slice(n, len(cells)), own[src[n:]]), whole, tol)
-    cells, src = _cut_by_affine(convex.Cells.concat([cells.slice(0, n), parts]),
-                                np.concatenate([mesh.grad[mi] - mesh.grad[mj], mesh.grad[owner]]),
-                                np.concatenate([mesh.off[mi] - mesh.off[mj], mesh.off[owner]]),
-                                tol[np.concatenate([mi, owner])])
-    vol = convex.cell_volumes(cells)
+    # the simplices that would chain against each simplex they meet, and
+    # the clip cells' volumes where such a simplex is one of the two
+    chaining = ~whole & (np.bincount(np.concatenate([mi, mj]), minlength=m) > 0)
+    vol = np.full(n, np.nan)
+    ti = np.flatnonzero(chaining[mi] | chaining[mj])
+    vol[ti] = convex.cell_volumes(cells.take(ti))
+    shared = np.bincount(mi[ti], weights=vol[ti], minlength=m) + np.bincount(mj[ti], weights=vol[ti], minlength=m)
+    covered = chaining & (shared >= (1.0 - FULL_COVER) * mesh.vol)
+    parts, owner = _leftovers(mesh, mi, mj, (cells.slice(n, len(cells)), own[src[n:]]), whole, covered, tol)
+    cells, src, vol = _cut_by_affine(convex.Cells.concat([cells.slice(0, n), parts]),
+                                     np.concatenate([mesh.grad[mi] - mesh.grad[mj], mesh.grad[owner]]),
+                                     np.concatenate([mesh.off[mi] - mesh.off[mj], mesh.off[owner]]),
+                                     tol[np.concatenate([mi, owner])],
+                                     np.concatenate([vol, np.full(len(parts), np.nan)]))
     # each cell's simplex of f and of g (-1 where absent), the first n both
     f = np.concatenate([mi, np.where(mesh.of_f[owner], owner, -1)])[src]
     g = np.concatenate([mj, np.where(mesh.of_f[owner], -1, owner)])[src]
@@ -708,131 +736,203 @@ def assemble_cells(cells, vol, grad, off, dim, supp, batch) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _build_tents(f: PLFunction, simplices, M) -> list:
-    """Concave tents over the simplices of f, tent k over simplex
-    simplices[k]: it equals f on the simplex and slopes to 0 at rate M[k]
-    outside it.
+def _build_tents(functions, simplices, M) -> list:
+    """[the concave tents over the simplices simplices[i] of functions[i],
+    or the first one's OverlayFailure if one fails, for each i]: tent k
+    of function i equals it on simplex simplices[i][k] and slopes to 0 at
+    rate M[i][k] outside it.
 
     A tent is min(A, A + M b_0, ..., A + M b_n) clipped at 0, where A is
     f's affine extension and b_j the barycentric coordinates; a minimum of
     affine functions is concave on the region where it is positive.  The
-    n+2 cells of every tent are cut in one stacked chain and assembled by
-    one batched assemble_cells, tent by tent as each would be alone; the
-    first tent that fails raises its OverlayFailure.
+    n+2 cells of every tent of every function are cut in one stacked chain
+    and assembled by one batched assemble_cells, tent by tent as each
+    would be alone, so each function gets the tents, or the failure, it
+    gets alone.
     """
-    n = f.dim
-    grads, offs = f.affines()
-    _, _, Ms, v0s = f.complex.locator()
-    # cells: the central simplex (all b_j >= 0), where the tent is A, and
-    # one wedge per j where b_j is the most negative coordinate, where it
-    # is A + M b_j.  Each is cut at once from an inflated box around
-    # supp f (a too-small M can otherwise leave a recession direction; the
-    # spill is then caught and M doubled) together with its own piece >= 0,
-    # which there implies every other piece of the support: A + M b_j <= A
-    # and <= A + M b_l on wedge j, A <= A + M b_l on the simplex.
-    lo, hi = f.bbox()
-    pad = 0.5 * float(np.max(hi - lo)) + 1.0
-    corners = np.array(list(itertools.product(*zip(lo - pad, hi + pad))))
+    n = functions[0].dim
     box_A = np.vstack([np.eye(n), -np.eye(n)])
-    box_b = np.concatenate([hi + pad, -(lo - pad)])
-    tol = EPS * max(1.0, float(np.max(np.abs(box_b))))
-    rows, rhs, pieces = [], [], []
-    for si, Mk in zip(simplices, M):
-        gA, cA = grads[si], offs[si]
-        # b_j(x) = row_j . (x - v0) for j=1..n, b_0 = 1 - sum
-        b_rows = np.vstack([-Ms[si].sum(axis=0), Ms[si]])
-        b_offs = np.array([1.0, *np.zeros(n)]) - b_rows @ v0s[si]
-        pieces.append((gA, cA))
-        rows.append(np.vstack([-b_rows, -gA]))
-        rhs.append(np.append(b_offs, cA))
-        for j in range(n + 1):
-            others = [l for l in range(n + 1) if l != j]
-            gj, cj = gA + Mk * b_rows[j], cA + Mk * b_offs[j]
-            pieces.append((gj, cj))
-            rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others], -gj]))
-            rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j], [cj]]))
-    box = convex.Cells.of([(corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tol))])
-    cells, src = convex.clip_rows(box.take(np.zeros(len(rows), dtype=int)), np.array(rows), np.array(rhs), tol)
+    boxes, tols, rows, rhs, pieces, owner = [], [], [], [], [], []
+    for i, (f, chosen, rates) in enumerate(zip(functions, simplices, M)):
+        grads, offs = f.affines()
+        _, _, Ms, v0s = f.complex.locator()
+        # cells: the central simplex (all b_j >= 0), where the tent is A,
+        # and one wedge per j where b_j is the most negative coordinate,
+        # where it is A + M b_j.  Each is cut at once from an inflated box
+        # around supp f (a too-small M can otherwise leave a recession
+        # direction; the spill is then caught and M doubled) together with
+        # its own piece >= 0, which there implies every other piece of the
+        # support: A + M b_j <= A and <= A + M b_l on wedge j, A <= A + M
+        # b_l on the simplex.
+        lo, hi = f.bbox()
+        pad = 0.5 * float(np.max(hi - lo)) + 1.0
+        corners = np.array(list(itertools.product(*zip(lo - pad, hi + pad))))
+        box_b = np.concatenate([hi + pad, -(lo - pad)])
+        tols.append(EPS * max(1.0, float(np.max(np.abs(box_b)))))
+        boxes.append((corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tols[-1])))
+        for si, Mk in zip(chosen, rates):
+            gA, cA = grads[si], offs[si]
+            # b_j(x) = row_j . (x - v0) for j=1..n, b_0 = 1 - sum
+            b_rows = np.vstack([-Ms[si].sum(axis=0), Ms[si]])
+            b_offs = np.array([1.0, *np.zeros(n)]) - b_rows @ v0s[si]
+            pieces.append((gA, cA))
+            rows.append(np.vstack([-b_rows, -gA]))
+            rhs.append(np.append(b_offs, cA))
+            for j in range(n + 1):
+                others = [l for l in range(n + 1) if l != j]
+                gj, cj = gA + Mk * b_rows[j], cA + Mk * b_offs[j]
+                pieces.append((gj, cj))
+                rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others], -gj]))
+                rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j], [cj]]))
+            owner.append(i)
+    owner = np.repeat(np.array(owner, dtype=int), n + 2)  # each cell's function
+    tol = np.array(tols)[owner]
+    cells, src = convex.clip_rows(convex.Cells.of(boxes).take(owner), np.array(rows), np.array(rhs), tol)
     grad, off = (np.array(x) for x in zip(*pieces))
     tent = src // (n + 2)
     vol = convex.cell_volumes(cells)
-    ends = _bounds(tent, len(M))
+    count = len(pieces) // (n + 2)
+    ends = _bounds(tent, count)
     supp = np.array([float(vol[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])])
-    tents = _raise_first(assemble_cells(cells, vol, grad[src], off[src], n, supp, tent))
-    # a piece of slope M placed within tol of its zero can dip below 0
-    return [PLFunction(complex=t.complex, values=np.maximum(t.values, 0.0)) for t in tents]
+    tents = assemble_cells(cells, vol, grad[src], off[src], n, supp, tent)
+    out, at = [], 0
+    for chosen in simplices:
+        got, at = tents[at : at + len(chosen)], at + len(chosen)
+        failed = [t for t in got if isinstance(t, OverlayFailure)]
+        # a piece of slope M placed within tol of its zero can dip below 0
+        out.append(failed[0] if failed else
+                   [PLFunction(complex=t.complex, values=np.maximum(t.values, 0.0)) for t in got])
+    return out
 
 
-def tent_decomposition(f: PLFunction, delta: float = 1e-2):
-    """Concave tents f_1..f_m, one per simplex carrying positive values,
-    whose join reproduces f. The ring width starts at roughly delta times
-    the simplex size and halves until the sampled join matches f; each
-    round builds every tent at once (_build_tents).  delta must be finite
-    (else NonFinite) and positive (else ValueError)."""
+def tent_decomposition(functions, delta: float = 1e-2) -> list:
+    """[the tents of f, or the PLValError its decomposition raises, for f
+    in functions]: concave tents f_1..f_m, one per simplex carrying
+    positive values, whose join reproduces f.  A function with a negative
+    value gets NotNonnegative.  The ring width starts at roughly delta
+    times the simplex size and halves until the sampled join matches f,
+    at most 40 times (else ConstructionFailure); a tent that fails a check
+    gives its OverlayFailure.
+
+    The functions run in lockstep: each round builds the tents of every
+    function not done yet at once (_build_tents, one chain and one
+    assemble_cells) and checks them in one evaluate_each per check, so
+    each function gets the tents, or the error, it gets alone.  delta must
+    be finite (else NonFinite) and positive (else ValueError), and the
+    functions of one dimension (else ValueError)."""
     if not math.isfinite(delta):
         raise NonFinite("tent decomposition delta must be finite, got %r" % delta)
     if delta <= 0:
         raise ValueError("tent decomposition delta must be positive, got %r" % delta)
-    if np.any(f.values < -10 * EPS):
-        raise NotNonnegative("tent decomposition requires f >= 0")
-    peak = f.simplex_values().max(axis=1)
-    active = np.flatnonzero(peak > EPS)
-    if not len(active):
-        return []
-    if len(active) == 1:
-        # every positive vertex is exclusive to this simplex (a shared one
-        # would activate its other simplex), so f is its own single tent:
-        # affine on the simplex, hence concave on its support
-        return [f]
-
-    lo, hi = f.bbox()
-    rng = np.random.default_rng(1234)
-    samples = rng.uniform(lo, hi, size=(1024, f.dim))
-    f_ref = f.evaluate_many(samples)
-    vscale = max(1.0, float(np.max(np.abs(f.values))))
-
-    d = delta
+    functions = list(functions)
+    for fn in functions:
+        if fn.dim != functions[0].dim:
+            raise ValueError("dimension mismatch: %d vs %d" % (functions[0].dim, fn.dim))
+    out, todo, active, peak = [None] * len(functions), [], {}, {}
+    for k, f in enumerate(functions):
+        if np.any(f.values < -10 * EPS):
+            out[k] = NotNonnegative("tent decomposition requires f >= 0")
+            continue
+        peak[k] = f.simplex_values().max(axis=1)
+        active[k] = np.flatnonzero(peak[k] > EPS)
+        if len(active[k]) > 1:
+            todo.append(k)
+        else:
+            # one positive simplex: every positive vertex is exclusive to it
+            # (a shared one would activate its other simplex), so f is its
+            # own single tent, affine on the simplex, hence concave on its
+            # support
+            out[k] = [f] if len(active[k]) else []
+    if not todo:
+        return out
+    n = functions[0].dim
+    box = {k: functions[k].bbox() for k in todo}
+    samples = {k: np.random.default_rng(1234).uniform(*box[k], size=(1024, n)) for k in todo}
+    f_ref = dict(zip(todo, _each([functions[k] for k in todo], [samples[k] for k in todo])))
+    vscale = {k: max(1.0, float(np.max(np.abs(functions[k].values)))) for k in todo}
+    d = dict.fromkeys(todo, delta)
     for _ in range(40):
-        tents = _build_tents(f, active, peak[active] / d)
-        # a tent spills when it reaches past supp f's box or above f at
-        # one of its vertices
-        tlo, thi = (np.array(x) for x in zip(*(t.bbox() for t in tents)))
-        spilled = bool(np.any(tlo < lo - 1e-7) or np.any(thi > hi + 1e-7))
-        if not spilled:
-            verts = np.concatenate([t.complex.vertices for t in tents])
-            values = np.concatenate([t.values for t in tents])
-            spilled = bool(np.any(values > f.evaluate_many(verts) + 1e-9 * vscale))
-        if not spilled:
-            at = np.repeat(np.arange(len(tents)), len(samples))
-            joint = evaluate_each(tents, np.tile(samples, (len(tents), 1)), at).reshape(len(tents), -1).max(axis=0)
-            if np.max(np.abs(joint - f_ref)) <= 1e-9 * vscale:
-                return tents
-        d *= 0.5
-    raise ConstructionFailure("tent decomposition did not converge (delta down to %.3g)" % d)
+        built = _build_tents([functions[k] for k in todo], [active[k] for k in todo],
+                             [peak[k][active[k]] / d[k] for k in todo])
+        tents = {}
+        for k, got in zip(todo, built):
+            if isinstance(got, OverlayFailure):
+                out[k] = got
+                continue
+            # a tent spills when it reaches past supp f's box or above f at
+            # one of its vertices
+            lo, hi = box[k]
+            tlo, thi = (np.array(x) for x in zip(*(t.bbox() for t in got)))
+            if not (np.any(tlo < lo - 1e-7) or np.any(thi > hi + 1e-7)):
+                tents[k] = got
+        keys = list(tents)
+        verts = [np.concatenate([t.complex.vertices for t in tents[k]]) for k in keys]
+        for k, below in zip(keys, _each([functions[k] for k in keys], verts)):
+            if np.any(np.concatenate([t.values for t in tents[k]]) > below + 1e-9 * vscale[k]):
+                del tents[k]
+        # every tent left at its function's samples, in one location
+        vals = _each([t for k in tents for t in tents[k]], [samples[k] for k in tents for _ in tents[k]])
+        at = 0
+        for k, got in tents.items():
+            joint, at = np.max(vals[at : at + len(got)], axis=0), at + len(got)
+            if np.max(np.abs(joint - f_ref[k])) <= 1e-9 * vscale[k]:
+                out[k] = got
+        todo = [k for k in todo if out[k] is None]
+        if not todo:
+            return out
+        for k in todo:
+            d[k] *= 0.5
+    for k in todo:
+        out[k] = ConstructionFailure("tent decomposition did not converge (delta down to %.3g)" % d[k])
+    return out
+
+
+def _each(functions, points) -> list:
+    """[functions[i] at points[i] for each i], in one evaluate_each."""
+    if not functions:
+        return []
+    vals = evaluate_each(functions, np.concatenate(points),
+                         np.repeat(np.arange(len(functions)), [len(x) for x in points]))
+    return np.split(vals, np.cumsum([len(x) for x in points])[:-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_unit(dim: int) -> np.ndarray:
+    """The 128 draws from default_rng(424242) in [0, 1)^dim that place
+    every overlay's sample points, drawn once per dimension and kept
+    write-protected."""
+    U = np.random.default_rng(424242).random((128, dim))
+    U.setflags(write=False)
+    return U
 
 
 def _sample_failures(pairs, results, dim) -> None:
     """Replace each result in results ({op: one per pair}) that strays
     from op's pointwise value of its pair (f, g) with an OverlayFailure.
-    The same 128 draws from default_rng(424242) serve every pair, spread
-    over the box of its nonempty functions (an empty one's box is the
-    origin), and every f, g and result is located in one evaluate_each."""
-    U = np.random.default_rng(424242).random((128, dim))
+    The same 128 points (_sample_unit) serve every pair, spread over the
+    box of its nonempty functions (an empty one's box is the origin);
+    every f, g and result is located in one evaluate_each, and every
+    result compared with its op in one array pass."""
+    U = _sample_unit(dim)
     box = [np.array([fn.bbox() for fn in pair if not fn.complex.is_empty()]) for pair in pairs]
     lo, hi = np.array([b[:, 0].min(axis=0) for b in box]), np.array([b[:, 1].max(axis=0) for b in box])
     pts = lo[:, None, :] + (hi - lo)[:, None, :] * U
     done = [(op, k) for op, got in results.items() for k, h in enumerate(got) if not isinstance(h, OverlayFailure)]
     functions = [fn for pair in pairs for fn in pair] + [results[op][k] for op, k in done]
-    X = np.concatenate([np.repeat(pts, 2, axis=0), pts[[k for _, k in done]]]).reshape(-1, dim)
+    k = np.array([k for _, k in done], dtype=int)
+    X = np.concatenate([np.repeat(pts, 2, axis=0), pts[k]]).reshape(-1, dim)
     vals = evaluate_each(functions, X, np.repeat(np.arange(len(functions)), len(U))).reshape(-1, len(U))
-    B, ratios = len(pairs), []
-    for (op, k), v in zip(done, vals[2 * B :]):
-        want = _OPS[op](vals[2 * k], vals[2 * k + 1])
-        err, bound = np.abs(v - want).max(), 1e-8 * max(1.0, np.abs(want).max())
-        ratios.append(err / bound)
-        if err > bound:
-            results[op][k] = OverlayFailure("overlay disagrees with pointwise %s by %.3g" % (op, err))
-    stats.margin("sample", ratios)
+    B, ops = len(pairs), np.array([op for op, _ in done], dtype=object)
+    f, g, want = vals[0 : 2 * B : 2][k], vals[1 : 2 * B : 2][k], np.empty((len(done), len(U)))
+    for op, pointwise in _OPS.items():
+        rows = ops == op
+        want[rows] = pointwise(f[rows], g[rows])
+    err = np.abs(vals[2 * B :] - want).max(axis=1, initial=0.0)
+    bound = 1e-8 * np.maximum(1.0, np.abs(want).max(axis=1, initial=0.0))
+    stats.margin("sample", err / bound)
+    for c in np.flatnonzero(err > bound):
+        op, k = done[c]
+        results[op][k] = OverlayFailure("overlay disagrees with pointwise %s by %.3g" % (op, err[c]))
 
 
 def _check_op(op) -> None:
@@ -841,10 +941,11 @@ def _check_op(op) -> None:
 
 
 def _raise_first(results) -> list:
-    """results, unless one is an OverlayFailure: then the first raises."""
+    """results, unless one is a PLValError (an OverlayFailure, say): then
+    the first raises, as a new error of its type."""
     for h in results:
-        if isinstance(h, OverlayFailure):
-            raise OverlayFailure(str(h))
+        if isinstance(h, PLValError):
+            raise type(h)(str(h))
     return results
 
 

@@ -51,6 +51,9 @@ class SimplicialComplex:
     simplices: np.ndarray
     _volumes: np.ndarray = field(default=None, repr=False, compare=False)
     _locator: tuple = field(default=None, init=False, repr=False, compare=False)
+    _arrays: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _rows: tuple = field(default=None, init=False, repr=False, compare=False)
+    _scale: float = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, self.dim)
@@ -67,9 +70,10 @@ class SimplicialComplex:
         return len(self.simplices) == 0
 
     def scale(self) -> float:
-        if len(self.vertices) == 0:
-            return 1.0
-        return max(1.0, float(np.max(np.abs(self.vertices))))
+        """max(1, the largest |vertex coordinate|), kept."""
+        if self._scale is None:
+            self._scale = max(1.0, float(np.max(np.abs(self.vertices), initial=0.0)))
+        return self._scale
 
     def simplex_volumes(self) -> np.ndarray:
         if self._volumes is None:
@@ -79,29 +83,32 @@ class SimplicialComplex:
         return self._volumes
 
     def simplex_arrays(self):
-        """(m, dim+1, dim) stacked vertex coordinates per simplex."""
-        return self.vertices[self.simplices]
+        """(m, dim+1, dim) stacked vertex coordinates per simplex; kept,
+        and write-protected."""
+        if self._arrays is None:
+            (self._arrays,) = _frozen(self.vertices[self.simplices])
+        return self._arrays
 
     def locator(self):
         """(lo, hi, M, v0): per-simplex bounding boxes and barycentric
         maps, so simplex i has coordinates b_1..b_dim = M[i] @ (x - v0[i])
-        and b_0 = 1 - their sum."""
+        and b_0 = 1 - their sum; kept, and write-protected."""
         if self._locator is None:
-            X = self.simplex_arrays()
-            M = np.linalg.inv(np.swapaxes(X[:, 1:] - X[:, :1], 1, 2))
-            self._locator = (X.min(axis=1), X.max(axis=1), M, X[:, 0])
+            _locators([self])
         return self._locator
 
     def simplex_rows(self):
         """(A, b), (m, dim+1, dim) and (m, dim+1): each simplex as
         A x <= b with unit rows, row j being b_j >= 0, the facet opposite
-        vertex j."""
-        _, _, M, v0 = self.locator()
-        A = np.concatenate([M.sum(axis=1)[:, None, :], -M], axis=1)
-        b = np.einsum("mjd,md->mj", A, v0)
-        b[:, 0] += 1.0
-        norms = np.linalg.norm(A, axis=2)
-        return A / norms[..., None], b / norms
+        vertex j; kept, and write-protected."""
+        if self._rows is None:
+            _, _, M, v0 = self.locator()
+            A = np.concatenate([M.sum(axis=1)[:, None, :], -M], axis=1)
+            b = np.einsum("mjd,md->mj", A, v0)
+            b[:, 0] += 1.0
+            norms = np.linalg.norm(A, axis=2)
+            self._rows = _frozen(A / norms[..., None], b / norms)
+        return self._rows
 
     @functools.cached_property
     def convex_support(self):
@@ -219,21 +226,10 @@ class PLFunction:
         return self.complex.is_empty() or bool(np.all(self.values == 0.0))
 
     def affines(self):
-        """Per-simplex gradient rows and offsets: f(x) = g.x + c on simplex i."""
+        """Per-simplex gradient rows and offsets: f(x) = g.x + c on simplex
+        i; kept, and write-protected."""
         if self._grads is None:
-            cx = self.complex
-            m = len(cx)
-            grads = np.zeros((m, cx.dim))
-            offs = np.zeros(m)
-            if m:
-                arrs = cx.simplex_arrays()
-                vals = self.simplex_values()
-                E = arrs[:, 1:, :] - arrs[:, :1, :]
-                d = vals[:, 1:] - vals[:, :1]
-                grads = np.linalg.solve(E, d[..., None])[..., 0]
-                offs = vals[:, 0] - np.einsum("ij,ij->i", grads, arrs[:, 0, :])
-            self._grads = grads
-            self._offs = offs
+            _affines([self])
         return self._grads, self._offs
 
     def simplex_values(self) -> np.ndarray:
@@ -315,10 +311,59 @@ class PLFunction:
         }
 
 
+def _frozen(*arrays) -> tuple:
+    """The arrays, write-protected."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _runs(x, counts) -> list:
+    """x cut into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [x[e - c : e] for e, c in zip(ends, counts)]
+
+
+def _lacking(items, name) -> list:
+    """The distinct items (by identity) whose field name is unset."""
+    return list({id(x): x for x in items if getattr(x, name) is None}.values())
+
+
+def _locators(complexes) -> None:
+    """Give every complex that lacks one its locator, in one stacked
+    np.linalg.inv; LAPACK inverts each matrix on its own, so each bit is
+    the one the complex gets alone."""
+    todo = _lacking(complexes, "_locator")
+    if not todo:
+        return
+    X = np.concatenate([cx.simplex_arrays() for cx in todo])
+    M = np.linalg.inv(np.swapaxes(X[:, 1:] - X[:, :1], 1, 2))
+    counts = [len(cx) for cx in todo]
+    for cx, *parts in zip(todo, *(_runs(x, counts) for x in (X.min(axis=1), X.max(axis=1), M, X[:, 0]))):
+        cx._locator = _frozen(*parts)
+
+
+def _affines(functions) -> None:
+    """Give every function that lacks them its affine pieces, in one
+    stacked np.linalg.solve; LAPACK solves each system on its own, so
+    each bit is the one the function gets alone."""
+    todo = _lacking(functions, "_grads")
+    if not todo:
+        return
+    X = np.concatenate([fn.complex.simplex_arrays() for fn in todo])
+    vals = np.concatenate([fn.simplex_values() for fn in todo])
+    grads = np.linalg.solve(X[:, 1:] - X[:, :1], (vals[:, 1:] - vals[:, :1])[..., None])[..., 0]
+    offs = vals[:, 0] - np.einsum("ij,ij->i", grads, X[:, 0])
+    counts = [len(fn.complex) for fn in todo]
+    for fn, g, c in zip(todo, _runs(grads, counts), _runs(offs, counts)):
+        fn._grads, fn._offs = _frozen(g, c)
+
+
 def locate(complexes, X: np.ndarray, at: np.ndarray):
     """(p, i): the pairs of point X[p] and simplex i of complexes[at[p]]
     that holds it, by point, then by simplex, in one pass over every
-    point; i numbers the complexes' simplices one after another.
+    point; i numbers the complexes' simplices one after another.  The
+    locators the complexes lack are built first, in one stack.
 
     A simplex holds the points whose barycentric coordinates there are
     all >= -10 EPS; those are dimensionless, and only the bounding-box
@@ -328,6 +373,7 @@ def locate(complexes, X: np.ndarray, at: np.ndarray):
     pair alone, so a point's pairs do not depend on the other complexes."""
     m = np.array([len(cx) for cx in complexes], dtype=int)
     first = np.cumsum(m) - m
+    _locators([cx for cx in complexes if len(cx)])
     live = [cx.locator() for cx in complexes if len(cx)]
     P, I = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     if not live:
@@ -361,7 +407,8 @@ def evaluate_each(functions, X: np.ndarray, at: np.ndarray) -> np.ndarray:
     """functions[at[p]] at X[p] for every point p, in one point location
     (locate); a point outside its function's support gives 0, and one on
     several simplices takes the value of the first in index order.  Each
-    value is the one evaluate_many gives alone."""
+    value is the one evaluate_many gives alone.  The affine pieces the
+    functions lack are built in one stack."""
     stats.calls["locates"] += 1
     X = np.asarray(X, dtype=float)
     out = np.zeros(len(X))
@@ -370,6 +417,7 @@ def evaluate_each(functions, X: np.ndarray, at: np.ndarray) -> np.ndarray:
     first = np.ones(len(p), dtype=bool)
     first[1:] = p[1:] != p[:-1]
     p, i = p[first], i[first]
+    _affines(functions)
     grads, offs = (np.concatenate(x) for x in zip(*(fn.affines() for fn in functions)))
     out[p] = np.einsum("kj,kj->k", X[p], grads[i]) + offs[i]
     return out

@@ -967,5 +967,5 @@ def clip_every_row(convex, cut_by_affine, cells, A, b, tol, grad, off):
     A = np.where(pad[:, :, None], np.eye(A.shape[2])[0], A)
     b = np.where(pad, np.inf, b)
     clipped, src = convex.clip_rows(cells, A, b, tol)
-    cut, at = cut_by_affine(clipped, grad[src], off[src], tol[src])
+    cut, at, _ = cut_by_affine(clipped, grad[src], off[src], tol[src])
     return (clipped, src), (cut, src[at])

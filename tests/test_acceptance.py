@@ -141,10 +141,9 @@ def test_criterion_7_continuity_examples():
 
 def test_criterion_8_inclusion_exclusion():
     square_reports = inclusion_exclusion_suite(
-        PowerKernel(1.0, 2.0), f=pf.cone_function(pt.cube(2)), tolerance=1e-7)
+        PowerKernel(1.0, 2.0), [(0, pf.cone_function(pt.cube(2)))], tolerance=1e-7)
     fans = [
-        inclusion_exclusion_suite(PowerKernel(1.0, 1.5), f=random_fan_function(seed),
-                                  seed=seed, tolerance=1e-7)
+        inclusion_exclusion_suite(PowerKernel(1.0, 1.5), [(seed, random_fan_function(seed))], tolerance=1e-7)
         for seed in (0, 1, 2)
     ]
     for reports in [square_reports] + fans:

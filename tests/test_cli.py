@@ -472,6 +472,20 @@ def test_verify_timing_counts_equal_the_wrapped_calls(capsys, monkeypatch, tmp_p
     assert reference["homogeneity"]["means"] > reference["homogeneity"]["densities"] > 0
 
 
+def test_verify_inclusion_exclusion_runs_its_fans_in_lockstep(capsys, tmp_path):
+    # the battery's two fans share every round: 5 cuts (subset sizes 2-6),
+    # 6 assemblies (those and one tent round) and 1 value density (one
+    # apply_each); one round per fan would make 8, 10 and 2
+    path = tmp_path / "ie.jsonl"
+    code, _, _ = run(capsys, "verify", "--suite", "inclusion_exclusion", "--timing", "--seed", "0",
+                     "--output", str(path))
+    assert code == 0
+    header, row = path.with_name(path.name + ".csv").read_text().splitlines()
+    got = dict(zip(header.split(","), row.split(",")))
+    assert {key: int(got[key]) for key in ("cuts", "assemblies", "densities")} == {
+        "cuts": 5, "assemblies": 6, "densities": 1}
+
+
 def test_verify_timing_margins_and_seconds_equal_the_wrapped_checks(capsys, monkeypatch, tmp_path):
     # the reference margins: each overlay check wrapped where it is looked
     # up, its value over its bound recomputed from the check's arguments

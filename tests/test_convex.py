@@ -492,7 +492,8 @@ def test_assembly_builds_no_hull_and_triangulates_once(monkeypatch, n):
     assert len(pf.meet(f, jo).complex) == len(f.complex)
     assert len(overlay.lattice_overlays([(f, g), (g, jo), (jo, f)], "meet")) == 3
     if fan is not None:
-        assert overlay.tent_decomposition(fan)
+        (tents,) = overlay.tent_decomposition([fan])
+        assert len(tents)
     overlay._pair.cache_clear()
     assert hulls == [0]
     assert len(pulls) >= 2 and set(pulls) == {1}

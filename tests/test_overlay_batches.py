@@ -4,10 +4,10 @@ stacked pass gives each pair the result it gets alone, bit for bit."""
 import numpy as np
 import pytest
 
-from plval import convex, overlay, stats
+from plval import convex, overlay, stats, verify
 from plval import plfunction as pf
 from plval import polytope as pt
-from plval.errors import OverlayFailure
+from plval.errors import NotNonnegative, OverlayFailure
 from plval.valuation import PowerKernel, apply
 from plval.verify import inclusion_exclusion_suite, random_cone_function, random_fan_function
 
@@ -73,10 +73,10 @@ def test_batched_tents_match_single_tents(n):
         peak = f.simplex_values().max(axis=1)
         active = np.flatnonzero(peak > convex.EPS)
         M = peak[active] / 0.01
-        batch = overlay._build_tents(f, active, M)
+        (batch,) = overlay._build_tents([f], [active], [M])
         assert len(batch) == len(active)
         for t, si, Mk in zip(batch, active, M):
-            (alone,) = overlay._build_tents(f, [si], [Mk])
+            ((alone,),) = overlay._build_tents([f], [[si]], [[Mk]])
             assert _same(t, alone)
 
 
@@ -137,32 +137,165 @@ def test_batches_refuse_mixed_dimensions():
     assert overlay.lattice_overlays([], "meet") == []
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_tents_of_several_functions_match_one_call_per_function(n):
+    # the tents of the cone functions at seeds 0-11 and three scales,
+    # built in one call, are the ones each function's own call builds
+    functions = [_scaled_cones(n, seed)[0] for seed in range(12)]
+    peaks = [f.simplex_values().max(axis=1) for f in functions]
+    active = [np.flatnonzero(peak > convex.EPS) for peak in peaks]
+    M = [peak[a] / 0.01 for peak, a in zip(peaks, active)]
+    every = overlay._build_tents(functions, active, M)
+    assert len(every) == len(functions)
+    for f, got, a, Mk in zip(functions, every, active, M):
+        (alone,) = overlay._build_tents([f], [a], [Mk])
+        assert len(got) == len(alone) == len(a)
+        assert all(_same(t, u) for t, u in zip(got, alone))
+
+
+def test_tent_decomposition_of_several_functions_matches_one_call_per_function(monkeypatch):
+    # at delta 0.5 the square's cone converges in 2 rounds, the seed-2 cone
+    # in 4 and the seed-0 fan in 3; with a function that is negative
+    # somewhere, one affine on a single simplex and the zero function,
+    # each gets in one lockstep the tents, or the error, its own call
+    # gives, and the lockstep runs as many rounds as the slowest function
+    square = pf.scale_values(pf.cone_function(pt.cube(2)), 1.2)
+    cone = random_cone_function(np.random.default_rng(2), 2)
+    single = pf.PLFunction(complex=pf.SimplicialComplex(dim=2, vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                                        simplices=[[0, 1, 2]]), values=[1.0, 0.0, 0.0])
+    functions = [square, cone, pf.scale_values(square, -1.0), random_fan_function(0), single, pf.PLFunction.zero(2)]
+    build, rounds = overlay._build_tents, []
+
+    def counted(fs, simplices, M):
+        rounds.append(len(fs))
+        return build(fs, simplices, M)
+
+    monkeypatch.setattr(overlay, "_build_tents", counted)
+    alone = []
+    for f in functions:
+        alone += overlay.tent_decomposition([f], 0.5)
+    assert rounds == [1] * (2 + 4 + 3)
+    rounds.clear()
+    got = overlay.tent_decomposition(functions, 0.5)
+    assert rounds == [3, 3, 2, 1]
+    assert isinstance(got[2], NotNonnegative) and str(got[2]) == str(alone[2])
+    assert got[4] == [single] and got[5] == []
+    for k in (0, 1, 3):
+        assert len(got[k]) == len(alone[k]) > 1
+        assert all(_same(t, u) for t, u in zip(got[k], alone[k]))
+
+
+def test_inclusion_exclusion_in_lockstep_matches_one_call_per_fan():
+    # the battery's two fans, and the random fans at seeds 0-5, in one
+    # call each give the report they get alone, bit for bit
+    h = PowerKernel(1.0, 1.5)
+    battery = [(0, pf.scale_values(pf.cone_function(pt.cube(2)), 1.2)), (4, random_fan_function(4))]
+    for fans in (battery, [(seed, random_fan_function(seed)) for seed in range(6)]):
+        got = inclusion_exclusion_suite(h, fans)
+        alone = [r for fan in fans for r in inclusion_exclusion_suite(h, [fan])]
+        assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in alone]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_inclusion_exclusion_matches_one_meet_at_a_time(seed):
     # the subsets of one size are met in one batch; the sum equals the one
     # of a meet per subset, bit for bit
     h = PowerKernel(1.0, 1.5)
     f = random_fan_function(seed)
-    (report,) = inclusion_exclusion_suite(h, f=f, seed=seed)
+    (report,) = inclusion_exclusion_suite(h, [(seed, f)])
     want = oracles.inclusion_exclusion_one_meet_at_a_time(
-        overlay.tent_decomposition(f), pf.meet, lambda fn: apply(h, fn), lambda fn: fn.is_zero()
+        overlay.tent_decomposition([f])[0], pf.meet, lambda fn: apply(h, fn), lambda fn: fn.is_zero()
     )
     assert report.left == want
 
 
 def test_inclusion_exclusion_makes_one_overlay_per_subset_size(monkeypatch):
-    batched = overlay.lattice_overlays
-    calls = []
+    # one fan of 6 tents: one meet round per subset size 2-6; the battery's
+    # two fans (4 and 6 tents) in lockstep: still 5 rounds, the first
+    # meeting both fans' pairs (6 + 15), one tent round and one apply_each
+    batched, build, integrate = overlay.overlays, overlay._build_tents, verify.apply_each
+    calls, tents, applies = [], [], []
 
-    def counted(pairs, op):
-        calls.append((len(pairs), op))
-        return batched(pairs, op)
+    def counted(pairs, ops):
+        calls.append((len(pairs), ops))
+        return batched(pairs, ops)
 
-    monkeypatch.setattr(overlay, "lattice_overlays", counted)
-    (report,) = inclusion_exclusion_suite(PowerKernel(1.0, 1.5), f=random_fan_function(0))
+    def built(functions, simplices, M):
+        tents.append(len(functions))
+        return build(functions, simplices, M)
+
+    def applied(h, functions):
+        applies.append(len(functions))
+        return integrate(h, functions)
+
+    monkeypatch.setattr(overlay, "overlays", counted)
+    monkeypatch.setattr(overlay, "_build_tents", built)
+    monkeypatch.setattr(verify, "apply_each", applied)
+    (report,) = inclusion_exclusion_suite(PowerKernel(1.0, 1.5), [(0, random_fan_function(0))])
     assert report.passed and "tents=6" in report.case
-    assert [op for _, op in calls] == ["meet"] * 5
+    assert [ops for _, ops in calls] == [("meet",)] * 5
     assert calls[0][0] == 15
+    calls.clear()
+    tents.clear()
+    applies.clear()
+    reports = dict(verify.default_battery(0))["inclusion_exclusion"]()
+    assert [r.case for r in reports] == ["seed=0,tents=4", "seed=4,tents=6"] and all(r.passed for r in reports)
+    assert [ops for _, ops in calls] == [("meet",)] * 5
+    assert calls[0][0] == 6 + 15
+    assert tents == [2] and len(applies) == 1
+
+
+def _planted_rounds(monkeypatch, plants):
+    """A function run(fans, first=0) that runs the inclusion-exclusion
+    suite on fans, numbered from first, with the meet of the first pair
+    of fan k in round s (the subsets of size s) failing with the message
+    "planted k s", for each (k, s) in plants.  A pair's fan is told by its
+    tent."""
+    decompose, batched = overlay.tent_decomposition, overlay.overlays
+    fan_of, rounds, first = {}, [], [0]
+
+    def recorded(functions, delta=1e-2):
+        got = decompose(functions, delta)
+        fan_of.update({id(t): first[0] + k for k, tents in enumerate(got) for t in tents})
+        return got
+
+    def planting(pairs, ops):
+        out = batched(pairs, ops)
+        rounds.append(None)
+        size, hit = len(rounds) + 1, set()
+        for i, (_, tent) in enumerate(pairs):
+            k = fan_of[id(tent)]
+            if (k, size) in plants and k not in hit:
+                out["meet"][i] = OverlayFailure("planted %d %d" % (k, size))
+                hit.add(k)
+        return out
+
+    monkeypatch.setattr(overlay, "tent_decomposition", recorded)
+    monkeypatch.setattr(overlay, "overlays", planting)
+
+    def run(fans, start=0):
+        fan_of.clear()
+        rounds.clear()
+        first[0] = start
+        return inclusion_exclusion_suite(PowerKernel(1.0, 1.5), fans)
+
+    return run
+
+
+def test_inclusion_exclusion_raises_the_first_failing_fans_error(monkeypatch):
+    # fan 0 fails in round 3, fan 1 in round 2: in lockstep the suite
+    # raises fan 0's failure, as one call per fan in order does; alone,
+    # fan 1 raises its own, and fan 2 passes
+    fans = [(seed, random_fan_function(seed)) for seed in (0, 1, 2)]
+    run = _planted_rounds(monkeypatch, {(0, 3), (1, 2)})
+    with pytest.raises(OverlayFailure, match="^planted 0 3$"):
+        run(fans)
+    with pytest.raises(OverlayFailure, match="^planted 0 3$"):
+        run(fans[:1])
+    with pytest.raises(OverlayFailure, match="^planted 1 2$"):
+        run(fans[1:], start=1)
+    (report,) = run(fans[2:], start=2)
+    assert report.passed
 
 
 def test_tent_decomposition_builds_a_round_in_one_chain(monkeypatch):
@@ -182,7 +315,7 @@ def test_tent_decomposition_builds_a_round_in_one_chain(monkeypatch):
 
     monkeypatch.setattr(convex, "split", counting_split)
     monkeypatch.setattr(overlay, "assemble_cells", counting_assemble)
-    tents = overlay.tent_decomposition(f)
+    (tents,) = overlay.tent_decomposition([f])
     n = f.dim
     assert len(tents) == 6
     assert batches == [6] * len(batches)
@@ -323,6 +456,14 @@ def test_a_planted_pair_skips_alone_in_the_identity_suite(monkeypatch):
     assert [r.to_json_dict() for k, r in enumerate(rows) if k != 1] == [
         r.to_json_dict() for k, r in enumerate(clean) if k != 1]
     assert all(r.status == "pass" for r in clean)
+
+
+def test_the_sampled_check_draws_its_points_once_per_dimension():
+    # the 128 draws from default_rng(424242), kept read-only per dimension
+    for n in (2, 3):
+        U = overlay._sample_unit(n)
+        assert overlay._sample_unit(n) is U and not U.flags.writeable
+        assert U.tobytes() == np.random.default_rng(424242).random((128, n)).tobytes()
 
 
 @pytest.mark.parametrize("zero_first", [False, True], ids=["f-zero", "zero-f"])

@@ -384,6 +384,73 @@ def test_meet_with_the_join_gives_back_f(n):
             assert len(absorbed.complex) == len(f.complex), seed
 
 
+def test_an_absorption_meet_chains_no_simplex_it_covers():
+    # in f ^ (f v g) every simplex of f is covered by the join's simplices
+    # it meets, and runs no difference chain against them: the 3-D seed-1
+    # pair's two absorption meets take 16 stacked cuts or fewer (594 when
+    # each covered simplex chained against every simplex it met)
+    from plval import stats
+    from plval.verify import random_cone_function
+
+    rng = np.random.default_rng(1)
+    f = random_cone_function(rng, 3)
+    g = random_cone_function(rng, 3)
+    jo = overlay.lattice_overlays([(f, g)], "join")[0]
+    before = stats.calls["splits"]
+    met = overlay.lattice_overlays([(f, jo)], "meet") + overlay.lattice_overlays([(jo, f)], "meet")
+    assert stats.calls["splits"] - before <= 16
+    assert [len(h.complex) for h in met] == [len(f.complex)] * 2
+
+
+def test_a_complex_keeps_its_rows_and_scale_write_protected():
+    from plval.verify import random_cone_function
+
+    cx = random_cone_function(np.random.default_rng(3), 3).complex
+    for kept in (cx.simplex_rows, cx.locator):
+        first = kept()
+        assert kept() is first and all(not a.flags.writeable for a in first)
+    assert cx.scale() == max(1.0, float(np.abs(cx.vertices).max()))
+    assert pf.PLFunction.zero(2).complex.scale() == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluate_each_builds_what_its_functions_lack_in_one_stack(monkeypatch, n):
+    # the locators and affine pieces of several new functions come from
+    # one np.linalg.inv and one np.linalg.solve, each bit the one a
+    # function builds alone; what a function has already is not rebuilt
+    from plval.verify import random_cone_function
+
+    def fresh():
+        out = []
+        for seed in range(8):
+            f = random_cone_function(np.random.default_rng(seed), n)
+            cx = pf.SimplicialComplex(dim=n, vertices=f.complex.vertices, simplices=f.complex.simplices)
+            out.append(pf.PLFunction(complex=cx, values=f.values))
+        return out + [pf.PLFunction.zero(n)]
+
+    alone = fresh()
+    for f in alone:
+        f.complex.locator(), f.affines()
+    stacked = fresh()
+    stacked[0].affines()
+    stacked[1].complex.locator()
+    calls = []
+    for name in ("inv", "solve"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _fn=fn, _name=name: calls.append((_name, len(a)))
+                            or _fn(a, *args))
+    X = np.random.default_rng(9).uniform(-2.0, 2.0, size=(50 * len(stacked), n))
+    at = np.repeat(np.arange(len(stacked)), 50)
+    got = pf.evaluate_each(stacked, X, at)
+    monkeypatch.undo()
+    total = sum(len(f.complex) for f in stacked)
+    assert calls == [("inv", total - len(stacked[1].complex)), ("solve", total - len(stacked[0].complex))]
+    assert got.tobytes() == pf.evaluate_each(alone, X, at).tobytes()
+    for a, b in zip(alone, stacked):
+        for x, y in zip(a.complex.locator() + a.affines(), b.complex.locator() + b.affines()):
+            assert x.tobytes() == y.tobytes() and not y.flags.writeable
+
+
 def _disjoint_cones():
     P = pt.cube(2)
     return (
@@ -480,7 +547,7 @@ def _assert_roles_match_their_oracles(cells, A, b, tol, clip, got):
                                                          tol[at], grad[at], off[at])
     _assert_same_pieces((out.take(mine), src[mine]), (wcells, at[wsrc]))
     s = src[mine]
-    cut, csrc = overlay._cut_by_affine(out.take(mine), grad[s], off[s], tol[s])
+    cut, csrc, _ = overlay._cut_by_affine(out.take(mine), grad[s], off[s], tol[s])
     _assert_same_pieces((cut, s[csrc]), (wcut, at[wcsrc]))
 
 
@@ -651,13 +718,14 @@ def test_an_overlay_splits_as_deep_as_its_lockstep_and_one_affine_cut(monkeypatc
 
 
 def test_tent_decomposition_raises_typed_error_when_it_cannot_converge(monkeypatch, cone_square):
-    def spilling(f, simplices, M):
+    def spilling(functions, simplices, M):
         # a tent reaching past f's bounding box is rejected every time
-        return [pf.compose_affine(f, np.eye(f.dim), np.full(f.dim, 10.0)) for _ in simplices]
+        return [[pf.compose_affine(f, np.eye(f.dim), np.full(f.dim, 10.0)) for _ in chosen]
+                for f, chosen in zip(functions, simplices)]
 
     monkeypatch.setattr(overlay, "_build_tents", spilling)
     with pytest.raises(ConstructionFailure, match="did not converge"):
-        overlay.tent_decomposition(cone_square)
+        overlay._raise_first(overlay.tent_decomposition([cone_square]))
     assert issubclass(ConstructionFailure, PLValError)
 
 
@@ -668,12 +736,12 @@ def test_tent_decomposition_refuses_a_bad_delta_before_any_work(monkeypatch, con
     built = []
     monkeypatch.setattr(overlay, "_build_tents", lambda *args: built.append(args))
     with pytest.raises(error, match="delta"):
-        overlay.tent_decomposition(cone_square, delta)
+        overlay.tent_decomposition([cone_square], delta)
     assert built == []
 
 
 def test_tent_decomposition_central_fan(square, cone_square):
-    tents = overlay.tent_decomposition(cone_square)
+    (tents,) = overlay.tent_decomposition([cone_square])
     assert len(tents) == len(square.facets)
     rng = np.random.default_rng(5)
     for x in rng.uniform(-1.4, 1.4, (500, 2)):
@@ -692,7 +760,7 @@ def test_tent_cuts_its_cells_in_one_stacked_chain(monkeypatch, cone_square):
         return split(cells, *args, **kwargs)
 
     monkeypatch.setattr(convex, "split", counting)
-    overlay._build_tents(cone_square, [0], [4.0])
+    overlay._build_tents([cone_square], [[0]], [[4.0]])
     # the central simplex and n + 1 wedges, each cut by the n + 1 rows of
     # its region and then by its own piece >= 0
     n = cone_square.dim
@@ -708,7 +776,7 @@ def test_tent_is_assembled_by_the_overlay(monkeypatch, cone_square):
         return assemble(cells, *args)
 
     monkeypatch.setattr(overlay, "assemble_cells", counted)
-    (t,) = overlay._build_tents(cone_square, [0], [4.0])
+    ((t,),) = overlay._build_tents([cone_square], [[0]], [[4.0]])
     # the central simplex and the wedges that are not empty, assembled in
     # one call
     assert len(stacks) == 1 and 0 < stacks[0] <= cone_square.dim + 2
@@ -728,7 +796,7 @@ def test_tent_cell_volumes_are_checked(monkeypatch, cone_square):
 
     monkeypatch.setattr(convex, "cell_volumes", corrupted)
     with pytest.raises(OverlayFailure, match="triangulates"):
-        overlay._build_tents(cone_square, [0], [4.0])
+        overlay._raise_first(overlay._build_tents([cone_square], [[0]], [[4.0]]))
 
 
 def test_shared_vertex_takes_the_least_steep_value():
@@ -757,7 +825,7 @@ def test_tent_decomposition_single_simplex():
         simplices=((0, 1, 2),),
     )
     f = pf.PLFunction(complex=cx, values=np.array([1.0, 0.0, 0.0]))
-    tents = overlay.tent_decomposition(f)
+    (tents,) = overlay.tent_decomposition([f])
     assert len(tents) == 1
     for x in np.random.default_rng(6).uniform(-0.2, 1.2, (100, 2)):
         assert pf.evaluate(tents[0], x) == pytest.approx(pf.evaluate(f, x), abs=1e-12)
@@ -765,7 +833,7 @@ def test_tent_decomposition_single_simplex():
 
 def test_tent_decomposition_random_fan():
     f = fan_function(7)
-    tents = overlay.tent_decomposition(f)
+    (tents,) = overlay.tent_decomposition([f])
     rng = np.random.default_rng(7)
     lo = f.complex.vertices.min(axis=0) - 0.1
     hi = f.complex.vertices.max(axis=0) + 0.1
@@ -855,8 +923,8 @@ def test_overlay_results_read_back_from_their_own_json(monkeypatch):
         joins = overlay.lattice_overlays(pairs, "join")
         outputs += joins + overlay.lattice_overlays(pairs, "meet")
         outputs += overlay.lattice_overlays([(f, h) for (f, _), h in zip(pairs, joins)], "meet")
-    for seed in range(6):
-        outputs += overlay.tent_decomposition(fan_function(seed))
+    for tents in overlay.tent_decomposition([fan_function(seed) for seed in range(6)]):
+        outputs += tents
     batched = overlay.overlays
 
     def recorded(pairs, ops):
@@ -864,11 +932,10 @@ def test_overlay_results_read_back_from_their_own_json(monkeypatch):
         outputs.extend(h for got in out.values() for h in got if isinstance(h, pf.PLFunction))
         return out
 
-    # inclusion-exclusion meets in batches (lattice_overlays), the
-    # identity suite joins and meets all its pairs in one call; both go
-    # through overlays
+    # inclusion-exclusion meets in batches, the identity suite joins and
+    # meets all its pairs in one call; both go through overlays
     monkeypatch.setattr(overlay, "overlays", recorded)
-    inclusion_exclusion_suite(PowerKernel(1.0, 1.5), seed=0)
+    inclusion_exclusion_suite(PowerKernel(1.0, 1.5), [(0, fan_function(0))])
     dict(default_battery(1))["valuation_identity_3d"]()
     assert len(outputs) > 156 + 36 + 60
     assert [k for k, f in enumerate(outputs) if not _round_trips(f)] == []

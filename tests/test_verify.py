@@ -162,7 +162,7 @@ def test_continuity_example_3_decays():
 
 
 def test_inclusion_exclusion_square(cone_square):
-    reports = inclusion_exclusion_suite(PowerKernel(1.0, 2.0), f=cone_square)
+    reports = inclusion_exclusion_suite(PowerKernel(1.0, 2.0), [(0, cone_square)])
     assert len(reports) == 1
     assert reports[0].passed
     assert "tents=4" in reports[0].case
@@ -175,7 +175,7 @@ def test_inclusion_exclusion_single_simplex():
         simplices=((0, 1, 2),),
     )
     f = pf.PLFunction(complex=cx, values=np.array([1.0, 0.0, 0.0]))
-    reports = inclusion_exclusion_suite(PowerKernel(1.0, 1.5), f=f)
+    reports = inclusion_exclusion_suite(PowerKernel(1.0, 1.5), [(0, f)])
     assert reports[0].passed
     assert "tents=1" in reports[0].case
 
@@ -186,7 +186,7 @@ def test_inclusion_exclusion_single_simplex():
 @pytest.mark.parametrize("seed", [2, 12, 25, 111, 114])
 def test_inclusion_exclusion_random_fan(seed):
     f = random_fan_function(seed)
-    reports = inclusion_exclusion_suite(PowerKernel(1.0, 1.5), f=f)
+    reports = inclusion_exclusion_suite(PowerKernel(1.0, 1.5), [(0, f)])
     assert reports[0].passed
     assert reports[0].residual < 1e-7
 
@@ -195,7 +195,8 @@ def test_inclusion_exclusion_residual_stays_at_rounding_level():
     # a tent vertex takes its value from its least steep piece; from the
     # wedges' steep pieces (slope peak over ring width) the residual rises
     # about fortyfold
-    worst = max(inclusion_exclusion_suite(PowerKernel(1.0, 1.5), seed=s)[0].residual for s in range(10))
+    reports = inclusion_exclusion_suite(PowerKernel(1.0, 1.5), [(s, random_fan_function(s)) for s in range(10)])
+    worst = max(r.residual for r in reports)
     assert worst <= 5e-15
 
 
@@ -208,7 +209,7 @@ def test_inclusion_exclusion_residual_stays_at_rounding_level():
         (lambda: valuation_identity_suite(PowerKernel(1.0, 2.0), seed=0, count=3, n=2), 1),
         (lambda: valuation_identity_suite(PowerKernel(1.0, 1.5), seed=1, count=2, n=3, points=5), 1),
         (lambda: invariance_suite(PowerKernel(1.0, 2.0), seed=2, count=5), 1),
-        (lambda: inclusion_exclusion_suite(PowerKernel(1.0, 1.5), seed=4), 1),
+        (lambda: inclusion_exclusion_suite(PowerKernel(1.0, 1.5), [(4, random_fan_function(4))]), 1),
         (lambda: continuity_example_1(pt.cube(2), s=1.5, k_max=4, p=1.0), 1),
         (lambda: continuity_example_2(pt.cube(2), growth_fn_id="log", k_max=4, p=1.0), 1),
         (lambda: continuity_example_3(pt.cube(2), growth_fn_id="sqrt", k_max=4, p=1.0), 1),
