@@ -6,9 +6,10 @@ error raised), its worst relative residual |z(f) - sum over tent subsets|,
 the worst cover-balance residual over the pairs the suite overlaid:
 |covered volume - (vol supp f + vol supp g)| divided by that sum, which
 the overlay requires to stay within COVER_TOL (a pair that fails the
-balance counts too), the number of pairs overlaid and of batched overlay
-calls (overlay.lattice_overlays) with the simplices they returned in
-total, so that output growing more fragmented shows in the log, the
+balance counts too), the number of results overlaid (one per op and
+pair) and of batched overlay calls (overlay.overlays) with the simplices
+they returned in total, so that output growing more fragmented shows in
+the log, the
 number of hulls built (from polytopes and convex supports), the merge
 groups the assembly tested and merged, and where the time went: the
 seconds spent cutting batches of pairs against each other
@@ -20,10 +21,11 @@ All but the overlay calls are read from plval.stats, which plval keeps
 itself: the counts from stats.calls (hulls, merge_groups, merged, splits,
 cuts, assemblies), the seconds from stats.seconds, and the cover residual
 from the cover check's margin, stats.worst["cover"] times COVER_TOL.
-The one wrapper it installs is on overlay.lattice_overlays: every overlay
-result is written as JSON and read back (plfunction.from_json_dict), and
-the log gives how many read back to the same bytes; a result refused or
-changed on the way fails its seed.  It exits 1 if any seed fails.
+The one wrapper it installs is on overlay.overlays: every overlay result
+(an OverlayFailure in its place is left to the suite) is written as JSON
+and read back (plfunction.from_json_dict), and the log gives how many
+read back to the same bytes; a result refused or changed on the way
+fails its seed.  It exits 1 if any seed fails.
 
 Usage: PYTHONPATH=src python scripts/overlay_stress.py --seeds 0:60
 """
@@ -35,7 +37,7 @@ import time
 
 from plval import overlay, stats
 from plval.errors import PLValError
-from plval.plfunction import from_json_dict
+from plval.plfunction import PLFunction, from_json_dict
 from plval.serialize import dumps_canonical
 from plval.verify import default_battery
 
@@ -50,8 +52,8 @@ def main() -> int:
     ap.add_argument("--seeds", type=seed_range, default=range(0, 60), help="start:stop")
     args = ap.parse_args()
 
-    calls = [0, 0, 0]  # pairs overlaid, batched overlay calls, simplices returned
-    lattice_overlays = overlay.lattice_overlays
+    calls = [0, 0, 0]  # results overlaid, batched overlay calls, simplices returned
+    overlays = overlay.overlays
     trips = [0, 0]  # results refused or changed on the way back from JSON, results read back to the same bytes
 
     def read_back(h) -> bool:
@@ -61,16 +63,17 @@ def main() -> int:
         except PLValError:
             return False
 
-    def counted_overlays(pairs, op):
-        out = lattice_overlays(pairs, op)
-        calls[0] += len(out)
+    def counted_overlays(pairs, ops):
+        out = overlays(pairs, ops)
+        got = [h for results in out.values() for h in results if isinstance(h, PLFunction)]
+        calls[0] += len(got)
         calls[1] += 1
-        calls[2] += sum(len(h.complex) for h in out)
-        for h in out:
+        calls[2] += sum(len(h.complex) for h in got)
+        for h in got:
             trips[read_back(h)] += 1
         return out
 
-    overlay.lattice_overlays = counted_overlays
+    overlay.overlays = counted_overlays
     failed = 0
     for seed in args.seeds:
         calls[:] = [0, 0, 0]

@@ -75,10 +75,10 @@ SPAN_FLOOR = 1e-12
 # otherwise; _facets works in chunks of about HULL_CHUNK subset-points.
 ONE_SHOT = 1 << 13
 HULL_CHUNK = 1 << 17
-# near_pairs compares every pair of rows at once up to NEAR_DENSE rows,
-# and sweeps a sorted projection above.
-NEAR_DENSE = 32
-_UPPER = np.triu(np.ones((NEAR_DENSE, NEAR_DENSE), dtype=bool), 1)  # the pairs i < j
+# box_pairs tests every pair of a group of at most BOX_BLOCK candidate
+# pairs, puts a larger group on a grid, and tests about BOX_BLOCK
+# candidates at a time.
+BOX_BLOCK = 1 << 14
 
 
 def dedupe_points(pts: np.ndarray, tol, batch=None):
@@ -91,7 +91,7 @@ def dedupe_points(pts: np.ndarray, tol, batch=None):
     chain of points each within tol of the next collapses to one row.
 
     With batch (k,), each row's batch, the batches are deduped apart, in
-    one sweep: batch b within tol[b], and no two rows of different
+    one search: batch b within tol[b], and no two rows of different
     batches merge.  unique_points then come by batch, each batch's in lex
     order, so a batch's rows and mapping are those it gets alone, shifted
     by the rows of the batches before it.
@@ -101,10 +101,14 @@ def dedupe_points(pts: np.ndarray, tol, batch=None):
     d = pts.shape[1] if pts.ndim == 2 else 1
     pts = pts.reshape(k, d)
     order = np.lexsort(pts.T[::-1] if batch is None else (*pts.T[::-1], batch))
+    # each point's lex rank, a repeat taking its first's, which alone is searched
+    head, s = np.ones(k, dtype=bool), pts[order]
+    head[1:] = (s[1:] != s[:-1]).any(axis=1) | (batch is not None and batch[order[1:]] != batch[order[:-1]])
     label = np.empty(k, dtype=int)
-    label[order] = np.arange(k)  # each point's lex rank
-    i, j = near_pairs(pts, tol, batch)
-    if not len(i):
+    label[order] = np.maximum.accumulate(np.where(head, np.arange(k), 0))
+    first = order[head]
+    i, j = (first[x] for x in near_pairs(pts[first], tol, None if batch is None else batch[first]))
+    if not len(i) and head.all():
         # no two points merge: each is its own row, in lex order
         return pts[order], label
     # each point takes the smallest label among its pairs, then the label
@@ -122,65 +126,104 @@ def dedupe_points(pts: np.ndarray, tol, batch=None):
     return pts[order[reps]], mapping
 
 
-def within(count):
-    """0, 1, ..., c-1 for each c in count, one after another."""
-    return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
-
-
 def near_pairs(pts: np.ndarray, tol, batch=None):
-    """The pairs (i, j) of rows of pts (k, d) with |p_i - p_j| <= tol in
-    the max-norm, each pair once; with batch (k,), only pairs within one
-    batch b, at tol[b].
-
-    Up to NEAR_DENSE rows, one (k, k) comparison of every pair
-    (_dense_pairs); above, a sort-and-window sweep (_swept_pairs).  Both
-    test every pair within tol exactly and find the same pairs, each in
-    its own orientation and order."""
-    k = len(pts)
-    if k <= NEAR_DENSE:
-        return _dense_pairs(pts, tol, batch)
-    if batch is None:
-        batch, tol = np.zeros(k, dtype=np.intp), [tol]
-    return _swept_pairs(pts, np.asarray(tol, dtype=float)[batch], batch)
-
-
-def _dense_pairs(pts: np.ndarray, tol, batch=None):
-    """near_pairs from the (k, k) max-norm distances: each pair i < j
-    within tol, or of one batch b within tol[b]."""
-    k = len(pts)
-    dist = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2, initial=0.0)
-    if batch is None:
-        near = dist <= tol
-    else:
-        near = (dist <= np.asarray(tol, dtype=float)[batch][:, None]) & (batch[:, None] == batch[None, :])
-    return np.nonzero(near & _UPPER[:k, :k])
-
-
-def _swept_pairs(pts: np.ndarray, own: np.ndarray, batch: np.ndarray):
-    """near_pairs by a sort-and-window sweep: the rows are sorted by
-    batch, then on one generic projection t = w.x.  A pair within tol has
-    |t_i - t_j| <= tol |w|_1, so each row's window takes the rows after
-    it up to that width, padded by the projection's rounding error, and
-    every pair in a window is tested exactly."""
-    k, d = pts.shape
-    w = 1.0 / np.sqrt(np.arange(d) + 1.5)
-    t = (pts * w).sum(axis=1)
-    slack = 8 * (d + 2) * np.finfo(float).eps * float(np.abs(pts).max(initial=0.0))
-    order = np.lexsort((t, batch))
-    ts, bs = t[order], batch[order]
-    # each window ends after the rows of its batch at or below its end,
-    # counted in one sort of the rows and the ends together (an end after
-    # the rows it equals)
-    ends = ts + (own[order] + slack) * w.sum()
-    merged = np.lexsort((np.repeat([0, 1], k), np.concatenate([ts, ends]), np.concatenate([bs, bs])))
-    is_end = merged >= k
-    hi = np.empty(k, dtype=np.intp)
-    hi[merged[is_end] - k] = np.cumsum(~is_end)[is_end]
-    count = hi - np.arange(k) - 1
-    a = np.repeat(np.arange(k), count)
-    i, j = order[a], order[a + 1 + within(count)]
-    near = np.abs(pts[i] - pts[j]).max(axis=1, initial=0.0) <= own[i]
+    """The pairs (i, j), i < j, of rows of pts (k, d) with |p_i - p_j| <=
+    tol in the max-norm, by i, then j; with batch (k,), only pairs within
+    one batch b, at tol[b].  The candidates are the boxes [p, p + tol],
+    widened by its rounding, that meet (box_pairs); each is tested exactly."""
+    pts = np.asarray(pts, dtype=float)
+    own = float(tol) if batch is None else np.asarray(tol, dtype=float)[batch][:, None]
+    i, j = box_pairs(pts, pts + own + 2 * np.finfo(float).eps * (own + np.abs(pts).max(initial=0.0)), batch)
+    near = np.abs(pts[i] - pts[j]).max(axis=1, initial=0.0) <= (own if batch is None else own[i, 0])
     return i[near], j[near]
+
+
+def box_pairs(lo, hi, group=None, other=None):
+    """The pairs (i, j) of closed boxes of one group that meet (lo_i <=
+    hi_j and lo_j <= hi_i on every axis), by i, then j, each pair once:
+    box i of [lo, hi] (k, d) and box j of other = (lo2, hi2, group2), or
+    without other, i < j of [lo, hi]; a group None is all one group, and
+    compared at once when small.  A group of at most BOX_BLOCK candidate
+    pairs is one cell, a larger one a grid of its own (_entries) that keeps
+    a pair only in the cell of the larger of its low corners; each pair of
+    boxes of one cell is a candidate, tested about BOX_BLOCK at a time."""
+    sets = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+             np.zeros(len(a), dtype=np.intp) if g is None else np.asarray(g, dtype=np.intp))
+            for a, b, g in [(lo, hi, group)] + ([] if other is None else [other])]
+    (lo, hi, _), (lo2, hi2, _) = sets[0], sets[-1]
+    if group is None and (other is None or other[2] is None) and len(lo) * len(lo2) <= BOX_BLOCK:
+        i, j = np.nonzero(((lo[:, None] <= hi2[None]) & (lo2[None] <= hi[:, None])).all(axis=2))
+        return (i, j) if other is not None else (i[i < j], j[i < j])
+    n = [np.bincount(g, minlength=1 + max(int(s[2].max(initial=-1)) for s in sets)) for *_, g in sets]
+    big = (n[0] * (n[0] - 1) // 2 if other is None else n[0] * n[1]) > BOX_BLOCK
+    entries = _entries(sets, sum(n), big) if big.any() else [(None, g, None) for *_, g in sets]
+    (src, key, home), (src2, key2, home2) = entries[0], entries[-1]
+    points = hi is lo  # zero-width boxes: a point's coordinates are read once
+    lo, hi, lo2, hi2 = (x.T.copy() for x in (lo, hi, lo2, hi2))
+    # each entry's partners: the other set's (or its own set's later) entries of its cell, a run when sorted
+    order = None if (key2[1:] >= key2[:-1]).all() else np.argsort(key2, kind="stable")
+    keys = key2 if order is None else key2[order]
+    start = np.searchsorted(keys, key, side="left")
+    if other is None:
+        start[slice(None) if order is None else order] = np.arange(1, len(keys) + 1)
+    count = np.searchsorted(keys, key, side="right") - start
+    first = np.cumsum(count) - count
+    cuts = np.flatnonzero(np.diff(first // BOX_BLOCK)) + 1 if first[-1:].sum() > BOX_BLOCK else []
+    out = []
+    for s, e in zip([0, *cuts], [*cuts, len(count)]):
+        a = np.repeat(np.arange(s, e), count[s:e])
+        b = np.repeat(start[s:e] - first[s:e], count[s:e]) + np.arange(first[s], first[s] + len(a)) if e > s else a
+        b = b if order is None else order[b]
+        if home is not None:  # in that cell, each axis has one of the two at its low corner
+            a, b = (x[(home[a] | home2[b]) == (1 << len(lo)) - 1] for x in (a, b))
+        i, j = (a, b) if src is None else (src[a], src2[b])
+        for x in range(len(lo)):
+            li = lo[x][i]
+            keep = (li <= hi2[x][j]) & (lo2[x][j] <= (li if points else hi[x][i]))
+            i, j = i[keep], j[keep]
+        out.append((i, j))
+    i, j = (np.concatenate(x) for x in zip(*out)) if len(out) > 1 else out[0]
+    # i comes in order, and on a grid j in order within each cell
+    o = slice(None) if home is None else np.argsort(i * len(sets[-1][2]) + j, kind="stable")
+    return i[o], j[o]
+
+
+def _entries(sets, n, big):
+    """For each set of boxes, (src, key, home): an entry for each cell of its
+    group's grid that a box reaches, in box order, with the box, the cell's
+    number and bit x set where it is the box's first along axis x.  A group
+    not big is one cell; a big one of n[g] boxes has cells as wide as its
+    mean box, at most n^(2/d) along an axis, and twice as wide while its
+    boxes reach more than 2^(d+1) cells each on average."""
+    lo, hi, group = (np.concatenate(x) for x in zip(*sets)) if len(sets) > 1 else sets[0]
+    G, d, order = len(n), lo.shape[1], np.argsort(group, kind="stable")
+    run = np.flatnonzero(np.diff(group[order], prepend=-1))  # each group's boxes, a run in group order
+    origin, top, width = np.zeros((G, d)), np.zeros((G, d)), np.zeros((G, d))
+    g = group[order[run]]
+    origin[g], top[g] = np.minimum.reduceat(lo[order], run), np.maximum.reduceat(hi[order], run)
+    width[g] = np.add.reduceat((hi - lo)[order], run) / n[g, None]
+    width = np.maximum(width, (top - origin) / np.maximum(n, 1)[:, None] ** (2.0 / d))
+    width[~big[:, None] | (width <= 0)] = np.inf
+    width, over = width / 2, big
+    while over.any():
+        width[over] *= 2
+        low, high = np.floor((np.stack([lo, hi]) - origin[group]) / width[group])
+        over = np.bincount(group, (high - low + 1).prod(axis=1), G) > 2 ** (d + 1) * n
+    cells = np.floor((top - origin) / width) + 1
+    radix = (np.cumprod(cells, axis=1) / cells).astype(np.int64)
+    first = (np.cumsum(cells.prod(axis=1)) - cells.prod(axis=1)).astype(np.int64)
+    low, span = low.astype(np.int64), (high - low + 1).astype(np.int64)
+    reach = span.prod(axis=1)
+    src = np.repeat(np.arange(len(lo)), reach)
+    e = np.arange(len(src)) - np.repeat(np.cumsum(reach) - reach, reach)
+    key, home, gs = first[group[src]], np.zeros(len(src), dtype=np.int64), group[src]
+    for x in range(d):
+        r = span[:, x][src]
+        key += (low[:, x][src] + e % r) * radix[gs, x]
+        home |= (e % r == 0).astype(np.int64) << x
+        e //= r
+    k = len(sets[0][2])
+    return [(src[m] - k0, key[m], home[m]) for m, k0 in ((src < k, 0), (src >= k, k))[: len(sets)]]
 
 
 # ---------------------------------------------------------------------------

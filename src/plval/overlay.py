@@ -70,7 +70,10 @@ between the simplices of one pair, the cuts of all pairs share each
 stacked convex.split, one assemble_cells builds every op of every pair
 (op i's pair k as its batch i B + k), and one stacked pass
 (plfunction.evaluate_each) locates the sample points of every f, g and
-result.  What depends on a pair stays the pair's own: its tolerance
+result.  The cut's near simplex pairs, the vertex snap and row dedupe
+and the sample points' simplices are each one convex.box_pairs search,
+each pair its own group: all pairs of small pairs, a grid for refined
+meshes.  What depends on a pair stays the pair's own: its tolerance
 scale (split takes one tolerance per cell), its convex supports, its
 cover balance, its vertex snap and row dedupe (convex.dedupe_points
 keeps batches apart), its degenerate floor and its fill and value
@@ -79,8 +82,7 @@ default_rng(424242) spread over the pair's own box.  So each (op, pair)
 result or failure is byte-identical alone and in any batch, in any
 order, next to any failing pair.
 
-lattice_overlays(pairs, op) raises the first failing pair's failure;
-inclusion-exclusion meets the subsets of one size of all its fans in one
+Inclusion-exclusion meets the subsets of one size of all its fans in one
 overlays call, the identity suites join and meet all their pairs in one,
 and tent_decomposition builds a round's tents of all its functions in one
 assemble_cells.  The pair API (lattice_overlay, and so plfunction.join
@@ -381,16 +383,12 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     m, B = len(mesh.vol), len(mesh.rows)
     scale = _batch_max(np.abs(mesh.cells.V).max(axis=(1, 2), initial=0.0), mesh.pair, B)
     tol = CLIP_TOL * scale[mesh.pair]
-    # near pairs (i, j): f's simplex i and g's simplex j of one pair, with
-    # overlapping boxes, by i, then j
+    # near pairs (i, j): f's simplex i and g's simplex j of one pair whose
+    # boxes, each widened by EPS at its high end, meet; by i, then j
     fi, gi = np.flatnonzero(mesh.of_f), np.flatnonzero(~mesh.of_f)
-    count = np.bincount(mesh.pair[gi], minlength=B)
-    first = np.cumsum(count) - count
-    c = count[mesh.pair[fi]]
-    pi = np.repeat(fi, c)
-    pj = gi[np.repeat(first[mesh.pair[fi]], c) + convex.within(c)]
-    near = np.all((mesh.lo[pi] <= mesh.hi[pj] + EPS) & (mesh.lo[pj] <= mesh.hi[pi] + EPS), axis=1)
-    pi, pj = pi[near], pj[near]
+    hi = mesh.hi + EPS
+    pi, pj = convex.box_pairs(mesh.lo[fi], hi[fi], mesh.pair[fi], (mesh.lo[gi], hi[gi], mesh.pair[gi]))
+    pi, pj = fi[pi], gi[pj]
     # the clips by the simplex met, then the chains against whole supports, which read no simplex met
     whole = mesh.rows[mesh.pair, mesh.of_f.astype(int)] > 0
     wi = np.flatnonzero(whole & (np.bincount(np.concatenate([pi, pj]), minlength=m) > 0))
@@ -989,12 +987,6 @@ def overlays(pairs, ops) -> dict:
             for k, h in zip(live, results[op]):
                 out[op][k] = h
     return {op: _zeros(res, dim) for op, res in out.items()}
-
-
-def lattice_overlays(pairs, op: str) -> list:
-    """[f v g for (f, g) in pairs] for op "join", f ^ g for "meet", in one
-    overlays call; the first pair that fails raises its OverlayFailure."""
-    return _raise_first(overlays(pairs, (op,))[op])
 
 
 @functools.lru_cache(maxsize=1)

@@ -29,8 +29,6 @@ from .errors import Degenerate, InvalidComplex, NonFinite, OriginNotInterior
 from .polytope import Polytope
 from .serialize import read_dim, read_finite, read_object
 
-# evaluate_many tests at most this many (point, simplex) pairs at once.
-EVAL_PAIRS = 1 << 14
 # validate clips at most this many pairs of simplices at once.
 CLIP_PAIRS = 1 << 14
 
@@ -148,10 +146,11 @@ class SimplicialComplex:
         intersection lies on none of i's rows, i.e. has interior, naming
         the first such pair in (i, j) order.
 
-        Pairs come from a sort and sweep of the boxes, padded by atol,
-        along the first axis, and are clipped at atol in stacked flat
-        chains (convex.clip_rows), one per chunk of the sweep."""
-        n, m = self.dim, len(self)
+        The pairs are those whose boxes, padded by atol, meet
+        (convex.box_pairs), clipped at atol in stacked flat chains
+        (convex.clip_rows), CLIP_PAIRS pairs at a time, which bounds the
+        temporaries of a large mesh."""
+        n = self.dim
         X = self.simplex_arrays()
         vols = self.simplex_volumes()
         floor = convex.simplex_floor(np.ptp(X, axis=1).max(axis=1, initial=0.0), n, EPS)
@@ -159,25 +158,14 @@ class SimplicialComplex:
         if len(bad):
             raise InvalidComplex("simplex %d is degenerate (measure %.3g)" % (bad[0], vols[bad[0]]))
         atol = 10 * EPS * float(np.abs(self.vertices).max(initial=0.0))
-        lo, hi = X.min(axis=1) - atol, X.max(axis=1) + atol
         A, b = self.simplex_rows()
-        # sorted by the low end of the first axis, a simplex's partners
-        # along it are the run after it up to its high end; the runs go in
-        # chunks of about CLIP_PAIRS pairs, which bounds the temporaries of
-        # a large mesh, as a cell's clip does not depend on its stack-mates
-        order = np.argsort(lo[:, 0], kind="stable")
-        run = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(m) - 1
-        cuts = np.flatnonzero(np.diff((np.cumsum(run) - run) // CLIP_PAIRS)) + 1
-        parts = []
-        for s, e in zip([0, *cuts], [*cuts, m]):
-            r = run[s:e]
-            a = np.repeat(np.arange(s, e), r)
-            c = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(r) - r, r)
-            i, j = order[a], order[c]
-            near = ((lo[i] <= hi[j]) & (lo[j] <= hi[i])).all(axis=1)
-            i, j = np.concatenate([i[near], j[near]]), np.concatenate([j[near], i[near]])
-            cells, src = convex.clip_rows(convex.Cells.of_simplices(X[i], A[i], b[i]), A[j], b[j], atol, flat=True)
-            parts.append((cells, i[src], j[src]))
+        lo, hi = X.min(axis=1) - atol, X.max(axis=1) + atol
+        i, j = convex.box_pairs(lo, hi, None, (lo, hi, None))
+        i, j, parts = i[i != j], j[i != j], []
+        for s in range(0, max(len(i), 1), CLIP_PAIRS):
+            ci, cj = i[s : s + CLIP_PAIRS], j[s : s + CLIP_PAIRS]
+            cells, src = convex.clip_rows(convex.Cells.of_simplices(X[ci], A[ci], b[ci]), A[cj], b[cj], atol, flat=True)
+            parts.append((cells, ci[src], cj[src]))
         clips = convex.Cells.concat([p[0] for p in parts])
         i, j = (np.concatenate([p[k] for p in parts]) for k in (1, 2))
         # i's rows stay first in a flat chain, which drops no row
@@ -367,40 +355,17 @@ def locate(complexes, X: np.ndarray, at: np.ndarray):
 
     A simplex holds the points whose barycentric coordinates there are
     all >= -10 EPS; those are dimensionless, and only the bounding-box
-    prefilter pads by a length, 10 EPS times its complex's scale.  A
-    point is tested against every simplex of its own complex, at most
-    EVAL_PAIRS candidate pairs at a time, and each pair's test reads that
-    pair alone, so a point's pairs do not depend on the other complexes."""
-    m = np.array([len(cx) for cx in complexes], dtype=int)
-    first = np.cumsum(m) - m
-    _locators([cx for cx in complexes if len(cx)])
-    live = [cx.locator() for cx in complexes if len(cx)]
-    P, I = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    if not live:
-        return P[0], I[0]
-    lo, hi, M, v0 = (np.concatenate(x) for x in zip(*live))
+    prefilter (convex.box_pairs, each complex a group) pads by a length,
+    10 EPS times its complex's scale.  Each pair's test reads that pair
+    alone, so a point's pairs do not depend on the other complexes."""
+    _locators(complexes)
+    lo, hi, M, v0 = (np.concatenate(x) for x in zip(*(cx.locator() for cx in complexes)))
+    m = [len(cx) for cx in complexes]
     pad = np.repeat([10 * EPS * cx.scale() for cx in complexes], m)[:, None]
-    lo, hi = lo - pad, hi + pad
-    count = m[at]
-    start = np.cumsum(count) - count
-    # chunks of whole points, a new one where a point's first pair passes
-    # a multiple of EVAL_PAIRS
-    cuts = np.flatnonzero(np.diff(start // EVAL_PAIRS)) + 1
-    # one coordinate at a time, each on the pairs the last one kept
-    Xd, lod, hid = X.T.copy(), lo.T.copy(), hi.T.copy()
-    for s, e in zip([0, *cuts], [*cuts, len(X)]):
-        c = count[s:e]
-        p = s + np.repeat(np.arange(e - s), c)
-        i = np.repeat(first[at[s:e]] - (start[s:e] - start[s]), c) + np.arange(int(c.sum()))
-        for x, a, b in zip(Xd, lod, hid):
-            xp = x[p]
-            near = (xp >= a[i]) & (xp <= b[i])
-            p, i = p[near], i[near]
-        bc = np.einsum("kij,kj->ki", M[i], X[p] - v0[i])
-        inside = np.all(bc >= -10 * EPS, axis=1) & (1.0 - bc.sum(axis=1) >= -10 * EPS)
-        P.append(p[inside])
-        I.append(i[inside])
-    return np.concatenate(P), np.concatenate(I)
+    p, i = convex.box_pairs(X, X, at, (lo - pad, hi + pad, np.repeat(np.arange(len(complexes)), m)))
+    bc = np.einsum("kij,kj->ki", M[i], X[p] - v0[i])
+    inside = np.all(bc >= -10 * EPS, axis=1) & (1.0 - bc.sum(axis=1) >= -10 * EPS)
+    return p[inside], i[inside]
 
 
 def evaluate_each(functions, X: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -414,9 +379,8 @@ def evaluate_each(functions, X: np.ndarray, at: np.ndarray) -> np.ndarray:
     out = np.zeros(len(X))
     p, i = locate([fn.complex for fn in functions], X, at)
     # the pairs come by point, then simplex: keep each point's first
-    first = np.ones(len(p), dtype=bool)
-    first[1:] = p[1:] != p[:-1]
-    p, i = p[first], i[first]
+    p, first = np.unique(p, return_index=True)
+    i = i[first]
     _affines(functions)
     grads, offs = (np.concatenate(x) for x in zip(*(fn.affines() for fn in functions)))
     out[p] = np.einsum("kj,kj->k", X[p], grads[i]) + offs[i]

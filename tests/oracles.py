@@ -389,6 +389,35 @@ def evaluate_pl_brute(vertices, simplices, values, points, tol: float = 1e-9):
     return np.array(out)
 
 
+def kuhn_function(n: int, cells: int):
+    """phi(x) = prod(1 - x_i^2) interpolated on the Kuhn triangulation of
+    [-1, 1]^n with `cells` cubes per side (n! simplices per cube, the
+    cube's corners joined along every monotone path)."""
+    from plval import plfunction as pf
+
+    side = cells + 1
+    grid = np.indices((side,) * n).reshape(n, -1).T
+    verts = -1.0 + 2.0 * grid / cells
+    strides = side ** np.arange(n)[::-1]
+    corners = np.indices((cells,) * n).reshape(n, -1).T @ strides
+    paths = [np.cumsum([0] + [strides[a] for a in perm]) for perm in itertools.permutations(range(n))]
+    S = np.concatenate([corners[:, None] + path[None, :] for path in paths])
+    return pf.PLFunction(complex=pf.SimplicialComplex(n, verts, S), values=np.prod(1.0 - verts**2, axis=1))
+
+
+def box_pairs_brute(lo, hi, group, other=None) -> list:
+    """[(i, j)]: the pairs of closed boxes of one group that meet, one
+    pair at a time, by i, then j; i < j of [lo, hi] without other, else
+    box i of [lo, hi] and box j of other = (lo2, hi2, group2)."""
+    lo2, hi2, group2 = (lo, hi, group) if other is None else other
+    out = []
+    for i in range(len(lo)):
+        for j in range(i + 1 if other is None else 0, len(lo2)):
+            if group[i] == group2[j] and all(lo[i] <= hi2[j]) and all(lo2[j] <= hi[i]):
+                out.append((i, j))
+    return out
+
+
 def dedupe_points_greedy(pts, tol: float):
     """Near-duplicate rows merged greedily, one point at a time.
 

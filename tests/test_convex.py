@@ -4,6 +4,7 @@ batched point location, each against a brute-force oracle."""
 import itertools
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -490,7 +491,8 @@ def test_assembly_builds_no_hull_and_triangulates_once(monkeypatch, n):
     overlay._pair.cache_clear()
     jo = pf.join(f, g)
     assert len(pf.meet(f, jo).complex) == len(f.complex)
-    assert len(overlay.lattice_overlays([(f, g), (g, jo), (jo, f)], "meet")) == 3
+    met = overlay.overlays([(f, g), (g, jo), (jo, f)], ("meet",))["meet"]
+    assert len(met) == 3 and all(isinstance(h, pf.PLFunction) for h in met)
     if fan is not None:
         (tents,) = overlay.tent_decomposition([fan])
         assert len(tents)
@@ -842,31 +844,58 @@ def test_simplex_facets_is_what_incidence_faces_reads(k, r, d, fill, exact, seed
     assert convex.simplex_facets(T, d) == want
 
 
-@settings(max_examples=150, deadline=None)
+def _box_set(data, d, groups, k):
+    """k boxes on a grid of quarter steps, each 0-2 steps wide on each
+    axis (zero-width boxes and boxes touching at a face are common), some
+    padded by 1e-9 at the high end, with one of the groups each; at
+    random, the first box spans all the others."""
+    lo = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=k * d, max_size=k * d)), dtype=float)
+    size = np.array(data.draw(st.lists(st.integers(0, 2), min_size=k * d, max_size=k * d)), dtype=float)
+    pad = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-9]), min_size=k, max_size=k)))
+    lo, hi = lo.reshape(k, d) * 0.25, (lo + size).reshape(k, d) * 0.25 + pad.reshape(k, 1)
+    if k and data.draw(st.booleans()):
+        lo[0], hi[0] = -1.0, 2.0
+    group = np.array(data.draw(st.lists(st.sampled_from(groups), min_size=k, max_size=k)), dtype=int)
+    return lo, hi, group
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    d=st.integers(1, 4),
-    k=st.integers(1, convex.NEAR_DENSE),
-    step=st.sampled_from([0.25, 0.1, 1e-12, 3.0]),
-    shift=st.sampled_from([0.0, 1.0, -250.0, 1e6]),
-    tols=st.lists(st.sampled_from([1e-12, 0.1, 0.25, 0.5, 3.0]), min_size=1, max_size=3),
-    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    groups=st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True),
+    sizes=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    between=st.booleans(),
+    block=st.sampled_from([1, 5, 60, None]),
+    none=st.booleans(),
+    data=st.data(),
 )
-def test_dense_pairs_match_the_sweep(d, k, step, shift, tols, seed):
-    # below NEAR_DENSE rows near_pairs compares every pair at once: the
-    # same pairs as the sweep, alone and in batches, each once
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(-3, 4, size=(k, d)) * step + shift
-    tols = np.array(tols) * step
-    batch = rng.integers(0, len(tols), k)
+def test_box_pairs_match_the_brute_force_pairs(d, groups, sizes, between, block, none, data):
+    # every pair of closed boxes that meet, within one group, by i, then
+    # j, each once: on the grid (block 1 or 5 puts every group but the
+    # smallest there), in one block per group (the default), and mixed;
+    # group numbers may skip, either set may be empty, and one group may
+    # be given as None
+    lo, hi, group = _box_set(data, d, groups, sizes[0])
+    other = _box_set(data, d, groups, sizes[1]) if between else None
+    one = none and len(groups) == 1
+    with mock.patch.object(convex, "BOX_BLOCK", convex.BOX_BLOCK if block is None else block):
+        i, j = convex.box_pairs(lo, hi, None if one else group, other and (*other[:2], None if one else other[2]))
+    assert i.dtype.kind == j.dtype.kind == "i"
+    assert list(zip(i.tolist(), j.tolist())) == oracles.box_pairs_brute(lo, hi, group, other)
 
-    def pairs(i, j):
-        got = [tuple(sorted(p)) for p in zip(i.tolist(), j.tolist())]
-        assert len(got) == len(set(got))
-        return set(got)
 
-    one = np.zeros(k, dtype=np.intp)
-    assert pairs(*convex._dense_pairs(pts, tols[0])) == pairs(*convex._swept_pairs(pts, tols[one], one))
-    assert pairs(*convex._dense_pairs(pts, tols, batch)) == pairs(*convex._swept_pairs(pts, tols[batch], batch))
+def test_box_pairs_grid_pairs_a_box_once_across_its_cells():
+    # a 2-D Kuhn mesh's boxes reach up to four cells of their grid, and a
+    # long box reaches a row of them: each pair still comes once, in order
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(0, 10, (600, 2))
+    hi = lo + rng.uniform(0, 0.6, (600, 2))
+    hi[0] = lo[0] + [10.0, 0.1]
+    want = oracles.box_pairs_brute(lo, hi, np.zeros(600, dtype=int))
+    assert 600 * 599 // 2 > convex.BOX_BLOCK
+    i, j = convex.box_pairs(lo, hi)
+    assert list(zip(i.tolist(), j.tolist())) == want
+    assert (np.diff(i) >= 0).all()
 
 
 def test_hull_grows_candidates_on_many_points():
@@ -1000,6 +1029,26 @@ def test_near_pairs_match_the_kd_tree(d, k, step, reach, shift, seed):
     assert set(got) == _kdtree_pairs(pts, tol)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    k=st.integers(2, 60),
+    step=st.sampled_from([0.25, 0.1, 1e-12, 3.0]),
+    reach=st.sampled_from([1, 2]),
+    shift=st.sampled_from([0.0, 1.0, -250.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_pairs_on_the_grid_match_the_kd_tree(d, k, step, reach, shift, seed):
+    # the same points with every batch on box_pairs' grid: the boxes'
+    # rounding pad still finds every pair exactly at tol
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-3, 4, size=(k, d)) * step + shift
+    tol = reach * step
+    with mock.patch.object(convex, "BOX_BLOCK", 1):
+        i, j = convex.near_pairs(pts, tol)
+    assert list(zip(i.tolist(), j.tolist())) == sorted(_kdtree_pairs(pts, tol))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 3),
@@ -1052,8 +1101,9 @@ def test_evaluate_many_matches_pointwise_oracle(monkeypatch, which):
     vscale = max(1.0, float(np.max(np.abs(f.values))))
     assert np.max(np.abs(f.evaluate_many(pts) - want)) <= 1e-12 * vscale
     assert np.all(f.evaluate_many(outside) == 0.0)
-    # small chunks of (point, simplex) pairs give the same values
-    monkeypatch.setattr(pf, "EVAL_PAIRS", 7)
+    # the (point, simplex) pairs found on a grid, in chunks of about 7
+    # candidates, give the same values
+    monkeypatch.setattr(convex, "BOX_BLOCK", 7)
     fresh = pf.PLFunction(complex=pf.SimplicialComplex(cx.dim, cx.vertices, cx.simplices), values=f.values)
     assert np.max(np.abs(fresh.evaluate_many(pts) - want)) <= 1e-12 * vscale
 
@@ -1091,9 +1141,9 @@ def test_star_of_david_is_a_partition_but_not_conforming():
 @pytest.mark.parametrize("pairs", [1 << 14, 1])
 @pytest.mark.parametrize("defect", ["overlap", "discontinuous"])
 def test_validate_names_the_first_offending_pair(monkeypatch, defect, pairs):
-    # bad pairs (0, 3) and (1, 2), with 1 and 2 first along the sweep's
-    # axis: the pair first in (i, j) order is named, however the sweep's
-    # pairs are chunked
+    # bad pairs (0, 3) and (1, 2), with 1 and 2 first along the first
+    # axis: the pair first in (i, j) order is named, however the pairs
+    # are chunked
     monkeypatch.setattr(pf, "CLIP_PAIRS", pairs)
     tri = np.array([[0, 0], [2, 0], [0, 2]], dtype=float)
     values = np.zeros(12)

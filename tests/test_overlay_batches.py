@@ -57,7 +57,7 @@ def test_batched_overlays_match_single_calls(n):
             overlay._pair.cache_clear()
             alone.append(overlay.lattice_overlay(f, g, op))
         for order in (np.arange(len(pairs)), np.arange(len(pairs))[::-1]):
-            got = overlay.lattice_overlays([pairs[k] for k in order], op)
+            got = overlay.overlays([pairs[k] for k in order], (op,))[op]
             assert len(got) == len(pairs)
             assert all(_same(h, alone[k]) for h, k in zip(got, order))
         assert alone[-2].is_zero() and not alone[-3].is_zero()
@@ -100,15 +100,15 @@ def test_a_failing_pair_fails_alone_in_its_batch():
         with pytest.raises(OverlayFailure) as exc:
             overlay.lattice_overlay(*tiny, op)
         assert str(exc.value) == PLANTED_FAILURE
-        alone = [overlay.lattice_overlays([pair], op)[0] for pair in good]
-        with pytest.raises(OverlayFailure) as exc:
-            overlay.lattice_overlays([good[0], tiny, good[1]], op)
-        assert str(exc.value) == PLANTED_FAILURE
+        alone = [overlay.overlays([pair], (op,))[op][0] for pair in good]
+        first, failed, last = overlay.overlays([good[0], tiny, good[1]], (op,))[op]
+        assert isinstance(failed, OverlayFailure) and str(failed) == PLANTED_FAILURE
+        assert _same(first, alone[0]) and _same(last, alone[1])
     got = overlay.overlays([good[0], tiny, good[1]], ("join", "meet"))
     for op, (first, failed, last) in got.items():
         assert isinstance(failed, OverlayFailure) and str(failed) == PLANTED_FAILURE
-        assert _same(first, overlay.lattice_overlays([good[0]], op)[0])
-        assert _same(last, overlay.lattice_overlays([good[1]], op)[0])
+        assert _same(first, overlay.overlays([good[0]], (op,))[op][0])
+        assert _same(last, overlay.overlays([good[1]], (op,))[op][0])
         assert not first.is_zero() and not last.is_zero()
     overlay._pair.cache_clear()
 
@@ -133,8 +133,8 @@ def test_an_assembly_with_every_simplex_below_the_floor_fails_the_fill_check(mon
 def test_batches_refuse_mixed_dimensions():
     f2, f3 = _cones(2, 0)[0], _cones(3, 0)[0]
     with pytest.raises(ValueError, match="dimension mismatch"):
-        overlay.lattice_overlays([(f2, f2), (f3, f3)], "join")
-    assert overlay.lattice_overlays([], "meet") == []
+        overlay.overlays([(f2, f2), (f3, f3)], ("join",))
+    assert overlay.overlays([], ("meet",)) == {"meet": []}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -324,9 +324,9 @@ def test_tent_decomposition_builds_a_round_in_one_chain(monkeypatch):
 
 def test_join_and_meet_of_one_batch_cut_once(monkeypatch):
     # one overlays call for both ops cuts, assembles and locates once, and
-    # gives the results of one lattice_overlays call per op
+    # gives the results of one overlays call per op
     pairs = [_cones(2, seed) for seed in range(3)]
-    want = {op: overlay.lattice_overlays(pairs, op) for op in ("join", "meet")}
+    want = {op: overlay.overlays(pairs, (op,))[op] for op in ("join", "meet")}
     with monkeypatch.context() as m:
         calls = [_counted(m, name) for name in ("_pieces_pairwise", "assemble_cells", "evaluate_each")]
         got = overlay.overlays(pairs, ("join", "meet"))
@@ -343,7 +343,7 @@ def test_an_unknown_op_is_refused_before_any_cut(monkeypatch, api):
         if api == "pair":
             overlay.lattice_overlay(f, g, "union")
         elif api == "batch":
-            overlay.lattice_overlays([(f, g)], "union")
+            overlay.overlays([(f, g)], ("union",))
         else:
             overlay.overlays([(f, g)], ("join", "union"))
     assert calls == [] and overlay._pair.cache_info().currsize == 0
@@ -370,7 +370,7 @@ def test_the_pair_api_builds_both_ops_in_one_pass(monkeypatch, n):
     for seed in range(26):
         rng = np.random.default_rng(seed)
         f, g = random_cone_function(rng, n), random_cone_function(rng, n)
-        want = {op: overlay.lattice_overlays([(f, g)], op)[0] for op in ("join", "meet")}
+        want = {op: overlay.overlays([(f, g)], (op,))[op][0] for op in ("join", "meet")}
         overlay._pair.cache_clear()
         with monkeypatch.context() as m:
             calls = [_counted(m, name) for name in ("_pieces_pairwise", "assemble_cells", "evaluate_each")]

@@ -14,12 +14,14 @@ import sys
 import numpy as np
 import pytest
 
-from plval import overlay
+from plval import convex, overlay
 from plval import plfunction as pf
 from plval import polytope as pt
 from plval.errors import OverlayFailure
 from plval.serialize import dumps_canonical
 from plval.verify import random_cone_function
+
+import oracles
 
 OPS = ("join", "meet")
 PATH = pathlib.Path(__file__).parent / "data" / "overlay_digests.json"
@@ -78,6 +80,23 @@ def test_single_overlays_match_the_pinned_digests(pairs):
     for name, pair in pairs.items():
         got = overlay.overlays([pair], OPS)
         assert {op: _digest(got[op][0]) for op in OPS} == golden[name], name
+
+
+def test_a_rotated_kuhn_pair_matches_its_pinned_digests():
+    # prod(1 - x_i^2) on the 2-D Kuhn mesh of 24^2 squares (1,152
+    # simplices) and its image under 0.9 times a 0.1 rad rotation: a pair
+    # large enough that its near pairs, vertex snap, row dedupe and sample
+    # location all run on box_pairs' grid, pinned at the bytes the
+    # all-pairs search gave
+    f = oracles.kuhn_function(2, 24)
+    a = 0.1
+    g = pf.compose_affine(f, 0.9 * np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]))
+    assert len(f.complex) * len(g.complex) > convex.BOX_BLOCK
+    got = overlay.overlays([(f, g)], OPS)
+    assert {op: _digest(got[op][0]) for op in OPS} == {
+        "join": "7461508a79cb46e07ae3becf442927ae1fb99ee00c60213995603acee6f60c5d",
+        "meet": "417c29f3b33dbe2ade1d32fd81e10135ab0211dddd0213cbeaf1640fac0a05a1",
+    }
 
 
 if __name__ == "__main__":

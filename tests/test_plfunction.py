@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plval import overlay
+from plval import convex, overlay
 from plval import plfunction as pf
 from plval import polytope as pt
 from plval.errors import (
@@ -395,9 +395,9 @@ def test_an_absorption_meet_chains_no_simplex_it_covers():
     rng = np.random.default_rng(1)
     f = random_cone_function(rng, 3)
     g = random_cone_function(rng, 3)
-    jo = overlay.lattice_overlays([(f, g)], "join")[0]
+    jo = overlay.overlays([(f, g)], ("join",))["join"][0]
     before = stats.calls["splits"]
-    met = overlay.lattice_overlays([(f, jo)], "meet") + overlay.lattice_overlays([(jo, f)], "meet")
+    met = overlay.overlays([(f, jo)], ("meet",))["meet"] + overlay.overlays([(jo, f)], ("meet",))["meet"]
     assert stats.calls["splits"] - before <= 16
     assert [len(h.complex) for h in met] == [len(f.complex)] * 2
 
@@ -920,9 +920,9 @@ def test_overlay_results_read_back_from_their_own_json(monkeypatch):
         for seed in range(26):
             rng = np.random.default_rng(seed)
             pairs.append((random_cone_function(rng, n), random_cone_function(rng, n)))
-        joins = overlay.lattice_overlays(pairs, "join")
-        outputs += joins + overlay.lattice_overlays(pairs, "meet")
-        outputs += overlay.lattice_overlays([(f, h) for (f, _), h in zip(pairs, joins)], "meet")
+        joins = overlay.overlays(pairs, ("join",))["join"]
+        outputs += joins + overlay.overlays(pairs, ("meet",))["meet"]
+        outputs += overlay.overlays([(f, h) for (f, _), h in zip(pairs, joins)], ("meet",))["meet"]
     for tents in overlay.tent_decomposition([fan_function(seed) for seed in range(6)]):
         outputs += tents
     batched = overlay.overlays
@@ -978,6 +978,70 @@ def test_validate_finds_boundary_on_a_partly_covered_facet():
     cx.validate()
     with pytest.raises(InvalidComplex, match="boundary vertex 0 has nonzero value 1"):
         pf.PLFunction(cx, values).validate()
+
+
+def _folded(f):
+    """f with the interior vertex nearest (0.26, ...) moved 1.5 cells along
+    a skew direction, so that its star folds over its neighbours."""
+    V = f.complex.vertices.copy()
+    v = int(np.argmin(np.abs(V - 0.26).sum(axis=1)))
+    step = np.ptp(V[:, 0]) / round(len(V) ** (1 / f.dim) - 1)
+    V[v] += 1.5 * step * np.linspace(1.0, 0.6, f.dim)
+    return pf.PLFunction(complex=pf.SimplicialComplex(f.dim, V, f.complex.simplices), values=f.values)
+
+
+def _torn(f):
+    """f with the later half of the star of the vertex nearest (-0.3, ...)
+    on a copy of that vertex whose value is 0.01 higher."""
+    V, S = f.complex.vertices, f.complex.simplices.copy()
+    v = int(np.argmin(np.abs(V + 0.3).sum(axis=1)))
+    star = np.flatnonzero((S == v).any(axis=1))
+    later = star[len(star) // 2 :]
+    S[later] = np.where(S[later] == v, len(V), S[later])
+    return pf.PLFunction(complex=pf.SimplicialComplex(f.dim, np.vstack([V, V[v]]), S),
+                         values=np.append(f.values, f.values[v] + 0.01))
+
+
+@pytest.mark.parametrize(
+    "n, cells, overlap, tear",
+    [
+        (2, 40, "simplices 984 and 1025 overlap", "simplices 533 and 2133 differ by 0.01 where they meet"),
+        (3, 6, "simplices 129 and 172 overlap", "simplices 43 and 691 differ by 0.01 where they meet"),
+    ],
+    ids=["2d", "3d"],
+)
+def test_validate_on_the_grid_names_the_first_offender(n, cells, overlap, tear):
+    # a Kuhn mesh big enough that validate finds its meeting simplices on
+    # box_pairs' grid passes, and a planted fold and a planted tear name
+    # the pair the all-pairs search named, the first in (i, j) order
+    f = oracles.kuhn_function(n, cells)
+    m = len(f.complex)
+    assert m * (m - 1) // 2 > convex.BOX_BLOCK
+    f.validate()
+    for plant, message in ((_folded, overlap), (_torn, tear)):
+        with pytest.raises(InvalidComplex) as exc:
+            plant(f).validate()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, cells", [(2, 40), (3, 8)], ids=["2d", "3d"])
+def test_evaluate_many_on_the_grid_matches_the_pointwise_oracle(n, cells):
+    # a Kuhn mesh big enough that point location runs on box_pairs' grid:
+    # every vertex gives its value, every edge midpoint the mean of its
+    # ends' values, and a sample of both, with random points in and out
+    # of the support, gives the brute-force oracle's values
+    f = oracles.kuhn_function(n, cells)
+    cx = f.complex
+    edges = np.unique(np.concatenate([cx.simplices[:, [a, b]] for a in range(n + 1) for b in range(a + 1, n + 1)]), axis=0)
+    mid = cx.vertices[edges].mean(axis=1)
+    assert len(cx) * 8 > convex.BOX_BLOCK
+    assert np.max(np.abs(f.evaluate_many(cx.vertices) - f.values)) <= 1e-12
+    assert np.max(np.abs(f.evaluate_many(mid) - f.values[edges].mean(axis=1))) <= 1e-12
+    rng = np.random.default_rng(12)
+    pts = np.vstack([cx.vertices[rng.choice(len(cx.vertices), 8, replace=False)],
+                     mid[rng.choice(len(mid), 8, replace=False)], rng.uniform(-1.2, 1.2, (8, n))])
+    want = oracles.evaluate_pl_brute(cx.vertices, cx.simplices, f.values, pts)
+    assert np.max(np.abs(f.evaluate_many(pts) - want)) <= 1e-12
 
 
 def test_boundary_values_vanish():

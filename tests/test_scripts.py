@@ -4,6 +4,7 @@ and patch no private name of plval."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,11 @@ import pytest
 import plval
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+# what a script's output must show: overlay_stress.py overlays at least
+# one result, in at least one call, and reads every result back from its JSON
+SHOWS = {"overlay_stress.py": r"\b[1-9]\d* overlays in +[1-9]\d* batches.* ([1-9]\d*) of +\1 read back"}
 
 
 @pytest.mark.parametrize(
@@ -31,6 +37,7 @@ def test_script_runs(tmp_path, script, args):
         [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, env=env, cwd=tmp_path
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(SHOWS.get(script, ""), proc.stdout), proc.stdout
 
 
 def plval_assignments(source: str) -> list:
@@ -79,10 +86,10 @@ def plval_assignments(source: str) -> list:
 def test_no_script_patches_a_private_plval_name():
     # a script measures plval through plval.stats and its public functions,
     # so no refactor of plval's private names has to edit a script; the one
-    # wrapper left is overlay_stress.py's read-back on lattice_overlays
+    # wrapper left is overlay_stress.py's read-back on overlays
     found = {path.name: plval_assignments(path.read_text()) for path in sorted(SCRIPTS.glob("*.py"))}
     assert found and all(private is False for hits in found.values() for _, private in hits), found
-    assert {name for hits in found.values() for name, _ in hits} <= {"overlay.lattice_overlays"}
+    assert {name for hits in found.values() for name, _ in hits} <= {"overlay.overlays"}
 
 
 def test_the_patch_finder_sees_every_form():
