@@ -9,6 +9,7 @@ output is byte-identical across runs for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,7 +206,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, so main() reuses it."""
     ap = argparse.ArgumentParser(
         prog="plval",
         description="Valuations on piecewise-affine functions: compute and verify.",

@@ -31,7 +31,13 @@ Conventions used throughout:
 * Hulls are found in numpy by brute force: a d-subset of the points
   spans a facet row when every point lies on one side of its plane
   (_facets), and hull() runs that over a candidate set grown from the
-  axis-extreme points until no point lies outside a row.
+  axis-extreme points until no point lies outside a row.  Each point's
+  side of each plane is one (points, planes) array, reduced over its
+  outer axis; a small set takes all its subsets in one pass of about 40
+  numpy calls, so a hull of a polytope's 5-12 points costs those calls,
+  not its arithmetic.  The float operations that make the rows run in a
+  fixed order (dot0, _normals), so a row's bits depend on its subset
+  alone.
 * Volumes come from the same incidence, never from a second hull:
   cell_volumes() measures each cell of a stack by one determinant when
   it is a simplex, by the shoelace in 2-D, and above by the sum of its
@@ -101,16 +107,26 @@ def dedupe_points(pts: np.ndarray, tol, batch=None):
     d = pts.shape[1] if pts.ndim == 2 else 1
     pts = pts.reshape(k, d)
     order = np.lexsort(pts.T[::-1] if batch is None else (*pts.T[::-1], batch))
-    # each point's lex rank, a repeat taking its first's, which alone is searched
-    head, s = np.ones(k, dtype=bool), pts[order]
-    head[1:] = (s[1:] != s[:-1]).any(axis=1) | (batch is not None and batch[order[1:]] != batch[order[:-1]])
+    s = pts[order]
     label = np.empty(k, dtype=int)
+    # lex order sorts each batch by its first coordinate: when each point
+    # clears the one before it there by more than tol, no two merge, and
+    # each point is its own row, in lex order
+    gap = s[1:, 0] - s[:-1, 0]
+    if np.count_nonzero(gap > (tol if batch is None else np.asarray(tol, dtype=float)[batch[order[1:]]])) == k - 1:
+        label[order] = np.arange(k)
+        return s, label
+    # each point's lex rank, a repeat taking its first's, which alone is searched
+    head = np.ones(k, dtype=bool)
+    head[1:] = (s[1:] != s[:-1]).any(axis=1)
+    if batch is not None:
+        head[1:] |= batch[order[1:]] != batch[order[:-1]]
     label[order] = np.maximum.accumulate(np.where(head, np.arange(k), 0))
     first = order[head]
-    i, j = (first[x] for x in near_pairs(pts[first], tol, None if batch is None else batch[first]))
+    i, j = (first[x] for x in near_pairs(s[head], tol, None if batch is None else batch[first]))
     if not len(i) and head.all():
         # no two points merge: each is its own row, in lex order
-        return pts[order], label
+        return s, label
     # each point takes the smallest label among its pairs, then the label
     # of the point that label ranks, until no label moves
     while True:
@@ -147,13 +163,17 @@ def box_pairs(lo, hi, group=None, other=None):
     pairs is one cell, a larger one a grid of its own (_entries) that keeps
     a pair only in the cell of the larger of its low corners; each pair of
     boxes of one cell is a candidate, tested about BOX_BLOCK at a time."""
+    pairs = len(lo) * len(lo if other is None else other[0])
+    if group is None and (other is None or other[2] is None) and pairs <= BOX_BLOCK:
+        # one group, small: one all-pairs block
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        lo2, hi2 = (lo, hi) if other is None else (np.asarray(x, dtype=float) for x in other[:2])
+        i, j = np.nonzero(np.logical_and.reduce((lo[:, None] <= hi2[None]) & (lo2[None] <= hi[:, None]), axis=2))
+        return (i, j) if other is not None else (i[i < j], j[i < j])
     sets = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
              np.zeros(len(a), dtype=np.intp) if g is None else np.asarray(g, dtype=np.intp))
             for a, b, g in [(lo, hi, group)] + ([] if other is None else [other])]
     (lo, hi, _), (lo2, hi2, _) = sets[0], sets[-1]
-    if group is None and (other is None or other[2] is None) and len(lo) * len(lo2) <= BOX_BLOCK:
-        i, j = np.nonzero(((lo[:, None] <= hi2[None]) & (lo2[None] <= hi[:, None])).all(axis=2))
-        return (i, j) if other is not None else (i[i < j], j[i < j])
     n = [np.bincount(g, minlength=1 + max(int(s[2].max(initial=-1)) for s in sets)) for *_, g in sets]
     big = (n[0] * (n[0] - 1) // 2 if other is None else n[0] * n[1]) > BOX_BLOCK
     entries = _entries(sets, sum(n), big) if big.any() else [(None, g, None) for *_, g in sets]
@@ -612,9 +632,9 @@ def hull(points: np.ndarray):
         if hi == lo:
             raise Degenerate("all points coincide")
         return np.array([[-1.0], [1.0]]), np.array([-lo, hi]), lambda: hi - lo
-    center = points.mean(axis=0)
+    center = np.add.reduce(points, axis=0) / k  # the mean, bit for bit
     X = points - center
-    scale = float(np.abs(X).max())
+    scale = float(np.maximum.reduce(np.abs(X), axis=None))
     if scale == 0.0:
         raise Degenerate("all points coincide")
     X /= scale
@@ -641,7 +661,7 @@ def hull(points: np.ndarray):
             vol = float(_polytope_volumes(X[cand][vert][None], np.ones((1, len(vert)), dtype=bool), on[None])[0])
         return vol * scale**d
 
-    return A, b * scale + (A * center).sum(axis=1), volume
+    return A, b * scale + np.add.reduce(A * center, axis=1), volume
 
 
 def _seeds(X: np.ndarray) -> np.ndarray:
@@ -692,6 +712,10 @@ def dot0(U, V) -> np.ndarray:
     return out
 
 
+_FLIP = np.array([[1.0], [-1.0]])
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _normals(E: np.ndarray) -> np.ndarray:
     """A normal of the span of each edge stack, E (d, m, d-1) holding
     coordinate l of edge i at E[l, :, i], as (d, m): component l is
@@ -700,10 +724,12 @@ def _normals(E: np.ndarray) -> np.ndarray:
     (d-1)-volume the edges span."""
     d = len(E)
     if d == 2:
-        return np.stack([E[1, :, 0], -E[0, :, 0]])
+        # (e1, -e0): a product by -1 is the negation, bit for bit
+        return E[::-1, :, 0] * _FLIP
     if d == 3:
-        (u0, v0), (u1, v1), (u2, v2) = E.transpose(0, 2, 1)
-        return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+        # the cross product, each component u_i v_j - u_j v_i
+        u, v = E[:, :, 0], E[:, :, 1]
+        return u[_NEXT] * v[_LAST] - u[_LAST] * v[_NEXT]
     M = E.transpose(1, 2, 0)
     return np.stack([(-1.0) ** l * _det(np.delete(M, l, axis=-1)) for l in range(d)])
 
@@ -735,21 +761,23 @@ def _facets(X: np.ndarray):
         N = _normals(Y[:, :, 1:] - Y[:, :, :1])
         norm = np.sqrt(dot0(N, N))
         live = norm > SPAN_FLOOR
-        if not live.all():
+        if np.count_nonzero(live) < len(live):
             Y, N, norm = Y[:, live], N[:, live], norm[live]
         n = N / norm
         offset = dot0(Y[:, :, 0], n)
-        side = dot0(C, n[:, :, None]) - offset[:, None]
-        below = (side <= HULL_TOL).all(axis=1)
-        above = (side >= -HULL_TOL).all(axis=1)
-        flat = flat or bool((below & above).any())
-        r = np.flatnonzero(below ^ above)
+        # point i's side of plane j at [i, j]: the reductions over the
+        # points run along the outer axis
+        side = dot0(C[:, :, None], n[:, None, :]) - offset
+        below = np.maximum.reduce(side, axis=0) <= HULL_TOL
+        above = np.minimum.reduce(side, axis=0) >= -HULL_TOL
+        flat = flat or np.count_nonzero(below & above) > 0
+        r = below ^ above
         sign = np.where(below[r], 1.0, -1.0)
-        out.append(((n[:, r] * sign).T, offset[r] * sign, np.abs(side[r]) <= HULL_TOL, norm[r]))
+        out.append(((n[:, r] * sign).T, offset[r] * sign, (np.abs(side[:, r]) <= HULL_TOL).T, norm[r]))
     if not out:
         return np.zeros((0, d)), np.zeros(0), np.zeros((0, k), dtype=bool), np.zeros(0), flat
     A, b, T, norm = out[0] if len(out) == 1 else (np.concatenate(x) for x in zip(*out))
-    if (T.sum(axis=1) > d).any():
+    if np.maximum.reduce(np.add.reduce(T, axis=1), initial=0) > d:
         # a row tight at its own d points alone is the only row of its
         # tight set; the others group by tight set, the largest normal first
         bits = np.packbits(T, axis=1)
@@ -818,13 +846,15 @@ def simplex_facets(T: np.ndarray, d: int) -> bool:
     on them, found with two small overlap products and not _maximal's."""
     F = T.astype(float)
     rows = F.T @ F  # points two rows share: d on the diagonal alone
-    if (rows.diagonal() != d).any() or np.count_nonzero(rows == d) != T.shape[1]:
+    r = T.shape[1]
+    if np.count_nonzero(rows.diagonal() == d) != r or np.count_nonzero(rows == d) != r:
         return False
     # rows two points share: a point on some row matches its own count
     # only on the diagonal, and a point on none matches every point
     pts = F @ F.T
-    k, on = len(T), np.count_nonzero(pts.diagonal())
-    return bool(np.count_nonzero(pts == pts.diagonal()[:, None]) == on + (k - on) * k)
+    own = pts.diagonal()
+    k, on = len(T), np.count_nonzero(own)
+    return bool(np.count_nonzero(pts == own[:, None]) == on + (k - on) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -839,14 +869,20 @@ def simplex_measures(points: np.ndarray, S: np.ndarray) -> np.ndarray:
     |prod diag R| / d! from a QR of its edges, whose error stays relative
     to the measure on a needle or sliver, where that of the Gram
     determinant det(E E^T) grows like eps over the squared measure."""
-    E = points[S[:, 1:]] - points[S[:, :1]]
+    return _edge_measures(points[S[:, 1:]] - points[S[:, :1]])
+
+
+def _edge_measures(E: np.ndarray) -> np.ndarray:
+    """simplex_measures from each simplex's edges E (m, d, dim) from its
+    first vertex."""
     d = E.shape[1]
     if d == E.shape[2]:
         return np.abs(np.linalg.det(E)) / math.factorial(d)
     if d == 1:
         return np.sqrt((E[:, 0] * E[:, 0]).sum(axis=1))
-    R = np.linalg.qr(np.swapaxes(E, 1, 2), mode="r")
-    return np.abs(np.diagonal(R, axis1=1, axis2=2).prod(axis=1)) / math.factorial(d)
+    # R's diagonal is that of the raw factor, whose lower part holds the reflectors
+    H, _ = np.linalg.qr(np.swapaxes(E, 1, 2), mode="raw")
+    return np.abs(np.diagonal(H, axis1=1, axis2=2).prod(axis=1)) / math.factorial(d)
 
 
 def _merge_repeats(idx, mask, T):
@@ -947,7 +983,7 @@ def pulling_triangulation(points: np.ndarray, idx, mask, incidence, dim: int, to
     i = np.flatnonzero(n == 2)
     if len(i):
         E = idx[cell[i]][face[i]].reshape(-1, 2)
-        ok = _long_edges(points[E[:, 0]], points[E[:, 1]], tol)
+        ok, _ = _long_edges(points[E], tol)
         out.append((np.hstack([apex[i[ok]], E[ok]]), cell[i[ok]], key[i[ok]] * base))
     for i in np.flatnonzero(n > 2):
         ids = idx[cell[i]][face[i]]
@@ -975,32 +1011,51 @@ def simplex_floor(spread, dim: int, tol: float = EPS):
     return (tol * spread) ** dim / math.factorial(dim)
 
 
-def _long_edges(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-    """Which edges (p[i], q[i]) pulling_triangulation keeps: those whose
-    length clears tol times the larger of 1 and their ends' reach along
-    the edge from the origin."""
+def _long_edges(P: np.ndarray, tol: float):
+    """(keep, length): which edges P (m, 2, dim), from P[i, 0] to P[i, 1],
+    pulling_triangulation keeps, those whose length clears tol times the
+    larger of 1 and their ends' reach along the edge from the origin (a
+    zero length clears nothing), and each edge's length, its
+    simplex_measures.  A reach is at most the length times the farther
+    end's norm, below sqrt(dim) times the largest coordinate, so when
+    every length clears tol times that bound, every edge is kept without
+    its reach."""
+    p, q = P[:, 0], P[:, 1]
     e = q - p
-    length = np.sqrt((e * e).sum(axis=1))
-    reach = np.maximum(np.abs((p * e).sum(axis=1)), np.abs((q * e).sum(axis=1)))
-    return (length > 0.0) & (length > tol * np.maximum(1.0, reach / np.where(length > 0.0, length, 1.0)))
+    length = np.sqrt(np.add.reduce(e * e, axis=1))
+    if len(length):
+        bound = math.sqrt(P.shape[2]) * float(np.maximum.reduce(np.abs(P), axis=None))
+        # the margin covers the rounding of the reach, the length and their quotient
+        if np.minimum.reduce(length) > tol * max(1.0, bound) * (1.0 + 1e-9):
+            return length > 0.0, length
+    reach = np.maximum(np.abs(np.add.reduce(p * e, axis=1)), np.abs(np.add.reduce(q * e, axis=1)))
+    return length > tol * np.maximum(1.0, reach / np.where(length > 0.0, length, 1.0)), length
 
 
 def simplex_cells(points: np.ndarray, S: np.ndarray):
     """The cells points[S] (m, dim+1), dim >= 1, that are simplices
     already, as pulling_triangulation gives them: (S, keep, measure) with
     each row sorted, keep False where the row repeats a vertex or falls
-    below pulling_triangulation's floor at its default tol, EPS (an edge
-    its length test, a higher simplex its measure floor), and each row's
-    simplex_measures."""
+    below pulling_triangulation's floor at its default tol, EPS (see
+    simplex_keep), and each row's simplex_measures."""
     S = np.sort(S, axis=1)
-    dim = S.shape[1] - 1
-    keep = (S[:, 1:] != S[:, :-1]).all(axis=1)
-    measure = simplex_measures(points, S)
-    if dim == 1:
-        return S, keep & _long_edges(points[S[:, 0]], points[S[:, 1]], EPS), measure
-    pts = points[S]
-    spread = (pts.max(axis=1) - pts.min(axis=1)).max(axis=1)
-    return S, keep & (measure > simplex_floor(spread, dim, EPS)), measure
+    keep, measure = simplex_keep(points, S)
+    return S, keep & (S[:, 1:] != S[:, :-1]).all(axis=1), measure
+
+
+def simplex_keep(points: np.ndarray, S: np.ndarray):
+    """(keep, measure) for the simplices points[S] (m, dim+1), dim >= 1:
+    keep where pulling_triangulation at its default tol, EPS, keeps a
+    cell that is the simplex already (an edge by its length test, a
+    higher simplex by its measure floor), and each one's
+    simplex_measures.  A row that repeats a vertex is simplex_cells'
+    to drop."""
+    P = points[S]
+    if S.shape[1] == 2:
+        return _long_edges(P, EPS)
+    spread = np.maximum.reduce(np.maximum.reduce(P, axis=1) - np.minimum.reduce(P, axis=1), axis=1)
+    measure = _edge_measures(P[:, 1:] - P[:, :1])
+    return measure > simplex_floor(spread, S.shape[1] - 1, EPS), measure
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,23 @@
 A Polytope stores its extreme points together with the facet data
 (unit outward normal, support value, incident vertices, facet measure)
 and the facets' triangulation needed by the cone-function and valuation
-machinery. Construction is one convex.hull call (numpy brute force,
-one row per facet; the hull's volume is not asked for).
-When every row is a simplex facet (convex.simplex_facets), the rows are
-the facets, the points on them the vertices, and each facet is its own
-triangulation (convex.simplex_cells); otherwise the rows and points are
-cut down to facets and vertices by their incidence
-(convex.hull_incidence) and the facets triangulated in one stack.  The
-two paths give the same polytope bit for bit.  A build whose incidence
-leaves fewer than n+1 vertices or facets, a polytope thinner than the
-incidence tolerance, raises Degenerate.  All orderings are
-canonicalized so identical inputs produce identical objects.
+machinery. A build is two steps, each timed into stats.seconds["build"]:
+_hull dedupes the points (convex.dedupe_points, one sort when no two
+are near) and makes one convex.hull call (numpy brute force, one row
+per facet; the hull's volume is not asked for), and _finish reads the
+polytope off the rows.  When every row is a simplex facet
+(convex.simplex_facets), the rows are the facets, the points on them
+the vertices, and each facet is its own triangulation, kept and
+measured by convex.simplex_keep; otherwise the rows and points are cut
+down to facets and vertices by their incidence (convex.hull_incidence)
+and the facets triangulated in one stack.  The two paths give the same
+polytope bit for bit.  A build whose incidence leaves fewer than n+1
+vertices or facets, a polytope thinner than the incidence tolerance,
+raises Degenerate; the origin rule (OriginNotInterior) comes after the
+incidence, so Degenerate wins, and before the triangulation.  All
+orderings are canonicalized so identical inputs produce identical
+objects, and the facet objects are made in one pass over the sorted
+rows.
 dilate(P, lam) gives lam P without a hull, scaling P's data and keeping
 its facets and triangulation, and random_polytope rejects a draw on its
 hull's rows before the rest of the build.
@@ -21,7 +27,9 @@ hull's rows before the rest of the build.
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,15 +95,33 @@ def _facet_stack(on: np.ndarray):
     return idx, mask, on[idx] & mask[:, :, None]
 
 
+def _timed(step):
+    """The build step, its seconds, raise or not, added to
+    stats.seconds["build"]."""
+
+    @functools.wraps(step)
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return step(*args, **kwargs)
+        finally:
+            stats.seconds["build"] += time.perf_counter() - t0
+
+    return timed
+
+
+@_timed
 def _hull(points: np.ndarray):
     """The hull step of a build: (pts, A, b, scale), the points deduped,
     the rows A x <= b of their one hull (convex.hull), and the
     largest coordinate magnitude of the points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    if points.ndim < 2:
+        points = np.atleast_2d(points)
     n = points.shape[1]
     if len(points) < n + 1:
         raise Degenerate("need at least %d points in R^%d, got %d" % (n + 1, n, len(points)))
-    scale = float(np.abs(points).max())
+    scale = float(np.maximum.reduce(np.abs(points), axis=None))
     pts, _ = convex.dedupe_points(points, EPS * max(scale, 1.0))
     A, b, _ = convex.hull(pts)
     return pts, A, b, scale
@@ -105,12 +131,13 @@ def _origin_interior(offsets: np.ndarray, scale: float, required: bool) -> bool:
     """Every facet's support clears EPS times the data scale; raises
     OriginNotInterior when required and not."""
     floor = EPS * max(scale, 1.0)
-    inside = bool(np.all(offsets > floor))
+    inside = bool(np.count_nonzero(offsets > floor) == len(offsets))
     if required and not inside:
         raise OriginNotInterior("origin support margin %.3g (needs > %.3g)" % (float(np.min(offsets)), floor))
     return inside
 
 
+@_timed
 def _finish(pts: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, require_origin_interior: bool) -> Polytope:
     """The rest of a build from the hull step's output: incidence,
     canonical orders, the origin rule, and the facets' triangulation.
@@ -119,35 +146,38 @@ def _finish(pts: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, require
     When the hull rows are simplex facets (convex.simplex_facets) they
     are the facets, the points on them the vertices, and each facet is
     its own triangulation, kept or dropped by the rule the triangulation
-    applies to a cell that is a simplex already (convex.simplex_cells);
+    applies to a cell that is a simplex already (convex.simplex_keep);
     other hulls take the general path, hull_incidence and the stacked
     pulling triangulation.  Both give the same polytope bit for bit.
     Raises Degenerate when the incidence leaves fewer than n+1 vertices
     or facets."""
     stats.calls["builds"] += 1
-    n = pts.shape[1]
-    tol = 10 * EPS * float(np.abs(pts - pts.mean(axis=0)).max())
+    k, n = pts.shape
+    # the points' largest coordinate offset from their mean, bit for bit
+    tol = 10 * EPS * float(np.maximum.reduce(np.abs(pts - np.add.reduce(pts, axis=0) / k), axis=None))
     T = convex.tight_rows(pts, A, b, tol)
     simple = convex.simplex_facets(T, n)
     if simple:
-        vert = T.any(axis=1).nonzero()[0]
-        normals, offsets, on = A, b, T[vert]
+        vert = np.logical_or.reduce(T, axis=1).nonzero()[0]
+        # when every point is a vertex, as on a draw from the sphere, the
+        # points and their incidence are the vertices' already
+        normals, offsets, on = A, b, T if len(vert) == k else T[vert]
     else:
         vert, normals, offsets, on = convex.hull_incidence(pts, A, b, tol)
     if len(vert) < n + 1 or len(normals) < n + 1:
         # a polytope thinner than tol: its opposite facets' points lie on
         # each other's rows
         raise Degenerate("the incidence leaves %d vertices and %d facets in R^%d" % (len(vert), len(normals), n))
-    verts = pts[vert]
-    verts.setflags(write=False)
-    key = np.concatenate([normals, offsets[:, None]], axis=1).round(9)
-    forder = np.lexsort(key.T[::-1])
-    normals, offsets, on = normals[forder], offsets[forder], on[:, forder]
-
+    H = np.concatenate([normals, offsets[:, None]], axis=1)
+    forder = np.lexsort(H.round(9).T[::-1])
+    H, on = H[forder], on[:, forder]
+    normals, offsets = H[:, :n], H[:, n]
     origin_interior = _origin_interior(offsets, scale, require_origin_interior)
+    verts = pts if len(vert) == k else pts[vert]
+    verts.setflags(write=False)
 
     if simple:
-        S = np.nonzero(on.T)[1].reshape(-1, n)  # facet j's vertices, in order
+        S = on.T.nonzero()[1].reshape(-1, n)  # facet j's vertices, in order
         incidences = S.tolist()
     else:
         incidences = [np.flatnonzero(col).tolist() for col in on.T]
@@ -155,20 +185,19 @@ def _finish(pts: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, require
         S = np.array([inc[:1] for inc in incidences])
         measures = np.ones(len(incidences))
     elif simple:
-        # each facet is its own simplex, kept as the triangulation keeps a
-        # cell that is a simplex already, and measured as one
-        S, keep, measures = convex.simplex_cells(verts, S)
-        S, measures = S[keep], np.where(keep, measures, 0.0)
+        # each facet is its own simplex, its vertices sorted and distinct,
+        # kept as the triangulation keeps a cell that is a simplex already,
+        # and measured as one
+        keep, measures = convex.simplex_keep(verts, S)
+        if np.count_nonzero(keep) < len(keep):
+            S, measures = S[keep], np.where(keep, measures, 0.0)
     else:
         # all facets triangulated in one stack; each measure is its
         # simplices' sum, in order
         S, facet, measure = convex.pulling_triangulation(verts, *_facet_stack(on), n - 1)
         measures = np.bincount(facet, weights=measure, minlength=len(incidences))
     S.setflags(write=False)
-    facets = tuple(
-        Facet(normal=tuple(u), support=off, vertices=tuple(inc), measure=measure)
-        for u, off, inc, measure in zip(normals.tolist(), offsets.tolist(), incidences, measures.tolist())
-    )
+    facets = tuple(map(Facet, map(tuple, normals.tolist()), offsets.tolist(), map(tuple, incidences), measures.tolist()))
     return Polytope(dim=n, vertices=verts, facets=facets, origin_interior=origin_interior, facet_simplices=S)
 
 

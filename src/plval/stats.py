@@ -11,7 +11,9 @@ step runs.  calls counts steps:
     crossings             integration._crossings (crossing searches)
 
 seconds times the stages cut (overlay._pieces_pairwise) and assemble
-(overlay.assemble_cells, tents included).  worst keeps each overlay
+(overlay.assemble_cells, tents included), and build, the polytope builds
+(polytope._hull and polytope._finish, hull included; random_polytope's
+rejected draws too).  worst keeps each overlay
 check's largest value over its bound, so a margin at most 1 passes:
 cover (overlay._cover_failures), fill and spread (assemble_cells) and
 sample (overlay._sample_failures).  plval only adds to them and no
@@ -28,7 +30,7 @@ calls, seconds, worst = collections.Counter(), collections.Counter(), collection
 
 # the keys `plval verify --timing` reports per suite, in column order
 COUNTS = ("hulls", "builds", "cuts", "assemblies", "splits", "locates", "densities", "means", "crossings")
-SECONDS, MARGINS = ("cut", "assemble"), ("cover", "fill", "spread", "sample")
+SECONDS, MARGINS = ("cut", "assemble", "build"), ("cover", "fill", "spread", "sample")
 COLUMNS = ("wall_s",) + COUNTS + tuple(key + "_s" for key in SECONDS) + MARGINS
 
 

@@ -398,7 +398,8 @@ def test_verify_deterministic_output(capsys, tmp_path):
 def test_verify_timing_adds_wall_time_and_counts(capsys, tmp_path):
     # --timing leaves the JSONL as it is and adds last CSV columns: wall_s,
     # with one finite time per suite, then the suite's nine work counts, its
-    # two overlay stage times and its four overlay check margins
+    # two overlay stage times, its polytope build time and its four overlay
+    # check margins
     plain, timed = tmp_path / "plain.jsonl", tmp_path / "timed.jsonl"
     for path, extra in ((plain, ()), (timed, ("--timing",))):
         code, out, _ = run(capsys, "verify", "--suite", "invariance", *extra, "--output", str(path))
@@ -409,16 +410,19 @@ def test_verify_timing_adds_wall_time_and_counts(capsys, tmp_path):
     timed_rows = timed.with_name("timed.jsonl.csv").read_text().splitlines()
     assert out == timed.with_name("timed.jsonl.csv").read_text()
     assert timed_rows[0] == rows[0] + (",wall_s,hulls,builds,cuts,assemblies,splits,locates,densities,means,"
-                                       "crossings,cut_s,assemble_s,cover,fill,spread,sample")
+                                       "crossings,cut_s,assemble_s,build_s,cover,fill,spread,sample")
     assert len(timed_rows) == len(rows) == 2
     for row, timed_row in zip(rows[1:], timed_rows[1:]):
-        head, wall, *rest = timed_row.rsplit(",", 16)
+        head, wall, *rest = timed_row.rsplit(",", 17)
         assert head == row
         assert math.isfinite(float(wall)) and float(wall) > 0
         counts, records = rest[:9], rest[9:]
         assert len(counts) == 9 and all(c.isdigit() for c in counts)
-        # invariance overlays nothing: no stage time and no margin
-        assert [float(x) for x in records] == [0.0] * 6
+        # invariance overlays nothing: no overlay stage time and no margin;
+        # it builds polytopes, within its wall time
+        cut, assemble, build, *margins = (float(x) for x in records)
+        assert [cut, assemble] + margins == [0.0] * 6
+        assert 0.0 < build < float(wall)
 
 
 def test_verify_timing_counts_equal_the_wrapped_calls(capsys, monkeypatch, tmp_path):
@@ -539,8 +543,10 @@ def test_verify_timing_margins_and_seconds_equal_the_wrapped_checks(capsys, monk
     # every check passed, and each came within its bound by a nonzero amount
     assert all(0.0 < m <= 1.0 for m in margins.values())
     wall = float(got["wall_s"])
-    for key in ("cut_s", "assemble_s"):
+    for key in ("cut_s", "assemble_s", "build_s"):
         assert 0.0 < float(got[key]) < wall
+    # the three stages never run inside one another
+    assert sum(float(got[key]) for key in ("cut_s", "assemble_s", "build_s")) < wall
 
 
 def test_entry_point_subprocess(square_file):

@@ -16,8 +16,14 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 # what a script's output must show: overlay_stress.py overlays at least
-# one result, in at least one call, and reads every result back from its JSON
-SHOWS = {"overlay_stress.py": r"\b[1-9]\d* overlays in +[1-9]\d* batches.* ([1-9]\d*) of +\1 read back"}
+# one result, in at least one call, and reads every result back from its
+# JSON; build_cost.py times every draw, each build one hull, one facet
+# search and one finish
+SHOWS = {
+    "overlay_stress.py": r"\b[1-9]\d* overlays in +[1-9]\d* batches.* ([1-9]\d*) of +\1 read back",
+    "build_cost.py": r"(?s)n=2 k= 5 .* us/build +per build: hulls 1\.00, facets 1\.00, builds 1\.00"
+                     r".*\nall +40 builds +\d+\.\d us/build",
+}
 
 
 @pytest.mark.parametrize(
@@ -26,6 +32,7 @@ SHOWS = {"overlay_stress.py": r"\b[1-9]\d* overlays in +[1-9]\d* batches.* ([1-9
         ("overlay_stress.py", ["--seeds", "0:1"]),
         ("recovery_convergence.py", ["--qs", "1.5", "--steps", "0.04,0.02"]),
         ("continuity_examples.py", ["--k-max", "2"]),
+        ("build_cost.py", ["--dims", "2,3", "--points", "5:7", "--draws", "10", "--repeat", "1"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
