@@ -58,14 +58,12 @@ Pieces.power and Pieces.above hand out one shared Pieces per parameter,
 so a norm or a level set does not rebuild h either; simplex_means
 composes the two halves for one-off rows.
 
-Densities stack across functions.  integrals(functions, h) builds the
-densities its functions lack in one value_density call (value_densities:
-this module keeps each function's own slice as its density), stacks every
-function's density (that call's result itself when no function had one,
-else ValueDensity.stack) and runs one means(h) over all rows; each
-function's integral is its own simplex volumes times its own rows'
-means.  lq_norm, level_set_volume and valuation.apply are that sum
-for one function.
+Batches.  integrals(functions, h) integrates one function through its
+density_of.  Two or more it integrates in one value_density over all
+their rows and one means(h), and keeps that density for none of them;
+each function's integral is its own simplex volumes times its own rows'
+means.  lq_norm, level_set_volume and valuation.apply are that sum for
+one function.
 
 Row-local arithmetic.  A row's mean depends on that row alone: every
 step is elementwise or sums one row's own pieces in order (bincount),
@@ -590,12 +588,7 @@ class ValueDensity:
     either has met, and a kernel on a kept density does only its own
     arithmetic.  The layout is linear in the pieces; its largest part is
     the power rule's abscissae and node weights, 2 GL_POWER_NODES floats
-    per piece that takes it.
-
-    A row's density and its mean under any h are the same whatever rows
-    share its stack (the module's row-local arithmetic), so split and
-    stack move rows between stacks without changing them or their
-    means."""
+    per piece that takes it."""
 
     __slots__ = ("__dict__", "__weakref__", "_sides", "_span", "_reach", "_orientation")
 
@@ -606,48 +599,6 @@ class ValueDensity:
     lo: np.ndarray  # (k,)
     hi: np.ndarray  # (k,)
     piece_row: np.ndarray  # (k,)
-
-    @staticmethod
-    def stack(densities) -> "ValueDensity":
-        """One density holding the rows of `densities` in order."""
-        if len(densities) == 1:
-            return densities[0]
-        start = np.cumsum([0] + [len(d.sorted_rows) for d in densities[:-1]])
-        joined = {
-            name: np.concatenate([getattr(d, name) for d in densities])
-            for name in ("sorted_rows", "point_values", "coefficients", "lo", "hi")
-        }
-        return _frozen(
-            ValueDensity(
-                point_rows=np.concatenate([d.point_rows + r for d, r in zip(densities, start)]),
-                piece_row=np.concatenate([d.piece_row + r for d, r in zip(densities, start)]),
-                **joined,
-            )
-        )
-
-    def split(self, counts) -> list:
-        """The densities of consecutive blocks of counts[i] rows, in order;
-        their arrays are read-only views of this density's."""
-        rows = np.cumsum([0] + list(counts))
-        points = np.searchsorted(self.point_rows, rows)
-        pieces = np.searchsorted(self.piece_row, rows)
-        # row indices counted from the first row of their own block
-        point_rows = self.point_rows - np.repeat(rows[:-1], np.diff(points))
-        piece_row = self.piece_row - np.repeat(rows[:-1], np.diff(pieces))
-        point_rows.setflags(write=False)
-        piece_row.setflags(write=False)
-        return [
-            ValueDensity(
-                sorted_rows=self.sorted_rows[r0:r1],
-                point_rows=point_rows[p0:p1],
-                point_values=self.point_values[p0:p1],
-                coefficients=self.coefficients[s0:s1],
-                lo=self.lo[s0:s1],
-                hi=self.hi[s0:s1],
-                piece_row=piece_row[s0:s1],
-            )
-            for r0, r1, p0, p1, s0, s1 in zip(rows, rows[1:], points, points[1:], pieces, pieces[1:])
-        ]
 
     def _kept(self, slot: str, build):
         """The slot's value, built on first use."""
@@ -792,10 +743,7 @@ def value_density(values) -> ValueDensity:
         seg, interval = _crossings(lo, hi, np.zeros(1))
         A, lo, hi = _cut(A, lo, hi, seg, interval, np.array([-np.inf, 0.0, np.inf]))
         seg_row = seg_row[seg]
-    return _frozen(ValueDensity(V, rows[point], V[point, 0], A, lo, hi, seg_row))
-
-
-def _frozen(density: ValueDensity) -> ValueDensity:
+    density = ValueDensity(V, rows[point], V[point, 0], A, lo, hi, seg_row)
     for arr in vars(density).values():
         arr.setflags(write=False)
     return density
@@ -808,9 +756,10 @@ _densities = weakref.WeakKeyDictionary()
 def density_of(f: PLFunction) -> ValueDensity:
     """The ValueDensity of f's simplex value rows, built on first use and
     kept while f lives, shared by every kernel and norm integrated over
-    f: its pieces are cut at 0 once, and oriented for power kernels once,
-    so each later kernel or norm does only the work that depends on it
-    (ValueDensity.means)."""
+    f alone: its pieces are cut at 0 once, and oriented for power kernels
+    once, so each later kernel or norm does only the work that depends on
+    it (ValueDensity.means).  A batch of functions (integrals) neither
+    reads nor fills it."""
     density = _densities.get(f)
     if density is None:
         density = _densities[f] = value_density(f.simplex_values())
@@ -825,49 +774,32 @@ def simplex_means(values, h: Pieces) -> np.ndarray:
     return value_density(values).means(h)
 
 
-def value_densities(functions) -> tuple:
-    """(densities, stacked): each function's density_of, and one
-    ValueDensity holding all their rows in order.  The densities not yet
-    built come from one engine call over all their value rows, and each
-    function keeps its own slice (ValueDensity.split), the density it
-    would build alone; when no function had one, that call's result is
-    the stack."""
-    fresh = [f for f in functions if f not in _densities]
-    if len(fresh) > 1:
-        batch = value_density(np.concatenate([f.simplex_values() for f in fresh]))
-        for f, density in zip(fresh, batch.split([len(f.complex) for f in fresh])):
-            _densities[f] = density
-        if len(fresh) == len(functions):
-            return [_densities[f] for f in functions], batch
-    densities = [density_of(f) for f in functions]
-    return densities, ValueDensity.stack(densities)
-
-
 def integrals(functions, h: Pieces) -> np.ndarray:
     """The integral over R^n of h(f) for each function (h(0) = 0), in
-    input order: one means(h) over the stacked densities of all functions,
-    then each function's simplex volumes times its own rows' means.  An
-    empty function gives 0.  The functions must share a dimension.  Raises
-    NonFinite, before any power is taken, when a function's own largest
-    |value| to a power of h leaves the float range."""
+    input order: a function's simplex volumes times the means of h over
+    its rows.  One function reads its density_of; two or more build one
+    value_density over all their rows, run one means(h) and keep no
+    density.  An empty function gives 0.  The functions must share a
+    dimension.  Raises NonFinite, before any power is taken, when a
+    function's own largest |value| to a power of h leaves the float
+    range."""
     functions = list(functions)
     for f in functions[1:]:
         if f.dim != functions[0].dim:
             raise ValueError("dimension mismatch: %d vs %d" % (functions[0].dim, f.dim))
     out = np.zeros(len(functions))
     live = [i for i, f in enumerate(functions) if not f.complex.is_empty()]
-    if not live:
-        return out
-    densities, stacked = value_densities([functions[i] for i in live])
-    if h.flags.top:
-        for density in densities:
-            _in_float_range(density.reach(), h.flags.top, "the largest |value|")
-    means = stacked.means(h)
-    start = 0
-    for i, density in zip(live, densities):
-        stop = start + len(density.sorted_rows)
-        out[i] = functions[i].complex.simplex_volumes() @ means[start:stop]
-        start = stop
+    if len(live) == 1:
+        f = functions[live[0]]
+        out[live] = f.complex.simplex_volumes() @ density_of(f).means(h)
+    elif live:
+        rows = [functions[i].simplex_values() for i in live]
+        if h.flags.top:
+            for values in rows:
+                _in_float_range(float(np.abs(values).max()), h.flags.top, "the largest |value|")
+        means = value_density(np.concatenate(rows)).means(h)
+        for i, own in zip(live, np.split(means, np.cumsum([len(values) for values in rows])[:-1])):
+            out[i] = functions[i].complex.simplex_volumes() @ own
     return out
 
 

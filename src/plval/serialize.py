@@ -24,14 +24,19 @@ def read_object(data, what: str) -> dict:
     return data
 
 
-def read_finite(data: dict, key: str, what: str, default=None) -> np.ndarray:
-    """data[key], or default when the key is absent, as a float array (0-d
-    for a number); NonFinite, naming the field, if any entry is NaN or
-    infinite."""
-    arr = np.asarray(data[key] if default is None or key in data else default, dtype=float)
+def finite_array(value, key: str, what: str) -> np.ndarray:
+    """value as a float array (0-d for a number); NonFinite, naming the
+    field key of what, if any entry is NaN or infinite."""
+    arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         raise NonFinite("%s field '%s' holds a non-finite number" % (what, key))
     return arr
+
+
+def read_finite(data: dict, key: str, what: str, default=None) -> np.ndarray:
+    """data[key], or default when the key is absent, as a finite float
+    array (finite_array)."""
+    return finite_array(data[key] if default is None or key in data else default, key, what)
 
 
 def read_dim(data: dict, what: str) -> int:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .integration import Pieces, c_pn, integrals, simplex_means, sobolev_conjugate
 from .plfunction import PLFunction, cone_function
-from .serialize import csv_row, read_finite, read_object
+from .serialize import csv_row, finite_array, read_finite, read_object
 
 KERNEL_ZERO_TOL = 1e-12
 BREAK_CONTINUITY_TOL = 1e-12
@@ -85,6 +85,13 @@ class PowerKernel(Kernel):
         }
 
 
+def _refuse_non_finite(obj, what: str, *names) -> None:
+    """NonFinite, naming the field, when one of obj's fields `names`
+    holds NaN or inf."""
+    for name in names:
+        finite_array(getattr(obj, name), name, what)
+
+
 def _spline_pieces(knots, rows, lower, upper) -> Pieces:
     """Pieces of the function that is the polynomial rows[i] (ascending
     powers of t - knots[i]) on [knots[i], knots[i+1]], extended beyond
@@ -111,7 +118,8 @@ def _spline_pieces(knots, rows, lower, upper) -> Pieces:
 @dataclass(eq=False)
 class PiecewisePolyKernel(Kernel):
     """Polynomial pieces on [b_i, b_{i+1}] in the local basis (t - b_i),
-    with anchored power-law extensions beyond the outermost breakpoints."""
+    with anchored power-law extensions beyond the outermost breakpoints;
+    every number finite (else NonFinite, naming the field)."""
 
     knots: np.ndarray
     coefficients: np.ndarray  # (pieces, degree+1), ascending local powers
@@ -122,6 +130,9 @@ class PiecewisePolyKernel(Kernel):
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
         self.coefficients = np.atleast_2d(np.asarray(self.coefficients, dtype=float))
+        _refuse_non_finite(
+            self, "piecewise polynomial kernel", "knots", "coefficients", "extension_lower", "extension_upper"
+        )
         if len(self.knots) < 2 or np.any(np.diff(self.knots) <= 0):
             raise ValueError("knots must be strictly increasing, at least two")
         if self.coefficients.shape[0] != len(self.knots) - 1:
@@ -171,7 +182,8 @@ class PiecewisePolyKernel(Kernel):
 @dataclass(eq=False)
 class TabulatedKernel(Kernel):
     """Linear interpolation through (t_i, h_i) samples, anchored power-law
-    extensions outside the sampled range."""
+    extensions outside the sampled range; every number finite (else
+    NonFinite, naming the field)."""
 
     ts: np.ndarray
     hs: np.ndarray
@@ -182,6 +194,7 @@ class TabulatedKernel(Kernel):
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
         self.hs = np.asarray(self.hs, dtype=float)
+        _refuse_non_finite(self, "tabulated kernel", "ts", "hs", "extension_lower", "extension_upper")
         if len(self.ts) < 2 or np.any(np.diff(self.ts) <= 0):
             raise ValueError("sample points must be strictly increasing, at least two")
         if self.ts.shape != self.hs.shape:
@@ -345,18 +358,19 @@ def stencil_halfwidth(order: int) -> int:
 
 @dataclass(eq=False)
 class CProfile:
-    """Cone profile samples c(s_i) on a uniform grid, with derivative
-    tables by finite differences."""
+    """Cone profile samples c(s_i), all finite (else NonFinite, naming the
+    field), on a uniform grid, with derivative tables by finite
+    differences."""
 
     s: np.ndarray
     c: np.ndarray
     dim: int
-    volume: float = 1.0
     _deriv: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
         self.c = np.asarray(self.c, dtype=float)
+        _refuse_non_finite(self, "profile", "s", "c")
         if self.s.shape != self.c.shape or self.s.ndim != 1:
             raise ValueError("s and c must be matching 1-d arrays")
         if np.any(self.s < -1e-12):
@@ -454,7 +468,7 @@ def c_profile(kernel: Kernel, P, s_grid) -> CProfile:
     stacked = (s_grid[:, None, None] * rows[None, :, :]).reshape(-1, rows.shape[1])
     means = simplex_means(stacked, kernel.pieces()).reshape(len(s_grid), len(rows))
     vals = means @ cone.complex.simplex_volumes() / vol
-    return CProfile(s=s_grid, c=vals, dim=P.dim, volume=vol)
+    return CProfile(s=s_grid, c=vals, dim=P.dim)
 
 
 def recover_kernel(

@@ -605,20 +605,29 @@ def test_a_function_twice_in_a_batch_builds_one_density(counted_densities):
     assert got[0] == got[1] == got[2]
 
 
-def test_a_batch_caches_each_members_own_density(counted_densities):
-    batch = [p for p in _batch_pool() if not p.complex.is_empty()]
-    apply_each(PowerKernel(1.0, 1.5), batch)
+@pytest.mark.parametrize("kept", [(), (0, 2, 4), (0, 1, 2, 3, 4, 5)], ids=["none", "some", "all"])
+def test_a_batch_builds_one_density_and_keeps_none(counted_densities, kept):
+    # a batch of two or more builds one density over all its members' rows,
+    # whatever densities they kept, and leaves each member as it found it
+    h = PowerKernel(1.0, 1.5)
+    pool = [p for p in _batch_pool() if not p.complex.is_empty()]
+    alone = [apply(h, _fresh(f)) for f in pool]
+    batch = [_fresh(f) for f in pool]
+    densities = {i: density_of(batch[i]) for i in kept}
+    arrays = {i: {name: arr.copy() for name, arr in vars(d).items()} for i, d in densities.items()}
+    del counted_densities[:]
+    got = apply_each(h, batch)
     assert len(counted_densities) == 1
-    for f in batch:
-        apply(PowerKernel(1.0, 2.0), f)
-        lq_norm(f, 2.0)
-        level_set_volume(f, 0.25)
+    assert np.array_equal(got, alone), (got, alone)
+    for i, density in densities.items():
+        assert density_of(batch[i]) is density
+        for name, arr in vars(density).items():
+            assert np.array_equal(arr, arrays[i][name]) and not arr.flags.writeable, name
     assert len(counted_densities) == 1
-    for f in batch:
-        alone = value_density(f.simplex_values())
-        for name, arr in vars(density_of(f)).items():
-            assert np.array_equal(arr, getattr(alone, name)), name
-            assert not arr.flags.writeable
+    fresh = [f for i, f in enumerate(batch) if i not in densities]
+    for f in fresh:
+        density_of(f)  # built now: the batch kept none for it
+    assert len(counted_densities) == 1 + len(fresh)
 
 
 # -- the engine against raw segments cut at every cut --------------------------

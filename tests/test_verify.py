@@ -202,7 +202,11 @@ def test_inclusion_exclusion_residual_stays_at_rounding_level():
 
 # Each suite integrates all its functions under one kernel in one engine
 # pass, so it builds one density per call and kernel; homogeneity also
-# integrates its normalized kernel's cone and its c_profile grid.
+# integrates its normalized kernel's cone and its c_profile grid.  A batch
+# keeps no density for its members, so a batch integrated again builds
+# another: the continuity families take their norms and their z in two
+# batches over the same functions (2), and homogeneity's q-norm relation
+# integrates one member of its apply_each batch alone (4).
 @pytest.mark.parametrize(
     "suite,densities",
     [
@@ -210,10 +214,10 @@ def test_inclusion_exclusion_residual_stays_at_rounding_level():
         (lambda: valuation_identity_suite(PowerKernel(1.0, 1.5), seed=1, count=2, n=3, points=5), 1),
         (lambda: invariance_suite(PowerKernel(1.0, 2.0), seed=2, count=5), 1),
         (lambda: inclusion_exclusion_suite(PowerKernel(1.0, 1.5), [(4, random_fan_function(4))]), 1),
-        (lambda: continuity_example_1(pt.cube(2), s=1.5, k_max=4, p=1.0), 1),
-        (lambda: continuity_example_2(pt.cube(2), growth_fn_id="log", k_max=4, p=1.0), 1),
-        (lambda: continuity_example_3(pt.cube(2), growth_fn_id="sqrt", k_max=4, p=1.0), 1),
-        (lambda: homogeneity_suite(1.5, p=1.0, n=2, seed=3), 3),
+        (lambda: continuity_example_1(pt.cube(2), s=1.5, k_max=4, p=1.0), 2),
+        (lambda: continuity_example_2(pt.cube(2), growth_fn_id="log", k_max=4, p=1.0), 2),
+        (lambda: continuity_example_3(pt.cube(2), growth_fn_id="sqrt", k_max=4, p=1.0), 2),
+        (lambda: homogeneity_suite(1.5, p=1.0, n=2, seed=3), 4),
     ],
     ids=["identity", "identity_3d", "invariance", "inclusion_exclusion", "continuity_1", "continuity_2",
          "continuity_3", "homogeneity"],
