@@ -10,12 +10,14 @@ Conventions used throughout:
 * Polytopes appear either as vertex arrays ("V-form") or as cells:
   vertices together with their tight rows A x <= b and the vertex-row
   incidence.  Cells are cut in padded stacks (Cells), one plane per
-  cell, in one array pass of split/clip (Sutherland-Hodgman style, in
-  any dimension, reading edges off the incidence); one cell is a stack
-  of one, and a cell's result does not depend on its stack-mates.  A
-  stack holds each vertex's incidence as one uint64 bitmask over at most
-  MAX_ROWS rows, so the cut's edge test and its count of the vertices on
-  each row are integer operations on (B, k) arrays.
+  cell, in one array pass of split (Sutherland-Hodgman style, in any
+  dimension, reading edges off the incidence), and by their own convex
+  regions in one clip_rows, for the overlay, validate and the tents; one
+  cell is a stack of one, and a cell's result does not depend on its
+  stack-mates.  A stack holds each vertex's incidence as one uint64
+  bitmask over at most MAX_ROWS rows, so the cut's edge test and its
+  count of the vertices on each row are integer operations on (B, k)
+  arrays.
   Cells are triangulated from the same incidence, also in padded stacks
   (pulling_triangulation, one array pass per face dimension), so neither
   step enumerates row subsets or builds a hull.
@@ -57,7 +59,7 @@ import math
 import numpy as np
 
 from . import stats
-from .errors import Degenerate, Singular
+from .errors import Degenerate, NonFinite, Singular
 
 # Geometric predicate tolerance on unit-normalized data.
 EPS = 1e-9
@@ -261,8 +263,23 @@ def _entries(sets, n, big):
 MAX_ROWS = 64
 _BIT = np.left_shift(np.uint64(1), np.arange(MAX_ROWS, dtype=np.uint64))
 _ALL = np.full(1, ~np.uint64(0))  # every bit
+_LOW = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(_BIT)])  # _LOW[c]: bits 0..c-1
 # The cut's row on the side below, then above.
 _SIGN = np.array([1.0, -1.0])
+
+
+def _front(mask: np.ndarray):
+    """(order, count): np.argsort(~mask, axis=1, kind="stable") for mask
+    (B, K), cut to the most marked slots of a row, from counts alone (a
+    marked slot goes after the marked ones before it, any other after all
+    marked ones and the others before it), and each row's marked slots."""
+    B, K = mask.shape
+    on = np.cumsum(mask, axis=1)
+    count = on[:, -1] if K else np.zeros(B, dtype=on.dtype)
+    pos = np.where(mask, on - 1, count[:, None] + np.arange(K) - on)
+    out = np.empty((B, K), dtype=np.intp)
+    out[np.arange(B)[:, None], pos] = np.arange(K)
+    return out[:, : count.max(initial=0)], count
 
 
 def tight_rows(V: np.ndarray, A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -382,17 +399,14 @@ class Cells:
     def compact(self) -> "Cells":
         """The same cells with their vertices and rows moved to the front,
         in order, and the arrays cut to the widths they need."""
-        rm = self.rm
-        k = int(self.vm.sum(axis=1).max(initial=0))
-        r = int(rm.sum(axis=1).max(initial=0))
-        # a stable sort of the marks, descending, brings each cell's
-        # entries to the front in order
-        vo = np.argsort(~self.vm, axis=1, kind="stable")[:, :k]
-        ro = np.argsort(~rm, axis=1, kind="stable")[:, :r]
+        (vo, nv), (ro, nr) = _front(self.vm), _front(self.rm)
         B = np.arange(len(self))[:, None]
-        T = _unpack_rows(self.bits[B, vo], self.H.shape[1])
-        return Cells(self.V[B, vo], self.H[B, ro], _pack_rows(T[B[:, :, None], np.arange(k)[:, None], ro[:, None, :]]),
-                     self.vm[B, vo], _pack_rows(rm[B, ro]))
+        # each vertex's bit on row ro[q] moves to bit q
+        M = self.bits[B, vo]
+        bits = np.zeros_like(M)
+        for q, at in enumerate(ro.T.astype(np.uint64)):
+            bits |= (M >> at[:, None] & np.uint64(1)) << np.uint64(q)
+        return Cells(self.V[B, vo], self.H[B, ro], bits, np.arange(vo.shape[1]) < nv[:, None], _LOW[nr])
 
     @classmethod
     def concat(cls, stacks) -> "Cells":
@@ -576,26 +590,75 @@ def _sides(cells, row, out, inn, any_out, cross, pb, slot, X, CX, above, flat):
     return (kept.slice(0, m), src[:m]), (kept.slice(m, len(oi)), src[m:])
 
 
-def clip(cells: Cells, a, c, tol, flat: bool = False):
-    """The parts of the cells in the half-spaces a.x <= c, as (cells,
-    src); see split."""
-    return split(cells, a, c, tol, above=False, flat=flat)[0]
-
-
-def clip_rows(cells: Cells, A, b, tol, flat: bool = False):
-    """Clip every cell by the rows A x <= b, one row at a time, as (cells,
-    src): A (B, R, d) and b (B, R) give each cell its own rows, A (R, d)
-    and b (R,) one set for all; tol is one for all or one per cell (B,)."""
-    src = np.arange(len(cells))
-    own = A.ndim == 3
-    tol = np.broadcast_to(np.reshape(tol, -1), len(src))
-    for q in range(A.shape[-2]):
-        if not len(src):
+def clip_rows(cells: Cells, A, b, tol, clip=None, flat: bool = False):
+    """Every cell cut by its own convex region {A x <= b}, A (B, R, d), b
+    (B, R), at its tolerance tol (B,), as (cells, src) by src, then row,
+    uncompacted: where clip (all if None) its part inside, flat as split
+    takes it; elsewhere its difference chain, piece k inside rows < k and
+    outside row k.  Each stacked split takes every cell's next row that
+    may cross it: one that its vertices all lie EPS or more inside keeps
+    every piece whole, so the cell skips it, and a clip gets what a clip
+    by every row gives.  A clip beyond a row by over twice its tolerance
+    is empty.  A chain keeps a piece whole within EPS of a row: a cell
+    inside every row gives none.  A row 0.x <= 1 pads a region."""
+    chain = np.zeros(len(cells), dtype=bool) if clip is None else ~clip
+    chains = bool(chain.any())
+    # each row's lowest and highest value over each cell's vertices, (R, B)
+    At, bt = A.transpose(1, 0, 2), b.T
+    lo, hi = np.full(bt.shape, np.inf), np.full(bt.shape, -np.inf)
+    for j in range(cells.V.shape[1]):
+        D = dot_last(At, cells.V[None, :, j]) - bt
+        np.minimum(lo, D, out=lo, where=cells.vm[:, j])
+        np.maximum(hi, D, out=hi, where=cells.vm[:, j])
+    outside = lo >= EPS
+    disjoint = chain & outside.any(axis=0)  # certified
+    covered = chain & (hi <= EPS).all(axis=0)
+    empty = ~chain & (outside & (lo > 2 * tol)).any(axis=0)
+    # (cells, src, step, whether they are ends): a clip's piece is its end
+    out = [(cells.take(disjoint), np.flatnonzero(disjoint), -1, False)]
+    act = np.flatnonzero(~disjoint & ~covered & ~empty)
+    # each active cell's rows in order, the cells with the most first, so
+    # that the cells whose rows run out at a step are the stack's last
+    rows, count = _front((hi[:, act] > -EPS).T)
+    by = np.argsort(-count, kind="stable")
+    act, count, rows = act[by], count[by], rows[by]
+    at = np.arange(len(act))  # each piece's cell, by position in act
+    cur = cells.take(act)
+    for t in range(int(count.max(initial=0)) + 1):
+        # the pieces whose rows ran out end: a chain's lies inside every row
+        n = int(np.count_nonzero(count[at] > t))
+        if n < len(at):
+            out.append((cur.slice(n, len(at)), act[at[n:]], t, True))
+            cur, at = cur.slice(0, n), at[:n]
+        if not n:
             break
-        a, c = A[..., q, :], b[..., q]
-        cells, kept = clip(cells, a[src] if own else a, c[src] if own else c, tol[src], flat)
-        src = src[kept]
-    return cells.compact(), src
+        i, q = act[at], rows[at, t]
+        a, c = A[i, q], b[i, q]
+        if chains:
+            rowd = dot_rows(cur.V, a) - c[:, None]
+            # a chain's piece all inside the row: its outside is empty
+            skip = chain[i] & np.where(cur.vm, rowd <= EPS, True).all(axis=1)
+            if skip.all():
+                continue
+            # all outside: the rest of the chain's cell is a piece
+            rest = chain[i] & ~skip & np.where(cur.vm, rowd >= -EPS, True).all(axis=1)
+            # the cells not cut lie wholly inside or outside a plane at infinity
+            a = np.where(skip[:, None], 1.0, a)
+            c = np.where(skip, np.inf, np.where(rest, -np.inf, c))
+        (cur, in_src), pieces = split(cur, a, c, tol[i], above=chains, flat=flat)
+        if chains:
+            out.append((pieces[0], i[pieces[1]], t, False))
+        at = at[in_src]
+        # a cut leaves the vertices it drops in place: close the gaps once
+        # they outnumber the vertices
+        if cur.V.shape[1] > 2 * cur.counts().max(initial=0):
+            cur = cur.compact()
+    # a clip gives its end, a chain its outside pieces, in order of row
+    out = [(c if len(k) == len(c) else c.take(k), s[k], t) for c, s, t, end in out
+           for k in [np.flatnonzero(chain[s] != end)]]
+    src = np.concatenate([s for _, s, _ in out])
+    order = np.lexsort((np.concatenate([np.full(len(s), t) for _, s, t in out]), src))
+    return Cells.concat([c for c, _, _ in out]).take(order), src[order]
 
 
 # ---------------------------------------------------------------------------
@@ -1117,7 +1180,10 @@ def _polytope_volumes(P: np.ndarray, vm: np.ndarray, T) -> np.ndarray:
 
 def check_invertible(phi: np.ndarray) -> None:
     """Raise Singular unless the square matrix phi is invertible to
-    working precision: its condition number is at most MAX_CONDITION."""
+    working precision: its condition number is at most MAX_CONDITION;
+    NonFinite, before any SVD, when an entry is not finite."""
+    if not np.isfinite(phi).all():
+        raise NonFinite("linear map holds a non-finite number")
     sv = np.linalg.svd(phi, compute_uv=False)
     if not sv[-1] * MAX_CONDITION >= sv[0]:
         raise Singular("linear map is singular (singular values %.3g to %.3g)" % (sv[0], sv[-1]))

@@ -9,12 +9,12 @@ that support is convex (its rows are cached with the complex), and
 against the other's simplices it meets one by one when it is not.
 
 Cells are cut in stacks (convex.Cells), never one at a time: one
-lockstep clips every near pair by the other simplex's rows and runs every
-chain against a whole convex support, each cell cut only by its own rows
-that cross it, in order, so it takes as many stacked cuts as its
-most-crossed cell has rows; chains against the simplices met run after
-it, and one stacked cut splits the cells where f = g or where their one
-function crosses 0.  Every cut is one convex.split over the stack, and
+lockstep (convex.clip_rows) clips every near pair by the other simplex's
+rows and runs every chain against a whole convex support, each cell cut
+only by its own rows that cross it, in order, so it takes as many stacked
+cuts as its most-crossed cell has rows; chains against the simplices met
+run after it, and one stacked cut splits the cells where f = g or where
+their one function crosses 0.  Every cut is one convex.split over the stack, and
 nothing in the cutting depends on the dimension.  The refinement carries
 its cells as arrays: vertices with their tight rows and incidence, each
 cell's simplex of f and of g, and its volume (convex.cell_volumes: one
@@ -236,80 +236,6 @@ def _cut_by_affine(cells, grad, off, tol, vol=None):
     return cells, src, vol
 
 
-def _lockstep(cells, A, b, tol, clip):
-    """Every cell cut by its own convex region {A x <= b}, A (B, R, d) and
-    b (B, R), at its tolerance tol (B,), as (cells, src) in order of src,
-    then of row: where clip, the cell's part inside the region, as
-    convex.clip_rows cuts it; elsewhere its difference chain, piece k
-    inside rows < k and outside row k, the part inside every row dropped
-    (the double-cover pass holds it).
-
-    Each stacked convex.split takes every cell's next row that may cross
-    it, in order: a clip keeps the inside, a chain emits the outside and
-    carries the inside on.  A row that every vertex of a cell lies EPS or
-    more inside holds every piece of it (a convex combination of those
-    vertices) inside, where the cut keeps it whole: the cell skips it.  A
-    chain keeps a piece whole within EPS of a row: a cell inside every row
-    gives none, one outside a row is one piece.  A row 0.x <= 1 pads a
-    region with fewer rows, and crosses nothing."""
-    chain = ~clip
-    vm = cells.vm[:, :, None]
-    D = convex.dot_last(cells.V[:, :, None, :], A[:, None]) - b[:, None, :]
-    # each row's lowest and highest value over each cell's vertices
-    lo, hi = np.where(vm, D, np.inf).min(axis=1), np.where(vm, D, -np.inf).max(axis=1)
-    outside = lo >= EPS
-    disjoint = chain & outside.any(axis=1)  # certified
-    covered = chain & (hi <= EPS).all(axis=1)
-    # a clip outside a row by more than twice its tolerance, where its cut
-    # would drop every vertex, is empty
-    empty = clip & (outside & (lo > 2 * tol[:, None])).any(axis=1)
-    di = np.flatnonzero(disjoint)
-    # (cells, src, step, whether they are ends): a clip's piece is its end
-    out = [(cells.take(di), di, -1, False)]
-    act = np.flatnonzero(~disjoint & ~covered & ~empty)
-    # each active cell's rows in order, the cells with the most first, so
-    # that the cells whose rows run out at a step are the stack's last
-    need = hi[act] > -EPS
-    count = need.sum(axis=1)
-    by = np.argsort(-count, kind="stable")
-    act, count = act[by], count[by]
-    rows = np.argsort(~need[by], axis=1, kind="stable")
-    at = np.arange(len(act))  # each piece's cell, by position in act
-    cur = cells.take(act)
-    for t in range(int(count.max(initial=0)) + 1):
-        # the pieces whose rows ran out end: a chain's lies inside every row
-        n = int(np.count_nonzero(count[at] > t))
-        if n < len(at):
-            out.append((cur.slice(n, len(at)), act[at[n:]], t, True))
-            cur, at = cur.slice(0, n), at[:n]
-        if not n:
-            break
-        i, q = act[at], rows[at, t]
-        a, c = A[i, q], b[i, q]
-        rowd = convex.dot_rows(cur.V, a) - c[:, None]
-        # a chain's piece all inside the row: its outside is empty
-        skip = chain[i] & np.where(cur.vm, rowd <= EPS, True).all(axis=1)
-        if skip.all():
-            continue
-        # all outside: the rest of the chain's cell is a piece
-        rest = chain[i] & ~skip & np.where(cur.vm, rowd >= -EPS, True).all(axis=1)
-        # the cells not cut lie wholly inside or outside a plane at infinity
-        a = np.where(skip[:, None], 1.0, a)
-        c = np.where(skip, np.inf, np.where(rest, -np.inf, c))
-        (cur, in_src), (outside, out_src) = convex.split(cur, a, c, tol[i])
-        out.append((outside, i[out_src], t, False))
-        at = at[in_src]
-        # a cut leaves the vertices it drops in place: close the gaps once
-        # they outnumber the vertices
-        if cur.V.shape[1] > 2 * cur.counts().max(initial=0):
-            cur = cur.compact()
-    # a clip gives its end, a chain its outside pieces, in order of row
-    out = [(c.take(k), s[k], t) for c, s, t, end in out for k in [np.flatnonzero(clip[s] == end)]]
-    src = np.concatenate([s for _, s, _ in out])
-    order = np.lexsort((np.concatenate([np.full(len(s), t) for _, s, t in out]), src))
-    return convex.Cells.concat([c for c, _, _ in out]).take(order), src[order]
-
-
 def _regions(mesh: _Mesh, owner, met, whole):
     """(A, b): for each cell of a simplex owner, the rows of the region
     it is cut by: the other function's whole support (of the owner's
@@ -340,15 +266,13 @@ def _leftovers(mesh: _Mesh, mi, mj, chained, whole, covered, tol):
     simplices simplex i meets cover it fully, and tol[i] is i's cut
     tolerance.  A simplex that meets none is one cell, whole; a covered
     one gives none; any other runs one chain per simplex it meets, in
-    order, each round in lockstep (_lockstep)."""
-    m = len(mesh.vol)
+    order, each round in lockstep (convex.clip_rows)."""
     own, other = np.concatenate([mi, mj]), np.concatenate([mj, mi])
     met = other[np.argsort(own, kind="stable")]
-    count = np.bincount(own, minlength=m)
+    count = np.bincount(own, minlength=len(mesh.vol))
     start = np.cumsum(count) - count
     cells, owner = chained
-    k = np.flatnonzero(count[owner] > 0)
-    done = [(cells.take(k), owner[k])]
+    done = [(cells.take(count[owner] > 0), owner[count[owner] > 0])]
     owner = np.flatnonzero((~whole | (count == 0)) & ~covered)
     parts = mesh.cells.take(owner)
     for t in range(int(count[owner].max(initial=0))):
@@ -357,7 +281,7 @@ def _leftovers(mesh: _Mesh, mi, mj, chained, whole, covered, tol):
             done.append((parts.take(np.flatnonzero(~more)), owner[~more]))
             parts, owner = parts.take(np.flatnonzero(more)), owner[more]
         A, b = _regions(mesh, owner, met[start[owner] + t], whole[owner])
-        parts, src = _lockstep(parts, A, b, tol[owner], np.zeros(len(owner), dtype=bool))
+        parts, src = convex.clip_rows(parts, A, b, tol[owner], np.zeros(len(owner), dtype=bool))
         owner = owner[src]
     done.append((parts, owner))
     owner = np.concatenate([o for _, o in done])
@@ -370,12 +294,12 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     cover once for each, by pair; mesh comes from _prep.  A pair's cells
     are cut at its own scale, and only its own simplices meet.
 
-    One _lockstep clips every near pair, f's simplex by g's rows, and runs
-    the chains against whole convex supports, then _leftovers the others.
-    A simplex whose other support is not convex would run one chain per
-    simplex it meets, so the clip cells of those simplices are measured
-    first, and the simplices they cover fully (as every simplex of f is in
-    f ^ (f v g)) run none.  One _cut_by_affine cuts all the cells and
+    One convex.clip_rows clips every near pair, f's simplex by g's rows,
+    and runs the chains against whole convex supports, then _leftovers the
+    others.  A simplex whose other support is not convex would run one
+    chain per simplex it meets, so the clip cells of those simplices are
+    measured first, and the simplices they cover fully (as every simplex
+    of f is in f ^ (f v g)) run none.  One _cut_by_affine cuts all the cells and
     measures those not measured yet, and a simplex keeps its single-cover
     cells where those it shares fill less than its volume."""
     stats.calls["cuts"] += 1
@@ -394,7 +318,7 @@ def _pieces_pairwise(mesh: _Mesh) -> _Pieces:
     wi = np.flatnonzero(whole & (np.bincount(np.concatenate([pi, pj]), minlength=m) > 0))
     own, clip = np.concatenate([pi, wi]), np.arange(len(pi) + len(wi)) < len(pi)
     A, b = _regions(mesh, own, np.concatenate([pj, wi]), ~clip)
-    cells, src = _lockstep(mesh.cells.take(own), A, b, tol[own], clip)
+    cells, src = convex.clip_rows(mesh.cells.take(own), A, b, tol[own], clip)
     n = int(np.searchsorted(src, len(pi)))
     mi, mj = pi[src[:n]], pj[src[:n]]  # the pairs that meet in an interior
     # the simplices that would chain against each simplex they meet, and
@@ -743,14 +667,16 @@ def _build_tents(functions, simplices, M) -> list:
     A tent is min(A, A + M b_0, ..., A + M b_n) clipped at 0, where A is
     f's affine extension and b_j the barycentric coordinates; a minimum of
     affine functions is concave on the region where it is positive.  The
-    n+2 cells of every tent of every function are cut in one stacked chain
-    and assembled by one batched assemble_cells, tent by tent as each
-    would be alone, so each function gets the tents, or the failure, it
-    gets alone.
+    rows of every tent of a function are built in array passes, the n+2
+    cells of every tent of every function are clipped from their boxes in
+    one convex.clip_rows call and assembled by one batched assemble_cells,
+    tent by tent as each would be alone, so each function gets the tents,
+    or the failure, it gets alone.
     """
     n = functions[0].dim
     box_A = np.vstack([np.eye(n), -np.eye(n)])
-    boxes, tols, rows, rhs, pieces, owner = [], [], [], [], [], []
+    others = np.array([[l for l in range(n + 1) if l != j] for j in range(n + 1)])  # wedge j's l != j
+    boxes, tols, rows, pieces, owner = [], [], [], [], []
     for i, (f, chosen, rates) in enumerate(zip(functions, simplices, M)):
         grads, offs = f.affines()
         _, _, Ms, v0s = f.complex.locator()
@@ -768,28 +694,26 @@ def _build_tents(functions, simplices, M) -> list:
         box_b = np.concatenate([hi + pad, -(lo - pad)])
         tols.append(EPS * max(1.0, float(np.max(np.abs(box_b)))))
         boxes.append((corners, box_A, box_b, convex.tight_rows(corners, box_A, box_b, tols[-1])))
-        for si, Mk in zip(chosen, rates):
-            gA, cA = grads[si], offs[si]
-            # b_j(x) = row_j . (x - v0) for j=1..n, b_0 = 1 - sum
-            b_rows = np.vstack([-Ms[si].sum(axis=0), Ms[si]])
-            b_offs = np.array([1.0, *np.zeros(n)]) - b_rows @ v0s[si]
-            pieces.append((gA, cA))
-            rows.append(np.vstack([-b_rows, -gA]))
-            rhs.append(np.append(b_offs, cA))
-            for j in range(n + 1):
-                others = [l for l in range(n + 1) if l != j]
-                gj, cj = gA + Mk * b_rows[j], cA + Mk * b_offs[j]
-                pieces.append((gj, cj))
-                rows.append(np.vstack([b_rows[j], b_rows[j] - b_rows[others], -gj]))
-                rhs.append(np.concatenate([[-b_offs[j]], b_offs[others] - b_offs[j], [cj]]))
-            owner.append(i)
-    owner = np.repeat(np.array(owner, dtype=int), n + 2)  # each cell's function
-    tol = np.array(tols)[owner]
-    cells, src = convex.clip_rows(convex.Cells.of(boxes).take(owner), np.array(rows), np.array(rhs), tol)
-    grad, off = (np.array(x) for x in zip(*pieces))
+        # rows [a, r] of a.x <= r of every chosen simplex: P[j] is b_j <= 0
+        # (b_j = row_j . (x - v0), j = 1..n, b_0 = 1 - their sum), and -Q[k]
+        # piece k >= 0, Q[k] = [g, -c] of A = g.x + c, then of A + M b_j
+        B = np.concatenate([-Ms[chosen].sum(axis=1)[:, None], Ms[chosen]], axis=1)
+        P = np.concatenate([B, np.matmul(B, v0s[chosen][..., None]) - np.eye(n + 1)[:, :1]], axis=2)
+        Q = np.concatenate([grads[chosen], -offs[chosen][:, None]], axis=1)[:, None]
+        Q = np.concatenate([Q, Q + np.asarray(rates, dtype=float)[:, None, None] * P], axis=1)
+        # the simplex's rows b_j >= 0, wedge j's b_j <= 0 and b_j <= b_l
+        wedges = np.concatenate([P[:, :, None], P[:, :, None] - P[:, others]], axis=2)
+        rows.append(np.concatenate([np.concatenate([-P[:, None], wedges], axis=1), -Q[:, :, None]], axis=2))
+        pieces.append(Q.reshape(-1, n + 1))
+        owner.append(np.full(len(pieces[-1]), i))
+    owner = np.concatenate(owner)  # each cell's function
+    H, Q = np.concatenate(rows).reshape(-1, n + 2, n + 1), np.concatenate(pieces)
+    cells, src = convex.clip_rows(convex.Cells.of(boxes).take(owner), H[..., :n], H[..., n], np.array(tols)[owner])
+    cells = cells.compact()
+    grad, off = Q[:, :n], -Q[:, n]
     tent = src // (n + 2)
     vol = convex.cell_volumes(cells)
-    count = len(pieces) // (n + 2)
+    count = len(Q) // (n + 2)
     ends = _bounds(tent, count)
     supp = np.array([float(vol[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])])
     tents = assemble_cells(cells, vol, grad[src], off[src], n, supp, tent)
@@ -813,7 +737,7 @@ def tent_decomposition(functions, delta: float = 1e-2) -> list:
     gives its OverlayFailure.
 
     The functions run in lockstep: each round builds the tents of every
-    function not done yet at once (_build_tents, one chain and one
+    function not done yet at once (_build_tents, one clip_rows and one
     assemble_cells) and checks them in one evaluate_each per check, so
     each function gets the tents, or the error, it gets alone.  delta must
     be finite (else NonFinite) and positive (else ValueError), and the

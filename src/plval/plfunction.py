@@ -147,9 +147,10 @@ class SimplicialComplex:
         the first such pair in (i, j) order.
 
         The pairs are those whose boxes, padded by atol, meet
-        (convex.box_pairs), clipped at atol in stacked flat chains
-        (convex.clip_rows), CLIP_PAIRS pairs at a time, which bounds the
-        temporaries of a large mesh."""
+        (convex.box_pairs), clipped flat at atol by convex.clip_rows,
+        CLIP_PAIRS pairs at a time, which bounds the temporaries of a large
+        mesh: each chunk is cut as many times as its pair with the most of
+        j's rows that may cross i, and compacted."""
         n = self.dim
         X = self.simplex_arrays()
         vols = self.simplex_volumes()
@@ -164,7 +165,9 @@ class SimplicialComplex:
         i, j, parts = i[i != j], j[i != j], []
         for s in range(0, max(len(i), 1), CLIP_PAIRS):
             ci, cj = i[s : s + CLIP_PAIRS], j[s : s + CLIP_PAIRS]
-            cells, src = convex.clip_rows(convex.Cells.of_simplices(X[ci], A[ci], b[ci]), A[cj], b[cj], atol, flat=True)
+            cells, src = convex.clip_rows(convex.Cells.of_simplices(X[ci], A[ci], b[ci]), A[cj], b[cj],
+                                          np.full(len(ci), atol), flat=True)
+            cells = cells.compact()
             parts.append((cells, ci[src], cj[src]))
         clips = convex.Cells.concat([p[0] for p in parts])
         i, j = (np.concatenate([p[k] for p in parts]) for k in (1, 2))

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import convex, stats
 from .convex import EPS
-from .errors import ConstructionFailure, Degenerate, OriginNotInterior
+from .errors import ConstructionFailure, Degenerate, NonFinite, OriginNotInterior
 from .serialize import read_dim, read_finite, read_object
 
 # Retry predicate for random_polytope: the origin must clear the boundary
@@ -114,8 +114,11 @@ def _timed(step):
 def _hull(points: np.ndarray):
     """The hull step of a build: (pts, A, b, scale), the points deduped,
     the rows A x <= b of their one hull (convex.hull), and the
-    largest coordinate magnitude of the points."""
+    largest coordinate magnitude of the points.  Raises NonFinite, before
+    any dedupe or hull, when a coordinate is not finite."""
     points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise NonFinite("polytope points hold a non-finite number")
     if points.ndim < 2:
         points = np.atleast_2d(points)
     n = points.shape[1]

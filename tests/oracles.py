@@ -972,29 +972,51 @@ def subtract_every_row(convex, cells, A, b, tol, eps):
 
 
 # ---------------------------------------------------------------------------
-# The overlay's clip with every row: each stacked clip takes row q of every
-# cell's region, whether it crosses the cell or not, as convex.clip_rows
-# does.  The library's lockstep clips each cell by the rows that may cross
-# it alone, next to difference chains, and must give the same cells bit for
-# bit, before and after the cut where f = g.
+# The stacked clip with every row: each cut takes row q of every cell's
+# region, whether it crosses the cell or not, one convex.split per row.
+# The library's clip (convex.clip_rows) cuts each cell by the rows that may
+# cross it alone, next to difference chains, and must give the same cells
+# bit for bit, flat or not, and so the same cells once cut where f = g.
 # ---------------------------------------------------------------------------
 
 
-def clip_every_row(convex, cut_by_affine, cells, A, b, tol, grad, off):
+def clip_every_row(convex, cells, A, b, tol, flat=False):
     """The parts of the stacked cells inside their convex regions {A x <=
     b}, A (B, R, d) and b (B, R), clipped at tolerances tol (B,) by one
-    stacked clip per row (convex.clip_rows), as (cells, src); then those
-    parts cut where their cell's affine function grad.x + off changes sign
-    (cut_by_affine, the overlay's), as (cells, src) again.  A zero row,
-    0.x <= 1, pads a region and holds everything: it is clipped as a plane
-    at infinity, and a row that pads every region is left out.  convex is
-    plval.convex, passed in so that this module imports nothing from
-    plval."""
+    stacked cut per row (convex.split, below only, flat as it takes it),
+    as (cells, src), compacted.  A zero row, 0.x <= 1, pads a region and
+    holds everything: it is clipped as a plane at infinity, and a row
+    that pads every region is left out.  convex is plval.convex, passed in
+    so that this module imports nothing from plval."""
     pad = ~A.any(axis=2)
     used = ~pad.all(axis=0)
     A, b, pad = A[:, used], b[:, used], pad[:, used]
     A = np.where(pad[:, :, None], np.eye(A.shape[2])[0], A)
     b = np.where(pad, np.inf, b)
-    clipped, src = convex.clip_rows(cells, A, b, tol)
-    cut, at, _ = cut_by_affine(clipped, grad[src], off[src], tol[src])
-    return (clipped, src), (cut, src[at])
+    src = np.arange(len(cells))
+    for q in range(A.shape[1]):
+        if not len(src):
+            break
+        (cells, kept), _ = convex.split(cells, A[src, q], b[src, q], tol[src], above=False, flat=flat)
+        src = src[kept]
+    return cells.compact(), src
+
+
+def compact_by_sort(convex, cells):
+    """cells with their vertices and rows moved to the front, in order, as
+    a stable sort of each cell's marks puts them, the incidence unpacked to
+    booleans, gathered and packed again: the reference that
+    convex.Cells.compact gives bit for bit, its unused slots included.
+    convex is plval.convex, passed in so that this module imports nothing
+    from plval."""
+    rm = cells.rm
+    k = int(cells.vm.sum(axis=1).max(initial=0))
+    r = int(rm.sum(axis=1).max(initial=0))
+    vo = np.argsort(~cells.vm, axis=1, kind="stable")[:, :k]
+    ro = np.argsort(~rm, axis=1, kind="stable")[:, :r]
+    B = np.arange(len(cells))[:, None]
+    T = cells.T[B, vo][B[:, :, None], np.arange(k)[:, None], ro[:, None, :]]
+    shift = np.arange(r, dtype=np.uint64)
+    bits = np.sum(T.astype(np.uint64) << shift, axis=2, dtype=np.uint64)
+    live = np.sum(rm[B, ro].astype(np.uint64) << shift, axis=1, dtype=np.uint64)
+    return convex.Cells(cells.V[B, vo], cells.H[B, ro], bits, cells.vm[B, vo], live)

@@ -437,7 +437,7 @@ def test_verify_timing_counts_equal_the_wrapped_calls(capsys, monkeypatch, tmp_p
         "builds": [(polytope, "_finish")],
         "cuts": [(overlay, "_pieces_pairwise")],
         "assemblies": [(overlay, "assemble_cells")],
-        # overlay and convex.clip both call split through the module
+        # overlay and convex.clip_rows both call split through the module
         "splits": [(convex, "split")],
         # overlay imports evaluate_each by name; plfunction calls its own
         "locates": [(overlay, "evaluate_each"), (pf, "evaluate_each")],

@@ -73,7 +73,7 @@ def _cut_in_stack(rng, cell, a, c, tol, mates):
     A = np.array([_random_unit(rng, len(a)) for _ in cells])
     C = np.array([u @ (rng.dirichlet(np.ones(len(m[0]))) @ m[0]) for u, m in zip(A, cells)])
     A[pos], C[pos] = a, c
-    out, src = convex.clip(convex.Cells.of(cells), A, C, tol)
+    (out, src), _ = convex.split(convex.Cells.of(cells), A, C, tol, above=False)
     hit = np.flatnonzero(src == pos)
     return out.cell(hit[0]) if len(hit) else None
 
@@ -150,7 +150,7 @@ def _random_cell(rng, d, cuts=4):
     for _ in range(cuts):
         V = cell.cell(0)[0]
         a = _random_unit(rng, d)
-        cell, _ = convex.clip(cell, a, a @ (rng.dirichlet(np.ones(len(V))) @ V), tol)
+        (cell, _), _ = convex.split(cell, a, a @ (rng.dirichlet(np.ones(len(V))) @ V), tol, above=False)
     return cell.cell(0)
 
 
@@ -260,6 +260,30 @@ def test_bitmask_split_matches_the_boolean_split(d, flat, above, size, precuts, 
         assert out.A[rm].tobytes() == A[rm].tobytes() and out.b[rm].tobytes() == b[rm].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), cuts=st.integers(0, 80), flat=st.booleans())
+def test_compact_matches_the_sorting_reference(d, seed, cuts, flat):
+    # boxes and simplices cut by random planes, below or above, flat or
+    # not, up to past MAX_ROWS cuts: compact gives what a stable sort of
+    # the marks and the unpacked incidence give, every slot bit for bit
+    rng = np.random.default_rng(seed)
+    cells = [_box_cell(-rng.uniform(0.5, 2, d), rng.uniform(0.5, 2, d), 1e-12) for _ in range(3)]
+    if d > 1:
+        cells.append(_simplex_cell(rng, d, 1.0, 0.0, 1e-12))
+    stack = convex.Cells.of(cells)
+    for _ in range(cuts):
+        if not len(stack):
+            break
+        a = np.array([_random_unit(rng, d) for _ in range(len(stack))])
+        c = (a * rng.uniform(-0.3, 0.3, (len(stack), d))).sum(axis=1)
+        lo, hi = convex.split(stack, a, c, 1e-12, flat=flat)
+        stack = (lo, hi)[int(rng.integers(2))][0]
+        got, want = stack.compact(), oracles.compact_by_sort(convex, stack)
+        for name in ("V", "H", "bits", "vm", "live"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
 def test_split_compacts_a_stack_whose_row_slots_are_taken():
     # every cut takes a row slot, even one that keeps its cell whole; once
     # all MAX_ROWS are taken the next cut compacts the stack first, and a
@@ -267,7 +291,7 @@ def test_split_compacts_a_stack_whose_row_slots_are_taken():
     V, A, b, T = _box_cell(-np.ones(2), np.ones(2), 1e-12)
     cells = convex.Cells.of([(V, A, b, T)])
     while cells.A.shape[1] < convex.MAX_ROWS:
-        cells, _ = convex.clip(cells, np.array([1.0, 0.0]), np.inf, 1e-12)
+        (cells, _), _ = convex.split(cells, np.array([1.0, 0.0]), np.inf, 1e-12, above=False)
     assert not cells.rm[0, 4:].any()
     a, c = np.array([1.0, 1.0]), 0.5
     for (full, _), (alone, _) in zip(convex.split(cells, a, c, 1e-12), convex.split(convex.Cells.of([(V, A, b, T)]), a, c,
@@ -928,7 +952,7 @@ def test_cell_volumes_match_qhull_on_cut_stacks(d, seed, cuts, mates):
             break
         a = np.array([_random_unit(rng, d) for _ in range(len(stack))])
         c = (a * rng.uniform(-0.3, 0.3, (len(stack), d))).sum(axis=1)
-        stack, _ = convex.clip(stack, a, c, 1e-12)
+        (stack, _), _ = convex.split(stack, a, c, 1e-12, above=False)
     vol = convex.cell_volumes(stack)
     for i in range(len(stack)):
         V = stack.V[i, stack.vm[i]]

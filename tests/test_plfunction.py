@@ -486,18 +486,18 @@ def test_one_lockstep_clips_every_near_pair_and_chains_against_whole_supports(mo
         g = pf.join(g, _disjoint_cones()[0])
     supports = [fn.complex.convex_support for fn in (f, g)]
     assert (supports[1] is not None) == convex_other
-    lockstep = overlay._lockstep
+    lockstep = convex.clip_rows
     calls = []
 
-    def counting(cells, A, b, tol, clip):
-        got = lockstep(cells, A, b, tol, clip)
+    def counting(cells, A, b, tol, clip=None, flat=False):
+        got = lockstep(cells, A, b, tol, clip, flat)
         # each cell, clip or chain, gives its role's every-row cells
         _assert_roles_match_their_oracles(cells, A, b, tol, clip, got)
         calls.append((cells, A, clip))
         return got
 
     overlay._pair.cache_clear()
-    monkeypatch.setattr(overlay, "_lockstep", counting)
+    monkeypatch.setattr(convex, "clip_rows", counting)
     pf.join(f, g)
     overlay._pair.cache_clear()
 
@@ -526,11 +526,12 @@ def test_one_lockstep_clips_every_near_pair_and_chains_against_whole_supports(mo
 
 
 def _assert_roles_match_their_oracles(cells, A, b, tol, clip, got):
-    """The (cells, src) that _lockstep gave for the stack cells: its chain
-    cells' pieces are the every-row chains' (oracles.subtract_every_row)
-    and its clip cells' the every-row clips' (oracles.clip_every_row), bit
-    for bit, the clips also once cut by an affine function that crosses
-    each cell, as the overlay cuts them where f = g."""
+    """The (cells, src) that convex.clip_rows gave for the stack cells:
+    its chain cells' pieces are the every-row chains'
+    (oracles.subtract_every_row) and its clip cells' the every-row clips'
+    (oracles.clip_every_row), bit for bit, the clips also once cut by an
+    affine function that crosses each cell, as the overlay cuts them where
+    f = g."""
     from plval import convex, overlay
 
     out, src = got
@@ -543,12 +544,12 @@ def _assert_roles_match_their_oracles(cells, A, b, tol, clip, got):
     off = -convex.dot_rows(cells.V[:, :1], grad)[:, 0]
     at = np.flatnonzero(clip)
     mine = np.flatnonzero(clip[src])
-    (wcells, wsrc), (wcut, wcsrc) = oracles.clip_every_row(convex, overlay._cut_by_affine, cells.take(at), A[at], b[at],
-                                                         tol[at], grad[at], off[at])
+    wcells, wsrc = oracles.clip_every_row(convex, cells.take(at), A[at], b[at], tol[at])
     _assert_same_pieces((out.take(mine), src[mine]), (wcells, at[wsrc]))
-    s = src[mine]
+    s, ws = src[mine], at[wsrc]
     cut, csrc, _ = overlay._cut_by_affine(out.take(mine), grad[s], off[s], tol[s])
-    _assert_same_pieces((cut, s[csrc]), (wcut, at[wcsrc]))
+    wcut, wcsrc, _ = overlay._cut_by_affine(wcells, grad[ws], off[ws], tol[ws])
+    _assert_same_pieces((cut, s[csrc]), (wcut, ws[wcsrc]))
 
 
 def _assert_same_pieces(got, want):
@@ -627,8 +628,12 @@ def test_lockstep_cells_equal_their_roles_every_row_cells(d, region, size, seed)
             for j, o in zip(rng.choice(d + 1, int(rng.integers(1, d + 1)), replace=False), off):
                 V[i, j] -= (V[i, j] @ a - b[i, q] - o) * a / (a @ a)
     cells = _simplex_stack(V) if size else _simplex_stack(np.eye(d + 1, d)[None]).take(np.arange(0))
-    got = overlay._lockstep(cells, A, b, tol, clip)
+    got = convex.clip_rows(cells, A, b, tol, clip)
     _assert_roles_match_their_oracles(cells, A, b, tol, clip, got)
+    # a stack of clips alone, flat or not, gives the every-row clips too
+    for flat in (False, True):
+        _assert_same_pieces(convex.clip_rows(cells, A, b, tol, flat=flat),
+                            oracles.clip_every_row(convex, cells, A, b, tol, flat))
 
 
 def _octagon_and_triangle():
@@ -643,9 +648,9 @@ def _octagon_and_triangle():
 
 
 def _lockstep_depth(cells, A, b, clip):
-    """The most rows any cell of a _lockstep call may be cut by: a clip's
-    and an uncertified chain's rows that a vertex lies less than EPS
-    inside."""
+    """The most rows any cell of a convex.clip_rows call may be cut by: a
+    clip's and an uncertified chain's rows that a vertex lies less than
+    EPS inside."""
     from plval import convex
 
     D = np.einsum("ikd,ird->ikr", cells.V, A) - b[:, None, :]
@@ -664,22 +669,22 @@ def test_lockstep_splits_only_as_deep_as_its_deepest_cell(monkeypatch):
     from plval import convex, overlay
 
     f, g = _octagon_and_triangle()
-    lockstep, split = overlay._lockstep, convex.split
+    lockstep, split = convex.clip_rows, convex.split
     calls = []
 
     def counted_split(*args, **kwargs):
         calls[-1]["splits"] += 1
         return split(*args, **kwargs)
 
-    def counting(cells, A, b, tol, clip):
+    def counting(cells, A, b, tol, clip=None, flat=False):
         calls.append({"cells": cells, "A": A, "b": b, "tol": tol, "clip": clip, "splits": 0})
         monkeypatch.setattr(convex, "split", counted_split)
         try:
-            return lockstep(cells, A, b, tol, clip)
+            return lockstep(cells, A, b, tol, clip, flat)
         finally:
             monkeypatch.setattr(convex, "split", split)
 
-    monkeypatch.setattr(overlay, "_lockstep", counting)
+    monkeypatch.setattr(convex, "clip_rows", counting)
     overlay.overlays([(f, g)], ("join", "meet"))
     assert len(calls) == 1
     call = calls[0]
@@ -691,9 +696,46 @@ def test_lockstep_splits_only_as_deep_as_its_deepest_cell(monkeypatch):
     chain, at = np.flatnonzero(~clip), np.flatnonzero(clip)
     oracles.subtract_every_row(convex, cells.take(chain), A[chain], b[chain], tol[chain], convex.EPS)
     assert len(every) == 3
-    zero = np.zeros((len(at), 2))
-    oracles.clip_every_row(convex, overlay._cut_by_affine, cells.take(at), A[at], b[at], tol[at], zero, zero[:, 0])
+    oracles.clip_every_row(convex, cells.take(at), A[at], b[at], tol[at])
     assert len(every) == 6
+
+
+@pytest.mark.parametrize(
+    "mesh, pairs",
+    [("kuhn", 1 << 14), ("folded", 1 << 14), ("small chunks", 4)],
+)
+def test_validate_cuts_each_chunk_only_as_deep_as_its_deepest_pair(monkeypatch, mesh, pairs):
+    # validate clips CLIP_PAIRS pairs at a time in one convex.clip_rows:
+    # each chunk takes as many stacked splits as its pair with the most
+    # rows that may cross it.  On the 2-D Kuhn mesh of 40^2 squares and its
+    # planted fold every full chunk holds a pair of one square, which
+    # needs all 3 rows; chunks of 4 pairs of a small mesh need 2 or 3,
+    # where a clip by every row would take 3 each
+    from plval import stats
+
+    f = oracles.kuhn_function(2, 3 if mesh == "small chunks" else 40)
+    if mesh == "folded":
+        f = _folded(f)
+    monkeypatch.setattr(pf, "CLIP_PAIRS", pairs)
+    clip_rows = convex.clip_rows
+    chunks = []
+
+    def counting(cells, A, b, tol, clip=None, flat=False):
+        before = stats.calls["splits"]
+        got = clip_rows(cells, A, b, tol, clip, flat)
+        chunks.append((stats.calls["splits"] - before, _lockstep_depth(cells, A, b, np.ones(len(cells), dtype=bool))))
+        return got
+
+    monkeypatch.setattr(convex, "clip_rows", counting)
+    if mesh == "folded":
+        with pytest.raises(InvalidComplex, match="simplices 984 and 1025 overlap"):
+            f.validate()
+    else:
+        f.validate()
+    splits, depths = (np.array(x) for x in zip(*chunks))
+    assert len(chunks) > 1 and np.array_equal(splits, depths)
+    if mesh == "small chunks":
+        assert set(depths) == {2, 3}
 
 
 def test_an_overlay_splits_as_deep_as_its_lockstep_and_one_affine_cut(monkeypatch):
@@ -703,14 +745,14 @@ def test_an_overlay_splits_as_deep_as_its_lockstep_and_one_affine_cut(monkeypatc
     from plval import stats
 
     f, g = _octagon_and_triangle()
-    lockstep = overlay._lockstep
+    lockstep = convex.clip_rows
     depths = []
 
-    def recording(cells, A, b, tol, clip):
+    def recording(cells, A, b, tol, clip=None, flat=False):
         depths.append(_lockstep_depth(cells, A, b, clip))
-        return lockstep(cells, A, b, tol, clip)
+        return lockstep(cells, A, b, tol, clip, flat)
 
-    monkeypatch.setattr(overlay, "_lockstep", recording)
+    monkeypatch.setattr(convex, "clip_rows", recording)
     before = stats.calls["splits"]
     overlay.overlays([(f, g)], ("join", "meet"))
     assert len(depths) == 1

@@ -376,3 +376,35 @@ def test_thin_parallelepipeds_measure_right_or_raise(n, w):
         assert len(P.vertices) >= n + 1
         assert pt.volume(P) == pytest.approx(want, rel=1e-13 / w)
     assert built
+
+
+_NON_FINITE = {
+    "hull_from_points nan": lambda: pt.hull_from_points([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan], [-1.0, -1.0]]),
+    "hull_from_points inf": lambda: pt.hull_from_points([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [np.inf, 0.0]]),
+    "translate": lambda: pt.translate(pt.cube(2), [np.nan, 0.0]),
+    "apply_unimodular": lambda: pt.apply_unimodular(pt.cube(2), [[1.0, np.nan], [0.0, 1.0]]),
+    "compose_affine": lambda: pf.compose_affine(pf.cone_function(pt.cube(2)), [[1.0, 0.0], [np.inf, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("call", list(_NON_FINITE), ids=list(_NON_FINITE))
+def test_non_finite_geometry_raises_non_finite_before_any_dedupe_hull_or_svd(monkeypatch, call):
+    # a NaN or inf point, shift or map entry is refused as such; before,
+    # the points gave Degenerate and the map numpy's LinAlgError
+    build = _NON_FINITE[call]  # the cube and the cone are built unpatched
+    cube = pt.cube(2)
+    cone = pf.cone_function(cube)
+    monkeypatch.setattr(pt, "cube", lambda n: cube)
+    monkeypatch.setattr(pf, "cone_function", lambda P: cone)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("reached past the finiteness check")
+
+    from plval import convex
+
+    for name in ("dedupe_points", "hull"):
+        monkeypatch.setattr(convex, name, refused)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    match = "linear map" if call in ("apply_unimodular", "compose_affine") else "polytope points"
+    with pytest.raises(NonFinite, match=match + " hold"):
+        build()
