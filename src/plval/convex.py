@@ -603,25 +603,27 @@ def clip_rows(cells: Cells, A, b, tol, clip=None, flat: bool = False):
     inside every row gives none.  A row 0.x <= 1 pads a region."""
     chain = np.zeros(len(cells), dtype=bool) if clip is None else ~clip
     chains = bool(chain.any())
-    # each row's lowest and highest value over each cell's vertices, (R, B)
-    At, bt = A.transpose(1, 0, 2), b.T
-    lo, hi = np.full(bt.shape, np.inf), np.full(bt.shape, -np.inf)
-    for j in range(cells.V.shape[1]):
-        D = dot_last(At, cells.V[None, :, j]) - bt
-        np.minimum(lo, D, out=lo, where=cells.vm[:, j])
-        np.maximum(hi, D, out=hi, where=cells.vm[:, j])
+    # each row's lowest and highest value over each cell's vertices, (R, B),
+    # from the values (k, R, B), each coordinate's terms contiguous
+    Ac, Vc = (np.ascontiguousarray(X.transpose(2, 1, 0)).transpose(1, 2, 0) for X in (A, cells.V))
+    D = dot_last(Ac[None], Vc[:, None]) - b.T
+    lo = np.minimum.reduce(D, axis=0, where=cells.vm.T[:, None], initial=np.inf)
+    hi = np.maximum.reduce(D, axis=0, where=cells.vm.T[:, None], initial=-np.inf)
     outside = lo >= EPS
     disjoint = chain & outside.any(axis=0)  # certified
     covered = chain & (hi <= EPS).all(axis=0)
     empty = ~chain & (outside & (lo > 2 * tol)).any(axis=0)
+    di = np.flatnonzero(disjoint)
     # (cells, src, step, whether they are ends): a clip's piece is its end
-    out = [(cells.take(disjoint), np.flatnonzero(disjoint), -1, False)]
+    out = [(cells.take(di), di, -1, False)]
     act = np.flatnonzero(~disjoint & ~covered & ~empty)
     # each active cell's rows in order, the cells with the most first, so
     # that the cells whose rows run out at a step are the stack's last
-    rows, count = _front((hi[:, act] > -EPS).T)
+    need = hi[:, act] > -EPS
+    count = np.add.reduce(need, axis=0)
     by = np.argsort(-count, kind="stable")
-    act, count, rows = act[by], count[by], rows[by]
+    act, count = act[by], count[by]
+    rows = np.argsort(~need.T[by], axis=1, kind="stable")
     at = np.arange(len(act))  # each piece's cell, by position in act
     cur = cells.take(act)
     for t in range(int(count.max(initial=0)) + 1):
