@@ -595,12 +595,13 @@ def clip_rows(cells: Cells, A, b, tol, clip=None, flat: bool = False):
     (B, R), at its tolerance tol (B,), as (cells, src) by src, then row,
     uncompacted: where clip (all if None) its part inside, flat as split
     takes it; elsewhere its difference chain, piece k inside rows < k and
-    outside row k.  Each stacked split takes every cell's next row that
-    may cross it: one that its vertices all lie EPS or more inside keeps
-    every piece whole, so the cell skips it, and a clip gets what a clip
-    by every row gives.  A clip beyond a row by over twice its tolerance
-    is empty.  A chain keeps a piece whole within EPS of a row: a cell
-    inside every row gives none.  A row 0.x <= 1 pads a region."""
+    outside row k, the part inside every row dropped.  Each stacked split
+    takes every cell's next row that may cross it: one that its vertices
+    all lie EPS or more inside keeps every piece whole, so the cell skips
+    it, and a clip gets what a clip by every row gives.  A clip beyond a
+    row by over twice its tolerance is empty.  A chain keeps a piece whole
+    within EPS of a row: a cell inside every row gives none, one outside a
+    row is one piece.  A row 0.x <= 1 pads a region."""
     chain = np.zeros(len(cells), dtype=bool) if clip is None else ~clip
     chains = bool(chain.any())
     # each row's lowest and highest value over each cell's vertices, (R, B),

@@ -278,10 +278,12 @@ def test_compact_matches_the_sorting_reference(d, seed, cuts, flat):
         c = (a * rng.uniform(-0.3, 0.3, (len(stack), d))).sum(axis=1)
         lo, hi = convex.split(stack, a, c, 1e-12, flat=flat)
         stack = (lo, hi)[int(rng.integers(2))][0]
-        got, want = stack.compact(), oracles.compact_by_sort(convex, stack)
-        for name in ("V", "H", "bits", "vm", "live"):
-            x, y = getattr(got, name), getattr(want, name)
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        # a compacted stack, empty ones too, compacts the same way again
+        for stack in (stack, stack.compact()):
+            got, want = stack.compact(), oracles.compact_by_sort(convex, stack)
+            for name in ("V", "H", "bits", "vm", "live"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 def test_split_compacts_a_stack_whose_row_slots_are_taken():
